@@ -136,14 +136,7 @@ func main() {
 			os.Exit(2)
 		}
 		ccfg.Faults = sch
-		// Arm the tolerance watchdogs at both layers: fine-grained request
-		// timeouts in the PFS client, the coarser batch watchdog in CRM.
-		ccfg.PFS.RequestTimeout = 250 * time.Millisecond
-		ccfg.PFS.MaxRetries = 4
-		ccfg.PFS.RetryBackoff = 20 * time.Millisecond
-		dcfg.CRMTimeout = 2 * time.Second
-		dcfg.CRMMaxRetries = 3
-		dcfg.CRMBackoff = 50 * time.Millisecond
+		core.ArmWatchdogs(&ccfg, &dcfg)
 	}
 	if *burstSpec != "" {
 		spec := *burstSpec

@@ -119,12 +119,7 @@ func (c Config) WithFaults(spec string) Config {
 		panic(err)
 	}
 	c.Cluster.Faults = sch
-	c.Cluster.PFS.RequestTimeout = 250 * time.Millisecond
-	c.Cluster.PFS.MaxRetries = 4
-	c.Cluster.PFS.RetryBackoff = 20 * time.Millisecond
-	c.Core.CRMTimeout = 2 * time.Second
-	c.Core.CRMMaxRetries = 3
-	c.Core.CRMBackoff = 50 * time.Millisecond
+	core.ArmWatchdogs(&c.Cluster, &c.Core)
 	return c
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"dualpar/internal/cluster"
 	"dualpar/internal/memcache"
 )
 
@@ -126,6 +127,20 @@ func DefaultConfig() Config {
 		Strategy2WindowBytes: 512 << 10,
 		Memcache:             memcache.DefaultConfig(),
 	}
+}
+
+// ArmWatchdogs arms the retry-watchdog preset that every fault-injecting
+// run uses, at both layers: PFS client request timeouts (250 ms, 4
+// retries, 20 ms backoff) and, above them, the coarser CRM batch watchdog
+// (2 s, 3 relaunches, 50 ms backoff), so degraded runs make progress
+// instead of pinning on a straggler.
+func ArmWatchdogs(cc *cluster.Config, c *Config) {
+	cc.PFS.RequestTimeout = 250 * time.Millisecond
+	cc.PFS.MaxRetries = 4
+	cc.PFS.RetryBackoff = 20 * time.Millisecond
+	c.CRMTimeout = 2 * time.Second
+	c.CRMMaxRetries = 3
+	c.CRMBackoff = 50 * time.Millisecond
 }
 
 // Validate reports configuration errors.

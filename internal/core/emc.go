@@ -194,14 +194,17 @@ func (e *emc) slot() {
 			DataDriven:    pr.dataDriven,
 			PerServerSeek: perSeek,
 		})
-		dd := "off"
-		if pr.dataDriven {
-			dd = "on"
+		// The args are formatted eagerly, so skip them when tracing is off.
+		if col := e.r.cl.Obs(); col.Enabled() {
+			dd := "off"
+			if pr.dataDriven {
+				dd = "on"
+			}
+			col.Instant("emc.decision", "emc", now,
+				obs.I64("program", int64(i)), obs.F64("io_ratio", ioRatio),
+				obs.F64("improvement", improvement), obs.F64("mis_ratio", mis),
+				obs.Str("data_driven", dd))
 		}
-		e.r.cl.Obs().Instant("emc.decision", "emc", now,
-			obs.I64("program", int64(i)), obs.F64("io_ratio", ioRatio),
-			obs.F64("improvement", improvement), obs.F64("mis_ratio", mis),
-			obs.Str("data_driven", dd))
 	}
 }
 

@@ -135,13 +135,8 @@ func executeAvail(seed int64, maxTime time.Duration, replicas int, sch *fault.Sc
 	cfg.Faults = sch
 	cfg.PFS.Replicas = replicas
 	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
 	ddCfg := core.DefaultConfig()
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
+	core.ArmWatchdogs(&cfg, &ddCfg)
 	cl := cluster.New(cfg)
 	cl.FS.EnableIntegrity()
 	return executeOn(cl, maxTime, ddCfg, specs)

@@ -78,3 +78,38 @@ func TestDiffSegs(t *testing.T) {
 		t.Fatal("unwritten hole in read-back not flagged")
 	}
 }
+
+// TestVerifyIntegrityWriteVoidedAtSend covers a write attempt lost on the
+// wire: with three replicas, a replica that has crashed but is not yet
+// detected voids the write's message before it reaches the queue, while
+// the other two form the quorum. The miss must still reach the rebuild
+// ledger, or the recovered replica never re-copies those bytes and a read
+// it serves after recovery returns stale data. The workload is
+// the replicated-crash benchmark's writer and reader at 24 checkpoints,
+// with server 2 down from 1 s to 3 s.
+func TestVerifyIntegrityWriteVoidedAtSend(t *testing.T) {
+	writer := availProg(false)
+	writer.Checkpoints = 24
+	reader := availReader(false)
+	reader.FileBytes = 3 * 24 * int64(reader.Procs) * int64(reader.SegsPerCall) * reader.SegBytes
+	sch := &fault.Schedule{Windows: []fault.Window{
+		{Kind: fault.ServerCrash, Target: 2, Start: time.Second, End: 3 * time.Second},
+	}}
+	for seed := int64(1); seed <= 3; seed++ {
+		ms, cl := executeAvail(seed, time.Hour, 3, sch, []runSpec{
+			{prog: writer, mode: core.ModeVanilla},
+			{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
+		})
+		for i, m := range ms {
+			if !m.finished {
+				t.Fatalf("seed %d: program %d did not finish", seed, i)
+			}
+			if err := m.run.Err(); err != nil {
+				t.Fatalf("seed %d: program %d: %v", seed, i, err)
+			}
+		}
+		if err := VerifyIntegrity(cl); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}

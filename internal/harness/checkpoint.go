@@ -82,14 +82,9 @@ func runCheckpoint(seed int64, prog workloads.EpochCheckpoint, replicas int, bcf
 	cfg.Faults = sch
 	cfg.PFS.Replicas = replicas
 	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
 	cfg.Burst = bcfg
 	ddCfg := core.DefaultConfig()
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
+	core.ArmWatchdogs(&cfg, &ddCfg)
 	if audit {
 		ddCfg.Audit = true
 	}

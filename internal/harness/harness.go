@@ -144,12 +144,7 @@ func executeFaults(seed int64, maxTime time.Duration, ddCfg core.Config, sch *fa
 	cfg := baseConfig()
 	cfg.Seed = seed
 	cfg.Faults = sch
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
+	core.ArmWatchdogs(&cfg, &ddCfg)
 	return executeOn(cluster.New(cfg), maxTime, ddCfg, specs)
 }
 

@@ -9,10 +9,10 @@ import (
 	"dualpar/internal/sim"
 )
 
-// TestVerifyDurableLegacyPath pins the coherence oracle on the unreplicated
-// path: legacy writes now get version stamps when the tracker is on, so a
+// TestVerifyDurableSingleReplica pins the coherence oracle with one
+// replica: writes get version stamps whenever the tracker is on, so a
 // completed write verifies and untouched ranges fail as never-written.
-func TestVerifyDurableLegacyPath(t *testing.T) {
+func TestVerifyDurableSingleReplica(t *testing.T) {
 	k, fsys := testFS(3)
 	fsys.EnableIntegrity()
 	unit := fsys.cfg.StripeUnit

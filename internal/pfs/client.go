@@ -58,21 +58,24 @@ func (c *Client) Open(p *sim.Proc, name string) int64 {
 // Read performs a list-I/O read of the given file-global extents, blocking
 // p until all data has arrived. origin tags the disk requests for the I/O
 // scheduler (CFQ queues by origin); rc carries the originating traced
-// request (zero Ctx = untraced). With replication, the read is served by
-// the preferred live replica and fails over to the next one when the
+// request (zero Ctx = untraced). Each stripe group is served by its
+// preferred live replica and fails over to the next one when the
 // per-request watchdog fires or the failure detector declares the target
 // dead; it returns an error wrapping ErrRetriesExhausted only when every
 // replica of some needed stripe is down.
 func (c *Client) Read(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
-	_, err := c.transfer(p, name, extents, origin, rc, false)
+	op, err := c.transfer(p, name, extents, origin, rc, false)
+	c.fsys.putOp(op)
 	return err
 }
 
-// Write performs a list-I/O write; see Read. With replication the write
-// fans out to every live replica and completes at the write quorum;
-// replicas that missed it are noted for the online rebuild.
+// Write performs a list-I/O write; see Read. The write fans out to every
+// live replica and completes at the write quorum; replicas that missed it
+// are noted for the online rebuild.
 func (c *Client) Write(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
-	if _, err := c.transfer(p, name, extents, origin, rc, true); err != nil {
+	op, err := c.transfer(p, name, extents, origin, rc, true)
+	c.fsys.putOp(op)
+	if err != nil {
 		return err
 	}
 	fsys := c.fsys
@@ -90,12 +93,11 @@ func (c *Client) Write(p *sim.Proc, name string, extents []ext.Extent, origin in
 	return nil
 }
 
-// issued is one outstanding server request with what a retry needs to
-// reissue it.
+// issued is one replica's attempts at a stripe group: the request sent to
+// that rank's server plus every reissue to the same server.
 type issued struct {
 	srv      *Server
 	rank     int
-	msg      int64
 	attempts []*serverReq // all reissues share the group's done signal
 }
 
@@ -108,9 +110,9 @@ func (is *issued) finished() bool {
 	return false
 }
 
-// xferGroup is the per-primary-server unit of a replicated transfer: the
-// local extent list, one done signal shared by every replica attempt, and
-// the per-replica outstanding requests.
+// xferGroup is the per-primary-server unit of a transfer: the local extent
+// list, one done signal shared by every replica attempt, and the
+// per-replica outstanding requests.
 type xferGroup struct {
 	primary int
 	file    string
@@ -130,200 +132,133 @@ func (g *xferGroup) winner() *issued {
 	return nil
 }
 
-func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) ([]*xferGroup, error) {
-	fsys := c.fsys
-	if fsys.replicas() == 1 && !fsys.crashAware() {
-		c.legacyTransfer(p, name, extents, origin, rc, write)
-		return nil, nil
+// settled reports whether every attempt of every replica has finished, so
+// no server queue or worker can still reference the group's records.
+func (g *xferGroup) settled() bool {
+	for _, is := range g.reps {
+		for _, a := range is.attempts {
+			if !a.fin {
+				return false
+			}
+		}
 	}
-	if write {
-		return nil, c.writeReplicated(p, name, extents, origin, rc)
-	}
-	return c.readFailover(p, name, extents, origin, rc)
+	return true
 }
 
-// legacyTransfer is the pre-replication path, preserved verbatim: with
-// Replicas <= 1 and no crash windows the event timeline stays
-// byte-identical to earlier builds.
-//
-// It runs on pooled transfer records: requests, retry records, and the
-// per-server extent lists come from the FileSystem free lists and go back
-// once every request has finished. A request that was reissued may have a
-// duplicate attempt still being served; it (and the extent buffer its
-// attempts reference) is left to the garbage collector rather than risk a
-// live reference — the common no-retry op recycles everything.
-func (c *Client) legacyTransfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) {
+// xferOp is the per-operation transfer record: the per-server split of the
+// extents and the stripe groups built over it.
+type xferOp struct {
+	per    [][]ext.Extent
+	groups []*xferGroup
+}
+
+// transfer splits the extents into one stripe group per data server and
+// serves each group through its replicas: a write goes to every live
+// replica and waits for the write quorum, a read goes to the preferred
+// live replica and fails over. With one replica and no crash windows both
+// reduce to the plain PVFS2 list-I/O client: one request per server, and
+// the retry watchdog when RequestTimeout is armed. The returned record
+// goes back to the pool with putOp once the caller is done with it.
+func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) (*xferOp, error) {
 	fsys := c.fsys
-	per := fsys.getSplitBuf()
-	fsys.splitInto(per, extents)
-	var reqsArr [32]*issued // escapes only past NumServers() > 32
-	reqs := reqsArr[:0]
-	// With the integrity tracker enabled, legacy writes get version stamps
-	// too, so the audit coherence oracle covers the single-replica path. The
-	// stamping itself adds no simulation events.
+	op := fsys.getOp()
+	fsys.splitInto(op.per, extents)
 	var ver int64
 	if write && fsys.tracker != nil {
 		fsys.verCounter++
 		ver = fsys.verCounter
 	}
-	for i, lst := range per {
+	for i, lst := range op.per {
 		if len(lst) == 0 {
 			continue
 		}
-		srv := fsys.servers[i]
-		req := fsys.getServerReq()
-		req.file = name
-		req.extents = lst
-		req.write = write
-		req.origin = origin
-		req.client = c.Node
-		req.rc = rc
-		req.ver = ver
-		req.done = &req.sig
-		msg := fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst))
+		g := fsys.getGroup()
+		g.primary, g.file, g.lst, g.ver = i, name, lst, ver
+		g.msg = fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst))
 		if write {
-			msg += ext.Total(lst) // write payload travels with the request
+			g.msg += ext.Total(lst) // write payload travels with the request
+			for rank := 0; rank < fsys.replicas(); rank++ {
+				srv := fsys.replicaServer(i, rank)
+				if fsys.down[srv.Index] {
+					// Known-dead replica: skip the wire, note it for rebuild.
+					fsys.ledger.add(srv.Index, replicaFile(name, rank), lst)
+					continue
+				}
+				c.issueTo(p, g, rank, true, origin, rc)
+			}
+		} else {
+			c.issueTo(p, g, fsys.preferredRank(i), false, origin, rc)
 		}
-		fsys.net.SendTraced(p, c.Node, srv.Node, msg, rc)
-		req.enq = p.Now()
-		srv.queue.Put(req)
-		is := fsys.getIssued()
-		is.srv, is.msg = srv, msg
-		is.attempts = append(is.attempts, req)
-		reqs = append(reqs, is)
+		op.groups = append(op.groups, g)
 	}
-	for _, is := range reqs {
-		c.await(p, is)
+	for _, g := range op.groups {
+		var err error
+		if write {
+			err = c.awaitQuorum(p, g)
+		} else {
+			err = c.awaitRead(p, g, origin, rc)
+		}
+		if err != nil {
+			return op, err
+		}
 	}
 	if ver != 0 {
 		fsys.tracker.recordExpected(name, extents, ver)
 	}
-	allDead := true
-	for _, is := range reqs {
-		if len(is.attempts) == 1 {
-			fsys.putServerReq(is.attempts[0])
-		} else {
-			// An abandoned duplicate may still be in a server queue or
-			// worker, referencing the request and its extent list.
-			allDead = false
-		}
-		fsys.putIssued(is)
-	}
-	if allDead {
-		fsys.putSplitBuf(per)
-	}
-}
-
-// await blocks until one attempt of the request finishes. With
-// RequestTimeout armed, an unanswered request is reissued after the
-// timeout with bounded exponential backoff; the abandoned original keeps
-// running server-side (duplicate service costs time, as real retries do)
-// and whichever attempt finishes first releases the client.
-func (c *Client) await(p *sim.Proc, is *issued) {
-	fsys := c.fsys
-	done := is.attempts[0].done
-	if fsys.cfg.RequestTimeout <= 0 {
-		for !is.finished() {
-			done.Wait(p)
-		}
-		return
-	}
-	timeout := fsys.cfg.RequestTimeout
-	backoff := fsys.cfg.RetryBackoff
-	for retry := 0; ; retry++ {
-		deadline := p.Now() + timeout
-		for !is.finished() && p.Now() < deadline {
-			done.WaitTimeout(p, deadline-p.Now())
-		}
-		if is.finished() {
-			return
-		}
-		if retry >= fsys.cfg.MaxRetries {
-			// Out of retries: the server is degraded, not gone. Wait it out
-			// rather than fail — the simulation has no error path to lose
-			// data into.
-			for !is.finished() {
-				done.Wait(p)
-			}
-			return
-		}
-		fsys.retries++
-		first := is.attempts[0]
-		fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
-			obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry+1)),
-			obs.Str("file", first.file))
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-		}
-		dup := &serverReq{
-			file:    first.file,
-			extents: first.extents,
-			write:   first.write,
-			origin:  first.origin,
-			client:  first.client,
-			done:    done,
-			rc:      first.rc,
-		}
-		fsys.net.SendTraced(p, c.Node, is.srv.Node, is.msg, first.rc)
-		dup.enq = p.Now()
-		is.srv.queue.Put(dup)
-		is.attempts = append(is.attempts, dup)
-		timeout *= 2
-	}
+	return op, nil
 }
 
 // issueTo sends one replica attempt of the group to the given rank's
 // server. The message may vanish en route to a crashed server; the
 // attempt is still recorded (the client cannot know) and the watchdog or
 // view change recovers.
-func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin int, rc obs.Ctx) *issued {
+func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin int, rc obs.Ctx) {
 	fsys := c.fsys
-	srv := fsys.replicaServer(g.primary, rank)
-	req := &serverReq{
-		file:    replicaFile(g.file, rank),
-		extents: g.lst,
-		write:   write,
-		origin:  origin,
-		client:  c.Node,
-		done:    &g.done,
-		rc:      rc,
-		ver:     g.ver,
-	}
-	is := &issued{srv: srv, rank: rank, msg: g.msg, attempts: []*serverReq{req}}
-	if fsys.net.SendLossy(p, c.Node, srv.Node, g.msg, rc) {
-		req.enq = p.Now()
-		srv.queue.Put(req)
-	}
+	is := fsys.getIssued()
+	is.srv, is.rank = fsys.replicaServer(g.primary, rank), rank
 	g.reps = append(g.reps, is)
-	return is
+	req := fsys.getServerReq()
+	req.file = replicaFile(g.file, rank)
+	req.extents = g.lst
+	req.write = write
+	req.origin = origin
+	req.client = c.Node
+	req.done = &g.done
+	req.rc = rc
+	req.ver = g.ver
+	c.send(p, g, is, req)
 }
 
 // reissue duplicates an unanswered attempt to the same server (write
-// retries and single-replica read retries).
-func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued, rc obs.Ctx) {
+// retries). The abandoned original keeps running server-side — duplicate
+// service costs time, as real retries do — and whichever attempt finishes
+// first counts.
+func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued) {
+	dup := c.fsys.getServerReq()
+	*dup = *is.attempts[0]
+	dup.fin, dup.enq = false, 0
+	c.send(p, g, is, dup)
+}
+
+// send records the attempt and puts it on the wire. A message voided by a
+// crashed but not yet detected server never reaches its queue, so no
+// worker will note a voided write for the rebuild: send does, as the
+// worker does for a write voided in the queue.
+func (c *Client) send(p *sim.Proc, g *xferGroup, is *issued, req *serverReq) {
 	fsys := c.fsys
-	first := is.attempts[0]
-	dup := &serverReq{
-		file:    first.file,
-		extents: first.extents,
-		write:   first.write,
-		origin:  first.origin,
-		client:  first.client,
-		done:    &g.done,
-		rc:      first.rc,
-		ver:     first.ver,
+	is.attempts = append(is.attempts, req)
+	if fsys.net.SendLossy(p, c.Node, is.srv.Node, g.msg, req.rc) {
+		req.enq = p.Now()
+		is.srv.queue.Put(req)
+	} else if req.write {
+		fsys.ledger.add(is.srv.Index, req.file, req.extents)
 	}
-	if fsys.net.SendLossy(p, c.Node, is.srv.Node, is.msg, first.rc) {
-		dup.enq = p.Now()
-		is.srv.queue.Put(dup)
-	}
-	is.attempts = append(is.attempts, dup)
 }
 
 // waitStep blocks until the group's done signal fires, a watchdog
 // deadline passes (deadline > 0), or — on crash-aware runs — a poll tick
-// elapses so the waiter re-reads the failure detector's view.
+// elapses so the waiter re-reads the failure detector's view. Crash-free
+// runs never poll: their waits are pure signal and timeout.
 func (c *Client) waitStep(p *sim.Proc, g *xferGroup, deadline time.Duration) {
 	fsys := c.fsys
 	switch {
@@ -342,57 +277,14 @@ func (c *Client) waitStep(p *sim.Proc, g *xferGroup, deadline time.Duration) {
 	}
 }
 
-// writeReplicated fans a write out to every live replica of each stripe
-// group and blocks until the write quorum acknowledges. Replicas that are
-// down — at issue time or before acking — are recorded in the rebuild
-// ledger. It fails with ErrRetriesExhausted only when no replica of some
-// stripe group can take the write.
-func (c *Client) writeReplicated(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
-	fsys := c.fsys
-	per := fsys.split(extents)
-	var ver int64
-	if fsys.tracker != nil {
-		fsys.verCounter++
-		ver = fsys.verCounter
-	}
-	var groups []*xferGroup
-	for i, lst := range per {
-		if len(lst) == 0 {
-			continue
-		}
-		g := &xferGroup{
-			primary: i,
-			file:    name,
-			lst:     lst,
-			msg:     fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst)) + ext.Total(lst),
-			ver:     ver,
-		}
-		for rank := 0; rank < fsys.replicas(); rank++ {
-			srv := fsys.replicaServer(i, rank)
-			if fsys.down[srv.Index] {
-				// Known-dead replica: skip the wire, note it for rebuild.
-				fsys.ledger.add(srv.Index, replicaFile(name, rank), lst)
-				continue
-			}
-			c.issueTo(p, g, rank, true, origin, rc)
-		}
-		groups = append(groups, g)
-	}
-	for _, g := range groups {
-		if err := c.awaitQuorum(p, g, rc); err != nil {
-			return err
-		}
-	}
-	if fsys.tracker != nil {
-		fsys.tracker.recordExpected(name, extents, ver)
-	}
-	return nil
-}
-
 // awaitQuorum blocks until enough replicas of one stripe group ack the
 // write: the configured quorum, shrunk to the number of issued replicas
-// still live (so a crash detected mid-wait unblocks the writer).
-func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
+// still live (so a crash detected mid-wait unblocks the writer). It fails
+// with ErrRetriesExhausted only when no replica of the group can take the
+// write. With RequestTimeout armed, unacked live replicas are reissued
+// after the timeout: the retry is counted, then RetryBackoff is slept, then
+// the duplicates go out; both the timeout and the backoff double per retry.
+func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup) error {
 	fsys := c.fsys
 	timeout := fsys.cfg.RequestTimeout
 	backoff := fsys.cfg.RetryBackoff
@@ -435,6 +327,7 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
 				continue
 			}
 			retry++
+			var due []*issued
 			for _, is := range g.reps {
 				if is.finished() || fsys.down[is.srv.Index] {
 					continue
@@ -443,11 +336,14 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
 				fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
 					obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry)),
 					obs.Str("file", g.file))
-				c.reissue(p, g, is, rc)
+				due = append(due, is)
 			}
 			if backoff > 0 {
 				p.Sleep(backoff)
 				backoff *= 2
+			}
+			for _, is := range due {
+				c.reissue(p, g, is)
 			}
 			timeout *= 2
 			deadline = p.Now() + timeout
@@ -457,34 +353,11 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
 	}
 }
 
-// readFailover issues each stripe group's read to its preferred live
-// replica and fails over to the next replica when the watchdog fires or
-// the view declares the target dead.
-func (c *Client) readFailover(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) ([]*xferGroup, error) {
-	fsys := c.fsys
-	per := fsys.split(extents)
-	var groups []*xferGroup
-	for i, lst := range per {
-		if len(lst) == 0 {
-			continue
-		}
-		g := &xferGroup{
-			primary: i,
-			file:    name,
-			lst:     lst,
-			msg:     fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst)),
-		}
-		c.issueTo(p, g, fsys.preferredRank(i), false, origin, rc)
-		groups = append(groups, g)
-	}
-	for _, g := range groups {
-		if err := c.awaitRead(p, g, origin, rc); err != nil {
-			return nil, err
-		}
-	}
-	return groups, nil
-}
-
+// awaitRead blocks until one replica of the stripe group has served the
+// read. A target the failure detector declares dead is failed over
+// immediately, without spending the retry budget; with RequestTimeout
+// armed an unanswered target is retried on the next live replica (the
+// same server when there is only one) after RetryBackoff.
 func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) error {
 	fsys := c.fsys
 	timeout := fsys.cfg.RequestTimeout
@@ -561,12 +434,13 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 	if fsys.tracker == nil {
 		return nil, fmt.Errorf("pfs: ReadVersions without EnableIntegrity")
 	}
-	groups, err := c.readFailover(p, name, extents, origin, obs.Ctx{})
+	op, err := c.transfer(p, name, extents, origin, obs.Ctx{}, false)
+	defer fsys.putOp(op)
 	if err != nil {
 		return nil, err
 	}
-	winners := make(map[int]*issued, len(groups))
-	for _, g := range groups {
+	winners := make(map[int]*issued, len(op.groups))
+	for _, g := range op.groups {
 		winners[g.primary] = g.winner()
 	}
 	// Re-walk the split piece by piece so each local range maps back to

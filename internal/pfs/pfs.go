@@ -44,11 +44,13 @@ type Config struct {
 	// ablation that exposes CFQ's per-process queueing to client identity.
 	ClientDiskOrigins bool
 	// RequestTimeout, when positive, arms a per-server-request watchdog in
-	// the client: a request not answered within the timeout is reissued to
-	// the server (the original is abandoned, not cancelled — exactly like a
-	// client retry against a stalled server). The timeout doubles per
-	// retry. Zero (the default) disables timeouts entirely, keeping the
-	// event timeline identical to builds without the fault layer.
+	// the client: a request not answered within the timeout is reissued —
+	// a write to the same replica, a read to the next live replica (the
+	// same server when there is only one). The original is abandoned, not
+	// cancelled, exactly like a client retry against a stalled server. The
+	// timeout doubles per retry. Zero (the default) disables timeouts
+	// entirely, keeping the event timeline identical to builds without the
+	// fault layer.
 	RequestTimeout time.Duration
 	// MaxRetries bounds reissues per request; after the last retry the
 	// client waits indefinitely (progress over liveness guessing).
@@ -57,8 +59,9 @@ type Config struct {
 	// subsequent one (bounded exponential backoff).
 	RetryBackoff time.Duration
 	// Replicas is the number of copies of every stripe (rack-aware chained
-	// placement; see DESIGN §10). 0 or 1 keeps today's unreplicated layout
-	// and its byte-identical event timeline.
+	// placement; see DESIGN §10). 0 or 1 keeps the unreplicated layout: the
+	// same transfer path with one replica per stripe group, whose event
+	// timeline is byte-identical to the seed's.
 	Replicas int
 	// WriteQuorum is how many replica acknowledgments complete a write.
 	// 0 means majority: Replicas/2 + 1. A crashed replica detected down is
@@ -160,21 +163,21 @@ type FileSystem struct {
 	auditServed  []int64
 	auditRebuild []int64
 
-	// Free lists for the per-operation transfer records. A steady-state
-	// client op on the legacy path then allocates nothing: requests, retry
-	// records, and the per-server extent lists all cycle through these.
-	// Push/pop happens only between parks, so strict alternation is the
-	// lock. Recycling is conservative: a request that might still be
-	// referenced by an in-flight duplicate attempt is simply dropped to the
-	// garbage collector (see legacyTransfer).
+	// Free lists for the per-operation transfer records (client.go). A
+	// steady-state client op whose attempts have all finished allocates
+	// nothing: requests, per-replica records, stripe groups, and the
+	// per-server split buffer all cycle through these. Push/pop happens
+	// only between parks, so strict alternation is the lock. Recycling is
+	// conservative: a group with any attempt still queued, in a worker, or
+	// voided by a crash is left to the garbage collector, and so is the
+	// split buffer its extent lists live in (see putOp).
 	reqFree   []*serverReq
 	issFree   []*issued
-	splitFree [][][]ext.Extent
+	groupFree []*xferGroup
+	opFree    []*xferOp
 }
 
 // getServerReq pops a recycled request (or allocates the pool's first).
-// The embedded completion signal keeps its waiter-list capacity across
-// reuses, so re-arming a wait on it allocates nothing either.
 func (fsys *FileSystem) getServerReq() *serverReq {
 	if n := len(fsys.reqFree); n > 0 {
 		r := fsys.reqFree[n-1]
@@ -184,17 +187,8 @@ func (fsys *FileSystem) getServerReq() *serverReq {
 	return &serverReq{}
 }
 
-// putServerReq recycles a finished request. The caller must guarantee no
-// other reference survives (no duplicate attempt in flight, completion
-// signal drained).
-func (fsys *FileSystem) putServerReq(r *serverReq) {
-	sig := r.sig // keep the waiter list's backing array
-	*r = serverReq{sig: sig}
-	fsys.reqFree = append(fsys.reqFree, r)
-}
-
-// getIssued / putIssued recycle retry records; the attempts slice keeps its
-// capacity across reuses.
+// getIssued pops a recycled per-replica record; its attempts slice keeps
+// its capacity across reuses.
 func (fsys *FileSystem) getIssued() *issued {
 	if n := len(fsys.issFree); n > 0 {
 		is := fsys.issFree[n-1]
@@ -204,30 +198,58 @@ func (fsys *FileSystem) getIssued() *issued {
 	return &issued{}
 }
 
-func (fsys *FileSystem) putIssued(is *issued) {
-	attempts := is.attempts[:0]
-	*is = issued{attempts: attempts}
-	fsys.issFree = append(fsys.issFree, is)
+// getGroup pops a recycled stripe group. The embedded done signal keeps
+// its waiter-list capacity across reuses, so re-arming a wait on it
+// allocates nothing either.
+func (fsys *FileSystem) getGroup() *xferGroup {
+	if n := len(fsys.groupFree); n > 0 {
+		g := fsys.groupFree[n-1]
+		fsys.groupFree = fsys.groupFree[:n-1]
+		return g
+	}
+	return &xferGroup{}
 }
 
-// getSplitBuf checks out a per-server extent-list buffer for splitInto.
-// Concurrent transfers each hold their own buffer until their requests are
-// dead, then return it with putSplitBuf; the per-server sub-slices keep
-// their capacity across reuses.
-func (fsys *FileSystem) getSplitBuf() [][]ext.Extent {
-	if n := len(fsys.splitFree); n > 0 {
-		b := fsys.splitFree[n-1]
-		fsys.splitFree = fsys.splitFree[:n-1]
-		return b
+// getOp checks out a per-operation record with an empty split buffer.
+func (fsys *FileSystem) getOp() *xferOp {
+	if n := len(fsys.opFree); n > 0 {
+		op := fsys.opFree[n-1]
+		fsys.opFree = fsys.opFree[:n-1]
+		return op
 	}
-	return make([][]ext.Extent, fsys.NumServers())
+	return &xferOp{per: make([][]ext.Extent, fsys.NumServers())}
 }
 
-func (fsys *FileSystem) putSplitBuf(b [][]ext.Extent) {
-	for i := range b {
-		b[i] = b[i][:0]
+// putOp recycles a finished operation. Each settled group goes back with
+// its requests and replica records; the split buffer goes back only when
+// every group did, since an unsettled attempt still references its extent
+// list.
+func (fsys *FileSystem) putOp(op *xferOp) {
+	recycle := true
+	for _, g := range op.groups {
+		if !g.settled() {
+			recycle = false
+			continue
+		}
+		for _, is := range g.reps {
+			for _, r := range is.attempts {
+				*r = serverReq{}
+				fsys.reqFree = append(fsys.reqFree, r)
+			}
+			*is = issued{attempts: is.attempts[:0]}
+			fsys.issFree = append(fsys.issFree, is)
+		}
+		*g = xferGroup{done: g.done, reps: g.reps[:0]}
+		fsys.groupFree = append(fsys.groupFree, g)
 	}
-	fsys.splitFree = append(fsys.splitFree, b)
+	if !recycle {
+		return
+	}
+	for i := range op.per {
+		op.per[i] = op.per[i][:0]
+	}
+	op.groups = op.groups[:0]
+	fsys.opFree = append(fsys.opFree, op)
 }
 
 // Server is one data server.
@@ -252,8 +274,7 @@ type serverReq struct {
 	write   bool
 	origin  int
 	client  int         // requesting network node
-	done    *sim.Signal // completion signal; replica attempts share the group's
-	sig     sim.Signal  // backing storage for done on the single-attempt path
+	done    *sim.Signal // the group's completion signal, shared by every attempt
 	fin     bool
 	rc      obs.Ctx       // originating traced request
 	enq     time.Duration // enqueue time (queue-wait annotation)

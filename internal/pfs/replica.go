@@ -23,7 +23,7 @@ import (
 
 // pollEvery is how often quorum waiters and failover readers re-examine
 // the failure detector's view while blocked. Only crash-aware runs poll;
-// crash-free schedules keep the legacy pure-signal waits.
+// crash-free schedules keep pure-signal waits.
 const pollEvery = 50 * time.Millisecond
 
 // replicaOffsets computes the per-rank server offsets: rank r prefers
@@ -84,8 +84,8 @@ func (fsys *FileSystem) rebuildChunk() int64 {
 }
 
 // crashAware reports whether the schedule can kill servers, i.e. whether
-// views can change mid-run. Crash-free runs never poll and never consult
-// the view, preserving the legacy event timeline exactly.
+// views can change mid-run. Crash-free runs never poll, so their waits
+// wake only on completions and watchdog deadlines.
 func (fsys *FileSystem) crashAware() bool { return fsys.faults.HasCrashWindows() }
 
 // replicaServer returns the data server holding replica rank r of the

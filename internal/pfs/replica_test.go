@@ -3,11 +3,14 @@ package pfs
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"dualpar/internal/disk"
 	"dualpar/internal/ext"
+	"dualpar/internal/fault"
 	"dualpar/internal/fs"
 	"dualpar/internal/iosched"
 	"dualpar/internal/netsim"
@@ -243,4 +246,73 @@ func TestReplicasExceedServersPanics(t *testing.T) {
 		}
 	}()
 	testReplicatedFS(2, 3)
+}
+
+// TestWriteRetrySleepsBeforeReissue pins Config.RetryBackoff's contract on
+// the replicated write path: when the watchdog fires, the retry is counted
+// at the deadline, RetryBackoff is slept, and only then is the duplicate
+// sent — the order the read path follows. One replica of the write stalls
+// for a second, so the quorum of two needs the reissue.
+func TestWriteRetrySleepsBeforeReissue(t *testing.T) {
+	const timeout, backoff = 100 * time.Millisecond, 40 * time.Millisecond
+	k, fsys := testReplicatedFS(3, 2)
+	fsys.cfg.RequestTimeout = timeout
+	fsys.cfg.MaxRetries = 1
+	fsys.cfg.RetryBackoff = backoff
+	col := obs.NewCollector()
+	fsys.SetObs(col)
+	stalled := fsys.replicaServer(0, 1).Index
+	fsys.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
+		{Kind: fault.ServerStall, Target: stalled, End: time.Second},
+	}}, 1, col))
+	cl := fsys.Client(100)
+	unit := fsys.cfg.StripeUnit
+	var rc obs.Ctx
+	k.Spawn("writer", func(p *sim.Proc) {
+		cl.Create(p, "f", unit)
+		rc = col.StartRequest("client100")
+		if err := cl.Write(p, "f", []ext.Extent{{Off: 0, Len: unit}}, 1, rc); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	k.RunUntil(time.Minute)
+
+	var retryAt []time.Duration
+	for _, in := range col.Instants() {
+		if in.Name == "retry" {
+			retryAt = append(retryAt, in.At)
+		}
+	}
+	if len(retryAt) != 1 {
+		t.Fatalf("retry instants at %v, want exactly one", retryAt)
+	}
+	// Enqueue times of the stalled replica's attempts, from the server spans
+	// (span start minus its queue wait).
+	prefix := fmt.Sprintf("server%d/", stalled)
+	var enq []time.Duration
+	for _, s := range col.Spans() {
+		if s.ID != rc.ID || s.Stage != obs.StageServer || !strings.HasPrefix(s.Track, prefix) {
+			continue
+		}
+		for _, a := range s.Args {
+			if a.Key == "queue_ns" {
+				q, err := strconv.ParseInt(a.Val, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				enq = append(enq, s.Start-time.Duration(q))
+			}
+		}
+	}
+	if len(enq) != 2 {
+		t.Fatalf("stalled replica served %d attempts, want the original and one reissue", len(enq))
+	}
+	reissued := max(enq[0], enq[1])
+	if reissued < retryAt[0]+backoff {
+		t.Fatalf("reissue enqueued at %v, %v after the retry at %v: want at least the %v backoff first",
+			reissued, reissued-retryAt[0], retryAt[0], backoff)
+	}
+	if first := min(enq[0], enq[1]); retryAt[0]-first < timeout {
+		t.Fatalf("retry fired %v after the original enqueue, want at least the %v timeout", retryAt[0]-first, timeout)
+	}
 }
