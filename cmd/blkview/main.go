@@ -22,7 +22,8 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "mpi-io-test", "mpi-io-test|demo|noncontig|hpio")
+	registry := workloads.Workloads().Instanced()
+	workload := flag.String("workload", "mpi-io-test", registry.Names())
 	mode := flag.String("mode", "vanilla", "vanilla|collective|strategy2|dualpar|data-driven")
 	instances := flag.Int("instances", 1, "concurrent program instances")
 	mbytes := flag.Int64("mb", 32, "data volume per instance in MiB")
@@ -36,19 +37,24 @@ func main() {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = *seed
 	ccfg.TraceServers = true
-	cl := cluster.New(ccfg)
-	runner := core.NewRunner(cl, core.DefaultConfig())
+	if *server < 0 || *server >= ccfg.DataServers {
+		fmt.Fprintf(os.Stderr, "-server %d out of range [0,%d)\n", *server, ccfg.DataServers)
+		os.Exit(2)
+	}
+	w, err := registry.Lookup(*workload)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	m, err := core.ParseMode(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cl := cluster.New(ccfg)
+	runner := core.NewRunner(cl, core.DefaultConfig())
 	for i := 0; i < *instances; i++ {
-		prog, err := buildWorkload(*workload, i, *mbytes<<20)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		prog := w.Build(workloads.Params{Bytes: *mbytes << 20, FileName: fmt.Sprintf("%s-%d.dat", w.Stem, i)})
 		runner.Add(prog, m, core.AddOptions{RanksPerNode: 8})
 	}
 	if !runner.Run(24 * time.Hour) {
@@ -129,30 +135,4 @@ func plot(entries []disk.Entry) {
 	for _, row := range grid {
 		fmt.Printf("|%s|\n", row)
 	}
-}
-
-func buildWorkload(name string, instance int, bytes int64) (workloads.Program, error) {
-	switch name {
-	case "mpi-io-test":
-		m := workloads.DefaultMPIIOTest()
-		m.FileBytes = bytes
-		m.FileName = fmt.Sprintf("mpiio-%d.dat", instance)
-		return m, nil
-	case "demo":
-		d := workloads.DefaultDemo()
-		d.FileBytes = bytes
-		d.FileName = fmt.Sprintf("demo-%d.dat", instance)
-		return d, nil
-	case "noncontig":
-		n := workloads.DefaultNoncontig()
-		n.FileBytes = bytes
-		n.FileName = fmt.Sprintf("noncontig-%d.dat", instance)
-		return n, nil
-	case "hpio":
-		h := workloads.DefaultHPIO()
-		h.RegionCount = bytes / h.RegionBytes
-		h.FileName = fmt.Sprintf("hpio-%d.dat", instance)
-		return h, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
 }

@@ -56,13 +56,13 @@ import (
 	"dualpar/internal/iosched"
 	"dualpar/internal/obs"
 	"dualpar/internal/obs/analyze"
-	"dualpar/internal/sim"
 	"dualpar/internal/tenant"
 	"dualpar/internal/workloads"
 )
 
 func main() {
-	workload := flag.String("workload", "mpi-io-test", "demo|mpi-io-test|hpio|ior-mpi-io|noncontig|btio|s3asim|checkpoint|ckpt-n1|ckpt-nn|depreader")
+	registry := workloads.Workloads()
+	workload := flag.String("workload", "mpi-io-test", registry.Names())
 	mode := flag.String("mode", "vanilla", "vanilla|collective|strategy2|dualpar|data-driven")
 	procs := flag.Int("procs", 64, "MPI processes")
 	mbytes := flag.Int64("mb", 64, "data volume in MiB")
@@ -91,11 +91,16 @@ func main() {
 		return
 	}
 
-	prog, err := buildWorkload(*workload, *procs, *mbytes<<20, *write)
+	if *procs <= 0 || *mbytes <= 0 || *servers <= 0 {
+		fmt.Fprintf(os.Stderr, "-procs, -mb and -servers must be positive (got %d, %d, %d)\n", *procs, *mbytes, *servers)
+		os.Exit(2)
+	}
+	w, err := registry.Lookup(*workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	prog := w.Build(workloads.Params{Procs: *procs, Bytes: *mbytes << 20, Write: *write})
 	m, err := core.ParseMode(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -111,15 +116,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *sched {
-	case "cfq":
-	case "deadline":
-		ccfg.NewScheduler = func() iosched.Algorithm { return iosched.NewDeadline() }
-	case "noop":
-		ccfg.NewScheduler = func() iosched.Algorithm { return iosched.NewNOOP() }
-	case "anticipatory":
-		ccfg.NewScheduler = func() iosched.Algorithm { return iosched.NewAnticipatory() }
-	default:
+	if ccfg.NewScheduler = iosched.Named(*sched); ccfg.NewScheduler == nil {
 		fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *sched)
 		os.Exit(2)
 	}
@@ -168,14 +165,7 @@ func main() {
 
 	bytes := pr.Instr().TotalBytes()
 	elapsed := pr.Elapsed()
-	rwLabel := rw(*write)
-	switch *workload {
-	case "btio", "checkpoint", "ckpt-n1", "ckpt-nn":
-		rwLabel = "write" // these model write phases regardless of -write
-	case "s3asim":
-		rwLabel = "read+write"
-	}
-	fmt.Printf("workload:    %s (%d procs, %s)\n", prog.Name(), prog.Ranks(), rwLabel)
+	fmt.Printf("workload:    %s (%d procs, %s)\n", prog.Name(), prog.Ranks(), w.RW(*write))
 	fmt.Printf("mode:        %s\n", m)
 	fmt.Printf("elapsed:     %.3f s (simulated)\n", elapsed.Seconds())
 	fmt.Printf("volume:      %.1f MiB\n", float64(bytes)/(1<<20))
@@ -279,10 +269,9 @@ func main() {
 }
 
 // runTenants drives the multi-tenant mode: the seeded generator's full job
-// schedule runs on one shared tenanted cluster (open-loop kinds submit at
-// their arrival times from a single driver proc; the closed-loop kind
-// spawns one proc per tenant worker), then per-tenant outcomes print as a
-// small table. Deterministic per spec+seed.
+// schedule runs on one shared tenanted cluster (see
+// core.Runner.SubmitTenants), then per-tenant outcomes print as a small
+// table. Deterministic per spec+seed.
 func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine string) error {
 	tc, err := tenant.ParseSpec(spec)
 	if err != nil {
@@ -304,69 +293,7 @@ func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine 
 	}
 	dcfg.Audit = audit
 	runner := core.NewRunner(cl, dcfg)
-	sched := tenant.Schedule(tc)
-	runs := make([]*core.ProgramRun, len(sched))
-	addJob := func(p *sim.Proc, i int, onDone func()) {
-		j := sched[i]
-		d := workloads.DefaultDemo()
-		d.Procs = tc.Ranks
-		d.SegBytes = 4 << 10
-		d.SegsPerCall = 4
-		d.FileName = fmt.Sprintf("t%dj%d.dat", j.Tenant, j.Index)
-		switch j.Class {
-		case "s":
-			d.FileBytes = 96 << 10
-		case "m":
-			d.FileBytes = 192 << 10
-		default:
-			d.FileBytes = 384 << 10
-		}
-		m := core.ModeVanilla
-		if j.Mode == "dualpar" {
-			m = core.ModeDataDriven
-		}
-		runs[i] = runner.Add(d, m, core.AddOptions{
-			RanksPerNode:   tc.Ranks,
-			FirstNodeIndex: i % ccfg.ComputeNodes,
-			StartAt:        p.Now(),
-			Tenant:         j.Tenant,
-			OnDone:         onDone,
-		})
-	}
-	if tc.Arrival.Kind == tenant.ArrivalClosed {
-		byWorker := make(map[[2]int][]int)
-		for i, j := range sched {
-			k := [2]int{j.Tenant, j.Worker}
-			byWorker[k] = append(byWorker[k], i)
-		}
-		for t := 0; t < tc.Tenants; t++ {
-			for w := 0; w < tc.Arrival.Workers; w++ {
-				idxs := byWorker[[2]int{t, w}]
-				cl.K.Spawn(fmt.Sprintf("tenant%d/worker%d", t, w), func(p *sim.Proc) {
-					for _, i := range idxs {
-						sig := cl.K.NewSignal()
-						done := false
-						addJob(p, i, func() { done = true; sig.Broadcast() })
-						for !done {
-							sig.Wait(p)
-						}
-						if tc.Arrival.Think > 0 {
-							p.Sleep(tc.Arrival.Think)
-						}
-					}
-				})
-			}
-		}
-	} else {
-		cl.K.Spawn("tenant/arrivals", func(p *sim.Proc) {
-			for i := range sched {
-				if at := sched[i].At; at > p.Now() {
-					p.Sleep(at - p.Now())
-				}
-				addJob(p, i, nil)
-			}
-		})
-	}
+	sched, runs := runner.SubmitTenants(tc, 1)
 	finished := runner.Run(24 * time.Hour)
 	if err := runner.AuditErr(); err != nil {
 		return err
@@ -412,82 +339,4 @@ func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine 
 		fmt.Printf("audit:       all %d oracles held\n", runner.Auditor().Oracles())
 	}
 	return nil
-}
-
-func rw(write bool) string {
-	if write {
-		return "write"
-	}
-	return "read"
-}
-
-func buildWorkload(name string, procs int, bytes int64, write bool) (workloads.Program, error) {
-	switch name {
-	case "demo":
-		d := workloads.DefaultDemo()
-		d.Procs = procs
-		d.FileBytes = bytes
-		d.Write = write
-		return d, nil
-	case "mpi-io-test":
-		m := workloads.DefaultMPIIOTest()
-		m.Procs = procs
-		m.FileBytes = bytes
-		m.Write = write
-		return m, nil
-	case "hpio":
-		h := workloads.DefaultHPIO()
-		h.Procs = procs
-		h.RegionCount = bytes / h.RegionBytes
-		h.Write = write
-		return h, nil
-	case "ior-mpi-io":
-		i := workloads.DefaultIOR()
-		i.Procs = procs
-		i.FileBytes = bytes
-		i.Write = write
-		return i, nil
-	case "noncontig":
-		n := workloads.DefaultNoncontig()
-		n.Procs = procs
-		n.FileBytes = bytes
-		n.Write = write
-		return n, nil
-	case "btio":
-		// BT-IO's canonical phase writes the solution array; -write is
-		// implied. (Set Read in code to model the verification read-back.)
-		b := workloads.DefaultBTIO()
-		b.Procs = procs
-		b.TotalBytes = bytes
-		return b, nil
-	case "s3asim":
-		s := workloads.DefaultS3asim()
-		s.Procs = procs
-		return s, nil
-	case "checkpoint":
-		c := workloads.DefaultCheckpoint()
-		c.Procs = procs
-		c.Checkpoints = int(bytes / (int64(procs) * c.BlockBytes))
-		if c.Checkpoints < 1 {
-			c.Checkpoints = 1
-		}
-		return c, nil
-	case "ckpt-n1", "ckpt-nn":
-		// Epoch checkpointing with per-epoch seals (N-1 shared file or N-N
-		// per-rank files); -mb sets the total volume across epochs.
-		c := workloads.DefaultEpochCheckpoint(name == "ckpt-n1")
-		c.Procs = procs
-		epochs := int(bytes / (int64(procs) * c.BlockBytes))
-		if epochs < 1 {
-			epochs = 1
-		}
-		c.Epochs = epochs
-		return c, nil
-	case "depreader":
-		d := workloads.DefaultDependentReader()
-		d.Procs = procs
-		d.FileBytes = bytes
-		return d, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
 }

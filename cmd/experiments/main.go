@@ -123,15 +123,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	harness.SetAudit(*audit)
-	harness.SetReport(*report)
-	harness.SetEngine(*engine)
-
 	var log io.Writer = os.Stderr
 	if *quiet {
 		log = nil
 	}
-	opts := harness.Opts{Quick: *quick, Seed: *seed, Log: log, Parallel: *parallel}
+	opts := harness.Opts{Quick: *quick, Seed: *seed, Log: log, Parallel: *parallel, Audit: *audit, Engine: *engine}
+	if *report {
+		opts.Reports = &harness.Reports{}
+	}
 
 	var ids []string
 	if *run == "all" {
@@ -179,10 +178,10 @@ func main() {
 			}
 		}
 	}
-	if *report {
+	if opts.Reports != nil {
 		// Reports drain sorted by run key, so this section is byte-identical
 		// at any -parallel setting.
-		for _, rr := range harness.DrainReports() {
+		for _, rr := range opts.Reports.Drain() {
 			fmt.Printf("== report: %s ==\n", rr.Key)
 			if err := rr.Report.RenderText(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -80,18 +80,10 @@ func (c Config) WithSeed(seed int64) Config {
 }
 
 // WithScheduler returns the config using the named disk scheduler on every
-// data server: "cfq" (default), "deadline", "noop", or "anticipatory".
+// data server: "cfq" (default), "deadline", "noop", or "anticipatory". An
+// unknown name selects CFQ.
 func (c Config) WithScheduler(name string) Config {
-	switch name {
-	case "deadline":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewDeadline() }
-	case "noop":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewNOOP() }
-	case "anticipatory":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewAnticipatory() }
-	default:
-		c.Cluster.NewScheduler = nil // CFQ
-	}
+	c.Cluster.NewScheduler = iosched.Named(name) // nil = the cluster's CFQ default
 	return c
 }
 

@@ -143,3 +143,55 @@ func TestMidRunAddAndOnDone(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitTenantsRunsEveryJob drives both arrival shapes through the
+// shared driver: every scheduled job is submitted with the template's size,
+// tenant and mode, and finishes within budget. The closed loop must keep
+// each worker to one job in flight.
+func TestSubmitTenantsRunsEveryJob(t *testing.T) {
+	for _, spec := range []string{
+		"tenants:2,arrival=poisson:50,policy=fair,grants=2,jobs=4,ranks=2",
+		"tenants:2,arrival=closed:2x3:5ms,policy=prio,grants=2,ranks=2",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			tc, err := tenant.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(tenantCluster(1, tc), DefaultConfig())
+			sched, runs := r.SubmitTenants(tc, 2)
+			if len(sched) == 0 || len(runs) != len(sched) {
+				t.Fatalf("%d jobs scheduled, %d run slots", len(sched), len(runs))
+			}
+			if !r.Run(time.Hour) {
+				t.Fatal("tenant jobs did not finish")
+			}
+			for i, pr := range runs {
+				j := sched[i]
+				want := TenantJob(j, tc.Ranks, 2)
+				if pr == nil || !pr.Done {
+					t.Fatalf("job %d not run to completion", i)
+				}
+				if got := pr.Instr().TotalBytes(); got != want.FileBytes {
+					t.Errorf("job %d moved %d bytes, want %d", i, got, want.FileBytes)
+				}
+				if pr.Tenant() != j.Tenant || pr.Mode() != TenantMode(j.Mode) {
+					t.Errorf("job %d: tenant %d mode %v, want %d %v", i, pr.Tenant(), pr.Mode(), j.Tenant, TenantMode(j.Mode))
+				}
+			}
+			if tc.Arrival.Kind != tenant.ArrivalClosed {
+				return
+			}
+			// A closed-loop worker submits its next job only after the
+			// previous one ended.
+			last := map[[2]int]time.Duration{}
+			for i, j := range sched {
+				k := [2]int{j.Tenant, j.Worker}
+				if runs[i].StartedAt < last[k] {
+					t.Errorf("job %d started at %v before its worker's previous job ended at %v", i, runs[i].StartedAt, last[k])
+				}
+				last[k] = runs[i].EndedAt
+			}
+		})
+	}
+}

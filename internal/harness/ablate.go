@@ -27,19 +27,11 @@ func AblateScheduler(o Opts) *Result {
 	if o.Quick {
 		size = 16 << 20
 	}
-	for _, sched := range []struct {
-		name string
-		mk   func() iosched.Algorithm
-	}{
-		{"cfq", func() iosched.Algorithm { return iosched.NewCFQ() }},
-		{"deadline", func() iosched.Algorithm { return iosched.NewDeadline() }},
-		{"noop", func() iosched.Algorithm { return iosched.NewNOOP() }},
-	} {
-		row := []string{sched.name}
+	for _, sched := range []string{"cfq", "deadline", "noop"} {
+		row := []string{sched}
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := baseConfig()
-			ccfg.Seed = o.seed()
-			ccfg.NewScheduler = sched.mk
+			ccfg := o.config()
+			ccfg.NewScheduler = iosched.Named(sched)
 			cl := cluster.New(ccfg)
 			r := core.NewRunner(cl, core.DefaultConfig())
 			m := workloads.DefaultMPIIOTest()
@@ -49,7 +41,7 @@ func AblateScheduler(o Opts) *Result {
 			row = append(row, mb(float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds()))
 		}
 		res.Table.AddRow(row...)
-		o.logf("ablate-sched %s: %v", sched.name, row)
+		o.logf("ablate-sched %s: %v", sched, row)
 	}
 	return res
 }
@@ -80,7 +72,7 @@ func AblateTImprovement(o Opts) *Result {
 		h := workloads.DefaultHPIO()
 		h.RegionCount = regions
 		h.FileName = "ablt-hpio.dat"
-		cl := paperCluster(o.seed(), false)
+		cl := o.cluster(false)
 		cfg := core.DefaultConfig()
 		cfg.TImprovement = tval
 		cfg.SlotEvery = 100 * time.Millisecond
@@ -119,7 +111,7 @@ func AblateHoleThreshold(o Opts) *Result {
 		h.RegionCount = 2048
 	}
 	for _, hole := range []int64{0, 4 << 10, 32 << 10, 256 << 10} {
-		cl := paperCluster(o.seed(), false)
+		cl := o.cluster(false)
 		cfg := core.DefaultConfig()
 		cfg.HoleBytes = hole
 		// Sub-chunk caching isolates the hole-filling effect from chunk
@@ -152,7 +144,7 @@ func AblateChunkSize(o Opts) *Result {
 	for _, chunk := range []int64{16 << 10, 64 << 10, 256 << 10} {
 		cfg := core.DefaultConfig()
 		cfg.Memcache.ChunkBytes = chunk
-		ms, _ := execute(o.seed(), false, time.Hour, cfg,
+		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: m, mode: core.ModeDataDriven}})
 		res.Table.AddRow(fmt.Sprintf("%d", chunk>>10), mb(ms[0].throughputMBs()))
 		o.logf("ablate-chunk %dKB: %.1f MB/s", chunk>>10, ms[0].throughputMBs())
@@ -176,8 +168,7 @@ func AblateDiskOrigins(o Opts) *Result {
 		m.FileBytes = 8 << 20
 	}
 	for _, client := range []bool{false, true} {
-		ccfg := baseConfig()
-		ccfg.Seed = o.seed()
+		ccfg := o.config()
 		pcfg := pfs.DefaultConfig()
 		pcfg.ClientDiskOrigins = client
 		ccfg.PFS = pcfg
@@ -210,7 +201,7 @@ func AblateCollectiveBuffer(o Opts) *Result {
 	for _, cb := range []int64{1 << 20, 4 << 20, 16 << 20} {
 		mcfg := mpiio.DefaultConfig()
 		mcfg.CollectiveBufferBytes = cb
-		ms, _ := execute(o.seed(), false, time.Hour, core.DefaultConfig(),
+		ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 			[]runSpec{{prog: n, mode: core.ModeCollective, mpiio: mcfg}})
 		res.Table.AddRow(fmt.Sprintf("%d", cb>>20), mb(ms[0].throughputMBs()))
 		o.logf("ablate-cb %dMB: %.1f MB/s", cb>>20, ms[0].throughputMBs())
@@ -236,8 +227,7 @@ func AblateSSD(o Opts) *Result {
 	for _, storage := range []string{"disk", "ssd"} {
 		vals := make([]float64, 0, 2)
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := baseConfig()
-			ccfg.Seed = o.seed()
+			ccfg := o.config()
 			if storage == "ssd" {
 				sp := disk.DefaultSSDParams()
 				ccfg.SSD = &sp
@@ -287,8 +277,7 @@ func AblateWritePath(o Opts) *Result {
 			row = []string{"buffered-1s"}
 		}
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := baseConfig()
-			ccfg.Seed = o.seed()
+			ccfg := o.config()
 			fcfg := ccfg.FS
 			fcfg.SyncWrites = sync
 			ccfg.FS = fcfg
@@ -328,7 +317,7 @@ func AblateStrategy2Window(o Opts) *Result {
 	for _, window := range []int64{32 << 10, 256 << 10, 4 << 20, 32 << 20} {
 		cfg := core.DefaultConfig()
 		cfg.Strategy2WindowBytes = window
-		ms, _ := execute(o.seed(), false, time.Hour, cfg,
+		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: d, mode: core.ModeStrategy2}})
 		res.Table.AddRow(fmt.Sprintf("%d", window>>10), secs(ms[0].elapsed))
 		o.logf("ablate-s2window %dKB: %.2fs", window>>10, ms[0].elapsed.Seconds())
@@ -352,8 +341,7 @@ func AblateServers(o Opts) *Result {
 	for _, servers := range []int{3, 6, 9, 18} {
 		vals := make([]float64, 0, 2)
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := baseConfig()
-			ccfg.Seed = o.seed()
+			ccfg := o.config()
 			ccfg.DataServers = servers
 			cl := cluster.New(ccfg)
 			r := core.NewRunner(cl, core.DefaultConfig())
@@ -387,7 +375,7 @@ func AblatePipeline(o Opts) *Result {
 		d.FileBytes = 16 << 20
 	}
 	// Calibrate ~70% I/O ratio against the vanilla run.
-	probe, _ := execute(o.seed(), false, time.Hour, core.DefaultConfig(),
+	probe, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 		[]runSpec{{prog: d, mode: core.ModeVanilla}})
 	calls := d.Calls()
 	ioPerCall := probe[0].elapsed / time.Duration(calls)
@@ -407,7 +395,7 @@ func AblatePipeline(o Opts) *Result {
 	for _, row := range rows {
 		cfg := core.DefaultConfig()
 		cfg.PipelineDepth = row.depth
-		ms, _ := execute(o.seed(), false, time.Hour, cfg,
+		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: d, mode: row.mode}})
 		res.Table.AddRow(row.label, secs(ms[0].elapsed))
 		o.logf("ablate-pipeline %s: %.2fs", row.label, ms[0].elapsed.Seconds())

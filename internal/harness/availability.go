@@ -127,21 +127,6 @@ func availReader(quick bool) workloads.Demo {
 	return d
 }
 
-// executeAvail runs specs on a cluster with replication, crash-fault
-// watchdogs, and the integrity tracker armed.
-func executeAvail(seed int64, maxTime time.Duration, replicas int, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
-	cfg := baseConfig()
-	cfg.Seed = seed
-	cfg.Faults = sch
-	cfg.PFS.Replicas = replicas
-	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	ddCfg := core.DefaultConfig()
-	core.ArmWatchdogs(&cfg, &ddCfg)
-	cl := cluster.New(cfg)
-	cl.FS.EnableIntegrity()
-	return executeOn(cl, maxTime, ddCfg, specs)
-}
-
 // Availability sweeps crash-stop server failures against the replica
 // count: a single crash that recovers mid-run (exercising failover and the
 // online rebuild) and two permanent crashes on non-replica-pair servers.
@@ -197,7 +182,8 @@ func Availability(o Opts) *Result {
 				Key: fmt.Sprintf("availability/crashes=%s/replicas=%d", sc.label, reps),
 				Run: func() {
 					o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
-					ms, cl := executeAvail(o.seed(), time.Hour, reps, sc.sch, []runSpec{
+					cl, ddCfg := o.crashCluster(reps, sc.sch, nil)
+					ms, _ := o.executeOn(cl, time.Hour, ddCfg, []runSpec{
 						{prog: writer, mode: core.ModeVanilla},
 						{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
 					})

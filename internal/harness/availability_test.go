@@ -18,8 +18,9 @@ func oracleRun(t *testing.T) *cluster.Cluster {
 	prog := availProg(true)
 	prog.Procs = 8
 	prog.Checkpoints = 4
-	ms, cl := executeAvail(1, time.Hour, 2, &fault.Schedule{},
-		[]runSpec{{prog: prog, mode: core.ModeVanilla}})
+	o := Opts{Seed: 1}
+	cl, ddCfg := o.crashCluster(2, &fault.Schedule{}, nil)
+	ms, _ := o.executeOn(cl, time.Hour, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
 	if !ms[0].finished {
 		t.Fatal("oracle-run workload did not finish")
 	}
@@ -96,7 +97,9 @@ func TestVerifyIntegrityWriteVoidedAtSend(t *testing.T) {
 		{Kind: fault.ServerCrash, Target: 2, Start: time.Second, End: 3 * time.Second},
 	}}
 	for seed := int64(1); seed <= 3; seed++ {
-		ms, cl := executeAvail(seed, time.Hour, 3, sch, []runSpec{
+		o := Opts{Seed: seed}
+		cl, ddCfg := o.crashCluster(3, sch, nil)
+		ms, _ := o.executeOn(cl, time.Hour, ddCfg, []runSpec{
 			{prog: writer, mode: core.ModeVanilla},
 			{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
 		})

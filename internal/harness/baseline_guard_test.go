@@ -45,14 +45,10 @@ func TestBaselineUnchangedWithoutBurst(t *testing.T) {
 			return renderResult(Availability(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
 		}},
 		{"audit", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Availability(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
+			return renderResult(Availability(Opts{Quick: true, Parallel: 1, Log: io.Discard, Audit: true}))
 		}},
 		{"audit-parallel4", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Availability(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
+			return renderResult(Availability(Opts{Quick: true, Parallel: 4, Log: io.Discard, Audit: true}))
 		}},
 	} {
 		if out := v.run(); out != string(want) {
@@ -97,14 +93,10 @@ func TestMultitenantDeterminismGolden(t *testing.T) {
 			return renderResult(Multitenant(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
 		}},
 		{"audit", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
+			return renderResult(Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard, Audit: true}))
 		}},
 		{"audit-parallel4", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Multitenant(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
+			return renderResult(Multitenant(Opts{Quick: true, Parallel: 4, Log: io.Discard, Audit: true}))
 		}},
 	} {
 		if out := v.run(); out != string(want) {

@@ -71,32 +71,19 @@ type ckptRun struct {
 	restartErr error // wraps burst.ErrNoCommittedEpoch when nothing committed
 }
 
-// runCheckpoint executes one checkpoint cell end to end. bcfg == nil is
-// the direct path (writes go straight to the PFS); otherwise every
-// epoch-tagged write absorbs into the node-local burst log. audit arms the
-// invariant oracles regardless of the suite-wide flag (the crash-matrix
-// tests always want byte conservation checked).
-func runCheckpoint(seed int64, prog workloads.EpochCheckpoint, replicas int, bcfg *burst.Config, sch *fault.Schedule, audit bool) *ckptRun {
-	cfg := baseConfig()
-	cfg.Seed = seed
-	cfg.Faults = sch
-	cfg.PFS.Replicas = replicas
-	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	cfg.Burst = bcfg
-	ddCfg := core.DefaultConfig()
-	core.ArmWatchdogs(&cfg, &ddCfg)
-	if audit {
-		ddCfg.Audit = true
-	}
-	cl := cluster.New(cfg)
-	cl.FS.EnableIntegrity()
-	ms, _ := executeOn(cl, 2*time.Minute, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
+// runCheckpoint executes one checkpoint cell end to end on the
+// replicated-crash preset. bcfg == nil is the direct path (writes go
+// straight to the PFS); otherwise every epoch-tagged write absorbs into the
+// node-local burst log.
+func (o Opts) runCheckpoint(prog workloads.EpochCheckpoint, replicas int, bcfg *burst.Config, sch *fault.Schedule) *ckptRun {
+	cl, ddCfg := o.crashCluster(replicas, sch, bcfg)
+	ms, _ := o.executeOn(cl, 2*time.Minute, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
 	// The conservation ledgers arm once per cluster lifetime (re-arming
 	// resets the PFS side but not the stores'), so the restart runner must
-	// not build a second auditor; the oracles cover the checkpoint run and
-	// the recovery, and the restart's reads are checked by the integrity
-	// oracle instead.
-	ddCfg.Audit = false
+	// not build a second auditor: it gets the preset's ddCfg, which
+	// executeOn's o.Audit never touched. The oracles cover the checkpoint
+	// run and the recovery, and the restart's reads are checked by the
+	// integrity oracle instead.
 	cr := &ckptRun{
 		cl: cl, ddCfg: ddCfg, prog: prog,
 		main:      ms[0],
@@ -157,14 +144,7 @@ func (cr *ckptRun) runRestart(budget time.Duration) {
 	if err := r.AuditErr(); err != nil {
 		panic(err)
 	}
-	var io time.Duration
-	for rnk := range pr.Instr().Ranks {
-		io += pr.Instr().Ranks[rnk].IOTime
-	}
-	cr.restart = measured{
-		elapsed: pr.Elapsed(), bytes: pr.Instr().TotalBytes(),
-		ioTime: io, finished: pr.Done, run: pr,
-	}
+	cr.restart = measure(pr)
 	switch {
 	case !finished:
 		cr.restartErr = fmt.Errorf("harness: restart did not finish within its budget")
@@ -234,7 +214,7 @@ func Checkpoint(o Opts) *Result {
 					Key: fmt.Sprintf("checkpoint/path=%s/crash=%s/replicas=%d", path.label, sc.label, reps),
 					Run: func() {
 						o.logf("checkpoint: path=%s crash=%s replicas=%d", path.label, sc.label, reps)
-						cr := runCheckpoint(o.seed(), prog, reps, path.bcfg, sc.sch, false)
+						cr := o.runCheckpoint(prog, reps, path.bcfg, sc.sch)
 						stall, drain, recover := "-", "-", "-"
 						if path.bcfg != nil {
 							stall = msec(cr.stats.Stall)

@@ -106,7 +106,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cr := runCheckpoint(1, prog, 2, tc.bcfg, clientCrashAt(tc.crashAt), true)
+			cr := Opts{Seed: 1, Audit: true}.runCheckpoint(prog, 2, tc.bcfg, clientCrashAt(tc.crashAt))
 			if !cr.crashed {
 				t.Fatalf("program did not crash (crash at %v scheduled)", tc.crashAt)
 			}
@@ -171,7 +171,7 @@ func TestCheckpointNoCrashBothPaths(t *testing.T) {
 		{"burst", slowDrain()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cr := runCheckpoint(1, prog, 2, tc.bcfg, &fault.Schedule{}, true)
+			cr := Opts{Seed: 1, Audit: true}.runCheckpoint(prog, 2, tc.bcfg, &fault.Schedule{})
 			if cr.crashed {
 				t.Fatalf("program crashed with an empty schedule")
 			}
@@ -211,7 +211,7 @@ func TestCheckpointDrainErrorSurfacesEpoch(t *testing.T) {
 			Kind: fault.ServerCrash, Target: s, Start: 600 * time.Millisecond,
 		})
 	}
-	cr := runCheckpoint(1, prog, 1, slowDrain(), sch, false)
+	cr := Opts{Seed: 1}.runCheckpoint(prog, 1, slowDrain(), sch)
 	tier := cr.cl.Burst()
 	err := tier.Err()
 	if err == nil {

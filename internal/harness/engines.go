@@ -76,10 +76,9 @@ func Engines(o Opts) *Result {
 					Key: fmt.Sprintf("engines/%s/%s/%s", eng, dir.label, sch.label),
 					Run: func() {
 						o.logf("engines: %s %s %s", eng, dir.label, sch.label)
-						cfg := baseConfig()
+						cfg := o.config()
 						cfg.FS.Engine = eng
-						cfg.Seed = o.seed()
-						ms, cl := executeOn(cluster.New(cfg), time.Hour, core.DefaultConfig(),
+						ms, cl := o.executeOn(cluster.New(cfg), time.Hour, core.DefaultConfig(),
 							[]runSpec{{prog: prog, mode: sch.mode}})
 						slot.mbs = ms[0].throughputMBs()
 						st := cl.ServerStats()

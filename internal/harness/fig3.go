@@ -9,37 +9,22 @@ import (
 	"dualpar/internal/workloads"
 )
 
-// fig3Sizes returns the scaled data volumes for the single-application
-// comparison (paper: mpi-io-test 2 GB / 16 KB, noncontig vector columns,
-// ior-mpi-io 16 GB / 32 KB; all with 64 processes).
-func fig3Sizes(quick bool) (mpiio, noncontig, ior int64) {
-	if quick {
-		return 16 << 20, 16 << 20, 16 << 20
-	}
-	return 128 << 20, 96 << 20, 128 << 20
-}
-
-// fig3Program builds one of the three workloads in read or write mode.
+// fig3Program builds one of the three workloads in read or write mode, at
+// the default 64 processes and a scaled data volume (paper: mpi-io-test
+// 2 GB / 16 KB, noncontig vector columns, ior-mpi-io 16 GB / 32 KB).
 func fig3Program(name string, write bool, quick bool) workloads.Program {
-	szM, szN, szI := fig3Sizes(quick)
-	switch name {
-	case "mpi-io-test":
-		m := workloads.DefaultMPIIOTest()
-		m.FileBytes = szM
-		m.Write = write
-		return m
-	case "noncontig":
-		n := workloads.DefaultNoncontig()
-		n.FileBytes = szN
-		n.Write = write
-		return n
-	case "ior-mpi-io":
-		i := workloads.DefaultIOR()
-		i.FileBytes = szI
-		i.Write = write
-		return i
+	size := int64(128 << 20)
+	switch {
+	case quick:
+		size = 16 << 20
+	case name == "noncontig":
+		size = 96 << 20
 	}
-	panic("unknown fig3 program " + name)
+	w, err := workloads.Workloads().Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return w.Build(workloads.Params{Bytes: size, Write: write})
 }
 
 // Fig3 regenerates Figure 3: system I/O throughput of a single program
@@ -73,7 +58,7 @@ func Fig3(o Opts) *Result {
 					Key: fmt.Sprintf("fig3/%s/%s/%s", rw.label, name, sch.label),
 					Run: func() {
 						prog := fig3Program(name, rw.write, o.Quick)
-						ms, _ := execute(o.seed(), false, 4*time.Hour, core.DefaultConfig(),
+						ms, _ := o.execute(false, 4*time.Hour, core.DefaultConfig(),
 							[]runSpec{{prog: prog, mode: sch.mode}})
 						row[si] = mb(ms[0].throughputMBs())
 						o.logf("fig3 %s %s %s: %.1f MB/s (%.2fs)", name, rw.label, sch.label,

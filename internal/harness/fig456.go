@@ -54,7 +54,7 @@ func Fig4(o Opts) *Result {
 						inst.FileName = fmt.Sprintf("btio-%d.dat", i)
 						specs[i] = runSpec{prog: inst, mode: sch.mode}
 					}
-					ms, _ := execute(o.seed(), false, 12*time.Hour, core.DefaultConfig(), specs)
+					ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(), specs)
 					vals[pi][si] = mb(aggThroughputMBs(ms))
 					o.logf("fig4 procs=%d %s: %.2f MB/s", procs, sch.label, aggThroughputMBs(ms))
 				},
@@ -115,7 +115,7 @@ func Fig5(o Opts) *Result {
 							specs[i].mpiio = cfgIO
 						}
 					}
-					ms, _ := execute(o.seed(), false, 12*time.Hour, core.DefaultConfig(), specs)
+					ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(), specs)
 					var io time.Duration
 					var ranks int
 					for _, m := range ms {
@@ -185,7 +185,7 @@ func table2Run(o Opts, write bool, mode core.Mode, trace bool) ([]measured, *clu
 		m.FileName = fmt.Sprintf("mpiio-%d.dat", i)
 		return m
 	}
-	ms, cl := execute(o.seed(), trace, 12*time.Hour, core.DefaultConfig(), []runSpec{
+	ms, cl := o.execute(trace, 12*time.Hour, core.DefaultConfig(), []runSpec{
 		{prog: mk(0), mode: mode},
 		{prog: mk(1), mode: mode},
 	})
@@ -243,7 +243,7 @@ func table2RunTraced(o Opts, mode core.Mode) (*metrics.Series, []string) {
 		m.FileName = fmt.Sprintf("mpiio-%d.dat", i)
 		return m
 	}
-	ms, cl := execute(o.seed(), true, 12*time.Hour, core.DefaultConfig(), []runSpec{
+	ms, cl := o.execute(true, 12*time.Hour, core.DefaultConfig(), []runSpec{
 		{prog: mk(0), mode: mode},
 		{prog: mk(1), mode: mode},
 	})

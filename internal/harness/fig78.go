@@ -55,7 +55,7 @@ func Fig7(o Opts) *Result {
 			// as the paper's 1 s slot did in its ~150 s run.
 			soloEstimate := estimateSolo(o, m)
 			joinAt := soloEstimate * 2 / 5
-			cl := paperCluster(o.seed(), false)
+			cl := o.cluster(false)
 			ddCfg := core.DefaultConfig()
 			// Slots must be long enough that the seek/request statistics carry
 			// a meaningful sample count (the paper's 1 s slot on a ~150 s run).
@@ -118,7 +118,7 @@ func Fig7(o Opts) *Result {
 // estimateSolo measures the mpi-io-test running alone under vanilla; Fig 7
 // uses it to place the hpio join and to size sampling windows.
 func estimateSolo(o Opts, m workloads.MPIIOTest) time.Duration {
-	ms, _ := execute(o.seed(), false, 12*time.Hour, core.DefaultConfig(),
+	ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(),
 		[]runSpec{{prog: m, mode: core.ModeVanilla}})
 	return ms[0].elapsed
 }
@@ -155,7 +155,7 @@ func Fig8(o Opts) *Result {
 				} else {
 					cfg.CacheQuotaBytes = cacheB
 				}
-				ms, _ := execute(o.seed(), false, 12*time.Hour, cfg,
+				ms, _ := o.execute(false, 12*time.Hour, cfg,
 					[]runSpec{{prog: b, mode: mode}})
 				vals[i] = mb(ms[0].throughputMBs())
 				o.logf("fig8 cache=%dKB: %.2f MB/s", cacheB>>10, ms[0].throughputMBs())
@@ -203,7 +203,7 @@ func Table3(o Opts) *Result {
 	cells := []Cell{{
 		Key: "table3/base",
 		Run: func() {
-			ms, _ := execute(o.seed(), false, 12*time.Hour, core.DefaultConfig(),
+			ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(),
 				[]runSpec{{prog: d, mode: core.ModeVanilla}})
 			base = ms[0].elapsed
 		},
@@ -215,7 +215,7 @@ func Table3(o Opts) *Result {
 				cfg := core.DefaultConfig()
 				cfg.CacheQuotaBytes = cacheB
 				cfg.SlotEvery = 250 * time.Millisecond
-				ms, _ := execute(o.seed(), false, 12*time.Hour, cfg,
+				ms, _ := o.execute(false, 12*time.Hour, cfg,
 					[]runSpec{{prog: d, mode: core.ModeDataDriven}})
 				elapsed[i] = ms[0].elapsed
 			},

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"time"
 
+	"dualpar/internal/burst"
 	"dualpar/internal/cluster"
 	"dualpar/internal/core"
 	"dualpar/internal/fault"
@@ -37,6 +38,18 @@ type Opts struct {
 	Parallel int
 	// Ctx cancels a long sweep mid-flight (nil = never).
 	Ctx context.Context
+	// Audit arms the invariant oracles on every run; a violated invariant
+	// panics with the keyed error and its reproducer artifact path, failing
+	// the sweep loudly.
+	Audit bool
+	// Engine is the storage engine of every cluster's data servers (see
+	// fs.Engines; "" = the extent default). The engines experiment
+	// overrides it per cell regardless.
+	Engine string
+	// Reports, when non-nil, receives the time attribution of every run.
+	// Off by default: tracing every cell of a sweep costs memory
+	// proportional to its span count.
+	Reports *Reports
 }
 
 func (o Opts) seed() int64 {
@@ -76,32 +89,48 @@ func (r *Result) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// engineOverride is the storage engine every experiment cluster's data
-// servers use ("" = the extent default). Set once by SetEngine before the
-// suite starts (the worker pool reads it concurrently).
-var engineOverride string
-
-// SetEngine routes every subsequent experiment run through the named fs
-// storage engine; see fs.Engines for the choices. The engines experiment
-// overrides it per cell regardless.
-func SetEngine(name string) { engineOverride = name }
-
-// baseConfig is cluster.DefaultConfig plus the harness-wide overrides
-// (currently the storage-engine selection). Every experiment builds its
-// cluster from here so -engine reaches all of them.
-func baseConfig() cluster.Config {
+// config is cluster.DefaultConfig seeded and routed through o's storage
+// engine. Every experiment builds its cluster from here so -engine reaches
+// all of them.
+func (o Opts) config() cluster.Config {
 	cfg := cluster.DefaultConfig()
-	cfg.FS.Engine = engineOverride
+	cfg.Seed = o.seed()
+	cfg.FS.Engine = o.Engine
 	return cfg
 }
 
-// paperCluster builds the paper's platform: 9 data servers (two-disk RAID,
+// cluster builds the paper's platform: 9 data servers (two-disk RAID,
 // CFQ), a metadata server, 8 compute nodes, GigE, PVFS2 with 64 KB stripes.
-func paperCluster(seed int64, trace bool) *cluster.Cluster {
-	cfg := baseConfig()
-	cfg.Seed = seed
+func (o Opts) cluster(trace bool) *cluster.Cluster {
+	cfg := o.config()
 	cfg.TraceServers = trace
 	return cluster.New(cfg)
+}
+
+// faulted is o's cluster config with a fault schedule threaded through and
+// the retry watchdogs armed at both layers (PFS client request timeouts
+// plus the coarser CRM batch watchdog above them), so degraded runs make
+// progress instead of pinning on a straggler.
+func (o Opts) faulted(sch *fault.Schedule) (cluster.Config, core.Config) {
+	cfg := o.config()
+	cfg.Faults = sch
+	ddCfg := core.DefaultConfig()
+	core.ArmWatchdogs(&cfg, &ddCfg)
+	return cfg, ddCfg
+}
+
+// crashCluster is the replicated-crash preset: a faulted cluster that
+// stripes every file across replicas copies, detects a crashed server after
+// 100 ms, and tracks written content for the integrity oracle. bcfg adds a
+// burst-buffer write log on every compute node (nil = direct writes).
+func (o Opts) crashCluster(replicas int, sch *fault.Schedule, bcfg *burst.Config) (*cluster.Cluster, core.Config) {
+	cfg, ddCfg := o.faulted(sch)
+	cfg.PFS.Replicas = replicas
+	cfg.PFS.DetectDelay = 100 * time.Millisecond
+	cfg.Burst = bcfg
+	cl := cluster.New(cfg)
+	cl.FS.EnableIntegrity()
+	return cl, ddCfg
 }
 
 // runSpec describes one program inside a measurement run.
@@ -130,39 +159,23 @@ func (m measured) throughputMBs() float64 {
 	return float64(m.bytes) / (1 << 20) / m.elapsed.Seconds()
 }
 
-// execute runs the given programs together on a fresh cluster and returns
-// per-program measurements (in spec order) plus the cluster for stats.
-func execute(seed int64, trace bool, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
-	return executeOn(paperCluster(seed, trace), maxTime, ddCfg, specs)
+// execute runs the given programs together on a fresh paper cluster and
+// returns per-program measurements (in spec order) plus the cluster for
+// stats.
+func (o Opts) execute(trace bool, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
+	return o.executeOn(o.cluster(trace), maxTime, ddCfg, specs)
 }
 
-// executeFaults is execute with a fault schedule threaded through the
-// cluster and the retry watchdogs armed at both layers (PFS client request
-// timeouts plus the coarser CRM batch watchdog above them), so degraded
-// runs make progress instead of pinning on a straggler.
-func executeFaults(seed int64, maxTime time.Duration, ddCfg core.Config, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
-	cfg := baseConfig()
-	cfg.Seed = seed
-	cfg.Faults = sch
-	core.ArmWatchdogs(&cfg, &ddCfg)
-	return executeOn(cluster.New(cfg), maxTime, ddCfg, specs)
-}
-
-// auditRuns arms the invariant oracles on every experiment run. Set once by
-// SetAudit before the suite starts (the worker pool reads it concurrently).
-var auditRuns bool
-
-// SetAudit makes every subsequent experiment run execute with the audit
-// oracles armed; any violated invariant panics with the keyed error and its
-// reproducer artifact path, failing the suite loudly.
-func SetAudit(v bool) { auditRuns = v }
-
-func executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
-	if auditRuns {
+// executeOn is execute on a caller-built cluster. o.Audit arms the
+// invariant oracles (a violation panics with the keyed error and its
+// reproducer artifact path); a non-nil o.Reports receives the run's time
+// attribution.
+func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
+	if o.Audit {
 		ddCfg.Audit = true
 	}
 	var reportCol *obs.Collector
-	if reportRuns && cl.Obs() == nil {
+	if o.Reports != nil && cl.Obs() == nil {
 		reportCol = obs.NewCollector()
 		cl.EnableObs(reportCol)
 	}
@@ -181,23 +194,28 @@ func executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, sp
 		panic(err)
 	}
 	if reportCol != nil {
-		recordReport(reportKey(cl, specs, reportCol), reportCol)
+		o.Reports.record(reportKey(cl, specs, reportCol), reportCol)
 	}
 	out := make([]measured, len(specs))
 	for i, pr := range runs {
-		var io time.Duration
-		for rnk := range pr.Instr().Ranks {
-			io += pr.Instr().Ranks[rnk].IOTime
-		}
-		out[i] = measured{
-			elapsed:  pr.Elapsed(),
-			bytes:    pr.Instr().TotalBytes(),
-			ioTime:   io,
-			finished: pr.Done,
-			run:      pr,
-		}
+		out[i] = measure(pr)
 	}
 	return out, cl
+}
+
+// measure reads one finished (or budget-cut) program's outcome.
+func measure(pr *core.ProgramRun) measured {
+	var io time.Duration
+	for rnk := range pr.Instr().Ranks {
+		io += pr.Instr().Ranks[rnk].IOTime
+	}
+	return measured{
+		elapsed:  pr.Elapsed(),
+		bytes:    pr.Instr().TotalBytes(),
+		ioTime:   io,
+		finished: pr.Done,
+		run:      pr,
+	}
 }
 
 // aggThroughputMBs is the combined volume of all programs over the time to

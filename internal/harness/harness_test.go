@@ -206,7 +206,7 @@ func TestExecuteMultipleProgramsFinish(t *testing.T) {
 	h := workloads.DefaultHPIO()
 	h.RegionCount = 256
 	h.FileName = "y.dat"
-	ms, _ := execute(1, false, time.Hour, core.DefaultConfig(), []runSpec{
+	ms, _ := Opts{Seed: 1}.execute(false, time.Hour, core.DefaultConfig(), []runSpec{
 		{prog: m, mode: core.ModeVanilla},
 		{prog: h, mode: core.ModeVanilla, startAt: 100 * time.Millisecond},
 	})

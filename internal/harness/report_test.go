@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -9,18 +10,14 @@ import (
 	"testing"
 )
 
-// fig1aReports runs the quick fig1a sweep with run-level attribution armed
-// and renders the drained reports the way cmd/experiments prints them.
-func fig1aReports(t *testing.T, parallel int) string {
+// renderReports renders drained reports the way cmd/experiments prints
+// them, failing the test on an empty drain or a conservation violation.
+func renderReports(t *testing.T, reports []RunReport) string {
 	t.Helper()
-	SetReport(true)
-	defer SetReport(false)
-	Fig1a(Opts{Quick: true, Seed: 1, Parallel: parallel, Log: io.Discard})
-	var b strings.Builder
-	reports := DrainReports()
 	if len(reports) == 0 {
 		t.Fatal("no reports drained")
 	}
+	var b strings.Builder
 	for _, rr := range reports {
 		if !rr.Report.Conserved() {
 			t.Errorf("run %s: attribution not conserved (residual %v)", rr.Key, rr.Report.MaxResidual)
@@ -32,6 +29,25 @@ func fig1aReports(t *testing.T, parallel int) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// fig1aReports runs the quick fig1a sweep with run-level attribution armed
+// and renders the drained reports.
+func fig1aReports(t *testing.T, parallel int) string {
+	t.Helper()
+	sink := &Reports{}
+	Fig1a(Opts{Quick: true, Seed: 1, Parallel: parallel, Log: io.Discard, Reports: sink})
+	return renderReports(t, sink.Drain())
+}
+
+// readGolden returns a testdata golden file's content.
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(want)
 }
 
 // TestReportGoldenAndParallel pins the quick fig1a attribution reports to a
@@ -60,5 +76,36 @@ func TestReportGoldenAndParallel(t *testing.T) {
 	if serial != string(want) {
 		t.Errorf("reports drifted from %s:\n--- want ---\n%s\n--- got ---\n%s\n(if intended, rerun with -update)",
 			path, want, serial)
+	}
+}
+
+// TestOptsVariantsConcurrent runs the quick fig1a sweep three ways at once
+// — plain, audited, and reporting — in one pool: every knob lives on the
+// Opts value a sweep carries, so variants do not leak into each other. All
+// three tables must match the golden, and the reporting variant's sink must
+// hold exactly the report golden's runs.
+func TestOptsVariantsConcurrent(t *testing.T) {
+	sink := &Reports{}
+	variants := []Opts{
+		{Quick: true, Parallel: 2, Log: io.Discard},
+		{Quick: true, Parallel: 2, Log: io.Discard, Audit: true},
+		{Quick: true, Parallel: 2, Log: io.Discard, Reports: sink},
+	}
+	tables := make([]string, len(variants))
+	cells := make([]Cell, len(variants))
+	for i, o := range variants {
+		cells[i] = Cell{Key: fmt.Sprintf("variant%d", i), Run: func() { tables[i] = renderResult(Fig1a(o)) }}
+	}
+	if err := RunCells(context.Background(), 3, cells); err != nil {
+		t.Fatal(err)
+	}
+	want := readGolden(t, "fig1a_quick.golden")
+	for i, got := range tables {
+		if got != want {
+			t.Errorf("variant %d table drifted from fig1a_quick.golden:\n--- want ---\n%s\n--- got ---\n%s", i, want, got)
+		}
+	}
+	if got, want := renderReports(t, sink.Drain()), readGolden(t, "fig1a_report_quick.golden"); got != want {
+		t.Errorf("reports drifted from fig1a_report_quick.golden:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dualpar/internal/cluster"
 	"dualpar/internal/core"
 	"dualpar/internal/fault"
 	"dualpar/internal/metrics"
@@ -72,7 +73,8 @@ func Straggler(o Opts) *Result {
 							{Kind: fault.DiskSlow, Target: 1, Factor: sev},
 						}
 					}
-					ms, _ := executeFaults(o.seed(), time.Hour, core.DefaultConfig(), sch,
+					cfg, ddCfg := o.faulted(sch)
+					ms, _ := o.executeOn(cluster.New(cfg), time.Hour, ddCfg,
 						[]runSpec{{prog: prog, mode: m.mode}})
 					if !ms[0].finished {
 						slot.note = fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)

@@ -78,6 +78,22 @@ type Algorithm interface {
 	NotifyComplete(r *Request, now time.Duration)
 }
 
+// Named returns a constructor for the elevator with the given name — "cfq",
+// "deadline", "noop", or "anticipatory" — or nil for an unknown name.
+func Named(name string) func() Algorithm {
+	switch name {
+	case "cfq":
+		return func() Algorithm { return NewCFQ() }
+	case "deadline":
+		return func() Algorithm { return NewDeadline() }
+	case "noop":
+		return func() Algorithm { return NewNOOP() }
+	case "anticipatory":
+		return func() Algorithm { return NewAnticipatory() }
+	}
+	return nil
+}
+
 // Device is the subset of disk.Device the dispatcher needs.
 type Device interface {
 	Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration

@@ -316,3 +316,21 @@ func TestSortedQueueNoMergeAcrossDirection(t *testing.T) {
 		t.Fatalf("read and write merged")
 	}
 }
+
+func TestNamedBuildsEachElevator(t *testing.T) {
+	for _, name := range []string{"cfq", "deadline", "noop", "anticipatory"} {
+		mk := Named(name)
+		if mk == nil {
+			t.Fatalf("Named(%q) = nil", name)
+		}
+		if got := mk().Name(); got != name {
+			t.Errorf("Named(%q) builds %q", name, got)
+		}
+		if mk() == mk() {
+			t.Errorf("Named(%q) shares one elevator between servers", name)
+		}
+	}
+	if Named("elevator") != nil {
+		t.Error("unknown scheduler name resolved")
+	}
+}

@@ -10,10 +10,11 @@ import (
 // EpochCheckpoint is the crash-survivable checkpoint workload family: a
 // barrier-synchronized loop of compute → checkpoint-write → seal → barrier,
 // with every write tagged by a 1-based epoch so the host-side burst log and
-// the restart phase can reason about durability per epoch. Unlike the plain
+// the restart phase can reason about durability per epoch. Like the plain
 // Checkpoint program it never overwrites: each epoch writes its own region
-// (N-1) or its own per-rank file slice (N-N), so the last committed epoch is
-// always intact on the PFS regardless of where a crash lands.
+// (N-1, at Checkpoint's offsets) or its own per-rank file slice (N-N), so
+// the last committed epoch is always intact on the PFS regardless of where
+// a crash lands.
 //
 // The two classic patterns are selectable with Shared:
 //
