@@ -207,9 +207,18 @@ func main() {
 	}
 	if *emclog {
 		fmt.Println("EMC decisions (t, io_ratio, seek/req improvement, data-driven):")
-		for _, d := range runner.EMCDecisions() {
+		decisions := runner.EMCDecisions()
+		for _, d := range decisions {
 			fmt.Printf("  %6.2fs  io=%.2f  imp=%6.1f  dd=%v\n",
 				d.At.Seconds(), d.IORatio, d.Improvement, d.DataDriven)
+		}
+		switch {
+		case len(decisions) > 0:
+		case !m.EMCManaged():
+			fmt.Printf("  (none: EMC manages only dualpar and data-driven programs, not %s)\n", m)
+		default:
+			fmt.Printf("  (none: the run ended at %.3f s, before EMC's first slot at %.3f s)\n",
+				pr.EndedAt.Seconds(), dcfg.SlotEvery.Seconds())
 		}
 	}
 	if len(pr.ModeSwitches) > 0 {

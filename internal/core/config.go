@@ -215,6 +215,10 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("core: unknown mode %q", s)
 }
 
+// EMCManaged reports whether EMC samples programs in mode m and logs a
+// decision for them every slot: dualpar, and data-driven (pinned on).
+func (m Mode) EMCManaged() bool { return m == ModeDualPar || m == ModeDataDriven }
+
 // String implements fmt.Stringer.
 func (m Mode) String() string {
 	switch m {

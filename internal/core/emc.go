@@ -123,7 +123,7 @@ func (e *emc) slot() {
 			continue
 		}
 		drained[i] = pr.instr.DrainLog()
-		if pr.mode == ModeDualPar || pr.mode == ModeDataDriven {
+		if pr.mode.EMCManaged() {
 			pooled = append(pooled, drained[i]...)
 		}
 	}
@@ -164,7 +164,7 @@ func (e *emc) slot() {
 			pr.recentRankBps = 0.5*pr.recentRankBps + 0.5*perRank
 		}
 
-		if pr.mode != ModeDualPar && pr.mode != ModeDataDriven {
+		if !pr.mode.EMCManaged() {
 			continue
 		}
 

@@ -134,7 +134,7 @@ func (r *Runner) Add(prog workloads.Program, mode Mode, opts AddOptions) *Progra
 			r.audit.RegisterProbe(fmt.Sprintf("memcache.used.prog%d", id), pr.cache.CheckUsed)
 		}
 	}
-	if mode == ModeDualPar || mode == ModeDataDriven {
+	if mode.EMCManaged() {
 		pr.ctrl = newController(pr)
 	}
 	pr.recentRankBps = 4e6 // until EMC measures real throughput

@@ -113,11 +113,6 @@ func (c *pageCache) recycle(pg *cachePage) {
 	c.free = pg
 }
 
-func (c *pageCache) resident(file string, idx int64) bool {
-	_, ok := c.pages[pageKey{file, idx}]
-	return ok
-}
-
 // touch reports whether the page is resident, refreshing its LRU position.
 func (c *pageCache) touch(file string, idx int64) bool {
 	pg, ok := c.pages[pageKey{file, idx}]

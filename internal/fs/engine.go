@@ -64,11 +64,6 @@ type StorageEngine interface {
 	// runs as ReadRuns). The store calls it at data-reaching-disk time:
 	// sync writes and writeback, never on dirtying a cache page.
 	WriteRuns(out []lbnRun, file string, off, n int64) []lbnRun
-	// ReadAheadLimit reports the furthest exclusive byte offset readahead
-	// starting inside off's on-disk run may extend to without leaving that
-	// contiguous region (kernel readahead does not seek). The store
-	// additionally clips against the file's logical size.
-	ReadAheadLimit(file string, off int64) int64
 	// CheckInvariants is the engine's audit oracle: layout bookkeeping
 	// must be self-consistent (extent maps match their source of truth,
 	// log byte ledgers conserve). Wired as a final audit probe per store.

@@ -112,18 +112,6 @@ func (e *bptreeEngine) WriteRuns(out []lbnRun, file string, off, n int64) []lbnR
 	return e.ReadRuns(out, file, off, n)
 }
 
-func (e *bptreeEngine) ReadAheadLimit(file string, off int64) int64 {
-	f, ok := e.files[file]
-	if !ok {
-		return off
-	}
-	limit := off
-	f.tree.visitRange(off, off+1, func(x extent) {
-		limit = x.fileOff + x.bytes
-	})
-	return limit
-}
-
 // CheckInvariants replays the B+tree against the flat shadow map: an
 // in-order walk must yield exactly the shadow, and a point lookup through
 // the tree must agree with a linear scan for every extent boundary.

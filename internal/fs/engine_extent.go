@@ -121,14 +121,6 @@ func (e *extentEngine) WriteRuns(out []lbnRun, file string, off, n int64) []lbnR
 	return e.ReadRuns(out, file, off, n)
 }
 
-// ReadAheadLimit: readahead may run to the end of the extent holding off.
-func (e *extentEngine) ReadAheadLimit(file string, off int64) int64 {
-	if x, ok := e.locate(file, off); ok {
-		return x.fileOff + x.bytes
-	}
-	return off
-}
-
 // locate returns the extent of file containing byte offset off.
 func (e *extentEngine) locate(file string, off int64) (extent, bool) {
 	f, ok := e.files[file]

@@ -22,7 +22,7 @@ const lsmCheckEvery = 500 * time.Millisecond
 // background compactor rewrites the garbage-heaviest sealed segment
 // (reading its live pages, re-appending them at the head) with its disk
 // traffic charged through the store's dispatcher and throttled to
-// LSMCompactBps, then recycles the segment.
+// lsmCompactBps, then recycles the segment.
 //
 // The engine keeps a strict byte ledger — absorbed (log appends from
 // writes), compacted (re-appends by the compactor), reclaimed (recycled
@@ -34,9 +34,8 @@ type lsmEngine struct {
 	inner *extentEngine // base layout + allocation cursor
 	files map[string]*lsmFile
 
-	segBytes   int64
-	compactFrc float64
-	compactBps float64
+	segBytes   int64   // log segment size, page-aligned
+	compactBps float64 // compaction disk-bandwidth throttle, bytes/s
 
 	cur      *lsmSegment
 	segs     []*lsmSegment // every live (not yet recycled) segment, log order
@@ -69,28 +68,22 @@ type lsmSegment struct {
 	recycle bool // returned to the free list; loc pointing here is a bug
 }
 
+// LSM engine parameters: 4 MiB segments, compaction once a sealed segment
+// is half garbage, 32 MiB/s compaction bandwidth.
+const (
+	lsmSegmentBytes = 4 << 20
+	lsmCompactFrac  = 0.5
+	lsmCompactBps   = 32 << 20
+)
+
 func newLSMEngine(cfg Config) *lsmEngine {
 	ps := int64(cfg.PageSize)
-	segBytes := cfg.LSMSegmentBytes
-	if segBytes == 0 {
-		segBytes = 4 << 20
-	}
-	segBytes = (segBytes + ps - 1) / ps * ps
-	frc := cfg.LSMCompactFrac
-	if frc == 0 {
-		frc = 0.5
-	}
-	bps := cfg.LSMCompactBps
-	if bps == 0 {
-		bps = 32 << 20
-	}
 	return &lsmEngine{
 		cfg:        cfg,
 		inner:      newExtentEngine(cfg),
 		files:      make(map[string]*lsmFile),
-		segBytes:   segBytes,
-		compactFrc: frc,
-		compactBps: bps,
+		segBytes:   (lsmSegmentBytes + ps - 1) / ps * ps,
+		compactBps: lsmCompactBps,
 	}
 }
 
@@ -196,20 +189,6 @@ func (e *lsmEngine) appendPage() (*lsmSegment, int64) {
 	return e.cur, lbn
 }
 
-// ReadAheadLimit: a relocated page is a page-sized island in the log, so
-// readahead stops at its end; base-resident data streams to the end of its
-// base extent.
-func (e *lsmEngine) ReadAheadLimit(file string, off int64) int64 {
-	ps := int64(e.cfg.PageSize)
-	pg := off / ps
-	if f, ok := e.files[file]; ok {
-		if _, relocated := f.remap[pg]; relocated {
-			return (pg + 1) * ps
-		}
-	}
-	return e.inner.ReadAheadLimit(file, off)
-}
-
 // pickVictim returns the sealed segment worth compacting: the one with the
 // most garbage, provided its garbage fraction reaches the threshold.
 // Ties break toward the lowest base LBN (deterministic).
@@ -221,7 +200,7 @@ func (e *lsmEngine) pickVictim() *lsmSegment {
 			continue
 		}
 		garbage := s.used - s.live
-		if garbage <= 0 || float64(garbage) < e.compactFrc*float64(s.used) {
+		if garbage <= 0 || float64(garbage) < lsmCompactFrac*float64(s.used) {
 			continue
 		}
 		if garbage > victimGarbage || (garbage == victimGarbage && victim != nil && s.base < victim.base) {
@@ -247,7 +226,7 @@ func (e *lsmEngine) compactLoop(p *sim.Proc) {
 // compactOne reads the victim's live pages, re-appends them at the log
 // head, repoints the page map, and recycles the segment. Disk traffic goes
 // through the store's dispatcher (visible to the elevator, the disk stats,
-// and the audit ledgers) and is throttled to LSMCompactBps.
+// and the audit ledgers) and is throttled to compactBps.
 func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
 	ps := int64(e.cfg.PageSize)
 
@@ -319,7 +298,7 @@ func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
 	e.freeSegs[i] = v.base
 
 	// Throttle: the rewrite may not consume more disk bandwidth than
-	// LSMCompactBps; sleep off the difference between the budgeted time
+	// compactBps; sleep off the difference between the budgeted time
 	// for the bytes moved and the time the disk actually took.
 	if moved > 0 {
 		budget := time.Duration(float64(moved) / e.compactBps * float64(time.Second))

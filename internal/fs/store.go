@@ -49,25 +49,12 @@ type Config struct {
 	AllocUnitBytes int64
 	FileGapBytes   int64
 
-	// ReadAheadBytes, when positive, extends a missed read run forward by
-	// up to this much (kernel readahead analogue). Readahead never crosses
-	// the on-disk contiguous region holding the miss (readahead does not
-	// seek) and never extends past the file's logical size.
-	ReadAheadBytes int64
-
 	// MemBandwidth models page-cache copy cost, bytes/second.
 	MemBandwidth float64
 
 	// Engine selects the storage engine laying file bytes out on disk:
 	// one of Engines() ("" = EngineExtent, the paper's default).
 	Engine string
-
-	// LSM engine knobs (ignored by the other engines). Zero selects the
-	// engine's defaults: 4 MiB segments, compaction at 50% garbage,
-	// 32 MiB/s compaction bandwidth.
-	LSMSegmentBytes int64   // log segment size, page-aligned
-	LSMCompactFrac  float64 // garbage fraction triggering compaction, (0,1]
-	LSMCompactBps   float64 // compaction disk-bandwidth throttle, bytes/s
 }
 
 // DefaultConfig returns a configuration approximating the paper's data
@@ -82,7 +69,6 @@ func DefaultConfig() Config {
 		SyncWrites:          true,
 		AllocUnitBytes:      8 << 20,
 		FileGapBytes:        16 << 20,
-		ReadAheadBytes:      0,
 		MemBandwidth:        4e9,
 	}
 }
@@ -111,20 +97,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fs: AllocUnitBytes %d", c.AllocUnitBytes)
 	case c.FileGapBytes < 0:
 		return fmt.Errorf("fs: FileGapBytes %d", c.FileGapBytes)
-	case c.ReadAheadBytes < 0:
-		return fmt.Errorf("fs: ReadAheadBytes %d", c.ReadAheadBytes)
-	case c.ReadAheadBytes%int64(c.PageSize) != 0:
-		return fmt.Errorf("fs: ReadAheadBytes %d not a multiple of PageSize %d", c.ReadAheadBytes, c.PageSize)
 	case c.MemBandwidth <= 0:
 		return fmt.Errorf("fs: MemBandwidth %g", c.MemBandwidth)
 	case !validEngine(c.Engine):
 		return fmt.Errorf("fs: Engine %q (want one of %v)", c.Engine, Engines())
-	case c.LSMSegmentBytes < 0 || (c.LSMSegmentBytes > 0 && c.LSMSegmentBytes < int64(c.PageSize)):
-		return fmt.Errorf("fs: LSMSegmentBytes %d", c.LSMSegmentBytes)
-	case c.LSMCompactFrac < 0 || c.LSMCompactFrac > 1:
-		return fmt.Errorf("fs: LSMCompactFrac %g", c.LSMCompactFrac)
-	case c.LSMCompactBps < 0:
-		return fmt.Errorf("fs: LSMCompactBps %g", c.LSMCompactBps)
 	}
 	return nil
 }
@@ -138,11 +114,6 @@ type Store struct {
 	eng    StorageEngine
 	cache  *pageCache
 	wbOrig int // origin id used by the flusher
-
-	// logical is each file's logical size: the high-water mark of Create
-	// sizes and write ends, before allocation-unit rounding. Readahead
-	// clips against it so pages past EOF never become resident.
-	logical map[string]int64
 
 	statReadBytes  int64
 	statWriteBytes int64
@@ -218,13 +189,12 @@ func New(k *sim.Kernel, name string, dev disk.Device, alg iosched.Algorithm, cfg
 		panic(err)
 	}
 	s := &Store{
-		k:       k,
-		cfg:     cfg,
-		dev:     dev,
-		disp:    iosched.NewDispatcher(k, name+"/dispatch", dev, alg),
-		eng:     newEngine(cfg),
-		wbOrig:  wbOrigin,
-		logical: make(map[string]int64),
+		k:      k,
+		cfg:    cfg,
+		dev:    dev,
+		disp:   iosched.NewDispatcher(k, name+"/dispatch", dev, alg),
+		eng:    newEngine(cfg),
+		wbOrig: wbOrigin,
 	}
 	s.cache = newPageCache(k, cfg)
 	if !cfg.SyncWrites {
@@ -267,19 +237,12 @@ func (s *Store) CacheMissPages() int64 { return s.statCacheMiss }
 // existing file extends it if size is larger.
 func (s *Store) Create(name string, size int64) {
 	s.eng.Ensure(name, size)
-	if size > s.logical[name] {
-		s.logical[name] = size
-	}
 }
 
 // FileSize reports the allocated size of a file (0 if absent).
 func (s *Store) FileSize(name string) int64 {
 	return s.eng.AllocatedSize(name)
 }
-
-// LogicalSize reports the file's logical size: the high-water mark of
-// Create sizes and write ends (0 if absent).
-func (s *Store) LogicalSize(name string) int64 { return s.logical[name] }
 
 type lbnRun struct {
 	lbn   int64
@@ -365,24 +328,6 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	for _, run := range missRuns {
 		startOff := run[0] * ps
 		endOff := (run[1] + 1) * ps
-		if s.cfg.ReadAheadBytes > 0 {
-			// Readahead clips against the file's logical size (pages past
-			// EOF must never become resident) and against the contiguous
-			// on-disk region holding the miss (readahead does not seek).
-			limit := s.logical[name]
-			if raLim := s.eng.ReadAheadLimit(name, run[1]*ps); raLim < limit {
-				limit = raLim
-			}
-			extra := s.cfg.ReadAheadBytes
-			for pg := run[1] + 1; extra > 0 && pg*ps < limit; pg++ {
-				if s.cache.resident(name, pg) {
-					break
-				}
-				s.cache.insertClean(p, name, pg)
-				endOff = (pg + 1) * ps
-				extra -= ps
-			}
-		}
 		if endOff > alloc {
 			endOff = alloc
 		}
@@ -426,9 +371,6 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 				continue
 			}
 			s.eng.Ensure(name, e.End())
-			if e.End() > s.logical[name] {
-				s.logical[name] = e.End()
-			}
 			sc.runs = s.eng.WriteRuns(sc.runs[:0], name, e.Off, e.Len)
 			for _, lr := range sc.runs {
 				reqs = s.appendSplit(reqs, lr, true, origin, rc)
@@ -452,9 +394,6 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 			continue
 		}
 		s.eng.Ensure(name, e.End())
-		if e.End() > s.logical[name] {
-			s.logical[name] = e.End()
-		}
 		first, last := e.Off/ps, (e.End()-1)/ps
 		for pg := first; pg <= last; pg++ {
 			s.cache.insertDirty(p, name, pg)

@@ -201,22 +201,6 @@ func TestLargeReadFewDiskRequests(t *testing.T) {
 	}
 }
 
-func TestReadAheadExtendsFetch(t *testing.T) {
-	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	cfg.ReadAheadBytes = 256 << 10
-	s := newStore(k, cfg)
-	s.Create("a", 1<<20)
-	k.Spawn("reader", func(p *sim.Proc) {
-		s.Read(p, "a", 0, 4<<10, 1)
-	})
-	k.RunUntil(time.Minute)
-	got := s.Device().Stats().BytesRead
-	if got < 128<<10 {
-		t.Fatalf("device read %d bytes, want readahead beyond the 4KB request", got)
-	}
-}
-
 func TestNoReadAheadByDefault(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, DefaultConfig())
@@ -226,7 +210,7 @@ func TestNoReadAheadByDefault(t *testing.T) {
 	})
 	k.RunUntil(time.Minute)
 	if got := s.Device().Stats().BytesRead; got > 8<<10 {
-		t.Fatalf("device read %d bytes for a 4KB request with readahead off", got)
+		t.Fatalf("device read %d bytes for a 4KB request; the store has no readahead", got)
 	}
 }
 
@@ -269,20 +253,13 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"WritebackBatch=0", func(c *Config) { c.WritebackBatchBytes = 0 }},
 		{"AllocUnit=0", func(c *Config) { c.AllocUnitBytes = 0 }},
 		{"FileGap<0", func(c *Config) { c.FileGapBytes = -1 }},
-		{"ReadAhead<0", func(c *Config) { c.ReadAheadBytes = -1 }},
 		{"MemBandwidth=0", func(c *Config) { c.MemBandwidth = 0 }},
 		// Misaligned byte budgets must be rejected, not silently truncated
 		// (capPages = CacheBytes/PageSize).
 		{"CacheBytes misaligned", func(c *Config) { c.CacheBytes += 1 }},
 		{"CacheBytes off by a page half", func(c *Config) { c.CacheBytes -= int64(c.PageSize) / 2 }},
 		{"DirtyLimit misaligned", func(c *Config) { c.DirtyLimitBytes += 7 }},
-		{"ReadAhead misaligned", func(c *Config) { c.ReadAheadBytes = int64(c.PageSize) + 1 }},
 		{"unknown engine", func(c *Config) { c.Engine = "btrfs" }},
-		{"LSMSegmentBytes<0", func(c *Config) { c.LSMSegmentBytes = -1 }},
-		{"LSMSegmentBytes<PageSize", func(c *Config) { c.LSMSegmentBytes = int64(c.PageSize) - 1 }},
-		{"LSMCompactFrac>1", func(c *Config) { c.LSMCompactFrac = 1.5 }},
-		{"LSMCompactFrac<0", func(c *Config) { c.LSMCompactFrac = -0.1 }},
-		{"LSMCompactBps<0", func(c *Config) { c.LSMCompactBps = -1 }},
 	}
 	for _, tc := range bad {
 		c := DefaultConfig()

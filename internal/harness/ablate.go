@@ -32,13 +32,7 @@ func AblateScheduler(o Opts) *Result {
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
 			ccfg := o.config()
 			ccfg.NewScheduler = iosched.Named(sched)
-			cl := cluster.New(ccfg)
-			r := core.NewRunner(cl, core.DefaultConfig())
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			pr := r.Add(m, mode, core.AddOptions{RanksPerNode: 8})
-			r.Run(time.Hour)
-			row = append(row, mb(float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds()))
+			row = append(row, mb(o.mpiioTest(ccfg, size, false, mode).throughputMBs()))
 		}
 		res.Table.AddRow(row...)
 		o.logf("ablate-sched %s: %v", sched, row)
@@ -72,14 +66,14 @@ func AblateTImprovement(o Opts) *Result {
 		h := workloads.DefaultHPIO()
 		h.RegionCount = regions
 		h.FileName = "ablt-hpio.dat"
-		cl := o.cluster(false)
 		cfg := core.DefaultConfig()
 		cfg.TImprovement = tval
 		cfg.SlotEvery = 100 * time.Millisecond
-		r := core.NewRunner(cl, cfg)
-		p1 := r.Add(m, core.ModeDualPar, core.AddOptions{RanksPerNode: 8})
-		p2 := r.Add(h, core.ModeDualPar, core.AddOptions{RanksPerNode: 8, StartAt: 300 * time.Millisecond})
-		r.Run(time.Hour)
+		ms, _ := o.execute(false, time.Hour, cfg, []runSpec{
+			{prog: m, mode: core.ModeDualPar},
+			{prog: h, mode: core.ModeDualPar, startAt: 300 * time.Millisecond},
+		})
+		p1, p2 := ms[0].run, ms[1].run
 		switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
 		finish := p1.EndedAt
 		if p2.EndedAt > finish {
@@ -111,19 +105,16 @@ func AblateHoleThreshold(o Opts) *Result {
 		h.RegionCount = 2048
 	}
 	for _, hole := range []int64{0, 4 << 10, 32 << 10, 256 << 10} {
-		cl := o.cluster(false)
 		cfg := core.DefaultConfig()
 		cfg.HoleBytes = hole
 		// Sub-chunk caching isolates the hole-filling effect from chunk
 		// alignment.
 		cfg.Memcache.ChunkBytes = 4 << 10
-		r := core.NewRunner(cl, cfg)
-		pr := r.Add(h, core.ModeDataDriven, core.AddOptions{RanksPerNode: 8})
-		r.Run(time.Hour)
+		ms, cl := o.execute(false, time.Hour, cfg, []runSpec{{prog: h, mode: core.ModeDataDriven}})
 		st := cl.ServerStats()
-		res.Table.AddRow(fmt.Sprintf("%d", hole>>10), secs(pr.Elapsed()),
+		res.Table.AddRow(fmt.Sprintf("%d", hole>>10), secs(ms[0].elapsed),
 			fmt.Sprintf("%d", st.Accesses), fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20)))
-		o.logf("ablate-hole %dKB: %.3fs, %d accesses, %.1fMB", hole>>10, pr.Elapsed().Seconds(), st.Accesses, float64(st.BytesRead)/(1<<20))
+		o.logf("ablate-hole %dKB: %.3fs, %d accesses, %.1fMB", hole>>10, ms[0].elapsed.Seconds(), st.Accesses, float64(st.BytesRead)/(1<<20))
 	}
 	return res
 }
@@ -162,26 +153,22 @@ func AblateDiskOrigins(o Opts) *Result {
 		Title: "Ablation: CFQ origin attribution (mpi-io-test vanilla read)",
 		Table: &metrics.Table{Header: []string{"origin", "throughput_MBs"}},
 	}
-	m := workloads.DefaultMPIIOTest()
-	m.FileBytes = 32 << 20
+	size := int64(32 << 20)
 	if o.Quick {
-		m.FileBytes = 8 << 20
+		size = 8 << 20
 	}
 	for _, client := range []bool{false, true} {
 		ccfg := o.config()
 		pcfg := pfs.DefaultConfig()
 		pcfg.ClientDiskOrigins = client
 		ccfg.PFS = pcfg
-		cl := cluster.New(ccfg)
-		r := core.NewRunner(cl, core.DefaultConfig())
-		pr := r.Add(m, core.ModeVanilla, core.AddOptions{RanksPerNode: 8})
-		r.Run(time.Hour)
+		tp := o.mpiioTest(ccfg, size, false, core.ModeVanilla).throughputMBs()
 		label := "server-process"
 		if client {
 			label = "per-client"
 		}
-		res.Table.AddRow(label, mb(float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds()))
-		o.logf("ablate-origins %s: %.1f MB/s", label, float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds())
+		res.Table.AddRow(label, mb(tp))
+		o.logf("ablate-origins %s: %.1f MB/s", label, tp)
 	}
 	return res
 }
@@ -232,18 +219,22 @@ func AblateSSD(o Opts) *Result {
 				sp := disk.DefaultSSDParams()
 				ccfg.SSD = &sp
 			}
-			cl := cluster.New(ccfg)
-			r := core.NewRunner(cl, core.DefaultConfig())
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			pr := r.Add(m, mode, core.AddOptions{RanksPerNode: 8})
-			r.Run(time.Hour)
-			vals = append(vals, float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds())
+			vals = append(vals, o.mpiioTest(ccfg, size, false, mode).throughputMBs())
 		}
 		res.Table.AddRow(storage, mb(vals[0]), mb(vals[1]), fmt.Sprintf("%.2fx", vals[1]/vals[0]))
 		o.logf("ablate-ssd %s: vanilla %.1f dualpar %.1f", storage, vals[0], vals[1])
 	}
 	return res
+}
+
+// mpiioTest runs one mpi-io-test of size bytes (a write test if write) in
+// mode on a cluster built from ccfg.
+func (o Opts) mpiioTest(ccfg cluster.Config, size int64, write bool, mode core.Mode) measured {
+	m := workloads.DefaultMPIIOTest()
+	m.FileBytes = size
+	m.Write = write
+	ms, _ := o.executeOn(cluster.New(ccfg), time.Hour, core.DefaultConfig(), []runSpec{{prog: m, mode: mode}})
+	return ms[0]
 }
 
 // Ablations runs every ablation.
@@ -281,16 +272,11 @@ func AblateWritePath(o Opts) *Result {
 			fcfg := ccfg.FS
 			fcfg.SyncWrites = sync
 			ccfg.FS = fcfg
-			cl := cluster.New(ccfg)
-			r := core.NewRunner(cl, core.DefaultConfig())
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			m.Write = true
-			pr := r.Add(m, mode, core.AddOptions{RanksPerNode: 8})
-			if !r.Run(time.Hour) {
+			run := o.mpiioTest(ccfg, size, true, mode)
+			if !run.finished {
 				o.logf("ablate-writepath: run did not finish")
 			}
-			row = append(row, mb(float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds()))
+			row = append(row, mb(run.throughputMBs()))
 		}
 		res.Table.AddRow(row...)
 		o.logf("ablate-writepath %s: %v", row[0], row[1:])
@@ -343,13 +329,7 @@ func AblateServers(o Opts) *Result {
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
 			ccfg := o.config()
 			ccfg.DataServers = servers
-			cl := cluster.New(ccfg)
-			r := core.NewRunner(cl, core.DefaultConfig())
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			pr := r.Add(m, mode, core.AddOptions{RanksPerNode: 8})
-			r.Run(time.Hour)
-			vals = append(vals, float64(pr.Instr().TotalBytes())/(1<<20)/pr.Elapsed().Seconds())
+			vals = append(vals, o.mpiioTest(ccfg, size, false, mode).throughputMBs())
 		}
 		res.Table.AddRow(fmt.Sprintf("%d", servers), mb(vals[0]), mb(vals[1]),
 			fmt.Sprintf("%.2fx", vals[1]/vals[0]))

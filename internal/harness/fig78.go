@@ -66,10 +66,6 @@ func Fig7(o Opts) *Result {
 			if ddCfg.SlotEvery > time.Second {
 				ddCfg.SlotEvery = time.Second
 			}
-			r := core.NewRunner(cl, ddCfg)
-			p1 := r.Add(m, sch.mode, core.AddOptions{RanksPerNode: 8})
-			p2 := r.Add(h, sch.mode, core.AddOptions{RanksPerNode: 8, StartAt: joinAt})
-
 			// Throughput and seek-distance series sampled during the run.
 			window := soloEstimate / 40
 			if window < 50*time.Millisecond {
@@ -94,7 +90,11 @@ func Fig7(o Opts) *Result {
 				}
 				return float64(dSeek) / float64(dAcc)
 			})
-			r.Run(12 * time.Hour)
+			ms, _ := o.executeOn(cl, 12*time.Hour, ddCfg, []runSpec{
+				{prog: m, mode: sch.mode},
+				{prog: h, mode: sch.mode, startAt: joinAt},
+			})
+			p1, p2 := ms[0].run, ms[1].run
 
 			end1 := p1.EndedAt
 			before := tp.Window(0, joinAt)

@@ -109,3 +109,17 @@ func TestOptsVariantsConcurrent(t *testing.T) {
 		t.Errorf("reports drifted from fig1a_report_quick.golden:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
+
+// TestAblationRunsReachReportsAndAudit: the ablation cells run through
+// Opts.executeOn like every other experiment, so Audit arms their oracles
+// and Reports receives every run (3 schedulers x 2 modes). cfq and deadline
+// serve this workload identically, span for span (equal table rows), so
+// their runs share a report key and the sink keeps one report per mode for
+// the pair: 4 distinct reports.
+func TestAblationRunsReachReportsAndAudit(t *testing.T) {
+	sink := &Reports{}
+	AblateScheduler(Opts{Quick: true, Audit: true, Reports: sink, Log: io.Discard})
+	if got := len(sink.Drain()); got != 4 {
+		t.Fatalf("ablate-sched drained %d reports, want 4 (6 runs, cfq = deadline)", got)
+	}
+}

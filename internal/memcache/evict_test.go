@@ -88,14 +88,15 @@ func TestMarkCleanRearmsSweeper(t *testing.T) {
 	k.Run()
 }
 
-// TestCapacityAllDirtyNoVictim: when every cached byte is dirty,
-// enforceCapacity must give up (writeback will drain) rather than spin or
+// TestCapacityAllDirtyNoVictim: when every cached byte is dirty, quota
+// enforcement must give up (writeback will drain) rather than spin or
 // evict unwritten data.
 func TestCapacityAllDirtyNoVictim(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
-	cfg.CapacityBytes = cfg.ChunkBytes // room for one chunk
 	c := newCache(k, cfg)
+	q := NewQuota("solo", cfg.ChunkBytes) // room for one chunk
+	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: 2 * cfg.ChunkBytes}})
 	})
@@ -112,8 +113,8 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 		c.PutClean(p, 100, "g", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 	})
 	k.Run()
-	if c.UsedBytes() > cfg.CapacityBytes {
-		t.Errorf("used=%d exceeds capacity %d after dirty data drained", c.UsedBytes(), cfg.CapacityBytes)
+	if c.UsedBytes() > q.Limit() {
+		t.Errorf("used=%d exceeds capacity %d after dirty data drained", c.UsedBytes(), q.Limit())
 	}
 }
 
@@ -122,12 +123,12 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 // (file, then chunk index), not map iteration order.
 func TestCapacityTiebreakDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CapacityBytes = 4 * cfg.ChunkBytes
 	cfg.OpCPU = 0 // puts cost no virtual time, so every lastRef ties
 	one := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
 	for trial := 0; trial < 5; trial++ {
 		k := sim.NewKernel(1)
 		c := newCache(k, cfg)
+		c.SetQuota(NewQuota("solo", 4*cfg.ChunkBytes))
 		k.Spawn("p", func(p *sim.Proc) {
 			// Four single-chunk files at one instant fill the cache exactly.
 			for _, f := range []string{"d", "b", "c", "a"} {

@@ -29,9 +29,6 @@ type Config struct {
 	ChunkBytes int64
 	// EvictAfter is how long an unreferenced chunk survives.
 	EvictAfter time.Duration
-	// CapacityBytes bounds the total valid bytes; 0 means unbounded (the
-	// CRM's per-process quotas are then the only limit).
-	CapacityBytes int64
 	// OpCPU is the per-operation processing cost at the home node.
 	OpCPU time.Duration
 }
@@ -52,8 +49,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memcache: ChunkBytes %d", c.ChunkBytes)
 	case c.EvictAfter <= 0:
 		return fmt.Errorf("memcache: EvictAfter %v", c.EvictAfter)
-	case c.CapacityBytes < 0:
-		return fmt.Errorf("memcache: CapacityBytes %d", c.CapacityBytes)
 	case c.OpCPU < 0:
 		return fmt.Errorf("memcache: OpCPU %v", c.OpCPU)
 	}
@@ -379,7 +374,6 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 		c.obs.Span(rc.ID, obs.StageCache, "cache", start, p.Now(),
 			obs.Str("op", op), obs.I64("bytes", ext.Total(extents)))
 	}
-	c.enforceCapacity()
 	c.quota.enforce()
 	c.armSweeper()
 }
@@ -455,32 +449,6 @@ func (c *Cache) evictIdle() {
 			delete(c.chunks, key)
 			c.statEvictions++
 		}
-	}
-}
-
-// enforceCapacity evicts the least recently referenced clean chunks while
-// over capacity.
-func (c *Cache) enforceCapacity() {
-	if c.cfg.CapacityBytes == 0 {
-		return
-	}
-	for c.used > c.cfg.CapacityBytes {
-		var victim *chunk
-		for _, ch := range c.chunks {
-			if len(ch.dirty) > 0 {
-				continue
-			}
-			if victim == nil || ch.lastRef < victim.lastRef ||
-				(ch.lastRef == victim.lastRef && lessKey(ch.key, victim.key)) {
-				victim = ch
-			}
-		}
-		if victim == nil {
-			return // everything dirty; CRM writeback will drain
-		}
-		c.adjustUsed(-ext.Total(victim.valid))
-		delete(c.chunks, victim.key)
-		c.statEvictions++
 	}
 }
 

@@ -242,9 +242,9 @@ func TestDirtyChunksSurviveEviction(t *testing.T) {
 
 func TestCapacityEvictsLRU(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	cfg.CapacityBytes = 128 << 10 // 2 chunks
-	c := newCache(k, cfg)
+	c := newCache(k, DefaultConfig())
+	q := NewQuota("solo", 128<<10) // 2 chunks
+	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 		p.Sleep(time.Millisecond)
@@ -262,8 +262,8 @@ func TestCapacityEvictsLRU(t *testing.T) {
 		}
 	})
 	k.Run()
-	if c.UsedBytes() > cfg.CapacityBytes {
-		t.Fatalf("used %d over capacity %d", c.UsedBytes(), cfg.CapacityBytes)
+	if c.UsedBytes() > q.Limit() {
+		t.Fatalf("used %d over capacity %d", c.UsedBytes(), q.Limit())
 	}
 }
 
@@ -291,7 +291,6 @@ func TestValidateConfig(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ChunkBytes = 0 },
 		func(c *Config) { c.EvictAfter = 0 },
-		func(c *Config) { c.CapacityBytes = -1 },
 		func(c *Config) { c.OpCPU = -1 },
 	}
 	for i, m := range bad {

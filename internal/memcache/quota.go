@@ -12,7 +12,7 @@ import (
 // under quota pressure is isolated to the tenant's own caches — one
 // tenant's working set can never push another tenant's data out.
 //
-// Enforcement mirrors the per-cache capacity rule: while the partition is
+// Quota is the cache's one capacity rule: while the partition is
 // over its limit, the least recently referenced fully-clean chunk across
 // the member caches is evicted (ties broken by chunk key, then member
 // registration order — deterministic whatever the map iteration order). Dirty
@@ -52,8 +52,8 @@ func (q *Quota) Limit() int64 { return q.limit }
 // Used returns the valid bytes resident across the member caches.
 func (q *Quota) Used() int64 { return q.used }
 
-// Evictions reports chunks evicted by quota pressure (distinct from the
-// members' own idle and capacity evictions, which the members count).
+// Evictions reports chunks evicted by quota pressure. Each member also
+// counts its share of them in its own evictions, next to idle evictions.
 func (q *Quota) Evictions() int64 { return q.statEvictions }
 
 // SetQuota registers the cache as a member of the partition. Call once,

@@ -117,19 +117,13 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 // partition splits the accessed span [lo, hi) into stripe-aligned file
 // domains, one per aggregator (ROMIO's even partition of [st, end]).
 func (f *File) partition(lo, hi int64) aggInfo {
+	// One aggregator per distinct compute node (ROMIO's cb_nodes default).
 	size := f.w.Size()
-	a := f.cfg.Aggregators
-	if a <= 0 {
-		// One aggregator per distinct compute node.
-		seen := make(map[int]bool)
-		for r := 0; r < size; r++ {
-			seen[f.w.Node(r)] = true
-		}
-		a = len(seen)
+	seen := make(map[int]bool)
+	for r := 0; r < size; r++ {
+		seen[f.w.Node(r)] = true
 	}
-	if a > size {
-		a = size
-	}
+	a := len(seen)
 	unit := f.fsys.Config().StripeUnit
 	span := hi - lo
 	per := (span + int64(a) - 1) / int64(a)

@@ -26,9 +26,6 @@ type Config struct {
 	// CollectiveBufferBytes is cb_buffer_size: an aggregator stages data
 	// through a buffer of this size per two-phase cycle.
 	CollectiveBufferBytes int64
-	// Aggregators is cb_nodes: number of aggregator ranks (0 = one per
-	// compute node, ROMIO's default).
-	Aggregators int
 	// DataSieveHole is the largest hole absorbed when an aggregator turns
 	// its needed extents into contiguous accesses (0 disables sieving).
 	DataSieveHole int64
@@ -37,26 +34,14 @@ type Config struct {
 	// "vanilla MPI-IO" baseline has it off: synchronous requests go out one
 	// at a time.
 	ListIO bool
-	// IndependentSieve enables ROMIO-style data sieving on *independent*
-	// strided operations: instead of per-segment requests, the covering
-	// range is read in SieveBufferBytes chunks (holes up to DataSieveHole
-	// absorbed; strided writes read-modify-write). Off in the paper's
-	// vanilla baseline.
-	IndependentSieve bool
-	// SieveBufferBytes bounds one sieving access (ROMIO ind_rd_buffer_size,
-	// 4 MB there; 512 KB here to match the scaled workloads).
-	SieveBufferBytes int64
 }
 
 // DefaultConfig matches paper-era ROMIO defaults.
 func DefaultConfig() Config {
 	return Config{
 		CollectiveBufferBytes: 4 << 20,
-		Aggregators:           0,
 		DataSieveHole:         64 << 10,
 		ListIO:                false,
-		IndependentSieve:      false,
-		SieveBufferBytes:      512 << 10,
 	}
 }
 
@@ -65,14 +50,8 @@ func (c Config) Validate() error {
 	if c.CollectiveBufferBytes <= 0 {
 		return fmt.Errorf("mpiio: CollectiveBufferBytes %d", c.CollectiveBufferBytes)
 	}
-	if c.Aggregators < 0 {
-		return fmt.Errorf("mpiio: Aggregators %d", c.Aggregators)
-	}
 	if c.DataSieveHole < 0 {
 		return fmt.Errorf("mpiio: DataSieveHole %d", c.DataSieveHole)
-	}
-	if c.IndependentSieve && c.SieveBufferBytes <= 0 {
-		return fmt.Errorf("mpiio: SieveBufferBytes %d with IndependentSieve", c.SieveBufferBytes)
 	}
 	return nil
 }
@@ -225,12 +204,6 @@ func (f *File) independent(p *sim.Proc, rank int, extents []ext.Extent, write bo
 	if write {
 		verb = "write"
 	}
-	if f.cfg.IndependentSieve && len(extents) > 1 {
-		f.sieveIndependent(p, rank, extents, rc, write)
-		f.endRequest(p, rc, start, verb+"-sieved", n, len(extents))
-		end.finish(p, n)
-		return
-	}
 	if f.cfg.ListIO || len(extents) <= 1 {
 		if write {
 			f.ioErr(cl.Write(p, f.name, extents, f.origins[rank], rc))
@@ -250,26 +223,4 @@ func (f *File) independent(p *sim.Proc, rank int, extents []ext.Extent, write bo
 	}
 	f.endRequest(p, rc, start, verb, n, len(extents))
 	end.finish(p, n)
-}
-
-// sieveIndependent performs ROMIO-style data sieving for one rank's strided
-// operation: the covering ranges (holes up to DataSieveHole absorbed) are
-// accessed in sieve-buffer-sized pieces; sieved writes read the holes back
-// first (read-modify-write).
-func (f *File) sieveIndependent(p *sim.Proc, rank int, extents []ext.Extent, rc obs.Ctx, write bool) {
-	cl := f.client(rank)
-	origin := f.origins[rank]
-	sieved := ext.MergeWithHoles(extents, f.cfg.DataSieveHole)
-	if write {
-		if holes := ext.Holes(extents, sieved); len(holes) > 0 {
-			f.ioErr(cl.Read(p, f.name, holes, origin, rc))
-		}
-	}
-	for _, batch := range batchBy(sieved, f.cfg.SieveBufferBytes) {
-		if write {
-			f.ioErr(cl.Write(p, f.name, batch, origin, rc))
-		} else {
-			f.ioErr(cl.Read(p, f.name, batch, origin, rc))
-		}
-	}
 }

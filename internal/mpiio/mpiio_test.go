@@ -304,8 +304,8 @@ func TestPartitionDomainsCoverUnion(t *testing.T) {
 	r := newRig(t, 3, 8, 2)
 	f := r.open("f", DefaultConfig())
 	info := f.partition(64<<10, 64<<10+8<<20)
-	if len(info.ranks) == 0 {
-		t.Fatalf("no aggregators")
+	if len(info.ranks) != 4 {
+		t.Fatalf("%d aggregators for 8 ranks on 4 nodes, want one per node", len(info.ranks))
 	}
 	lo := info.domains[0].Off
 	hi := info.domains[len(info.domains)-1].End()
@@ -320,75 +320,22 @@ func TestPartitionDomainsCoverUnion(t *testing.T) {
 	}
 }
 
-func TestIndependentSieveReducesRoundTrips(t *testing.T) {
-	// Data sieving turns per-segment round trips into a few covering
-	// accesses (plus over-read of the holes).
-	run := func(sieve bool) (msgs, served int64) {
-		r := newRig(t, 2, 1, 1)
-		cfg := DefaultConfig()
-		cfg.IndependentSieve = sieve
-		f := r.open("f", cfg)
-		dt := datatype.Vector{Count: 16, BlockLen: 4 << 10, Stride: 16 << 10}
-		var msgs0 int64
-		r.runRanks(t, func(p *sim.Proc, rank int) {
-			f.Preallocate(p, 0, 4<<20)
-			msgs0 = r.w.Net().Messages()
-			f.ReadType(p, rank, dt, 0)
-		})
-		return r.w.Net().Messages() - msgs0, r.serverReadBytes()
-	}
-	msgsOff, servedOff := run(false)
-	msgsOn, servedOn := run(true)
-	if msgsOn*4 > msgsOff {
-		t.Fatalf("sieving messages %d not << per-segment %d", msgsOn, msgsOff)
-	}
-	if servedOn <= servedOff {
-		t.Fatalf("sieving should over-read holes: %d vs %d", servedOn, servedOff)
-	}
-}
-
-func TestIndependentSieveWriteRMW(t *testing.T) {
-	r := newRig(t, 2, 1, 1)
-	cfg := DefaultConfig()
-	cfg.IndependentSieve = true
-	f := r.open("f", cfg)
-	dt := datatype.Vector{Count: 8, BlockLen: 4 << 10, Stride: 16 << 10}
-	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 1<<20)
-		f.WriteType(p, rank, dt, 0)
-	})
-	if r.serverReadBytes() == 0 {
-		t.Fatalf("sieved strided write must read holes back (RMW)")
-	}
-}
-
-func TestIndependentSieveRespectsBuffer(t *testing.T) {
-	r := newRig(t, 1, 1, 1)
-	cfg := DefaultConfig()
-	cfg.IndependentSieve = true
-	cfg.SieveBufferBytes = 64 << 10
-	f := r.open("f", cfg)
-	// Dense vector: one 1MB covering range, so ceil(1MB/64KB) accesses.
-	dt := datatype.Vector{Count: 256, BlockLen: 2 << 10, Stride: 4 << 10}
-	msgs0 := int64(-1)
-	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 2<<20)
-		msgs0 = r.w.Net().Messages()
-		f.ReadType(p, rank, dt, 0)
-	})
-	msgs := r.w.Net().Messages() - msgs0
-	// ~16 sieve chunks, each one round trip to the single server.
-	if msgs < 2*10 || msgs > 2*20 {
-		t.Fatalf("messages = %d, want about 2x16 (per sieve chunk)", msgs)
-	}
-}
-
 func TestValidateSieveConfig(t *testing.T) {
-	c := DefaultConfig()
-	c.IndependentSieve = true
-	c.SieveBufferBytes = 0
-	if c.Validate() == nil {
-		t.Fatalf("zero sieve buffer passed validation")
+	// The collective sieving hole and buffer are the sieve settings left;
+	// nonsense values must not reach the two-phase planner.
+	bad := []func(*Config){
+		func(c *Config) { c.DataSieveHole = -1 },
+		func(c *Config) { c.CollectiveBufferBytes = 0 },
+	}
+	for i, mutate := range bad {
+		c := DefaultConfig()
+		mutate(&c)
+		if c.Validate() == nil {
+			t.Fatalf("case %d passed validation", i)
+		}
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
 	}
 }
 

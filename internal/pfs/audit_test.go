@@ -77,7 +77,7 @@ func TestVerifyDurableCatchesDroppedApply(t *testing.T) {
 func TestVerifyDurableReplicated(t *testing.T) {
 	k, fsys := testFS(4)
 	fsys.cfg.Replicas = 2
-	fsys.offsets = replicaOffsets(4, 2, fsys.cfg.RackSize)
+	fsys.offsets = replicaOffsets(4, 2)
 	fsys.EnableIntegrity()
 	unit := fsys.cfg.StripeUnit
 	w := []ext.Extent{{Off: 0, Len: 8 * unit}}

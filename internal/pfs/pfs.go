@@ -59,28 +59,16 @@ type Config struct {
 	// subsequent one (bounded exponential backoff).
 	RetryBackoff time.Duration
 	// Replicas is the number of copies of every stripe (rack-aware chained
-	// placement; see DESIGN §10). 0 or 1 keeps the unreplicated layout: the
-	// same transfer path with one replica per stripe group, whose event
-	// timeline is byte-identical to the seed's.
+	// placement, 3 servers per rack; a write completes on a majority; see
+	// DESIGN §10). 0 or 1 keeps the unreplicated layout: the same transfer
+	// path with one replica per stripe group, whose event timeline is
+	// byte-identical to the seed's.
 	Replicas int
-	// WriteQuorum is how many replica acknowledgments complete a write.
-	// 0 means majority: Replicas/2 + 1. A crashed replica detected down is
-	// excluded from the quorum denominator so writes keep completing.
-	WriteQuorum int
-	// RackSize is the number of servers per rack; replica ranks are placed
-	// RackSize servers apart so one rack failure cannot take out every copy
-	// of a stripe. 0 means the paper cluster's 3-per-rack.
-	RackSize int
 	// DetectDelay is how long after a crash (or recovery) the cluster-wide
 	// failure detector updates the client view. It models heartbeat lag:
 	// requests issued inside the window are lost and recovered by the
 	// watchdog, not the view.
 	DetectDelay time.Duration
-	// RebuildBandwidth throttles the online rebuild's background copy rate
-	// in bytes/second (0 = 32 MiB/s). RebuildChunkBytes is the copy
-	// granularity (0 = 1 MiB).
-	RebuildBandwidth  int64
-	RebuildChunkBytes int64
 }
 
 // DefaultConfig matches the paper's PVFS2 2.8.2 setup.
@@ -117,16 +105,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pfs: RetryBackoff %v", c.RetryBackoff)
 	case c.Replicas < 0:
 		return fmt.Errorf("pfs: Replicas %d", c.Replicas)
-	case c.WriteQuorum < 0 || (c.Replicas > 1 && c.WriteQuorum > c.Replicas):
-		return fmt.Errorf("pfs: WriteQuorum %d with %d replicas", c.WriteQuorum, c.Replicas)
-	case c.RackSize < 0:
-		return fmt.Errorf("pfs: RackSize %d", c.RackSize)
 	case c.DetectDelay < 0:
 		return fmt.Errorf("pfs: DetectDelay %v", c.DetectDelay)
-	case c.RebuildBandwidth < 0:
-		return fmt.Errorf("pfs: RebuildBandwidth %d", c.RebuildBandwidth)
-	case c.RebuildChunkBytes < 0:
-		return fmt.Errorf("pfs: RebuildChunkBytes %d", c.RebuildChunkBytes)
 	}
 	return nil
 }
@@ -298,7 +278,7 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 		net:        net,
 		cfg:        cfg,
 		meta:       &MetaServer{Node: metaNode, sizes: make(map[string]int64)},
-		offsets:    replicaOffsets(len(serverNodes), cfg.Replicas, cfg.RackSize),
+		offsets:    replicaOffsets(len(serverNodes), cfg.Replicas),
 		down:       make([]bool, len(serverNodes)),
 		rebuilding: make([]bool, len(serverNodes)),
 		viewSig:    k.NewSignal(),

@@ -15,8 +15,9 @@ import (
 // Replication, failover, and online rebuild (DESIGN §10).
 //
 // Replica rank r of the stripes whose primary is server i lives on server
-// (i + offsets[r]) mod n, where offsets[r] defaults to r*RackSize — one
+// (i + offsets[r]) mod n, where offsets[r] prefers r*rackSize — one
 // rack apart per rank, so a whole-rack failure cannot take out every copy.
+// A write completes on a majority of replicas (writeQuorum).
 // Replica data reuses the primary's local stripe layout under a rank-
 // namespaced file name ("name#r1", "name#r2", …): the placement map is a
 // bijection per rank, so namespaced local offsets never collide.
@@ -26,20 +27,27 @@ import (
 // crash-free schedules keep pure-signal waits.
 const pollEvery = 50 * time.Millisecond
 
+const (
+	// rackSize is the paper cluster's servers per rack; replica ranks are
+	// placed rackSize servers apart.
+	rackSize = 3
+	// rebuildBandwidth throttles the online rebuild's background copy, in
+	// bytes/second; rebuildChunk is its copy granularity.
+	rebuildBandwidth = 32 << 20
+	rebuildChunk     = 1 << 20
+)
+
 // replicaOffsets computes the per-rank server offsets: rank r prefers
-// r*rack mod n, falling forward to the next unused offset so every rank
+// r*rackSize mod n, falling forward to the next unused offset so every rank
 // maps to a distinct server (requires replicas <= n, checked in New).
-func replicaOffsets(n, replicas, rack int) []int {
+func replicaOffsets(n, replicas int) []int {
 	if replicas < 1 {
 		replicas = 1
-	}
-	if rack <= 0 {
-		rack = 3
 	}
 	offs := []int{0}
 	used := map[int]bool{0: true}
 	for r := 1; r < replicas; r++ {
-		off := (r * rack) % n
+		off := (r * rackSize) % n
 		for used[off] {
 			off = (off + 1) % n
 		}
@@ -58,30 +66,12 @@ func (fsys *FileSystem) replicas() int {
 	return 1
 }
 
-// writeQuorum reports how many replica acks complete a write.
-func (fsys *FileSystem) writeQuorum() int {
-	r := fsys.replicas()
-	if q := fsys.cfg.WriteQuorum; q > 0 && q <= r {
-		return q
-	}
-	return r/2 + 1
-}
+// writeQuorum reports how many replica acks complete a write: a majority.
+// A crashed replica detected down is excluded from the quorum denominator
+// so writes keep completing.
+func (fsys *FileSystem) writeQuorum() int { return fsys.replicas()/2 + 1 }
 
 func (fsys *FileSystem) detectDelay() time.Duration { return fsys.cfg.DetectDelay }
-
-func (fsys *FileSystem) rebuildBandwidth() int64 {
-	if fsys.cfg.RebuildBandwidth > 0 {
-		return fsys.cfg.RebuildBandwidth
-	}
-	return 32 << 20
-}
-
-func (fsys *FileSystem) rebuildChunk() int64 {
-	if fsys.cfg.RebuildChunkBytes > 0 {
-		return fsys.cfg.RebuildChunkBytes
-	}
-	return 1 << 20
-}
 
 // crashAware reports whether the schedule can kill servers, i.e. whether
 // views can change mid-run. Crash-free runs never poll, so their waits
@@ -260,14 +250,12 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 	fsys.obs.Instant("rebuild.begin", "pfs", p.Now(),
 		obs.I64("server", int64(server)), obs.I64("files", int64(len(dirty))),
 		obs.I64("bytes", total))
-	bw := fsys.rebuildBandwidth()
-	chunk := fsys.rebuildChunk()
 	var copied int64
 	for _, df := range dirty {
 		base, rank := replicaBase(df.file)
 		primary := (server - fsys.offsets[rank]%n + n) % n
 		for _, e := range df.extents {
-			for off := e.Off; off < e.End(); off += chunk {
+			for off := e.Off; off < e.End(); off += rebuildChunk {
 				if fsys.faults.Crashed(server, p.Now()) {
 					// Crashed again mid-rebuild: put the remainder back and
 					// let the next recovery restart it.
@@ -276,7 +264,7 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 					fsys.viewSig.Broadcast()
 					return
 				}
-				piece := ext.Extent{Off: off, Len: min(chunk, e.End()-off)}
+				piece := ext.Extent{Off: off, Len: min(rebuildChunk, e.End()-off)}
 				src := fsys.rebuildSource(primary, rank, p.Now())
 				if src < 0 {
 					fsys.obs.Instant("rebuild.lost", "pfs", p.Now(),
@@ -299,7 +287,7 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 				copied += piece.Len
 				// Background throttle: cap the copy rate so rebuild traffic
 				// cannot starve foreground I/O.
-				p.Sleep(time.Duration(float64(piece.Len) / float64(bw) * float64(time.Second)))
+				p.Sleep(time.Duration(float64(piece.Len) / rebuildBandwidth * float64(time.Second)))
 			}
 		}
 	}

@@ -19,22 +19,21 @@ import (
 )
 
 func TestReplicaOffsetsDistinct(t *testing.T) {
-	cases := []struct{ n, replicas, rack int }{
-		{9, 2, 3}, {9, 3, 3}, {9, 9, 3}, {3, 2, 3}, {3, 3, 3},
-		{4, 2, 4}, {5, 3, 0}, {7, 3, 7},
+	cases := []struct{ n, replicas int }{
+		{9, 2}, {9, 3}, {9, 9}, {3, 2}, {3, 3}, {4, 2}, {5, 3}, {7, 3},
 	}
 	for _, c := range cases {
-		offs := replicaOffsets(c.n, c.replicas, c.rack)
+		offs := replicaOffsets(c.n, c.replicas)
 		if len(offs) != max(c.replicas, 1) {
-			t.Fatalf("n=%d r=%d rack=%d: %d offsets", c.n, c.replicas, c.rack, len(offs))
+			t.Fatalf("n=%d r=%d: %d offsets", c.n, c.replicas, len(offs))
 		}
 		seen := map[int]bool{}
 		for _, off := range offs {
 			if off < 0 || off >= c.n {
-				t.Fatalf("n=%d r=%d rack=%d: offset %d out of range", c.n, c.replicas, c.rack, off)
+				t.Fatalf("n=%d r=%d: offset %d out of range", c.n, c.replicas, off)
 			}
 			if seen[off] {
-				t.Fatalf("n=%d r=%d rack=%d: offset %d repeated in %v — two ranks on one server", c.n, c.replicas, c.rack, off, offs)
+				t.Fatalf("n=%d r=%d: offset %d repeated in %v — two ranks on one server", c.n, c.replicas, off, offs)
 			}
 			seen[off] = true
 		}
@@ -46,7 +45,7 @@ func TestReplicaOffsetsDistinct(t *testing.T) {
 
 func TestReplicaOffsetsRackStride(t *testing.T) {
 	// With 9 servers and rack size 3, ranks land one rack apart.
-	offs := replicaOffsets(9, 3, 3)
+	offs := replicaOffsets(9, 3)
 	want := []int{0, 3, 6}
 	for i, off := range offs {
 		if off != want[i] {
@@ -70,22 +69,16 @@ func TestReplicaFileRoundTrip(t *testing.T) {
 }
 
 func TestWriteQuorumDefaults(t *testing.T) {
-	quorum := func(replicas, cfgQuorum int) int {
-		cfg := DefaultConfig()
-		cfg.Replicas = replicas
-		cfg.WriteQuorum = cfgQuorum
-		fsys := &FileSystem{cfg: cfg}
-		return fsys.writeQuorum()
-	}
-	cases := []struct{ replicas, cfgQuorum, want int }{
-		{1, 0, 1}, {2, 0, 2}, {3, 0, 2}, {4, 0, 3}, {5, 0, 3},
-		{3, 1, 1}, {3, 3, 3},
-		{3, 7, 2}, // over-large configured quorum falls back to majority
+	// A write completes on a majority of replicas; 0 and 1 both mean one.
+	cases := []struct{ replicas, want int }{
+		{0, 1}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3},
 	}
 	for _, c := range cases {
-		if got := quorum(c.replicas, c.cfgQuorum); got != c.want {
-			t.Fatalf("writeQuorum(replicas=%d, cfg=%d) = %d, want %d",
-				c.replicas, c.cfgQuorum, got, c.want)
+		cfg := DefaultConfig()
+		cfg.Replicas = c.replicas
+		fsys := &FileSystem{cfg: cfg}
+		if got := fsys.writeQuorum(); got != c.want {
+			t.Fatalf("writeQuorum(replicas=%d) = %d, want %d", c.replicas, got, c.want)
 		}
 	}
 }
