@@ -20,9 +20,9 @@
 // client and CRM retry watchdogs; fault windows, drops, retries, failovers,
 // and rebuild progress appear as instants in -trace output.
 //
-// -replicas N stripes each file across N replicas (rack-stride placement);
-// reads fail over between replicas and writes complete at a majority quorum
-// when crash faults are scheduled.
+// -replicas N (1 to -servers) stripes each file across N replicas
+// (rack-stride placement); reads fail over between replicas and writes
+// complete at a majority quorum when crash faults are scheduled.
 //
 // -tenants SPEC switches to multi-tenant mode: instead of one workload, a
 // seeded generator launches each tenant's stream of small jobs onto one
@@ -83,6 +83,10 @@ func main() {
 	tenants := flag.String("tenants", "", "multi-tenant mode: tenancy spec (see tenant.ParseSpec), e.g. 'tenants:4,arrival=poisson:12,policy=fair,grants=12,jobs=40,ranks=2'")
 	flag.Parse()
 
+	if *slot < 0 {
+		fmt.Fprintf(os.Stderr, "-slot must not be negative (got %v)\n", *slot)
+		os.Exit(2)
+	}
 	if *tenants != "" {
 		if err := runTenants(*tenants, *seed, *slot, *audit, *engine); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -93,6 +97,10 @@ func main() {
 
 	if *procs <= 0 || *mbytes <= 0 || *servers <= 0 {
 		fmt.Fprintf(os.Stderr, "-procs, -mb and -servers must be positive (got %d, %d, %d)\n", *procs, *mbytes, *servers)
+		os.Exit(2)
+	}
+	if *replicas < 1 || *replicas > *servers {
+		fmt.Fprintf(os.Stderr, "-replicas must be between 1 and -servers (got %d with %d servers)\n", *replicas, *servers)
 		os.Exit(2)
 	}
 	w, err := registry.Lookup(*workload)

@@ -24,7 +24,10 @@ package burst
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"dualpar/internal/check"
@@ -112,19 +115,19 @@ func ParseSpec(spec string) (Config, error) {
 	if spec == "" {
 		return c, nil
 	}
-	for _, kv := range splitComma(spec) {
-		k, v, ok := cut(kv, '=')
+	for _, kv := range strings.Split(spec, ",") {
+		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return c, fmt.Errorf("burst: %q: want key=value", kv)
 		}
 		var err error
 		switch k {
 		case "cap":
-			c.CapacityBytes, err = parseBytes(v)
+			c.CapacityBytes, err = ParseBytes(v)
 		case "absorb":
-			c.AbsorbBps, err = parseBytes(v)
+			c.AbsorbBps, err = ParseBytes(v)
 		case "drain":
-			c.DrainBps, err = parseBytes(v)
+			c.DrainBps, err = ParseBytes(v)
 		case "seal":
 			c.SealLatency, err = time.ParseDuration(v)
 		default:
@@ -140,52 +143,27 @@ func ParseSpec(spec string) (Config, error) {
 	return c, nil
 }
 
-func splitComma(s string) []string {
-	var out []string
-	for {
-		head, rest, ok := cut(s, ',')
-		out = append(out, head)
-		if !ok {
-			return out
-		}
-		s = rest
-	}
-}
-
-func cut(s string, sep byte) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
+// ParseBytes parses a "64M"-style byte size: decimal digits with an
+// optional K/M/G suffix (powers of 1024, either case). Negative and
+// overflowing sizes are errors. The tenant spec grammar shares it.
+func ParseBytes(s string) (int64, error) {
+	digits, mult := s, int64(1)
+	if i := len(s) - 1; i >= 0 {
+		switch s[i] {
+		case 'K', 'k':
+			digits, mult = s[:i], 1<<10
+		case 'M', 'm':
+			digits, mult = s[:i], 1<<20
+		case 'G', 'g':
+			digits, mult = s[:i], 1<<30
 		}
 	}
-	return s, "", false
-}
-
-// parseBytes parses "64M"-style sizes (K/M/G binary suffixes, plain digits
-// are bytes).
-func parseBytes(s string) (int64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty size")
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad byte size %q", s)
 	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'K', 'k':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'M', 'm':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'G', 'g':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	var n int64
-	if s == "" {
-		return 0, fmt.Errorf("bare size suffix")
-	}
-	for i := 0; i < len(s); i++ {
-		d := s[i]
-		if d < '0' || d > '9' {
-			return 0, fmt.Errorf("bad size %q", s)
-		}
-		n = n*10 + int64(d-'0')
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows", s)
 	}
 	return n * mult, nil
 }

@@ -342,9 +342,35 @@ func TestParseSpec(t *testing.T) {
 		"seal=-1ms", // negative seal latency
 		"turbo=1",   // unknown key
 		"cap=-2M",   // negative size
+
+		"cap=17179869185G",         // 2^34+1 GiB overflows int64
+		"cap=99999999999999999999", // more digits than int64 holds
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted an invalid spec", spec)
+		}
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	for in, want := range map[string]int64{
+		"0":                   0,
+		"4096":                4096,
+		"3k":                  3 << 10,
+		"3K":                  3 << 10,
+		"2m":                  2 << 20,
+		"2M":                  2 << 20,
+		"1g":                  1 << 30,
+		"8589934591G":         8589934591 << 30, // largest GiB count that fits
+		"9223372036854775807": 1<<63 - 1,
+	} {
+		if got, err := ParseBytes(in); err != nil || got != want {
+			t.Errorf("ParseBytes(%q) = %d, %v, want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "K", "-1", "1.5M", "1T", "8589934592G", "9223372036854775808"} {
+		if got, err := ParseBytes(in); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an error", in, got)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // holes up to the threshold absorbed (write holes are read back first —
 // read-modify-write), and the result issued as list I/O in ascending
 // offset order from each chunk's home node.
-func (pr *ProgramRun) crmServe(p *sim.Proc, wishFiles []string, wish map[string][]ext.Extent) {
+func (pr *ProgramRun) crmServe(p *sim.Proc, wish *fileExtents) {
 	cfg := pr.r.cfg
 
 	// Phase 1: collective writeback of everything dirty.
@@ -60,15 +60,15 @@ func (pr *ProgramRun) crmServe(p *sim.Proc, wishFiles []string, wish map[string]
 	pr.prefetchedCycle = 0
 
 	// Phase 2: batched prefetch of the ghosts' recorded reads.
-	pr.crmPrefetch(p, wishFiles, wish)
+	pr.crmPrefetch(p, wish)
 }
 
 // crmPrefetch serves a batched prefetch: sort, merge, absorb holes, align
 // to the cache chunk, and issue per home node.
-func (pr *ProgramRun) crmPrefetch(p *sim.Proc, wishFiles []string, wish map[string][]ext.Extent) {
+func (pr *ProgramRun) crmPrefetch(p *sim.Proc, wish *fileExtents) {
 	cfg := pr.r.cfg
-	for _, file := range wishFiles {
-		merged := ext.MergeWithHoles(wish[file], cfg.HoleBytes)
+	for _, file := range wish.files {
+		merged := ext.MergeWithHoles(wish.byFile[file], cfg.HoleBytes)
 		aligned := ext.AlignTo(merged, cfg.Memcache.ChunkBytes)
 		aligned = pr.clipToFile(file, aligned)
 		if len(aligned) == 0 {

@@ -22,7 +22,7 @@ func TestWritebackOnlyCycleClosesMisPrefetchSample(t *testing.T) {
 	pr.consumedCycle = 40
 	done := false
 	cl.K.Spawn("test", func(p *sim.Proc) {
-		pr.crmServe(p, nil, nil) // writeback-only: no wish list
+		pr.crmServe(p, &fileExtents{}) // writeback-only: no wish list
 		done = true
 	})
 	cl.K.RunUntil(time.Minute)
@@ -49,7 +49,7 @@ func TestWriteHeavyCyclesTripFastPath(t *testing.T) {
 		for i := 0; i < cfg.MisCyclesToDisable; i++ {
 			pr.prefetchedCycle = 1 << 20
 			pr.consumedCycle = 0
-			pr.crmServe(p, nil, nil)
+			pr.crmServe(p, &fileExtents{})
 		}
 	})
 	cl.K.RunUntil(time.Minute)

@@ -26,10 +26,8 @@ type controller struct {
 	participants int
 	ghostsActive int
 	stopGhosts   bool
-	wish         map[string][]ext.Extent
-	wishFiles    []string                // insertion-ordered keys of wish (determinism)
-	wish2        map[string][]ext.Extent // pipeline overflow (served in background)
-	wish2Files   []string
+	wish         fileExtents // the coming batch
+	wish2        fileExtents // pipeline overflow (served in background)
 	cycles       int64
 }
 
@@ -44,29 +42,11 @@ func newController(pr *ProgramRun) *controller {
 		pr:     pr,
 		resume: pr.r.cl.K.NewSignal(),
 		abort:  pr.r.cl.K.NewSignal(),
-		wish:   make(map[string][]ext.Extent),
-		wish2:  make(map[string][]ext.Extent),
 	}
 }
 
 // Cycles reports how many data-driven cycles have completed.
 func (c *controller) Cycles() int64 { return c.cycles }
-
-// addWish records requested extents for the coming batch.
-func (c *controller) addWish(file string, extents []ext.Extent) {
-	if _, ok := c.wish[file]; !ok {
-		c.wishFiles = append(c.wishFiles, file)
-	}
-	c.wish[file] = append(c.wish[file], extents...)
-}
-
-// addWish2 records extents for the pipelined background wave.
-func (c *controller) addWish2(file string, extents []ext.Extent) {
-	if _, ok := c.wish2[file]; !ok {
-		c.wish2Files = append(c.wish2Files, file)
-	}
-	c.wish2[file] = append(c.wish2[file], extents...)
-}
 
 // join registers a participant, arming the fill deadline on the first one.
 func (c *controller) join(p *sim.Proc) int {
@@ -116,7 +96,7 @@ func (c *controller) waitReadCycle(p *sim.Proc, rank int, gen workloads.RankGen,
 	// The triggering request itself is always served (§IV-C: prefetch
 	// includes the data the process and its peers are anticipated to read,
 	// starting with what it is blocked on).
-	c.addWish(op.File, op.Extents)
+	c.wish.add(op.File, op.Extents)
 	c.startGhost(rank, gen, op)
 	c.maybeServe()
 	for c.gen == myGen {
@@ -200,7 +180,7 @@ func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloa
 				if c.gen != myGen {
 					return
 				}
-				c.addWish(op.File, op.Extents)
+				c.wish.add(op.File, op.Extents)
 				env.record(op.File, op.Extents)
 				recorded += op.Bytes()
 			case workloads.OpWrite, workloads.OpBarrier:
@@ -222,7 +202,7 @@ func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloa
 			case workloads.OpDone:
 				return
 			case workloads.OpRead:
-				c.addWish2(op.File, op.Extents)
+				c.wish2.add(op.File, op.Extents)
 				env.record(op.File, op.Extents)
 				recorded += op.Bytes()
 			case workloads.OpCompute, workloads.OpWrite, workloads.OpBarrier:
@@ -269,22 +249,14 @@ func (c *controller) serve() {
 	c.abort.Broadcast()
 	k := c.pr.r.cl.K
 	k.After(0, func() {
-		wish := c.wish
-		files := c.wishFiles
-		wish2 := c.wish2
-		files2 := c.wish2Files
-		c.wish = make(map[string][]ext.Extent)
-		c.wishFiles = nil
-		c.wish2 = make(map[string][]ext.Extent)
-		c.wish2Files = nil
+		wish, wish2 := c.wish, c.wish2
+		c.wish, c.wish2 = fileExtents{}, fileExtents{}
 		k.Spawn(fmt.Sprintf("prog%d/crm", c.pr.id), func(p *sim.Proc) {
-			c.pr.crmServe(p, files, wish)
+			c.pr.crmServe(p, &wish)
 			c.finishCycle()
 			// The pipelined wave runs after the ranks resume, overlapping
 			// the fetch with their consumption of the first wave.
-			if len(files2) > 0 {
-				c.pr.crmPrefetch(p, files2, wish2)
-			}
+			c.pr.crmPrefetch(p, &wish2)
 		})
 	})
 }

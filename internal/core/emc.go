@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dualpar/internal/disk"
-	"dualpar/internal/mpiio"
 	"dualpar/internal/obs"
 )
 
@@ -15,8 +14,8 @@ import (
 //   - aveSeekDist: mean disk seek distance across the data servers'
 //     locality daemons (delta over the slot), and
 //   - aveReqDist: mean distance between adjacent requests after sorting
-//     each program's logged requests by file offset — the best order a
-//     data-driven execution could achieve,
+//     the logged requests of the programs it manages by file offset — the
+//     best order a data-driven execution could achieve,
 //
 // and switches a program into data-driven mode when its I/O ratio exceeds
 // IORatioThreshold and aveSeekDist/aveReqDist exceeds T_improvement. It
@@ -25,19 +24,25 @@ import (
 type emc struct {
 	r *Runner
 
-	lastDisk  []disk.Stats
-	lastIO    []time.Duration
-	lastComp  []time.Duration
-	lastBytes []int64
-	lastMis   []int     // consumed mis-sample count per program
-	lowSlots  []int     // consecutive low-I/O-ratio slots while data-driven
-	highSlots []int     // consecutive qualifying slots while computation-driven
-	ratioEWMA []float64 // smoothed per-program I/O ratio
-	ratioInit []bool    // ratioEWMA seeded with a first sample
-	ticking   bool      // a slot tick is scheduled
+	lastDisk []disk.Stats
+	pool     fileExtents // this slot's pooled request logs
+	ticking  bool        // a slot tick is scheduled
 
 	// Decisions logs every evaluation for analysis.
 	Decisions []Decision
+}
+
+// emcState is EMC's per-program sampling and hysteresis state, kept on
+// the program.
+type emcState struct {
+	lastIO    time.Duration
+	lastComp  time.Duration
+	lastBytes int64
+	lastMis   int     // consumed mis-sample count
+	lowSlots  int     // consecutive low-I/O-ratio slots while data-driven
+	highSlots int     // consecutive qualifying slots while computation-driven
+	ratioEWMA float64 // smoothed I/O ratio
+	ratioInit bool    // ratioEWMA seeded with a first sample
 }
 
 // Decision is one per-slot, per-program EMC evaluation.
@@ -60,32 +65,11 @@ func newEMC(r *Runner) *emc {
 	return &emc{r: r}
 }
 
-// initState sizes the per-server and per-program sampling state.
-func (e *emc) initState() {
-	e.lastDisk = make([]disk.Stats, len(e.r.cl.Stores))
-	e.ensure()
-}
-
-// ensure grows the per-program state arrays to cover programs added while
-// the simulation is running (arrival drivers, closed loops).
-func (e *emc) ensure() {
-	n := len(e.r.progs)
-	for len(e.lastIO) < n {
-		e.lastIO = append(e.lastIO, 0)
-		e.lastComp = append(e.lastComp, 0)
-		e.lastBytes = append(e.lastBytes, 0)
-		e.lastMis = append(e.lastMis, 0)
-		e.lowSlots = append(e.lowSlots, 0)
-		e.highSlots = append(e.highSlots, 0)
-		e.ratioEWMA = append(e.ratioEWMA, 0)
-		e.ratioInit = append(e.ratioInit, false)
-	}
-}
-
-// start arms the slot chain. It stops once every program has finished, so
-// the simulation can drain; a mid-run Add re-arms it (Runner.Add).
+// start sizes the per-server sampling state and arms the slot chain. The
+// chain stops once every program has finished, so the simulation can
+// drain; a mid-run Add re-arms it (Runner.Add).
 func (e *emc) start() {
-	e.initState()
+	e.lastDisk = make([]disk.Stats, len(e.r.cl.Stores))
 	e.arm()
 }
 
@@ -111,23 +95,20 @@ func (e *emc) tick() {
 
 // slot is one sampling period.
 func (e *emc) slot() {
-	e.ensure()
 	now := e.r.cl.K.Now()
 	aveSeek, perSeek := e.sampleServers()
-	// ReqDist is a system-wide metric (§IV-B): the logs of all registered
-	// programs are pooled before sorting per file.
-	var pooled []mpiio.ReqRecord
-	drained := make([][]mpiio.ReqRecord, len(e.r.progs))
-	for i, pr := range e.r.progs {
+	// ReqDist is a system-wide metric (§IV-B): the logs of every running
+	// program EMC manages (the only programs that log) are pooled, in
+	// program order, before sorting per file.
+	e.pool.reset()
+	for _, pr := range e.r.progs {
 		if pr.Done || now < pr.startAt {
 			continue
 		}
-		drained[i] = pr.instr.DrainLog()
-		if pr.mode.EMCManaged() {
-			pooled = append(pooled, drained[i]...)
-		}
+		e.pool.addAll(&pr.log)
+		pr.log.reset()
 	}
-	reqDist := reqDistSectors(pooled)
+	reqDist := reqDistSectors(&e.pool)
 	improvement := aveSeek / reqDist
 	for i, pr := range e.r.progs {
 		if pr.Done || now < pr.startAt {
@@ -142,21 +123,22 @@ func (e *emc) slot() {
 			compT += rs.ComputeTime
 			bytes += rs.Bytes
 		}
-		dIO, dComp, dBytes := ioT-e.lastIO[i], compT-e.lastComp[i], bytes-e.lastBytes[i]
-		e.lastIO[i], e.lastComp[i], e.lastBytes[i] = ioT, compT, bytes
+		st := &pr.emc
+		dIO, dComp, dBytes := ioT-st.lastIO, compT-st.lastComp, bytes-st.lastBytes
+		st.lastIO, st.lastComp, st.lastBytes = ioT, compT, bytes
 		ioRatio := 0.0
 		if dIO+dComp > 0 {
 			ioRatio = float64(dIO) / float64(dIO+dComp)
 			// A data-driven cycle alternates suspension-heavy and
 			// consumption-heavy slots; smoothing keeps single consumption
 			// slots from reading as "no longer I/O bound".
-			if !e.ratioInit[i] {
-				e.ratioInit[i] = true
-				e.ratioEWMA[i] = ioRatio
+			if !st.ratioInit {
+				st.ratioInit = true
+				st.ratioEWMA = ioRatio
 			} else {
-				e.ratioEWMA[i] = 0.5*e.ratioEWMA[i] + 0.5*ioRatio
+				st.ratioEWMA = 0.5*st.ratioEWMA + 0.5*ioRatio
 			}
-			ioRatio = e.ratioEWMA[i]
+			ioRatio = st.ratioEWMA
 		}
 		// Per-rank consumption rate feeds the cycle fill deadline.
 		if dBytes > 0 {
@@ -171,17 +153,17 @@ func (e *emc) slot() {
 		// Mis-prefetch: mean of new samples this slot.
 		mis, nMis := 0.0, 0
 		samples := pr.misSamples
-		for _, s := range samples[e.lastMis[i]:] {
+		for _, s := range samples[st.lastMis:] {
 			mis += s
 			nMis++
 		}
-		e.lastMis[i] = len(samples)
+		st.lastMis = len(samples)
 		if nMis > 0 {
 			mis /= float64(nMis)
 		}
 
 		if !pr.disabled {
-			e.applyDecision(i, pr, dIO+dComp > 0, ioRatio, improvement, mis, nMis)
+			e.applyDecision(pr, dIO+dComp > 0, ioRatio, improvement, mis, nMis)
 		}
 		e.Decisions = append(e.Decisions, Decision{
 			At:            now,
@@ -208,14 +190,15 @@ func (e *emc) slot() {
 	}
 }
 
-// applyDecision runs the mode-switch hysteresis for program i (the switch
+// applyDecision runs the mode-switch hysteresis for one program (the switch
 // over EMC's evidence, extracted so slot sequences can be driven directly
 // in tests). active reports whether the slot saw any instrumented rank
 // activity (dIO+dComp > 0); an idle slot — every rank suspended on a cycle
 // fill, or a program between phases — carries no evidence in either
 // direction and must not reset the consecutive-slot counters.
-func (e *emc) applyDecision(i int, pr *ProgramRun, active bool, ioRatio, improvement, mis float64, nMis int) {
+func (e *emc) applyDecision(pr *ProgramRun, active bool, ioRatio, improvement, mis float64, nMis int) {
 	cfg := e.r.cfg
+	st := &pr.emc
 	switch {
 	case nMis >= cfg.MisCyclesToDisable && mis > cfg.MisPrefetchThreshold:
 		// Too much wasted prefetching: turn data-driven off for
@@ -239,32 +222,32 @@ func (e *emc) applyDecision(i int, pr *ProgramRun, active bool, ioRatio, improve
 		// Two consecutive qualifying slots are required: the first
 		// slot of a run carries the one-time seek into the file
 		// region and must not trip the mode.
-		e.highSlots[i]++
-		if e.highSlots[i] >= 2 {
+		st.highSlots++
+		if st.highSlots >= 2 {
 			if pr.tryEnterDataDriven() {
-				e.highSlots[i] = 0
+				st.highSlots = 0
 			} else {
 				// Arbiter denial: the program stays eligible and asks
 				// again next qualifying slot instead of re-earning its
 				// two-slot streak.
-				e.highSlots[i] = 2
+				st.highSlots = 2
 			}
 		}
-		e.lowSlots[i] = 0
+		st.lowSlots = 0
 	case pr.dataDriven && ioRatio < cfg.IORatioThreshold/2:
 		// The program stopped being I/O bound. Two consecutive low
 		// slots are required before reverting (hysteresis against
 		// flapping); the seek-distance condition is not re-checked
 		// while data-driven because the improvement it causes would
 		// immediately un-trigger it.
-		e.lowSlots[i]++
-		if e.lowSlots[i] >= 2 {
+		st.lowSlots++
+		if st.lowSlots >= 2 {
 			pr.setDataDriven(false)
-			e.lowSlots[i] = 0
+			st.lowSlots = 0
 		}
 	default:
-		e.lowSlots[i] = 0
-		e.highSlots[i] = 0
+		st.lowSlots = 0
+		st.highSlots = 0
 	}
 }
 
@@ -311,38 +294,28 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// reqDistSectors computes aveReqDist: requests are grouped by file, sorted
-// by offset, and the mean start-to-start distance of adjacent requests is
+// reqDistSectors computes aveReqDist: each file's requests are sorted by
+// offset, and the mean start-to-start distance of adjacent requests is
 // returned in sectors (never below one request's size — the floor of what
-// the disk must travel per request even in the perfect order).
-func reqDistSectors(records []mpiio.ReqRecord) float64 {
-	if len(records) == 0 {
-		return 1
-	}
-	byFile := make(map[string][]mpiio.ReqRecord)
-	var files []string
-	for _, r := range records {
-		if _, ok := byFile[r.File]; !ok {
-			files = append(files, r.File)
-		}
-		byFile[r.File] = append(byFile[r.File], r)
-	}
-	sort.Strings(files)
+// the disk must travel per request even in the perfect order). It sorts
+// the list's files and extents in place.
+func reqDistSectors(reqs *fileExtents) float64 {
+	sort.Strings(reqs.files)
 	var total float64
 	var n int
-	for _, f := range files {
-		rs := byFile[f]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Ext.Off < rs[j].Ext.Off })
+	for _, f := range reqs.files {
+		rs := reqs.byFile[f]
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
 		for i := 1; i < len(rs); i++ {
-			d := rs[i].Ext.Off - rs[i-1].Ext.Off
-			if d < rs[i-1].Ext.Len {
-				d = rs[i-1].Ext.Len // overlapping/duplicate requests
+			d := rs[i].Off - rs[i-1].Off
+			if d < rs[i-1].Len {
+				d = rs[i-1].Len // overlapping/duplicate requests
 			}
 			total += float64(d)
 			n++
 		}
 		if len(rs) == 1 {
-			total += float64(rs[0].Ext.Len)
+			total += float64(rs[0].Len)
 			n++
 		}
 	}

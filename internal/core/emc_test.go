@@ -20,39 +20,38 @@ func TestEMCIdleSlotPreservesHysteresis(t *testing.T) {
 	r := NewRunner(cl, DefaultConfig())
 	pr := r.Add(smallMPIIOTest(false), ModeDualPar, AddOptions{RanksPerNode: 4})
 	e := r.emc
-	e.initState()
 
 	// First qualifying slot arms the counter but must not switch yet.
-	e.applyDecision(0, pr, true, 0.95, 100, 0, 0)
+	e.applyDecision(pr, true, 0.95, 100, 0, 0)
 	if pr.dataDriven {
 		t.Fatal("switched data-driven after a single qualifying slot")
 	}
-	if e.highSlots[0] != 1 {
-		t.Fatalf("highSlots = %d after one qualifying slot, want 1", e.highSlots[0])
+	if pr.emc.highSlots != 1 {
+		t.Fatalf("highSlots = %d after one qualifying slot, want 1", pr.emc.highSlots)
 	}
 
 	// An idle slot carries no evidence and must not reset the counter.
-	e.applyDecision(0, pr, false, 0, 0, 0, 0)
-	if e.highSlots[0] != 1 {
-		t.Fatalf("idle slot reset highSlots to %d", e.highSlots[0])
+	e.applyDecision(pr, false, 0, 0, 0, 0)
+	if pr.emc.highSlots != 1 {
+		t.Fatalf("idle slot reset highSlots to %d", pr.emc.highSlots)
 	}
 
 	// The second qualifying slot completes the hysteresis.
-	e.applyDecision(0, pr, true, 0.95, 100, 0, 0)
+	e.applyDecision(pr, true, 0.95, 100, 0, 0)
 	if !pr.dataDriven {
 		t.Fatal("two qualifying slots separated by an idle slot did not switch data-driven on")
 	}
 
 	// Same protection for the revert direction.
-	e.applyDecision(0, pr, true, 0.1, 100, 0, 0)
-	if e.lowSlots[0] != 1 {
-		t.Fatalf("lowSlots = %d after one low slot, want 1", e.lowSlots[0])
+	e.applyDecision(pr, true, 0.1, 100, 0, 0)
+	if pr.emc.lowSlots != 1 {
+		t.Fatalf("lowSlots = %d after one low slot, want 1", pr.emc.lowSlots)
 	}
-	e.applyDecision(0, pr, false, 0, 0, 0, 0)
-	if e.lowSlots[0] != 1 {
-		t.Fatalf("idle slot reset lowSlots to %d", e.lowSlots[0])
+	e.applyDecision(pr, false, 0, 0, 0, 0)
+	if pr.emc.lowSlots != 1 {
+		t.Fatalf("idle slot reset lowSlots to %d", pr.emc.lowSlots)
 	}
-	e.applyDecision(0, pr, true, 0.1, 100, 0, 0)
+	e.applyDecision(pr, true, 0.1, 100, 0, 0)
 	if pr.dataDriven {
 		t.Fatal("two low slots separated by an idle slot did not revert to computation-driven")
 	}
@@ -65,15 +64,14 @@ func TestEMCActiveNonQualifyingSlotResets(t *testing.T) {
 	r := NewRunner(cl, DefaultConfig())
 	pr := r.Add(smallMPIIOTest(false), ModeDualPar, AddOptions{RanksPerNode: 4})
 	e := r.emc
-	e.initState()
 
-	e.applyDecision(0, pr, true, 0.95, 100, 0, 0)
+	e.applyDecision(pr, true, 0.95, 100, 0, 0)
 	// Active but not qualifying: I/O-bound without seek improvement.
-	e.applyDecision(0, pr, true, 0.95, 1, 0, 0)
-	if e.highSlots[0] != 0 {
-		t.Fatalf("non-qualifying active slot left highSlots = %d, want 0", e.highSlots[0])
+	e.applyDecision(pr, true, 0.95, 1, 0, 0)
+	if pr.emc.highSlots != 0 {
+		t.Fatalf("non-qualifying active slot left highSlots = %d, want 0", pr.emc.highSlots)
 	}
-	e.applyDecision(0, pr, true, 0.95, 100, 0, 0)
+	e.applyDecision(pr, true, 0.95, 100, 0, 0)
 	if pr.dataDriven {
 		t.Fatal("switched with only one qualifying slot since the reset")
 	}

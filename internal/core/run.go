@@ -229,6 +229,11 @@ type ProgramRun struct {
 	// Per-rank dirty bytes buffered in the data-driven cache.
 	dirtyUsed []int64
 
+	// log holds the requests issued since EMC's last slot (EMC-managed
+	// programs only); emc is EMC's sampling and hysteresis state.
+	log fileExtents
+	emc emcState
+
 	recentRankBps float64 // EMC-updated per-rank consumption rate
 
 	StartedAt time.Duration
@@ -481,7 +486,7 @@ func (pr *ProgramRun) rankDone(p *sim.Proc, rank int) {
 					}
 					continue
 				}
-				pr.crmServe(p, nil, nil)
+				pr.crmServe(p, &fileExtents{})
 			}
 		}
 		pr.Done = true
@@ -500,6 +505,7 @@ func (pr *ProgramRun) read(p *sim.Proc, rank int, gen workloads.RankGen, op work
 	case pr.mode == ModeStrategy2:
 		pr.s2.read(p, rank, op)
 	default:
+		pr.logRequest(op.File, op.Extents)
 		pr.file(op.File).ReadExtents(p, rank, op.Extents)
 	}
 }
@@ -517,7 +523,16 @@ func (pr *ProgramRun) write(p *sim.Proc, rank int, gen workloads.RankGen, op wor
 	case pr.mode == ModeCollective:
 		pr.file(op.File).WriteExtentsAll(p, rank, op.Extents)
 	default:
+		pr.logRequest(op.File, op.Extents)
 		pr.file(op.File).WriteExtents(p, rank, op.Extents)
+	}
+}
+
+// logRequest records a request's extents for EMC's ReqDist. Only programs
+// EMC manages log: ReqDist pools no one else's requests.
+func (pr *ProgramRun) logRequest(file string, extents []ext.Extent) {
+	if pr.mode.EMCManaged() {
+		pr.log.add(file, extents)
 	}
 }
 
@@ -528,7 +543,7 @@ func (pr *ProgramRun) burstWrite(p *sim.Proc, rank int, op workloads.Op) {
 	node := pr.world.Node(rank)
 	rc := pr.rankRequest(rank)
 	pr.r.cl.Burst().Log(node).Append(p, rank, op.Epoch, op.File, op.Extents)
-	pr.instr.Record(p.Now(), op.File, op.Extents)
+	pr.logRequest(op.File, op.Extents)
 	pr.instr.Span(rank, start, p.Now(), op.Bytes())
 	if rc.Traced() {
 		pr.obs().Span(rc.ID, obs.StageRequest, rc.Track, start, p.Now(),
@@ -601,7 +616,7 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 		missing := pr.cache.GetTraced(p, node, rc, op.File, op.Extents...)
 		if len(missing) == 0 {
 			pr.consumedCycle += op.Bytes()
-			pr.instr.Record(p.Now(), op.File, op.Extents)
+			pr.logRequest(op.File, op.Extents)
 			pr.instr.Span(rank, start, p.Now(), op.Bytes())
 			endSpan("cache")
 			return
@@ -614,7 +629,9 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 			// its own on the same track.
 			pr.instr.Span(rank, start, p.Now(), op.Bytes()-ext.Total(missing))
 			endSpan("fallback")
-			pr.file(op.File).ReadExtents(p, rank, ext.Merge(missing))
+			rest := ext.Merge(missing)
+			pr.logRequest(op.File, rest)
+			pr.file(op.File).ReadExtents(p, rank, rest)
 			return
 		}
 		pr.ctrl.waitReadCycle(p, rank, gen, op, rc)
@@ -629,7 +646,7 @@ func (pr *ProgramRun) dataDrivenWrite(p *sim.Proc, rank int, op workloads.Op) {
 	rc := pr.rankRequest(rank)
 	pr.cache.PutDirtyTraced(p, node, rc, op.File, op.Extents)
 	pr.dirtyUsed[rank] += op.Bytes()
-	pr.instr.Record(p.Now(), op.File, op.Extents)
+	pr.logRequest(op.File, op.Extents)
 	if pr.dirtyUsed[rank] >= pr.r.cfg.CacheQuotaBytes {
 		pr.ctrl.waitWriteback(p, rank, rc)
 	}

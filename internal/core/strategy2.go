@@ -131,7 +131,6 @@ func (s *strategy2) read(p *sim.Proc, rank int, op workloads.Op) {
 	missing := s.pr.cache.GetTraced(p, node, rc, op.File, op.Extents...)
 	s.noteConsumed(rank, op.Bytes())
 	if len(missing) == 0 {
-		s.pr.instr.Record(p.Now(), op.File, op.Extents)
 		s.pr.instr.Span(rank, start, p.Now(), op.Bytes())
 		endSpan("cache")
 		return

@@ -38,7 +38,7 @@ type aggInfo struct {
 // owners and aggregators with all-to-all, and let aggregators perform large
 // contiguous file accesses (with data sieving).
 func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write bool) {
-	end := f.instr.begin(p, rank, f.name, extents)
+	end := f.instr.begin(p, rank)
 	myBytes := ext.Total(extents)
 
 	// Phase 0: metadata exchange — every rank learns every extent list.

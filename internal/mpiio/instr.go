@@ -3,7 +3,6 @@ package mpiio
 import (
 	"time"
 
-	"dualpar/internal/ext"
 	"dualpar/internal/sim"
 )
 
@@ -30,20 +29,9 @@ func (rs RankStats) IORatio() float64 {
 	return float64(rs.IOTime) / float64(total)
 }
 
-// ReqRecord is one logged client-side request, used by EMC to compute
-// ReqDist (the best-case adjacent-request distance after sorting by file
-// offset).
-type ReqRecord struct {
-	At   time.Duration
-	File string
-	Ext  ext.Extent
-}
-
-// Instr aggregates instrumentation for one program: per-rank stats and the
-// request log.
+// Instr aggregates instrumentation for one program: per-rank stats.
 type Instr struct {
 	Ranks []RankStats
-	log   []ReqRecord
 }
 
 // NewInstr creates instrumentation for n ranks.
@@ -54,17 +42,12 @@ func NewInstr(n int) *Instr {
 // begin marks the start of an I/O call: the time since the previous call's
 // return is attributed to computation. Call finish on the returned handle at
 // call completion with the transferred byte count. The handle is a plain
-// value — beginning a call allocates nothing beyond the request log entries.
-func (in *Instr) begin(p *sim.Proc, rank int, file string, extents []ext.Extent) ioCall {
+// value — beginning a call allocates nothing.
+func (in *Instr) begin(p *sim.Proc, rank int) ioCall {
 	start := p.Now()
 	rs := &in.Ranks[rank]
 	if rs.everCalled {
 		rs.ComputeTime += start - rs.lastReturn
-	}
-	for _, e := range extents {
-		if e.Len > 0 {
-			in.log = append(in.log, ReqRecord{At: start, File: file, Ext: e})
-		}
 	}
 	return ioCall{rs: rs, start: start}
 }
@@ -105,25 +88,6 @@ func (in *Instr) Span(rank int, start, end time.Duration, bytes int64) {
 func (in *Instr) AddIOTime(rank int, d time.Duration, bytes int64) {
 	in.Ranks[rank].IOTime += d
 	in.Ranks[rank].Bytes += bytes
-}
-
-// Record appends request records without timing (DualPar logs the requests
-// it recorded during pre-execution so ReqDist still reflects demand).
-func (in *Instr) Record(now time.Duration, file string, extents []ext.Extent) {
-	for _, e := range extents {
-		if e.Len > 0 {
-			in.log = append(in.log, ReqRecord{At: now, File: file, Ext: e})
-		}
-	}
-}
-
-// DrainLog returns the request log and clears it (EMC samples it per slot).
-// The returned slice shares the log's backing array, which is reused by
-// subsequent records — consume or copy it before the program runs again.
-func (in *Instr) DrainLog() []ReqRecord {
-	out := in.log
-	in.log = in.log[:0]
-	return out
 }
 
 // IORatio returns the mean I/O ratio across ranks.

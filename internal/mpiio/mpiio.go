@@ -196,7 +196,7 @@ func (f *File) WriteExtents(p *sim.Proc, rank int, extents []ext.Extent) {
 
 func (f *File) independent(p *sim.Proc, rank int, extents []ext.Extent, write bool) {
 	n := ext.Total(extents)
-	end := f.instr.begin(p, rank, f.name, extents)
+	end := f.instr.begin(p, rank)
 	cl := f.client(rank)
 	rc := f.startRequest(rank)
 	start := p.Now()

@@ -265,23 +265,6 @@ func TestComputeTimeMeasuredBetweenCalls(t *testing.T) {
 	}
 }
 
-func TestRequestLogDrain(t *testing.T) {
-	r := newRig(t, 2, 1, 1)
-	f := r.open("f", DefaultConfig())
-	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 1<<20)
-		f.ReadAt(p, rank, 0, 4<<10)
-		f.ReadAt(p, rank, 8<<10, 4<<10)
-	})
-	log := f.Instr().DrainLog()
-	if len(log) != 2 {
-		t.Fatalf("log entries = %d, want 2", len(log))
-	}
-	if len(f.Instr().DrainLog()) != 0 {
-		t.Fatalf("drain did not clear the log")
-	}
-}
-
 func TestBatchBy(t *testing.T) {
 	xs := []ext.Extent{{Off: 0, Len: 10}, {Off: 20, Len: 25}}
 	batches := batchBy(xs, 16)
@@ -383,10 +366,6 @@ func TestInstrSpanAndHelpers(t *testing.T) {
 	in.AddIOTime(1, time.Second, 5)
 	if in.Ranks[1].IOTime != time.Second || in.TotalBytes() != 2005 {
 		t.Fatalf("AddIOTime not applied")
-	}
-	in.Record(time.Second, "f", []ext.Extent{{Off: 0, Len: 10}, {Len: 0}})
-	if log := in.DrainLog(); len(log) != 1 || log[0].File != "f" {
-		t.Fatalf("Record/DrainLog = %+v", log)
 	}
 	if (RankStats{}).IORatio() != 0 {
 		t.Fatalf("zero stats ratio nonzero")

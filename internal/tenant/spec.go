@@ -19,6 +19,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"dualpar/internal/burst"
 )
 
 // Policy selects how the arbiter divides data-driven grants among tenants.
@@ -230,7 +232,7 @@ func parseEntry(cfg *Config, entry string) error {
 		}
 		cfg.MaxGrants = n
 	case "cache":
-		b, err := parseBytes(val)
+		b, err := burst.ParseBytes(val)
 		if err != nil {
 			return fmt.Errorf("tenant: %q: %v", entry, err)
 		}
@@ -323,28 +325,6 @@ func parseArrival(val string) (Arrival, error) {
 	default:
 		return Arrival{}, fmt.Errorf("unknown arrival kind %q", kind)
 	}
-}
-
-// parseBytes parses a byte size with an optional K/M/G suffix (powers of
-// 1024).
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	if n > math.MaxInt64/mult {
-		return 0, fmt.Errorf("byte size %q overflows", s)
-	}
-	return n * mult, nil
 }
 
 // String renders the config in spec-grammar form (round-trips via
