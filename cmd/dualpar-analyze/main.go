@@ -37,6 +37,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dualpar-analyze [-format text|json|csv] [-buckets N] [-top N] [-strict] trace.json")
 		os.Exit(2)
 	}
+	render := map[string]func(*analyze.Report, io.Writer) error{
+		"text": (*analyze.Report).RenderText,
+		"json": (*analyze.Report).RenderJSON,
+		"csv":  (*analyze.Report).RenderCSV,
+	}[*format]
+	switch {
+	case render == nil:
+		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
+		os.Exit(2)
+	case *buckets < 0:
+		fmt.Fprintf(os.Stderr, "-buckets %d: must not be negative\n", *buckets)
+		os.Exit(2)
+	case *top < 0:
+		fmt.Fprintf(os.Stderr, "-top %d: must not be negative\n", *top)
+		os.Exit(2)
+	}
 	var in io.Reader
 	if path := flag.Arg(0); path == "-" {
 		in = os.Stdin
@@ -55,21 +71,8 @@ func main() {
 		os.Exit(2)
 	}
 	rep := analyze.Analyze(spans, analyze.Options{Buckets: *buckets, TopPaths: *top})
-
-	var renderErr error
-	switch *format {
-	case "text":
-		renderErr = rep.RenderText(os.Stdout)
-	case "json":
-		renderErr = rep.RenderJSON(os.Stdout)
-	case "csv":
-		renderErr = rep.RenderCSV(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		os.Exit(2)
-	}
-	if renderErr != nil {
-		fmt.Fprintln(os.Stderr, renderErr)
+	if err := render(rep, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

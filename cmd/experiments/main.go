@@ -30,45 +30,6 @@ import (
 	"dualpar/internal/metrics"
 )
 
-var experiments = map[string]func(harness.Opts) *harness.Result{
-	"fig1a":  harness.Fig1a,
-	"fig1b":  harness.Fig1b,
-	"fig1cd": harness.Fig1cd,
-	"fig3":   harness.Fig3,
-	"fig4":   harness.Fig4,
-	"fig5":   harness.Fig5,
-	"table2": harness.Table2,
-	"fig6":   harness.Fig6,
-	"fig7":   harness.Fig7,
-	"fig8":   harness.Fig8,
-	"table3": harness.Table3,
-
-	"ablate-sched":     harness.AblateScheduler,
-	"ablate-t":         harness.AblateTImprovement,
-	"ablate-hole":      harness.AblateHoleThreshold,
-	"ablate-chunk":     harness.AblateChunkSize,
-	"ablate-origins":   harness.AblateDiskOrigins,
-	"ablate-cb":        harness.AblateCollectiveBuffer,
-	"ablate-ssd":       harness.AblateSSD,
-	"ablate-writepath": harness.AblateWritePath,
-	"ablate-s2window":  harness.AblateStrategy2Window,
-	"ablate-servers":   harness.AblateServers,
-	"ablate-pipeline":  harness.AblatePipeline,
-
-	"straggler":    harness.Straggler,
-	"availability": harness.Availability,
-	"checkpoint":   harness.Checkpoint,
-	"multitenant":  harness.Multitenant,
-	"engines":      harness.Engines,
-}
-
-var order = []string{
-	"fig1a", "fig1b", "fig1cd", "fig3", "fig4", "fig5", "table2", "fig6", "fig7", "fig8", "table3",
-	"ablate-sched", "ablate-t", "ablate-hole", "ablate-chunk", "ablate-origins", "ablate-cb", "ablate-ssd",
-	"ablate-writepath", "ablate-s2window", "ablate-servers", "ablate-pipeline",
-	"straggler", "availability", "checkpoint", "multitenant", "engines",
-}
-
 func main() {
 	run := flag.String("run", "all", "experiment id or 'all'")
 	quick := flag.Bool("quick", false, "reduced workload sizes (smoke test)")
@@ -112,14 +73,10 @@ func main() {
 		}()
 	}
 
-	validEngine := *engine == ""
-	for _, e := range fs.Engines() {
-		if *engine == e {
-			validEngine = true
-		}
-	}
-	if !validEngine {
-		fmt.Fprintf(os.Stderr, "unknown engine %q; known: %s\n", *engine, strings.Join(fs.Engines(), " "))
+	fcfg := fs.DefaultConfig()
+	fcfg.Engine = *engine
+	if err := fcfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -132,16 +89,20 @@ func main() {
 		opts.Reports = &harness.Reports{}
 	}
 
-	var ids []string
-	if *run == "all" {
-		ids = order
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			if _, ok := experiments[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(order, " "))
+	known := make([]string, len(harness.Experiments))
+	drivers := make(map[string]func(harness.Opts) *harness.Result, len(known))
+	for i, e := range harness.Experiments {
+		known[i] = e.ID
+		drivers[e.ID] = e.Run
+	}
+	ids := known
+	if *run != "all" {
+		ids = strings.Split(*run, ",")
+		for _, id := range ids {
+			if drivers[id] == nil {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
 				os.Exit(2)
 			}
-			ids = append(ids, id)
 		}
 	}
 	if *out != "" {
@@ -156,7 +117,7 @@ func main() {
 	results := make([]*harness.Result, len(ids))
 	cells := make([]harness.Cell, len(ids))
 	for i, id := range ids {
-		cells[i] = harness.Cell{Key: id, Run: func() { results[i] = experiments[id](opts) }}
+		cells[i] = harness.Cell{Key: id, Run: func() { results[i] = drivers[id](opts) }}
 	}
 	if err := harness.RunCells(context.Background(), *parallel, cells); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -28,13 +28,6 @@ func NewGauge(led Ledger, key string, bound int64) *Gauge {
 // SetLedger attaches (or replaces) the ledger violations are reported to.
 func (g *Gauge) SetLedger(led Ledger) { g.led = led }
 
-// SetBound replaces the upper bound (0 = unbounded) and immediately
-// re-checks the current value against it.
-func (g *Gauge) SetBound(bound int64) {
-	g.bound = bound
-	g.check(0)
-}
-
 // Add applies delta and checks the invariants: the gauge never goes
 // negative, and never exceeds its bound.
 func (g *Gauge) Add(delta int64) {

@@ -63,15 +63,3 @@ func TestGaugeNilLedgerCountsOnly(t *testing.T) {
 		t.Fatalf("nil-ledger gauge must still count: %d", g.Value())
 	}
 }
-
-func TestGaugeSetBoundRechecks(t *testing.T) {
-	a := New(1, "gauge test")
-	a.SetArtifactDir(t.TempDir())
-	g := NewGauge(nil, "test.slots", 0)
-	g.Add(4)
-	g.SetLedger(a)
-	g.SetBound(3)
-	if a.Err() == nil {
-		t.Fatal("SetBound below the current value must violate immediately")
-	}
-}

@@ -205,9 +205,6 @@ func (d *Disk) Stats() Stats { return d.stats }
 // Trace implements Device.
 func (d *Disk) Trace() *Trace { return d.trace }
 
-// Head returns the current head position (LBN).
-func (d *Disk) Head() int64 { return d.head }
-
 // ServiceTime computes the *expected* time to serve an access given the
 // current head position (rotational latency at its mean, half a
 // revolution). Access charges the sampled time when RandomRotation is on.

@@ -1,4 +1,4 @@
-// Package ext provides byte-extent math shared by the datatype, file
+// Package ext provides byte-extent math shared by the workload, file
 // system, MPI-IO, and DualPar layers: sorting, coalescing, and hole-filling
 // of (offset, length) ranges. DualPar's CRM (paper §IV-D) is built on these
 // operations: requests from all processes are sorted by file offset,

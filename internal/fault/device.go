@@ -59,6 +59,3 @@ func (d *Device) Stats() disk.Stats { return d.inner.Stats() }
 
 // Trace implements disk.Device.
 func (d *Device) Trace() *disk.Trace { return d.inner.Trace() }
-
-// Inner returns the wrapped device.
-func (d *Device) Inner() disk.Device { return d.inner }

@@ -32,7 +32,7 @@ func AblateScheduler(o Opts) *Result {
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
 			ccfg := o.config()
 			ccfg.NewScheduler = iosched.Named(sched)
-			row = append(row, mb(o.mpiioTest(ccfg, size, false, mode).throughputMBs()))
+			row = append(row, mb(o.mpiioTest("ablate-sched "+sched, ccfg, size, false, mode).throughputMBs()))
 		}
 		res.Table.AddRow(row...)
 		o.logf("ablate-sched %s: %v", sched, row)
@@ -162,11 +162,11 @@ func AblateDiskOrigins(o Opts) *Result {
 		pcfg := pfs.DefaultConfig()
 		pcfg.ClientDiskOrigins = client
 		ccfg.PFS = pcfg
-		tp := o.mpiioTest(ccfg, size, false, core.ModeVanilla).throughputMBs()
 		label := "server-process"
 		if client {
 			label = "per-client"
 		}
+		tp := o.mpiioTest("ablate-origins "+label, ccfg, size, false, core.ModeVanilla).throughputMBs()
 		res.Table.AddRow(label, mb(tp))
 		o.logf("ablate-origins %s: %.1f MB/s", label, tp)
 	}
@@ -219,7 +219,7 @@ func AblateSSD(o Opts) *Result {
 				sp := disk.DefaultSSDParams()
 				ccfg.SSD = &sp
 			}
-			vals = append(vals, o.mpiioTest(ccfg, size, false, mode).throughputMBs())
+			vals = append(vals, o.mpiioTest("ablate-ssd "+storage, ccfg, size, false, mode).throughputMBs())
 		}
 		res.Table.AddRow(storage, mb(vals[0]), mb(vals[1]), fmt.Sprintf("%.2fx", vals[1]/vals[0]))
 		o.logf("ablate-ssd %s: vanilla %.1f dualpar %.1f", storage, vals[0], vals[1])
@@ -228,23 +228,19 @@ func AblateSSD(o Opts) *Result {
 }
 
 // mpiioTest runs one mpi-io-test of size bytes (a write test if write) in
-// mode on a cluster built from ccfg.
-func (o Opts) mpiioTest(ccfg cluster.Config, size int64, write bool, mode core.Mode) measured {
+// mode on a cluster built from ccfg. A run that does not finish within its
+// budget panics, naming cell, instead of reporting a throughput of zero.
+func (o Opts) mpiioTest(cell string, ccfg cluster.Config, size int64, write bool, mode core.Mode) measured {
 	m := workloads.DefaultMPIIOTest()
 	m.FileBytes = size
 	m.Write = write
-	ms, _ := o.executeOn(cluster.New(ccfg), time.Hour, core.DefaultConfig(), []runSpec{{prog: m, mode: mode}})
-	return ms[0]
-}
-
-// Ablations runs every ablation.
-func Ablations(o Opts) []*Result {
-	return []*Result{
-		AblateScheduler(o), AblateTImprovement(o), AblateHoleThreshold(o),
-		AblateChunkSize(o), AblateDiskOrigins(o), AblateCollectiveBuffer(o),
-		AblateSSD(o), AblateWritePath(o), AblateStrategy2Window(o),
-		AblateServers(o), AblatePipeline(o),
+	const budget = time.Hour
+	ms, _ := o.executeOn(cluster.New(ccfg), budget, core.DefaultConfig(), []runSpec{{prog: m, mode: mode}})
+	if !ms[0].finished {
+		panic(fmt.Sprintf("harness: %s: mpi-io-test (write=%v, %d MB, %s) did not finish within %v",
+			cell, write, size>>20, mode, budget))
 	}
+	return ms[0]
 }
 
 // AblateWritePath contrasts PVFS2's per-operation data sync (Trove-style,
@@ -272,11 +268,7 @@ func AblateWritePath(o Opts) *Result {
 			fcfg := ccfg.FS
 			fcfg.SyncWrites = sync
 			ccfg.FS = fcfg
-			run := o.mpiioTest(ccfg, size, true, mode)
-			if !run.finished {
-				o.logf("ablate-writepath: run did not finish")
-			}
-			row = append(row, mb(run.throughputMBs()))
+			row = append(row, mb(o.mpiioTest("ablate-writepath "+row[0], ccfg, size, true, mode).throughputMBs()))
 		}
 		res.Table.AddRow(row...)
 		o.logf("ablate-writepath %s: %v", row[0], row[1:])
@@ -329,7 +321,7 @@ func AblateServers(o Opts) *Result {
 		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
 			ccfg := o.config()
 			ccfg.DataServers = servers
-			vals = append(vals, o.mpiioTest(ccfg, size, false, mode).throughputMBs())
+			vals = append(vals, o.mpiioTest(fmt.Sprintf("ablate-servers %d", servers), ccfg, size, false, mode).throughputMBs())
 		}
 		res.Table.AddRow(fmt.Sprintf("%d", servers), mb(vals[0]), mb(vals[1]),
 			fmt.Sprintf("%.2fx", vals[1]/vals[0]))

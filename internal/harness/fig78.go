@@ -232,24 +232,44 @@ func Table3(o Opts) *Result {
 	return res
 }
 
-// All runs every experiment in paper order. Under Opts.Parallel != 1 the
-// experiments themselves run concurrently (each also parallelizes its own
-// cells); the returned slice is always in paper order with tables
+// Experiments is the experiment registry, in the order `experiments -run
+// all` prints them: the paper's figures and tables (the first paperCount
+// entries, which All runs), then the ablations and the robustness sweeps.
+// ID is the name `experiments -run` takes.
+var Experiments = []struct {
+	ID  string
+	Run func(Opts) *Result
+}{
+	{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig1cd", Fig1cd},
+	{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
+	{"table2", Table2}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}, {"table3", Table3},
+
+	{"ablate-sched", AblateScheduler}, {"ablate-t", AblateTImprovement},
+	{"ablate-hole", AblateHoleThreshold}, {"ablate-chunk", AblateChunkSize},
+	{"ablate-origins", AblateDiskOrigins}, {"ablate-cb", AblateCollectiveBuffer},
+	{"ablate-ssd", AblateSSD}, {"ablate-writepath", AblateWritePath},
+	{"ablate-s2window", AblateStrategy2Window}, {"ablate-servers", AblateServers},
+	{"ablate-pipeline", AblatePipeline},
+
+	{"straggler", Straggler}, {"availability", Availability},
+	{"checkpoint", Checkpoint}, {"multitenant", Multitenant}, {"engines", Engines},
+}
+
+// paperCount is the number of leading Experiments entries that reproduce
+// the paper's own figures and tables.
+const paperCount = 11
+
+// All runs every paper experiment in paper order. Under Opts.Parallel != 1
+// the experiments themselves run concurrently (each also parallelizes its
+// own cells); the returned slice is always in paper order with tables
 // byte-identical to a serial run.
 func All(o Opts) []*Result {
 	o = o.forSweep()
-	drivers := []struct {
-		name string
-		fn   func(Opts) *Result
-	}{
-		{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig1cd", Fig1cd},
-		{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
-		{"table2", Table2}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}, {"table3", Table3},
-	}
-	out := make([]*Result, len(drivers))
-	cells := make([]Cell, len(drivers))
-	for i, d := range drivers {
-		cells[i] = Cell{Key: "all/" + d.name, Run: func() { out[i] = d.fn(o) }}
+	paper := Experiments[:paperCount]
+	out := make([]*Result, len(paper))
+	cells := make([]Cell, len(paper))
+	for i, e := range paper {
+		cells[i] = Cell{Key: "all/" + e.ID, Run: func() { out[i] = e.Run(o) }}
 	}
 	runSweep(o, cells)
 	return out

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dualpar/internal/core"
+	"dualpar/internal/fault"
 	"dualpar/internal/workloads"
 )
 
@@ -274,6 +275,25 @@ func TestAblateWritePathRuns(t *testing.T) {
 			t.Errorf("non-positive throughput in row %d:\n%s", row, res.Table.String())
 		}
 	}
+}
+
+// TestMPIIOTestPanicsWhenUnfinished: an ablation run that cannot finish
+// within its budget must fail loudly, naming its cell, not print 0.0 MB/s.
+func TestMPIIOTestPanicsWhenUnfinished(t *testing.T) {
+	o := quick()
+	ccfg := o.config()
+	sch, err := fault.Parse("stall:0@0s-2h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg.Faults = sch
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "ablate-x") || !strings.Contains(msg, "did not finish") {
+			t.Fatalf("panic = %q, want the cell named and \"did not finish\"", msg)
+		}
+	}()
+	o.mpiioTest("ablate-x", ccfg, 8<<20, false, core.ModeVanilla)
 }
 
 func TestAblateStrategy2WindowMonotonicEnough(t *testing.T) {

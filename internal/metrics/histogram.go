@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Histogram is a log-bucketed distribution of non-negative values (latency
 // in seconds, sizes in bytes). Buckets double in width: bucket 0 holds
@@ -184,19 +181,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// SummaryRow renders the histogram's headline statistics for tables:
-// count, mean, p50, p95, p99, max, formatted with the given printf verb
-// (e.g. "%.3f").
-func (h *Histogram) SummaryRow(verb string) []string {
-	f := func(v float64) string { return fmt.Sprintf(verb, v) }
-	return []string{
-		fmt.Sprintf("%d", h.Count()),
-		f(h.Mean()),
-		f(h.Percentile(50)),
-		f(h.Percentile(95)),
-		f(h.Percentile(99)),
-		f(h.Max()),
-	}
 }

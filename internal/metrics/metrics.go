@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -89,20 +88,6 @@ func Sample(k *sim.Kernel, name string, every, until time.Duration, fn func() fl
 	}
 	k.After(every, tick)
 	return s
-}
-
-// RateSampler converts a monotonically growing counter into a rate series
-// (e.g. bytes served → MB/s per window). The counter is snapshotted when the
-// sampler is armed, so the first window reports a true rate even when the
-// sampler is attached to a counter that is already nonzero (mid-run).
-func RateSampler(k *sim.Kernel, name string, every, until time.Duration, counter func() int64, scale float64) *Series {
-	last := counter()
-	return Sample(k, name, every, until, func() float64 {
-		cur := counter()
-		delta := cur - last
-		last = cur
-		return float64(delta) / every.Seconds() * scale
-	})
 }
 
 // WriteCSV emits aligned series as "time_s,<name>,<name>..." rows. Series
@@ -258,22 +243,4 @@ func (t *Table) WriteCSVTable(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSONTable emits the table as {"header":[...],"rows":[[...],...]},
-// trailing-newline terminated. Rows is always an array (never null).
-func (t *Table) WriteJSONTable(w io.Writer) error {
-	rows := t.Rows
-	if rows == nil {
-		rows = [][]string{}
-	}
-	header := t.Header
-	if header == nil {
-		header = []string{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}{header, rows})
 }

@@ -48,24 +48,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 }
 
-func TestRateSampler(t *testing.T) {
-	k := sim.NewKernel(1)
-	var counter int64
-	// Increments land off the sampling grid so edge ordering is moot.
-	k.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(400 * time.Millisecond)
-			counter += 1000
-		}
-	})
-	s := RateSampler(k, "rate", time.Second, 5*time.Second, func() int64 { return counter }, 1)
-	k.Run()
-	// 2000 units/second.
-	if got := s.Mean(); got < 1900 || got > 2100 {
-		t.Fatalf("mean rate = %g, want ~2000", got)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	a := &Series{Name: "a"}
 	a.Add(time.Second, 1)

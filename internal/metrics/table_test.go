@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -30,44 +28,6 @@ func TestWriteCSVTable(t *testing.T) {
 	want := "name,value\nplain,1\n\"with,comma\",2\n\"with \"\"quote\"\"\",3\n"
 	if buf.String() != want {
 		t.Errorf("csv:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
-func TestWriteJSONTable(t *testing.T) {
-	tab := &Table{Header: []string{"a", "b"}}
-	tab.AddRow("1", "2")
-	var buf bytes.Buffer
-	if err := tab.WriteJSONTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.Header) != 2 || doc.Header[0] != "a" {
-		t.Errorf("header = %v", doc.Header)
-	}
-	if len(doc.Rows) != 1 || doc.Rows[0][1] != "2" {
-		t.Errorf("rows = %v", doc.Rows)
-	}
-	if !strings.HasSuffix(buf.String(), "\n") {
-		t.Error("JSON output not newline-terminated")
-	}
-}
-
-// TestWriteJSONTableEmpty: an empty table must still emit arrays, not null —
-// downstream consumers index header/rows unconditionally.
-func TestWriteJSONTableEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&Table{}).WriteJSONTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := strings.TrimSpace(buf.String())
-	if got != `{"header":[],"rows":[]}` {
-		t.Errorf("empty table = %s", got)
 	}
 }
 

@@ -3,8 +3,6 @@ package metrics
 import (
 	"testing"
 	"time"
-
-	"dualpar/internal/sim"
 )
 
 // buildSeries returns n points on a 1 ms grid.
@@ -44,26 +42,5 @@ func TestSeriesWindowEdges(t *testing.T) {
 	}
 	if got := (&Series{}).Window(0, time.Second); got != 0 {
 		t.Fatalf("empty series window = %g, want 0", got)
-	}
-}
-
-// TestRateSamplerMidRun arms a sampler against a counter that is already
-// nonzero: the first window must report the in-window rate, not the
-// cumulative total since zero.
-func TestRateSamplerMidRun(t *testing.T) {
-	k := sim.NewKernel(1)
-	counter := int64(1_000_000) // pre-existing traffic before sampling starts
-	k.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(time.Second)
-			counter += 100
-		}
-	})
-	s := RateSampler(k, "rate", time.Second, 4*time.Second, func() int64 { return counter }, 1)
-	k.Run()
-	for _, pt := range s.Points {
-		if pt.V > 150 {
-			t.Fatalf("sample at %v = %g, want ~100 (pre-existing counter leaked in)", pt.T, pt.V)
-		}
 	}
 }

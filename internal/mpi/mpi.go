@@ -1,7 +1,6 @@
 // Package mpi models the MPI runtime pieces the paper's software stack
-// needs: a world of ranks placed on compute nodes, barriers, broadcast,
-// allgather, and all-to-all-v data exchange (the transport under two-phase
-// collective I/O), plus matched point-to-point messages.
+// needs: a world of ranks placed on compute nodes, barriers, and the
+// allgather and all-to-all-v data exchanges of two-phase collective I/O.
 //
 // Collective operations synchronize all ranks (every rank must call every
 // collective in the same order) and charge time with standard cost models:
@@ -25,7 +24,6 @@ type World struct {
 	nodes []int // nodes[rank] = network node hosting that rank
 
 	rend map[string]*rendezvous
-	p2p  map[[2]int]*sim.Queue[int64]
 
 	barriers int64
 }
@@ -40,7 +38,6 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []int) *World {
 		net:   net,
 		nodes: nodes,
 		rend:  make(map[string]*rendezvous),
-		p2p:   make(map[[2]int]*sim.Queue[int64]),
 	}
 }
 
@@ -52,9 +49,6 @@ func (w *World) Node(r int) int { return w.nodes[r] }
 
 // Net returns the network the world communicates over.
 func (w *World) Net() *netsim.Network { return w.net }
-
-// Kernel returns the simulation kernel.
-func (w *World) Kernel() *sim.Kernel { return w.k }
 
 // Barriers reports how many barrier generations completed.
 func (w *World) Barriers() int64 { return w.barriers }
@@ -132,22 +126,6 @@ func (w *World) Barrier(p *sim.Proc, rank int) {
 	w.net.Delay(p)
 }
 
-// Bcast broadcasts bytes from root; a binomial tree costs log2(P) rounds.
-func (w *World) Bcast(p *sim.Proc, rank, root int, bytes int64) {
-	w.meet(p, "bcast", rank, nil)
-	if rank != root {
-		p.Sleep(time.Duration(w.logP()) * (w.latency() + w.xfer(bytes)))
-	}
-}
-
-// Allgather exchanges bytes from every rank to every rank. The cost model
-// follows recursive-doubling/Bruck: ceil(log2 P) latency rounds, with every
-// rank receiving (P-1)*bytes through its link.
-func (w *World) Allgather(p *sim.Proc, rank int, bytes int64) {
-	w.meet(p, "allgather", rank, nil)
-	p.Sleep(time.Duration(w.logP())*w.latency() + time.Duration(w.Size()-1)*w.xfer(bytes))
-}
-
 // AllgatherVals synchronizes all ranks, exchanging an arbitrary value per
 // rank (metadata exchange; bytes models its wire size per rank).
 func (w *World) AllgatherVals(p *sim.Proc, rank int, val interface{}, bytes int64) []interface{} {
@@ -197,30 +175,6 @@ func (w *World) Alltoallv(p *sim.Proc, rank int, send []int64) (recv int64) {
 	}
 	p.Sleep(time.Duration(w.Size()-1)*w.latency() + w.xfer(nodeBytes))
 	return recvB
-}
-
-// Send delivers bytes to rank `to` (matched by Recv). The wire time is
-// charged to the sender; delivery order per (from,to) pair is FIFO.
-func (w *World) Send(p *sim.Proc, from, to int, bytes int64) {
-	w.net.Send(p, w.nodes[from], w.nodes[to], bytes)
-	q := w.p2pQueue(from, to)
-	q.Put(bytes)
-}
-
-// Recv blocks until a message from rank `from` arrives and returns its
-// size.
-func (w *World) Recv(p *sim.Proc, to, from int) int64 {
-	return w.p2pQueue(from, to).Get(p)
-}
-
-func (w *World) p2pQueue(from, to int) *sim.Queue[int64] {
-	key := [2]int{from, to}
-	q := w.p2p[key]
-	if q == nil {
-		q = sim.NewQueue[int64](w.k)
-		w.p2p[key] = q
-	}
-	return q
 }
 
 // Placement helpers.

@@ -1,23 +1,12 @@
 package mpiio
 
 import (
-	"dualpar/internal/datatype"
 	"dualpar/internal/ext"
 	"dualpar/internal/sim"
 )
 
-// ReadTypeAll is a collective strided read (two-phase I/O). All ranks must
-// call it together, each with its own datatype instance.
-func (f *File) ReadTypeAll(p *sim.Proc, rank int, dt datatype.Type, base int64) {
-	f.collective(p, rank, dt.Extents(base), false)
-}
-
-// WriteTypeAll is a collective strided write.
-func (f *File) WriteTypeAll(p *sim.Proc, rank int, dt datatype.Type, base int64) {
-	f.collective(p, rank, dt.Extents(base), true)
-}
-
-// ReadExtentsAll is a collective read of an explicit extent list.
+// ReadExtentsAll is a collective read of an explicit extent list (two-phase
+// I/O). All ranks must call it together, each with its own extents.
 func (f *File) ReadExtentsAll(p *sim.Proc, rank int, extents []ext.Extent) {
 	f.collective(p, rank, extents, false)
 }

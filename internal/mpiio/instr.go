@@ -83,13 +83,6 @@ func (in *Instr) Span(rank int, start, end time.Duration, bytes int64) {
 	rs.everCalled = true
 }
 
-// AddIOTime attributes d of I/O time to a rank (DualPar charges cache-miss
-// stalls and data-driven waits here).
-func (in *Instr) AddIOTime(rank int, d time.Duration, bytes int64) {
-	in.Ranks[rank].IOTime += d
-	in.Ranks[rank].Bytes += bytes
-}
-
 // IORatio returns the mean I/O ratio across ranks.
 func (in *Instr) IORatio() float64 {
 	if len(in.Ranks) == 0 {

@@ -1,7 +1,6 @@
 // Package mpiio models the MPI-IO (ROMIO/ADIO) library over the pfs
-// parallel file system: independent contiguous and strided (derived
-// datatype) reads and writes, list I/O, and two-phase collective I/O with
-// aggregators and data sieving.
+// parallel file system: independent reads and writes of extent lists, list
+// I/O, and two-phase collective I/O with aggregators and data sieving.
 //
 // Every operation is instrumented the way the paper instruments ADIO
 // functions (§IV-B): per-rank I/O time, compute time (the gap between
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"dualpar/internal/datatype"
 	"dualpar/internal/ext"
 	"dualpar/internal/mpi"
 	"dualpar/internal/obs"
@@ -156,32 +154,6 @@ func (f *File) client(rank int) *pfs.Client {
 		f.clients[node] = cl
 	}
 	return cl
-}
-
-// Preallocate creates layout for size bytes (collectively called by rank 0
-// in the harness before timed runs, like pre-created benchmark files).
-func (f *File) Preallocate(p *sim.Proc, rank int, size int64) {
-	f.client(rank).Create(p, f.name, size)
-}
-
-// ReadAt is an independent contiguous read.
-func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) {
-	f.independent(p, rank, []ext.Extent{{Off: off, Len: n}}, false)
-}
-
-// WriteAt is an independent contiguous write.
-func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) {
-	f.independent(p, rank, []ext.Extent{{Off: off, Len: n}}, true)
-}
-
-// ReadType is an independent strided read of one datatype instance at base.
-func (f *File) ReadType(p *sim.Proc, rank int, dt datatype.Type, base int64) {
-	f.independent(p, rank, dt.Extents(base), false)
-}
-
-// WriteType is an independent strided write.
-func (f *File) WriteType(p *sim.Proc, rank int, dt datatype.Type, base int64) {
-	f.independent(p, rank, dt.Extents(base), true)
 }
 
 // ReadExtents is an independent read of an explicit extent list.

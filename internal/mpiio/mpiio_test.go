@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dualpar/internal/datatype"
 	"dualpar/internal/disk"
 	"dualpar/internal/ext"
 	"dualpar/internal/fs"
@@ -63,6 +62,32 @@ func (r *rig) runRanks(t *testing.T, fn func(p *sim.Proc, rank int)) {
 	r.k.RunUntil(time.Hour)
 }
 
+// create lays out size bytes of f before the timed calls, as a benchmark
+// pre-creates its file.
+func create(p *sim.Proc, f *File, size int64) {
+	f.client(0).Create(p, f.name, size)
+}
+
+// vector is count blocks of blockLen bytes whose starts lie stride apart
+// (MPI_Type_vector in byte units).
+func vector(count, blockLen, stride int64) []ext.Extent {
+	var xs []ext.Extent
+	for i := int64(0); i < count; i++ {
+		xs = append(xs, ext.Extent{Off: i * stride, Len: blockLen})
+	}
+	return ext.Merge(xs)
+}
+
+// indexed pairs displacements with lengths (MPI_Type_indexed in byte
+// units).
+func indexed(disps, lens []int64) []ext.Extent {
+	xs := make([]ext.Extent, len(disps))
+	for i := range disps {
+		xs[i] = ext.Extent{Off: disps[i], Len: lens[i]}
+	}
+	return ext.Merge(xs)
+}
+
 func (r *rig) serverReadBytes() int64 {
 	var total int64
 	for _, s := range r.fsys.Servers() {
@@ -76,10 +101,10 @@ func TestIndependentContigRead(t *testing.T) {
 	f := r.open("f", DefaultConfig())
 	r.runRanks(t, func(p *sim.Proc, rank int) {
 		if rank == 0 {
-			f.Preallocate(p, 0, 4<<20)
+			create(p, f, 4<<20)
 		}
 		r.w.Barrier(p, rank)
-		f.ReadAt(p, rank, int64(rank)<<20, 1<<20)
+		f.ReadExtents(p, rank, []ext.Extent{{Off: int64(rank) << 20, Len: 1 << 20}})
 	})
 	if got := r.serverReadBytes(); got != 4<<20 {
 		t.Fatalf("servers read %d, want 4MB", got)
@@ -100,12 +125,12 @@ func TestVanillaStridedIssuesPerSegment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ListIO = false
 	f := r.open("f", cfg)
-	dt := datatype.Vector{Count: 8, BlockLen: 4 << 10, Stride: 192 << 10}
+	dt := vector(8, 4<<10, 192<<10)
 	msgs0 := int64(-1)
 	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 4<<20)
+		create(p, f, 4<<20)
 		msgs0 = r.w.Net().Messages()
-		f.ReadType(p, rank, dt, 0)
+		f.ReadExtents(p, rank, dt)
 	})
 	msgs := r.w.Net().Messages() - msgs0
 	// 8 segments, each a request+reply round trip = 16 messages.
@@ -119,12 +144,12 @@ func TestListIOStridedBatchesPerServer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ListIO = true
 	f := r.open("f", cfg)
-	dt := datatype.Vector{Count: 8, BlockLen: 4 << 10, Stride: 192 << 10}
+	dt := vector(8, 4<<10, 192<<10)
 	msgs0 := int64(-1)
 	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 4<<20)
+		create(p, f, 4<<20)
 		msgs0 = r.w.Net().Messages()
-		f.ReadType(p, rank, dt, 0)
+		f.ReadExtents(p, rank, dt)
 	})
 	msgs := r.w.Net().Messages() - msgs0
 	// At most one round trip per server.
@@ -137,20 +162,20 @@ func TestCollectiveReadMovesAllBytes(t *testing.T) {
 	r := newRig(t, 3, 8, 4)
 	f := r.open("f", DefaultConfig())
 	// Interleaved 4KB columns: rank i reads bytes [i*4K + j*32K, +4K).
-	dt := func(rank int) datatype.Indexed {
+	dt := func(rank int) []ext.Extent {
 		var disps, lens []int64
 		for j := int64(0); j < 16; j++ {
 			disps = append(disps, int64(rank)*4<<10+j*32<<10)
 			lens = append(lens, 4<<10)
 		}
-		return datatype.Indexed{Disps: disps, Lens: lens}
+		return indexed(disps, lens)
 	}
 	r.runRanks(t, func(p *sim.Proc, rank int) {
 		if rank == 0 {
-			f.Preallocate(p, 0, 1<<20)
+			create(p, f, 1<<20)
 		}
 		r.w.Barrier(p, rank)
-		f.ReadTypeAll(p, rank, dt(rank), 0)
+		f.ReadExtentsAll(p, rank, dt(rank))
 	})
 	// The 8 ranks' interleaved extents tile [0, 512K) fully; sieving may
 	// read a bit more but never less.
@@ -165,23 +190,23 @@ func TestCollectiveFewerDiskAccessesThanVanilla(t *testing.T) {
 	accesses := func(collective bool) int64 {
 		r := newRig(t, 2, 8, 8)
 		f := r.open("f", DefaultConfig())
-		dt := func(rank int) datatype.Indexed {
+		dt := func(rank int) []ext.Extent {
 			var disps, lens []int64
 			for j := int64(0); j < 32; j++ {
 				disps = append(disps, int64(rank)*2<<10+j*16<<10)
 				lens = append(lens, 2<<10)
 			}
-			return datatype.Indexed{Disps: disps, Lens: lens}
+			return indexed(disps, lens)
 		}
 		r.runRanks(t, func(p *sim.Proc, rank int) {
 			if rank == 0 {
-				f.Preallocate(p, 0, 1<<20)
+				create(p, f, 1<<20)
 			}
 			r.w.Barrier(p, rank)
 			if collective {
-				f.ReadTypeAll(p, rank, dt(rank), 0)
+				f.ReadExtentsAll(p, rank, dt(rank))
 			} else {
-				f.ReadType(p, rank, dt(rank), 0)
+				f.ReadExtents(p, rank, dt(rank))
 			}
 		})
 		var acc int64
@@ -202,20 +227,20 @@ func TestCollectiveWriteRMWReadsHoles(t *testing.T) {
 	cfg.DataSieveHole = 64 << 10
 	f := r.open("f", cfg)
 	// Two ranks write 4K blocks separated by 4K holes.
-	dt := func(rank int) datatype.Indexed {
+	dt := func(rank int) []ext.Extent {
 		var disps, lens []int64
 		for j := int64(0); j < 8; j++ {
 			disps = append(disps, int64(rank)*512<<10+j*8<<10)
 			lens = append(lens, 4<<10)
 		}
-		return datatype.Indexed{Disps: disps, Lens: lens}
+		return indexed(disps, lens)
 	}
 	r.runRanks(t, func(p *sim.Proc, rank int) {
 		if rank == 0 {
-			f.Preallocate(p, 0, 1<<20)
+			create(p, f, 1<<20)
 		}
 		r.w.Barrier(p, rank)
-		f.WriteTypeAll(p, rank, dt(rank), 0)
+		f.WriteExtentsAll(p, rank, dt(rank))
 	})
 	if got := r.serverReadBytes(); got == 0 {
 		t.Fatalf("no hole reads: data-sieving write must read-modify-write")
@@ -228,7 +253,7 @@ func TestCollectiveCallsSynchronize(t *testing.T) {
 	var finish []time.Duration
 	r.runRanks(t, func(p *sim.Proc, rank int) {
 		if rank == 0 {
-			f.Preallocate(p, 0, 1<<20)
+			create(p, f, 1<<20)
 		}
 		r.w.Barrier(p, rank)
 		p.Sleep(time.Duration(rank) * 100 * time.Millisecond) // skewed arrival
@@ -247,10 +272,10 @@ func TestComputeTimeMeasuredBetweenCalls(t *testing.T) {
 	r := newRig(t, 2, 1, 1)
 	f := r.open("f", DefaultConfig())
 	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.Preallocate(p, 0, 1<<20)
-		f.ReadAt(p, rank, 0, 64<<10)
+		create(p, f, 1<<20)
+		f.ReadExtents(p, rank, []ext.Extent{{Off: 0, Len: 64 << 10}})
 		p.Sleep(500 * time.Millisecond) // compute
-		f.ReadAt(p, rank, 64<<10, 64<<10)
+		f.ReadExtents(p, rank, []ext.Extent{{Off: 64 << 10, Len: 64 << 10}})
 	})
 	rs := f.Instr().Ranks[0]
 	if rs.ComputeTime < 500*time.Millisecond {
@@ -329,7 +354,7 @@ func TestAccessorsAndWritePaths(t *testing.T) {
 		t.Fatalf("accessors wrong")
 	}
 	r.runRanks(t, func(p *sim.Proc, rank int) {
-		f.WriteAt(p, rank, int64(rank)<<20, 256<<10)
+		f.WriteExtents(p, rank, []ext.Extent{{Off: int64(rank) << 20, Len: 256 << 10}})
 		f.WriteExtents(p, rank, []ext.Extent{{Off: int64(rank)*64<<10 + 4<<20, Len: 64 << 10}})
 		f.WriteExtentsAll(p, rank, []ext.Extent{{Off: int64(rank)*32<<10 + 8<<20, Len: 32 << 10}})
 	})
@@ -363,9 +388,8 @@ func TestInstrSpanAndHelpers(t *testing.T) {
 	if got := in.IORatio(); got != 0.25 { // rank 1 contributes 0
 		t.Fatalf("program ratio = %g", got)
 	}
-	in.AddIOTime(1, time.Second, 5)
-	if in.Ranks[1].IOTime != time.Second || in.TotalBytes() != 2005 {
-		t.Fatalf("AddIOTime not applied")
+	if in.TotalBytes() != 2000 {
+		t.Fatalf("total bytes = %d, want 2000", in.TotalBytes())
 	}
 	if (RankStats{}).IORatio() != 0 {
 		t.Fatalf("zero stats ratio nonzero")

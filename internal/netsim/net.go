@@ -61,7 +61,6 @@ type Network struct {
 	bytesSent int64
 	messages  int64
 	drops     int64
-	voided    int64
 
 	faults *fault.Injector
 
@@ -112,10 +111,6 @@ func (n *Network) Messages() int64  { return n.messages }
 // Drops reports messages lost to injected link faults (each cost the
 // sender a retransmit timeout).
 func (n *Network) Drops() int64 { return n.drops }
-
-// Voided reports messages that vanished because an endpoint was a
-// crash-stopped data server (no retransmission — nobody is home).
-func (n *Network) Voided() int64 { return n.voided }
 
 // grow ensures the link free-time slices cover node. Node ids are dense
 // small integers, so flat slices beat maps on the per-message hot path.
@@ -202,7 +197,6 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 // request for the StageNet span (zero Ctx = untraced).
 func (n *Network) SendLossy(p *sim.Proc, from, to int, bytes int64, rc obs.Ctx) bool {
 	if n.faults.NodeCrashed(from, p.Now()) || n.faults.NodeCrashed(to, p.Now()) {
-		n.voided++
 		n.obs.Instant("fault.void", "net", p.Now(),
 			obs.I64("from", int64(from)), obs.I64("to", int64(to)),
 			obs.I64("bytes", bytes))

@@ -25,7 +25,6 @@ func benchTransfer(b *testing.B, replicas int, write bool) {
 	}
 	const warm = 256
 	k.Spawn("bench", func(p *sim.Proc) {
-		defer k.Stop()
 		cl.Create(p, "bench.dat", 6*unit)
 		for i := 0; i < warm+b.N; i++ {
 			if i == warm {

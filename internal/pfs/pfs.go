@@ -370,9 +370,6 @@ func (fsys *FileSystem) Obs() *obs.Collector { return fsys.obs }
 // Servers returns the data servers.
 func (fsys *FileSystem) Servers() []*Server { return fsys.servers }
 
-// Meta returns the metadata server.
-func (fsys *FileSystem) Meta() *MetaServer { return fsys.meta }
-
 // NumServers reports the stripe width.
 func (fsys *FileSystem) NumServers() int { return len(fsys.servers) }
 

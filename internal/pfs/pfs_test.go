@@ -132,7 +132,7 @@ func TestWriteReachesDisks(t *testing.T) {
 	if done == 0 {
 		t.Fatalf("write never completed")
 	}
-	if got := fsys.Meta().sizes["f"]; got != 1<<20 {
+	if got := fsys.FileSize("f"); got != 1<<20 {
 		t.Fatalf("metadata size = %d, want 1MB", got)
 	}
 }

@@ -63,9 +63,9 @@ type Kernel struct {
 	// while the heap holds nothing at or before now, must run after every
 	// already-queued same-instant event (its seq is the largest yet issued)
 	// — so it skips the heap entirely and is appended here. Broadcast
-	// fan-outs, queue hand-offs, yields, and netsim same-instant deliveries
-	// all ride this path: waking N procs at one instant is N appends and N
-	// slice reads, not N heap sifts.
+	// fan-outs, queue hand-offs, zero sleeps, and netsim same-instant
+	// deliveries all ride this path: waking N procs at one instant is N
+	// appends and N slice reads, not N heap sifts.
 	fifo     []int32
 	fifoHead int
 
@@ -80,7 +80,6 @@ type Kernel struct {
 	parked  chan struct{} // handshake: running Proc yields control back
 	failure *procPanic    // first panic raised inside a Proc
 	nprocs  int           // live (spawned, not yet finished) procs
-	stopped bool
 	rng     *rand.Rand
 	audit   check.Ledger // nil unless a run auditor is attached
 }
@@ -184,41 +183,19 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	k.schedule(k.now+d, fn)
 }
 
-// Every schedules fn to run in kernel context every period, starting one
-// period from now, until the simulation ends or fn returns false.
-func (k *Kernel) Every(period time.Duration, fn func() bool) {
-	if period <= 0 {
-		panic("sim: non-positive period")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			k.schedule(k.now+period, tick)
-		}
-	}
-	k.schedule(k.now+period, tick)
-}
-
-// Stop halts Run after the current event completes. Pending events remain
-// queued and a subsequent Run continues from them.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until none remain, Stop is called, or a Proc panics
-// (in which case the panic is re-raised on the caller's goroutine).
+// Run executes events until none remain or a Proc panics (in which case
+// the panic is re-raised on the caller's goroutine).
 func (k *Kernel) Run() {
 	k.RunUntil(-1)
 }
 
 // RunUntil executes events with timestamps <= deadline. A negative deadline
-// means run to completion. When the loop genuinely drains past the deadline
-// — no runnable event at or before it remains — the clock is fast-forwarded
-// to the deadline; if Stop exited the loop early the clock stays where the
-// last event left it, so queued events never fire in the kernel's past.
-// Events beyond the deadline stay queued for later Run/RunUntil calls.
+// means run to completion. Once no runnable event at or before the deadline
+// remains, the clock is fast-forwarded to the deadline. Events beyond the
+// deadline stay queued for later Run/RunUntil calls.
 func (k *Kernel) RunUntil(deadline time.Duration) {
-	k.stopped = false
 	k.deadline = deadline
-	for !k.stopped {
+	for {
 		var idx int32
 		if k.fifoHead < len(k.fifo) {
 			idx = k.fifo[k.fifoHead]
@@ -257,7 +234,7 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 			panic(fmt.Sprintf("sim: proc %q panicked: %v", f.proc, f.value))
 		}
 	}
-	if deadline >= 0 && k.now < deadline && !k.stopped {
+	if deadline >= 0 && k.now < deadline {
 		k.now = deadline
 	}
 }

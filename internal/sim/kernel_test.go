@@ -108,37 +108,6 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	k.After(time.Second, func() { fired++; k.Stop() })
-	k.After(2*time.Second, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt)", fired)
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resuming", fired)
-	}
-}
-
-func TestEvery(t *testing.T) {
-	k := NewKernel(1)
-	ticks := 0
-	k.Every(time.Second, func() bool {
-		ticks++
-		return ticks < 4
-	})
-	k.Run()
-	if ticks != 4 {
-		t.Fatalf("ticks = %d, want 4", ticks)
-	}
-	if k.Now() != 4*time.Second {
-		t.Fatalf("clock = %v, want 4s", k.Now())
-	}
-}
-
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel(1)
 	k.Spawn("bad", func(p *Proc) {
@@ -282,27 +251,6 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	k.Run()
 	if gotAt != 5*time.Second {
 		t.Fatalf("got at %v, want 5s", gotAt)
-	}
-}
-
-func TestQueueTryGetAndDrain(t *testing.T) {
-	k := NewKernel(1)
-	q := NewQueue[int](k)
-	if _, ok := q.TryGet(); ok {
-		t.Fatalf("TryGet on empty queue succeeded")
-	}
-	q.Put(1)
-	q.Put(2)
-	if v, ok := q.TryGet(); !ok || v != 1 {
-		t.Fatalf("TryGet = %v,%v; want 1,true", v, ok)
-	}
-	q.Put(3)
-	rest := q.Drain()
-	if len(rest) != 2 || rest[0] != 2 || rest[1] != 3 {
-		t.Fatalf("Drain = %v, want [2 3]", rest)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain, want 0", q.Len())
 	}
 }
 
@@ -480,12 +428,14 @@ func TestResourceMisusePanics(t *testing.T) {
 	k.Run()
 }
 
+// TestYieldOrdersAfterQueuedEvents: a zero Sleep yields, letting every
+// activity already queued at this instant run first.
 func TestYieldOrdersAfterQueuedEvents(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	k.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {

@@ -94,11 +94,11 @@ func (p *Proc) wakeAt(at time.Duration) {
 //
 // Solo fast path: when nothing else is runnable in [now, now+d] — the
 // same-instant FIFO is empty, the earliest heap event is strictly later
-// than the wake would be, the RunUntil deadline is not in between, and
-// Stop has not been called — handing control to the kernel would only pop
-// this Proc's own wake event straight back. In that case the Proc advances
-// the clock in place and keeps running, skipping the two goroutine
-// switches of the park/resume handshake. The event timeline is identical:
+// than the wake would be, and the RunUntil deadline is not in between —
+// handing control to the kernel would only pop this Proc's own wake event
+// straight back. In that case the Proc advances the clock in place and
+// keeps running, skipping the two goroutine switches of the park/resume
+// handshake. The event timeline is identical:
 // by construction no event exists in the skipped window, and relative
 // schedule order (which decides same-instant ties) is unchanged.
 func (p *Proc) Sleep(d time.Duration) {
@@ -107,7 +107,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	k := p.k
 	at := k.now + d
-	if !k.stopped && k.fifoHead >= len(k.fifo) &&
+	if k.fifoHead >= len(k.fifo) &&
 		(len(k.heap) == 0 || k.arena[k.heap[0]].at > at) &&
 		(k.deadline < 0 || at <= k.deadline) {
 		k.now = at
@@ -121,7 +121,3 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.wakeAt(at)
 	p.park()
 }
-
-// Yield reschedules the Proc at the current time, letting every other
-// activity already queued at this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -62,27 +62,3 @@ func (q *Queue[T]) Get(p *Proc) T {
 	}
 	return q.pop()
 }
-
-// TryGet removes and returns the head item if one is present.
-func (q *Queue[T]) TryGet() (T, bool) {
-	if q.n == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.pop(), true
-}
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return q.n }
-
-// Drain removes and returns all queued items.
-func (q *Queue[T]) Drain() []T {
-	if q.n == 0 {
-		return nil
-	}
-	out := make([]T, q.n)
-	for i := range out {
-		out[i] = q.pop()
-	}
-	return out
-}

@@ -68,6 +68,3 @@ func (r *Resource) Release(n int) {
 
 // InUse reports the units currently held.
 func (r *Resource) InUse() int { return r.used }
-
-// Waiting reports the number of queued acquirers.
-func (r *Resource) Waiting() int { return len(r.queue) }

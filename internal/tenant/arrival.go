@@ -140,35 +140,3 @@ func sortJobs(jobs []Job) {
 		return a.Index < b.Index
 	})
 }
-
-// Generator streams the schedule job by job, so a driver can drain part of
-// it, hand the rest to another consumer, or interleave with completions.
-// Two generators with the same config produce the same stream; draining k
-// jobs from one and comparing the remainder against a fresh generator's
-// suffix is the package's replay property (see arrival_test.go).
-type Generator struct {
-	jobs []Job
-	next int
-}
-
-// NewGenerator pre-computes the schedule for cfg (panics on invalid
-// config, like the simulator's other constructors).
-func NewGenerator(cfg Config) *Generator {
-	return &Generator{jobs: Schedule(cfg)}
-}
-
-// Next returns the next job in arrival order; ok is false when drained.
-func (g *Generator) Next() (j Job, ok bool) {
-	if g.next >= len(g.jobs) {
-		return Job{}, false
-	}
-	j = g.jobs[g.next]
-	g.next++
-	return j, true
-}
-
-// Remaining reports how many jobs have not been drained yet.
-func (g *Generator) Remaining() int { return len(g.jobs) - g.next }
-
-// Total reports the full schedule length.
-func (g *Generator) Total() int { return len(g.jobs) }

@@ -24,43 +24,6 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 }
 
-// TestPartialDrainSuffix pins the replay property: draining k jobs from one
-// generator and regenerating from the same config yields the identical
-// suffix after draining the same k — a driver can restart mid-stream and
-// continue exactly where it left off.
-func TestPartialDrainSuffix(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tenants = 2
-	cfg.Jobs = 40
-	a := NewGenerator(cfg)
-	const k = 17
-	for i := 0; i < k; i++ {
-		if _, ok := a.Next(); !ok {
-			t.Fatalf("drained early at %d", i)
-		}
-	}
-	b := NewGenerator(cfg)
-	for i := 0; i < k; i++ {
-		b.Next()
-	}
-	if a.Remaining() != b.Remaining() {
-		t.Fatalf("remaining %d vs %d after equal drains", a.Remaining(), b.Remaining())
-	}
-	for {
-		ja, oka := a.Next()
-		jb, okb := b.Next()
-		if oka != okb {
-			t.Fatal("streams ended at different points")
-		}
-		if !oka {
-			break
-		}
-		if ja != jb {
-			t.Fatalf("suffix diverged: %+v vs %+v", ja, jb)
-		}
-	}
-}
-
 // TestPoissonMeanConverges is the statistical property: with a fixed seed,
 // per-tenant inter-arrival means converge to 1/rate. Gated behind -short
 // because it draws a large sample.

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzParseSpec asserts ParseSpec's contract on arbitrary input: it never
-// panics, any config it accepts validates cleanly (so NewGenerator and
+// panics, any config it accepts validates cleanly (so Schedule and
 // NewArbiter cannot panic on a parsed config) with finite numeric fields,
 // and the rendered form re-parses to the same config.
 func FuzzParseSpec(f *testing.F) {

@@ -9,9 +9,9 @@ import (
 
 // Demo is the paper's motivating synthetic program (§II): N processes read
 // a file from beginning to end; in each MPI-IO call a process reads
-// SegsPerCall noncontiguous segments via a Vector datatype — rank r's k-th
-// segment of call j sits at segment index (j*SegsPerCall+k)*N + r. The
-// compute time between calls tunes the I/O ratio.
+// SegsPerCall noncontiguous segments (the paper's vector datatype) — rank
+// r's k-th segment of call j sits at segment index (j*SegsPerCall+k)*N + r.
+// The compute time between calls tunes the I/O ratio.
 type Demo struct {
 	Procs          int
 	FileBytes      int64
