@@ -9,13 +9,15 @@
 //	            [-engine extent|bptree|lsm] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Sweeps run across GOMAXPROCS workers by default; -parallel 1 falls back to
-// the serial path. Output tables are byte-identical either way (the sweep
-// engine merges cells in canonical order); only stderr progress-line
-// interleaving differs.
+// the serial path. -parallel N caps each sweep level separately: the
+// experiments are one sweep and each experiment's cells another, nested
+// inside it, so up to N×N cells can run at once. Output tables are
+// byte-identical at any setting (the sweep engine merges cells in canonical
+// order); only stderr progress-line interleaving differs. -seed 0 is
+// rejected: seeds start at 1.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"dualpar/internal/fs"
@@ -36,7 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	out := flag.String("out", "", "directory for CSV outputs")
 	quiet := flag.Bool("q", false, "suppress progress lines")
-	parallel := flag.Int("parallel", 0, "max concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "max concurrent cells per sweep level (0 = GOMAXPROCS, 1 = serial); experiments nest their own sweeps inside the sweep over experiments, so up to N×N cells can run at once")
 	audit := flag.Bool("audit", false, "arm the invariant oracles on every run (fail loudly with a reproducer artifact)")
 	report := flag.Bool("report", false, "attach tracing to every run and print time-attribution reports after the tables")
 	engine := flag.String("engine", "", "data-server storage engine: extent|bptree|lsm (default extent; the engines experiment sweeps all three regardless)")
@@ -73,6 +76,12 @@ func main() {
 		}()
 	}
 
+	if *seed == 0 {
+		// harness.Opts reads Seed 0 as "the default", seed 1, so -seed 0
+		// would silently print seed 1's tables.
+		fmt.Fprintln(os.Stderr, "-seed 0 is not a seed: seeds start at 1 (the default)")
+		os.Exit(2)
+	}
 	fcfg := fs.DefaultConfig()
 	fcfg.Engine = *engine
 	if err := fcfg.Validate(); err != nil {
@@ -90,16 +99,14 @@ func main() {
 	}
 
 	known := make([]string, len(harness.Experiments))
-	drivers := make(map[string]func(harness.Opts) *harness.Result, len(known))
 	for i, e := range harness.Experiments {
 		known[i] = e.ID
-		drivers[e.ID] = e.Run
 	}
 	ids := known
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 		for _, id := range ids {
-			if drivers[id] == nil {
+			if !slices.Contains(known, id) {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
 				os.Exit(2)
 			}
@@ -111,15 +118,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// Experiments run through the sweep pool (whole experiments are
-	// themselves independent cells); results print afterwards in request
-	// order, so stdout is byte-identical at any parallelism.
-	results := make([]*harness.Result, len(ids))
-	cells := make([]harness.Cell, len(ids))
-	for i, id := range ids {
-		cells[i] = harness.Cell{Key: id, Run: func() { results[i] = drivers[id](opts) }}
-	}
-	if err := harness.RunCells(context.Background(), *parallel, cells); err != nil {
+	// Results print after the whole sweep, in request order, so stdout is
+	// byte-identical at any parallelism.
+	results, err := harness.Run(opts, ids)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -192,7 +192,7 @@ func (pr *ProgramRun) crmBatch(hp *sim.Proc, file string, batch []ext.Extent, op
 			pr.fail(err)
 			break
 		}
-		pr.cache.PutCleanTraced(hp, home, rc, file, batch)
+		pr.cache.PutClean(hp, home, rc, file, batch)
 	}
 	if rc.Traced() {
 		pr.obs().Span(rc.ID, obs.StageRequest, rc.Track, start, hp.Now(),

@@ -613,7 +613,7 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 	}
 	const maxCycles = 8
 	for attempt := 0; ; attempt++ {
-		missing := pr.cache.GetTraced(p, node, rc, op.File, op.Extents...)
+		missing := pr.cache.Get(p, node, rc, op.File, op.Extents...)
 		if len(missing) == 0 {
 			pr.consumedCycle += op.Bytes()
 			pr.logRequest(op.File, op.Extents)
@@ -644,7 +644,7 @@ func (pr *ProgramRun) dataDrivenWrite(p *sim.Proc, rank int, op workloads.Op) {
 	start := p.Now()
 	node := pr.world.Node(rank)
 	rc := pr.rankRequest(rank)
-	pr.cache.PutDirtyTraced(p, node, rc, op.File, op.Extents)
+	pr.cache.PutDirty(p, node, rc, op.File, op.Extents)
 	pr.dirtyUsed[rank] += op.Bytes()
 	pr.logRequest(op.File, op.Extents)
 	if pr.dirtyUsed[rank] >= pr.r.cfg.CacheQuotaBytes {

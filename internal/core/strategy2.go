@@ -95,7 +95,7 @@ func (s *strategy2) prefetchLoop(p *sim.Proc, rank int) {
 					}
 					// The cache insertion belongs to the prefetch request, so
 					// the span closes after it (its StageCache child must nest).
-					s.pr.cache.PutCleanTraced(rp, node, rc, file, one)
+					s.pr.cache.PutClean(rp, node, rc, file, one)
 					endSpan()
 				})
 				// Issuing itself is not free: the pre-execution thread
@@ -128,7 +128,7 @@ func (s *strategy2) read(p *sim.Proc, rank int, op workloads.Op) {
 				obs.Str("outcome", outcome))
 		}
 	}
-	missing := s.pr.cache.GetTraced(p, node, rc, op.File, op.Extents...)
+	missing := s.pr.cache.Get(p, node, rc, op.File, op.Extents...)
 	s.noteConsumed(rank, op.Bytes())
 	if len(missing) == 0 {
 		s.pr.instr.Span(rank, start, p.Now(), op.Bytes())

@@ -27,13 +27,15 @@ func AblateScheduler(o Opts) *Result {
 	if o.Quick {
 		size = 16 << 20
 	}
-	for _, sched := range []string{"cfq", "deadline", "noop"} {
-		row := []string{sched}
-		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := o.config()
-			ccfg.NewScheduler = iosched.Named(sched)
-			row = append(row, mb(o.mpiioTest("ablate-sched "+sched, ccfg, size, false, mode).throughputMBs()))
-		}
+	scheds := []string{"cfq", "deadline", "noop"}
+	ns := len(twoSchemes)
+	tps := sweep(o, grid("ablate-sched", scheds, each("%s", twoSchemes)), func(i int) float64 {
+		ccfg := o.config()
+		ccfg.NewScheduler = iosched.Named(scheds[i/ns])
+		return o.mpiioTest("ablate-sched "+scheds[i/ns], ccfg, size, false, twoSchemes[i%ns].mode).throughputMBs()
+	})
+	for si, sched := range scheds {
+		row := []string{sched, mb(tps[si*ns]), mb(tps[si*ns+1])}
 		res.Table.AddRow(row...)
 		o.logf("ablate-sched %s: %v", sched, row)
 	}
@@ -58,16 +60,17 @@ func AblateTImprovement(o Opts) *Result {
 		size = 48 << 20
 		regions = 768
 	}
-	for _, tval := range []float64{2, 5, 8, 12, 16, 64} {
-		m := workloads.DefaultMPIIOTest()
-		m.FileBytes = size
-		m.FileName = "ablt-mpiio.dat"
-		m.BarrierEvery = 8
-		h := workloads.DefaultHPIO()
-		h.RegionCount = regions
-		h.FileName = "ablt-hpio.dat"
+	m := workloads.DefaultMPIIOTest()
+	m.FileBytes = size
+	m.FileName = "ablt-mpiio.dat"
+	m.BarrierEvery = 8
+	h := workloads.DefaultHPIO()
+	h.RegionCount = regions
+	h.FileName = "ablt-hpio.dat"
+	tvals := []float64{2, 5, 8, 12, 16, 64}
+	res.Table.Rows = sweep(o, each("ablate-t/T=%.0f", tvals), func(i int) []string {
 		cfg := core.DefaultConfig()
-		cfg.TImprovement = tval
+		cfg.TImprovement = tvals[i]
 		cfg.SlotEvery = 100 * time.Millisecond
 		ms, _ := o.execute(false, time.Hour, cfg, []runSpec{
 			{prog: m, mode: core.ModeDualPar},
@@ -75,13 +78,10 @@ func AblateTImprovement(o Opts) *Result {
 		})
 		p1, p2 := ms[0].run, ms[1].run
 		switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
-		finish := p1.EndedAt
-		if p2.EndedAt > finish {
-			finish = p2.EndedAt
-		}
-		res.Table.AddRow(fmt.Sprintf("%.0f", tval), fmt.Sprintf("%v", switched), secs(finish))
-		o.logf("ablate-t T=%.0f switched=%v finish=%.2fs", tval, switched, finish.Seconds())
-	}
+		finish := max(p1.EndedAt, p2.EndedAt)
+		o.logf("ablate-t T=%.0f switched=%v finish=%.2fs", tvals[i], switched, finish.Seconds())
+		return []string{fmt.Sprintf("%.0f", tvals[i]), fmt.Sprintf("%v", switched), secs(finish)}
+	})
 	return res
 }
 
@@ -104,7 +104,9 @@ func AblateHoleThreshold(o Opts) *Result {
 	if o.Quick {
 		h.RegionCount = 2048
 	}
-	for _, hole := range []int64{0, 4 << 10, 32 << 10, 256 << 10} {
+	holes := []int64{0, 4 << 10, 32 << 10, 256 << 10}
+	res.Table.Rows = sweep(o, each("ablate-hole/%d", holes), func(i int) []string {
+		hole := holes[i]
 		cfg := core.DefaultConfig()
 		cfg.HoleBytes = hole
 		// Sub-chunk caching isolates the hole-filling effect from chunk
@@ -112,10 +114,10 @@ func AblateHoleThreshold(o Opts) *Result {
 		cfg.Memcache.ChunkBytes = 4 << 10
 		ms, cl := o.execute(false, time.Hour, cfg, []runSpec{{prog: h, mode: core.ModeDataDriven}})
 		st := cl.ServerStats()
-		res.Table.AddRow(fmt.Sprintf("%d", hole>>10), secs(ms[0].elapsed),
-			fmt.Sprintf("%d", st.Accesses), fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20)))
 		o.logf("ablate-hole %dKB: %.3fs, %d accesses, %.1fMB", hole>>10, ms[0].elapsed.Seconds(), st.Accesses, float64(st.BytesRead)/(1<<20))
-	}
+		return []string{fmt.Sprintf("%d", hole>>10), secs(ms[0].elapsed),
+			fmt.Sprintf("%d", st.Accesses), fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20))}
+	})
 	return res
 }
 
@@ -132,14 +134,15 @@ func AblateChunkSize(o Opts) *Result {
 	if o.Quick {
 		m.FileBytes = 16 << 20
 	}
-	for _, chunk := range []int64{16 << 10, 64 << 10, 256 << 10} {
+	chunks := []int64{16 << 10, 64 << 10, 256 << 10}
+	res.Table.Rows = sweep(o, each("ablate-chunk/%d", chunks), func(i int) []string {
 		cfg := core.DefaultConfig()
-		cfg.Memcache.ChunkBytes = chunk
+		cfg.Memcache.ChunkBytes = chunks[i]
 		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: m, mode: core.ModeDataDriven}})
-		res.Table.AddRow(fmt.Sprintf("%d", chunk>>10), mb(ms[0].throughputMBs()))
-		o.logf("ablate-chunk %dKB: %.1f MB/s", chunk>>10, ms[0].throughputMBs())
-	}
+		o.logf("ablate-chunk %dKB: %.1f MB/s", chunks[i]>>10, ms[0].throughputMBs())
+		return []string{fmt.Sprintf("%d", chunks[i]>>10), mb(ms[0].throughputMBs())}
+	})
 	return res
 }
 
@@ -157,19 +160,15 @@ func AblateDiskOrigins(o Opts) *Result {
 	if o.Quick {
 		size = 8 << 20
 	}
-	for _, client := range []bool{false, true} {
+	labels := []string{"server-process", "per-client"}
+	res.Table.Rows = sweep(o, each("ablate-origins/%s", labels), func(i int) []string {
 		ccfg := o.config()
-		pcfg := pfs.DefaultConfig()
-		pcfg.ClientDiskOrigins = client
-		ccfg.PFS = pcfg
-		label := "server-process"
-		if client {
-			label = "per-client"
-		}
-		tp := o.mpiioTest("ablate-origins "+label, ccfg, size, false, core.ModeVanilla).throughputMBs()
-		res.Table.AddRow(label, mb(tp))
-		o.logf("ablate-origins %s: %.1f MB/s", label, tp)
-	}
+		ccfg.PFS = pfs.DefaultConfig()
+		ccfg.PFS.ClientDiskOrigins = i == 1
+		tp := o.mpiioTest("ablate-origins "+labels[i], ccfg, size, false, core.ModeVanilla).throughputMBs()
+		o.logf("ablate-origins %s: %.1f MB/s", labels[i], tp)
+		return []string{labels[i], mb(tp)}
+	})
 	return res
 }
 
@@ -185,14 +184,15 @@ func AblateCollectiveBuffer(o Opts) *Result {
 	if o.Quick {
 		n.FileBytes = 16 << 20
 	}
-	for _, cb := range []int64{1 << 20, 4 << 20, 16 << 20} {
+	cbs := []int64{1 << 20, 4 << 20, 16 << 20}
+	res.Table.Rows = sweep(o, each("ablate-cb/%d", cbs), func(i int) []string {
 		mcfg := mpiio.DefaultConfig()
-		mcfg.CollectiveBufferBytes = cb
+		mcfg.CollectiveBufferBytes = cbs[i]
 		ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 			[]runSpec{{prog: n, mode: core.ModeCollective, mpiio: mcfg}})
-		res.Table.AddRow(fmt.Sprintf("%d", cb>>20), mb(ms[0].throughputMBs()))
-		o.logf("ablate-cb %dMB: %.1f MB/s", cb>>20, ms[0].throughputMBs())
-	}
+		o.logf("ablate-cb %dMB: %.1f MB/s", cbs[i]>>20, ms[0].throughputMBs())
+		return []string{fmt.Sprintf("%d", cbs[i]>>20), mb(ms[0].throughputMBs())}
+	})
 	return res
 }
 
@@ -211,18 +211,20 @@ func AblateSSD(o Opts) *Result {
 	if o.Quick {
 		size = 16 << 20
 	}
-	for _, storage := range []string{"disk", "ssd"} {
-		vals := make([]float64, 0, 2)
-		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := o.config()
-			if storage == "ssd" {
-				sp := disk.DefaultSSDParams()
-				ccfg.SSD = &sp
-			}
-			vals = append(vals, o.mpiioTest("ablate-ssd "+storage, ccfg, size, false, mode).throughputMBs())
+	storages := []string{"disk", "ssd"}
+	ns := len(twoSchemes)
+	tps := sweep(o, grid("ablate-ssd", storages, each("%s", twoSchemes)), func(i int) float64 {
+		ccfg := o.config()
+		if storages[i/ns] == "ssd" {
+			sp := disk.DefaultSSDParams()
+			ccfg.SSD = &sp
 		}
-		res.Table.AddRow(storage, mb(vals[0]), mb(vals[1]), fmt.Sprintf("%.2fx", vals[1]/vals[0]))
-		o.logf("ablate-ssd %s: vanilla %.1f dualpar %.1f", storage, vals[0], vals[1])
+		return o.mpiioTest("ablate-ssd "+storages[i/ns], ccfg, size, false, twoSchemes[i%ns].mode).throughputMBs()
+	})
+	for si, storage := range storages {
+		van, dd := tps[si*ns], tps[si*ns+1]
+		res.Table.AddRow(storage, mb(van), mb(dd), fmt.Sprintf("%.2fx", dd/van))
+		o.logf("ablate-ssd %s: vanilla %.1f dualpar %.1f", storage, van, dd)
 	}
 	return res
 }
@@ -258,20 +260,17 @@ func AblateWritePath(o Opts) *Result {
 	if o.Quick {
 		size = 16 << 20
 	}
-	for _, sync := range []bool{true, false} {
-		row := []string{"sync-per-op"}
-		if !sync {
-			row = []string{"buffered-1s"}
-		}
-		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := o.config()
-			fcfg := ccfg.FS
-			fcfg.SyncWrites = sync
-			ccfg.FS = fcfg
-			row = append(row, mb(o.mpiioTest("ablate-writepath "+row[0], ccfg, size, true, mode).throughputMBs()))
-		}
+	paths := []string{"sync-per-op", "buffered-1s"}
+	ns := len(twoSchemes)
+	tps := sweep(o, grid("ablate-writepath", paths, each("%s", twoSchemes)), func(i int) float64 {
+		ccfg := o.config()
+		ccfg.FS.SyncWrites = i/ns == 0
+		return o.mpiioTest("ablate-writepath "+paths[i/ns], ccfg, size, true, twoSchemes[i%ns].mode).throughputMBs()
+	})
+	for pi, path := range paths {
+		row := []string{path, mb(tps[pi*ns]), mb(tps[pi*ns+1])}
 		res.Table.AddRow(row...)
-		o.logf("ablate-writepath %s: %v", row[0], row[1:])
+		o.logf("ablate-writepath %s: %v", path, row[1:])
 	}
 	return res
 }
@@ -292,14 +291,15 @@ func AblateStrategy2Window(o Opts) *Result {
 	}
 	// Per-rank window = value / procs; at 4 KB per rank the prefetcher can
 	// keep only one request in flight and hiding collapses.
-	for _, window := range []int64{32 << 10, 256 << 10, 4 << 20, 32 << 20} {
+	windows := []int64{32 << 10, 256 << 10, 4 << 20, 32 << 20}
+	res.Table.Rows = sweep(o, each("ablate-s2window/%d", windows), func(i int) []string {
 		cfg := core.DefaultConfig()
-		cfg.Strategy2WindowBytes = window
+		cfg.Strategy2WindowBytes = windows[i]
 		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: d, mode: core.ModeStrategy2}})
-		res.Table.AddRow(fmt.Sprintf("%d", window>>10), secs(ms[0].elapsed))
-		o.logf("ablate-s2window %dKB: %.2fs", window>>10, ms[0].elapsed.Seconds())
-	}
+		o.logf("ablate-s2window %dKB: %.2fs", windows[i]>>10, ms[0].elapsed.Seconds())
+		return []string{fmt.Sprintf("%d", windows[i]>>10), secs(ms[0].elapsed)}
+	})
 	return res
 }
 
@@ -316,16 +316,17 @@ func AblateServers(o Opts) *Result {
 	if o.Quick {
 		size = 16 << 20
 	}
-	for _, servers := range []int{3, 6, 9, 18} {
-		vals := make([]float64, 0, 2)
-		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeDataDriven} {
-			ccfg := o.config()
-			ccfg.DataServers = servers
-			vals = append(vals, o.mpiioTest(fmt.Sprintf("ablate-servers %d", servers), ccfg, size, false, mode).throughputMBs())
-		}
-		res.Table.AddRow(fmt.Sprintf("%d", servers), mb(vals[0]), mb(vals[1]),
-			fmt.Sprintf("%.2fx", vals[1]/vals[0]))
-		o.logf("ablate-servers %d: vanilla %.1f dualpar %.1f", servers, vals[0], vals[1])
+	counts := []int{3, 6, 9, 18}
+	ns := len(twoSchemes)
+	tps := sweep(o, grid("ablate-servers", each("%d", counts), each("%s", twoSchemes)), func(i int) float64 {
+		ccfg := o.config()
+		ccfg.DataServers = counts[i/ns]
+		return o.mpiioTest(fmt.Sprintf("ablate-servers %d", counts[i/ns]), ccfg, size, false, twoSchemes[i%ns].mode).throughputMBs()
+	})
+	for ci, servers := range counts {
+		van, dd := tps[ci*ns], tps[ci*ns+1]
+		res.Table.AddRow(fmt.Sprintf("%d", servers), mb(van), mb(dd), fmt.Sprintf("%.2fx", dd/van))
+		o.logf("ablate-servers %d: vanilla %.1f dualpar %.1f", servers, van, dd)
 	}
 	return res
 }
@@ -346,31 +347,28 @@ func AblatePipeline(o Opts) *Result {
 	if o.Quick {
 		d.FileBytes = 16 << 20
 	}
-	// Calibrate ~70% I/O ratio against the vanilla run.
+	// Calibrate ~70% I/O ratio against the vanilla run. The probe is shared
+	// by every cell, so it runs before the sweep.
 	probe, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 		[]runSpec{{prog: d, mode: core.ModeVanilla}})
-	calls := d.Calls()
-	ioPerCall := probe[0].elapsed / time.Duration(calls)
+	ioPerCall := probe[0].elapsed / time.Duration(d.Calls())
 	d.ComputePerCall = time.Duration(float64(ioPerCall) * 0.3 / 0.7)
 
-	rows := []struct {
-		label string
-		mode  core.Mode
-		depth int
-	}{
-		{"vanilla", core.ModeVanilla, 1},
-		{"strategy2", core.ModeStrategy2, 1},
-		{"data-driven (paper)", core.ModeDataDriven, 1},
-		{"data-driven pipelined x2", core.ModeDataDriven, 2},
-		{"data-driven pipelined x4", core.ModeDataDriven, 4},
+	schemes := []scheme{
+		{"vanilla", core.ModeVanilla},
+		{"strategy2", core.ModeStrategy2},
+		{"data-driven (paper)", core.ModeDataDriven},
+		{"data-driven pipelined x2", core.ModeDataDriven},
+		{"data-driven pipelined x4", core.ModeDataDriven},
 	}
-	for _, row := range rows {
+	depths := []int{1, 1, 1, 2, 4}
+	res.Table.Rows = sweep(o, each("ablate-pipeline/%s", schemes), func(i int) []string {
 		cfg := core.DefaultConfig()
-		cfg.PipelineDepth = row.depth
+		cfg.PipelineDepth = depths[i]
 		ms, _ := o.execute(false, time.Hour, cfg,
-			[]runSpec{{prog: d, mode: row.mode}})
-		res.Table.AddRow(row.label, secs(ms[0].elapsed))
-		o.logf("ablate-pipeline %s: %.2fs", row.label, ms[0].elapsed.Seconds())
-	}
+			[]runSpec{{prog: d, mode: schemes[i].mode}})
+		o.logf("ablate-pipeline %s: %.2fs", schemes[i].label, ms[0].elapsed.Seconds())
+		return []string{schemes[i].label, secs(ms[0].elapsed)}
+	})
 	return res
 }

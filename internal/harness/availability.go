@@ -141,10 +141,7 @@ func Availability(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{
 			"crashes", "replicas", "completed", "elapsed_s", "io_error", "failovers", "oracle"}},
 	}
-	scenarios := []struct {
-		label string
-		sch   *fault.Schedule
-	}{
+	scenarios := []faultCase{
 		{"none", &fault.Schedule{}},
 		// Server 2 crashes mid-run and recovers: reads fail over, quorum
 		// writes continue, and the rebuild re-copies what it missed.
@@ -168,68 +165,59 @@ func Availability(o Opts) *Result {
 	reader := availReader(o.Quick)
 	res.note("checkpoint writer + concurrent reader in every cell; the oracle re-reads all written bytes after the run; crash targets chosen off the replica stride so R=2 covers both scenarios")
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
-	}
-	outs := make([]cellOut, len(scenarios)*len(replicaCounts))
-	var cells []Cell
-	for si, sc := range scenarios {
-		for ri, reps := range replicaCounts {
-			slot := &outs[si*len(replicaCounts)+ri]
-			cells = append(cells, Cell{
-				Key: fmt.Sprintf("availability/crashes=%s/replicas=%d", sc.label, reps),
-				Run: func() {
-					o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
-					cl, ddCfg := o.crashCluster(reps, sc.sch, nil)
-					ms, _ := o.executeOn(cl, time.Hour, ddCfg, []runSpec{
-						{prog: writer, mode: core.ModeVanilla},
-						{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
-					})
-					completed := "yes"
-					last := ms[0].elapsed
-					for _, m := range ms {
-						if !m.finished {
-							completed = "NO"
-							slot.notes = append(slot.notes,
-								fmt.Sprintf("crashes=%s replicas=%d DID NOT FINISH within the time budget", sc.label, reps))
-						}
-						if m.elapsed > last {
-							last = m.elapsed
-						}
-					}
-					ioErr := "-"
-					var lost []string
-					for i, name := range []string{"writer", "reader"} {
-						if err := ms[i].run.Err(); err != nil {
-							if errorsIsRetries(err) {
-								lost = append(lost, name)
-							} else {
-								lost = append(lost, name+": "+err.Error())
-							}
-						}
-					}
-					if len(lost) > 0 {
-						ioErr = "data loss: " + strings.Join(lost, "+")
-					}
-					oracle := "ok"
-					if err := VerifyIntegrity(cl); err != nil {
-						oracle = "FAIL: " + err.Error()
-					}
-					slot.row = []string{sc.label, fmt.Sprintf("%d", reps), completed,
-						secs(last), ioErr, fmt.Sprintf("%d", cl.FS.Failovers()), oracle}
-				},
-			})
+	nr := len(replicaCounts)
+	outs := sweep(o, grid("availability", each("crashes=%s", scenarios), each("replicas=%d", replicaCounts)), func(i int) notedRow {
+		sc, reps := scenarios[i/nr], replicaCounts[i%nr]
+		o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
+		cl, ddCfg := o.crashCluster(reps, sc.sch, nil)
+		ms, _ := o.executeOn(cl, time.Hour, ddCfg, []runSpec{
+			{prog: writer, mode: core.ModeVanilla},
+			{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
+		})
+		var out notedRow
+		completed := "yes"
+		last := ms[0].elapsed
+		for _, m := range ms {
+			if !m.finished {
+				completed = "NO"
+				out.notes = append(out.notes,
+					fmt.Sprintf("crashes=%s replicas=%d DID NOT FINISH within the time budget", sc.label, reps))
+			}
+			last = max(last, m.elapsed)
 		}
-	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+		ioErr := "-"
+		var lost []string
+		for i, name := range []string{"writer", "reader"} {
+			if err := ms[i].run.Err(); err != nil {
+				if errorsIsRetries(err) {
+					lost = append(lost, name)
+				} else {
+					lost = append(lost, name+": "+err.Error())
+				}
+			}
+		}
+		if len(lost) > 0 {
+			ioErr = "data loss: " + strings.Join(lost, "+")
+		}
+		oracle := "ok"
+		if err := VerifyIntegrity(cl); err != nil {
+			oracle = "FAIL: " + err.Error()
+		}
+		out.row = []string{sc.label, fmt.Sprintf("%d", reps), completed,
+			secs(last), ioErr, fmt.Sprintf("%d", cl.FS.Failovers()), oracle}
+		return out
+	})
+	res.addRows(outs)
 	return res
 }
+
+// faultCase is a labeled fault schedule: one scenario of a crash sweep.
+type faultCase struct {
+	label string
+	sch   *fault.Schedule
+}
+
+func (c faultCase) String() string { return c.label }
 
 // errorsIsRetries reports whether err wraps the typed retries-exhausted
 // error (all replicas of some stripe down).

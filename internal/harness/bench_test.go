@@ -15,13 +15,9 @@ func BenchmarkSweepDispatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			out := make([]int, 256)
-			cells := make([]Cell, len(out))
-			for i := range cells {
-				cells[i] = Cell{Key: fmt.Sprintf("cell%d", i), Run: func() { out[i] = i }}
-			}
+			keys := cellKeys("cell", 256)
 			for n := 0; n < b.N; n++ {
-				if err := RunCells(context.Background(), workers, cells); err != nil {
+				if _, err := runCells(context.Background(), workers, keys, func(i int) int { return i }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -174,23 +174,14 @@ func Checkpoint(o Opts) *Result {
 	}
 	prog := ckptProg(o.Quick)
 	period := prog.Interval
-	scenarios := []struct {
-		label string
-		sch   *fault.Schedule
-	}{
+	scenarios := []faultCase{
 		{"none", &fault.Schedule{}},
 		// Mid-run: the job dies about halfway through its epochs.
 		{"mid", clientCrashAt(period*time.Duration(prog.Epochs)/2 + period/2)},
 		// Late: the job dies with most epochs committed.
 		{"late", clientCrashAt(period*time.Duration(prog.Epochs) - period/4)},
 	}
-	paths := []struct {
-		label string
-		bcfg  *burst.Config
-	}{
-		{"direct", nil},
-		{"burst", func() *burst.Config { c := burst.DefaultConfig(); return &c }()},
-	}
+	paths := []string{"direct", "burst"}
 	replicaCounts := []int{1, 2}
 	if o.Quick {
 		replicaCounts = []int{2}
@@ -199,60 +190,49 @@ func Checkpoint(o Opts) *Result {
 		prog.Procs, prog.Epochs, fmt.Sprintf("%dKB", prog.BlockBytes>>10), period)
 	res.note("write_s is rank-visible checkpoint write time; drain_ms is mean seal->PFS-durable lag; recover_ms covers replay of sealed records plus the drain tail; 'no-epoch' marks the typed nothing-committed restart error")
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
-	}
-	outs := make([]cellOut, len(paths)*len(scenarios)*len(replicaCounts))
-	var cells []Cell
-	for pi, path := range paths {
-		for si, sc := range scenarios {
-			for ri, reps := range replicaCounts {
-				slot := &outs[(pi*len(scenarios)+si)*len(replicaCounts)+ri]
-				cells = append(cells, Cell{
-					Key: fmt.Sprintf("checkpoint/path=%s/crash=%s/replicas=%d", path.label, sc.label, reps),
-					Run: func() {
-						o.logf("checkpoint: path=%s crash=%s replicas=%d", path.label, sc.label, reps)
-						cr := o.runCheckpoint(prog, reps, path.bcfg, sc.sch)
-						stall, drain, recover := "-", "-", "-"
-						if path.bcfg != nil {
-							stall = msec(cr.stats.Stall)
-							if cr.stats.DrainOps > 0 {
-								drain = msec(cr.stats.DrainLag / time.Duration(cr.stats.DrainOps))
-							}
-							recover = msec(cr.recovery)
-							if cr.recoveryErr != nil {
-								recover = "ERR"
-								slot.notes = append(slot.notes, fmt.Sprintf(
-									"path=%s crash=%s replicas=%d recovery: %v", path.label, sc.label, reps, cr.recoveryErr))
-							}
-						}
-						restart := secs(cr.restart.elapsed)
-						switch {
-						case errors.Is(cr.restartErr, burst.ErrNoCommittedEpoch):
-							restart = "no-epoch"
-						case cr.restartErr != nil:
-							restart = "ERR"
-							slot.notes = append(slot.notes, fmt.Sprintf(
-								"path=%s crash=%s replicas=%d restart: %v", path.label, sc.label, reps, cr.restartErr))
-						}
-						oracle := "ok"
-						if err := VerifyIntegrity(cr.cl); err != nil {
-							oracle = "FAIL: " + err.Error()
-						}
-						slot.row = []string{path.label, sc.label, fmt.Sprintf("%d", reps),
-							fmt.Sprintf("%d", cr.committed), fmt.Sprintf("%d", prog.Epochs-cr.committed),
-							secs(cr.main.ioTime), stall, drain, recover, restart, oracle}
-					},
-				})
+	ns, nr := len(scenarios), len(replicaCounts)
+	keys := grid("checkpoint", each("path=%s", paths), each("crash=%s", scenarios), each("replicas=%d", replicaCounts))
+	outs := sweep(o, keys, func(i int) notedRow {
+		path, sc, reps := paths[i/(ns*nr)], scenarios[i/nr%ns], replicaCounts[i%nr]
+		o.logf("checkpoint: path=%s crash=%s replicas=%d", path, sc.label, reps)
+		var bcfg *burst.Config // nil: the direct path
+		if path == "burst" {
+			c := burst.DefaultConfig()
+			bcfg = &c
+		}
+		cr := o.runCheckpoint(prog, reps, bcfg, sc.sch)
+		var out notedRow
+		stall, drain, recover := "-", "-", "-"
+		if bcfg != nil {
+			stall = msec(cr.stats.Stall)
+			if cr.stats.DrainOps > 0 {
+				drain = msec(cr.stats.DrainLag / time.Duration(cr.stats.DrainOps))
+			}
+			recover = msec(cr.recovery)
+			if cr.recoveryErr != nil {
+				recover = "ERR"
+				out.notes = append(out.notes, fmt.Sprintf(
+					"path=%s crash=%s replicas=%d recovery: %v", path, sc.label, reps, cr.recoveryErr))
 			}
 		}
-	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+		restart := secs(cr.restart.elapsed)
+		switch {
+		case errors.Is(cr.restartErr, burst.ErrNoCommittedEpoch):
+			restart = "no-epoch"
+		case cr.restartErr != nil:
+			restart = "ERR"
+			out.notes = append(out.notes, fmt.Sprintf(
+				"path=%s crash=%s replicas=%d restart: %v", path, sc.label, reps, cr.restartErr))
+		}
+		oracle := "ok"
+		if err := VerifyIntegrity(cr.cl); err != nil {
+			oracle = "FAIL: " + err.Error()
+		}
+		out.row = []string{path, sc.label, fmt.Sprintf("%d", reps),
+			fmt.Sprintf("%d", cr.committed), fmt.Sprintf("%d", prog.Epochs-cr.committed),
+			secs(cr.main.ioTime), stall, drain, recover, restart, oracle}
+		return out
+	})
+	res.addRows(outs)
 	return res
 }

@@ -104,7 +104,6 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		{"burst/post-drain", fastDrain(), 1200 * time.Millisecond, 2, 4 << 20, 0, 0},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cr := Opts{Seed: 1, Audit: true}.runCheckpoint(prog, 2, tc.bcfg, clientCrashAt(tc.crashAt))
 			if !cr.crashed {

@@ -32,16 +32,26 @@ func renderResult(res *Result) string {
 	return b.String()
 }
 
+// paperIDs are the Experiments that reproduce the paper's own figures and
+// tables.
+var paperIDs = []string{"fig1a", "fig1b", "fig1cd", "fig3", "fig4", "fig5", "table2", "fig6", "fig7", "fig8", "table3"}
+
 // TestAllParallelMatchesSerial is the determinism golden test for the
-// sweep engine: every paper experiment run with four workers must render
-// byte-identically to the serial path. ~2x the quick suite, so skipped
-// under -short.
+// sweep engine: every paper experiment run through Run with four workers
+// must render byte-identically to the serial path. ~2x the quick suite, so
+// skipped under -short.
 func TestAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice; skipped with -short")
 	}
-	serial := All(Opts{Quick: true, Parallel: 1, Log: io.Discard})
-	par := All(Opts{Quick: true, Parallel: 4, Log: io.Discard})
+	serial, err := Run(Opts{Quick: true, Parallel: 1, Log: io.Discard}, paperIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Run(Opts{Quick: true, Parallel: 4, Log: io.Discard}, paperIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial) != len(par) {
 		t.Fatalf("result counts differ: serial %d, parallel %d", len(serial), len(par))
 	}
@@ -53,9 +63,9 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFaultSweepsParallelMatchSerial covers the two fault-injection
-// experiments the paper suite does not include: stragglers and crash-stop
-// availability, both sweeping cells with DNF-note side channels.
+// TestFaultSweepsParallelMatchSerial covers the experiments the paper
+// suite does not include: stragglers and crash-stop availability, both
+// sweeping cells with DNF-note side channels, and the ablations.
 func TestFaultSweepsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault sweeps; skipped with -short")
@@ -66,6 +76,17 @@ func TestFaultSweepsParallelMatchSerial(t *testing.T) {
 	}{
 		{"straggler", Straggler},
 		{"availability", Availability},
+		{"ablate-sched", AblateScheduler},
+		{"ablate-t", AblateTImprovement},
+		{"ablate-hole", AblateHoleThreshold},
+		{"ablate-chunk", AblateChunkSize},
+		{"ablate-origins", AblateDiskOrigins},
+		{"ablate-cb", AblateCollectiveBuffer},
+		{"ablate-ssd", AblateSSD},
+		{"ablate-writepath", AblateWritePath},
+		{"ablate-s2window", AblateStrategy2Window},
+		{"ablate-servers", AblateServers},
+		{"ablate-pipeline", AblatePipeline},
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			serial := renderResult(d.fn(Opts{Quick: true, Parallel: 1, Log: io.Discard}))

@@ -44,63 +44,30 @@ func Engines(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{
 			"engine", "workload", "scheme", "MB/s", "seek_s", "transfer_s", "seek_frac"}},
 	}
-	o = o.forSweep()
-
 	schemes := threeSchemes
 	if o.Quick {
-		schemes = schemes[:1:1]
-		schemes = append(schemes, threeSchemes[2]) // vanilla + dualpar
+		schemes = twoSchemes
 	}
-	dirs := []struct {
-		label string
-		write bool
-	}{{"read", false}, {"write", true}}
+	dirs := []string{"read", "write"}
 	engines := fs.Engines()
 	res.note("seek_s aggregates disk positioning time (seek + rotation) across data servers; transfer_s is media transfer; seek_frac = seek/(seek+transfer)")
 	res.note("LSM cells run background compaction charged to the disks at the default throttled rate")
 
-	type cellOut struct {
-		mbs        float64
-		seek, xfer time.Duration
-	}
-	idx := func(ei, di, si int) int { return (ei*len(dirs)+di)*len(schemes) + si }
-	outs := make([]cellOut, len(engines)*len(dirs)*len(schemes))
-	var cells []Cell
-	for ei, eng := range engines {
-		for di, dir := range dirs {
-			prog := enginesProg(o.Quick, dir.write)
-			for si, sch := range schemes {
-				eng, slot := eng, &outs[idx(ei, di, si)]
-				dir, sch := dir, sch
-				cells = append(cells, Cell{
-					Key: fmt.Sprintf("engines/%s/%s/%s", eng, dir.label, sch.label),
-					Run: func() {
-						o.logf("engines: %s %s %s", eng, dir.label, sch.label)
-						cfg := o.config()
-						cfg.FS.Engine = eng
-						ms, cl := o.executeOn(cluster.New(cfg), time.Hour, core.DefaultConfig(),
-							[]runSpec{{prog: prog, mode: sch.mode}})
-						slot.mbs = ms[0].throughputMBs()
-						st := cl.ServerStats()
-						slot.seek, slot.xfer = st.SeekTime, st.TransferTime
-					},
-				})
-			}
+	nd, ns := len(dirs), len(schemes)
+	res.Table.Rows = sweep(o, grid("engines", engines, dirs, each("%s", schemes)), func(i int) []string {
+		eng, dir, sch := engines[i/(nd*ns)], dirs[i/ns%nd], schemes[i%ns]
+		o.logf("engines: %s %s %s", eng, dir, sch.label)
+		cfg := o.config()
+		cfg.FS.Engine = eng
+		ms, cl := o.executeOn(cluster.New(cfg), time.Hour, core.DefaultConfig(),
+			[]runSpec{{prog: enginesProg(o.Quick, dir == "write"), mode: sch.mode}})
+		st := cl.ServerStats()
+		frac := "-"
+		if tot := st.SeekTime + st.TransferTime; tot > 0 {
+			frac = fmt.Sprintf("%.2f", float64(st.SeekTime)/float64(tot))
 		}
-	}
-	runSweep(o, cells)
-	for ei, eng := range engines {
-		for di, dir := range dirs {
-			for si, sch := range schemes {
-				out := outs[idx(ei, di, si)]
-				frac := "-"
-				if tot := out.seek + out.xfer; tot > 0 {
-					frac = fmt.Sprintf("%.2f", float64(out.seek)/float64(tot))
-				}
-				res.Table.AddRow(eng, dir.label, sch.label,
-					mb(out.mbs), secs(out.seek), secs(out.xfer), frac)
-			}
-		}
-	}
+		return []string{eng, dir, sch.label,
+			mb(ms[0].throughputMBs()), secs(st.SeekTime), secs(st.TransferTime), frac}
+	})
 	return res
 }

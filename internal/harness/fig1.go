@@ -23,10 +23,7 @@ func fig1Demo(segBytes int64, computePerCall time.Duration, quick bool) workload
 }
 
 // fig1Strategies are the three §II strategies.
-var fig1Strategies = []struct {
-	label string
-	mode  core.Mode
-}{
+var fig1Strategies = []scheme{
 	{"strategy1", core.ModeVanilla},
 	{"strategy2", core.ModeStrategy2},
 	{"strategy3", core.ModeDataDriven},
@@ -48,6 +45,23 @@ func (o Opts) demoComputeFor(segBytes int64, ratio float64) time.Duration {
 	return time.Duration(float64(ioPerCall) * (1 - ratio) / ratio)
 }
 
+// fig1Row runs the demo of segBytes segments under the three strategies,
+// calibrated to the given vanilla I/O ratio, and returns the table row:
+// label, then each strategy's execution time. The calibration probe is
+// shared by the row's three runs, so a row is one sweep cell.
+func (o Opts) fig1Row(id, label string, segBytes int64, ratio float64) []string {
+	compute := o.demoComputeFor(segBytes, ratio)
+	row := []string{label}
+	for _, st := range fig1Strategies {
+		prog := fig1Demo(segBytes, compute, o.Quick)
+		ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
+			[]runSpec{{prog: prog, mode: st.mode}})
+		row = append(row, secs(ms[0].elapsed))
+		o.logf("%s %s %s: %.2fs", id, label, st.label, ms[0].elapsed.Seconds())
+	}
+	return row
+}
+
 // Fig1a regenerates Figure 1(a): demo execution time under the three
 // strategies as the I/O ratio sweeps from ~20% to 100% (4 KB segments).
 func Fig1a(o Opts) *Result {
@@ -57,36 +71,13 @@ func Fig1a(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{"io_ratio", "strategy1", "strategy2", "strategy3"}},
 	}
 	res.note("paper: strategy2 wins at low I/O ratio; crossover near 70%%; at ~100%% strategy3 is ~36%% faster")
-	o = o.forSweep()
 	ratios := []float64{0.19, 0.31, 0.43, 0.72, 0.86, 1.0}
 	if o.Quick {
 		ratios = []float64{0.31, 0.86, 1.0}
 	}
-	// One cell per ratio: the calibration probe is shared by the three
-	// strategy runs inside the cell, exactly as the serial loop ordered them.
-	rows := make([][]string, len(ratios))
-	cells := make([]Cell, len(ratios))
-	for i, ratio := range ratios {
-		cells[i] = Cell{
-			Key: fmt.Sprintf("fig1a/ratio=%.2f", ratio),
-			Run: func() {
-				compute := o.demoComputeFor(4<<10, ratio)
-				row := []string{fmt.Sprintf("%.0f%%", ratio*100)}
-				for _, st := range fig1Strategies {
-					prog := fig1Demo(4<<10, compute, o.Quick)
-					ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
-						[]runSpec{{prog: prog, mode: st.mode}})
-					row = append(row, secs(ms[0].elapsed))
-					o.logf("fig1a ratio=%.2f %s: %.2fs", ratio, st.label, ms[0].elapsed.Seconds())
-				}
-				rows[i] = row
-			},
-		}
-	}
-	runSweep(o, cells)
-	for _, row := range rows {
-		res.Table.AddRow(row...)
-	}
+	res.Table.Rows = sweep(o, each("fig1a/ratio=%.2f", ratios), func(i int) []string {
+		return o.fig1Row("fig1a", fmt.Sprintf("%.0f%%", ratios[i]*100), 4<<10, ratios[i])
+	})
 	return res
 }
 
@@ -99,34 +90,13 @@ func Fig1b(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{"segment", "strategy1", "strategy2", "strategy3"}},
 	}
 	res.note("paper: at 4 KB strategy2 reaches 64%% of strategy3's throughput; advantage fades beyond 32 KB")
-	o = o.forSweep()
 	sizes := []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
 	if o.Quick {
 		sizes = []int64{4 << 10, 32 << 10, 128 << 10}
 	}
-	rows := make([][]string, len(sizes))
-	cells := make([]Cell, len(sizes))
-	for i, seg := range sizes {
-		cells[i] = Cell{
-			Key: fmt.Sprintf("fig1b/seg=%dKB", seg>>10),
-			Run: func() {
-				compute := o.demoComputeFor(seg, 0.9)
-				row := []string{fmt.Sprintf("%dKB", seg>>10)}
-				for _, st := range fig1Strategies {
-					prog := fig1Demo(seg, compute, o.Quick)
-					ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
-						[]runSpec{{prog: prog, mode: st.mode}})
-					row = append(row, secs(ms[0].elapsed))
-					o.logf("fig1b seg=%dKB %s: %.2fs", seg>>10, st.label, ms[0].elapsed.Seconds())
-				}
-				rows[i] = row
-			},
-		}
-	}
-	runSweep(o, cells)
-	for _, row := range rows {
-		res.Table.AddRow(row...)
-	}
+	res.Table.Rows = sweep(o, each("fig1b/seg=%d", sizes), func(i int) []string {
+		return o.fig1Row("fig1b", fmt.Sprintf("%dKB", sizes[i]>>10), sizes[i], 0.9)
+	})
 	return res
 }
 
@@ -140,49 +110,21 @@ func Fig1cd(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{"strategy", "accesses", "monotonicity", "mean_seek_sectors"}},
 	}
 	res.note("paper: strategy 2 shows short sequences growing in opposite directions; strategy 3 moves mostly one way")
-	o = o.forSweep()
 	// The calibration probe is shared by both strategies, so it runs before
 	// the sweep — same order the serial loop used.
 	compute := o.demoComputeFor(4<<10, 0.9)
-	strategies := []struct {
-		label string
-		mode  core.Mode
-	}{{"strategy2", core.ModeStrategy2}, {"strategy3", core.ModeDataDriven}}
-	type cdOut struct {
-		series *metrics.Series
-		row    []string
-	}
-	outs := make([]cdOut, len(strategies))
-	cells := make([]Cell, len(strategies))
-	for i, st := range strategies {
-		cells[i] = Cell{
-			Key: "fig1cd/" + st.label,
-			Run: func() {
-				prog := fig1Demo(4<<10, compute, o.Quick)
-				ms, cl := o.execute(true, time.Hour, core.DefaultConfig(),
-					[]runSpec{{prog: prog, mode: st.mode}})
-				tr := cl.Stores[0].Device().Trace()
-				// Sample a window in the middle of the run, like the paper's
-				// 5.2-5.4 s sample.
-				from := ms[0].elapsed / 3
-				to := from + ms[0].elapsed/3
-				entries := tr.Window(from, to)
-				if len(entries) < 2 {
-					entries = tr.Entries()
-				}
-				s := &metrics.Series{Name: "lbn-" + st.label}
-				for _, e := range entries {
-					s.Add(e.At, float64(e.LBN))
-				}
-				outs[i] = cdOut{series: s, row: []string{st.label,
-					fmt.Sprintf("%d", len(entries)),
-					fmt.Sprintf("%.2f", diskMonotonicity(entries)),
-					fmt.Sprintf("%.0f", diskMeanSeek(entries))}}
-				o.logf("fig1cd %s: %d accesses, monotonicity %.2f", st.label, len(entries), diskMonotonicity(entries))
-			},
-		}
-	}
-	runSweep(o, cells)
+	strategies := fig1Strategies[1:]
+	outs := sweep(o, each("fig1cd/%s", strategies), func(i int) lbnSample {
+		st := strategies[i]
+		prog := fig1Demo(4<<10, compute, o.Quick)
+		ms, cl := o.execute(true, time.Hour, core.DefaultConfig(),
+			[]runSpec{{prog: prog, mode: st.mode}})
+		// Sample the middle third of the run, like the paper's 5.2-5.4 s
+		// sample.
+		out := lbnWindow(cl, st.label, ms[0].elapsed/3, ms[0].elapsed/3)
+		o.logf("fig1cd %s: %s accesses, monotonicity %s", st.label, out.row[1], out.row[2])
+		return out
+	})
 	for _, out := range outs {
 		res.Series = append(res.Series, out.series)
 		res.Table.AddRow(out.row...)

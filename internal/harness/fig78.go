@@ -21,93 +21,75 @@ func Fig7(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{"scheme", "before_join_MB/s", "after_join_MB/s", "after_seek_sectors", "switched"}},
 	}
 	res.note("paper: alone ~178 MB/s in both; after hpio joins, vanilla drops from interference while DualPar recovers +46%% and seeks shrink")
-	o = o.forSweep()
-
 	size := int64(192 << 20)
 	hpioRegions := int64(3072)
 	if o.Quick {
 		size = 32 << 20
 		hpioRegions = 512
 	}
-	schemes := []struct {
-		label string
-		mode  core.Mode
-	}{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDualPar}}
+	schemes := []scheme{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDualPar}}
 	type out struct {
 		tp, seek *metrics.Series
 		row      []string
 	}
-	outs := make([]out, len(schemes))
-	cells := make([]Cell, len(schemes))
-	for ci, sch := range schemes {
-		cells[ci] = Cell{Key: "fig7/" + sch.label, Run: func() {
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			m.FileName = "fig7-mpiio.dat"
-			m.BarrierEvery = 8 // mpi-io-test syncs, but not so often that the scaled run stops being I/O bound
-			h := workloads.DefaultHPIO()
-			h.RegionCount = hpioRegions
-			h.FileName = "fig7-hpio.dat"
+	outs := sweep(o, each("fig7/%s", schemes), func(i int) out {
+		sch := schemes[i]
+		m := workloads.DefaultMPIIOTest()
+		m.FileBytes = size
+		m.FileName = "fig7-mpiio.dat"
+		m.BarrierEvery = 8 // mpi-io-test syncs, but not so often that the scaled run stops being I/O bound
+		h := workloads.DefaultHPIO()
+		h.RegionCount = hpioRegions
+		h.FileName = "fig7-hpio.dat"
 
-			// Estimate the join time as ~40% of the solo run; the paper joins
-			// at the 50th second of a ~150 s run. The EMC slot scales with the
-			// run so the scaled-down experiment samples as often, relatively,
-			// as the paper's 1 s slot did in its ~150 s run.
-			soloEstimate := estimateSolo(o, m)
-			joinAt := soloEstimate * 2 / 5
-			cl := o.cluster(false)
-			ddCfg := core.DefaultConfig()
-			// Slots must be long enough that the seek/request statistics carry
-			// a meaningful sample count (the paper's 1 s slot on a ~150 s run).
-			ddCfg.SlotEvery = soloEstimate / 8
-			if ddCfg.SlotEvery < 100*time.Millisecond {
-				ddCfg.SlotEvery = 100 * time.Millisecond
+		// Estimate the join time as ~40% of the solo run; the paper joins
+		// at the 50th second of a ~150 s run. The EMC slot scales with the
+		// run so the scaled-down experiment samples as often, relatively,
+		// as the paper's 1 s slot did in its ~150 s run.
+		soloEstimate := estimateSolo(o, m)
+		joinAt := soloEstimate * 2 / 5
+		cl := o.cluster(false)
+		ddCfg := core.DefaultConfig()
+		// Slots must be long enough that the seek/request statistics carry
+		// a meaningful sample count (the paper's 1 s slot on a ~150 s run).
+		ddCfg.SlotEvery = min(max(soloEstimate/8, 100*time.Millisecond), time.Second)
+		// Throughput and seek-distance series sampled during the run.
+		window := max(soloEstimate/40, 50*time.Millisecond)
+		until := soloEstimate * 4
+		var lastBytes int64
+		tp := metrics.Sample(cl.K, "throughput-"+sch.label, window, until, func() float64 {
+			s := cl.ServerStats()
+			cur := s.BytesRead + s.BytesWritten
+			d := cur - lastBytes
+			lastBytes = cur
+			return float64(d) / (1 << 20) / window.Seconds()
+		})
+		var lastSeek, lastAcc int64
+		seek := metrics.Sample(cl.K, "seekdist-"+sch.label, window, until, func() float64 {
+			s := cl.ServerStats()
+			dSeek, dAcc := s.SeekSectors-lastSeek, s.Accesses-lastAcc
+			lastSeek, lastAcc = s.SeekSectors, s.Accesses
+			if dAcc == 0 {
+				return 0
 			}
-			if ddCfg.SlotEvery > time.Second {
-				ddCfg.SlotEvery = time.Second
-			}
-			// Throughput and seek-distance series sampled during the run.
-			window := soloEstimate / 40
-			if window < 50*time.Millisecond {
-				window = 50 * time.Millisecond
-			}
-			until := soloEstimate * 4
-			var lastBytes int64
-			tp := metrics.Sample(cl.K, "throughput-"+sch.label, window, until, func() float64 {
-				s := cl.ServerStats()
-				cur := s.BytesRead + s.BytesWritten
-				d := cur - lastBytes
-				lastBytes = cur
-				return float64(d) / (1 << 20) / window.Seconds()
-			})
-			var lastSeek, lastAcc int64
-			seek := metrics.Sample(cl.K, "seekdist-"+sch.label, window, until, func() float64 {
-				s := cl.ServerStats()
-				dSeek, dAcc := s.SeekSectors-lastSeek, s.Accesses-lastAcc
-				lastSeek, lastAcc = s.SeekSectors, s.Accesses
-				if dAcc == 0 {
-					return 0
-				}
-				return float64(dSeek) / float64(dAcc)
-			})
-			ms, _ := o.executeOn(cl, 12*time.Hour, ddCfg, []runSpec{
-				{prog: m, mode: sch.mode},
-				{prog: h, mode: sch.mode, startAt: joinAt},
-			})
-			p1, p2 := ms[0].run, ms[1].run
+			return float64(dSeek) / float64(dAcc)
+		})
+		ms, _ := o.executeOn(cl, 12*time.Hour, ddCfg, []runSpec{
+			{prog: m, mode: sch.mode},
+			{prog: h, mode: sch.mode, startAt: joinAt},
+		})
+		p1, p2 := ms[0].run, ms[1].run
 
-			end1 := p1.EndedAt
-			before := tp.Window(0, joinAt)
-			after := tp.Window(joinAt, end1)
-			seekAfter := seek.Window(joinAt, end1)
-			switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
-			outs[ci] = out{tp: tp, seek: seek, row: []string{sch.label, mb(before), mb(after),
-				fmt.Sprintf("%.0f", seekAfter), fmt.Sprintf("%v", switched)}}
-			o.logf("fig7 %s: before=%.1f after=%.1f MB/s, seek=%.0f, switches p1=%d p2=%d (join at %.1fs)",
-				sch.label, before, after, seekAfter, len(p1.ModeSwitches), len(p2.ModeSwitches), joinAt.Seconds())
-		}}
-	}
-	runSweep(o, cells)
+		end1 := p1.EndedAt
+		before := tp.Window(0, joinAt)
+		after := tp.Window(joinAt, end1)
+		seekAfter := seek.Window(joinAt, end1)
+		switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
+		o.logf("fig7 %s: before=%.1f after=%.1f MB/s, seek=%.0f, switches p1=%d p2=%d (join at %.1fs)",
+			sch.label, before, after, seekAfter, len(p1.ModeSwitches), len(p2.ModeSwitches), joinAt.Seconds())
+		return out{tp: tp, seek: seek, row: []string{sch.label, mb(before), mb(after),
+			fmt.Sprintf("%.0f", seekAfter), fmt.Sprintf("%v", switched)}}
+	})
 	for _, out := range outs {
 		res.Series = append(res.Series, out.tp, out.seek)
 		res.Table.AddRow(out.row...)
@@ -132,7 +114,6 @@ func Fig8(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{"cache_kb", "throughput_MBs"}},
 	}
 	res.note("paper: 0 KB equals vanilla (~2.7 MB/s); 64 KB is ~43x better; returns diminish beyond a few hundred KB")
-	o = o.forSweep()
 	b := workloads.DefaultBTIO()
 	b.TotalBytes = 8 << 20
 	b.Steps = 2
@@ -142,30 +123,18 @@ func Fig8(o Opts) *Result {
 		b.TotalBytes = 2 << 20
 		sizes = []int64{0, 64 << 10, 1 << 20}
 	}
-	vals := make([]string, len(sizes))
-	cells := make([]Cell, len(sizes))
-	for i, cacheB := range sizes {
-		cells[i] = Cell{
-			Key: fmt.Sprintf("fig8/cache=%dKB", cacheB>>10),
-			Run: func() {
-				cfg := core.DefaultConfig()
-				mode := core.ModeDataDriven
-				if cacheB == 0 {
-					mode = core.ModeVanilla // zero quota disables DualPar entirely
-				} else {
-					cfg.CacheQuotaBytes = cacheB
-				}
-				ms, _ := o.execute(false, 12*time.Hour, cfg,
-					[]runSpec{{prog: b, mode: mode}})
-				vals[i] = mb(ms[0].throughputMBs())
-				o.logf("fig8 cache=%dKB: %.2f MB/s", cacheB>>10, ms[0].throughputMBs())
-			},
+	res.Table.Rows = sweep(o, each("fig8/cache=%d", sizes), func(i int) []string {
+		cfg := core.DefaultConfig()
+		mode := core.ModeDataDriven
+		if sizes[i] == 0 {
+			mode = core.ModeVanilla // zero quota disables DualPar entirely
+		} else {
+			cfg.CacheQuotaBytes = sizes[i]
 		}
-	}
-	runSweep(o, cells)
-	for i, cacheB := range sizes {
-		res.Table.AddRow(fmt.Sprintf("%d", cacheB>>10), vals[i])
-	}
+		ms, _ := o.execute(false, 12*time.Hour, cfg, []runSpec{{prog: b, mode: mode}})
+		o.logf("fig8 cache=%dKB: %.2f MB/s", sizes[i]>>10, ms[0].throughputMBs())
+		return []string{fmt.Sprintf("%d", sizes[i]>>10), mb(ms[0].throughputMBs())}
+	})
 	return res
 }
 
@@ -183,7 +152,6 @@ func Table3(o Opts) *Result {
 	// The paper reads 2 GB with data-dependent addresses; the wasted
 	// prefetching is a fixed few-cycle cost, so the baseline volume must be
 	// kept at paper scale for the overhead percentage to be comparable.
-	o = o.forSweep()
 	d := workloads.DefaultDependentReader()
 	d.Procs = 16
 	d.FileBytes = 2 << 30
@@ -198,43 +166,32 @@ func Table3(o Opts) *Result {
 	}
 	// Cell 0 is the vanilla baseline; the per-cache overheads against it are
 	// computed at assembly, after every cell has finished.
-	var base time.Duration
-	elapsed := make([]time.Duration, len(caches))
-	cells := []Cell{{
-		Key: "table3/base",
-		Run: func() {
-			ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(),
-				[]runSpec{{prog: d, mode: core.ModeVanilla}})
-			base = ms[0].elapsed
-		},
-	}}
+	elapsed := sweep(o, append([]string{"table3/base"}, each("table3/cache=%d", caches)...), func(i int) time.Duration {
+		cfg := core.DefaultConfig()
+		mode := core.ModeVanilla
+		if i > 0 {
+			cfg.CacheQuotaBytes = caches[i-1]
+			cfg.SlotEvery = 250 * time.Millisecond
+			mode = core.ModeDataDriven
+		}
+		ms, _ := o.execute(false, 12*time.Hour, cfg, []runSpec{{prog: d, mode: mode}})
+		return ms[0].elapsed
+	})
+	base := elapsed[0]
 	for i, cacheB := range caches {
-		cells = append(cells, Cell{
-			Key: fmt.Sprintf("table3/cache=%dMB", cacheB>>20),
-			Run: func() {
-				cfg := core.DefaultConfig()
-				cfg.CacheQuotaBytes = cacheB
-				cfg.SlotEvery = 250 * time.Millisecond
-				ms, _ := o.execute(false, 12*time.Hour, cfg,
-					[]runSpec{{prog: d, mode: core.ModeDataDriven}})
-				elapsed[i] = ms[0].elapsed
-			},
-		})
-	}
-	runSweep(o, cells)
-	for i, cacheB := range caches {
-		overhead := (elapsed[i].Seconds() - base.Seconds()) / base.Seconds() * 100
-		res.Table.AddRow(fmt.Sprintf("%d", cacheB>>20), secs(base), secs(elapsed[i]),
+		dd := elapsed[i+1]
+		overhead := (dd.Seconds() - base.Seconds()) / base.Seconds() * 100
+		res.Table.AddRow(fmt.Sprintf("%d", cacheB>>20), secs(base), secs(dd),
 			fmt.Sprintf("%.1f", overhead))
 		o.logf("table3 cache=%dMB: base=%.2fs dualpar=%.2fs (%.1f%%)",
-			cacheB>>20, base.Seconds(), elapsed[i].Seconds(), overhead)
+			cacheB>>20, base.Seconds(), dd.Seconds(), overhead)
 	}
 	return res
 }
 
 // Experiments is the experiment registry, in the order `experiments -run
-// all` prints them: the paper's figures and tables (the first paperCount
-// entries, which All runs), then the ablations and the robustness sweeps.
+// all` prints them: the paper's figures and tables, then the ablations and
+// the robustness sweeps.
 // ID is the name `experiments -run` takes.
 var Experiments = []struct {
 	ID  string
@@ -253,24 +210,4 @@ var Experiments = []struct {
 
 	{"straggler", Straggler}, {"availability", Availability},
 	{"checkpoint", Checkpoint}, {"multitenant", Multitenant}, {"engines", Engines},
-}
-
-// paperCount is the number of leading Experiments entries that reproduce
-// the paper's own figures and tables.
-const paperCount = 11
-
-// All runs every paper experiment in paper order. Under Opts.Parallel != 1
-// the experiments themselves run concurrently (each also parallelizes its
-// own cells); the returned slice is always in paper order with tables
-// byte-identical to a serial run.
-func All(o Opts) []*Result {
-	o = o.forSweep()
-	paper := Experiments[:paperCount]
-	out := make([]*Result, len(paper))
-	cells := make([]Cell, len(paper))
-	for i, e := range paper {
-		cells[i] = Cell{Key: "all/" + e.ID, Run: func() { out[i] = e.Run(o) }}
-	}
-	runSweep(o, cells)
-	return out
 }

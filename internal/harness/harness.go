@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"time"
 
 	"dualpar/internal/burst"
 	"dualpar/internal/cluster"
 	"dualpar/internal/core"
+	"dualpar/internal/disk"
 	"dualpar/internal/fault"
 	"dualpar/internal/metrics"
 	"dualpar/internal/mpiio"
@@ -31,10 +33,12 @@ type Opts struct {
 	Log io.Writer
 	// Seed for the simulation; runs are deterministic per seed.
 	Seed int64
-	// Parallel caps how many sweep cells run concurrently: 0 means
-	// GOMAXPROCS, 1 reproduces the serial path exactly. Result tables are
-	// byte-identical at every setting (see pool.go); only progress-log
-	// interleaving differs.
+	// Parallel caps how many cells of one sweep run concurrently: 0 means
+	// GOMAXPROCS, 1 reproduces the serial path exactly. The cap is per
+	// sweep level, and Run's sweep over experiments nests each
+	// experiment's own sweep, so up to Parallel×Parallel cells can run at
+	// once. Result tables are byte-identical at every setting (see
+	// pool.go); only progress-log interleaving differs.
 	Parallel int
 	// Ctx cancels a long sweep mid-flight (nil = never).
 	Ctx context.Context
@@ -66,10 +70,18 @@ func (o Opts) parallel() int {
 	return o.Parallel
 }
 
+// logMu serializes progress lines from concurrent sweep cells, so each line
+// is written whole and a sink that is not safe for concurrent use (a
+// bytes.Buffer in tests) can be shared.
+var logMu sync.Mutex
+
 func (o Opts) logf(format string, args ...interface{}) {
-	if o.Log != nil {
-		fmt.Fprintf(o.Log, format+"\n", args...)
+	if o.Log == nil {
+		return
 	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	fmt.Fprintf(o.Log, format+"\n", args...)
 }
 
 // Result is one regenerated table or figure.
@@ -87,6 +99,20 @@ type Result struct {
 // note appends a formatted note.
 func (r *Result) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// notedRow is one sweep cell's table row plus the notes it raised.
+type notedRow struct {
+	row   []string
+	notes []string
+}
+
+// addRows appends the cells' notes and rows in canonical (sweep key) order.
+func (r *Result) addRows(outs []notedRow) {
+	for _, out := range outs {
+		r.Notes = append(r.Notes, out.notes...)
+		r.Table.AddRow(out.row...)
+	}
 }
 
 // config is cluster.DefaultConfig seeded and routed through o's storage
@@ -242,12 +268,46 @@ func mb(v float64) string { return fmt.Sprintf("%.1f", v) }
 // secs formats a duration cell.
 func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 
-// modes under comparison in most experiments.
-var threeSchemes = []struct {
+// scheme is one labeled execution mode under comparison.
+type scheme struct {
 	label string
 	mode  core.Mode
-}{
-	{"vanilla", core.ModeVanilla},
-	{"collective", core.ModeCollective},
-	{"dualpar", core.ModeDataDriven},
+}
+
+func (s scheme) String() string { return s.label }
+
+// threeSchemes are the modes most experiments compare; twoSchemes drops
+// collective I/O.
+var (
+	threeSchemes = []scheme{
+		{"vanilla", core.ModeVanilla},
+		{"collective", core.ModeCollective},
+		{"dualpar", core.ModeDataDriven},
+	}
+	twoSchemes = []scheme{threeSchemes[0], threeSchemes[2]}
+)
+
+// lbnSample is one traced run's LBN series and the table row summarizing
+// it: label, accesses, monotonicity, mean seek in sectors.
+type lbnSample struct {
+	series *metrics.Series
+	row    []string
+}
+
+// lbnWindow samples data server 1's disk trace over [from, from+win) of a
+// traced run — a window mid-run, like the paper's hand-picked second —
+// falling back to the whole trace when the window holds fewer than two
+// accesses.
+func lbnWindow(cl *cluster.Cluster, label string, from, win time.Duration) lbnSample {
+	tr := cl.Stores[0].Device().Trace()
+	entries := tr.Window(from, from+win)
+	if len(entries) < 2 {
+		entries = tr.Entries()
+	}
+	s := &metrics.Series{Name: "lbn-" + label}
+	for _, e := range entries {
+		s.Add(e.At, float64(e.LBN))
+	}
+	return lbnSample{s, []string{label, fmt.Sprintf("%d", len(entries)),
+		fmt.Sprintf("%.2f", disk.Monotonicity(entries)), fmt.Sprintf("%.0f", disk.MeanSeek(entries))}}
 }

@@ -102,18 +102,20 @@ type soloKey struct{ class, mode string }
 // idle untenanted cluster — the stretch denominators. Computed once per
 // experiment and shared read-only by all sweep cells.
 func (o Opts) soloBaselines(ranks int) map[soloKey]time.Duration {
-	base := make(map[soloKey]time.Duration)
 	ddCfg := core.DefaultConfig()
 	ddCfg.SlotEvery = 250 * time.Millisecond
-	for _, class := range []string{"s", "m", "l"} {
-		for _, mode := range []string{"dualpar", "vanilla"} {
-			j := tenant.Job{Class: class, Mode: mode}
-			d := core.TenantJob(j, ranks, o.jobScale())
-			d.FileName = "solo.dat"
-			ms, _ := o.execute(false, time.Hour, ddCfg,
-				[]runSpec{{prog: d, mode: core.TenantMode(mode)}})
-			base[soloKey{class, mode}] = ms[0].elapsed
-		}
+	classes, modes := []string{"s", "m", "l"}, []string{"dualpar", "vanilla"}
+	nm := len(modes)
+	elapsed := sweep(o, grid("multitenant/solo", classes, modes), func(i int) time.Duration {
+		d := core.TenantJob(tenant.Job{Class: classes[i/nm], Mode: modes[i%nm]}, ranks, o.jobScale())
+		d.FileName = "solo.dat"
+		ms, _ := o.execute(false, time.Hour, ddCfg,
+			[]runSpec{{prog: d, mode: core.TenantMode(modes[i%nm])}})
+		return ms[0].elapsed
+	})
+	base := make(map[soloKey]time.Duration)
+	for i, d := range elapsed {
+		base[soloKey{classes[i/nm], modes[i%nm]}] = d
 	}
 	return base
 }
@@ -291,46 +293,31 @@ func Multitenant(o Opts) *Result {
 		msec(base[soloKey{"m", "dualpar"}]), msec(base[soloKey{"m", "vanilla"}]),
 		msec(base[soloKey{"l", "dualpar"}]), msec(base[soloKey{"l", "vanilla"}]))
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
-	}
-	outs := make([]cellOut, len(specs))
-	var cells []Cell
-	for ci, spec := range specs {
-		slot := &outs[ci]
-		spec := spec
-		cells = append(cells, Cell{
-			Key: "multitenant/" + spec,
-			Run: func() {
-				tc, err := tenant.ParseSpec(spec)
-				if err != nil {
-					panic(err)
-				}
-				tc.Seed = o.seed()
-				o.logf("multitenant: %s", spec)
-				out := o.runTenantMix(tc)
-				st := summarize(out, base, tc.Tenants)
-				if st.unfinished > 0 {
-					slot.notes = append(slot.notes, fmt.Sprintf(
-						"%s: %d of %d jobs did not finish in budget", spec, st.unfinished, st.jobs))
-				}
-				slot.row = []string{
-					string(tc.Policy), tc.Arrival.String(), fmt.Sprintf("%d", tc.Tenants),
-					fmt.Sprintf("%d", st.jobs), fmt.Sprintf("%d", st.peak), mb(st.aggMBs),
-					fmt.Sprintf("%.2f", st.meanStretch), fmt.Sprintf("%.2f", st.worstP99),
-					fmt.Sprintf("%.3f", st.jain),
-					fmt.Sprintf("%d", out.grants), fmt.Sprintf("%d", out.denies),
-					fmt.Sprintf("%d", out.revokes),
-				}
-			},
-		})
-	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+	outs := sweep(o, each("multitenant/%s", specs), func(i int) notedRow {
+		spec := specs[i]
+		tc, err := tenant.ParseSpec(spec)
+		if err != nil {
+			panic(err)
+		}
+		tc.Seed = o.seed()
+		o.logf("multitenant: %s", spec)
+		mix := o.runTenantMix(tc)
+		st := summarize(mix, base, tc.Tenants)
+		var out notedRow
+		if st.unfinished > 0 {
+			out.notes = append(out.notes, fmt.Sprintf(
+				"%s: %d of %d jobs did not finish in budget", spec, st.unfinished, st.jobs))
+		}
+		out.row = []string{
+			string(tc.Policy), tc.Arrival.String(), fmt.Sprintf("%d", tc.Tenants),
+			fmt.Sprintf("%d", st.jobs), fmt.Sprintf("%d", st.peak), mb(st.aggMBs),
+			fmt.Sprintf("%.2f", st.meanStretch), fmt.Sprintf("%.2f", st.worstP99),
+			fmt.Sprintf("%.3f", st.jain),
+			fmt.Sprintf("%d", mix.grants), fmt.Sprintf("%d", mix.denies),
+			fmt.Sprintf("%d", mix.revokes),
+		}
+		return out
+	})
+	res.addRows(outs)
 	return res
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -12,28 +11,17 @@ import (
 // The sweep engine: experiments are sweeps over independent cells (one
 // simulated cluster per cell, seeded identically to the serial path), so the
 // cells can run concurrently across GOMAXPROCS workers. Determinism is
-// preserved structurally rather than by luck: every cell writes only into
-// its own pre-assigned slot, and the experiment assembles rows, series, and
-// notes from the slots in canonical order after the sweep — so the emitted
-// tables are byte-identical whatever the interleaving. Only the progress
-// log (stderr) may interleave differently under parallelism.
+// preserved structurally rather than by luck: every cell's result lands in
+// its own index of the result slice, and the experiment assembles rows,
+// series, and notes from that slice in canonical order after the sweep — so
+// the emitted tables are byte-identical whatever the interleaving. Only the
+// progress log (stderr) may interleave differently under parallelism.
 
-// Cell is one independent unit of a sweep: a keyed closure that runs a
-// self-contained simulation and stores its outcome in storage owned by the
-// cell (typically a slot in a results slice sized before the sweep).
-type Cell struct {
-	// Key names the cell in errors and panics, e.g. "fig3/read/dualpar".
-	Key string
-	// Run executes the cell. It must not touch shared mutable state other
-	// than its own slot; a panic is captured and surfaced as a *CellError.
-	Run func()
-}
-
-// CellError reports a cell whose Run panicked. The sweep completes the
+// cellError reports a cell whose run panicked. The sweep completes the
 // remaining cells before returning it (cells are independent), and when
 // several cells fail the error for the canonically-first cell is returned,
 // so the reported failure does not depend on scheduling.
-type CellError struct {
+type cellError struct {
 	// Key is the failing cell's key.
 	Key string
 	// Value is the recovered panic value.
@@ -42,38 +30,41 @@ type CellError struct {
 	Stack []byte
 }
 
-func (e *CellError) Error() string {
+func (e *cellError) Error() string {
 	return fmt.Sprintf("sweep cell %q panicked: %v", e.Key, e.Value)
 }
 
-// RunCells executes cells on up to workers concurrent goroutines and waits
-// for them all. workers <= 0 means GOMAXPROCS; workers == 1 runs every cell
-// inline on the calling goroutine in slice order — the serial code path.
-// Cells are dispatched in slice order; once ctx is canceled no further cell
+// runCells runs run(i) once per key, on up to workers concurrent
+// goroutines, and returns the results in key order. keys[i] names cell i in
+// errors, e.g. "fig3/read/mpi-io-test/dualpar"; run must touch no shared
+// mutable state. workers <= 0 means GOMAXPROCS; workers == 1 runs every cell
+// inline on the calling goroutine in key order — the serial code path.
+// Cells are dispatched in key order; once ctx is canceled no further cell
 // starts (in-flight cells finish) and ctx.Err() is returned. A panicking
-// cell becomes a *CellError; it does not cancel the remaining cells.
-func RunCells(ctx context.Context, workers int, cells []Cell) error {
+// cell becomes a *cellError; it does not cancel the remaining cells.
+func runCells[T any](ctx context.Context, workers int, keys []string, run func(i int) T) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	if workers > len(keys) {
+		workers = len(keys)
 	}
-	errs := make([]*CellError, len(cells))
+	out := make([]T, len(keys))
+	errs := make([]*cellError, len(keys))
 	runCell := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = &CellError{Key: cells[i].Key, Value: r, Stack: debug.Stack()}
+				errs[i] = &cellError{Key: keys[i], Value: r, Stack: debug.Stack()}
 			}
 		}()
-		cells[i].Run()
+		out[i] = run(i)
 	}
 	canceled := false
 	if workers <= 1 {
-		for i := range cells {
+		for i := range keys {
 			if ctx.Err() != nil {
 				canceled = true
 				break
@@ -91,7 +82,7 @@ func RunCells(ctx context.Context, workers int, cells []Cell) error {
 		claim := func() int {
 			mu.Lock()
 			defer mu.Unlock()
-			if next >= len(cells) || ctx.Err() != nil {
+			if next >= len(keys) || ctx.Err() != nil {
 				return -1
 			}
 			i := next
@@ -118,47 +109,68 @@ func RunCells(ctx context.Context, workers int, cells []Cell) error {
 	// order wins, regardless of which worker hit it first.
 	for _, e := range errs {
 		if e != nil {
-			return e
+			return out, e
 		}
 	}
 	if canceled {
-		return ctx.Err()
+		return out, ctx.Err()
 	}
-	return nil
+	return out, nil
 }
 
-// runSweep is the experiments' entry into the pool: it executes cells with
-// the Opts' parallelism and re-raises a cell failure as a panic, matching
-// the serial path's fail-fast behavior inside a driver.
-func runSweep(o Opts, cells []Cell) {
-	if err := RunCells(o.Ctx, o.parallel(), cells); err != nil {
+// sweep is every experiment's entry into the pool: it runs one cell per key
+// at o's parallelism and returns the results in key order, re-raising a
+// cell failure as a panic so a driver fails fast as the serial path would.
+func sweep[T any](o Opts, keys []string, run func(i int) T) []T {
+	out, err := runCells(o.Ctx, o.parallel(), keys, run)
+	if err != nil {
 		panic(err)
 	}
+	return out
 }
 
-// syncWriter serializes writes from concurrent sweep cells onto one
-// underlying writer, so -parallel logging is whole-line atomic and safe for
-// non-thread-safe sinks (bytes.Buffer in tests).
-type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *syncWriter) Write(b []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(b)
-}
-
-// forSweep returns a copy of o whose log writer is safe to share between
-// concurrent cells. It is idempotent, so nested sweeps (All over
-// experiments over cells) layer a single lock.
-func (o Opts) forSweep() Opts {
-	if o.Log == nil {
-		return o
+// each formats one sweep key per element of xs, e.g.
+// each("fig8/cache=%dKB", sizes).
+func each[E any](format string, xs []E) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
 	}
-	if _, ok := o.Log.(*syncWriter); !ok {
-		o.Log = &syncWriter{w: o.Log}
+	return out
+}
+
+// grid names the cells of a cross-product sweep prefix/a/b/... in row-major
+// order: with two dimensions, cell i is (i/len(b), i%len(b)).
+func grid(prefix string, dims ...[]string) []string {
+	keys := []string{prefix}
+	for _, dim := range dims {
+		next := make([]string, 0, len(keys)*len(dim))
+		for _, k := range keys {
+			for _, d := range dim {
+				next = append(next, k+"/"+d)
+			}
+		}
+		keys = next
 	}
-	return o
+	return keys
+}
+
+// Run runs the named experiments (Experiments IDs) as the cells of one
+// sweep — whole experiments are independent too — and returns their results
+// in ids order, byte-identical at any o.Parallel. An unknown id fails before
+// anything runs; a panicking experiment comes back as the error once the
+// others finish.
+func Run(o Opts, ids []string) ([]*Result, error) {
+	runs := make([]func(Opts) *Result, len(ids))
+	for i, id := range ids {
+		for _, e := range Experiments {
+			if e.ID == id {
+				runs[i] = e.Run
+			}
+		}
+		if runs[i] == nil {
+			return nil, fmt.Errorf("harness: unknown experiment %q", id)
+		}
+	}
+	return runCells(o.Ctx, o.parallel(), ids, func(i int) *Result { return runs[i](o) })
 }

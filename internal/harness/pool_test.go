@@ -11,6 +11,15 @@ import (
 	"testing"
 )
 
+// cellKeys names n cells prefix0, prefix1, ...
+func cellKeys(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return out
+}
+
 // TestRunCellsWorkerCounts runs the same cell set at worker counts below,
 // at, and above the cell count (plus 0 = GOMAXPROCS) and checks every slot
 // is filled exactly once.
@@ -19,15 +28,11 @@ func TestRunCellsWorkerCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 7
 			hits := make([]int32, n)
-			cells := make([]Cell, n)
-			for i := range cells {
-				cells[i] = Cell{
-					Key: fmt.Sprintf("cell%d", i),
-					Run: func() { atomic.AddInt32(&hits[i], 1) },
-				}
-			}
-			if err := RunCells(context.Background(), workers, cells); err != nil {
-				t.Fatalf("RunCells: %v", err)
+			_, err := runCells(context.Background(), workers, cellKeys("cell", n), func(i int) int32 {
+				return atomic.AddInt32(&hits[i], 1)
+			})
+			if err != nil {
+				t.Fatalf("runCells: %v", err)
 			}
 			for i, h := range hits {
 				if h != 1 {
@@ -42,12 +47,12 @@ func TestRunCellsWorkerCounts(t *testing.T) {
 // the calling goroutine — that is the documented serial path.
 func TestRunCellsSerialOrder(t *testing.T) {
 	var order []int
-	cells := make([]Cell, 5)
-	for i := range cells {
-		cells[i] = Cell{Key: fmt.Sprintf("c%d", i), Run: func() { order = append(order, i) }}
-	}
-	if err := RunCells(context.Background(), 1, cells); err != nil {
-		t.Fatalf("RunCells: %v", err)
+	_, err := runCells(context.Background(), 1, cellKeys("c", 5), func(i int) int {
+		order = append(order, i)
+		return i
+	})
+	if err != nil {
+		t.Fatalf("runCells: %v", err)
 	}
 	for i, got := range order {
 		if got != i {
@@ -58,8 +63,9 @@ func TestRunCellsSerialOrder(t *testing.T) {
 
 // TestRunCellsEmpty: no cells is a no-op at any worker count.
 func TestRunCellsEmpty(t *testing.T) {
-	if err := RunCells(context.Background(), 4, nil); err != nil {
-		t.Fatalf("RunCells(nil cells): %v", err)
+	out, err := runCells(context.Background(), 4, nil, func(int) int { panic("no cells, no runs") })
+	if err != nil || len(out) != 0 {
+		t.Fatalf("runCells(no keys) = %v, %v", out, err)
 	}
 }
 
@@ -72,19 +78,13 @@ func TestRunCellsCancelMidSweep(t *testing.T) {
 			defer cancel()
 			const n = 32
 			var ran int32
-			cells := make([]Cell, n)
-			for i := range cells {
-				cells[i] = Cell{
-					Key: fmt.Sprintf("c%d", i),
-					Run: func() {
-						atomic.AddInt32(&ran, 1)
-						if i == 2 {
-							cancel()
-						}
-					},
+			_, err := runCells(ctx, workers, cellKeys("c", n), func(i int) int {
+				atomic.AddInt32(&ran, 1)
+				if i == 2 {
+					cancel()
 				}
-			}
-			err := RunCells(ctx, workers, cells)
+				return i
+			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -103,8 +103,8 @@ func TestRunCellsCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int32
-	cells := []Cell{{Key: "c0", Run: func() { atomic.AddInt32(&ran, 1) }}}
-	if err := RunCells(ctx, 4, cells); !errors.Is(err, context.Canceled) {
+	_, err := runCells(ctx, 4, cellKeys("c", 1), func(int) int32 { return atomic.AddInt32(&ran, 1) })
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran != 0 {
@@ -112,7 +112,7 @@ func TestRunCellsCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunCellsPanic: a panicking cell surfaces as a *CellError naming the
+// TestRunCellsPanic: a panicking cell surfaces as a *cellError naming the
 // cell, the other cells still complete, and with several failures the
 // canonically-first cell's error is the one returned regardless of worker
 // scheduling.
@@ -121,22 +121,16 @@ func TestRunCellsPanic(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 8
 			var ran int32
-			cells := make([]Cell, n)
-			for i := range cells {
-				cells[i] = Cell{
-					Key: fmt.Sprintf("cell/%d", i),
-					Run: func() {
-						atomic.AddInt32(&ran, 1)
-						if i == 3 || i == 6 {
-							panic(fmt.Sprintf("boom %d", i))
-						}
-					},
+			_, err := runCells(context.Background(), workers, cellKeys("cell/", n), func(i int) int {
+				atomic.AddInt32(&ran, 1)
+				if i == 3 || i == 6 {
+					panic(fmt.Sprintf("boom %d", i))
 				}
-			}
-			err := RunCells(context.Background(), workers, cells)
-			var ce *CellError
+				return i
+			})
+			var ce *cellError
 			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v (%T), want *CellError", err, err)
+				t.Fatalf("err = %v (%T), want *cellError", err, err)
 			}
 			if ce.Key != "cell/3" {
 				t.Errorf("reported cell %q, want canonical first failure cell/3", ce.Key)
@@ -145,7 +139,7 @@ func TestRunCellsPanic(t *testing.T) {
 				t.Errorf("panic value %v, want boom 3", ce.Value)
 			}
 			if len(ce.Stack) == 0 {
-				t.Error("CellError carries no stack")
+				t.Error("cellError carries no stack")
 			}
 			if !strings.Contains(ce.Error(), "cell/3") {
 				t.Errorf("Error() = %q, want the cell key in it", ce.Error())
@@ -159,59 +153,50 @@ func TestRunCellsPanic(t *testing.T) {
 
 // TestSyncWriterSharedLog is the regression test for the shared-Opts.Log
 // race: concurrent cells logging through one bytes.Buffer. Run under -race
-// this fails without forSweep's syncWriter wrapping.
+// this fails unless logf serializes its writes.
 func TestSyncWriterSharedLog(t *testing.T) {
 	var buf bytes.Buffer
-	o := Opts{Log: &buf, Parallel: 4}.forSweep()
-	cells := make([]Cell, 16)
-	for i := range cells {
-		cells[i] = Cell{
-			Key: fmt.Sprintf("c%d", i),
-			Run: func() { o.logf("line from cell %d", i) },
-		}
-	}
-	if err := RunCells(context.Background(), 4, cells); err != nil {
-		t.Fatalf("RunCells: %v", err)
-	}
-	if got := strings.Count(buf.String(), "line from cell"); got != len(cells) {
-		t.Errorf("log has %d lines, want %d", got, len(cells))
+	o := Opts{Log: &buf, Parallel: 4}
+	sweep(o, cellKeys("c", 16), func(i int) int {
+		o.logf("line from cell %d", i)
+		return i
+	})
+	if got := strings.Count(buf.String(), "line from cell"); got != 16 {
+		t.Errorf("log has %d lines, want 16", got)
 	}
 }
 
-// TestForSweepIdempotent: wrapping twice must not stack a second lock.
-func TestForSweepIdempotent(t *testing.T) {
-	var buf bytes.Buffer
-	once := Opts{Log: &buf}.forSweep()
-	twice := once.forSweep()
-	if once.Log != twice.Log {
-		t.Error("forSweep re-wrapped an already-synchronized writer")
-	}
-	if o := (Opts{}).forSweep(); o.Log != nil {
-		t.Error("forSweep invented a writer for nil Log")
-	}
-}
-
-// TestRunCellsConcurrentSlotWrites: cells writing distinct slots of one
-// slice need no locking — this is the pool's core contract, and under
-// -race it verifies the WaitGroup edge publishes every slot to the caller.
+// TestRunCellsConcurrentSlotWrites: each cell's result lands in its own
+// slot of one slice with no locking — this is the pool's core contract,
+// and under -race it verifies the WaitGroup edge publishes every slot to
+// the caller.
 func TestRunCellsConcurrentSlotWrites(t *testing.T) {
 	const n = 64
-	out := make([]int, n)
 	var mu sync.Mutex // touched only to give the race detector work to check
-	cells := make([]Cell, n)
-	for i := range cells {
-		cells[i] = Cell{Key: fmt.Sprintf("c%d", i), Run: func() {
-			mu.Lock()
-			mu.Unlock()
-			out[i] = i + 1
-		}}
-	}
-	if err := RunCells(context.Background(), 8, cells); err != nil {
-		t.Fatalf("RunCells: %v", err)
+	out, err := runCells(context.Background(), 8, cellKeys("c", n), func(i int) int {
+		mu.Lock()
+		mu.Unlock()
+		return i + 1
+	})
+	if err != nil {
+		t.Fatalf("runCells: %v", err)
 	}
 	for i, v := range out {
 		if v != i+1 {
 			t.Fatalf("slot %d = %d, want %d", i, v, i+1)
 		}
+	}
+}
+
+// TestRunUnknownExperiment: Run rejects an unknown id before running any
+// experiment, naming the id.
+func TestRunUnknownExperiment(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Run(Opts{Quick: true, Log: &buf}, []string{"fig1a", "fig99"})
+	if err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Fatalf("Run(fig99) = %v, want an error naming fig99", err)
+	}
+	if res != nil || buf.Len() != 0 {
+		t.Errorf("Run ran experiments before rejecting the unknown id: %d results, log %q", len(res), buf.String())
 	}
 }

@@ -91,12 +91,10 @@ func TestOptsVariantsConcurrent(t *testing.T) {
 		{Quick: true, Parallel: 2, Log: io.Discard, Audit: true},
 		{Quick: true, Parallel: 2, Log: io.Discard, Reports: sink},
 	}
-	tables := make([]string, len(variants))
-	cells := make([]Cell, len(variants))
-	for i, o := range variants {
-		cells[i] = Cell{Key: fmt.Sprintf("variant%d", i), Run: func() { tables[i] = renderResult(Fig1a(o)) }}
-	}
-	if err := RunCells(context.Background(), 3, cells); err != nil {
+	tables, err := runCells(context.Background(), 3, cellKeys("variant", len(variants)), func(i int) string {
+		return renderResult(Fig1a(variants[i]))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := readGolden(t, "fig1a_quick.golden")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dualpar/internal/cluster"
-	"dualpar/internal/core"
 	"dualpar/internal/fault"
 	"dualpar/internal/metrics"
 	"dualpar/internal/workloads"
@@ -40,7 +39,6 @@ func Straggler(o Opts) *Result {
 		Table: &metrics.Table{Header: []string{
 			"severity", "vanilla_s", "vanilla_slowdown", "dualpar_s", "dualpar_slowdown"}},
 	}
-	o = o.forSweep()
 	severities := []float64{1, 2, 5, 10}
 	if o.Quick {
 		severities = []float64{1, 10}
@@ -48,44 +46,30 @@ func Straggler(o Opts) *Result {
 	prog := stragglerProg(o.Quick)
 	res.note("one server's disk degraded for the whole run; fault layer + retry watchdogs on in every cell (severity 1 = healthy baseline)")
 
-	// One cell per (severity, mode); DNF notes are collected per cell and
-	// appended in canonical order after the sweep.
-	type cellOut struct {
+	// One cell per (severity, mode); a cell that does not finish reports a
+	// zero elapsed time and its DNF note, appended in canonical order.
+	type out struct {
 		elapsed time.Duration
 		note    string
 	}
-	modes := []struct {
-		label string
-		mode  core.Mode
-	}{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDataDriven}}
-	outs := make([]cellOut, len(severities)*len(modes))
-	var cells []Cell
-	for si, sev := range severities {
-		for mi, m := range modes {
-			slot := &outs[si*len(modes)+mi]
-			cells = append(cells, Cell{
-				Key: fmt.Sprintf("straggler/%gx/%s", sev, m.label),
-				Run: func() {
-					o.logf("straggler: severity %gx %s", sev, m.label)
-					sch := &fault.Schedule{}
-					if sev > 1 {
-						sch.Windows = []fault.Window{
-							{Kind: fault.DiskSlow, Target: 1, Factor: sev},
-						}
-					}
-					cfg, ddCfg := o.faulted(sch)
-					ms, _ := o.executeOn(cluster.New(cfg), time.Hour, ddCfg,
-						[]runSpec{{prog: prog, mode: m.mode}})
-					if !ms[0].finished {
-						slot.note = fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)
-						return
-					}
-					slot.elapsed = ms[0].elapsed
-				},
-			})
+	ns := len(twoSchemes)
+	outs := sweep(o, grid("straggler", each("%gx", severities), each("%s", twoSchemes)), func(i int) out {
+		sev, m := severities[i/ns], twoSchemes[i%ns]
+		o.logf("straggler: severity %gx %s", sev, m.label)
+		sch := &fault.Schedule{}
+		if sev > 1 {
+			sch.Windows = []fault.Window{
+				{Kind: fault.DiskSlow, Target: 1, Factor: sev},
+			}
 		}
-	}
-	runSweep(o, cells)
+		cfg, ddCfg := o.faulted(sch)
+		ms, _ := o.executeOn(cluster.New(cfg), time.Hour, ddCfg,
+			[]runSpec{{prog: prog, mode: m.mode}})
+		if !ms[0].finished {
+			return out{note: fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)}
+		}
+		return out{elapsed: ms[0].elapsed}
+	})
 	for _, out := range outs {
 		if out.note != "" {
 			res.note("%s", out.note)
@@ -93,8 +77,7 @@ func Straggler(o Opts) *Result {
 	}
 	var vanBase, ddBase time.Duration
 	for si, sev := range severities {
-		van := outs[si*len(modes)].elapsed
-		dd := outs[si*len(modes)+1].elapsed
+		van, dd := outs[si*ns].elapsed, outs[si*ns+1].elapsed
 		if sev == 1 {
 			vanBase, ddBase = van, dd
 		}

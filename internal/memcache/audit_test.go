@@ -7,6 +7,7 @@ import (
 
 	"dualpar/internal/check"
 	"dualpar/internal/ext"
+	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func TestCheckUsedCatchesCorruptLedger(t *testing.T) {
 	a.RegisterProbe("memcache.used.prog0", c.CheckUsed)
 
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 	})
 	k.Run()
 
@@ -64,10 +65,10 @@ func TestGetConservationOracle(t *testing.T) {
 	a.SetArtifactDir(t.TempDir())
 	c.SetAudit(a)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
-		c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 128 << 10})    // half hit
-		c.Get(p, 100, "f", ext.Extent{Off: 256 << 10, Len: 4096}) // full miss
-		c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 64 << 10})     // full hit
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 128 << 10})    // half hit
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 256 << 10, Len: 4096}) // full miss
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10})     // full hit
 	})
 	k.Run()
 	if err := a.Err(); err != nil {

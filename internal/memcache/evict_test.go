@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 	c := newCache(k, cfg)
 	e := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f1", []ext.Extent{e})
+		c.PutClean(p, 100, obs.Ctx{}, "f1", []ext.Extent{e})
 		// Wait well past EvictAfter: the first generation is swept out and
 		// the sweep chain dies with the cache empty.
 		p.Sleep(3 * cfg.EvictAfter)
@@ -33,7 +34,7 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 			t.Errorf("evictions=%d after first idle sweep, want 1", ev)
 		}
 		// Second generation: the sweeper must have re-armed on this put.
-		c.PutClean(p, 100, "f2", []ext.Extent{e})
+		c.PutClean(p, 100, obs.Ctx{}, "f2", []ext.Extent{e})
 		p.Sleep(3 * cfg.EvictAfter)
 		if c.UsedBytes() != 0 {
 			t.Errorf("second generation not evicted: sweeper did not re-arm")
@@ -54,7 +55,7 @@ func TestSweeperSkipsAllDirtyCache(t *testing.T) {
 	c := newCache(k, cfg)
 	var endOfPut time.Duration
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 		endOfPut = p.Now()
 	})
 	k.Run() // would hang in sweeper re-arm cycles if dirty chunks armed it
@@ -74,7 +75,7 @@ func TestMarkCleanRearmsSweeper(t *testing.T) {
 	cfg := DefaultConfig()
 	c := newCache(k, cfg)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 		// Writeback completes: the only chunk goes clean. No put follows.
 		c.MarkClean("f")
 		p.Sleep(3 * cfg.EvictAfter)
@@ -98,7 +99,7 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 	q := NewQuota("solo", cfg.ChunkBytes) // room for one chunk
 	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: 2 * cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 2 * cfg.ChunkBytes}})
 	})
 	k.Run()
 	if c.UsedBytes() != 2*cfg.ChunkBytes {
@@ -110,7 +111,7 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 	// Once the data is clean, the next insert enforces the cap again.
 	c.MarkClean("f")
 	k.Spawn("p2", func(p *sim.Proc) {
-		c.PutClean(p, 100, "g", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 	})
 	k.Run()
 	if c.UsedBytes() > q.Limit() {
@@ -132,18 +133,18 @@ func TestCapacityTiebreakDeterministic(t *testing.T) {
 		k.Spawn("p", func(p *sim.Proc) {
 			// Four single-chunk files at one instant fill the cache exactly.
 			for _, f := range []string{"d", "b", "c", "a"} {
-				c.PutClean(p, 100, f, []ext.Extent{one})
+				c.PutClean(p, 100, obs.Ctx{}, f, []ext.Extent{one})
 			}
 			// A fifth forces one eviction among four equal lastRefs.
-			c.PutClean(p, 100, "e", []ext.Extent{one})
+			c.PutClean(p, 100, obs.Ctx{}, "e", []ext.Extent{one})
 			if ev := c.Evictions(); ev != 1 {
 				t.Fatalf("trial %d: evictions=%d at the over-capacity put, want 1", trial, ev)
 			}
-			if miss := c.Get(p, 100, "a", one); len(miss) == 0 {
+			if miss := c.Get(p, 100, obs.Ctx{}, "a", one); len(miss) == 0 {
 				t.Fatalf("trial %d: %q survived, but it is the canonical victim", trial, "a")
 			}
 			for _, f := range []string{"b", "c", "d", "e"} {
-				if miss := c.Get(p, 100, f, one); len(miss) != 0 {
+				if miss := c.Get(p, 100, obs.Ctx{}, f, one); len(miss) != 0 {
 					t.Errorf("trial %d: %q evicted, want only %q gone", trial, f, "a")
 				}
 			}

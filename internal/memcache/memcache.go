@@ -200,15 +200,10 @@ func (c *Cache) visitChunks(e ext.Extent, fn func(idx int64, rel ext.Extent)) {
 // way a memcached multi-get is: one operation and (for remote homes) one
 // network transfer per home node involved, carrying all that home's hit
 // bytes. It returns the missing file-space extents; a fully-satisfied Get
-// counts as a hit.
-func (c *Cache) Get(p *sim.Proc, fromNode int, file string, extents ...ext.Extent) (miss []ext.Extent) {
-	return c.GetTraced(p, fromNode, obs.Ctx{}, file, extents...)
-}
-
-// GetTraced is Get carrying the originating request's trace identity: a
+// counts as a hit. rc is the originating request's trace identity: a
 // traced context additionally records a StageCache span on the "cache"
 // track covering the lookup (home-node CPU plus wire time for remote hits).
-func (c *Cache) GetTraced(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents ...ext.Extent) (miss []ext.Extent) {
+func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents ...ext.Extent) (miss []ext.Extent) {
 	start := p.Now()
 	c.statGets++
 	now := p.Now()
@@ -320,26 +315,16 @@ func (c *Cache) chargeTransfers(p *sim.Proc, fromNode int, perHome homeBytes, to
 
 // PutClean marks file extents valid (prefetched data arriving at its home
 // nodes). The caller is the CRM proc running on homeNode; extents homed
-// elsewhere cost a network transfer.
-func (c *Cache) PutClean(p *sim.Proc, fromNode int, file string, extents []ext.Extent) {
-	c.put(p, fromNode, obs.Ctx{}, file, extents, false)
-}
-
-// PutCleanTraced is PutClean carrying the originating request's trace
-// identity; a traced context records a StageCache span for the insertion.
-func (c *Cache) PutCleanTraced(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents []ext.Extent) {
+// elsewhere cost a network transfer. A traced rc records a StageCache span
+// for the insertion.
+func (c *Cache) PutClean(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents []ext.Extent) {
 	c.put(p, fromNode, rc, file, extents, false)
 }
 
 // PutDirty buffers written extents in the cache (data-driven writes) until
-// writeback drains them.
-func (c *Cache) PutDirty(p *sim.Proc, fromNode int, file string, extents []ext.Extent) {
-	c.put(p, fromNode, obs.Ctx{}, file, extents, true)
-}
-
-// PutDirtyTraced is PutDirty carrying the originating request's trace
-// identity; a traced context records a StageCache span for the insertion.
-func (c *Cache) PutDirtyTraced(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents []ext.Extent) {
+// writeback drains them. A traced rc records a StageCache span for the
+// insertion.
+func (c *Cache) PutDirty(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents []ext.Extent) {
 	c.put(p, fromNode, rc, file, extents, true)
 }
 

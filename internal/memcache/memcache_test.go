@@ -6,6 +6,7 @@ import (
 
 	"dualpar/internal/ext"
 	"dualpar/internal/netsim"
+	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
 
@@ -22,12 +23,12 @@ func TestGetMissThenHit(t *testing.T) {
 	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		e := ext.Extent{Off: 0, Len: 64 << 10}
-		miss := c.Get(p, 100, "f", e)
+		miss := c.Get(p, 100, obs.Ctx{}, "f", e)
 		if len(miss) != 1 || miss[0] != e {
 			t.Errorf("cold miss = %v, want %v", miss, e)
 		}
-		c.PutClean(p, 100, "f", []ext.Extent{e})
-		if miss := c.Get(p, 100, "f", e); len(miss) != 0 {
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", e); len(miss) != 0 {
 			t.Errorf("post-put miss = %v, want none", miss)
 		}
 	})
@@ -41,8 +42,8 @@ func TestPartialChunkCountsAsMiss(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
-		miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 8 << 10})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 8 << 10})
 		if len(miss) != 1 || miss[0].Len != 8<<10 {
 			t.Errorf("partial hit should report whole piece missing, got %v", miss)
 		}
@@ -61,9 +62,9 @@ func TestPartialHitChargesNoTransfer(t *testing.T) {
 	k.Spawn("p", func(p *sim.Proc) {
 		chunk1 := ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}
 		// Only the first 4K of the remote chunk is valid.
-		c.PutClean(p, 101, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 4 << 10}})
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 4 << 10}})
 		t0 := p.Now()
-		miss := c.Get(p, 100, "f", chunk1)
+		miss := c.Get(p, 100, obs.Ctx{}, "f", chunk1)
 		if p.Now() != t0 {
 			t.Errorf("partial hit charged %v of op/transfer time, want none", p.Now()-t0)
 		}
@@ -71,9 +72,9 @@ func TestPartialHitChargesNoTransfer(t *testing.T) {
 			t.Errorf("miss = %v, want whole piece %v", miss, chunk1)
 		}
 		// Once fully valid, the same Get pays the remote transfer.
-		c.PutClean(p, 101, "f", []ext.Extent{chunk1})
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{chunk1})
 		t0 = p.Now()
-		if miss := c.Get(p, 100, "f", chunk1); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", chunk1); len(miss) != 0 {
 			t.Errorf("full chunk still missing: %v", miss)
 		}
 		if p.Now() == t0 {
@@ -91,10 +92,10 @@ func TestPartialHitMixedBatch(t *testing.T) {
 	cfg := DefaultConfig()
 	c := newCache(k, cfg, 100, 101)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}}) // chunk 0, local to 100
-		c.PutClean(p, 101, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 1 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}}) // chunk 0, local to 100
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 1 << 10}})
 		t0 := p.Now()
-		miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
 		if got := p.Now() - t0; got != cfg.OpCPU {
 			t.Errorf("mixed batch charged %v, want one local op %v", got, cfg.OpCPU)
 		}
@@ -116,10 +117,10 @@ func TestMissRefreshesLastRef(t *testing.T) {
 	c := newCache(k, cfg)
 	e := ext.Extent{Off: 0, Len: 4 << 10}
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{e})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
 		p.Sleep(cfg.EvictAfter * 6 / 10)
 		// Partial-chunk lookup: a miss, but it must touch lastRef.
-		if miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
 			t.Fatalf("partial chunk reported as hit")
 		}
 		p.Sleep(cfg.EvictAfter * 6 / 10)
@@ -141,8 +142,8 @@ func TestGetSpanningChunks(t *testing.T) {
 	c := newCache(k, cfg)
 	k.Spawn("p", func(p *sim.Proc) {
 		// Cache only the first chunk; ask across two chunks.
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
-		miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
 		if total := ext.Total(miss); total != cfg.ChunkBytes {
 			t.Errorf("miss total = %d, want one chunk", total)
 		}
@@ -160,13 +161,13 @@ func TestRemoteGetCostsNetwork(t *testing.T) {
 	var local, remote time.Duration
 	k.Spawn("p", func(p *sim.Proc) {
 		// Chunk 0 homes on node 100, chunk 1 on node 101.
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
-		c.PutClean(p, 101, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}})
 		t0 := p.Now()
-		c.Get(p, 100, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}) // local
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}) // local
 		local = p.Now() - t0
 		t0 = p.Now()
-		c.Get(p, 100, "f", ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}) // remote
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}) // remote
 		remote = p.Now() - t0
 	})
 	k.Run()
@@ -188,8 +189,8 @@ func TestDirtyLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	c := newCache(k, cfg)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 4 << 10, Len: 4 << 10}})
-		c.PutDirty(p, 100, "g", []ext.Extent{{Off: 0, Len: 1 << 10}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 4 << 10, Len: 4 << 10}})
+		c.PutDirty(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: 1 << 10}})
 	})
 	k.Run()
 	if got := c.DirtyBytes(); got != 9<<10 {
@@ -215,7 +216,7 @@ func TestIdleEviction(t *testing.T) {
 	cfg.EvictAfter = 2 * time.Second
 	c := newCache(k, cfg)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 	})
 	k.RunUntil(10 * time.Second)
 	if c.UsedBytes() != 0 {
@@ -232,7 +233,7 @@ func TestDirtyChunksSurviveEviction(t *testing.T) {
 	cfg.EvictAfter = 2 * time.Second
 	c := newCache(k, cfg)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
 	})
 	k.RunUntil(10 * time.Second)
 	if c.DirtyBytes() != 4<<10 {
@@ -246,18 +247,18 @@ func TestCapacityEvictsLRU(t *testing.T) {
 	q := NewQuota("solo", 128<<10) // 2 chunks
 	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 		p.Sleep(time.Millisecond)
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 64 << 10, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 64 << 10, Len: 64 << 10}})
 		p.Sleep(time.Millisecond)
-		c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 64 << 10}) // refresh chunk 0
+		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}) // refresh chunk 0
 		p.Sleep(time.Millisecond)
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 128 << 10, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 128 << 10, Len: 64 << 10}})
 		// Chunk 1 (LRU) must be gone; chunk 0 must remain.
-		if miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
 			t.Errorf("recently used chunk evicted")
 		}
-		if miss := c.Get(p, 100, "f", ext.Extent{Off: 64 << 10, Len: 64 << 10}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 64 << 10, Len: 64 << 10}); len(miss) == 0 {
 			t.Errorf("LRU chunk not evicted")
 		}
 	})
@@ -271,13 +272,13 @@ func TestDropFile(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
-		c.PutClean(p, 100, "g", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: 64 << 10}})
 		c.DropFile("f")
-		if miss := c.Get(p, 100, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) == 0 {
 			t.Errorf("dropped file still cached")
 		}
-		if miss := c.Get(p, 100, "g", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "g", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
 			t.Errorf("unrelated file dropped")
 		}
 		if c.UsedBytes() != 64<<10 {

@@ -8,6 +8,7 @@ import (
 
 	"dualpar/internal/ext"
 	"dualpar/internal/netsim"
+	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
 
@@ -30,10 +31,10 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 		}
 		ok := true
 		k.Spawn("p", func(p *sim.Proc) {
-			c.PutClean(p, 100, "f", put)
+			c.PutClean(p, 100, obs.Ctx{}, "f", put)
 			// Every put extent must now be fully resident.
 			for _, e := range put {
-				if miss := c.Get(p, 101, "f", e); len(miss) != 0 {
+				if miss := c.Get(p, 101, obs.Ctx{}, "f", e); len(miss) != 0 {
 					ok = false
 				}
 			}
@@ -45,7 +46,7 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 				}
 			}
 			probe := ext.Extent{Off: hi + 128<<10, Len: 4 << 10}
-			miss := c.Get(p, 100, "f", probe)
+			miss := c.Get(p, 100, obs.Ctx{}, "f", probe)
 			if ext.Total(miss) != probe.Len {
 				ok = false
 			}
@@ -73,9 +74,9 @@ func TestDirtyNeverLost(t *testing.T) {
 			for i := 0; i < count; i++ {
 				e := ext.Extent{Off: rng.Int63n(2 << 20), Len: 1 + rng.Int63n(64<<10)}
 				dirty = append(dirty, e)
-				c.PutDirty(p, 100, "f", []ext.Extent{e})
+				c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
 				// Interleave unrelated clean data.
-				c.PutClean(p, 100, "g", []ext.Extent{{Off: rng.Int63n(1 << 20), Len: 4 << 10}})
+				c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: rng.Int63n(1 << 20), Len: 4 << 10}})
 			}
 			want := ext.Merge(dirty)
 			got := c.DirtyExtents("f")
@@ -88,7 +89,7 @@ func TestDirtyNeverLost(t *testing.T) {
 			}
 			// Data stays valid after MarkClean.
 			for _, e := range want {
-				if miss := c.Get(p, 100, "f", e); len(miss) != 0 {
+				if miss := c.Get(p, 100, obs.Ctx{}, "f", e); len(miss) != 0 {
 					ok = false
 				}
 			}

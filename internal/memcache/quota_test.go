@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
 
@@ -24,8 +25,8 @@ func TestQuotaAccountsAcrossMembers(t *testing.T) {
 	a.SetQuota(q)
 	b.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
-		a.PutClean(p, 100, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
-		b.PutClean(p, 100, "fb", []ext.Extent{{Off: 0, Len: 2 * chunkB}})
+		a.PutClean(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
+		b.PutClean(p, 100, obs.Ctx{}, "fb", []ext.Extent{{Off: 0, Len: 2 * chunkB}})
 		if q.Used() != 3*chunkB {
 			t.Errorf("quota used = %d, want %d", q.Used(), 3*chunkB)
 		}
@@ -47,13 +48,13 @@ func TestQuotaEvictsAcrossMembersLRU(t *testing.T) {
 	a.SetQuota(q)
 	b.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
-		a.PutClean(p, 100, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
+		a.PutClean(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
 		p.Sleep(1)
-		b.PutClean(p, 100, "fb", []ext.Extent{{Off: 0, Len: chunkB}})
+		b.PutClean(p, 100, obs.Ctx{}, "fb", []ext.Extent{{Off: 0, Len: chunkB}})
 		p.Sleep(1)
 		// Third chunk pushes the partition over; the LRU victim is fa's
 		// chunk, which lives in the *other* cache than the one inserting.
-		b.PutClean(p, 100, "fb", []ext.Extent{{Off: chunkB, Len: chunkB}})
+		b.PutClean(p, 100, obs.Ctx{}, "fb", []ext.Extent{{Off: chunkB, Len: chunkB}})
 		if q.Used() != 2*chunkB {
 			t.Errorf("quota used = %d, want %d", q.Used(), 2*chunkB)
 		}
@@ -80,11 +81,11 @@ func TestQuotaIsolation(t *testing.T) {
 	a.SetQuota(q0)
 	b.SetQuota(q1)
 	run(t, k, func(p *sim.Proc) {
-		b.PutClean(p, 100, "victim?", []ext.Extent{{Off: 0, Len: chunkB}})
+		b.PutClean(p, 100, obs.Ctx{}, "victim?", []ext.Extent{{Off: 0, Len: chunkB}})
 		p.Sleep(1)
 		// Tenant 0 blows through its own partition repeatedly.
 		for i := int64(0); i < 4; i++ {
-			a.PutClean(p, 100, "fa", []ext.Extent{{Off: i * chunkB, Len: chunkB}})
+			a.PutClean(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: i * chunkB, Len: chunkB}})
 		}
 		if q0.Used() != chunkB {
 			t.Errorf("tenant 0 used = %d, want %d", q0.Used(), chunkB)
@@ -105,7 +106,7 @@ func TestQuotaAllDirtyEscape(t *testing.T) {
 	a := newCache(k, DefaultConfig())
 	a.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
-		a.PutDirty(p, 100, "fa", []ext.Extent{{Off: 0, Len: 2 * chunkB}})
+		a.PutDirty(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: 2 * chunkB}})
 		if q.Used() != 2*chunkB {
 			t.Errorf("dirty data evicted: used = %d, want %d", q.Used(), 2*chunkB)
 		}
@@ -114,7 +115,7 @@ func TestQuotaAllDirtyEscape(t *testing.T) {
 		}
 		a.MarkClean("fa")
 		p.Sleep(1)
-		a.PutClean(p, 100, "fb", []ext.Extent{{Off: 0, Len: chunkB}})
+		a.PutClean(p, 100, obs.Ctx{}, "fb", []ext.Extent{{Off: 0, Len: chunkB}})
 		if q.Used() != chunkB {
 			t.Errorf("post-clean enforcement: used = %d, want %d", q.Used(), chunkB)
 		}
@@ -130,7 +131,7 @@ func TestQuotaCheckCatchesLedgerDrift(t *testing.T) {
 	a := newCache(k, DefaultConfig())
 	a.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
-		a.PutClean(p, 100, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
+		a.PutClean(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
 	})
 	q.used += 7 // simulate a bookkeeping bug
 	if err := q.Check(); err == nil {

@@ -290,7 +290,7 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 			Index: i,
 			Node:  node,
 			Store: stores[i],
-			queue: sim.NewQueue[*serverReq](k),
+			queue: sim.NewQueue[*serverReq](),
 		}
 		fsys.servers = append(fsys.servers, srv)
 		for w := 0; w < cfg.WorkersPerServer; w++ {

@@ -217,7 +217,7 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k)
+	q := NewQueue[int]()
 	var got []int
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -238,7 +238,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueGetBlocksUntilPut(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[string](k)
+	q := NewQueue[string]()
 	var gotAt time.Duration
 	k.Spawn("consumer", func(p *Proc) {
 		q.Get(p)

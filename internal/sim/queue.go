@@ -15,10 +15,8 @@ type Queue[T any] struct {
 	nonEmpty Signal
 }
 
-// NewQueue returns an empty queue. The kernel argument is vestigial (the
-// zero Queue works); it is kept so call sites read uniformly.
-func NewQueue[T any](k *Kernel) *Queue[T] {
-	_ = k
+// NewQueue returns an empty queue (the zero Queue works too).
+func NewQueue[T any]() *Queue[T] {
 	return &Queue[T]{}
 }
 

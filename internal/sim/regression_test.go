@@ -13,7 +13,7 @@ import (
 // accumulate the dead prefix of everything it has consumed (the old
 // head-slicing queue leaked its entire history).
 func TestQueueRingCapacityBounded(t *testing.T) {
-	q := NewQueue[int](nil)
+	q := NewQueue[int]()
 	for i := 0; i < 100000; i++ {
 		q.Put(i)
 		if v := q.pop(); v != i {
@@ -145,7 +145,7 @@ func TestClockMonotoneUnderStopResume(t *testing.T) {
 
 		// A few procs sleeping random amounts (some identical, to collide
 		// instants), signaling each other through a queue.
-		q := NewQueue[int](k)
+		q := NewQueue[int]()
 		for w := 0; w < 3; w++ {
 			k.Spawn("worker", func(p *Proc) {
 				for i := 0; i < 50; i++ {
