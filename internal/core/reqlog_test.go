@@ -108,26 +108,38 @@ func TestRequestLogOnlyForEMCManagedPrograms(t *testing.T) {
 	}
 }
 
-// An EMC slot pools a running program's log and empties it.
+// An EMC slot pools a running program's log and empties it, so the next
+// slot pools only what was logged after this one.
 func TestEMCSlotDrainsRequestLog(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlotEvery = time.Hour
 	r := NewRunner(smallCluster(1), cfg)
 	pr := r.Add(smallMPIIOTest(false), ModeDualPar, AddOptions{RanksPerNode: 4})
+	drain := func(at time.Duration) {
+		t.Helper()
+		logged := sortedCopy(&pr.log)
+		if len(logged) == 0 || pr.Done {
+			t.Fatalf("at %v: nothing logged or the run finished before the slot", at)
+		}
+		r.emc.slot()
+		if len(pr.log.files) != 0 {
+			t.Fatalf("at %v: slot left the log listing %v", at, pr.log.files)
+		}
+		for f, xs := range pr.log.byFile {
+			if len(xs) != 0 {
+				t.Fatalf("at %v: slot left %d extents of %s in the log", at, len(xs), f)
+			}
+		}
+		if pooled := sortedCopy(&r.emc.pool); !reflect.DeepEqual(pooled, logged) {
+			t.Fatalf("at %v: pool = %v, want the drained log %v", at, pooled, logged)
+		}
+	}
 	if r.Run(50 * time.Millisecond) {
 		t.Fatal("run finished before the slot under test")
 	}
-	logged := sortedCopy(&pr.log)
-	if len(logged) == 0 {
-		t.Fatal("nothing logged before the slot")
-	}
-	r.emc.slot()
-	if len(pr.log.files) != 0 || len(pr.log.byFile) != 0 {
-		t.Fatalf("slot left the log holding %v", pr.log.files)
-	}
-	if pooled := sortedCopy(&r.emc.pool); !reflect.DeepEqual(pooled, logged) {
-		t.Fatalf("pool = %v, want the drained log %v", pooled, logged)
-	}
+	drain(50 * time.Millisecond)
+	r.cl.K.RunUntil(60 * time.Millisecond)
+	drain(60 * time.Millisecond)
 }
 
 // refRecord and refReqDistSectors are the record-based ReqDist that

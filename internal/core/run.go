@@ -102,6 +102,7 @@ func (r *Runner) Add(prog workloads.Program, mode Mode, opts AddOptions) *Progra
 		tenant:  opts.Tenant,
 		onDone:  opts.OnDone,
 	}
+	pr.revoke = pr.revokeGrant
 	pr.origins = make([]int, prog.Ranks())
 	for i := range pr.origins {
 		pr.origins[i] = id*10000 + i + 1
@@ -215,6 +216,7 @@ type ProgramRun struct {
 	crashed    bool          // aborted by an injected client crash
 	tenant     int           // owning tenant on a tenanted cluster
 	grant      *tenant.Grant // live data-driven grant from the arbiter
+	revoke     func()        // revokeGrant, bound once: TryAcquire takes it on every ask
 	onDone     func()
 
 	// epochs tracks sealed checkpoint epochs per rank (lazily created at
@@ -328,7 +330,7 @@ func (pr *ProgramRun) acquireGrant() bool {
 	if arb == nil || pr.grant != nil {
 		return true
 	}
-	pr.grant = arb.TryAcquire(pr.tenant, pr.revokeGrant)
+	pr.grant = arb.TryAcquire(pr.tenant, pr.revoke)
 	return pr.grant != nil
 }
 

@@ -82,9 +82,36 @@ func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 	if len(cp) == 0 {
 		return nil
 	}
-	Sort(cp)
-	out := cp[:1]
-	for _, e := range cp[1:] {
+	// The result aliases cp, which this call owns — returning it directly
+	// is safe and saves re-copying the result on a very hot path.
+	return coalesce(cp, maxHole)
+}
+
+// MergeInPlace is Merge without the copy: it sorts and coalesces xs in its
+// own storage and returns the canonical prefix, which is empty but keeps
+// xs's capacity when nothing is left. xs's contents are overwritten, so a
+// caller can reuse one buffer across calls without allocating.
+func MergeInPlace(xs []Extent) []Extent {
+	n := 0
+	for _, e := range xs {
+		if e.Len > 0 {
+			xs[n] = e
+			n++
+		}
+	}
+	return coalesce(xs[:n], 0)
+}
+
+// coalesce sorts xs, whose extents are all non-empty, and merges in place
+// those whose gap is at most maxHole. The union does not depend on the
+// order of extents with equal offsets.
+func coalesce(xs []Extent, maxHole int64) []Extent {
+	if len(xs) == 0 {
+		return xs
+	}
+	Sort(xs)
+	out := xs[:1]
+	for _, e := range xs[1:] {
 		last := &out[len(out)-1]
 		if e.Off <= last.End()+maxHole {
 			if e.End() > last.End() {
@@ -94,8 +121,6 @@ func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 			out = append(out, e)
 		}
 	}
-	// out aliases cp, which this call owns — returning it directly is safe
-	// and saves re-copying the result on a very hot path.
 	return out
 }
 

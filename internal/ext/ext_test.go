@@ -215,6 +215,36 @@ func TestInsertEquivalentToMerge(t *testing.T) {
 	}
 }
 
+// Property: MergeInPlace gives Merge's canonical union in the input's own
+// storage, and an input with nothing left keeps its capacity.
+func TestMergeInPlaceEquivalentToMerge(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		xs := make([]Extent, int(n)%48)
+		for i := range xs {
+			xs[i] = Extent{Off: r.Int63n(300), Len: r.Int63n(40)}
+		}
+		want := Merge(xs)
+		got := MergeInPlace(xs)
+		if len(got) != len(want) || (len(xs) > 0 && &got[:1][0] != &xs[0]) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty := MergeInPlace(make([]Extent, 3, 8))
+	if len(empty) != 0 || cap(empty) != 8 {
+		t.Fatalf("all-empty input: len %d cap %d, want 0 and 8", len(empty), cap(empty))
+	}
+}
+
 func TestHolesAccounting(t *testing.T) {
 	f := func(seed int64, n uint8, hole uint16) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -16,10 +16,21 @@ func (f *File) WriteExtentsAll(p *sim.Proc, rank int, extents []ext.Extent) {
 	f.collective(p, rank, extents, true)
 }
 
-// aggInfo describes the file-domain partition of one collective call.
+// aggInfo describes the file-domain partition of one collective call:
+// the accessed span [lo, hi) split into n stripe-aligned domains of per
+// bytes (the last one clipped at hi). Aggregator i is rank i*size/a.
 type aggInfo struct {
-	ranks   []int        // aggregator ranks
-	domains []ext.Extent // domains[i] is aggregator i's file domain
+	lo, hi, per int64
+	n, a, size  int
+}
+
+// rank is aggregator i's rank.
+func (ai aggInfo) rank(i int) int { return i * ai.size / ai.a }
+
+// domain is aggregator i's file domain.
+func (ai aggInfo) domain(i int) ext.Extent {
+	dLo := ai.lo + int64(i)*ai.per
+	return ext.Extent{Off: dLo, Len: min(dLo+ai.per, ai.hi) - dLo}
 }
 
 // collective implements two-phase I/O: exchange access metadata, partition
@@ -31,13 +42,12 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 	myBytes := ext.Total(extents)
 
 	// Phase 0: metadata exchange — every rank learns every extent list.
+	// all[r] is rank r's []ext.Extent.
 	metaBytes := int64(16*len(extents)) + 64
 	all := f.w.AllgatherVals(p, rank, extents, metaBytes)
-	perRank := make([][]ext.Extent, f.w.Size())
 	lo, hi := int64(-1), int64(-1)
-	for r := range perRank {
-		perRank[r] = all[r].([]ext.Extent)
-		for _, e := range perRank[r] {
+	for _, v := range all {
+		for _, e := range v.([]ext.Extent) {
 			if e.Len <= 0 {
 				continue
 			}
@@ -55,47 +65,42 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 	}
 	agg := f.partition(lo, hi)
 	myAgg := -1
-	for i, r := range agg.ranks {
-		if r == rank {
+	for i := 0; i < agg.n; i++ {
+		if agg.rank(i) == rank {
 			myAgg = i
 		}
 	}
 
 	// Only the aggregator materializes (and merges) the union restricted
 	// to its own file domain — never the full union per rank, which would
-	// cost O(P * totalExtents) per call.
-	myNeeded := func() []ext.Extent {
-		var needed []ext.Extent
-		d := agg.domains[myAgg]
-		for r := range perRank {
-			needed = append(needed, clipAll(perRank[r], d)...)
-		}
-		return ext.Merge(needed)
+	// cost O(P * totalExtents) per call. It plans into its own buffer,
+	// which it keeps across the blocking aggregatorIO. Off aggregators,
+	// needed stays empty and aggregatorIO does nothing.
+	var needed []ext.Extent
+	if myAgg >= 0 {
+		f.plans[rank] = domainPlan(f.plans[rank], all, agg.domain(myAgg))
+		needed = f.plans[rank]
 	}
 	if write {
 		// Phase 1 (write): owners ship data to aggregators.
 		send := make([]int64, f.w.Size())
-		for i, ar := range agg.ranks {
-			send[ar] = overlapTotal(extents, agg.domains[i])
+		for i := 0; i < agg.n; i++ {
+			send[agg.rank(i)] = overlapTotal(extents, agg.domain(i))
 		}
 		f.w.Alltoallv(p, rank, send)
 		// Phase 2: aggregators write their domains.
-		if myAgg >= 0 {
-			f.aggregatorIO(p, rank, myNeeded(), true)
-		}
+		f.aggregatorIO(p, rank, needed, true)
 		// Collective completion: everyone waits for the aggregators.
 		f.w.Barrier(p, rank)
 	} else {
 		// Phase 1 (read): aggregators read their domains.
-		if myAgg >= 0 {
-			f.aggregatorIO(p, rank, myNeeded(), false)
-		}
+		f.aggregatorIO(p, rank, needed, false)
 		// Phase 2: aggregators distribute to owners. The exchange's
 		// rendezvous also makes consumers wait for aggregator reads.
 		send := make([]int64, f.w.Size())
 		if myAgg >= 0 {
-			for r := 0; r < f.w.Size(); r++ {
-				send[r] = overlapTotal(perRank[r], agg.domains[myAgg])
+			for r, v := range all {
+				send[r] = overlapTotal(v.([]ext.Extent), agg.domain(myAgg))
 			}
 		}
 		f.w.Alltoallv(p, rank, send)
@@ -103,34 +108,45 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 	end.finish(p, myBytes)
 }
 
+// domainPlan returns the union of every rank's extents (all[r] is rank r's
+// []ext.Extent) clipped to domain d, in the canonical form ext.Merge gives.
+// It builds the union in buf's storage, so once buf has grown to fit, it
+// allocates nothing.
+func domainPlan(buf []ext.Extent, all []any, d ext.Extent) []ext.Extent {
+	if cap(buf) == 0 {
+		// A first plan sizes buf exactly instead of by repeated doubling.
+		n := 0
+		for _, v := range all {
+			for _, e := range v.([]ext.Extent) {
+				if _, ok := e.Clip(d.Off, d.End()); ok {
+					n++
+				}
+			}
+		}
+		buf = make([]ext.Extent, 0, n)
+	}
+	buf = buf[:0]
+	for _, v := range all {
+		for _, e := range v.([]ext.Extent) {
+			if c, ok := e.Clip(d.Off, d.End()); ok {
+				buf = append(buf, c)
+			}
+		}
+	}
+	return ext.MergeInPlace(buf)
+}
+
 // partition splits the accessed span [lo, hi) into stripe-aligned file
 // domains, one per aggregator (ROMIO's even partition of [st, end]).
 func (f *File) partition(lo, hi int64) aggInfo {
-	// One aggregator per distinct compute node (ROMIO's cb_nodes default).
-	size := f.w.Size()
-	seen := make(map[int]bool)
-	for r := 0; r < size; r++ {
-		seen[f.w.Node(r)] = true
-	}
-	a := len(seen)
+	a := f.aggs
 	unit := f.fsys.Config().StripeUnit
 	span := hi - lo
 	per := (span + int64(a) - 1) / int64(a)
 	per = (per + unit - 1) / unit * unit
-	info := aggInfo{}
-	for i := 0; i < a; i++ {
-		dLo := lo + int64(i)*per
-		dHi := dLo + per
-		if dLo >= hi {
-			break
-		}
-		if dHi > hi {
-			dHi = hi
-		}
-		info.ranks = append(info.ranks, i*size/a)
-		info.domains = append(info.domains, ext.Extent{Off: dLo, Len: dHi - dLo})
-	}
-	return info
+	// Domains past hi are dropped.
+	n := int(min((span+per-1)/per, int64(a)))
+	return aggInfo{lo: lo, hi: hi, per: per, n: n, a: a, size: f.w.Size()}
 }
 
 // aggregatorIO performs the file access for one aggregator's needed
@@ -198,17 +214,6 @@ func batchBy(xs []ext.Extent, limit int64) [][]ext.Extent {
 		}
 	}
 	flush()
-	return out
-}
-
-// clipAll returns the parts of xs inside domain d.
-func clipAll(xs []ext.Extent, d ext.Extent) []ext.Extent {
-	var out []ext.Extent
-	for _, e := range xs {
-		if c, ok := e.Clip(d.Off, d.End()); ok {
-			out = append(out, c)
-		}
-	}
 	return out
 }
 

@@ -65,6 +65,14 @@ type File struct {
 	clients map[int]*pfs.Client
 	track   string // trace-track prefix ("prog0"); "mpiio" if unset
 	errSink func(error)
+
+	// aggs is the two-phase aggregator count: one per distinct compute
+	// node (ROMIO's cb_nodes default).
+	aggs int
+	// plans[r] is aggregator rank r's file-domain plan buffer. Only rank
+	// r's proc touches it, so a plan outlives the proc blocking in
+	// aggregatorIO; the next collective call by r overwrites it.
+	plans [][]ext.Extent
 }
 
 // Open creates the shared file handle. origins[r] tags rank r's disk
@@ -80,6 +88,10 @@ func Open(w *mpi.World, fsys *pfs.FileSystem, name string, cfg Config, instr *In
 	if instr == nil {
 		instr = NewInstr(w.Size())
 	}
+	seen := make(map[int]bool)
+	for r := 0; r < w.Size(); r++ {
+		seen[w.Node(r)] = true
+	}
 	return &File{
 		w:       w,
 		fsys:    fsys,
@@ -88,6 +100,8 @@ func Open(w *mpi.World, fsys *pfs.FileSystem, name string, cfg Config, instr *In
 		instr:   instr,
 		origins: origins,
 		clients: make(map[int]*pfs.Client),
+		aggs:    len(seen),
+		plans:   make([][]ext.Extent, w.Size()),
 	}
 }
 

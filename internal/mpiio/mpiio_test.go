@@ -23,7 +23,7 @@ type rig struct {
 	fsys *pfs.FileSystem
 }
 
-func newRig(t *testing.T, servers, ranks, ranksPerNode int) *rig {
+func newRig(t testing.TB, servers, ranks, ranksPerNode int) *rig {
 	t.Helper()
 	k := sim.NewKernel(1)
 	net := netsim.New(k, netsim.DefaultConfig())
@@ -312,18 +312,23 @@ func TestPartitionDomainsCoverUnion(t *testing.T) {
 	r := newRig(t, 3, 8, 2)
 	f := r.open("f", DefaultConfig())
 	info := f.partition(64<<10, 64<<10+8<<20)
-	if len(info.ranks) != 4 {
-		t.Fatalf("%d aggregators for 8 ranks on 4 nodes, want one per node", len(info.ranks))
+	if info.n != 4 {
+		t.Fatalf("%d aggregators for 8 ranks on 4 nodes, want one per node", info.n)
 	}
-	lo := info.domains[0].Off
-	hi := info.domains[len(info.domains)-1].End()
+	lo := info.domain(0).Off
+	hi := info.domain(info.n - 1).End()
 	if lo > 64<<10 || hi < 64<<10+8<<20 {
 		t.Fatalf("domains [%d,%d) do not cover union", lo, hi)
 	}
 	unit := r.fsys.Config().StripeUnit
-	for _, d := range info.domains[:len(info.domains)-1] {
-		if d.Off%unit != 0 {
-			t.Fatalf("domain start %d not stripe-aligned", d.Off)
+	for i := 0; i < info.n-1; i++ {
+		if d := info.domain(i); d.Off%unit != 0 || d.End() != info.domain(i+1).Off {
+			t.Fatalf("domain %d %v not stripe-aligned or not abutting the next", i, d)
+		}
+	}
+	for i, want := range []int{0, 2, 4, 6} {
+		if got := info.rank(i); got != want {
+			t.Fatalf("aggregator %d is rank %d, want %d (one per node)", i, got, want)
 		}
 	}
 }
