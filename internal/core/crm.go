@@ -175,7 +175,10 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, file string, batch []ext.Exte
 // on, and the run finishes carrying the error.
 func (pr *ProgramRun) crmBatch(hp *sim.Proc, file string, batch []ext.Extent, op crmOp, home, attempt int) {
 	cl := pr.r.cl.FS.Client(home)
-	rc := pr.obs().StartRequest(fmt.Sprintf("prog%d/crm/home%d", pr.id, home))
+	var rc obs.Ctx
+	if o := pr.obs(); o.Enabled() {
+		rc = o.StartRequest(fmt.Sprintf("prog%d/crm/home%d", pr.id, home))
+	}
 	start := hp.Now()
 	verb := "crm-read"
 	switch op {

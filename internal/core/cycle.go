@@ -127,15 +127,19 @@ func (c *controller) waitWriteback(p *sim.Proc, rank int, rc obs.Ctx) {
 }
 
 // noteSuspend and noteResume mark one rank's suspension window on its own
-// trace track.
+// trace track. With tracing off they build nothing.
 func (c *controller) noteSuspend(p *sim.Proc, rank int, why string) {
-	c.pr.obs().Instant("rank.suspend", fmt.Sprintf("prog%d/rank%d", c.pr.id, rank),
-		p.Now(), obs.Str("why", why), obs.I64("gen", int64(c.gen)))
+	if o := c.pr.obs(); o.Enabled() {
+		o.Instant("rank.suspend", fmt.Sprintf("prog%d/rank%d", c.pr.id, rank),
+			p.Now(), obs.Str("why", why), obs.I64("gen", int64(c.gen)))
+	}
 }
 
 func (c *controller) noteResume(p *sim.Proc, rank int) {
-	c.pr.obs().Instant("rank.resume", fmt.Sprintf("prog%d/rank%d", c.pr.id, rank),
-		p.Now(), obs.I64("gen", int64(c.gen)))
+	if o := c.pr.obs(); o.Enabled() {
+		o.Instant("rank.resume", fmt.Sprintf("prog%d/rank%d", c.pr.id, rank),
+			p.Now(), obs.I64("gen", int64(c.gen)))
+	}
 }
 
 // startGhost forks the pre-execution for one suspended rank. The ghost

@@ -77,7 +77,10 @@ func (s *strategy2) prefetchLoop(p *sim.Proc, rank int) {
 				s.issued[rank] += e.Len
 				s.pr.r.cl.K.Spawn(fmt.Sprintf("prog%d/s2-req%d", s.pr.id, rank), func(rp *sim.Proc) {
 					one := []ext.Extent{e}
-					rc := s.pr.obs().StartRequest(fmt.Sprintf("prog%d/s2/rank%d", s.pr.id, rank))
+					var rc obs.Ctx
+					if o := s.pr.obs(); o.Enabled() {
+						rc = o.StartRequest(fmt.Sprintf("prog%d/s2/rank%d", s.pr.id, rank))
+					}
 					start := rp.Now()
 					endSpan := func() {
 						if rc.Traced() {

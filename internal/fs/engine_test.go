@@ -88,7 +88,7 @@ func TestEngineConformanceEvictionBounded(t *testing.T) {
 			s.Read(p, "a", 0, 8<<20, 1)
 		})
 		k.RunUntil(time.Minute)
-		if got := int64(len(s.cache.pages)) * int64(cfg.PageSize); got > cfg.CacheBytes {
+		if got := s.cache.resident * int64(cfg.PageSize); got > cfg.CacheBytes {
 			t.Fatalf("resident = %d bytes, cache bound %d", got, cfg.CacheBytes)
 		}
 		if err := s.Engine().CheckInvariants(); err != nil {
@@ -325,7 +325,7 @@ func TestMakeRoomManyDirtiersTinyCache(t *testing.T) {
 	})
 	k.Spawn("monitor", func(p *sim.Proc) {
 		for {
-			if got := int64(len(s.cache.pages)); got > capPages {
+			if got := s.cache.resident; got > capPages {
 				t.Errorf("resident %d pages at %v, cap %d", got, p.Now(), capPages)
 				return
 			}

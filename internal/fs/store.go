@@ -287,6 +287,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	s.statReadBytes += n
 
 	ps := int64(s.cfg.PageSize)
+	cf := s.cache.file(name)
 	sc := s.getScratch()
 	missRuns := sc.missRuns // page index ranges [start, end]
 	for _, e := range extents {
@@ -296,7 +297,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 		s.eng.Ensure(name, e.End()) // reading unwritten space still has layout
 		first, last := e.Off/ps, (e.End()-1)/ps
 		for pg := first; pg <= last; pg++ {
-			if s.cache.touch(name, pg) {
+			if s.cache.touch(cf, pg) {
 				s.statCacheHits++
 				s.cPageHit.Add(1)
 				continue
@@ -307,7 +308,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 			// readers do not duplicate the fetch. (A real kernel would make
 			// them wait on the page lock; we let them proceed, a harmless
 			// optimism since the benchmarks do not share read data.)
-			s.cache.insertClean(p, name, pg)
+			s.cache.insertClean(p, cf, pg)
 			if len(missRuns) > 0 && missRuns[len(missRuns)-1][1] == pg-1 {
 				missRuns[len(missRuns)-1][1] = pg
 			} else {
@@ -389,6 +390,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 	}
 
 	ps := int64(s.cfg.PageSize)
+	cf := s.cache.file(name)
 	for _, e := range extents {
 		if e.Len <= 0 {
 			continue
@@ -396,7 +398,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 		s.eng.Ensure(name, e.End())
 		first, last := e.Off/ps, (e.End()-1)/ps
 		for pg := first; pg <= last; pg++ {
-			s.cache.insertDirty(p, name, pg)
+			s.cache.insertDirty(p, cf, pg)
 		}
 	}
 	// Throttle while over the dirty limit.
@@ -444,8 +446,8 @@ func (s *Store) flushOnce(p *sim.Proc) {
 	}
 	// Coalesce per-file page runs into write requests, then sort by LBN.
 	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].file != pages[j].file {
-			return pages[i].file < pages[j].file
+		if pages[i].f != pages[j].f {
+			return pages[i].f.name < pages[j].f.name
 		}
 		return pages[i].idx < pages[j].idx
 	})
@@ -453,12 +455,12 @@ func (s *Store) flushOnce(p *sim.Proc) {
 	i := 0
 	for i < len(pages) {
 		j := i
-		for j+1 < len(pages) && pages[j+1].file == pages[i].file && pages[j+1].idx == pages[j].idx+1 {
+		for j+1 < len(pages) && pages[j+1].f == pages[i].f && pages[j+1].idx == pages[j].idx+1 {
 			j++
 		}
 		// WriteRuns commits relocation at data-reaching-disk time: a
 		// log-structured engine assigns the pages' log locations here.
-		sc.runs = s.eng.WriteRuns(sc.runs[:0], pages[i].file, pages[i].idx*ps, int64(j-i+1)*ps)
+		sc.runs = s.eng.WriteRuns(sc.runs[:0], pages[i].f.name, pages[i].idx*ps, int64(j-i+1)*ps)
 		for _, lr := range sc.runs {
 			reqs = s.appendSplit(reqs, lr, true, s.wbOrig, obs.Ctx{})
 		}

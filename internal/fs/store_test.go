@@ -288,7 +288,7 @@ func TestEvictionKeepsCacheBounded(t *testing.T) {
 		s.Read(p, "a", 0, 8<<20, 1)
 	})
 	k.RunUntil(time.Minute)
-	if got := int64(len(s.cache.pages)) * int64(cfg.PageSize); got > cfg.CacheBytes {
+	if got := s.cache.resident * int64(cfg.PageSize); got > cfg.CacheBytes {
 		t.Fatalf("resident = %d bytes, cache bound %d", got, cfg.CacheBytes)
 	}
 }

@@ -126,19 +126,19 @@ func (f *File) ioErr(err error) {
 	}
 }
 
-// rankTrack is the trace track of one rank's operations.
-func (f *File) rankTrack(rank int) string {
+// startRequest opens a traced end-to-end request for one rank's operation
+// on the rank's track. With tracing off it returns the zero Ctx (no track
+// string is built on the disabled path).
+func (f *File) startRequest(rank int) obs.Ctx {
+	o := f.fsys.Obs()
+	if !o.Enabled() {
+		return obs.Ctx{}
+	}
 	prefix := f.track
 	if prefix == "" {
 		prefix = "mpiio"
 	}
-	return fmt.Sprintf("%s/rank%d", prefix, rank)
-}
-
-// startRequest opens a traced end-to-end request for one rank's operation.
-// With tracing off it returns the zero Ctx.
-func (f *File) startRequest(rank int) obs.Ctx {
-	return f.fsys.Obs().StartRequest(f.rankTrack(rank))
+	return o.StartRequest(fmt.Sprintf("%s/rank%d", prefix, rank))
 }
 
 // endRequest closes the request span opened by startRequest.
