@@ -10,13 +10,17 @@ import (
 
 // smallCluster builds a scaled-down testbed: 3 data servers.
 func smallCluster(seed int64) *cluster.Cluster {
+	return cluster.New(smallConfig(seed))
+}
+
+func smallConfig(seed int64) cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.DataServers = 3
 	cfg.Seed = seed
 	d := cfg.Disk
 	d.Sectors = 1 << 25 // 16 GB per member
 	cfg.Disk = d
-	return cluster.New(cfg)
+	return cfg
 }
 
 // smallMPIIOTest is a quick sequential workload.
@@ -255,7 +259,7 @@ func TestEMCEnablesUnderInterference(t *testing.T) {
 	}
 	switched := len(p1.ModeSwitches) > 0 || len(p2.ModeSwitches) > 0
 	if !switched {
-		t.Fatalf("EMC never enabled data-driven mode under interference; decisions: %+v", tail(r.emc.Decisions, 6))
+		t.Fatalf("EMC never enabled data-driven mode under interference; decisions: %+v", tail(r.EMCDecisions(), 6))
 	}
 }
 

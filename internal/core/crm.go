@@ -64,11 +64,12 @@ func (pr *ProgramRun) crmServe(p *sim.Proc, wish *fileExtents) {
 }
 
 // crmPrefetch serves a batched prefetch: sort, merge, absorb holes, align
-// to the cache chunk, and issue per home node.
+// to the cache chunk, and issue per home node. It owns wish, so it merges
+// each file's extents in the list's own storage.
 func (pr *ProgramRun) crmPrefetch(p *sim.Proc, wish *fileExtents) {
 	cfg := pr.r.cfg
 	for _, file := range wish.files {
-		merged := ext.MergeWithHoles(wish.byFile[file], cfg.HoleBytes)
+		merged := ext.MergeInPlace(wish.byFile[file], cfg.HoleBytes)
 		aligned := ext.AlignTo(merged, cfg.Memcache.ChunkBytes)
 		aligned = pr.clipToFile(file, aligned)
 		if len(aligned) == 0 {

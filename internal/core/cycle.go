@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dualpar/internal/ext"
@@ -26,9 +27,14 @@ type controller struct {
 	participants int
 	ghostsActive int
 	stopGhosts   bool
-	wish         fileExtents // the coming batch
-	wish2        fileExtents // pipeline overflow (served in background)
+	wish         *fileExtents // the coming batch
+	wish2        *fileExtents // pipeline overflow (served in background)
 	cycles       int64
+
+	// Storage recycled across cycles. A wish list is spare only while no
+	// CRM proc holds it, and a ghost recorder only while no ghost runs.
+	spareWish []*fileExtents
+	ghostEnvs []*ghostEnv
 }
 
 const (
@@ -42,7 +48,19 @@ func newController(pr *ProgramRun) *controller {
 		pr:     pr,
 		resume: pr.r.cl.K.NewSignal(),
 		abort:  pr.r.cl.K.NewSignal(),
+		wish:   new(fileExtents),
+		wish2:  new(fileExtents),
 	}
+}
+
+// recycled pops a spare off pool, or returns a new zero T when none is left.
+func recycled[T any](pool *[]*T) *T {
+	if n := len(*pool); n > 0 {
+		x := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		return x
+	}
+	return new(T)
 }
 
 // Cycles reports how many data-driven cycles have completed.
@@ -150,7 +168,7 @@ func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloa
 	c.ghostsActive++
 	myGen := c.gen
 	clone := gen.Clone()
-	env := newGhostEnv()
+	env := recycled(&c.ghostEnvs)
 	env.record(pending.File, pending.Extents)
 	quota := c.pr.r.cfg.CacheQuotaBytes
 	limit := quota * int64(c.pr.r.cfg.PipelineDepth)
@@ -158,6 +176,8 @@ func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloa
 	k := c.pr.r.cl.K
 	k.Spawn(fmt.Sprintf("prog%d/ghost%d", c.pr.id, rank), func(p *sim.Proc) {
 		defer func() {
+			env.reset()
+			c.ghostEnvs = append(c.ghostEnvs, env)
 			if c.gen == myGen {
 				c.ghostsActive--
 				c.maybeServe()
@@ -253,14 +273,19 @@ func (c *controller) serve() {
 	c.abort.Broadcast()
 	k := c.pr.r.cl.K
 	k.After(0, func() {
+		// The CRM proc owns this pair until it hands them back; the next
+		// cycle fills a fresh pair meanwhile.
 		wish, wish2 := c.wish, c.wish2
-		c.wish, c.wish2 = fileExtents{}, fileExtents{}
+		c.wish, c.wish2 = recycled(&c.spareWish), recycled(&c.spareWish)
 		k.Spawn(fmt.Sprintf("prog%d/crm", c.pr.id), func(p *sim.Proc) {
-			c.pr.crmServe(p, &wish)
+			c.pr.crmServe(p, wish)
 			c.finishCycle()
 			// The pipelined wave runs after the ranks resume, overlapping
 			// the fetch with their consumption of the first wave.
-			c.pr.crmPrefetch(p, &wish2)
+			c.pr.crmPrefetch(p, wish2)
+			wish.reset()
+			wish2.reset()
+			c.spareWish = append(c.spareWish, wish, wish2)
 		})
 	})
 }
@@ -287,11 +312,10 @@ type ghostEnv struct {
 	recorded map[string][]ext.Extent
 }
 
-func newGhostEnv() *ghostEnv {
-	return &ghostEnv{recorded: make(map[string][]ext.Extent)}
-}
-
 func (e *ghostEnv) record(file string, extents []ext.Extent) {
+	if e.recorded == nil {
+		e.recorded = make(map[string][]ext.Extent)
+	}
 	xs := e.recorded[file]
 	for _, x := range extents {
 		xs = ext.Insert(xs, x)
@@ -299,12 +323,28 @@ func (e *ghostEnv) record(file string, extents []ext.Extent) {
 	e.recorded[file] = xs
 }
 
-// Value implements workloads.Env.
+// reset forgets every recorded read but keeps each file's key and slice
+// capacity, so a pooled recorder serves the next ghost without regrowing.
+func (e *ghostEnv) reset() {
+	for f, xs := range e.recorded {
+		e.recorded[f] = xs[:0]
+	}
+}
+
+// Value implements workloads.Env. The recorded list is canonical (sorted,
+// disjoint), so a binary search finds the one extent that could hold off.
 func (e *ghostEnv) Value(file string, off int64) int64 {
-	for _, r := range e.recorded[file] {
-		if r.Contains(off, 1) {
-			return 0
+	_, hidden := slices.BinarySearchFunc(e.recorded[file], off, func(r ext.Extent, off int64) int {
+		switch {
+		case r.End() <= off:
+			return -1
+		case r.Off > off:
+			return 1
 		}
+		return 0
+	})
+	if hidden {
+		return 0
 	}
 	return workloads.Content(file, off)
 }

@@ -119,7 +119,7 @@ func TestGhostRecordsStopAtQuota(t *testing.T) {
 }
 
 func TestGhostEnvHidesRecordedReads(t *testing.T) {
-	env := newGhostEnv()
+	env := new(ghostEnv)
 	env.record("f", []extAlias{{Off: 100, Len: 50}})
 	if v := env.Value("f", 120); v != 0 {
 		t.Fatalf("recorded offset visible: %d", v)

@@ -1,10 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"dualpar/internal/disk"
+	"dualpar/internal/ext"
 	"dualpar/internal/obs"
 )
 
@@ -28,8 +30,7 @@ type emc struct {
 	pool     fileExtents // this slot's pooled request logs
 	ticking  bool        // a slot tick is scheduled
 
-	// Decisions logs every evaluation for analysis.
-	Decisions []Decision
+	log decisionLog // every evaluation, for analysis (Runner.EMCDecisions)
 }
 
 // emcState is EMC's per-program sampling and hysteresis state, kept on
@@ -45,7 +46,8 @@ type emcState struct {
 	ratioInit bool    // ratioEWMA seeded with a first sample
 }
 
-// Decision is one per-slot, per-program EMC evaluation.
+// Decision is one per-slot, per-program EMC evaluation, as
+// Runner.EMCDecisions expands it from the log.
 type Decision struct {
 	At          time.Duration
 	Program     int
@@ -59,6 +61,75 @@ type Decision struct {
 	// AveSeekDist (servers idle over the slot omitted). Shared by all
 	// programs evaluated in the same slot.
 	PerServerSeek []float64
+}
+
+// decisionLog is EMC's evaluation history in compact form. What every
+// program evaluated in one slot shares is stored once per slot, and the
+// per-program rows fill fixed-size chunks, so the log grows without ever
+// copying what it already holds.
+type decisionLog struct {
+	slots  []slotRecord
+	chunks []*[decisionChunk]decisionRow
+	n      int // rows logged
+}
+
+// decisionChunk is the number of rows per chunk.
+const decisionChunk = 1024
+
+// slotRecord holds the fields shared by every row of one slot. A slot is
+// recorded only once it has a row.
+type slotRecord struct {
+	at            time.Duration
+	aveSeekDist   float64
+	aveReqDist    float64
+	improvement   float64
+	perServerSeek []float64
+	last          int // index of the slot's last row
+}
+
+// decisionRow is one program's evaluation within a slot.
+type decisionRow struct {
+	program    int32
+	dataDriven bool
+	ioRatio    float64
+	misRatio   float64
+}
+
+// add appends a row to the most recent slot record.
+func (l *decisionLog) add(row decisionRow) {
+	if l.n == len(l.chunks)*decisionChunk {
+		l.chunks = append(l.chunks, new([decisionChunk]decisionRow))
+	}
+	l.chunks[l.n/decisionChunk][l.n%decisionChunk] = row
+	l.slots[len(l.slots)-1].last = l.n
+	l.n++
+}
+
+// decisions expands the log into one Decision per row, in logging order.
+// The rows of one slot share its PerServerSeek slice.
+func (l *decisionLog) decisions() []Decision {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]Decision, 0, l.n)
+	i := 0
+	for _, s := range l.slots {
+		for ; i <= s.last; i++ {
+			row := &l.chunks[i/decisionChunk][i%decisionChunk]
+			out = append(out, Decision{
+				At:            s.at,
+				Program:       int(row.program),
+				IORatio:       row.ioRatio,
+				AveSeekDist:   s.aveSeekDist,
+				AveReqDist:    s.aveReqDist,
+				Improvement:   s.improvement,
+				MisRatio:      row.misRatio,
+				DataDriven:    row.dataDriven,
+				PerServerSeek: s.perServerSeek,
+			})
+		}
+	}
+	return out
 }
 
 func newEMC(r *Runner) *emc {
@@ -110,6 +181,7 @@ func (e *emc) slot() {
 	}
 	reqDist := reqDistSectors(&e.pool)
 	improvement := aveSeek / reqDist
+	opened := false // this slot's shared record is in the log
 	for i, pr := range e.r.progs {
 		if pr.Done || now < pr.startAt {
 			continue
@@ -165,17 +237,15 @@ func (e *emc) slot() {
 		if !pr.disabled {
 			e.applyDecision(pr, dIO+dComp > 0, ioRatio, improvement, mis, nMis)
 		}
-		e.Decisions = append(e.Decisions, Decision{
-			At:            now,
-			Program:       i,
-			IORatio:       ioRatio,
-			AveSeekDist:   aveSeek,
-			AveReqDist:    reqDist,
-			Improvement:   improvement,
-			MisRatio:      mis,
-			DataDriven:    pr.dataDriven,
-			PerServerSeek: perSeek,
-		})
+		if !opened {
+			opened = true
+			e.log.slots = append(e.log.slots, slotRecord{
+				at: now, aveSeekDist: aveSeek, aveReqDist: reqDist,
+				improvement: improvement, perServerSeek: perSeek,
+			})
+		}
+		e.log.add(decisionRow{program: int32(i), dataDriven: pr.dataDriven,
+			ioRatio: ioRatio, misRatio: mis})
 		// The args are formatted eagerly, so skip them when tracing is off.
 		if col := e.r.cl.Obs(); col.Enabled() {
 			dd := "off"
@@ -259,7 +329,7 @@ func (e *emc) applyDecision(pr *ProgramRun, active bool, ioRatio, improvement, m
 // system-wide improvement signal nor mask a real one, both of which a
 // pooled mean allows.
 func (e *emc) sampleServers() (float64, []float64) {
-	per := make([]float64, 0, len(e.r.cl.Stores))
+	var per []float64 // allocated on the first sample; the log keeps it
 	for i, st := range e.r.cl.Stores {
 		s := st.Device().Stats()
 		d := s.Sub(e.lastDisk[i])
@@ -274,6 +344,9 @@ func (e *emc) sampleServers() (float64, []float64) {
 		if !e.r.cl.FS.Alive(i) {
 			continue
 		}
+		if per == nil {
+			per = make([]float64, 0, len(e.r.cl.Stores))
+		}
 		per = append(per, float64(d.SeekSectors)/float64(d.Accesses))
 	}
 	if len(per) == 0 {
@@ -285,8 +358,9 @@ func (e *emc) sampleServers() (float64, []float64) {
 // median returns the middle value of xs (mean of the two middles for even
 // length) without mutating it.
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	var buf [16]float64
+	s := append(buf[:0], xs...)
+	slices.Sort(s)
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
@@ -300,12 +374,12 @@ func median(xs []float64) float64 {
 // the disk must travel per request even in the perfect order). It sorts
 // the list's files and extents in place.
 func reqDistSectors(reqs *fileExtents) float64 {
-	sort.Strings(reqs.files)
+	slices.Sort(reqs.files)
 	var total float64
 	var n int
 	for _, f := range reqs.files {
 		rs := reqs.byFile[f]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
+		slices.SortFunc(rs, func(a, b ext.Extent) int { return cmp.Compare(a.Off, b.Off) })
 		for i := 1; i < len(rs); i++ {
 			d := rs[i].Off - rs[i-1].Off
 			if d < rs[i-1].Len {

@@ -127,13 +127,13 @@ func TestEMCSkipsCrashedServerSamples(t *testing.T) {
 	if cl.FS.Alive(1) {
 		t.Fatal("server 1 should be down in the client view")
 	}
-	if len(r.emc.Decisions) == 0 {
+	if len(r.EMCDecisions()) == 0 {
 		t.Fatal("no EMC decisions recorded")
 	}
 	// The first slot (t=1s) spans the crash at 500ms: server 1 did I/O for
 	// half the slot, so without the liveness filter it would contribute a
 	// third sample.
-	first := r.emc.Decisions[0]
+	first := r.EMCDecisions()[0]
 	if len(first.PerServerSeek) > 2 {
 		t.Fatalf("first slot sampled %d servers, want <= 2 (crashed server filtered)",
 			len(first.PerServerSeek))

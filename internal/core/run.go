@@ -51,7 +51,8 @@ func (r *Runner) Config() Config { return r.cfg }
 func (r *Runner) Programs() []*ProgramRun { return r.progs }
 
 // EMCDecisions returns the EMC daemon's per-slot evaluation log.
-func (r *Runner) EMCDecisions() []Decision { return r.emc.Decisions }
+// It expands the compact log on every call.
+func (r *Runner) EMCDecisions() []Decision { return r.emc.log.decisions() }
 
 // AddOptions tunes one program's execution.
 type AddOptions struct {

@@ -87,11 +87,11 @@ func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 	return coalesce(cp, maxHole)
 }
 
-// MergeInPlace is Merge without the copy: it sorts and coalesces xs in its
-// own storage and returns the canonical prefix, which is empty but keeps
-// xs's capacity when nothing is left. xs's contents are overwritten, so a
-// caller can reuse one buffer across calls without allocating.
-func MergeInPlace(xs []Extent) []Extent {
+// MergeInPlace is MergeWithHoles without the copy: it sorts and coalesces
+// xs in its own storage and returns the merged prefix, which is empty but
+// keeps xs's capacity when nothing is left. xs's contents are overwritten,
+// so a caller that owns xs can reuse it across calls without allocating.
+func MergeInPlace(xs []Extent, maxHole int64) []Extent {
 	n := 0
 	for _, e := range xs {
 		if e.Len > 0 {
@@ -99,7 +99,7 @@ func MergeInPlace(xs []Extent) []Extent {
 			n++
 		}
 	}
-	return coalesce(xs[:n], 0)
+	return coalesce(xs[:n], maxHole)
 }
 
 // coalesce sorts xs, whose extents are all non-empty, and merges in place

@@ -215,17 +215,18 @@ func TestInsertEquivalentToMerge(t *testing.T) {
 	}
 }
 
-// Property: MergeInPlace gives Merge's canonical union in the input's own
+// Property: MergeInPlace gives MergeWithHoles's result in the input's own
 // storage, and an input with nothing left keeps its capacity.
 func TestMergeInPlaceEquivalentToMerge(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
+	f := func(seed int64, n uint8, hole uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		xs := make([]Extent, int(n)%48)
 		for i := range xs {
 			xs[i] = Extent{Off: r.Int63n(300), Len: r.Int63n(40)}
 		}
-		want := Merge(xs)
-		got := MergeInPlace(xs)
+		maxHole := int64(hole % 24)
+		want := MergeWithHoles(xs, maxHole)
+		got := MergeInPlace(xs, maxHole)
 		if len(got) != len(want) || (len(xs) > 0 && &got[:1][0] != &xs[0]) {
 			return false
 		}
@@ -239,7 +240,7 @@ func TestMergeInPlaceEquivalentToMerge(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	empty := MergeInPlace(make([]Extent, 3, 8))
+	empty := MergeInPlace(make([]Extent, 3, 8), 16)
 	if len(empty) != 0 || cap(empty) != 8 {
 		t.Fatalf("all-empty input: len %d cap %d, want 0 and 8", len(empty), cap(empty))
 	}

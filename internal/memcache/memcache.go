@@ -208,7 +208,8 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 	c.statGets++
 	now := p.Now()
 	var auditMiss int64
-	var perHome homeBytes // hit bytes by home node
+	var homes [8]homeAcc
+	perHome := homeBytes(homes[:0]) // hit bytes by home node
 	for _, e := range extents {
 		c.visitChunks(e, func(idx int64, rel ext.Extent) {
 			key := chunkKey{file, idx}
@@ -271,9 +272,10 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 // homeBytes accumulates per-home-node byte counts for one batched
 // operation. The fan-out of a single Get/put is a handful of nodes, so a
 // slice kept sorted by insertion beats a map plus a key sort on the hot
-// path — and node order stays deterministic for free. It must be local to
-// one call: Procs yield inside chargeTransfers, so a shared scratch buffer
-// would be clobbered by a concurrent simulated operation.
+// path — and node order stays deterministic for free. Callers back it with
+// a local array, which stays on the stack. It must be local to one call:
+// Procs yield inside chargeTransfers, so a shared scratch buffer would be
+// clobbered by a concurrent simulated operation.
 type homeBytes []homeAcc
 
 type homeAcc struct {
@@ -331,7 +333,8 @@ func (c *Cache) PutDirty(p *sim.Proc, fromNode int, rc obs.Ctx, file string, ext
 func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents []ext.Extent, dirty bool) {
 	start := p.Now()
 	now := p.Now()
-	var perHome homeBytes // bytes shipped to each home node
+	var homes [8]homeAcc
+	perHome := homeBytes(homes[:0]) // bytes shipped to each home node
 	for _, e := range extents {
 		c.visitChunks(e, func(idx int64, rel ext.Extent) {
 			key := chunkKey{file, idx}

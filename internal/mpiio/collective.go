@@ -133,7 +133,7 @@ func domainPlan(buf []ext.Extent, all []any, d ext.Extent) []ext.Extent {
 			}
 		}
 	}
-	return ext.MergeInPlace(buf)
+	return ext.MergeInPlace(buf, 0)
 }
 
 // partition splits the accessed span [lo, hi) into stripe-aligned file
