@@ -1,6 +1,9 @@
 package mpiio
 
 import (
+	"math"
+	"sort"
+
 	"dualpar/internal/ext"
 	"dualpar/internal/sim"
 )
@@ -33,33 +36,27 @@ func (ai aggInfo) domain(i int) ext.Extent {
 	return ext.Extent{Off: dLo, Len: min(dLo+ai.per, ai.hi) - dLo}
 }
 
-// collective implements two-phase I/O: exchange access metadata, partition
-// the aggregate range into per-aggregator file domains, move data between
-// owners and aggregators with all-to-all, and let aggregators perform large
-// contiguous file accesses (with data sieving).
+// collective implements two-phase I/O in ROMIO's shape: each rank
+// summarises its own list (ADIOI_Calc_my_off_len) before the metadata
+// exchange, the span comes from the summaries, the aggregate range is
+// partitioned into per-aggregator file domains, each aggregator merges
+// every rank's sorted window over its domain, data moves between owners and
+// aggregators with all-to-all (ADIOI_Calc_others_req's counts), and
+// aggregators perform large contiguous file accesses (with data sieving).
 func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write bool) {
 	end := f.instr.begin(p, rank)
 	myBytes := ext.Total(extents)
 
-	// Phase 0: metadata exchange — every rank learns every extent list.
-	// all[r] is rank r's []ext.Extent.
+	// Phase 0: metadata exchange. Each rank hands out a pointer to its
+	// summary (nil for an empty list); all[r] is rank r's. The others read
+	// r's summary before they enter this call's all-to-all, which r must
+	// pass before its next call overwrites the summary. A call in which no
+	// rank accesses a byte ends before the all-to-all, but then every
+	// pointer handed out is nil.
 	metaBytes := int64(16*len(extents)) + 64
-	all := f.w.AllgatherVals(p, rank, extents, metaBytes)
-	lo, hi := int64(-1), int64(-1)
-	for _, v := range all {
-		for _, e := range v.([]ext.Extent) {
-			if e.Len <= 0 {
-				continue
-			}
-			if lo < 0 || e.Off < lo {
-				lo = e.Off
-			}
-			if e.End() > hi {
-				hi = e.End()
-			}
-		}
-	}
-	if lo < 0 {
+	all := f.w.AllgatherVals(p, rank, f.summarize(rank, extents), metaBytes)
+	lo, hi, ok := span(all)
+	if !ok {
 		end.finish(p, 0)
 		return
 	}
@@ -71,22 +68,25 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 		}
 	}
 
-	// Only the aggregator materializes (and merges) the union restricted
-	// to its own file domain — never the full union per rank, which would
-	// cost O(P * totalExtents) per call. It plans into its own buffer,
-	// which it keeps across the blocking aggregatorIO. Off aggregators,
-	// needed stays empty and aggregatorIO does nothing.
+	// Only the aggregator materializes the union restricted to its own
+	// file domain. It plans into its own buffer, which it keeps across the
+	// blocking aggregatorIO, and a reading aggregator counts what it owes
+	// each rank while it plans. Off aggregators, needed stays empty and
+	// aggregatorIO does nothing.
+	st := &f.ranks[rank]
 	var needed []ext.Extent
+	send := make([]int64, f.w.Size())
 	if myAgg >= 0 {
-		f.plans[rank] = domainPlan(f.plans[rank], all, agg.domain(myAgg))
-		needed = f.plans[rank]
+		var owed []int64
+		if !write {
+			owed = send
+		}
+		st.plan = f.domainPlan(st.plan, all, agg.domain(myAgg), owed)
+		needed = st.plan
 	}
 	if write {
 		// Phase 1 (write): owners ship data to aggregators.
-		send := make([]int64, f.w.Size())
-		for i := 0; i < agg.n; i++ {
-			send[agg.rank(i)] = overlapTotal(extents, agg.domain(i))
-		}
+		writeSend(send, extents, agg)
 		f.w.Alltoallv(p, rank, send)
 		// Phase 2: aggregators write their domains.
 		f.aggregatorIO(p, rank, needed, true)
@@ -97,43 +97,241 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 		f.aggregatorIO(p, rank, needed, false)
 		// Phase 2: aggregators distribute to owners. The exchange's
 		// rendezvous also makes consumers wait for aggregator reads.
-		send := make([]int64, f.w.Size())
-		if myAgg >= 0 {
-			for r, v := range all {
-				send[r] = overlapTotal(v.([]ext.Extent), agg.domain(myAgg))
-			}
-		}
 		f.w.Alltoallv(p, rank, send)
 	}
 	end.finish(p, myBytes)
 }
 
-// domainPlan returns the union of every rank's extents (all[r] is rank r's
-// []ext.Extent) clipped to domain d, in the canonical form ext.Merge gives.
-// It builds the union in buf's storage, so once buf has grown to fit, it
-// allocates nothing.
-func domainPlan(buf []ext.Extent, all []any, d ext.Extent) []ext.Extent {
-	if cap(buf) == 0 {
-		// A first plan sizes buf exactly instead of by repeated doubling.
-		n := 0
-		for _, v := range all {
-			for _, e := range v.([]ext.Extent) {
-				if _, ok := e.Clip(d.Off, d.End()); ok {
-					n++
-				}
-			}
+// summary is one rank's extent list as the other ranks read it after the
+// metadata exchange: its canonical form, and the bytes the list covers
+// more than once. The owning rank fills it before the exchange.
+type summary struct {
+	// canon is the list in the canonical form ext.Merge gives: the list
+	// itself when it is already canonical, otherwise a view of buf.
+	canon []ext.Extent
+	buf   []ext.Extent
+	// dups holds, for each extent of the list that overlaps the extents
+	// before it in offset order, the overlapping part, so that the list's
+	// byte count over any range, overlaps counted each time, is canon's
+	// plus dups'. It is empty when the list's extents are disjoint.
+	dups []ext.Extent
+}
+
+// summarize fills rank's summary with xs and returns what the rank hands
+// out in the metadata exchange: a pointer to the summary, or nil when xs
+// covers no byte.
+func (f *File) summarize(rank int, xs []ext.Extent) *summary {
+	if f.ranks == nil {
+		// A file only ever accessed independently never pays for these.
+		f.ranks = make([]rankState, f.w.Size())
+	}
+	s := &f.ranks[rank].sum
+	s.set(xs)
+	if len(s.canon) == 0 {
+		return nil
+	}
+	return s
+}
+
+// set summarises xs. A list that is already canonical is referenced, not
+// copied; any other is sorted and coalesced in the summary's own buffer,
+// which later calls reuse.
+func (s *summary) set(xs []ext.Extent) {
+	s.dups = s.dups[:0]
+	if canonical(xs) {
+		s.canon = xs
+		return
+	}
+	buf := s.buf[:0]
+	for _, e := range xs {
+		if e.Len > 0 {
+			buf = append(buf, e)
 		}
-		buf = make([]ext.Extent, 0, n)
+	}
+	s.buf = buf
+	if len(buf) == 0 {
+		s.canon = buf
+		return
+	}
+	ext.Sort(buf)
+	out := buf[:1]
+	for _, e := range buf[1:] {
+		last := &out[len(out)-1]
+		if e.Off > last.End() {
+			out = append(out, e)
+			continue
+		}
+		if e.Off < last.End() {
+			s.dups = append(s.dups, ext.Extent{Off: e.Off, Len: min(e.End(), last.End()) - e.Off})
+		}
+		if e.End() > last.End() {
+			last.Len = e.End() - last.Off
+		}
+	}
+	s.canon = out
+}
+
+// canonical reports whether xs is already in ext.Merge's form: non-empty
+// extents in offset order with a gap between neighbours.
+func canonical(xs []ext.Extent) bool {
+	for i, e := range xs {
+		if e.Len <= 0 || i > 0 && e.Off <= xs[i-1].End() {
+			return false
+		}
+	}
+	return true
+}
+
+// span is the range [lo, hi) the exchanged summaries' accesses fall in,
+// read off the ends of their canonical lists; ok is false when no rank
+// accesses a byte.
+func span(all []any) (lo, hi int64, ok bool) {
+	for _, v := range all {
+		s, _ := v.(*summary)
+		if s == nil {
+			continue
+		}
+		c := s.canon
+		if !ok || c[0].Off < lo {
+			lo = c[0].Off
+		}
+		if !ok || c[len(c)-1].End() > hi {
+			hi = c[len(c)-1].End()
+		}
+		ok = true
+	}
+	return lo, hi, ok
+}
+
+// cursor walks one rank's canonical window over a domain during the merge.
+type cursor struct {
+	// e is the window's next extent, clipped to the domain. Its Off is
+	// math.MaxInt64 once the window is used up.
+	e    ext.Extent
+	rest []ext.Extent // the window after e
+	rank int
+}
+
+// merger is the k-way merge an aggregator plans its domain with: a cursor
+// per rank whose window is non-empty, and a loser tree (a tournament heap)
+// over the cursors' next offsets. For 0 < n < k, tree[n] is the cursor that
+// lost the match at node n, whose children are nodes 2n and 2n+1; cursor i
+// is leaf k+i. Advancing the winner replays one leaf-to-root path, one
+// comparison per level.
+type merger struct {
+	cur  []cursor
+	tree []int
+}
+
+// build plays every match of the subtree at node n and returns its winner.
+func (m *merger) build(n int) int {
+	k := len(m.cur)
+	if n >= k {
+		return n - k
+	}
+	a, b := m.build(2*n), m.build(2*n+1)
+	if m.cur[b].e.Off < m.cur[a].e.Off {
+		a, b = b, a
+	}
+	m.tree[n] = b
+	return a
+}
+
+// replay re-seats cursor w after its offset grew and returns the new
+// overall winner.
+func (m *merger) replay(w int) int {
+	for n := (len(m.cur) + w) / 2; n > 0; n /= 2 {
+		if l := m.tree[n]; m.cur[l].e.Off < m.cur[w].e.Off {
+			m.tree[n], w = w, l
+		}
+	}
+	return w
+}
+
+// domainPlan returns the union of the exchanged summaries' canonical lists
+// (all[r] is rank r's, nil for an empty list) clipped to domain d, in the
+// canonical form ext.Merge gives, built in buf's storage. Each canonical
+// list is sorted with disjoint extents, so its overlap with d is a window
+// found by binary search whose boundary extents alone need clipping; the
+// P windows are merged through the File's merger and coalesced as they
+// come. When owed is non-nil, owed[r] gains rank r's bytes in d counted
+// as overlapTotal counts them over r's list: the merge takes every byte of
+// r's window, and r's summary adds what r's list covers more than once.
+// Once buf and the merger have grown to fit, it allocates nothing.
+func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int64) []ext.Extent {
+	dLo, dHi := d.Off, d.End()
+	m := &f.merge
+	if cap(m.cur) < len(all) {
+		m.cur = make([]cursor, 0, len(all))
+		m.tree = make([]int, len(all))
+	}
+	m.cur = m.cur[:0]
+	for r, v := range all {
+		s, _ := v.(*summary)
+		if s == nil {
+			continue
+		}
+		c := s.canon
+		// The window is c[i:j]: the extents ending after dLo and starting
+		// before dHi.
+		i := sort.Search(len(c), func(k int) bool { return c[k].End() > dLo })
+		j := i + sort.Search(len(c)-i, func(k int) bool { return c[i+k].Off >= dHi })
+		if i == j {
+			continue
+		}
+		first, _ := c[i].Clip(dLo, dHi)
+		m.cur = append(m.cur, cursor{e: first, rest: c[i+1 : j], rank: r})
 	}
 	buf = buf[:0]
-	for _, v := range all {
-		for _, e := range v.([]ext.Extent) {
-			if c, ok := e.Clip(d.Off, d.End()); ok {
-				buf = append(buf, c)
+	if len(m.cur) == 0 {
+		return buf
+	}
+	for w := m.build(1); m.cur[w].e.Off != math.MaxInt64; w = m.replay(w) {
+		c := &m.cur[w]
+		e := c.e
+		if owed != nil {
+			owed[c.rank] += e.Len
+		}
+		if n := len(buf); n > 0 && e.Off <= buf[n-1].End() {
+			if e.End() > buf[n-1].End() {
+				buf[n-1].Len = e.End() - buf[n-1].Off
+			}
+		} else {
+			buf = append(buf, e)
+		}
+		if len(c.rest) == 0 {
+			c.e.Off = math.MaxInt64
+			continue
+		}
+		next := c.rest[0]
+		if next.End() > dHi {
+			next.Len = dHi - next.Off
+		}
+		c.e, c.rest = next, c.rest[1:]
+	}
+	if owed != nil {
+		for r, v := range all {
+			if s, _ := v.(*summary); s != nil {
+				owed[r] += overlapTotal(s.dups, d)
 			}
 		}
 	}
-	return ext.MergeInPlace(buf, 0)
+	return buf
+}
+
+// writeSend adds to send, for each aggregator, the bytes of xs in its file
+// domain, counting bytes that xs covers more than once each time. Every
+// byte of xs lies in the partition's span, so one pass over xs places each
+// byte without scanning the list once per domain.
+func writeSend(send []int64, xs []ext.Extent, agg aggInfo) {
+	for _, e := range xs {
+		for off, end := e.Off, e.End(); off < end; {
+			i := (off - agg.lo) / agg.per
+			n := min(end, agg.lo+(i+1)*agg.per) - off
+			send[agg.rank(int(i))] += n
+			off += n
+		}
+	}
 }
 
 // partition splits the accessed span [lo, hi) into stripe-aligned file
@@ -170,51 +368,46 @@ func (f *File) aggregatorIO(p *sim.Proc, rank int, needed []ext.Extent, write bo
 	if write && len(holes) > 0 {
 		f.ioErr(cl.Read(p, f.name, holes, origin, rc))
 	}
-	for _, batch := range batchBy(sieved, f.cfg.CollectiveBufferBytes) {
+	st := &f.ranks[rank]
+	st.batch = batchBy(st.batch, sieved, f.cfg.CollectiveBufferBytes, func(batch []ext.Extent) {
 		if write {
 			f.ioErr(cl.Write(p, f.name, batch, origin, rc))
 		} else {
 			f.ioErr(cl.Read(p, f.name, batch, origin, rc))
 		}
-	}
+	})
 	f.endRequest(p, rc, start, verb, ext.Total(needed), len(needed))
 }
 
-// batchBy slices extents into consecutive groups of at most limit total
-// bytes (single extents larger than limit are split).
-func batchBy(xs []ext.Extent, limit int64) [][]ext.Extent {
+// batchBy calls fn with consecutive groups of xs of at most limit total
+// bytes (single extents larger than limit are split). Each group is built
+// in buf's storage and is valid only until fn returns; batchBy returns buf
+// for the next call, so a caller that keeps it allocates nothing once it
+// has grown to fit.
+func batchBy(buf, xs []ext.Extent, limit int64, fn func([]ext.Extent)) []ext.Extent {
 	if limit <= 0 {
-		return [][]ext.Extent{xs}
+		fn(xs)
+		return buf
 	}
-	var out [][]ext.Extent
-	var cur []ext.Extent
+	cur := buf[:0]
 	var curBytes int64
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, cur)
-			cur = nil
-			curBytes = 0
-		}
-	}
 	for _, e := range xs {
 		for e.Len > 0 {
-			room := limit - curBytes
-			if room == 0 {
-				flush()
-				room = limit
+			if curBytes == limit {
+				fn(cur)
+				cur, curBytes = cur[:0], 0
 			}
-			take := e.Len
-			if take > room {
-				take = room
-			}
+			take := min(e.Len, limit-curBytes)
 			cur = append(cur, ext.Extent{Off: e.Off, Len: take})
 			curBytes += take
 			e.Off += take
 			e.Len -= take
 		}
 	}
-	flush()
-	return out
+	if len(cur) > 0 {
+		fn(cur)
+	}
+	return cur
 }
 
 // overlapTotal is the byte count of xs ∩ d.

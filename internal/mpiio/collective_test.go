@@ -39,75 +39,186 @@ func refPartition(a int, unit, lo, hi int64) []ext.Extent {
 	return out
 }
 
-// Property: planning every domain into one reused buffer gives, domain by
-// domain, exactly the union the per-rank clip-and-merge gave. Rank lists
-// are unsorted, overlap, repeat offsets, hold zero-length extents and
-// straddle domain edges; some domains are touched by nothing.
-func TestDomainPlanMatchesClipMerge(t *testing.T) {
-	r := newRig(t, 2, 12, 3)
-	f := r.open("f", DefaultConfig())
-	unit := r.fsys.Config().StripeUnit
-	var buf []ext.Extent
-	for seed := int64(1); seed <= 400; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		span := (1 + rng.Int63n(12)) * unit
-		perRank := make([][]ext.Extent, f.w.Size())
-		all := make([]any, len(perRank))
-		lo, hi := int64(-1), int64(-1)
-		for rk := range perRank {
-			// Ranks often cluster in one corner so later domains stay empty.
-			window := span
-			if rng.Intn(3) == 0 {
-				window = span / 4
-			}
-			for n := rng.Intn(12); n > 0; n-- {
-				var e ext.Extent
-				switch rng.Intn(5) {
-				case 0: // zero-length
-					e = ext.Extent{Off: rng.Int63n(window)}
-				case 1: // duplicate of an earlier offset
-					if xs := perRank[rk]; len(xs) > 0 {
-						e = ext.Extent{Off: xs[rng.Intn(len(xs))].Off, Len: 1 + rng.Int63n(unit)}
-						break
-					}
-					fallthrough
-				default:
-					e = ext.Extent{Off: rng.Int63n(window), Len: 1 + rng.Int63n(2*unit)}
+// randomLists draws one extent list per rank over a span of a few stripe
+// units. Lists are unsorted, overlap themselves (nesting included), repeat
+// offsets and hold zero-length extents; some are already canonical, some
+// ranks are empty, and ranks often cluster in one corner so later domains
+// stay empty. In half the draws extents start and end on a grid of an
+// eighth of a stripe unit, give or take a byte; domain edges then lie
+// within a byte of that grid, so extents end at, just before and just
+// after an edge.
+func randomLists(rng *rand.Rand, ranks int, unit int64) [][]ext.Extent {
+	span := (1 + rng.Int63n(12)) * unit
+	snap := func(v int64) int64 { return v }
+	if rng.Intn(2) == 0 {
+		snap = func(v int64) int64 { return max(0, v/(unit/8)*(unit/8)+rng.Int63n(3)-1) }
+	}
+	perRank := make([][]ext.Extent, ranks)
+	for rk := range perRank {
+		window := span
+		if rng.Intn(3) == 0 {
+			window = span / 4
+		}
+		for n := rng.Intn(12); n > 0; n-- {
+			var e ext.Extent
+			xs := perRank[rk]
+			switch rng.Intn(6) {
+			case 0: // zero-length
+				e = ext.Extent{Off: rng.Int63n(window)}
+			case 1: // duplicate of an earlier offset
+				if len(xs) > 0 {
+					e = ext.Extent{Off: xs[rng.Intn(len(xs))].Off, Len: 1 + rng.Int63n(unit)}
+					break
 				}
-				perRank[rk] = append(perRank[rk], e)
-				if e.Len > 0 {
-					if lo < 0 || e.Off < lo {
-						lo = e.Off
-					}
-					hi = max(hi, e.End())
+				fallthrough
+			case 2: // nested in an earlier extent
+				if len(xs) > 0 && xs[len(xs)-1].Len > 1 {
+					p := xs[len(xs)-1]
+					off := p.Off + rng.Int63n(p.Len-1)
+					e = ext.Extent{Off: off, Len: 1 + rng.Int63n(p.End()-off)}
+					break
 				}
+				fallthrough
+			default:
+				e = ext.Extent{Off: rng.Int63n(window), Len: 1 + rng.Int63n(2*unit)}
 			}
-			all[rk] = perRank[rk]
+			if e.Len > 0 {
+				off := snap(e.Off)
+				e = ext.Extent{Off: off, Len: max(1, snap(e.End())-off)}
+			}
+			perRank[rk] = append(perRank[rk], e)
 		}
-		if lo < 0 {
-			continue
+		if rng.Intn(4) == 0 {
+			perRank[rk] = ext.Merge(perRank[rk])
 		}
-		agg := f.partition(lo, hi)
-		domains := refPartition(f.aggs, unit, lo, hi)
-		if agg.n != len(domains) {
-			t.Fatalf("seed %d: %d domains, want %d", seed, agg.n, len(domains))
+	}
+	return perRank
+}
+
+// checkPlan summarises each rank's list on f as a collective call does,
+// then checks the span, the partition, every domain plan and both send
+// vectors against the clip-and-merge reference over the raw lists.
+func checkPlan(t testing.TB, f *File, perRank [][]ext.Extent) {
+	t.Helper()
+	lo, hi := int64(-1), int64(-1)
+	all := make([]any, len(perRank))
+	for rk, xs := range perRank {
+		all[rk] = f.summarize(rk, xs)
+		for _, e := range xs {
+			if e.Len > 0 {
+				if lo < 0 || e.Off < lo {
+					lo = e.Off
+				}
+				hi = max(hi, e.End())
+			}
 		}
+	}
+	gotLo, gotHi, ok := span(all)
+	if ok != (lo >= 0) || ok && (gotLo != lo || gotHi != hi) {
+		t.Fatalf("span [%d, %d) ok=%v, want [%d, %d) of %v", gotLo, gotHi, ok, lo, hi, perRank)
+	}
+	if !ok {
+		return
+	}
+	agg := f.partition(lo, hi)
+	domains := refPartition(f.aggs, f.fsys.Config().StripeUnit, lo, hi)
+	if agg.n != len(domains) {
+		t.Fatalf("%d domains, want %d", agg.n, len(domains))
+	}
+	size := len(perRank)
+	for i, d := range domains {
+		if agg.domain(i) != d {
+			t.Fatalf("domain %d = %v, want %v", i, agg.domain(i), d)
+		}
+		st := &f.ranks[agg.rank(i)]
+		got := make([]int64, size)
+		st.plan = f.domainPlan(st.plan, all, d, got)
+		if want := refDomainPlan(perRank, d); !slices.Equal(st.plan, want) {
+			t.Fatalf("domain %v of %v: plan %v, want %v", d, perRank, st.plan, want)
+		}
+		for rk, xs := range perRank {
+			if want := overlapTotal(xs, d); got[rk] != want {
+				t.Fatalf("domain %v: read send to rank %d = %d, want %d (list %v)", d, rk, got[rk], want, xs)
+			}
+		}
+	}
+	for rk, xs := range perRank {
+		send := make([]int64, size)
+		writeSend(send, xs, agg)
+		want := make([]int64, size)
 		for i, d := range domains {
-			if agg.domain(i) != d {
-				t.Fatalf("seed %d: domain %d = %v, want %v", seed, i, agg.domain(i), d)
-			}
-			want := refDomainPlan(perRank, d)
-			buf = domainPlan(buf, all, d)
-			if !slices.Equal(buf, want) {
-				t.Fatalf("seed %d domain %v: plan %v, want %v", seed, d, buf, want)
-			}
+			want[agg.rank(i)] = overlapTotal(xs, d)
+		}
+		if !slices.Equal(send, want) {
+			t.Fatalf("rank %d write send %v, want %v (list %v)", rk, send, want, xs)
 		}
 	}
 }
 
-// BenchmarkCollectivePlan is one two-phase call's planning over a 64-rank
-// BTIO step (16-byte blocks interleaved across ranks, 8 ranks per node):
-// the partition, then every aggregator's domain plan in its own buffer.
+// Property: the summaries' span, each aggregator's merged plan and both
+// send vectors equal, domain by domain, what clipping every raw list and
+// merging gives, for worlds of one rank, a few, and a dozen.
+func TestDomainPlanMatchesClipMerge(t *testing.T) {
+	for _, shape := range []struct{ ranks, perNode int }{{1, 1}, {5, 2}, {12, 3}} {
+		r := newRig(t, 2, shape.ranks, shape.perNode)
+		f := r.open("f", DefaultConfig())
+		unit := r.fsys.Config().StripeUnit
+		for seed := int64(1); seed <= 400; seed++ {
+			perRank := randomLists(rand.New(rand.NewSource(seed)), shape.ranks, unit)
+			checkPlan(t, f, perRank)
+		}
+	}
+}
+
+// fuzzRanks and fuzzPerNode shape the world FuzzCollectivePlan plans for.
+const fuzzRanks, fuzzPerNode = 6, 2
+
+// encodeLists packs per-rank lists into FuzzCollectivePlan's input: 7 bytes
+// an extent, a rank byte then a 3-byte offset and a 3-byte length (little
+// endian), in list order.
+func encodeLists(perRank [][]ext.Extent) []byte {
+	var b []byte
+	for rk, xs := range perRank {
+		for _, e := range xs {
+			b = append(b, byte(rk),
+				byte(e.Off), byte(e.Off>>8), byte(e.Off>>16),
+				byte(e.Len), byte(e.Len>>8), byte(e.Len>>16))
+		}
+	}
+	return b
+}
+
+// decodeLists is encodeLists' inverse; rank bytes wrap around the world.
+func decodeLists(b []byte, ranks int) [][]ext.Extent {
+	perRank := make([][]ext.Extent, ranks)
+	u24 := func(p []byte) int64 { return int64(p[0]) | int64(p[1])<<8 | int64(p[2])<<16 }
+	for ; len(b) >= 7; b = b[7:] {
+		rk := int(b[0]) % ranks
+		perRank[rk] = append(perRank[rk], ext.Extent{Off: u24(b[1:4]), Len: u24(b[4:7])})
+	}
+	return perRank
+}
+
+// FuzzCollectivePlan checks the summaries, span, domain plans and send
+// vectors of arbitrary per-rank lists against clip-and-merge, seeded with
+// the property test's shapes.
+func FuzzCollectivePlan(f *testing.F) {
+	r := newRig(f, 2, fuzzRanks, fuzzPerNode)
+	file := r.open("f", DefaultConfig())
+	unit := r.fsys.Config().StripeUnit
+	for seed := int64(1); seed <= 16; seed++ {
+		f.Add(encodeLists(randomLists(rand.New(rand.NewSource(seed)), fuzzRanks, unit)))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkPlan(t, file, decodeLists(b, fuzzRanks))
+	})
+}
+
+// BenchmarkCollectivePlan is everything one two-phase write call plans over
+// a 64-rank BTIO step (16-byte blocks interleaved across ranks, 8 ranks per
+// node): each rank's summary, the span and the partition, every
+// aggregator's domain plan in its own buffer, and every rank's send vector.
 // Once the first call has sized the buffers, a call allocates nothing.
 func BenchmarkCollectivePlan(b *testing.B) {
 	const ranks = 64
@@ -115,25 +226,29 @@ func BenchmarkCollectivePlan(b *testing.B) {
 	f := r.open("btio.dat", DefaultConfig())
 	bt := workloads.DefaultBTIO()
 	bt.Procs = ranks
-	all := make([]any, ranks)
-	lo, hi := int64(-1), int64(-1)
+	lists := make([][]ext.Extent, ranks)
 	var n int
-	for rk := range all {
+	for rk := range lists {
 		g := bt.NewRank(rk)
 		g.Next(workloads.TrueEnv{}) // the step's compute
-		xs := g.Next(workloads.TrueEnv{}).Extents
-		all[rk] = xs
-		n += len(xs)
-		if lo < 0 || xs[0].Off < lo {
-			lo = xs[0].Off
-		}
-		hi = max(hi, xs[len(xs)-1].End())
+		lists[rk] = g.Next(workloads.TrueEnv{}).Extents
+		n += len(lists[rk])
 	}
+	all := make([]any, ranks)
+	send := make([]int64, ranks)
 	plan := func() {
+		for rk, xs := range lists {
+			all[rk] = f.summarize(rk, xs)
+		}
+		lo, hi, _ := span(all)
 		agg := f.partition(lo, hi)
 		for a := 0; a < agg.n; a++ {
-			rk := agg.rank(a)
-			f.plans[rk] = domainPlan(f.plans[rk], all, agg.domain(a))
+			st := &f.ranks[agg.rank(a)]
+			st.plan = f.domainPlan(st.plan, all, agg.domain(a), nil)
+		}
+		for _, xs := range lists {
+			clear(send)
+			writeSend(send, xs, agg)
 		}
 	}
 	plan() // sizes the buffers: the steady state is what is measured

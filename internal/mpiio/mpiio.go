@@ -69,10 +69,21 @@ type File struct {
 	// aggs is the two-phase aggregator count: one per distinct compute
 	// node (ROMIO's cb_nodes default).
 	aggs int
-	// plans[r] is aggregator rank r's file-domain plan buffer. Only rank
-	// r's proc touches it, so a plan outlives the proc blocking in
-	// aggregatorIO; the next collective call by r overwrites it.
-	plans [][]ext.Extent
+	// ranks[r] is rank r's collective-call state, allocated by the first
+	// collective call's summaries. Only rank r's proc writes it, so it
+	// outlives the proc blocking in aggregatorIO; the next collective call
+	// by r overwrites it.
+	ranks []rankState
+	// merge is the k-way merge of the aggregator planning its domain. A
+	// plan runs without blocking, so one merger serves every aggregator.
+	merge merger
+}
+
+// rankState is what one rank keeps on the File between collective calls.
+type rankState struct {
+	sum   summary      // the rank's list, summarised for the exchange
+	plan  []ext.Extent // the rank's file-domain plan when it aggregates
+	batch []ext.Extent // one collective-buffer cycle of the plan
 }
 
 // Open creates the shared file handle. origins[r] tags rank r's disk
@@ -101,7 +112,6 @@ func Open(w *mpi.World, fsys *pfs.FileSystem, name string, cfg Config, instr *In
 		origins: origins,
 		clients: make(map[int]*pfs.Client),
 		aggs:    len(seen),
-		plans:   make([][]ext.Extent, w.Size()),
 	}
 }
 

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -268,6 +269,23 @@ func TestCollectiveCallsSynchronize(t *testing.T) {
 	}
 }
 
+// A collective call in which no rank accesses anything returns without
+// the all-to-all; a rank that goes straight on to its next call must not
+// change what the others read of the empty one.
+func TestEmptyCollectiveThenWrite(t *testing.T) {
+	r := newRig(t, 2, 4, 2)
+	f := r.open("f", DefaultConfig())
+	r.runRanks(t, func(p *sim.Proc, rank int) {
+		f.WriteExtentsAll(p, rank, nil)
+		f.WriteExtentsAll(p, rank, []ext.Extent{{Off: int64(rank) * 64 << 10, Len: 64 << 10}})
+	})
+	for rank, rs := range f.Instr().Ranks {
+		if rs.Calls != 2 || rs.Bytes != 64<<10 {
+			t.Fatalf("rank %d: %d calls, %d bytes; want 2 calls, 64K", rank, rs.Calls, rs.Bytes)
+		}
+	}
+}
+
 func TestComputeTimeMeasuredBetweenCalls(t *testing.T) {
 	r := newRig(t, 2, 1, 1)
 	f := r.open("f", DefaultConfig())
@@ -292,19 +310,15 @@ func TestComputeTimeMeasuredBetweenCalls(t *testing.T) {
 
 func TestBatchBy(t *testing.T) {
 	xs := []ext.Extent{{Off: 0, Len: 10}, {Off: 20, Len: 25}}
-	batches := batchBy(xs, 16)
-	if len(batches) != 3 {
-		t.Fatalf("batches = %v, want 3", batches)
+	var batches [][]ext.Extent
+	batchBy(nil, xs, 16, func(b []ext.Extent) { batches = append(batches, slices.Clone(b)) })
+	want := [][]ext.Extent{
+		{{Off: 0, Len: 10}, {Off: 20, Len: 6}},
+		{{Off: 26, Len: 16}},
+		{{Off: 42, Len: 3}},
 	}
-	var total int64
-	for _, b := range batches {
-		if ext.Total(b) > 16 {
-			t.Fatalf("batch exceeds limit: %v", b)
-		}
-		total += ext.Total(b)
-	}
-	if total != 35 {
-		t.Fatalf("batched total = %d, want 35", total)
+	if !slices.EqualFunc(batches, want, slices.Equal) {
+		t.Fatalf("batches = %v, want %v", batches, want)
 	}
 }
 
