@@ -9,11 +9,11 @@
 //	            [-trace out.json] [-stats] [-report] [-faults SPEC] [-replicas N]
 //
 // -trace writes a Chrome trace-event JSON of every I/O request's journey
-// through the stack (load it at ui.perfetto.dev); -stats prints the metrics
-// registry (latency histograms, counters, gauges) after the run; -report
-// prints the time-attribution report (phase breakdown, per-server
-// utilization, critical paths — see dualpar-analyze for offline use on a
-// saved -trace file).
+// through the stack (load it at ui.perfetto.dev); -stats prints the kernel's
+// self-counters and the metrics registry (latency histograms, counters,
+// gauges) after the run; -report prints the time-attribution report (phase
+// breakdown, per-server utilization, critical paths — see dualpar-analyze
+// for offline use on a saved -trace file).
 //
 // -faults injects a deterministic fault schedule (see fault.Parse), e.g.
 // "disk:1*10@5s-30s;crash:2@5s-20s;drop:102:0.2@0s-10s", and arms the
@@ -265,6 +265,9 @@ func main() {
 		rep.RegisterMetrics(collector.Metrics(), analyze.AttributeAll(collector.Spans()))
 	}
 	if *stats {
+		ks := cl.K.Stats()
+		fmt.Printf("kernel:      %d events (%d callbacks, %d handoffs, %d self-resumes), %d solo sleeps\n",
+			ks.Events, ks.Callbacks, ks.Handoffs, ks.SelfResumes, ks.SoloSleeps)
 		fmt.Println()
 		if err := collector.WriteSummary(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)

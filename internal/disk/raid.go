@@ -18,6 +18,13 @@ type RAID0 struct {
 	stats        Stats
 	trace        *Trace
 	lastBD       Breakdown
+	runs         []memberRun // Access's scratch: one pending run per member
+}
+
+// memberRun is one member's contiguous run within an access.
+type memberRun struct {
+	lbn, sectors int64
+	active       bool
 }
 
 // NewRAID0 builds a RAID0 over members with the given chunk size in sectors.
@@ -38,6 +45,7 @@ func NewRAID0(members []*Disk, chunkSectors int64) *RAID0 {
 		members:      members,
 		chunkSectors: chunkSectors,
 		sectors:      min * int64(len(members)),
+		runs:         make([]memberRun, len(members)),
 	}
 }
 
@@ -81,12 +89,10 @@ func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duratio
 	n := int64(len(r.members))
 	var worst time.Duration
 	// Walk the logical range chunk by chunk, accumulating a contiguous run
-	// per member, then charge each member its run in one operation.
-	type run struct {
-		lbn, sectors int64
-		active       bool
-	}
-	runs := make([]run, n)
+	// per member, then charge each member its run in one operation. Every
+	// run is flushed before the Proc sleeps, so one buffer serves all
+	// accesses.
+	runs := r.runs
 	var worstBD Breakdown
 	flush := func(i int64) {
 		if !runs[i].active {
@@ -112,7 +118,7 @@ func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duratio
 			ru.sectors += span
 		} else {
 			flush(member)
-			*ru = run{lbn: mlbn, sectors: span, active: true}
+			*ru = memberRun{lbn: mlbn, sectors: span, active: true}
 		}
 		off += span
 	}

@@ -4,10 +4,16 @@
 // A Kernel advances a virtual clock by executing events in (time, sequence)
 // order. Simulated activities are written as ordinary Go functions running in
 // Procs; a Proc blocks in virtual time with Sleep, Signal.Wait, Queue.Get,
-// or Resource.Acquire. Although each Proc runs on its own goroutine, the
-// kernel enforces strict alternation — exactly one Proc (or the kernel
-// itself) executes at any instant — so simulations are fully deterministic:
-// the same program and seed yield the same event order and results.
+// or Resource.Acquire. Each Proc runs on its own goroutine, and control is a
+// baton: exactly one goroutine — the RunUntil caller or one Proc — holds it
+// and runs the event loop at any instant, so simulations are fully
+// deterministic: the same program and seed yield the same event order and
+// results. A Proc that blocks keeps the baton and runs the loop itself,
+// executing plain callbacks inline until an event wakes a Proc. Its own wake
+// returns without a switch; another Proc's wake passes the baton straight
+// to that Proc's goroutine, one goroutine switch per resume. When no event
+// at or before the deadline remains, the holder passes the baton back to
+// the RunUntil caller.
 package sim
 
 import (
@@ -18,15 +24,16 @@ import (
 	"dualpar/internal/check"
 )
 
-// event is a scheduled callback in virtual time. Events live in the kernel's
-// flat arena and are addressed by index everywhere — the priority queue, the
-// same-instant FIFO, and the free list all hold arena indices, never
-// pointers, so the scheduler moves 4-byte ints instead of boxed interface
-// values and a recycled slot is a free-list push.
+// event is a scheduled callback or Proc wake in virtual time. Events live in
+// the kernel's flat arena and are addressed by index everywhere — the
+// priority queue, the same-instant FIFO, and the free list all hold arena
+// indices, never pointers, so the scheduler moves 4-byte ints instead of
+// boxed interface values and a recycled slot is a free-list push.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	p   *Proc // non-nil: a wake event that starts or resumes p (fn is nil)
 	pos int32 // index in Kernel.heap, or posFIFO / posFree
 }
 
@@ -73,27 +80,42 @@ type Kernel struct {
 	pending int     // scheduled events not yet run or canceled
 
 	// deadline is the active RunUntil deadline (-1 = unbounded), read by the
-	// solo-sleep fast path in Proc.Sleep (valid whenever Proc code runs,
-	// since Procs only execute inside the event loop).
+	// event loop and by the solo-sleep fast path in Proc.Sleep (valid
+	// whenever Proc code runs, since Procs only execute inside RunUntil).
 	deadline time.Duration
 
-	parked  chan struct{} // handshake: running Proc yields control back
-	failure *procPanic    // first panic raised inside a Proc
-	nprocs  int           // live (spawned, not yet finished) procs
+	// parked passes the baton back to the RunUntil caller: the Proc holding
+	// it sends once the loop drains or reaches the deadline, or once a
+	// panic ends the run, and failure then holds the panic to re-raise.
+	parked  chan struct{}
+	failure interface{}
+	nprocs  int // live (spawned, not yet finished) procs
+	stats   Stats
 	rng     *rand.Rand
 	audit   check.Ledger // nil unless a run auditor is attached
+}
+
+// Stats counts the kernel's own work since NewKernel. The counts are exact:
+// two runs of one program at one seed give identical Stats.
+type Stats struct {
+	Events      uint64 // events run: Callbacks + Handoffs + SelfResumes
+	Callbacks   uint64 // plain callbacks run inline (After, timer expiries)
+	Handoffs    uint64 // wakes that passed the baton to another Proc's goroutine
+	SelfResumes uint64 // wakes popped by the Proc they wake: no switch
+	SoloSleeps  uint64 // Sleeps served by the solo fast path: no event at all
+}
+
+// Stats returns the kernel's self-counters.
+func (k *Kernel) Stats() Stats {
+	s := k.stats
+	s.Events = s.Callbacks + s.Handoffs + s.SelfResumes
+	return s
 }
 
 // SetAudit attaches an audit ledger: every Proc then verifies on resume that
 // its observed virtual time never moves backwards. Nil (the default) costs
 // one pointer comparison per park and keeps the hot paths allocation-free.
 func (k *Kernel) SetAudit(l check.Ledger) { k.audit = l }
-
-// procPanic carries a panic out of a Proc goroutine into Run.
-type procPanic struct {
-	proc  string
-	value interface{}
-}
 
 // NewKernel returns a kernel with its clock at zero and a deterministic
 // random source derived from seed.
@@ -112,11 +134,12 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // used from kernel or Proc context.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// schedule enqueues fn to run at absolute virtual time at and returns its
-// id for cancel. Arena slots are recycled through the free list: the run
-// loop returns each popped slot before its callback executes, so a
-// steady-state simulation stops allocating event records entirely.
-func (k *Kernel) schedule(at time.Duration, fn func()) eventID {
+// schedule enqueues fn to run at absolute virtual time at, or with fn nil a
+// wake of p, and returns its id for cancel. Arena slots are recycled
+// through the free list: the run loop returns each popped slot before its
+// callback executes, so a steady-state simulation stops allocating event
+// records entirely.
+func (k *Kernel) schedule(at time.Duration, fn func(), p *Proc) eventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
@@ -129,7 +152,7 @@ func (k *Kernel) schedule(at time.Duration, fn func()) eventID {
 		idx = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[idx]
-	e.at, e.seq, e.fn = at, k.seq, fn
+	e.at, e.seq, e.fn, e.p = at, k.seq, fn, p
 	k.seq++
 	k.pending++
 	if at == k.now && (len(k.heap) == 0 || k.arena[k.heap[0]].at > k.now) {
@@ -152,7 +175,7 @@ func (k *Kernel) cancel(id eventID) {
 		return
 	}
 	e := &k.arena[id.idx]
-	if e.seq != id.seq || e.fn == nil {
+	if e.seq != id.seq || (e.fn == nil && e.p == nil) {
 		return
 	}
 	k.pending--
@@ -162,14 +185,14 @@ func (k *Kernel) cancel(id eventID) {
 	} else {
 		// In the same-instant FIFO: tombstone in place (removal from the
 		// middle would shift the batch); the run loop frees it when reached.
-		e.fn = nil
+		e.fn, e.p = nil, nil
 	}
 }
 
 // freeSlot recycles an arena slot.
 func (k *Kernel) freeSlot(idx int32) {
 	e := &k.arena[idx]
-	e.fn = nil
+	e.fn, e.p = nil, nil
 	e.pos = posFree
 	k.free = append(k.free, idx)
 }
@@ -180,11 +203,11 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	k.schedule(k.now+d, fn)
+	k.schedule(k.now+d, fn, nil)
 }
 
-// Run executes events until none remain or a Proc panics (in which case
-// the panic is re-raised on the caller's goroutine).
+// Run executes events until none remain. A panic in a callback or a Proc
+// is re-raised on the caller's goroutine; a Proc's is wrapped with its name.
 func (k *Kernel) Run() {
 	k.RunUntil(-1)
 }
@@ -193,20 +216,42 @@ func (k *Kernel) Run() {
 // means run to completion. Once no runnable event at or before the deadline
 // remains, the clock is fast-forwarded to the deadline. Events beyond the
 // deadline stay queued for later Run/RunUntil calls.
+//
+// The caller holds the baton until an event wakes a Proc; from then on the
+// Procs run the loop, and the caller only waits for the baton to come back.
 func (k *Kernel) RunUntil(deadline time.Duration) {
 	k.deadline = deadline
+	if p := k.next(); p != nil {
+		k.pass(p)
+		<-k.parked
+		if f := k.failure; f != nil {
+			k.failure = nil
+			panic(f)
+		}
+	}
+	if deadline >= 0 && k.now < deadline {
+		k.now = deadline
+	}
+}
+
+// next is the event loop, run by whichever goroutine holds the baton. It
+// executes events in (at, seq) order, plain callbacks inline, until one
+// wakes a Proc, and returns that Proc. It returns nil once no event at or
+// before the deadline remains.
+func (k *Kernel) next() *Proc {
+	deadline := k.deadline
 	for {
 		var idx int32
 		if k.fifoHead < len(k.fifo) {
 			idx = k.fifo[k.fifoHead]
 			e := &k.arena[idx]
-			if e.fn == nil { // canceled in place; discard the tombstone
+			if e.fn == nil && e.p == nil { // canceled in place; discard the tombstone
 				k.fifoHead++
 				k.freeSlot(idx)
 				continue
 			}
 			if deadline >= 0 && e.at > deadline {
-				break
+				return nil
 			}
 			k.fifoHead++
 		} else {
@@ -215,28 +260,57 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 				k.fifoHead = 0
 			}
 			if len(k.heap) == 0 {
-				break
+				return nil
 			}
 			if deadline >= 0 && k.arena[k.heap[0]].at > deadline {
-				break
+				return nil
 			}
 			idx = k.heapPopTop()
 		}
 		e := &k.arena[idx]
 		k.now = e.at
-		fn := e.fn
+		fn, p := e.fn, e.p
 		k.pending--
 		k.freeSlot(idx) // recycle before running: fn's own schedules reuse it
-		fn()
-		if k.failure != nil {
-			f := k.failure
-			k.failure = nil
-			panic(fmt.Sprintf("sim: proc %q panicked: %v", f.proc, f.value))
+		if p != nil {
+			return p
 		}
+		k.stats.Callbacks++
+		fn()
 	}
-	if deadline >= 0 && k.now < deadline {
-		k.now = deadline
+}
+
+// nextOnProc is next for a Proc's goroutine. A callback that panics there
+// must not unwind into the Proc's code, which would report it as the Proc's
+// panic: its value goes straight to the RunUntil caller, and this
+// goroutine, whose Proc can no longer be resumed consistently, blocks for
+// good.
+func (k *Kernel) nextOnProc() *Proc {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure = r
+			k.parked <- struct{}{}
+			select {}
+		}
+	}()
+	return k.next()
+}
+
+// pass hands the baton to p: it starts p's goroutine or resumes it, or with
+// p nil returns the baton to the RunUntil caller. The caller must not touch
+// kernel state afterwards until the baton comes back.
+func (k *Kernel) pass(p *Proc) {
+	if p == nil {
+		k.parked <- struct{}{}
+		return
 	}
+	k.stats.Handoffs++
+	if fn := p.fn; fn != nil {
+		p.fn = nil // a running Proc must not keep its start function reachable
+		go p.run(fn)
+		return
+	}
+	p.resume <- struct{}{}
 }
 
 // Pending reports the number of queued events.

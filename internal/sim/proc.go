@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // A Proc is a simulated process: a goroutine whose execution is interleaved
 // with virtual time under kernel control. Proc methods must only be called
@@ -9,9 +12,9 @@ type Proc struct {
 	k       *Kernel
 	name    string
 	resume  chan struct{}
-	wake    func() // pre-built resume event callback, shared by every wakeAt
-	timerFn func() // pre-built WaitTimeout expiry callback, shared by every timed wait
-	w       waiter // reusable Signal wait record (a Proc waits on one thing at a time)
+	fn      func(*Proc) // start function; nil once started, so a finished Proc holds no closure
+	timerFn func()      // pre-built WaitTimeout expiry callback, shared by every timed wait
+	w       waiter      // reusable Signal wait record (a Proc waits on one thing at a time)
 
 	lastNow time.Duration // audit only: virtual time observed at the last resume
 }
@@ -25,11 +28,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a Proc that starts at absolute virtual time at.
 func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(*Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	p.wake = func() {
-		p.resume <- struct{}{}
-		<-p.k.parked
-	}
+	p := &Proc{k: k, name: name, fn: fn, resume: make(chan struct{})}
 	p.timerFn = func() {
 		// Expiry of the one timed wait this Proc can have outstanding. A
 		// stale firing (the wait already ended, w may be serving a later
@@ -46,20 +45,28 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	p.w.p = p
 	p.w.timer = noEvent
 	k.nprocs++
-	k.schedule(at, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && k.failure == nil {
-					k.failure = &procPanic{proc: p.name, value: r}
-				}
-				k.nprocs--
-				k.parked <- struct{}{} // hand control back to the kernel
-			}()
-			fn(p)
-		}()
-		<-k.parked
-	})
+	p.wakeAt(at) // its first wake starts it
 	return p
+}
+
+// run is the body of a Proc's goroutine.
+func (p *Proc) run(fn func(*Proc)) {
+	defer p.exit()
+	fn(p)
+}
+
+// exit ends a Proc, on its own goroutine, holding the baton: it runs the
+// loop once more and passes the baton on, then the goroutine returns. A
+// panic in the Proc's code goes straight to the RunUntil caller instead.
+func (p *Proc) exit() {
+	k := p.k
+	k.nprocs--
+	if r := recover(); r != nil {
+		k.failure = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+		k.parked <- struct{}{}
+		return
+	}
+	k.pass(k.nextOnProc())
 }
 
 // Name returns the Proc's name.
@@ -71,23 +78,29 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// park hands control to the kernel and blocks until resumed by a scheduled
-// wake event.
+// park blocks p until its wake event runs. p keeps the baton and runs the
+// event loop itself: if the next wake is its own it returns at once;
+// otherwise it passes the baton to the woken Proc (or back to the RunUntil
+// caller) and waits for it to come back.
 func (p *Proc) park() {
-	p.k.parked <- struct{}{}
-	<-p.resume
-	if p.k.audit != nil {
-		p.k.audit.Checkf(p.k.now >= p.lastNow, "sim.proc.monotone",
-			"proc %s resumed at %v after observing %v", p.name, p.k.now, p.lastNow)
-		p.lastNow = p.k.now
+	k := p.k
+	if q := k.nextOnProc(); q != p {
+		k.pass(q)
+		<-p.resume
+	} else {
+		k.stats.SelfResumes++
+	}
+	if k.audit != nil {
+		k.audit.Checkf(k.now >= p.lastNow, "sim.proc.monotone",
+			"proc %s resumed at %v after observing %v", p.name, k.now, p.lastNow)
+		p.lastNow = k.now
 	}
 }
 
-// wake schedules this Proc to resume at absolute time at. It runs in kernel
-// context. The resume callback is built once per Proc (a Proc has at most
-// one pending wake), so scheduling a wake allocates nothing.
+// wakeAt schedules this Proc to resume at absolute time at. A wake event
+// names its Proc, so scheduling one allocates nothing.
 func (p *Proc) wakeAt(at time.Duration) {
-	p.k.schedule(at, p.wake)
+	p.k.schedule(at, nil, p)
 }
 
 // Sleep suspends the Proc for duration d of virtual time.
@@ -95,10 +108,10 @@ func (p *Proc) wakeAt(at time.Duration) {
 // Solo fast path: when nothing else is runnable in [now, now+d] — the
 // same-instant FIFO is empty, the earliest heap event is strictly later
 // than the wake would be, and the RunUntil deadline is not in between —
-// handing control to the kernel would only pop this Proc's own wake event
-// straight back. In that case the Proc advances the clock in place and
-// keeps running, skipping the two goroutine switches of the park/resume
-// handshake. The event timeline is identical:
+// running the loop would only pop this Proc's own wake event straight back.
+// In that case the Proc advances the clock in place and keeps running,
+// skipping the event and the loop altogether. The event timeline is
+// identical:
 // by construction no event exists in the skipped window, and relative
 // schedule order (which decides same-instant ties) is unchanged.
 func (p *Proc) Sleep(d time.Duration) {
@@ -111,6 +124,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		(len(k.heap) == 0 || k.arena[k.heap[0]].at > at) &&
 		(k.deadline < 0 || at <= k.deadline) {
 		k.now = at
+		k.stats.SoloSleeps++
 		if k.audit != nil {
 			k.audit.Checkf(k.now >= p.lastNow, "sim.proc.monotone",
 				"proc %s resumed at %v after observing %v", p.name, k.now, p.lastNow)

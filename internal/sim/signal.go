@@ -69,7 +69,7 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	}
 	w := s.arm(p)
 	w.timerSeq = w.seq
-	w.timer = p.k.schedule(p.k.now+d, p.timerFn)
+	w.timer = p.k.schedule(p.k.now+d, p.timerFn, nil)
 	p.park()
 	if !w.timedOut {
 		// Broadcast won the race: the expiry event is dead weight — cancel
