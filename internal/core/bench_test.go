@@ -7,6 +7,7 @@ import (
 
 	"dualpar/internal/disk"
 	"dualpar/internal/ext"
+	"dualpar/internal/workloads"
 )
 
 // emcBenchPrograms is how many programs the EMC benchmarks evaluate per
@@ -22,9 +23,10 @@ func benchLog(fe *fileExtents, rng *rand.Rand) {
 	}
 }
 
-// BenchmarkEMCReqDist is EMC's aveReqDist over a pooled 500-program log.
-// Each iteration first restores the pool's unsorted order by copy, which
-// reqDistSectors then sorts in place; the pair allocates nothing.
+// BenchmarkEMCReqDist is EMC's aveReqDist over a pooled 500-program log of
+// random single-extent requests: every request is a run of its own, the
+// merge's worst shape. The pool is only read, so iterations share it; a
+// warm merge allocates nothing.
 func BenchmarkEMCReqDist(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var pool fileExtents
@@ -33,24 +35,46 @@ func BenchmarkEMCReqDist(b *testing.B) {
 		benchLog(&log, rng)
 		pool.addAll(&log)
 	}
-	files := append([]string(nil), pool.files...)
-	orig := make(map[string][]ext.Extent, len(files))
-	for _, f := range files {
-		orig[f] = append([]ext.Extent(nil), pool.byFile[f]...)
+	benchReqDist(b, &pool)
+}
+
+// BenchmarkEMCReqDistNoncontig is aveReqDist over the noncontig shape
+// behind the paper's mechanism: 64 ranks each read their column of 8
+// calls, every request a strided run, the ranks interleaved call by call
+// as the log receives them.
+func BenchmarkEMCReqDistNoncontig(b *testing.B) {
+	prog := workloads.DefaultNoncontig()
+	gens := make([]workloads.RankGen, prog.Ranks())
+	for r := range gens {
+		gens[r] = prog.NewRank(r)
 	}
+	var pool fileExtents
+	for call := 0; call < 8; call++ {
+		for _, g := range gens {
+			op := g.Next(workloads.TrueEnv{})
+			for op.Kind != workloads.OpRead {
+				op = g.Next(workloads.TrueEnv{})
+			}
+			pool.add(op.File, op.Extents)
+		}
+	}
+	benchReqDist(b, &pool)
+}
+
+var reqDistSink float64
+
+func benchReqDist(b *testing.B, pool *fileExtents) {
+	var m ext.Merger
+	reqDistSectors(pool, &m) // size the merge
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(pool.files, files)
-		for f, xs := range orig {
-			copy(pool.byFile[f], xs)
-		}
-		reqDistSectors(&pool)
+		reqDistSink = reqDistSectors(pool, &m)
 	}
 }
 
 // BenchmarkEMCSlot is one EMC slot over 500 DualPar programs: pooling
-// their request logs, the ReqDist sort, and one decision row each. The
+// their request logs, the ReqDist merge, and one decision row each. The
 // programs are idle, so no mode switches; the decision log keeps growing,
 // one chunk per ~2 slots, which B/op shows.
 func BenchmarkEMCSlot(b *testing.B) {

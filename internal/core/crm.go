@@ -63,14 +63,17 @@ func (pr *ProgramRun) crmServe(p *sim.Proc, wish *fileExtents) {
 	pr.crmPrefetch(p, wish)
 }
 
-// crmPrefetch serves a batched prefetch: sort, merge, absorb holes, align
-// to the cache chunk, and issue per home node. It owns wish, so it merges
-// each file's extents in the list's own storage.
+// crmPrefetch serves a batched prefetch: merge in offset order, absorb
+// holes, align to the cache chunk, and issue per home node. The merge and
+// its buffer are the Runner's, which other CRM procs (a pipelined
+// prefetch among them) use too, so both are dead before issueByHome
+// yields: AlignTo copies the merged list.
 func (pr *ProgramRun) crmPrefetch(p *sim.Proc, wish *fileExtents) {
-	cfg := pr.r.cfg
+	cfg, r := pr.r.cfg, pr.r
 	for _, file := range wish.files {
-		merged := ext.MergeInPlace(wish.byFile[file], cfg.HoleBytes)
-		aligned := ext.AlignTo(merged, cfg.Memcache.ChunkBytes)
+		r.merge.Reset(wish.byFile[file])
+		r.merged = r.merge.Coalesce(r.merged, cfg.HoleBytes)
+		aligned := ext.AlignTo(r.merged, cfg.Memcache.ChunkBytes)
 		aligned = pr.clipToFile(file, aligned)
 		if len(aligned) == 0 {
 			continue

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -170,7 +169,7 @@ func (e *emc) slot() {
 	aveSeek, perSeek := e.sampleServers()
 	// ReqDist is a system-wide metric (§IV-B): the logs of every running
 	// program EMC manages (the only programs that log) are pooled, in
-	// program order, before sorting per file.
+	// program order, before merging per file.
 	e.pool.reset()
 	for _, pr := range e.r.progs {
 		if pr.Done || now < pr.startAt {
@@ -179,7 +178,7 @@ func (e *emc) slot() {
 		e.pool.addAll(&pr.log)
 		pr.log.reset()
 	}
-	reqDist := reqDistSectors(&e.pool)
+	reqDist := reqDistSectors(&e.pool, &e.r.merge)
 	improvement := aveSeek / reqDist
 	opened := false // this slot's shared record is in the log
 	for i, pr := range e.r.progs {
@@ -368,28 +367,29 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// reqDistSectors computes aveReqDist: each file's requests are sorted by
-// offset, and the mean start-to-start distance of adjacent requests is
-// returned in sectors (never below one request's size — the floor of what
-// the disk must travel per request even in the perfect order). It sorts
-// the list's files and extents in place.
-func reqDistSectors(reqs *fileExtents) float64 {
+// reqDistSectors computes aveReqDist: each file's requests are merged in
+// (offset, length) order, and the mean start-to-start distance of adjacent
+// requests is returned in sectors (never below one request's size — the
+// floor of what the disk must travel per request even in the perfect
+// order). Ordering ties by length makes the result a function of the
+// pooled requests alone, not of the order they were logged in. It sorts
+// the list's files in place and reads the extents through m.
+func reqDistSectors(reqs *fileExtents, m *ext.Merger) float64 {
 	slices.Sort(reqs.files)
 	var total float64
 	var n int
 	for _, f := range reqs.files {
-		rs := reqs.byFile[f]
-		slices.SortFunc(rs, func(a, b ext.Extent) int { return cmp.Compare(a.Off, b.Off) })
-		for i := 1; i < len(rs); i++ {
-			d := rs[i].Off - rs[i-1].Off
-			if d < rs[i-1].Len {
-				d = rs[i-1].Len // overlapping/duplicate requests
-			}
-			total += float64(d)
+		m.Reset(reqs.byFile[f])
+		prev, _ := m.Next() // a listed file has a non-empty extent
+		single := true
+		for e, ok := m.Next(); ok; e, ok = m.Next() {
+			// Overlapping/duplicate requests travel at least a request.
+			total += float64(max(e.Off-prev.Off, prev.Len))
 			n++
+			prev, single = e, false
 		}
-		if len(rs) == 1 {
-			total += float64(rs[0].Len)
+		if single {
+			total += float64(prev.Len)
 			n++
 		}
 	}

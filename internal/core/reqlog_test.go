@@ -13,13 +13,17 @@ import (
 
 // logProbe is a workload whose every rank alternates a read of a.dat and a
 // write of b.dat, each op carrying one zero-length extent that must not be
-// logged.
-type logProbe struct{ procs int }
+// logged. With hold set, each rank then computes for an hour, so the
+// program is still running when a short Run returns.
+type logProbe struct {
+	procs int
+	hold  bool
+}
 
 func (logProbe) Name() string { return "logprobe" }
 func (l logProbe) Ranks() int { return l.procs }
 func (l logProbe) NewRank(r int) workloads.RankGen {
-	return &logProbeGen{procs: l.procs, rank: r}
+	return &logProbeGen{procs: l.procs, hold: l.hold, rank: r}
 }
 func (logProbe) Files() []workloads.FileSpec {
 	return []workloads.FileSpec{
@@ -28,10 +32,17 @@ func (logProbe) Files() []workloads.FileSpec {
 	}
 }
 
-type logProbeGen struct{ procs, rank, step int }
+type logProbeGen struct {
+	procs, rank, step int
+	hold              bool
+}
 
 func (g *logProbeGen) Next(workloads.Env) workloads.Op {
 	if g.step >= 8 {
+		if g.hold && g.step == 8 {
+			g.step++
+			return workloads.Op{Kind: workloads.OpCompute, Dur: time.Hour}
+		}
 		return workloads.Op{Kind: workloads.OpDone}
 	}
 	off := int64(g.step*g.procs+g.rank) * (4 << 10)
@@ -69,11 +80,18 @@ func opExtents(prog workloads.Program) map[string][]ext.Extent {
 	return out
 }
 
-// sortedCopy returns fe's extents per file, sorted.
+// sortedCopy returns fe's non-empty extents per file, sorted.
 func sortedCopy(fe *fileExtents) map[string][]ext.Extent {
 	out := make(map[string][]ext.Extent)
 	for _, f := range fe.files {
-		xs := append([]ext.Extent(nil), fe.byFile[f]...)
+		var xs []ext.Extent
+		for _, req := range fe.byFile[f] {
+			for _, e := range req {
+				if e.Len > 0 {
+					xs = append(xs, e)
+				}
+			}
+		}
 		ext.Sort(xs)
 		out[f] = xs
 	}
@@ -83,15 +101,17 @@ func sortedCopy(fe *fileExtents) map[string][]ext.Extent {
 // Only programs EMC manages log requests: ReqDist pools no one else's. A
 // dualpar program's log holds exactly its ops' non-empty extents.
 func TestRequestLogOnlyForEMCManagedPrograms(t *testing.T) {
-	prog := logProbe{procs: 4}
+	prog := logProbe{procs: 4, hold: true}
 	want := opExtents(prog)
 	for _, mode := range []Mode{ModeVanilla, ModeCollective, ModeStrategy2, ModeDualPar} {
 		cfg := DefaultConfig()
 		cfg.SlotEvery = time.Hour // no slot drains the log before the run ends
 		r := NewRunner(smallCluster(1), cfg)
 		pr := r.Add(prog, mode, AddOptions{RanksPerNode: 4})
-		if !r.Run(time.Minute) {
-			t.Fatalf("%v: run did not finish", mode)
+		// The ranks end in an hour-long compute, so the program is still
+		// running, and its log still held, when Run returns.
+		if r.Run(time.Minute) || pr.Done {
+			t.Fatalf("%v: run finished before the log was read", mode)
 		}
 		if pr.Instr().TotalBytes() == 0 {
 			t.Fatalf("%v: program moved no bytes", mode)
@@ -105,6 +125,49 @@ func TestRequestLogOnlyForEMCManagedPrograms(t *testing.T) {
 		if got := sortedCopy(&pr.log); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: log = %v, want %v", mode, got, want)
 		}
+	}
+}
+
+// holdsRequests reports whether any slot of fe's per-file lists, up to its
+// capacity, still references a request's extents.
+func holdsRequests(fe *fileExtents) bool {
+	for _, reqs := range fe.byFile {
+		for _, req := range reqs[:cap(reqs)] {
+			if req != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// A finished program's log is released: EMC never pools it again, and
+// holding the generator's op slices would keep them alive for the rest of
+// the run. This holds for a clean finish and for a client crash, after
+// which ranks still mid-op must not log.
+func TestFinishedProgramReleasesRequestLog(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SlotEvery = time.Hour
+	r := NewRunner(smallCluster(1), cfg)
+	var prs []*ProgramRun
+	for _, mode := range []Mode{ModeDualPar, ModeDataDriven} {
+		prs = append(prs, r.Add(logProbe{procs: 4}, mode, AddOptions{RanksPerNode: 4}))
+	}
+	crashed := r.Add(logProbe{procs: 4, hold: true}, ModeDualPar, AddOptions{RanksPerNode: 4})
+	r.cl.K.After(30*time.Second, func() { crashed.clientCrash(r.cl.K.Now()) })
+	if !r.Run(time.Minute) {
+		t.Fatal("run did not finish")
+	}
+	for _, pr := range append(prs, crashed) {
+		if pr.Instr().TotalBytes() == 0 {
+			t.Fatalf("program %d moved no bytes", pr.id)
+		}
+		if len(pr.log.files) != 0 || holdsRequests(&pr.log) {
+			t.Errorf("program %d (%v) finished holding its request log", pr.id, pr.mode)
+		}
+	}
+	if !crashed.Crashed() {
+		t.Error("the held program was not crashed")
 	}
 }
 
@@ -125,10 +188,13 @@ func TestEMCSlotDrainsRequestLog(t *testing.T) {
 		if len(pr.log.files) != 0 {
 			t.Fatalf("at %v: slot left the log listing %v", at, pr.log.files)
 		}
-		for f, xs := range pr.log.byFile {
-			if len(xs) != 0 {
-				t.Fatalf("at %v: slot left %d extents of %s in the log", at, len(xs), f)
+		for f, reqs := range pr.log.byFile {
+			if len(reqs) != 0 {
+				t.Fatalf("at %v: slot left %d requests of %s in the log", at, len(reqs), f)
 			}
+		}
+		if holdsRequests(&pr.log) {
+			t.Fatalf("at %v: the drained log still references requests", at)
 		}
 		if pooled := sortedCopy(&r.emc.pool); !reflect.DeepEqual(pooled, logged) {
 			t.Fatalf("at %v: pool = %v, want the drained log %v", at, pooled, logged)
@@ -144,7 +210,8 @@ func TestEMCSlotDrainsRequestLog(t *testing.T) {
 
 // refRecord and refReqDistSectors are the record-based ReqDist that
 // reqDistSectors replaced: one record per request, regrouped per file in a
-// fresh map. They pin that the per-file extent lists give the same bits.
+// fresh map and sorted by (offset, length). They pin that the merged
+// per-file request lists give the same bits.
 type refRecord struct {
 	File string
 	Ext  ext.Extent
@@ -167,7 +234,10 @@ func refReqDistSectors(records []refRecord) float64 {
 	var n int
 	for _, f := range files {
 		rs := byFile[f]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Ext.Off < rs[j].Ext.Off })
+		sort.Slice(rs, func(i, j int) bool {
+			a, b := rs[i].Ext, rs[j].Ext
+			return a.Off < b.Off || a.Off == b.Off && a.Len < b.Len
+		})
 		for i := 1; i < len(rs); i++ {
 			d := rs[i].Ext.Off - rs[i-1].Ext.Off
 			if d < rs[i-1].Ext.Len {
@@ -191,38 +261,76 @@ func refReqDistSectors(records []refRecord) float64 {
 	return sectors
 }
 
-// Three programs log requests to three files, pooled in program order as
-// EMC's slot does. Offsets come from a small set, so many requests tie at
-// one offset with unequal lengths: the sum then depends on the order the
-// sort sees, which must match the record-based pooling exactly.
-func TestReqDistMatchesRecordReference(t *testing.T) {
-	files := []string{"c.dat", "a.dat", "b.dat"}
+// reqDistFiles are the files randomPool's requests go to.
+var reqDistFiles = []string{"c.dat", "a.dat", "b.dat"}
+
+// randomPool pools three programs' logs of requests to three files, in
+// program order as EMC's slot does. Offsets come from a small set, so many
+// requests tie at one offset with unequal lengths, and a request's extents
+// need not ascend. It returns the pool and one record per non-empty
+// extent.
+func randomPool(rng *rand.Rand) (*fileExtents, []refRecord) {
 	lens := []int64{0, 512, 4 << 10, 64 << 10, 1 << 20}
-	if got := reqDistSectors(&fileExtents{}); got != 1 {
+	var records []refRecord
+	pool := new(fileExtents)
+	for prog := 0; prog < 3; prog++ {
+		var log fileExtents
+		for op := rng.Intn(40); op > 0; op-- {
+			f := reqDistFiles[rng.Intn(len(reqDistFiles))]
+			xs := make([]ext.Extent, 1+rng.Intn(3))
+			for i := range xs {
+				xs[i] = ext.Extent{Off: int64(rng.Intn(16)) * 4096, Len: lens[rng.Intn(len(lens))]}
+				if xs[i].Len > 0 {
+					records = append(records, refRecord{File: f, Ext: xs[i]})
+				}
+			}
+			log.add(f, xs)
+		}
+		pool.addAll(&log)
+	}
+	return pool, records
+}
+
+// The merged ReqDist matches the record-based reference bit for bit.
+func TestReqDistMatchesRecordReference(t *testing.T) {
+	var m ext.Merger
+	if got := reqDistSectors(&fileExtents{}, &m); got != 1 {
 		t.Fatalf("empty ReqDist = %g, want 1", got)
 	}
 	for seed := int64(1); seed <= 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var records []refRecord
-		var pool fileExtents
-		for prog := 0; prog < 3; prog++ {
-			var log fileExtents
-			for op := rng.Intn(40); op > 0; op-- {
-				f := files[rng.Intn(len(files))]
-				xs := make([]ext.Extent, 1+rng.Intn(3))
-				for i := range xs {
-					xs[i] = ext.Extent{Off: int64(rng.Intn(16)) * 4096, Len: lens[rng.Intn(len(lens))]}
-					if xs[i].Len > 0 {
-						records = append(records, refRecord{File: f, Ext: xs[i]})
-					}
-				}
-				log.add(f, xs)
-			}
-			pool.addAll(&log)
-		}
+		pool, records := randomPool(rand.New(rand.NewSource(seed)))
 		want := refReqDistSectors(records)
-		if got := reqDistSectors(&pool); got != want {
+		if got := reqDistSectors(pool, &m); got != want {
 			t.Fatalf("seed %d: ReqDist = %v, record reference = %v", seed, got, want)
+		}
+	}
+}
+
+// ReqDist is a function of the pooled requests alone: permuting the
+// requests of each file, and the extents within each request, gives the
+// same bits.
+func TestReqDistIgnoresPoolOrder(t *testing.T) {
+	var m ext.Merger
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool, _ := randomPool(rng)
+		want := reqDistSectors(pool, &m)
+		for trial := 0; trial < 5; trial++ {
+			shuffled := new(fileExtents)
+			files := append([]string(nil), pool.files...)
+			rng.Shuffle(len(files), func(i, j int) { files[i], files[j] = files[j], files[i] })
+			for _, f := range files {
+				reqs := append([][]ext.Extent(nil), pool.byFile[f]...)
+				rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+				for _, req := range reqs {
+					xs := append([]ext.Extent(nil), req...)
+					rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+					shuffled.add(f, xs)
+				}
+			}
+			if got := reqDistSectors(shuffled, &m); got != want {
+				t.Fatalf("seed %d trial %d: permuted ReqDist = %v, want %v", seed, trial, got, want)
+			}
 		}
 	}
 }

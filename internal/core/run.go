@@ -26,6 +26,12 @@ type Runner struct {
 	emc     *emc
 	audit   *check.Auditor // nil unless cfg.Audit
 	started bool           // Run has begun; later Adds start immediately
+
+	// merge and merged serve every request-list merge of the run: EMC's
+	// ReqDist and each program's CRM prefetch. No user yields mid-merge,
+	// so one is enough.
+	merge  ext.Merger
+	merged []ext.Extent
 }
 
 // NewRunner creates a runner on a cluster.
@@ -375,6 +381,8 @@ func (pr *ProgramRun) tryEnterDataDriven() bool {
 // to the arbiter and the completion callback fires.
 func (pr *ProgramRun) finish() {
 	pr.releaseGrant()
+	// EMC pools no finished program's log; release its requests.
+	pr.log = fileExtents{}
 	if pr.onDone != nil {
 		pr.onDone()
 	}
@@ -531,10 +539,10 @@ func (pr *ProgramRun) write(p *sim.Proc, rank int, gen workloads.RankGen, op wor
 	}
 }
 
-// logRequest records a request's extents for EMC's ReqDist. Only programs
-// EMC manages log: ReqDist pools no one else's requests.
+// logRequest records a request's extents for EMC's ReqDist. Only running
+// programs EMC manages log: ReqDist pools no one else's requests.
 func (pr *ProgramRun) logRequest(file string, extents []ext.Extent) {
-	if pr.mode.EMCManaged() {
+	if pr.mode.EMCManaged() && !pr.Done {
 		pr.log.add(file, extents)
 	}
 }

@@ -87,41 +87,31 @@ func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 	return coalesce(cp, maxHole)
 }
 
-// MergeInPlace is MergeWithHoles without the copy: it sorts and coalesces
-// xs in its own storage and returns the merged prefix, which is empty but
-// keeps xs's capacity when nothing is left. xs's contents are overwritten,
-// so a caller that owns xs can reuse it across calls without allocating.
-func MergeInPlace(xs []Extent, maxHole int64) []Extent {
-	n := 0
-	for _, e := range xs {
-		if e.Len > 0 {
-			xs[n] = e
-			n++
-		}
-	}
-	return coalesce(xs[:n], maxHole)
-}
-
 // coalesce sorts xs, whose extents are all non-empty, and merges in place
 // those whose gap is at most maxHole. The union does not depend on the
 // order of extents with equal offsets.
 func coalesce(xs []Extent, maxHole int64) []Extent {
-	if len(xs) == 0 {
-		return xs
-	}
 	Sort(xs)
-	out := xs[:1]
-	for _, e := range xs[1:] {
-		last := &out[len(out)-1]
-		if e.Off <= last.End()+maxHole {
+	out := xs[:0]
+	for _, e := range xs {
+		out = absorb(out, e, maxHole)
+	}
+	return out
+}
+
+// absorb appends e to out, a coalesced list whose last extent starts no
+// later than e, or extends that last extent when e lies within maxHole of
+// its end.
+func absorb(out []Extent, e Extent, maxHole int64) []Extent {
+	if n := len(out); n > 0 {
+		if last := &out[n-1]; e.Off <= last.End()+maxHole {
 			if e.End() > last.End() {
 				last.Len = e.End() - last.Off
 			}
-		} else {
-			out = append(out, e)
+			return out
 		}
 	}
-	return out
+	return append(out, e)
 }
 
 // Insert adds e to xs, which must be in the canonical form Merge produces

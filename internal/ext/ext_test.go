@@ -1,7 +1,9 @@
 package ext
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -215,9 +217,11 @@ func TestInsertEquivalentToMerge(t *testing.T) {
 	}
 }
 
-// Property: MergeInPlace gives MergeWithHoles's result in the input's own
-// storage, and an input with nothing left keeps its capacity.
-func TestMergeInPlaceEquivalentToMerge(t *testing.T) {
+// Property: a Merger's Coalesce over any split of xs into slices gives
+// MergeWithHoles's result, in the buffer's own storage.
+func TestMergerCoalesceEquivalentToMerge(t *testing.T) {
+	var m Merger
+	buf := make([]Extent, 0, 64)
 	f := func(seed int64, n uint8, hole uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		xs := make([]Extent, int(n)%48)
@@ -226,23 +230,116 @@ func TestMergeInPlaceEquivalentToMerge(t *testing.T) {
 		}
 		maxHole := int64(hole % 24)
 		want := MergeWithHoles(xs, maxHole)
-		got := MergeInPlace(xs, maxHole)
-		if len(got) != len(want) || (len(xs) > 0 && &got[:1][0] != &xs[0]) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		m.Reset(splitRandomly(xs, r))
+		got := m.Coalesce(buf, maxHole)
+		return eq(got, want) && (len(got) == 0 || &got[:1][0] == &buf[:1][0])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	empty := MergeInPlace(make([]Extent, 3, 8), 16)
-	if len(empty) != 0 || cap(empty) != 8 {
-		t.Fatalf("all-empty input: len %d cap %d, want 0 and 8", len(empty), cap(empty))
+}
+
+// splitRandomly cuts xs into consecutive slices of random lengths, empty
+// ones included.
+func splitRandomly(xs []Extent, r *rand.Rand) [][]Extent {
+	var lists [][]Extent
+	for len(xs) > 0 || r.Intn(4) == 0 {
+		n := r.Intn(len(xs) + 1)
+		lists = append(lists, xs[:n])
+		xs = xs[n:]
+	}
+	return lists
+}
+
+// sortedFlat is the Merger's specification: lists' non-empty extents,
+// flattened and sorted by (Off, Len).
+func sortedFlat(lists [][]Extent) []Extent {
+	var out []Extent
+	for _, xs := range lists {
+		for _, e := range xs {
+			if e.Len > 0 {
+				out = append(out, e)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b Extent) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len))
+	})
+	return out
+}
+
+// drain collects what m yields.
+func drain(m *Merger) []Extent {
+	var out []Extent
+	for e, ok := m.Next(); ok; e, ok = m.Next() {
+		out = append(out, e)
+	}
+	return out
+}
+
+// Property: the merge is the (Off, Len)-sorted flattening of its lists,
+// whatever the runs look like: ties at one offset, zero-length extents
+// inside and between runs, descents inside one slice.
+func TestMergerYieldsSortedFlattening(t *testing.T) {
+	var m Merger
+	f := func(seed int64, n uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		xs := make([]Extent, int(n)%64)
+		off := int64(0)
+		for i := range xs {
+			if r.Intn(5) == 0 {
+				off = r.Int63n(200) // descend (or not) to start a new run
+			} else {
+				off += r.Int63n(3) * 8
+			}
+			xs[i] = Extent{Off: off, Len: r.Int63n(4) * 8}
+		}
+		lists := splitRandomly(xs, r)
+		m.Reset(lists)
+		return eq(drain(&m), sortedFlat(lists))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset(nil)
+	if e, ok := m.Next(); ok {
+		t.Fatalf("empty merge yielded %v", e)
+	}
+}
+
+// A Merger reused across merges allocates nothing, and neither a drained
+// nor a re-Reset one keeps its old lists reachable.
+func TestMergerReuse(t *testing.T) {
+	lists := [][]Extent{{{0, 8}, {16, 8}}, {{8, 8}, {0, 0}, {4, 8}}, {{24, 8}}}
+	var m Merger
+	buf := make([]Extent, 0, 8)
+	m.Reset(lists)
+	m.Coalesce(buf, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Reset(lists)
+		buf = m.Coalesce(buf, 0)
+	}); allocs != 0 {
+		t.Fatalf("warm merge allocated %v times", allocs)
+	}
+	if want := []Extent{{0, 32}}; !eq(buf, want) {
+		t.Fatalf("Coalesce = %v, want %v", buf, want)
+	}
+	// held reports whether a run past the current merge's references a list.
+	held := func() bool {
+		for _, r := range m.runs[len(m.runs):cap(m.runs)] {
+			if r.xs != nil {
+				return true
+			}
+		}
+		return false
+	}
+	if m.runs = m.runs[:0]; held() {
+		t.Fatal("a drained merge still references its lists")
+	}
+	m.Reset(lists)
+	m.Next()
+	if m.Reset([][]Extent{{{0, 1}}}); held() {
+		t.Fatal("Reset kept an undrained merge's lists")
 	}
 }
 

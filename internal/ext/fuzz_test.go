@@ -157,3 +157,31 @@ func FuzzAlignSplitRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMerger checks the Merger against its specification on arbitrary
+// lists: the merge is the (Off, Len)-sorted flattening of the non-empty
+// extents. Each byte pair of data is one extent; a zero byte ends a list.
+func FuzzMerger(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 2, 0, 2, 0, 1, 1})
+	f.Add([]byte{9, 1, 4, 1, 9, 1, 0, 0, 9, 2, 9, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lists [][]Extent
+		var cur []Extent
+		for len(data) >= 2 {
+			if data[0] == 0 {
+				lists = append(lists, cur)
+				cur = nil
+				data = data[1:]
+				continue
+			}
+			cur = append(cur, Extent{Off: int64(data[0]), Len: int64(data[1] % 4)})
+			data = data[2:]
+		}
+		lists = append(lists, cur)
+		var m Merger
+		m.Reset(lists)
+		if got, want := drain(&m), sortedFlat(lists); !eq(got, want) {
+			t.Fatalf("merge of %v = %v, want %v", lists, got, want)
+		}
+	})
+}

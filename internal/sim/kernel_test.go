@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -213,6 +214,70 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 		t.Fatalf("woke at %v, want 1s", wokeAt)
 	}
 	// The stale timeout event must not wake the proc again or panic.
+}
+
+// A Signal that only ever times out stays bounded: a timed-out wait's ref
+// is dropped before the list would grow, instead of waiting for a
+// Broadcast that never comes.
+func TestTimedOutWaitsStayBounded(t *testing.T) {
+	k := NewKernel(1)
+	s := k.NewSignal()
+	const waits = 100_000
+	timeouts := 0
+	k.Spawn("poller", func(p *Proc) {
+		for i := 0; i < waits; i++ {
+			if !s.WaitTimeout(p, time.Millisecond) {
+				timeouts++
+			}
+		}
+	})
+	k.Run()
+	if timeouts != waits {
+		t.Fatalf("%d of %d waits timed out", timeouts, waits)
+	}
+	if n := cap(s.waiters); n > 2 {
+		t.Fatalf("waiter list grew to capacity %d after %d timeouts", n, waits)
+	}
+}
+
+// Dropping stale refs keeps the live waiters in order: a Broadcast after
+// many timeouts among them wakes the blocked Procs oldest first.
+func TestTimedOutWaitsKeepWakeOrder(t *testing.T) {
+	k := NewKernel(1)
+	s := k.NewSignal()
+	var order []string
+	block := func(name string) {
+		k.Spawn(name, func(p *Proc) {
+			s.Wait(p)
+			order = append(order, name)
+		})
+	}
+	block("a")
+	k.Spawn("poller", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			s.WaitTimeout(p, time.Millisecond)
+		}
+	})
+	block("b")
+	k.Spawn("late", func(p *Proc) {
+		p.Sleep(500 * time.Millisecond)
+		s.Wait(p)
+		order = append(order, "late")
+	})
+	k.Spawn("caster", func(p *Proc) {
+		p.Sleep(2 * time.Second)
+		if n := s.WaiterCount(); n != 3 {
+			t.Errorf("WaiterCount = %d, want 3", n)
+		}
+		if n := len(s.waiters); n > 8 {
+			t.Errorf("%d refs queued for 3 live waiters", n)
+		}
+		s.Broadcast()
+	})
+	k.Run()
+	if got := strings.Join(order, ","); got != "a,b,late" {
+		t.Fatalf("wake order %s, want a,b,late", got)
+	}
 }
 
 func TestQueueFIFO(t *testing.T) {

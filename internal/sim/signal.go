@@ -45,8 +45,21 @@ type waiterRef struct {
 // an embedded value works just as well.
 func (k *Kernel) NewSignal() *Signal { return &Signal{} }
 
-// arm resets p's wait record for a fresh wait and enqueues it.
+// arm resets p's wait record for a fresh wait and enqueues it. Before the
+// list would grow, it drops the refs Broadcast and Wake would skip (waits
+// that timed out, were woken, or moved on), keeping the rest in order, so
+// a Signal that only ever times out stays bounded by its live waiters.
 func (s *Signal) arm(p *Proc) *waiter {
+	if len(s.waiters) == cap(s.waiters) {
+		live := s.waiters[:0]
+		for _, ref := range s.waiters {
+			if ref.w.seq == ref.seq && !ref.w.fired {
+				live = append(live, ref)
+			}
+		}
+		clear(s.waiters[len(live):])
+		s.waiters = live
+	}
 	w := &p.w
 	w.seq++
 	w.fired, w.timedOut = false, false

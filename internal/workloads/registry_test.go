@@ -1,8 +1,11 @@
 package workloads
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"dualpar/internal/ext"
 )
 
 func TestRegistryBuildsEveryWorkload(t *testing.T) {
@@ -61,6 +64,53 @@ func TestInstancedRenamesDataFile(t *testing.T) {
 		p := w.Build(Params{Bytes: 1 << 20, FileName: "copy-1.dat"})
 		if fs := p.Files(); len(fs) != 1 || fs[0].Name != "copy-1.dat" {
 			t.Errorf("%s: files %+v, want copy-1.dat", w.Name, fs)
+		}
+	}
+}
+
+// Every registered generator, and a Clone of it taken after its first op,
+// leaves the extent slices it already returned untouched: consumers keep
+// them by reference (Op.Extents). Original and clone run interleaved, so a
+// buffer they share would show too.
+func TestGeneratorsNeverRewriteReturnedExtents(t *testing.T) {
+	type kept struct {
+		got  []ext.Extent // the returned slice
+		want []ext.Extent // a copy taken when it was returned
+	}
+	for _, w := range Workloads() {
+		prog := w.Build(Params{Procs: 4, Bytes: 16 << 20})
+		for r := 0; r < prog.Ranks(); r++ {
+			var log []kept
+			next := func(g RankGen) bool {
+				op := g.Next(TrueEnv{})
+				if len(op.Extents) > 0 {
+					log = append(log, kept{op.Extents, slices.Clone(op.Extents)})
+				}
+				return op.Kind != OpDone
+			}
+			g := prog.NewRank(r)
+			next(g)
+			c := g.Clone()
+			for ops, gOn, cOn := 0, true, true; gOn || cOn; ops++ {
+				if ops > 1_000_000 {
+					t.Fatalf("%s rank %d: no end after %d ops", w.Name, r, ops)
+				}
+				if gOn {
+					gOn = next(g)
+				}
+				if cOn {
+					cOn = next(c)
+				}
+			}
+			if len(log) < 2 {
+				t.Fatalf("%s rank %d: %d I/O ops, too few to check", w.Name, r, len(log))
+			}
+			for i, k := range log {
+				if !slices.Equal(k.got, k.want) {
+					t.Fatalf("%s rank %d: op %d's extents were rewritten: %v, returned as %v",
+						w.Name, r, i, k.got, k.want)
+				}
+			}
 		}
 	}
 }

@@ -38,11 +38,16 @@ const (
 )
 
 // Op is one step of a rank's execution.
+//
+// Its Extents slice is immutable once Next returns it: neither the
+// generator nor any Clone of it may write the slice again, so consumers
+// may keep it without copying (DualPar's request logs and wish lists hold
+// it by reference).
 type Op struct {
 	Kind    OpKind
 	Dur     time.Duration // OpCompute
 	File    string        // OpRead/OpWrite
-	Extents []ext.Extent  // OpRead/OpWrite
+	Extents []ext.Extent  // OpRead/OpWrite; immutable once returned
 	// Epoch tags OpWrite/OpSeal with a 1-based checkpoint epoch; 0 means
 	// the op is not checkpoint data (and is never routed to a burst log).
 	Epoch int
