@@ -21,8 +21,7 @@ func (pr *ProgramRun) crmServe(p *sim.Proc, wish *fileExtents) {
 	// Phase 1: collective writeback of everything dirty.
 	for _, file := range pr.cache.DirtyFiles() {
 		dirty := pr.cache.DirtyExtents(file)
-		merged := ext.MergeWithHoles(dirty, cfg.HoleBytes)
-		holes := ext.Holes(dirty, merged)
+		merged, holes := ext.Sieve(dirty, cfg.HoleBytes)
 		if len(holes) > 0 {
 			// Fill the holes with reads so larger writes can be formed.
 			pr.issueByHome(p, file, holes, crmRead)
@@ -91,15 +90,23 @@ const (
 	crmPrefetch              // read into the global cache
 )
 
-// issueByHome partitions extents by their chunks' home nodes and issues one
-// sorted list-I/O batch per home node, in parallel, waiting for all.
+// issueByHome partitions extents, which must be in ext.Merge's canonical
+// form, by their chunks' home nodes and issues one sorted list-I/O batch per
+// home node, in parallel, waiting for all. Each home's pieces arrive in
+// offset order, so joining touching ones on append keeps its batch
+// canonical.
 func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent, op crmOp) {
 	chunk := pr.r.cfg.Memcache.ChunkBytes
 	perHome := make(map[int][]ext.Extent)
-	for _, piece := range ext.SplitAt(extents, chunk) {
+	ext.VisitSplit(extents, chunk, func(piece ext.Extent) {
 		home := pr.cache.Home(piece.Off / chunk)
-		perHome[home] = append(perHome[home], piece)
-	}
+		lst := perHome[home]
+		if n := len(lst); n > 0 && lst[n-1].End() == piece.Off {
+			lst[n-1].Len += piece.Len
+		} else {
+			perHome[home] = append(lst, piece)
+		}
+	})
 	homes := make([]int, 0, len(perHome))
 	for h := range perHome {
 		homes = append(homes, h)
@@ -109,7 +116,7 @@ func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent
 	wg := k.NewWaitGroup()
 	for _, home := range homes {
 		home := home
-		batch := ext.Merge(perHome[home])
+		batch := perHome[home]
 		wg.Add(1)
 		k.Spawn(fmt.Sprintf("prog%d/crm-home%d", pr.id, home), func(hp *sim.Proc) {
 			defer wg.Done()
@@ -210,9 +217,10 @@ func (pr *ProgramRun) crmBatch(hp *sim.Proc, file string, batch []ext.Extent, op
 }
 
 // clipToFile bounds prefetch extents to the file's known size (alignment
-// must not read past EOF). The bound is the larger of the workload's
-// declared static size and the size the metadata server currently records
-// — files grown by writebacks keep their tails prefetchable.
+// must not read past EOF), clipping in place in extents, which the caller
+// owns. The bound is the larger of the workload's declared static size and
+// the size the metadata server currently records — files grown by
+// writebacks keep their tails prefetchable.
 func (pr *ProgramRun) clipToFile(file string, extents []ext.Extent) []ext.Extent {
 	size := pr.r.cl.FS.FileSize(file)
 	for _, fs := range pr.prog.Files() {
@@ -223,7 +231,7 @@ func (pr *ProgramRun) clipToFile(file string, extents []ext.Extent) []ext.Extent
 	if size == 0 {
 		return extents
 	}
-	var out []ext.Extent
+	out := extents[:0]
 	for _, e := range extents {
 		if c, ok := e.Clip(0, size); ok {
 			out = append(out, c)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -90,5 +91,33 @@ func TestClipToFileTracksGrownFile(t *testing.T) {
 	out = pr.clipToFile(m.FileName, []ext.Extent{{Off: 0, Len: static / 2}})
 	if got := ext.Total(out); got != static/2 {
 		t.Fatalf("in-bounds extents were clipped: total = %d, want %d", got, static/2)
+	}
+}
+
+// Each home node's batch is canonical, as merging its pieces would make
+// it: pieces of the chunk split that touch are joined again. With every
+// rank on one compute node, one home serves every chunk, so a list of two
+// extents spanning five chunks goes out as one batch of two extents.
+func TestIssueByHomeJoinsTouchingPieces(t *testing.T) {
+	col := obs.NewCollector()
+	cl := tracedCluster(1, col)
+	cfg := DefaultConfig()
+	r := NewRunner(cl, cfg)
+	m := smallMPIIOTest(false)
+	pr := r.Add(m, ModeDataDriven, AddOptions{RanksPerNode: m.Procs})
+	chunk := cfg.Memcache.ChunkBytes
+	xs := []ext.Extent{{Off: 100, Len: 3 * chunk}, {Off: 4*chunk + 1, Len: chunk / 2}}
+	cl.K.Spawn("test", func(p *sim.Proc) {
+		pr.issueByHome(p, m.FileName, xs, crmRead)
+	})
+	cl.K.RunUntil(time.Minute)
+	var batches []string
+	for _, s := range col.Spans() {
+		if argOf(s.Args, "verb") == "crm-read" {
+			batches = append(batches, argOf(s.Args, "extents")+"/"+argOf(s.Args, "bytes"))
+		}
+	}
+	if want := fmt.Sprintf("2/%d", ext.Total(xs)); len(batches) != 1 || batches[0] != want {
+		t.Fatalf("batches (extents/bytes) = %v, want [%s]", batches, want)
 	}
 }

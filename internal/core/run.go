@@ -640,9 +640,8 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 			// its own on the same track.
 			pr.instr.Span(rank, start, p.Now(), op.Bytes()-ext.Total(missing))
 			endSpan("fallback")
-			rest := ext.Merge(missing)
-			pr.logRequest(op.File, rest)
-			pr.file(op.File).ReadExtents(p, rank, rest)
+			pr.logRequest(op.File, missing)
+			pr.file(op.File).ReadExtents(p, rank, missing)
 			return
 		}
 		pr.ctrl.waitReadCycle(p, rank, gen, op, rc)

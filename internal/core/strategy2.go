@@ -143,5 +143,5 @@ func (s *strategy2) read(p *sim.Proc, rank int, op workloads.Op) {
 	// opens its own request on the same track.
 	s.pr.instr.Span(rank, start, p.Now(), op.Bytes()-ext.Total(missing))
 	endSpan("fallback")
-	s.pr.file(op.File).ReadExtents(p, rank, ext.Merge(missing))
+	s.pr.file(op.File).ReadExtents(p, rank, missing)
 }

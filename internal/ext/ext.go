@@ -62,17 +62,10 @@ func Total(xs []Extent) int64 {
 }
 
 // Merge sorts a copy of xs and coalesces overlapping or exactly adjacent
-// extents. Zero-length extents are dropped.
+// extents. Zero-length extents are dropped. The result is the canonical
+// form the other operations here expect: non-empty extents in offset order
+// with a gap between neighbours.
 func Merge(xs []Extent) []Extent {
-	return MergeWithHoles(xs, 0)
-}
-
-// MergeWithHoles sorts a copy of xs and coalesces extents whose gap is at
-// most maxHole bytes, absorbing the hole into the result (the paper fills
-// small unrequested holes to form larger requests; for writes the holes are
-// first read back, which the caller accounts for with Holes). Zero-length
-// extents are dropped.
-func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 	cp := make([]Extent, 0, len(xs))
 	for _, e := range xs {
 		if e.Len > 0 {
@@ -84,7 +77,7 @@ func MergeWithHoles(xs []Extent, maxHole int64) []Extent {
 	}
 	// The result aliases cp, which this call owns — returning it directly
 	// is safe and saves re-copying the result on a very hot path.
-	return coalesce(cp, maxHole)
+	return coalesce(cp, 0)
 }
 
 // coalesce sorts xs, whose extents are all non-empty, and merges in place
@@ -154,33 +147,24 @@ func Insert(xs []Extent, e Extent) []Extent {
 	return xs
 }
 
-// Holes returns the gaps within merged that are not covered by any extent
-// of xs. merged must come from MergeWithHoles(xs, ...) (i.e., cover xs).
-func Holes(xs, merged []Extent) []Extent {
-	covered := Merge(xs)
-	var holes []Extent
-	i := 0
-	for _, m := range merged {
-		pos := m.Off
-		for i < len(covered) && covered[i].End() <= m.Off {
-			i++
-		}
-		j := i
-		for j < len(covered) && covered[j].Off < m.End() {
-			c := covered[j]
-			if c.Off > pos {
-				holes = append(holes, Extent{Off: pos, Len: c.Off - pos})
+// Sieve is data sieving over xs, which must be in Merge's canonical form:
+// one pass coalesces extents whose gap is at most maxHole bytes, absorbing
+// the gap (the paper fills small unrequested holes to form larger
+// requests). sieved is the result and holes are the absorbed gaps, which a
+// sieved write must first read back. xs is not modified.
+func Sieve(xs []Extent, maxHole int64) (sieved, holes []Extent) {
+	sieved = make([]Extent, 0, len(xs))
+	for _, e := range xs {
+		if n := len(sieved); n > 0 {
+			if last := &sieved[n-1]; e.Off-last.End() <= maxHole {
+				holes = append(holes, Extent{Off: last.End(), Len: e.Off - last.End()})
+				last.Len = e.End() - last.Off
+				continue
 			}
-			if c.End() > pos {
-				pos = c.End()
-			}
-			j++
 		}
-		if pos < m.End() {
-			holes = append(holes, Extent{Off: pos, Len: m.End() - pos})
-		}
+		sieved = append(sieved, e)
 	}
-	return holes
+	return sieved, holes
 }
 
 // AlignTo expands each extent outward to unit boundaries and re-merges the
@@ -201,17 +185,10 @@ func AlignTo(xs []Extent, unit int64) []Extent {
 	return Merge(cp)
 }
 
-// SplitAt chops extents at multiples of unit, yielding pieces that each lie
-// within a single unit-sized block (used for chunk-granular caching).
-func SplitAt(xs []Extent, unit int64) []Extent {
-	var out []Extent
-	VisitSplit(xs, unit, func(e Extent) { out = append(out, e) })
-	return out
-}
-
-// VisitSplit is SplitAt without the materialized result: it calls fn for
-// each unit-aligned piece in order. Hot paths that stripe extents across
-// servers use it to avoid allocating the intermediate piece list.
+// VisitSplit chops extents at multiples of unit and calls fn for each
+// piece in order; each piece lies within a single unit-sized block. Hot
+// paths that stripe extents across servers or cache chunks use it without
+// materializing the piece list.
 func VisitSplit(xs []Extent, unit int64, fn func(Extent)) {
 	if unit <= 0 {
 		panic("ext: non-positive unit")

@@ -40,26 +40,28 @@ func TestMergeDropsEmpty(t *testing.T) {
 	}
 }
 
-func TestMergeWithHolesAbsorbsSmallGaps(t *testing.T) {
+func TestSieveAbsorbsSmallGaps(t *testing.T) {
 	xs := []Extent{{0, 10}, {14, 10}, {100, 10}}
-	got := MergeWithHoles(xs, 4)
+	got, holes := Sieve(xs, 4)
 	if len(got) != 2 || got[0] != (Extent{0, 24}) || got[1] != (Extent{100, 10}) {
-		t.Fatalf("MergeWithHoles = %v", got)
+		t.Fatalf("Sieve = %v", got)
+	}
+	if len(holes) != 1 || holes[0] != (Extent{10, 4}) {
+		t.Fatalf("Sieve holes = %v", holes)
 	}
 }
 
-func TestMergeWithHolesRespectsThreshold(t *testing.T) {
+func TestSieveRespectsThreshold(t *testing.T) {
 	xs := []Extent{{0, 10}, {15, 10}}
-	got := MergeWithHoles(xs, 4) // gap of 5 > 4
-	if len(got) != 2 {
-		t.Fatalf("gap above threshold merged: %v", got)
+	got, holes := Sieve(xs, 4) // gap of 5 > 4
+	if len(got) != 2 || len(holes) != 0 {
+		t.Fatalf("gap above threshold merged: %v, holes %v", got, holes)
 	}
 }
 
 func TestHoles(t *testing.T) {
 	xs := []Extent{{0, 10}, {14, 6}, {30, 10}}
-	merged := MergeWithHoles(xs, 100)
-	holes := Holes(xs, merged)
+	_, holes := Sieve(xs, 100)
 	want := []Extent{{10, 4}, {20, 10}}
 	if len(holes) != 2 || holes[0] != want[0] || holes[1] != want[1] {
 		t.Fatalf("Holes = %v, want %v", holes, want)
@@ -68,7 +70,7 @@ func TestHoles(t *testing.T) {
 
 func TestHolesNoneWhenContiguous(t *testing.T) {
 	xs := []Extent{{0, 10}, {10, 10}}
-	if h := Holes(xs, Merge(xs)); len(h) != 0 {
+	if _, h := Sieve(Merge(xs), 100); len(h) != 0 {
 		t.Fatalf("Holes = %v, want none", h)
 	}
 }
@@ -89,11 +91,18 @@ func TestAlignToUnitOneIsMerge(t *testing.T) {
 }
 
 func TestSplitAt(t *testing.T) {
-	got := SplitAt([]Extent{{10, 120}}, 64)
+	got := split([]Extent{{10, 120}}, 64)
 	want := []Extent{{10, 54}, {64, 64}, {128, 2}}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("SplitAt = %v, want %v", got, want)
+		t.Fatalf("VisitSplit = %v, want %v", got, want)
 	}
+}
+
+// split collects the pieces VisitSplit visits.
+func split(xs []Extent, unit int64) []Extent {
+	var out []Extent
+	VisitSplit(xs, unit, func(e Extent) { out = append(out, e) })
+	return out
 }
 
 func TestClip(t *testing.T) {
@@ -159,7 +168,6 @@ func TestMergeProperties(t *testing.T) {
 	}
 }
 
-// Property: MergeWithHoles(xs, h) total = Total(Merge(xs)) + Total(Holes).
 func TestInsertCases(t *testing.T) {
 	cases := []struct {
 		xs   []Extent
@@ -218,7 +226,7 @@ func TestInsertEquivalentToMerge(t *testing.T) {
 }
 
 // Property: a Merger's Coalesce over any split of xs into slices gives
-// MergeWithHoles's result, in the buffer's own storage.
+// the sort-and-coalesce reference's result, in the buffer's own storage.
 func TestMergerCoalesceEquivalentToMerge(t *testing.T) {
 	var m Merger
 	buf := make([]Extent, 0, 64)
@@ -229,7 +237,13 @@ func TestMergerCoalesceEquivalentToMerge(t *testing.T) {
 			xs[i] = Extent{Off: r.Int63n(300), Len: r.Int63n(40)}
 		}
 		maxHole := int64(hole % 24)
-		want := MergeWithHoles(xs, maxHole)
+		var nonEmpty []Extent
+		for _, e := range xs {
+			if e.Len > 0 {
+				nonEmpty = append(nonEmpty, e)
+			}
+		}
+		want := coalesce(nonEmpty, maxHole)
 		m.Reset(splitRandomly(xs, r))
 		got := m.Coalesce(buf, maxHole)
 		return eq(got, want) && (len(got) == 0 || &got[:1][0] == &buf[:1][0])
@@ -343,6 +357,7 @@ func TestMergerReuse(t *testing.T) {
 	}
 }
 
+// Property: sieving a canonical list adds exactly its holes' bytes.
 func TestHolesAccounting(t *testing.T) {
 	f := func(seed int64, n uint8, hole uint16) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -351,17 +366,17 @@ func TestHolesAccounting(t *testing.T) {
 			xs[i] = Extent{Off: r.Int63n(4096), Len: 1 + r.Int63n(256)}
 		}
 		maxHole := int64(hole % 512)
-		merged := MergeWithHoles(xs, maxHole)
-		holes := Holes(xs, merged)
-		return Total(merged) == Total(Merge(xs))+Total(holes)
+		canon := Merge(xs)
+		sieved, holes := Sieve(canon, maxHole)
+		return Total(sieved) == Total(canon)+Total(holes)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: SplitAt preserves total bytes and every piece stays within one
-// unit block.
+// Property: VisitSplit preserves total bytes and every piece stays within
+// one unit block.
 func TestSplitAtProperties(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -370,7 +385,7 @@ func TestSplitAtProperties(t *testing.T) {
 			xs[i] = Extent{Off: r.Int63n(1 << 20), Len: 1 + r.Int63n(1<<18)}
 		}
 		unit := int64(64 << 10)
-		pieces := SplitAt(xs, unit)
+		pieces := split(xs, unit)
 		if Total(pieces) != Total(xs) {
 			return false
 		}

@@ -24,84 +24,80 @@ func clampOff(v int64) int64 {
 	return v % (1 << 40)
 }
 
-// FuzzMergeWithHoles checks the extent algebra's invariants under arbitrary
-// inputs: merged output is sorted and disjoint, covers the input, and hole
-// accounting balances exactly.
+// FuzzMergeWithHoles checks data sieving's invariants under arbitrary
+// inputs: the sieved output keeps every gap above maxHole, covers the
+// input, matches the sort-and-coalesce reference, and hole accounting
+// balances exactly.
 func FuzzMergeWithHoles(f *testing.F) {
 	f.Add(int64(0), int64(10), int64(12), int64(4), int64(2))
 	f.Add(int64(100), int64(1), int64(50), int64(100), int64(0))
 	f.Add(int64(5), int64(0), int64(5), int64(5), int64(64))
 	f.Fuzz(func(t *testing.T, aOff, aLen, bOff, bLen, hole int64) {
-		clamp := func(v int64) int64 {
-			if v < 0 {
-				v = -v
-			}
-			return v % (1 << 40)
+		xs := Merge([]Extent{
+			{Off: clampOff(aOff), Len: clampOff(aLen)},
+			{Off: clampOff(bOff), Len: clampOff(bLen)},
+		})
+		maxHole := clampOff(hole)
+		sieved, holes := Sieve(xs, maxHole)
+		if want := coalesce(append([]Extent(nil), xs...), maxHole); !eq(sieved, want) {
+			t.Fatalf("Sieve(%v, %d) = %v, want %v", xs, maxHole, sieved, want)
 		}
-		xs := []Extent{
-			{Off: clamp(aOff), Len: clamp(aLen)},
-			{Off: clamp(bOff), Len: clamp(bLen)},
-		}
-		maxHole := clamp(hole)
-		merged := MergeWithHoles(xs, maxHole)
-		for i := 1; i < len(merged); i++ {
-			if merged[i].Off <= merged[i-1].End()+maxHole {
-				t.Fatalf("gap <= maxHole survived: %v (hole %d)", merged, maxHole)
+		for i := 1; i < len(sieved); i++ {
+			if sieved[i].Off <= sieved[i-1].End()+maxHole {
+				t.Fatalf("gap <= maxHole survived: %v (hole %d)", sieved, maxHole)
 			}
 		}
 		// Coverage: every input byte range must lie inside some output.
 		for _, e := range xs {
-			if e.Len == 0 {
-				continue
-			}
 			covered := false
-			for _, m := range merged {
+			for _, m := range sieved {
 				if m.Contains(e.Off, e.Len) {
 					covered = true
 				}
 			}
 			if !covered {
-				t.Fatalf("input %v not covered by %v", e, merged)
+				t.Fatalf("input %v not covered by %v", e, sieved)
 			}
 		}
-		// Accounting: merged = covered + holes.
-		holes := Holes(xs, merged)
-		if Total(merged) != Total(Merge(xs))+Total(holes) {
-			t.Fatalf("accounting broken: merged %d != covered %d + holes %d",
-				Total(merged), Total(Merge(xs)), Total(holes))
+		// Accounting: sieved = input + holes.
+		if Total(sieved) != Total(xs)+Total(holes) {
+			t.Fatalf("accounting broken: sieved %d != input %d + holes %d",
+				Total(sieved), Total(xs), Total(holes))
 		}
 		// Chunk splitting conserves bytes.
-		if pieces := SplitAt(merged, 64<<10); Total(pieces) != Total(merged) {
-			t.Fatalf("SplitAt lost bytes")
+		if pieces := split(sieved, 64<<10); Total(pieces) != Total(sieved) {
+			t.Fatalf("split lost bytes")
 		}
 	})
 }
 
-// FuzzHolesReconstruct pins the contract Holes documents but never checks:
-// for merged = MergeWithHoles(xs, h), the covered input plus the holes must
-// reconstruct merged exactly, and the holes must be disjoint from the input.
+// FuzzHolesReconstruct pins the contract Sieve documents for its holes: the
+// input plus the holes must reconstruct the sieved list exactly, the holes
+// must be disjoint from the input, and the input is left as it was.
 func FuzzHolesReconstruct(f *testing.F) {
 	f.Add(int64(0), int64(10), int64(12), int64(4), int64(30), int64(5), int64(8))
 	f.Add(int64(100), int64(1), int64(50), int64(100), int64(0), int64(0), int64(0))
 	f.Add(int64(5), int64(0), int64(5), int64(5), int64(7), int64(9), int64(64))
 	f.Fuzz(func(t *testing.T, aOff, aLen, bOff, bLen, cOff, cLen, hole int64) {
-		xs := []Extent{
+		xs := Merge([]Extent{
 			{Off: clampOff(aOff), Len: clampOff(aLen)},
 			{Off: clampOff(bOff), Len: clampOff(bLen)},
 			{Off: clampOff(cOff), Len: clampOff(cLen)},
+		})
+		in := append([]Extent(nil), xs...)
+		sieved, holes := Sieve(xs, clampOff(hole))
+		if !eq(xs, in) {
+			t.Fatalf("Sieve modified its input: %v, was %v", xs, in)
 		}
-		merged := MergeWithHoles(xs, clampOff(hole))
-		covered := Merge(xs)
-		holes := Holes(xs, merged)
-		// Exact reconstruction: covered ∪ holes == merged.
-		if got := Merge(append(append([]Extent(nil), covered...), holes...)); !eq(got, merged) {
-			t.Fatalf("covered %v + holes %v reconstruct %v, want %v", covered, holes, got, merged)
+		// Exact reconstruction: input ∪ holes == sieved.
+		if got := Merge(append(append([]Extent(nil), xs...), holes...)); !eq(got, sieved) {
+			t.Fatalf("input %v + holes %v reconstruct %v, want %v", xs, holes, got, sieved)
 		}
 		// Holes never overlap input data.
 		for _, h := range holes {
-			for _, c := range covered {
+			for _, c := range xs {
 				if h.Overlaps(c) {
-					t.Fatalf("hole %v overlaps covered %v", h, c)
+					t.Fatalf("hole %v overlaps input %v", h, c)
 				}
 			}
 		}
@@ -110,7 +106,7 @@ func FuzzHolesReconstruct(f *testing.F) {
 
 // FuzzAlignSplitRoundTrip checks the chunk-granularity transforms:
 // AlignTo yields unit-aligned extents covering the input with bounded
-// expansion, and SplitAt is a pure partition — merging the pieces restores
+// expansion, and VisitSplit is a pure partition — merging the pieces restores
 // the merged input exactly and every piece stays inside one unit block.
 func FuzzAlignSplitRoundTrip(f *testing.F) {
 	f.Add(int64(0), int64(10), int64(100), int64(28), int64(16))
@@ -145,10 +141,10 @@ func FuzzAlignSplitRoundTrip(f *testing.F) {
 		if Total(aligned) > Total(merged)+int64(len(merged))*2*(u-1) {
 			t.Fatalf("AlignTo expanded %d bytes to %d with unit %d", Total(merged), Total(aligned), u)
 		}
-		// SplitAt round-trips through Merge and respects block boundaries.
-		pieces := SplitAt(merged, u)
+		// VisitSplit round-trips through Merge and respects block boundaries.
+		pieces := split(merged, u)
 		if got := Merge(pieces); !eq(got, merged) {
-			t.Fatalf("Merge(SplitAt(%v, %d)) = %v, want %v", merged, u, got, merged)
+			t.Fatalf("Merge(split(%v, %d)) = %v, want %v", merged, u, got, merged)
 		}
 		for _, p := range pieces {
 			if p.Off/u != (p.End()-1)/u {

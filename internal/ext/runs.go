@@ -6,7 +6,8 @@ import "math"
 // order without copying them. DualPar's request lists hold each request's
 // own extent slice by reference, and those slices are long ascending runs
 // (a strided request ascends; ranks interleave whole requests), so a k-way
-// merge over the runs replaces a sort of the flattened list.
+// merge over the runs replaces a sort of the flattened list. Two-phase
+// collective planning merges each rank's canonical window the same way.
 //
 // It is a loser tree over the maximal ascending runs of the slices. Zero-
 // length extents are skipped and do not end a run. Ordering by length
@@ -122,8 +123,9 @@ func (m *Merger) Next() (Extent, bool) {
 }
 
 // Coalesce drains m into buf's storage, coalescing extents whose gap is at
-// most maxHole as MergeWithHoles does, and returns the result. The result
-// aliases buf, so a caller can reuse one buffer across merges.
+// most maxHole (0 gives Merge's canonical form of the lists' union), and
+// returns the result. The result aliases buf, so a caller can reuse one
+// buffer across merges.
 func (m *Merger) Coalesce(buf []Extent, maxHole int64) []Extent {
 	out := buf[:0]
 	for e, ok := m.Next(); ok; e, ok = m.Next() {

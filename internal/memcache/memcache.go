@@ -199,10 +199,12 @@ func (c *Cache) visitChunks(e ext.Extent, fn func(idx int64, rel ext.Extent)) {
 // Get checks whether [e] of file is fully cached. Lookups are batched the
 // way a memcached multi-get is: one operation and (for remote homes) one
 // network transfer per home node involved, carrying all that home's hit
-// bytes. It returns the missing file-space extents; a fully-satisfied Get
-// counts as a hit. rc is the originating request's trace identity: a
-// traced context additionally records a StageCache span on the "cache"
-// track covering the lookup (home-node CPU plus wire time for remote hits).
+// bytes. It returns the missing file-space extents in ext.Merge's
+// canonical form, in a list the caller owns, so callers pass it on without
+// re-merging; a fully-satisfied Get counts as a hit. rc is the originating
+// request's trace identity: a traced context additionally records a
+// StageCache span on the "cache" track covering the lookup (home-node CPU
+// plus wire time for remote hits).
 func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents ...ext.Extent) (miss []ext.Extent) {
 	start := p.Now()
 	c.statGets++
@@ -366,7 +368,9 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 	c.armSweeper()
 }
 
-// DirtyExtents returns the merged dirty file-space extents of a file.
+// DirtyExtents returns the dirty file-space extents of a file in
+// ext.Merge's canonical form, in a list the caller owns, so callers sieve or
+// split it without re-merging.
 func (c *Cache) DirtyExtents(file string) []ext.Extent {
 	var out []ext.Extent
 	for key, ch := range c.chunks {

@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -98,6 +99,62 @@ func TestDirtyNeverLost(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestListsAreCanonical pins the contract callers rely on to skip
+// re-merging: under random put, get and evict sequences, every miss list
+// Get returns and every DirtyExtents list equals ext.Merge of itself.
+// Extents straddle chunks and repeat; a quota small enough to evict,
+// MarkClean, DropFile and idle sweeps all remove chunks between lookups.
+func TestListsAreCanonical(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel(seed)
+		cfg := DefaultConfig()
+		c := newCache(k, cfg, 100, 101, 102)
+		c.SetQuota(NewQuota("t", 8*cfg.ChunkBytes))
+		files := []string{"f", "g"}
+		extents := func() []ext.Extent {
+			xs := make([]ext.Extent, 1+rng.Intn(4))
+			for i := range xs {
+				xs[i] = ext.Extent{Off: rng.Int63n(16 * cfg.ChunkBytes), Len: rng.Int63n(3 * cfg.ChunkBytes)}
+			}
+			return xs
+		}
+		ok := true
+		canonical := func(xs []ext.Extent) {
+			if want := ext.Merge(xs); !slices.Equal(xs, want) {
+				t.Errorf("list %v is not canonical: Merge gives %v", xs, want)
+				ok = false
+			}
+		}
+		k.Spawn("p", func(p *sim.Proc) {
+			for i := 0; i < 4+int(n)%40; i++ {
+				file := files[rng.Intn(len(files))]
+				switch rng.Intn(7) {
+				case 0, 1:
+					c.PutClean(p, 100, obs.Ctx{}, file, extents())
+				case 2, 3:
+					c.PutDirty(p, 101, obs.Ctx{}, file, extents())
+				case 4:
+					c.MarkClean(file)
+				case 5:
+					if rng.Intn(3) == 0 {
+						c.DropFile(file)
+					} else {
+						p.Sleep(cfg.EvictAfter)
+					}
+				}
+				canonical(c.Get(p, 102, obs.Ctx{}, file, extents()...))
+				canonical(c.DirtyExtents(file))
+			}
+		})
+		k.RunUntil(time.Hour)
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package mpiio
 
 import (
-	"math"
 	"sort"
 
 	"dualpar/internal/ext"
@@ -203,69 +202,20 @@ func span(all []any) (lo, hi int64, ok bool) {
 	return lo, hi, ok
 }
 
-// cursor walks one rank's canonical window over a domain during the merge.
-type cursor struct {
-	// e is the window's next extent, clipped to the domain. Its Off is
-	// math.MaxInt64 once the window is used up.
-	e    ext.Extent
-	rest []ext.Extent // the window after e
-	rank int
-}
-
-// merger is the k-way merge an aggregator plans its domain with: a cursor
-// per rank whose window is non-empty, and a loser tree (a tournament heap)
-// over the cursors' next offsets. For 0 < n < k, tree[n] is the cursor that
-// lost the match at node n, whose children are nodes 2n and 2n+1; cursor i
-// is leaf k+i. Advancing the winner replays one leaf-to-root path, one
-// comparison per level.
-type merger struct {
-	cur  []cursor
-	tree []int
-}
-
-// build plays every match of the subtree at node n and returns its winner.
-func (m *merger) build(n int) int {
-	k := len(m.cur)
-	if n >= k {
-		return n - k
-	}
-	a, b := m.build(2*n), m.build(2*n+1)
-	if m.cur[b].e.Off < m.cur[a].e.Off {
-		a, b = b, a
-	}
-	m.tree[n] = b
-	return a
-}
-
-// replay re-seats cursor w after its offset grew and returns the new
-// overall winner.
-func (m *merger) replay(w int) int {
-	for n := (len(m.cur) + w) / 2; n > 0; n /= 2 {
-		if l := m.tree[n]; m.cur[l].e.Off < m.cur[w].e.Off {
-			m.tree[n], w = w, l
-		}
-	}
-	return w
-}
-
 // domainPlan returns the union of the exchanged summaries' canonical lists
 // (all[r] is rank r's, nil for an empty list) clipped to domain d, in the
 // canonical form ext.Merge gives, built in buf's storage. Each canonical
 // list is sorted with disjoint extents, so its overlap with d is a window
-// found by binary search whose boundary extents alone need clipping; the
-// P windows are merged through the File's merger and coalesced as they
-// come. When owed is non-nil, owed[r] gains rank r's bytes in d counted
-// as overlapTotal counts them over r's list: the merge takes every byte of
-// r's window, and r's summary adds what r's list covers more than once.
-// Once buf and the merger have grown to fit, it allocates nothing.
+// found by binary search; the File's ext.Merger coalesces the P windows.
+// Every window extent overlaps d, so only the union's first and last
+// extents can reach past d and need clipping. When owed is non-nil, owed[r]
+// gains rank r's bytes in d counted as overlapTotal counts them over r's
+// list: those of r's window, plus what r's list covers more than once (its
+// summary's dups). Once buf, the File's window list and its merger have
+// grown to fit, it allocates nothing.
 func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int64) []ext.Extent {
 	dLo, dHi := d.Off, d.End()
-	m := &f.merge
-	if cap(m.cur) < len(all) {
-		m.cur = make([]cursor, 0, len(all))
-		m.tree = make([]int, len(all))
-	}
-	m.cur = m.cur[:0]
+	windows := f.windows[:0]
 	for r, v := range all {
 		s, _ := v.(*summary)
 		if s == nil {
@@ -276,45 +226,17 @@ func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int6
 		// before dHi.
 		i := sort.Search(len(c), func(k int) bool { return c[k].End() > dLo })
 		j := i + sort.Search(len(c)-i, func(k int) bool { return c[i+k].Off >= dHi })
-		if i == j {
-			continue
-		}
-		first, _ := c[i].Clip(dLo, dHi)
-		m.cur = append(m.cur, cursor{e: first, rest: c[i+1 : j], rank: r})
-	}
-	buf = buf[:0]
-	if len(m.cur) == 0 {
-		return buf
-	}
-	for w := m.build(1); m.cur[w].e.Off != math.MaxInt64; w = m.replay(w) {
-		c := &m.cur[w]
-		e := c.e
 		if owed != nil {
-			owed[c.rank] += e.Len
+			owed[r] += overlapTotal(c[i:j], d) + overlapTotal(s.dups, d)
 		}
-		if n := len(buf); n > 0 && e.Off <= buf[n-1].End() {
-			if e.End() > buf[n-1].End() {
-				buf[n-1].Len = e.End() - buf[n-1].Off
-			}
-		} else {
-			buf = append(buf, e)
-		}
-		if len(c.rest) == 0 {
-			c.e.Off = math.MaxInt64
-			continue
-		}
-		next := c.rest[0]
-		if next.End() > dHi {
-			next.Len = dHi - next.Off
-		}
-		c.e, c.rest = next, c.rest[1:]
+		windows = append(windows, c[i:j])
 	}
-	if owed != nil {
-		for r, v := range all {
-			if s, _ := v.(*summary); s != nil {
-				owed[r] += overlapTotal(s.dups, d)
-			}
-		}
+	f.windows = windows
+	f.merge.Reset(windows)
+	buf = f.merge.Coalesce(buf, 0)
+	if n := len(buf); n > 0 {
+		buf[0], _ = buf[0].Clip(dLo, dHi)
+		buf[n-1], _ = buf[n-1].Clip(dLo, dHi)
 	}
 	return buf
 }
@@ -354,8 +276,7 @@ func (f *File) aggregatorIO(p *sim.Proc, rank int, needed []ext.Extent, write bo
 	if len(needed) == 0 {
 		return
 	}
-	sieved := ext.MergeWithHoles(needed, f.cfg.DataSieveHole)
-	holes := ext.Holes(needed, sieved)
+	sieved, holes := ext.Sieve(needed, f.cfg.DataSieveHole)
 	cl := f.client(rank)
 	origin := f.origins[rank]
 	rc := f.startRequest(rank)

@@ -74,9 +74,11 @@ type File struct {
 	// outlives the proc blocking in aggregatorIO; the next collective call
 	// by r overwrites it.
 	ranks []rankState
-	// merge is the k-way merge of the aggregator planning its domain. A
-	// plan runs without blocking, so one merger serves every aggregator.
-	merge merger
+	// windows and merge are the per-rank windows and the k-way merge of
+	// the aggregator planning its domain. A plan runs without blocking, so
+	// one pair serves every aggregator.
+	windows [][]ext.Extent
+	merge   ext.Merger
 }
 
 // rankState is what one rank keeps on the File between collective calls.

@@ -25,48 +25,53 @@ import (
 // the timeline. It requires EnableIntegrity; with no tracker it reports
 // nothing.
 func (fsys *FileSystem) VerifyDurable(name string, extents []ext.Extent) error {
-	t := fsys.tracker
-	if t == nil {
+	if fsys.tracker == nil {
 		return nil
 	}
-	n := int64(fsys.NumServers())
-	unit := fsys.cfg.StripeUnit
-	for _, piece := range ext.SplitAt(ext.Merge(extents), unit) {
-		stripe := piece.Off / unit
-		primary := int(stripe % n)
-		localBase := (stripe/n)*unit + piece.Off%unit
-		for _, exp := range segsOver(t.Expected(name), piece) {
-			if exp.Ver <= 0 {
-				return fmt.Errorf("%s [%d,%d): %d bytes marked clean but never recorded as written",
-					name, exp.Ext.Off, exp.Ext.End(), exp.Ext.Len)
-			}
-			// Best applied version per byte across the stripe's replicas,
-			// in the servers' local coordinates.
-			local := ext.Extent{Off: localBase + (exp.Ext.Off - piece.Off), Len: exp.Ext.Len}
-			var best []VersionSeg
-			for rank := 0; rank < fsys.replicas(); rank++ {
-				srv := fsys.replicaServer(primary, rank)
-				for _, s := range t.query(srv.Index, replicaFile(name, rank), local) {
-					if s.Ver > 0 {
-						best = overlaySegs(best, s.Ext, s.Ver, false)
-					}
+	var err error
+	ext.VisitSplit(ext.Merge(extents), fsys.cfg.StripeUnit, func(piece ext.Extent) {
+		if err == nil {
+			err = fsys.verifyPiece(name, piece)
+		}
+	})
+	return err
+}
+
+// verifyPiece is VerifyDurable over one piece that lies within a stripe.
+func (fsys *FileSystem) verifyPiece(name string, piece ext.Extent) error {
+	t := fsys.tracker
+	primary, localBase := fsys.LocalOffset(piece.Off)
+	for _, exp := range segsOver(t.Expected(name), piece) {
+		if exp.Ver <= 0 {
+			return fmt.Errorf("%s [%d,%d): %d bytes marked clean but never recorded as written",
+				name, exp.Ext.Off, exp.Ext.End(), exp.Ext.Len)
+		}
+		// Best applied version per byte across the stripe's replicas,
+		// in the servers' local coordinates.
+		local := ext.Extent{Off: localBase + (exp.Ext.Off - piece.Off), Len: exp.Ext.Len}
+		var best []VersionSeg
+		for rank := 0; rank < fsys.replicas(); rank++ {
+			srv := fsys.replicaServer(primary, rank)
+			for _, s := range t.query(srv.Index, replicaFile(name, rank), local) {
+				if s.Ver > 0 {
+					best = overlaySegs(best, s.Ext, s.Ver, false)
 				}
 			}
-			cur := local.Off
-			for _, b := range best {
-				if b.Ext.Off > cur {
-					break
-				}
-				if b.Ver < exp.Ver {
-					return fmt.Errorf("%s [%d,%d): durable version %d older than expected %d on primary %d",
-						name, exp.Ext.Off, exp.Ext.End(), b.Ver, exp.Ver, primary)
-				}
-				cur = b.Ext.End()
+		}
+		cur := local.Off
+		for _, b := range best {
+			if b.Ext.Off > cur {
+				break
 			}
-			if cur < local.End() {
-				return fmt.Errorf("%s [%d,%d): %d durable bytes missing on primary %d (expected version %d)",
-					name, exp.Ext.Off, exp.Ext.End(), local.End()-cur, primary, exp.Ver)
+			if b.Ver < exp.Ver {
+				return fmt.Errorf("%s [%d,%d): durable version %d older than expected %d on primary %d",
+					name, exp.Ext.Off, exp.Ext.End(), b.Ver, exp.Ver, primary)
 			}
+			cur = b.Ext.End()
+		}
+		if cur < local.End() {
+			return fmt.Errorf("%s [%d,%d): %d durable bytes missing on primary %d (expected version %d)",
+				name, exp.Ext.Off, exp.Ext.End(), local.End()-cur, primary, exp.Ver)
 		}
 	}
 	return nil

@@ -446,16 +446,12 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 	// Re-walk the split piece by piece so each local range maps back to
 	// its global offset (split() merges adjacent local pieces, which would
 	// lose the correspondence).
-	unit := fsys.cfg.StripeUnit
-	n := int64(fsys.NumServers())
 	var out []VersionSeg
-	for _, piece := range ext.SplitAt(extents, unit) {
-		stripe := piece.Off / unit
-		primary := int(stripe % n)
-		local := (stripe/n)*unit + piece.Off%unit
+	ext.VisitSplit(extents, fsys.cfg.StripeUnit, func(piece ext.Extent) {
+		primary, local := fsys.LocalOffset(piece.Off)
 		win := winners[primary]
 		if win == nil {
-			continue
+			return
 		}
 		served := replicaFile(name, win.rank)
 		for _, s := range fsys.tracker.query(win.srv.Index, served, ext.Extent{Off: local, Len: piece.Len}) {
@@ -464,6 +460,6 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 				Ver: s.Ver,
 			})
 		}
-	}
+	})
 	return out, nil
 }

@@ -498,7 +498,7 @@ func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
 }
 
 // LocalOffset translates a file-global offset to (server index, local
-// offset) — exposed for layout-aware tooling and tests.
+// offset); the integrity oracles, layout-aware tooling and tests use it.
 func (fsys *FileSystem) LocalOffset(off int64) (server int, local int64) {
 	unit := fsys.cfg.StripeUnit
 	stripe := off / unit
