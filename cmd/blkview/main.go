@@ -62,7 +62,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	tr := cl.Stores[*server].Device().Trace()
+	tr := cl.Stores[*server].Dispatcher().Trace()
 	entries := tr.Entries()
 	if *to > 0 {
 		entries = tr.Window(secDur(*from), secDur(*to))

@@ -17,6 +17,7 @@
 package dualpar
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -157,6 +158,21 @@ func (s *Simulation) AddProgram(w workloads.Program, mode Mode, opts ProgramOpti
 // Run executes the simulation until every program finishes or maxTime of
 // virtual time elapses; it reports whether everything finished.
 func (s *Simulation) Run(maxTime time.Duration) bool { return s.runner.Run(maxTime) }
+
+// Err reports why a finished run's results cannot be trusted: the first
+// violated invariant when Config.Core.Audit armed the oracles, else the
+// first program's I/O error (data lost to a crash, say). Call after Run.
+func (s *Simulation) Err() error {
+	if err := s.runner.AuditErr(); err != nil {
+		return err
+	}
+	for i, pr := range s.runner.Programs() {
+		if err := pr.Err(); err != nil {
+			return fmt.Errorf("program %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // Elapsed is the program's measured execution time (zero until finished).
 func (p *Program) Elapsed() time.Duration { return p.run.Elapsed() }

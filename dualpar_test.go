@@ -1,11 +1,15 @@
 package dualpar_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"dualpar"
+	"dualpar/internal/pfs"
+	simk "dualpar/internal/sim"
 )
 
 func TestFacadeQuickRun(t *testing.T) {
@@ -54,7 +58,7 @@ func TestFacadeConfigKnobs(t *testing.T) {
 	if prog.Elapsed() <= 0 {
 		t.Fatalf("no progress")
 	}
-	if sim.Cluster().Stores[0].Device().Trace() == nil {
+	if sim.Cluster().Stores[0].Dispatcher().Trace() == nil {
 		t.Fatalf("tracing not enabled")
 	}
 	if got := sim.Cluster().Stores[0].Dispatcher().Algorithm().Name(); got != "deadline" {
@@ -99,6 +103,44 @@ func TestFacadeModeSwitchLogExposed(t *testing.T) {
 	}
 	if prog.Run() == nil {
 		t.Fatalf("internal escape hatch missing")
+	}
+}
+
+// An audited run whose oracle fails must say so through the facade: here a
+// device access that bypasses the block layer breaks server 0's
+// dispatched-bytes conservation.
+func TestFacadeErrSurfacesAuditViolation(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // the reproducer artifact lands here
+	cfg := dualpar.Defaults()
+	cfg.Core.Audit = true
+	sim := dualpar.NewSimulation(cfg)
+	sim.AddProgram(dualpar.MPIIOTest(8, 1<<20, false), dualpar.Vanilla, dualpar.ProgramOptions{})
+	dev := sim.Cluster().Stores[0].Device()
+	sim.Cluster().K.Spawn("bypass", func(p *simk.Proc) { dev.Access(p, 0, 8, false) })
+	if !sim.Run(time.Hour) {
+		t.Fatalf("did not finish")
+	}
+	if err := sim.Err(); err == nil || !strings.Contains(err.Error(), "conserve.disk.server0") {
+		t.Fatalf("Err() = %v, want the conserve.disk.server0 violation", err)
+	}
+}
+
+// A program's I/O error must surface too: an unreplicated server crash
+// loses the data, and the run still finishes.
+func TestFacadeErrSurfacesProgramError(t *testing.T) {
+	sim := dualpar.NewSimulation(dualpar.Defaults().WithFaults("crash:1@20ms"))
+	sim.AddProgram(dualpar.MPIIOTest(8, 4<<20, true), dualpar.Vanilla, dualpar.ProgramOptions{})
+	if !sim.Run(time.Hour) {
+		t.Fatalf("did not finish")
+	}
+	if err := sim.Err(); !errors.Is(err, pfs.ErrRetriesExhausted) {
+		t.Fatalf("Err() = %v, want a wrap of pfs.ErrRetriesExhausted", err)
+	}
+	healthy := dualpar.NewSimulation(dualpar.Defaults())
+	healthy.AddProgram(dualpar.MPIIOTest(8, 1<<20, false), dualpar.Vanilla, dualpar.ProgramOptions{})
+	healthy.Run(time.Hour)
+	if err := healthy.Err(); err != nil {
+		t.Fatalf("healthy run Err() = %v", err)
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 		if !runner.Run(time.Hour) {
 			panic("did not finish")
 		}
-		entries := cl.Stores[0].Device().Trace().Entries()
+		entries := cl.Stores[0].Dispatcher().Trace().Entries()
 		fmt.Printf("== %s: disk accesses on data server 1 ==\n", mode)
 		scatter(entries)
 		fmt.Printf("accesses %d, monotonicity %.2f, mean seek %.0f sectors\n\n",

@@ -118,17 +118,9 @@ func New(cfg Config) *Cluster {
 		if cfg.SSD != nil {
 			sp := *cfg.SSD
 			sp.Seed = dp.Seed
-			sd := disk.NewSSD(sp)
-			if cfg.TraceServers {
-				sd.EnableTrace()
-			}
-			dev = sd
+			dev = disk.NewSSD(sp)
 		} else if cfg.DisksPerRAID == 1 {
-			d := disk.New(dp)
-			if cfg.TraceServers {
-				d.EnableTrace()
-			}
-			dev = d
+			dev = disk.New(dp)
 		} else {
 			members := make([]*disk.Disk, cfg.DisksPerRAID)
 			for m := range members {
@@ -136,16 +128,15 @@ func New(cfg Config) *Cluster {
 				mp.Seed = dp.Seed + int64(m) + 1
 				members[m] = disk.New(mp)
 			}
-			r := disk.NewRAID0(members, cfg.RAIDChunkSect)
-			if cfg.TraceServers {
-				r.EnableTrace()
-			}
-			dev = r
+			dev = disk.NewRAID0(members, cfg.RAIDChunkSect)
 		}
 		if inj != nil {
 			dev = fault.WrapDevice(dev, inj, i)
 		}
 		st := fs.New(k, fmt.Sprintf("server%d", i), dev, newSched(), cfg.FS, flusherOriginBase+i)
+		if cfg.TraceServers {
+			st.Dispatcher().EnableTrace()
+		}
 		stores = append(stores, st)
 		nodes = append(nodes, 1+i)
 	}

@@ -88,7 +88,7 @@ func TestTraceServersEnablesTraces(t *testing.T) {
 	cfg.TraceServers = true
 	cl := New(cfg)
 	for i, st := range cl.Stores {
-		if st.Device().Trace() == nil {
+		if st.Dispatcher().Trace() == nil {
 			t.Fatalf("server %d has no trace", i)
 		}
 	}

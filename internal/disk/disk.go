@@ -1,9 +1,11 @@
 // Package disk models rotating storage devices at the level the paper's
 // argument depends on: head position, seek time as a function of seek
-// distance, rotational latency, and sustained media transfer rate. A disk
-// keeps a blktrace-style access log (optional) and running seek-distance
-// statistics, which DualPar's per-server locality daemon samples (SeekDist in
-// the paper, §IV-B).
+// distance, rotational latency, and sustained media transfer rate. Every
+// Access returns its time Breakdown, and every device keeps running
+// seek-distance statistics, which DualPar's per-server locality daemon
+// samples (SeekDist in the paper, §IV-B). The blktrace-style access log
+// (Trace) is kept by the block layer that dispatches to the device
+// (iosched.Dispatcher), not by the device.
 package disk
 
 import (
@@ -101,26 +103,17 @@ func (b Breakdown) Total() time.Duration {
 	return b.Overhead + b.Seek + b.Rotation + b.Transfer
 }
 
-// BreakdownReporter is implemented by devices that can report the component
-// breakdown of their most recent access. The dispatcher that owns the device
-// reads it immediately after Access returns (devices are single-owner, so
-// there is no race).
-type BreakdownReporter interface {
-	LastBreakdown() Breakdown
-}
-
 // A Device serves sector-addressed accesses, charging virtual time to the
 // calling Proc.
 type Device interface {
 	// Access reads or writes sectors [lbn, lbn+sectors) and returns the
-	// service time, which has already been charged to p.
-	Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration
+	// access's breakdown, whose Total is the service time already charged
+	// to p.
+	Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown
 	// Sectors reports the device capacity.
 	Sectors() int64
 	// Stats returns cumulative counters.
 	Stats() Stats
-	// Trace returns the access log, or nil if tracing is disabled.
-	Trace() *Trace
 }
 
 // Stats holds cumulative device counters. Sampling daemons take deltas
@@ -152,6 +145,31 @@ func (s Stats) AvgSeekDistance() float64 {
 	return float64(s.SeekSectors) / float64(s.Accesses)
 }
 
+// record accounts one access of sectors at lbn served from head, charged
+// bd: every device model keeps its counters through this one path.
+func (s *Stats) record(head, lbn, sectors int64, sectorSize int, write bool, bd Breakdown) {
+	dist := lbn - head
+	if dist < 0 {
+		dist = -dist
+	}
+	s.Accesses++
+	s.SeekSectors += dist
+	if dist == 0 {
+		s.SequentialRun++
+	} else {
+		s.Seeks++
+	}
+	bytes := sectors * int64(sectorSize)
+	if write {
+		s.BytesWritten += bytes
+	} else {
+		s.BytesRead += bytes
+	}
+	s.BusyTime += bd.Total()
+	s.SeekTime += bd.Seek + bd.Rotation
+	s.TransferTime += bd.Transfer
+}
+
 // Sub returns s - t, for window deltas.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
@@ -174,9 +192,7 @@ type Disk struct {
 	params Params
 	head   int64 // LBN the head is positioned after
 	stats  Stats
-	trace  *Trace
 	rng    *rand.Rand
-	lastBD Breakdown
 }
 
 // New creates a disk. It panics if params are invalid (a configuration bug).
@@ -187,23 +203,11 @@ func New(params Params) *Disk {
 	return &Disk{params: params, head: 0, rng: rand.New(rand.NewSource(params.Seed))}
 }
 
-// EnableTrace turns on blktrace-style logging into a fresh Trace.
-func (d *Disk) EnableTrace() *Trace {
-	d.trace = &Trace{sectorSize: d.params.SectorSize}
-	return d.trace
-}
-
-// Params returns the disk's parameters.
-func (d *Disk) Params() Params { return d.params }
-
 // Sectors implements Device.
 func (d *Disk) Sectors() int64 { return d.params.Sectors }
 
 // Stats implements Device.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// Trace implements Device.
-func (d *Disk) Trace() *Trace { return d.trace }
 
 // ServiceTime computes the *expected* time to serve an access given the
 // current head position (rotational latency at its mean, half a
@@ -211,9 +215,6 @@ func (d *Disk) Trace() *Trace { return d.trace }
 func (d *Disk) ServiceTime(lbn, sectors int64) time.Duration {
 	return serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM)).Total()
 }
-
-// LastBreakdown implements BreakdownReporter.
-func (d *Disk) LastBreakdown() Breakdown { return d.lastBD }
 
 // sampledBreakdown draws the rotational latency if RandomRotation is on.
 func (d *Disk) sampledBreakdown(lbn, sectors int64) Breakdown {
@@ -225,38 +226,15 @@ func (d *Disk) sampledBreakdown(lbn, sectors int64) Breakdown {
 }
 
 // Access implements Device.
-func (d *Disk) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration {
+func (d *Disk) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	if lbn < 0 || sectors <= 0 || lbn+sectors > d.params.Sectors {
 		panic(fmt.Sprintf("disk: access [%d,%d) outside device of %d sectors", lbn, lbn+sectors, d.params.Sectors))
 	}
-	d.lastBD = d.sampledBreakdown(lbn, sectors)
-	t := d.lastBD.Total()
-	dist := lbn - d.head
-	if dist < 0 {
-		dist = -dist
-	}
-	d.stats.Accesses++
-	d.stats.SeekSectors += dist
-	if dist == 0 {
-		d.stats.SequentialRun++
-	} else {
-		d.stats.Seeks++
-	}
-	bytes := sectors * int64(d.params.SectorSize)
-	if write {
-		d.stats.BytesWritten += bytes
-	} else {
-		d.stats.BytesRead += bytes
-	}
-	d.stats.BusyTime += t
-	d.stats.SeekTime += d.lastBD.Seek + d.lastBD.Rotation
-	d.stats.TransferTime += d.lastBD.Transfer
+	bd := d.sampledBreakdown(lbn, sectors)
+	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)
 	d.head = lbn + sectors
-	if d.trace != nil {
-		d.trace.add(Entry{At: p.Now(), LBN: lbn, Sectors: sectors, Write: write})
-	}
-	p.Sleep(t)
-	return t
+	p.Sleep(bd.Total())
+	return bd
 }
 
 // serviceBreakdown decomposes one access from head into its components,

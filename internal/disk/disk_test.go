@@ -24,7 +24,7 @@ func runAccesses(t *testing.T, d *Disk, acc [][2]int64) time.Duration {
 	var total time.Duration
 	k.Spawn("dispatcher", func(p *sim.Proc) {
 		for _, a := range acc {
-			total += d.Access(p, a[0], a[1], false)
+			total += d.Access(p, a[0], a[1], false).Total()
 		}
 	})
 	k.Run()
@@ -149,31 +149,10 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsAccesses(t *testing.T) {
-	d := New(testParams())
-	tr := d.EnableTrace()
-	k := sim.NewKernel(1)
-	k.Spawn("d", func(p *sim.Proc) {
-		d.Access(p, 100, 8, false)
-		d.Access(p, 200, 8, true)
-	})
-	k.Run()
-	if tr.Len() != 2 {
-		t.Fatalf("trace len = %d, want 2", tr.Len())
-	}
-	e := tr.Entries()
-	if e[0].LBN != 100 || e[1].LBN != 200 || !e[1].Write {
-		t.Fatalf("trace entries wrong: %+v", e)
-	}
-	if e[0].At != 0 {
-		t.Fatalf("first entry logged at %v, want 0 (arrival at dispatch)", e[0].At)
-	}
-}
-
 func TestTraceWindow(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 10; i++ {
-		tr.add(Entry{At: time.Duration(i) * time.Second, LBN: int64(i)})
+		tr.Add(Entry{At: time.Duration(i) * time.Second, LBN: int64(i)})
 	}
 	w := tr.Window(3*time.Second, 6*time.Second)
 	if len(w) != 3 || w[0].LBN != 3 || w[2].LBN != 5 {
@@ -183,7 +162,7 @@ func TestTraceWindow(t *testing.T) {
 
 func TestTraceCSV(t *testing.T) {
 	tr := &Trace{}
-	tr.add(Entry{At: time.Second, LBN: 42, Sectors: 8, Write: true})
+	tr.Add(Entry{At: time.Second, LBN: 42, Sectors: 8, Write: true})
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -283,13 +262,32 @@ func TestRAID0ParallelSpeedup(t *testing.T) {
 	k := sim.NewKernel(1)
 	var tSingle, tRaid time.Duration
 	k.Spawn("d", func(pr *sim.Proc) {
-		tSingle = single.Access(pr, 0, 4096, false)
-		tRaid = r.Access(pr, 0, 4096, false)
+		tSingle = single.Access(pr, 0, 4096, false).Total()
+		tRaid = r.Access(pr, 0, 4096, false).Total()
 	})
 	k.Run()
 	if tRaid >= tSingle {
 		t.Fatalf("RAID0 access %v not faster than single disk %v", tRaid, tSingle)
 	}
+}
+
+func TestRAID0BreakdownIsSlowestMember(t *testing.T) {
+	p := testParams()
+	m0, m1 := New(p), New(p)
+	r := NewRAID0([]*Disk{m0, m1}, 128)
+	k := sim.NewKernel(1)
+	k.Spawn("d", func(pr *sim.Proc) {
+		// Chunk 200001 is member 1's: its head ends far out.
+		r.Access(pr, 200001*128, 128, false)
+		b0, b1 := m0.Stats().BusyTime, m1.Stats().BusyTime
+		// Chunks 0 and 1: member 0 reads on from its head, member 1 seeks back.
+		bd := r.Access(pr, 0, 256, false)
+		d0, d1 := m0.Stats().BusyTime-b0, m1.Stats().BusyTime-b1
+		if d1 <= d0 || bd.Total() != d1 || bd.Seek == 0 {
+			t.Errorf("breakdown %+v (total %v), member times %v/%v: want member 1's", bd, bd.Total(), d0, d1)
+		}
+	})
+	k.Run()
 }
 
 func TestRAID0CapacityAndBounds(t *testing.T) {

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"time"
 
 	"dualpar/internal/sim"
 )
@@ -16,8 +15,6 @@ type RAID0 struct {
 	chunkSectors int64
 	sectors      int64
 	stats        Stats
-	trace        *Trace
-	lastBD       Breakdown
 	runs         []memberRun // Access's scratch: one pending run per member
 }
 
@@ -49,14 +46,6 @@ func NewRAID0(members []*Disk, chunkSectors int64) *RAID0 {
 	}
 }
 
-// EnableTrace turns on logical-address tracing (addresses are in the RAID's
-// logical LBN space, matching what blktrace reports for an md/hardware RAID
-// block device).
-func (r *RAID0) EnableTrace() *Trace {
-	r.trace = &Trace{sectorSize: r.members[0].Params().SectorSize}
-	return r.trace
-}
-
 // Sectors implements Device.
 func (r *RAID0) Sectors() int64 { return r.sectors }
 
@@ -76,32 +65,27 @@ func (r *RAID0) Stats() Stats {
 	return agg
 }
 
-// Trace implements Device.
-func (r *RAID0) Trace() *Trace { return r.trace }
-
 // Access implements Device: the logical range is split into per-member runs
 // and the service time is the maximum of the member times, as the members
-// operate concurrently.
-func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration {
+// operate concurrently. The access completes when the slowest member does,
+// so the gating member's breakdown is the access's breakdown.
+func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	if lbn < 0 || sectors <= 0 || lbn+sectors > r.sectors {
 		panic(fmt.Sprintf("disk: RAID0 access [%d,%d) outside %d sectors", lbn, lbn+sectors, r.sectors))
 	}
 	n := int64(len(r.members))
-	var worst time.Duration
 	// Walk the logical range chunk by chunk, accumulating a contiguous run
 	// per member, then charge each member its run in one operation. Every
 	// run is flushed before the Proc sleeps, so one buffer serves all
 	// accesses.
 	runs := r.runs
-	var worstBD Breakdown
+	var worst Breakdown
 	flush := func(i int64) {
 		if !runs[i].active {
 			return
 		}
-		t := r.members[i].serve(runs[i].lbn, runs[i].sectors, write)
-		if t > worst {
-			worst = t
-			worstBD = r.members[i].LastBreakdown()
+		if bd := r.members[i].serve(runs[i].lbn, runs[i].sectors, write); bd.Total() > worst.Total() {
+			worst = bd
 		}
 		runs[i].active = false
 	}
@@ -126,46 +110,16 @@ func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duratio
 		flush(i)
 	}
 	r.stats.Accesses++
-	r.stats.BusyTime += worst
-	// The access completes when the slowest member does, so the gating
-	// member's component split is the access's breakdown.
-	r.lastBD = worstBD
-	if r.trace != nil {
-		r.trace.add(Entry{At: p.Now(), LBN: lbn, Sectors: sectors, Write: write})
-	}
-	p.Sleep(worst)
+	r.stats.BusyTime += worst.Total()
+	p.Sleep(worst.Total())
 	return worst
 }
 
-// LastBreakdown implements BreakdownReporter: the breakdown of the member
-// run that gated the most recent access.
-func (r *RAID0) LastBreakdown() Breakdown { return r.lastBD }
-
 // serve performs a member access without a Proc (time is accounted by the
-// RAID wrapper). It mirrors Disk.Access's bookkeeping.
-func (d *Disk) serve(lbn, sectors int64, write bool) time.Duration {
-	d.lastBD = serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM))
-	t := d.lastBD.Total()
-	dist := lbn - d.head
-	if dist < 0 {
-		dist = -dist
-	}
-	d.stats.Accesses++
-	d.stats.SeekSectors += dist
-	if dist == 0 {
-		d.stats.SequentialRun++
-	} else {
-		d.stats.Seeks++
-	}
-	bytes := sectors * int64(d.params.SectorSize)
-	if write {
-		d.stats.BytesWritten += bytes
-	} else {
-		d.stats.BytesRead += bytes
-	}
-	d.stats.BusyTime += t
-	d.stats.SeekTime += d.lastBD.Seek + d.lastBD.Rotation
-	d.stats.TransferTime += d.lastBD.Transfer
+// RAID wrapper), charging the expected rotational latency.
+func (d *Disk) serve(lbn, sectors int64, write bool) Breakdown {
+	bd := serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM))
+	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)
 	d.head = lbn + sectors
-	return t
+	return bd
 }

@@ -52,9 +52,7 @@ func (p SSDParams) Validate() error {
 type SSD struct {
 	params SSDParams
 	stats  Stats
-	trace  *Trace
 	head   int64 // tracked only so seek statistics remain comparable
-	lastBD Breakdown
 }
 
 // NewSSD creates an SSD device.
@@ -65,27 +63,16 @@ func NewSSD(params SSDParams) *SSD {
 	return &SSD{params: params}
 }
 
-// EnableTrace turns on access logging.
-func (d *SSD) EnableTrace() *Trace {
-	d.trace = &Trace{sectorSize: d.params.SectorSize}
-	return d.trace
-}
-
 // Sectors implements Device.
 func (d *SSD) Sectors() int64 { return d.params.Sectors }
 
 // Stats implements Device.
 func (d *SSD) Stats() Stats { return d.stats }
 
-// Trace implements Device.
-func (d *SSD) Trace() *Trace { return d.trace }
-
-// LastBreakdown implements BreakdownReporter. Flash has no mechanical
-// positioning, so the split is per-command latency (Overhead) plus Transfer.
-func (d *SSD) LastBreakdown() Breakdown { return d.lastBD }
-
-// Access implements Device: position-independent service time.
-func (d *SSD) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration {
+// Access implements Device: position-independent service time. Flash has
+// no mechanical positioning, so the breakdown is per-command latency
+// (Overhead) plus Transfer.
+func (d *SSD) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	if lbn < 0 || sectors <= 0 || lbn+sectors > d.params.Sectors {
 		panic(fmt.Sprintf("ssd: access [%d,%d) outside device of %d sectors", lbn, lbn+sectors, d.params.Sectors))
 	}
@@ -94,31 +81,9 @@ func (d *SSD) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration 
 		lat = d.params.WriteLatency
 	}
 	bytes := sectors * int64(d.params.SectorSize)
-	t := lat + time.Duration(float64(bytes)/d.params.TransferRate*float64(time.Second))
-	d.lastBD = Breakdown{Overhead: lat, Transfer: t - lat}
-
-	dist := lbn - d.head
-	if dist < 0 {
-		dist = -dist
-	}
-	d.stats.Accesses++
-	d.stats.SeekSectors += dist
-	if dist == 0 {
-		d.stats.SequentialRun++
-	} else {
-		d.stats.Seeks++
-	}
-	if write {
-		d.stats.BytesWritten += bytes
-	} else {
-		d.stats.BytesRead += bytes
-	}
-	d.stats.BusyTime += t
-	d.stats.TransferTime += d.lastBD.Transfer
+	bd := Breakdown{Overhead: lat, Transfer: time.Duration(float64(bytes) / d.params.TransferRate * float64(time.Second))}
+	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)
 	d.head = lbn + sectors
-	if d.trace != nil {
-		d.trace.add(Entry{At: p.Now(), LBN: lbn, Sectors: sectors, Write: write})
-	}
-	p.Sleep(t)
-	return t
+	p.Sleep(bd.Total())
+	return bd
 }

@@ -12,10 +12,10 @@ func TestSSDPositionIndependent(t *testing.T) {
 	k := sim.NewKernel(1)
 	var seq, rnd time.Duration
 	k.Spawn("d", func(p *sim.Proc) {
-		seq = d.Access(p, 0, 64, false)
-		seq += d.Access(p, 64, 64, false)
-		rnd = d.Access(p, 1<<27, 64, false)
-		rnd += d.Access(p, 5, 64, false)
+		seq = d.Access(p, 0, 64, false).Total()
+		seq += d.Access(p, 64, 64, false).Total()
+		rnd = d.Access(p, 1<<27, 64, false).Total()
+		rnd += d.Access(p, 5, 64, false).Total()
 	})
 	k.Run()
 	if seq != rnd {
@@ -28,30 +28,12 @@ func TestSSDWriteSlowerThanRead(t *testing.T) {
 	k := sim.NewKernel(1)
 	var r, w time.Duration
 	k.Spawn("d", func(p *sim.Proc) {
-		r = d.Access(p, 0, 8, false)
-		w = d.Access(p, 1<<20, 8, true)
+		r = d.Access(p, 0, 8, false).Total()
+		w = d.Access(p, 1<<20, 8, true).Total()
 	})
 	k.Run()
 	if w <= r {
 		t.Fatalf("write %v not slower than read %v", w, r)
-	}
-}
-
-func TestSSDStatsAndTrace(t *testing.T) {
-	d := NewSSD(DefaultSSDParams())
-	tr := d.EnableTrace()
-	k := sim.NewKernel(1)
-	k.Spawn("d", func(p *sim.Proc) {
-		d.Access(p, 0, 16, false)
-		d.Access(p, 1000, 16, true)
-	})
-	k.Run()
-	s := d.Stats()
-	if s.Accesses != 2 || s.BytesRead != 16*512 || s.BytesWritten != 16*512 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("trace len = %d", tr.Len())
 	}
 }
 

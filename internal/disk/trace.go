@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Entry is one access in a blktrace-style log: the completion order and disk
-// addresses actually seen by the device, the observable the paper plots in
-// Figures 1(c,d) and 6.
+// Entry is one access in a blktrace-style log: the dispatch order, times
+// and device addresses the block layer sends to the device, the observable
+// the paper plots in Figures 1(c,d) and 6.
 type Entry struct {
 	At      time.Duration
 	LBN     int64
@@ -19,11 +19,11 @@ type Entry struct {
 
 // Trace is an append-only access log.
 type Trace struct {
-	sectorSize int
-	entries    []Entry
+	entries []Entry
 }
 
-func (t *Trace) add(e Entry) {
+// Add appends one access to the log.
+func (t *Trace) Add(e Entry) {
 	if t.entries == nil {
 		// Traces routinely collect tens of thousands of entries per run;
 		// start big so steady logging re-grows rarely.
@@ -40,7 +40,7 @@ func (t *Trace) Len() int { return len(t.entries) }
 
 // Window returns a copy of the entries with from <= At < to, the way the
 // paper samples an execution period (e.g. 5.2 s to 5.4 s). Entries are
-// logged in completion order under a monotonic clock, so the bounds are
+// logged in dispatch order under a monotonic clock, so the bounds are
 // found by binary search: O(log n + window) on long traces.
 func (t *Trace) Window(from, to time.Duration) []Entry {
 	lo := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].At >= from })
@@ -50,9 +50,6 @@ func (t *Trace) Window(from, to time.Duration) []Entry {
 	}
 	return append([]Entry(nil), t.entries[lo:hi]...)
 }
-
-// Reset discards all entries.
-func (t *Trace) Reset() { t.entries = t.entries[:0] }
 
 // WriteCSV emits "time_s,lbn,sectors,rw" rows for external plotting.
 func (t *Trace) WriteCSV(w io.Writer) error {

@@ -6,9 +6,9 @@ import (
 )
 
 func buildTrace(n int) *Trace {
-	tr := &Trace{sectorSize: 512}
+	tr := &Trace{}
 	for i := 0; i < n; i++ {
-		tr.add(Entry{At: time.Duration(i) * 10 * time.Microsecond, LBN: int64(i) * 8, Sectors: 8})
+		tr.Add(Entry{At: time.Duration(i) * 10 * time.Microsecond, LBN: int64(i) * 8, Sectors: 8})
 	}
 	return tr
 }

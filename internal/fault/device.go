@@ -10,13 +10,12 @@ import (
 // Device wraps a disk.Device and inflates its service time during active
 // DiskSlow windows: the wrapped access is charged normally, then the
 // degradation surcharge (factor-1 times the healthy service time) is slept
-// on top. Stats and traces delegate to the wrapped device, so locality
-// daemons observe the real access pattern — only time degrades.
+// on top. Stats delegate to the wrapped device, so locality daemons observe
+// the real access pattern — only time degrades.
 type Device struct {
-	inner     disk.Device
-	inj       *Injector
-	server    int
-	lastExtra time.Duration // degradation surcharge of the latest access
+	inner  disk.Device
+	inj    *Injector
+	server int
 }
 
 // WrapDevice wraps dev for the given data-server index. With a nil
@@ -25,29 +24,16 @@ func WrapDevice(dev disk.Device, inj *Injector, server int) *Device {
 	return &Device{inner: dev, inj: inj, server: server}
 }
 
-// Access implements disk.Device.
-func (d *Device) Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration {
-	t := d.inner.Access(p, lbn, sectors, write)
-	d.lastExtra = 0
+// Access implements disk.Device. The degradation surcharge is folded into
+// the returned breakdown's Overhead, so the components still sum to the
+// time charged.
+func (d *Device) Access(p *sim.Proc, lbn, sectors int64, write bool) disk.Breakdown {
+	bd := d.inner.Access(p, lbn, sectors, write)
 	if f := d.inj.DiskFactor(d.server, p.Now()); f > 1 {
-		extra := time.Duration(float64(t) * (f - 1))
+		extra := time.Duration(float64(bd.Total()) * (f - 1))
 		p.Sleep(extra)
-		t += extra
-		d.lastExtra = extra
+		bd.Overhead += extra
 	}
-	return t
-}
-
-// LastBreakdown implements disk.BreakdownReporter: the wrapped device's
-// breakdown with the degradation surcharge folded into Overhead, so the
-// components still sum to the time the dispatcher observed.
-func (d *Device) LastBreakdown() disk.Breakdown {
-	br, ok := d.inner.(disk.BreakdownReporter)
-	if !ok {
-		return disk.Breakdown{}
-	}
-	bd := br.LastBreakdown()
-	bd.Overhead += d.lastExtra
 	return bd
 }
 
@@ -56,6 +42,3 @@ func (d *Device) Sectors() int64 { return d.inner.Sectors() }
 
 // Stats implements disk.Device.
 func (d *Device) Stats() disk.Stats { return d.inner.Stats() }
-
-// Trace implements disk.Device.
-func (d *Device) Trace() *disk.Trace { return d.inner.Trace() }

@@ -299,7 +299,7 @@ type lbnSample struct {
 // falling back to the whole trace when the window holds fewer than two
 // accesses.
 func lbnWindow(cl *cluster.Cluster, label string, from, win time.Duration) lbnSample {
-	tr := cl.Stores[0].Device().Trace()
+	tr := cl.Stores[0].Dispatcher().Trace()
 	entries := tr.Window(from, from+win)
 	if len(entries) < 2 {
 		entries = tr.Entries()

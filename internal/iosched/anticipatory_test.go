@@ -33,8 +33,8 @@ func TestAnticipatoryWaitsForNearbyRequest(t *testing.T) {
 	dp.Sectors = 1 << 24
 	dp.RandomRotation = false
 	d := disk.New(dp)
-	tr := d.EnableTrace()
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
+	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Origin: 2}) })
 	k.Spawn("stream", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
@@ -69,8 +69,8 @@ func TestAnticipatoryGivesUpOnSeekyOrigin(t *testing.T) {
 	dp.Sectors = 1 << 24
 	dp.RandomRotation = false
 	d := disk.New(dp)
-	tr := d.EnableTrace()
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
+	tr := disp.EnableTrace()
 	done := make([]time.Duration, 0, 12)
 	k.Spawn("seeky", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
@@ -105,10 +105,10 @@ func TestAnticipatoryWriteExpiry(t *testing.T) {
 	dp := disk.DefaultParams()
 	dp.Sectors = 1 << 24
 	d := disk.New(dp)
-	tr := d.EnableTrace()
 	alg := NewAnticipatory()
 	alg.WriteExpire = 100 * time.Millisecond
 	disp := NewDispatcher(k, "disp", d, alg)
+	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Write: true, Origin: 9}) })
 	for i := 0; i < 100; i++ {
 		i := i

@@ -1,7 +1,10 @@
 // Package iosched models kernel block-layer I/O schedulers: NOOP, Deadline,
 // and CFQ (the paper's default). A Dispatcher owns one disk.Device and runs
 // the dispatch loop as a simulation Proc; submitters enqueue Requests and
-// block until completion.
+// block until completion. The dispatcher is the block layer's one
+// measurement point: it keeps the optional blktrace-style access log and
+// records each access's time breakdown, as Access returns it, on the
+// request's disk span.
 //
 // The property the paper's motivation depends on is reproduced faithfully:
 // the scheduler can only reorder requests that are *outstanding at the same
@@ -94,16 +97,10 @@ func Named(name string) func() Algorithm {
 	return nil
 }
 
-// Device is the subset of disk.Device the dispatcher needs.
-type Device interface {
-	Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration
-	Sectors() int64
-}
-
 // Dispatcher owns a device and serves requests through an Algorithm.
 type Dispatcher struct {
 	k       *sim.Kernel
-	dev     Device
+	dev     disk.Device
 	alg     Algorithm
 	arrival *sim.Signal
 	lastEnd int64
@@ -111,7 +108,7 @@ type Dispatcher struct {
 	busy    bool
 	track   string
 	obs     *obs.Collector
-	bd      disk.BreakdownReporter // non-nil when dev reports breakdowns
+	trace   *disk.Trace // nil unless EnableTrace
 
 	// Audit state (nil audit = off). auditPending mirrors the elevator's
 	// queued-request count from the outside; auditBytes sums sectors
@@ -123,12 +120,23 @@ type Dispatcher struct {
 
 // NewDispatcher creates a dispatcher and starts its dispatch Proc. name also
 // serves as the dispatcher's trace track.
-func NewDispatcher(k *sim.Kernel, name string, dev Device, alg Algorithm) *Dispatcher {
+func NewDispatcher(k *sim.Kernel, name string, dev disk.Device, alg Algorithm) *Dispatcher {
 	d := &Dispatcher{k: k, dev: dev, alg: alg, arrival: k.NewSignal(), track: name}
-	d.bd, _ = dev.(disk.BreakdownReporter)
 	k.Spawn(name, d.loop)
 	return d
 }
+
+// EnableTrace turns on blktrace-style logging into a fresh Trace: one entry
+// per dispatched request, stamped with its dispatch time, in the device's
+// address space (a RAID's logical LBNs, as blktrace reports for an md or
+// hardware RAID block device).
+func (d *Dispatcher) EnableTrace() *disk.Trace {
+	d.trace = &disk.Trace{}
+	return d.trace
+}
+
+// Trace returns the access log, or nil if tracing is disabled.
+func (d *Dispatcher) Trace() *disk.Trace { return d.trace }
 
 // SetObs attaches the observability collector: every dispatched request then
 // records a StageDisk span on the dispatcher's track.
@@ -217,16 +225,15 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 			// sleep, so the two ledgers agree at every yield point.
 			d.auditBytes += r.Sectors * 512
 		}
-		d.dev.Access(p, r.LBN, r.Sectors, r.Write)
+		if d.trace != nil {
+			d.trace.Add(disk.Entry{At: start, LBN: r.LBN, Sectors: r.Sectors, Write: r.Write})
+		}
+		bd := d.dev.Access(p, r.LBN, r.Sectors, r.Write)
 		d.busy = false
 		if d.obs.Enabled() {
 			rw := "read"
 			if r.Write {
 				rw = "write"
-			}
-			var bd disk.Breakdown
-			if d.bd != nil {
-				bd = d.bd.LastBreakdown()
 			}
 			d.obs.Span(r.Obs.ID, obs.StageDisk, d.track, start, p.Now(),
 				obs.I64("lbn", r.LBN), obs.I64("sectors", r.Sectors), obs.Str("rw", rw),

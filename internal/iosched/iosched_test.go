@@ -20,8 +20,8 @@ func serviceOrder(t *testing.T, alg Algorithm, reqs []*Request, at []time.Durati
 	t.Helper()
 	k := sim.NewKernel(1)
 	d := newTestDisk()
-	tr := d.EnableTrace()
 	disp := NewDispatcher(k, "disp", d, alg)
+	tr := disp.EnableTrace()
 	for i, r := range reqs {
 		r := r
 		k.After(at[i], func() { disp.Enqueue(r) })
@@ -77,9 +77,9 @@ func TestDeadlineExpiryPreemptsElevator(t *testing.T) {
 	// elevator busy; after ReadExpire it must be served.
 	k := sim.NewKernel(1)
 	d := newTestDisk()
-	tr := d.EnableTrace()
 	alg := NewDeadline()
 	disp := NewDispatcher(k, "disp", d, alg)
+	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Origin: 9}) })
 	for i := 0; i < 200; i++ {
 		i := i
@@ -148,8 +148,8 @@ func TestCFQAnticipationKeepsOrigin(t *testing.T) {
 	// and serve its whole stream before switching.
 	k := sim.NewKernel(1)
 	d := newTestDisk()
-	tr := d.EnableTrace()
 	disp := NewDispatcher(k, "disp", d, NewCFQ())
+	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Origin: 2}) })
 	k.Spawn("stream", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -186,8 +186,8 @@ func TestCFQIdleExpirySwitchesOrigin(t *testing.T) {
 	// After the idle window, CFQ must switch to origin 2.
 	k := sim.NewKernel(1)
 	d := newTestDisk()
-	tr := d.EnableTrace()
 	disp := NewDispatcher(k, "disp", d, NewCFQ())
+	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 0, Sectors: 8, Origin: 1}) })
 	k.After(time.Millisecond, func() { disp.Enqueue(&Request{LBN: 1 << 22, Sectors: 8, Origin: 2}) })
 	k.RunUntil(time.Hour)

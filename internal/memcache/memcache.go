@@ -180,22 +180,6 @@ func (c *Cache) Hits() int64 { return c.statHits }
 // Evictions reports evicted chunk count.
 func (c *Cache) Evictions() int64 { return c.statEvictions }
 
-// visitChunks splits a file extent into (chunk index, chunk-relative
-// extent) pieces, calling fn for each in order. The visitor form keeps the
-// per-operation chunk walk allocation-free.
-func (c *Cache) visitChunks(e ext.Extent, fn func(idx int64, rel ext.Extent)) {
-	cb := c.cfg.ChunkBytes
-	for e.Len > 0 {
-		room := cb - e.Off%cb
-		if room > e.Len {
-			room = e.Len
-		}
-		fn(e.Off/cb, ext.Extent{Off: e.Off % cb, Len: room})
-		e.Off += room
-		e.Len -= room
-	}
-}
-
 // Get checks whether [e] of file is fully cached. Lookups are batched the
 // way a memcached multi-get is: one operation and (for remote homes) one
 // network transfer per home node involved, carrying all that home's hit
@@ -212,32 +196,31 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 	var auditMiss int64
 	var homes [8]homeAcc
 	perHome := homeBytes(homes[:0]) // hit bytes by home node
-	for _, e := range extents {
-		c.visitChunks(e, func(idx int64, rel ext.Extent) {
-			key := chunkKey{file, idx}
-			ch := c.chunks[key]
-			var hitB int64
-			if ch != nil {
-				ch.lastRef = now
-				// Covered portion of rel.
-				for _, v := range ch.valid {
-					if cl, ok := v.Clip(rel.Off, rel.End()); ok {
-						hitB += cl.Len
-					}
+	cb := c.cfg.ChunkBytes
+	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
+		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
+		key := chunkKey{file, idx}
+		ch := c.chunks[key]
+		var hitB int64
+		if ch != nil {
+			ch.lastRef = now
+			// Covered portion of rel.
+			for _, v := range ch.valid {
+				if cl, ok := v.Clip(rel.Off, rel.End()); ok {
+					hitB += cl.Len
 				}
 			}
-			base := idx * c.cfg.ChunkBytes
-			if ch == nil || hitB < rel.Len {
-				// Report the whole piece as missing (partial chunk hits are
-				// refetched with the miss, as DualPar's CRM refills chunks
-				// wholesale).
-				miss = append(miss, ext.Extent{Off: base + rel.Off, Len: rel.Len})
-				auditMiss += rel.Len
-				return
-			}
-			perHome = perHome.add(c.Home(idx), hitB)
-		})
-	}
+		}
+		if ch == nil || hitB < rel.Len {
+			// Report the whole piece as missing (partial chunk hits are
+			// refetched with the miss, as DualPar's CRM refills chunks
+			// wholesale).
+			miss = append(miss, piece)
+			auditMiss += rel.Len
+			return
+		}
+		perHome = perHome.add(c.Home(idx), hitB)
+	})
 	if c.audit != nil {
 		var hit int64
 		for _, h := range perHome {
@@ -337,24 +320,24 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 	now := p.Now()
 	var homes [8]homeAcc
 	perHome := homeBytes(homes[:0]) // bytes shipped to each home node
-	for _, e := range extents {
-		c.visitChunks(e, func(idx int64, rel ext.Extent) {
-			key := chunkKey{file, idx}
-			ch := c.chunks[key]
-			if ch == nil {
-				ch = &chunk{key: key}
-				c.chunks[key] = ch
-			}
-			before := ext.Total(ch.valid)
-			ch.valid = ext.Insert(ch.valid, rel)
-			c.adjustUsed(ext.Total(ch.valid) - before)
-			if dirty {
-				ch.dirty = ext.Insert(ch.dirty, rel)
-			}
-			ch.lastRef = now
-			perHome = perHome.add(c.Home(idx), rel.Len)
-		})
-	}
+	cb := c.cfg.ChunkBytes
+	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
+		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
+		key := chunkKey{file, idx}
+		ch := c.chunks[key]
+		if ch == nil {
+			ch = &chunk{key: key}
+			c.chunks[key] = ch
+		}
+		before := ext.Total(ch.valid)
+		ch.valid = ext.Insert(ch.valid, rel)
+		c.adjustUsed(ext.Total(ch.valid) - before)
+		if dirty {
+			ch.dirty = ext.Insert(ch.dirty, rel)
+		}
+		ch.lastRef = now
+		perHome = perHome.add(c.Home(idx), rel.Len)
+	})
 	c.chargeTransfers(p, fromNode, perHome, true)
 	if rc.Traced() {
 		op := "put-clean"

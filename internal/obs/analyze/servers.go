@@ -2,20 +2,10 @@ package analyze
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"dualpar/internal/obs"
 )
-
-// processOf maps a track to its owning process group: the component before
-// the first '/' ("server0/dispatch" → "server0"), or the whole track.
-func processOf(track string) string {
-	if i := strings.IndexByte(track, '/'); i >= 0 {
-		return track[:i]
-	}
-	return track
-}
 
 // serverUtilization builds per-server busy/idle decompositions and bucketed
 // timelines from StageDisk spans. Untraced spans (background flusher
@@ -27,7 +17,7 @@ func serverUtilization(spans []obs.Span, horizon time.Duration, buckets int) ([]
 		if s.Stage != obs.StageDisk {
 			continue
 		}
-		name := processOf(s.Track)
+		name := obs.ProcessOf(s.Track)
 		if _, ok := byServer[name]; !ok {
 			names = append(names, name)
 		}

@@ -66,8 +66,10 @@ func newTrackTable() *trackTable {
 	return &trackTable{pids: make(map[string]int), tids: make(map[string][2]int), nextID: 1}
 }
 
-// processOf is the track's process grouping: the prefix up to the first '/'.
-func processOf(track string) string {
+// ProcessOf maps a track to its owning process group: the component before
+// the first '/' ("server0/dispatch" → "server0"), or the whole track. The
+// exporter groups trace rows by it and the analyzer groups servers by it.
+func ProcessOf(track string) string {
 	if i := strings.IndexByte(track, '/'); i >= 0 {
 		return track[:i]
 	}
@@ -81,7 +83,7 @@ func (t *trackTable) id(track string) (pid, tid int) {
 	if ids, ok := t.tids[track]; ok {
 		return ids[0], ids[1]
 	}
-	proc := processOf(track)
+	proc := ProcessOf(track)
 	pid, ok := t.pids[proc]
 	if !ok {
 		pid = t.nextID
@@ -91,7 +93,7 @@ func (t *trackTable) id(track string) (pid, tid int) {
 	// tid: count of tracks already in this process.
 	tid = 0
 	for _, tr := range t.order {
-		if processOf(tr) == proc {
+		if ProcessOf(tr) == proc {
 			tid++
 		}
 	}
@@ -151,7 +153,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 	seenProc := make(map[string]bool)
 	for _, track := range tracks.order {
 		pid, tid := tracks.id(track)
-		proc := processOf(track)
+		proc := ProcessOf(track)
 		if !seenProc[proc] {
 			seenProc[proc] = true
 			if err := emit(metaEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]string{"name": proc}}); err != nil {

@@ -481,12 +481,8 @@ func (fsys *FileSystem) split(extents []ext.Extent) [][]ext.Extent {
 // NumServers, every sub-slice empty), so the hot path can reuse checked-out
 // buffers instead of allocating per operation.
 func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
-	n := int64(fsys.NumServers())
-	unit := fsys.cfg.StripeUnit
-	ext.VisitSplit(extents, unit, func(piece ext.Extent) {
-		stripe := piece.Off / unit
-		srv := stripe % n
-		local := (stripe/n)*unit + piece.Off%unit
+	ext.VisitSplit(extents, fsys.cfg.StripeUnit, func(piece ext.Extent) {
+		srv, local := fsys.LocalOffset(piece.Off)
 		lst := out[srv]
 		if len(lst) > 0 && lst[len(lst)-1].End() == local {
 			lst[len(lst)-1].Len += piece.Len
@@ -498,7 +494,8 @@ func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
 }
 
 // LocalOffset translates a file-global offset to (server index, local
-// offset); the integrity oracles, layout-aware tooling and tests use it.
+// offset): the one copy of the striping rule, used by splitInto on every
+// operation and by the integrity oracles, layout-aware tooling and tests.
 func (fsys *FileSystem) LocalOffset(off int64) (server int, local int64) {
 	unit := fsys.cfg.StripeUnit
 	stripe := off / unit
