@@ -166,7 +166,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simulation did not finish within 24 simulated hours")
 		os.Exit(1)
 	}
-	if err := runner.AuditErr(); err != nil {
+	if err := runner.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -266,8 +266,8 @@ func main() {
 	}
 	if *stats {
 		ks := cl.K.Stats()
-		fmt.Printf("kernel:      %d events (%d callbacks, %d handoffs, %d self-resumes), %d solo sleeps\n",
-			ks.Events, ks.Callbacks, ks.Handoffs, ks.SelfResumes, ks.SoloSleeps)
+		fmt.Printf("kernel:      %d events (%d callbacks, %d handoffs, %d self-resumes)\n",
+			ks.Events, ks.Callbacks, ks.Handoffs, ks.SelfResumes)
 		fmt.Println()
 		if err := collector.WriteSummary(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -315,7 +315,7 @@ func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine 
 	runner := core.NewRunner(cl, dcfg)
 	sched, runs := runner.SubmitTenants(tc, 1)
 	finished := runner.Run(24 * time.Hour)
-	if err := runner.AuditErr(); err != nil {
+	if err := runner.Err(); err != nil {
 		return err
 	}
 	arb := cl.Arbiter()

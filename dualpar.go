@@ -17,7 +17,6 @@
 package dualpar
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -162,17 +161,7 @@ func (s *Simulation) Run(maxTime time.Duration) bool { return s.runner.Run(maxTi
 // Err reports why a finished run's results cannot be trusted: the first
 // violated invariant when Config.Core.Audit armed the oracles, else the
 // first program's I/O error (data lost to a crash, say). Call after Run.
-func (s *Simulation) Err() error {
-	if err := s.runner.AuditErr(); err != nil {
-		return err
-	}
-	for i, pr := range s.runner.Programs() {
-		if err := pr.Err(); err != nil {
-			return fmt.Errorf("program %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (s *Simulation) Err() error { return s.runner.Err() }
 
 // Elapsed is the program's measured execution time (zero until finished).
 func (p *Program) Elapsed() time.Duration { return p.run.Elapsed() }

@@ -144,6 +144,22 @@ func TestFacadeErrSurfacesProgramError(t *testing.T) {
 	}
 }
 
+// TestFacadeAnchorKernelStats pins the kernel's exact self-counters on the
+// anchor run (mpi-io-test, 64 procs, 64 MiB read, vanilla at Defaults, the
+// run that prints "elapsed: 0.539 s"). Every count is deterministic per
+// seed, so a change that adds or removes kernel work moves one of them.
+func TestFacadeAnchorKernelStats(t *testing.T) {
+	sim := dualpar.NewSimulation(dualpar.Defaults())
+	sim.AddProgram(dualpar.MPIIOTest(64, 64<<20, false), dualpar.Vanilla, dualpar.ProgramOptions{})
+	if !sim.Run(24 * time.Hour) {
+		t.Fatalf("did not finish")
+	}
+	want := simk.Stats{Events: 43326, Callbacks: 10, Handoffs: 43008, SelfResumes: 308}
+	if got := sim.Cluster().K.Stats(); got != want {
+		t.Fatalf("kernel stats %+v, want %+v", got, want)
+	}
+}
+
 func TestFacadeParseMode(t *testing.T) {
 	m, err := dualpar.ParseMode("collective")
 	if err != nil || m != dualpar.Collective {

@@ -91,6 +91,7 @@ type Cluster struct {
 	inj    *fault.Injector
 	tier   *burst.Tier
 	arb    *tenant.Arbiter
+	audit  *check.Auditor // set by EnableAudit
 }
 
 // New builds a cluster.
@@ -113,20 +114,14 @@ func New(cfg Config) *Cluster {
 	var stores []*fs.Store
 	for i := 0; i < cfg.DataServers; i++ {
 		var dev disk.Device
-		dp := cfg.Disk
-		dp.Seed = cfg.Seed*7919 + int64(i)*101
 		if cfg.SSD != nil {
-			sp := *cfg.SSD
-			sp.Seed = dp.Seed
-			dev = disk.NewSSD(sp)
+			dev = disk.NewSSD(*cfg.SSD)
 		} else if cfg.DisksPerRAID == 1 {
-			dev = disk.New(dp)
+			dev = disk.New(cfg.Disk)
 		} else {
 			members := make([]*disk.Disk, cfg.DisksPerRAID)
 			for m := range members {
-				mp := dp
-				mp.Seed = dp.Seed + int64(m) + 1
-				members[m] = disk.New(mp)
+				members[m] = disk.New(cfg.Disk)
 			}
 			dev = disk.NewRAID0(members, cfg.RAIDChunkSect)
 		}
@@ -173,6 +168,9 @@ func New(cfg Config) *Cluster {
 // flusherOriginBase keeps server-flusher origins away from program origins.
 const flusherOriginBase = 1 << 20
 
+// Auditor returns the auditor EnableAudit attached (nil when none was).
+func (c *Cluster) Auditor() *check.Auditor { return c.audit }
+
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
@@ -181,8 +179,11 @@ func (c *Cluster) Config() Config { return c.cfg }
 // file system's served/rebuild byte accounting, and end-of-run conservation
 // probes tying the ledgers together. Final (not per-cycle) probes are used
 // for byte conservation because the linked counters update at different
-// points around yields and only agree once the run is quiescent.
+// points around yields and only agree once the run is quiescent. The
+// ledgers arm once per cluster: a later run on it keeps this auditor (see
+// Auditor) instead of arming a second one.
 func (c *Cluster) EnableAudit(a *check.Auditor) {
+	c.audit = a
 	c.K.SetAudit(a)
 	c.FS.SetAudit(a)
 	for i, st := range c.Stores {

@@ -13,9 +13,13 @@ import (
 // oracle), and — as programs register — each global cache's used/dirty
 // accounting. The auditor is pure bookkeeping driven from simulation
 // context; it adds no events, so an audited run's timeline is identical to
-// an unaudited one.
+// an unaudited one. A cluster that an earlier run already audits keeps its
+// auditor, whose ledgers span both runs.
 func newRunAuditor(r *Runner) *check.Auditor {
 	cl := r.cl
+	if a := cl.Auditor(); a != nil {
+		return a
+	}
 	ccfg := cl.Config()
 	desc := fmt.Sprintf("%d servers x %d disks, %d compute nodes, seed %d",
 		ccfg.DataServers, ccfg.DisksPerRAID, ccfg.ComputeNodes, ccfg.Seed)
@@ -54,4 +58,20 @@ func (r *Runner) AuditErr() error {
 		return nil
 	}
 	return r.audit.Err()
+}
+
+// Err reports why a finished run's results cannot be trusted: the first
+// violated invariant of an audited run, else the first program's I/O error
+// (data lost to a crash, say) as "program N: ...". A client crash records
+// no I/O error. Call after Run.
+func (r *Runner) Err() error {
+	if err := r.AuditErr(); err != nil {
+		return err
+	}
+	for i, pr := range r.progs {
+		if err := pr.Err(); err != nil {
+			return fmt.Errorf("program %d: %w", i, err)
+		}
+	}
+	return nil
 }

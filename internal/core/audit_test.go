@@ -55,6 +55,27 @@ func TestAuditedWriteRunConservesBytes(t *testing.T) {
 	}
 }
 
+// TestSecondAuditedRunnerKeepsTheClusterAuditor: a second audited runner on
+// a cluster that already ran one (a restart after a checkpoint, say) keeps
+// the cluster's auditor, so the byte ledgers span both runs instead of the
+// PFS side being re-armed at zero under the stores' running totals.
+func TestSecondAuditedRunnerKeepsTheClusterAuditor(t *testing.T) {
+	first := runAudited(t, smallMPIIOTest(true), ModeVanilla)
+	cfg := DefaultConfig()
+	cfg.Audit = true
+	r := NewRunner(first.Cluster(), cfg)
+	if r.Auditor() != first.Auditor() {
+		t.Fatalf("second runner built its own auditor")
+	}
+	r.Add(smallMPIIOTest(false), ModeVanilla, AddOptions{RanksPerNode: 4, StartAt: first.Cluster().K.Now()})
+	if !r.Run(first.Cluster().K.Now() + time.Hour) {
+		t.Fatalf("second run did not finish")
+	}
+	if err := r.AuditErr(); err != nil {
+		t.Fatalf("audit violation across two runs: %v", err)
+	}
+}
+
 // TestAuditCatchesDroppedWriteback demonstrates the coherence oracle firing:
 // dirty cache data marked clean without a recorded durable write must raise
 // a keyed pfs.coherence violation carrying a reproducer artifact.

@@ -11,7 +11,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"dualpar/internal/sim"
@@ -39,14 +38,6 @@ type Params struct {
 
 	// CommandOverhead is the fixed per-request controller/command cost.
 	CommandOverhead time.Duration
-
-	// RandomRotation samples the rotational latency uniformly from
-	// [0, one revolution) per access instead of charging the expected half
-	// revolution. Real positioning variance is what desynchronizes
-	// lockstepped clients; deterministic via Seed.
-	RandomRotation bool
-	// Seed drives the rotational-latency samples.
-	Seed int64
 }
 
 // DefaultParams approximates one 7200-RPM SATA drive of the paper's era
@@ -61,8 +52,6 @@ func DefaultParams() Params {
 		TransferRate:    90e6,
 		SeqWindow:       512, // 256 KB forward skip
 		CommandOverhead: 100 * time.Microsecond,
-		RandomRotation:  true,
-		Seed:            1,
 	}
 }
 
@@ -192,7 +181,6 @@ type Disk struct {
 	params Params
 	head   int64 // LBN the head is positioned after
 	stats  Stats
-	rng    *rand.Rand
 }
 
 // New creates a disk. It panics if params are invalid (a configuration bug).
@@ -200,7 +188,7 @@ func New(params Params) *Disk {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	return &Disk{params: params, head: 0, rng: rand.New(rand.NewSource(params.Seed))}
+	return &Disk{params: params}
 }
 
 // Sectors implements Device.
@@ -209,20 +197,11 @@ func (d *Disk) Sectors() int64 { return d.params.Sectors }
 // Stats implements Device.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ServiceTime computes the *expected* time to serve an access given the
-// current head position (rotational latency at its mean, half a
-// revolution). Access charges the sampled time when RandomRotation is on.
+// ServiceTime computes the time to serve an access given the current head
+// position, the same time Access charges (rotational latency at its mean,
+// half a revolution).
 func (d *Disk) ServiceTime(lbn, sectors int64) time.Duration {
 	return serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM)).Total()
-}
-
-// sampledBreakdown draws the rotational latency if RandomRotation is on.
-func (d *Disk) sampledBreakdown(lbn, sectors int64) Breakdown {
-	rot := halfRotation(d.params.RPM)
-	if d.params.RandomRotation {
-		rot = time.Duration(d.rng.Int63n(int64(2 * rot)))
-	}
-	return serviceBreakdown(d.params, d.head, lbn, sectors, rot)
 }
 
 // Access implements Device.
@@ -230,9 +209,7 @@ func (d *Disk) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	if lbn < 0 || sectors <= 0 || lbn+sectors > d.params.Sectors {
 		panic(fmt.Sprintf("disk: access [%d,%d) outside device of %d sectors", lbn, lbn+sectors, d.params.Sectors))
 	}
-	bd := d.sampledBreakdown(lbn, sectors)
-	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)
-	d.head = lbn + sectors
+	bd := d.serve(lbn, sectors, write)
 	p.Sleep(bd.Total())
 	return bd
 }

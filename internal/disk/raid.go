@@ -115,8 +115,9 @@ func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	return worst
 }
 
-// serve performs a member access without a Proc (time is accounted by the
-// RAID wrapper), charging the expected rotational latency.
+// serve performs an access without a Proc, charging the expected rotational
+// latency: Access sleeps for the result, and RAID0 sleeps for its slowest
+// member's.
 func (d *Disk) serve(lbn, sectors int64, write bool) Breakdown {
 	bd := serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM))
 	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)

@@ -19,7 +19,6 @@ type SSDParams struct {
 	ReadLatency  time.Duration // per-command access latency
 	WriteLatency time.Duration
 	TransferRate float64 // bytes/second
-	Seed         int64
 }
 
 // DefaultSSDParams approximates a SATA-era MLC SSD.

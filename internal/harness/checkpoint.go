@@ -78,12 +78,6 @@ type ckptRun struct {
 func (o Opts) runCheckpoint(prog workloads.EpochCheckpoint, replicas int, bcfg *burst.Config, sch *fault.Schedule) *ckptRun {
 	cl, ddCfg := o.crashCluster(replicas, sch, bcfg)
 	ms, _ := o.executeOn(cl, 2*time.Minute, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
-	// The conservation ledgers arm once per cluster lifetime (re-arming
-	// resets the PFS side but not the stores'), so the restart runner must
-	// not build a second auditor: it gets the preset's ddCfg, which
-	// executeOn's o.Audit never touched. The oracles cover the checkpoint
-	// run and the recovery, and the restart's reads are checked by the
-	// integrity oracle instead.
 	cr := &ckptRun{
 		cl: cl, ddCfg: ddCfg, prog: prog,
 		main:      ms[0],
@@ -91,7 +85,7 @@ func (o Opts) runCheckpoint(prog workloads.EpochCheckpoint, replicas int, bcfg *
 		committed: ms[0].run.CommittedEpoch(),
 	}
 	cr.runRecovery()
-	cr.runRestart(10 * time.Minute)
+	o.runRestart(cr, 10*time.Minute)
 	return cr
 }
 
@@ -128,28 +122,26 @@ func (cr *ckptRun) runRecovery() {
 
 // runRestart reads the last committed epoch back with a fresh job on the
 // same cluster (the simulated machines rebooted; the storage state is
-// whatever the crash left durable). When no epoch committed, the typed
+// whatever the crash left durable), through executeOn like the checkpoint
+// run, so o.Audit covers it too. When no epoch committed, the typed
 // burst.ErrNoCommittedEpoch surfaces instead of a bogus read.
-func (cr *ckptRun) runRestart(budget time.Duration) {
+func (o Opts) runRestart(cr *ckptRun, budget time.Duration) {
 	if cr.committed == 0 {
 		cr.restartErr = fmt.Errorf("harness: restart: %w", burst.ErrNoCommittedEpoch)
 		return
 	}
-	r := core.NewRunner(cr.cl, cr.ddCfg)
-	pr := r.Add(workloads.Restart{Ckpt: cr.prog, Epoch: cr.committed}, core.ModeVanilla, core.AddOptions{
-		RanksPerNode: 8,
-		StartAt:      cr.cl.K.Now(),
-	})
-	finished := r.Run(cr.cl.K.Now() + budget)
-	if err := r.AuditErr(); err != nil {
-		panic(err)
-	}
-	cr.restart = measure(pr)
+	now := cr.cl.K.Now()
+	ms, _ := o.executeOn(cr.cl, now+budget, cr.ddCfg, []runSpec{{
+		prog:    workloads.Restart{Ckpt: cr.prog, Epoch: cr.committed},
+		mode:    core.ModeVanilla,
+		startAt: now,
+	}})
+	cr.restart = ms[0]
 	switch {
-	case !finished:
+	case !cr.restart.finished:
 		cr.restartErr = fmt.Errorf("harness: restart did not finish within its budget")
 	default:
-		cr.restartErr = pr.Err()
+		cr.restartErr = cr.restart.run.Err()
 	}
 }
 

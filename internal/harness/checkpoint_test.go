@@ -2,11 +2,14 @@ package harness
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"dualpar/internal/burst"
 	"dualpar/internal/fault"
+	"dualpar/internal/sim"
 	"dualpar/internal/workloads"
 )
 
@@ -194,6 +197,28 @@ func TestCheckpointNoCrashBothPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointRestartIsAudited: the restart read runs through executeOn
+// like the checkpoint run, so under Audit its end-of-run oracles run too. A
+// device access that bypasses the block layer during a restart breaks
+// server 0's dispatched-bytes conservation, and the restart must panic with
+// that violation instead of finishing unchecked.
+func TestCheckpointRestartIsAudited(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // the reproducer artifact lands here
+	o := Opts{Seed: 1, Audit: true}
+	cr := o.runCheckpoint(matrixProg(), 2, nil, &fault.Schedule{})
+	if cr.restartErr != nil {
+		t.Fatalf("restart: %v", cr.restartErr)
+	}
+	dev := cr.cl.Stores[0].Device()
+	cr.cl.K.Spawn("bypass", func(p *sim.Proc) { dev.Access(p, 0, 8, false) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "conserve.disk.server0") {
+			t.Fatalf("restart panicked with %v, want the conserve.disk.server0 violation", r)
+		}
+	}()
+	o.runRestart(cr, 10*time.Minute)
 }
 
 // TestCheckpointDrainErrorSurfacesEpoch pins the error-chain contract at

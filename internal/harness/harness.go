@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -192,11 +193,38 @@ func (o Opts) execute(trace bool, maxTime time.Duration, ddCfg core.Config, spec
 	return o.executeOn(o.cluster(trace), maxTime, ddCfg, specs)
 }
 
-// executeOn is execute on a caller-built cluster. o.Audit arms the
-// invariant oracles (a violation panics with the keyed error and its
-// reproducer artifact path); a non-nil o.Reports receives the run's time
-// attribution.
+// executeOn is execute on a caller-built cluster, through o's run phase.
 func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
+	var b strings.Builder
+	for _, sp := range specs {
+		fmt.Fprintf(&b, "|%s/%s/r%d/off%d/at%s",
+			sp.prog.Name(), sp.mode, sp.prog.Ranks(), sp.nodeOff, sp.startAt)
+	}
+	var runs []*core.ProgramRun
+	o.run(cl, maxTime, ddCfg, b.String(), func(r *core.Runner) {
+		for _, sp := range specs {
+			runs = append(runs, r.Add(sp.prog, sp.mode, core.AddOptions{
+				RanksPerNode:   8,
+				FirstNodeIndex: sp.nodeOff,
+				StartAt:        sp.startAt,
+				MPIIO:          sp.mpiio,
+			}))
+		}
+	})
+	out := make([]measured, len(specs))
+	for i, pr := range runs {
+		out[i] = measure(pr)
+	}
+	return out, cl
+}
+
+// run is the run phase every harness run goes through: add registers the
+// programs on a fresh runner over cl, which then runs until maxTime.
+// o.Audit arms the invariant oracles (a violation panics with the keyed
+// error and its reproducer artifact path); a non-nil o.Reports receives the
+// run's time attribution, keyed by spec (see reportKey). It reports whether
+// every program finished.
+func (o Opts) run(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, spec string, add func(*core.Runner)) bool {
 	if o.Audit {
 		ddCfg.Audit = true
 	}
@@ -206,27 +234,15 @@ func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.C
 		cl.EnableObs(reportCol)
 	}
 	r := core.NewRunner(cl, ddCfg)
-	var runs []*core.ProgramRun
-	for _, sp := range specs {
-		runs = append(runs, r.Add(sp.prog, sp.mode, core.AddOptions{
-			RanksPerNode:   8,
-			FirstNodeIndex: sp.nodeOff,
-			StartAt:        sp.startAt,
-			MPIIO:          sp.mpiio,
-		}))
-	}
-	r.Run(maxTime)
+	add(r)
+	finished := r.Run(maxTime)
 	if err := r.AuditErr(); err != nil {
 		panic(err)
 	}
 	if reportCol != nil {
-		o.Reports.record(reportKey(cl, specs, reportCol), reportCol)
+		o.Reports.record(reportKey(cl, spec, reportCol), reportCol)
 	}
-	out := make([]measured, len(specs))
-	for i, pr := range runs {
-		out[i] = measure(pr)
-	}
-	return out, cl
+	return finished
 }
 
 // measure reads one finished (or budget-cut) program's outcome.

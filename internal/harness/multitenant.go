@@ -56,7 +56,7 @@ type mixOut struct {
 }
 
 // runTenantMix executes the full generated schedule for tc on one shared
-// tenanted cluster (see core.Runner.SubmitTenants).
+// tenanted cluster (see core.Runner.SubmitTenants), through o's run phase.
 func (o Opts) runTenantMix(tc tenant.Config) *mixOut {
 	cfg := o.config()
 	cfg.Tenancy = &tc
@@ -65,13 +65,11 @@ func (o Opts) runTenantMix(tc tenant.Config) *mixOut {
 	// Tiny jobs live for seconds; a sub-second slot gives a denied job
 	// several grant retries within its lifetime.
 	ddCfg.SlotEvery = 250 * time.Millisecond
-	ddCfg.Audit = o.Audit
-	r := core.NewRunner(cl, ddCfg)
-	sched, runs := r.SubmitTenants(tc, o.jobScale())
-	finished := r.Run(30 * time.Minute)
-	if err := r.AuditErr(); err != nil {
-		panic(err)
-	}
+	var sched []tenant.Job
+	var runs []*core.ProgramRun
+	finished := o.run(cl, 30*time.Minute, ddCfg, "|"+tc.String(), func(r *core.Runner) {
+		sched, runs = r.SubmitTenants(tc, o.jobScale())
+	})
 	out := &mixOut{cl: cl, finished: finished}
 	for i, pr := range runs {
 		if pr == nil {

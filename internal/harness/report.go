@@ -26,19 +26,16 @@ type Reports struct {
 }
 
 // reportKey names a run by the spec the harness can see — cluster seed plus
-// each program's identity, mode, placement, and start — and a fingerprint of
-// the recorded timeline itself. The spec alone is not unique (sweeps rerun
-// the same program with different workload internals or core configs), so
-// the span hash does the disambiguation: runs with equal keys recorded
-// byte-identical timelines and therefore interchangeable reports, keeping
-// Reports.Drain independent of which concurrent cell stored last.
-func reportKey(cl *cluster.Cluster, specs []runSpec, col *obs.Collector) string {
+// spec: each program's identity, mode, placement, and start, or a tenant
+// mix's spec — and a fingerprint of the recorded timeline itself. The spec
+// alone is not unique (sweeps rerun the same program with different
+// workload internals or core configs), so the span hash does the
+// disambiguation: runs with equal keys recorded byte-identical timelines
+// and therefore interchangeable reports, keeping Reports.Drain independent
+// of which concurrent cell stored last.
+func reportKey(cl *cluster.Cluster, spec string, col *obs.Collector) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", cl.Config().Seed)
-	for _, sp := range specs {
-		fmt.Fprintf(&b, "|%s/%s/r%d/off%d/at%s",
-			sp.prog.Name(), sp.mode, sp.prog.Ranks(), sp.nodeOff, sp.startAt)
-	}
+	fmt.Fprintf(&b, "seed=%d%s", cl.Config().Seed, spec)
 	h := fnv.New64a()
 	for _, s := range col.Spans() {
 		fmt.Fprintf(h, "%d/%s/%s/%d/%d;", s.ID, s.Stage, s.Track, s.Start, s.End)

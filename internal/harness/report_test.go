@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dualpar/internal/tenant"
 )
 
 // renderReports renders drained reports the way cmd/experiments prints
@@ -120,4 +122,22 @@ func TestAblationRunsReachReportsAndAudit(t *testing.T) {
 	if got := len(sink.Drain()); got != 4 {
 		t.Fatalf("ablate-sched drained %d reports, want 4 (6 runs, cfq = deadline)", got)
 	}
+}
+
+// TestTenantMixReachesReports: a multitenant cell goes through the same run
+// phase as every other experiment, so Reports receives its run, keyed by
+// the tenant spec.
+func TestTenantMixReachesReports(t *testing.T) {
+	tc, err := tenant.ParseSpec("tenants:3,arrival=closed:2x5:10ms,policy=prio,grants=4,jobs=10,ranks=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.Seed = 1
+	sink := &Reports{}
+	Opts{Seed: 1, Quick: true, Reports: sink}.runTenantMix(tc)
+	reports := sink.Drain()
+	if len(reports) != 1 || !strings.Contains(reports[0].Key, tc.String()) {
+		t.Fatalf("drained %d reports, want one keyed by %q", len(reports), tc.String())
+	}
+	renderReports(t, reports)
 }

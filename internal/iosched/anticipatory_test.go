@@ -31,7 +31,6 @@ func TestAnticipatoryWaitsForNearbyRequest(t *testing.T) {
 	k := sim.NewKernel(1)
 	dp := disk.DefaultParams()
 	dp.Sectors = 1 << 24
-	dp.RandomRotation = false
 	d := disk.New(dp)
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()
@@ -67,7 +66,6 @@ func TestAnticipatoryGivesUpOnSeekyOrigin(t *testing.T) {
 	k := sim.NewKernel(1)
 	dp := disk.DefaultParams()
 	dp.Sectors = 1 << 24
-	dp.RandomRotation = false
 	d := disk.New(dp)
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()

@@ -21,7 +21,6 @@ func completionProperty(t *testing.T, mk func() Algorithm) {
 		k := sim.NewKernel(seed)
 		dp := disk.DefaultParams()
 		dp.Sectors = 1 << 24
-		dp.Seed = seed
 		d := disk.New(dp)
 		disp := NewDispatcher(k, "disp", d, mk())
 		completed := 0

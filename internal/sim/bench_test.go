@@ -77,9 +77,8 @@ func BenchmarkKernelWaitTimeout(b *testing.B) {
 }
 
 // BenchmarkKernelPopulatedHeap measures scheduling against a deep standing
-// heap: 1024 far-future events keep the 4-ary sift paths honest (an empty
-// heap would route everything through the same-instant FIFO or solo-sleep
-// shortcuts and never touch them).
+// heap: 1024 far-future events make every push and pop sift through the
+// 4-ary levels (on a near-empty heap each sift stops at once).
 func BenchmarkKernelPopulatedHeap(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)

@@ -8,12 +8,13 @@
 // baton: exactly one goroutine — the RunUntil caller or one Proc — holds it
 // and runs the event loop at any instant, so simulations are fully
 // deterministic: the same program and seed yield the same event order and
-// results. A Proc that blocks keeps the baton and runs the loop itself,
-// executing plain callbacks inline until an event wakes a Proc. Its own wake
-// returns without a switch; another Proc's wake passes the baton straight
-// to that Proc's goroutine, one goroutine switch per resume. When no event
-// at or before the deadline remains, the holder passes the baton back to
-// the RunUntil caller.
+// results. One 4-ary heap over (time, sequence) is the only event queue:
+// every Sleep, wake and callback goes through it. A Proc that blocks keeps
+// the baton and runs the loop itself, executing plain callbacks inline
+// until an event wakes a Proc. Its own wake returns without a switch;
+// another Proc's wake passes the baton straight to that Proc's goroutine,
+// one goroutine switch per resume. When no event at or before the deadline
+// remains, the holder passes the baton back to the RunUntil caller.
 package sim
 
 import (
@@ -26,22 +27,16 @@ import (
 
 // event is a scheduled callback or Proc wake in virtual time. Events live in
 // the kernel's flat arena and are addressed by index everywhere — the
-// priority queue, the same-instant FIFO, and the free list all hold arena
-// indices, never pointers, so the scheduler moves 4-byte ints instead of
-// boxed interface values and a recycled slot is a free-list push.
+// priority queue and the free list both hold arena indices, never pointers,
+// so the scheduler moves 4-byte ints instead of boxed interface values and a
+// recycled slot is a free-list push.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
 	p   *Proc // non-nil: a wake event that starts or resumes p (fn is nil)
-	pos int32 // index in Kernel.heap, or posFIFO / posFree
+	pos int32 // index in Kernel.heap; read only while the event is in it
 }
-
-// pos sentinels for events not currently stored in the heap.
-const (
-	posFIFO int32 = -1 // queued in the same-instant FIFO
-	posFree int32 = -2 // on the free list (or popped and running)
-)
 
 // eventID names one scheduled event for cancellation. The generation
 // (seq) guards against the arena slot having been recycled: cancel is a
@@ -59,29 +54,18 @@ var noEvent = eventID{idx: -1}
 type Kernel struct {
 	now   time.Duration
 	seq   uint64
-	arena []event // flat event storage; heap/fifo/free hold indices into it
+	arena []event // flat event storage; heap/free hold indices into it
 
-	// heap is an index-based 4-ary min-heap over (at, seq). Quadrupling the
-	// fan-out halves the levels a pop sifts through, and the four child
-	// indices it compares per level share one cache line.
+	// heap is an index-based 4-ary min-heap over (at, seq), the one event
+	// queue. Quadrupling the fan-out halves the levels a pop sifts through,
+	// and the four child indices it compares per level share one cache line.
 	heap []int32
-
-	// fifo batches same-instant work: an event scheduled at exactly now,
-	// while the heap holds nothing at or before now, must run after every
-	// already-queued same-instant event (its seq is the largest yet issued)
-	// — so it skips the heap entirely and is appended here. Broadcast
-	// fan-outs, queue hand-offs, zero sleeps, and netsim same-instant
-	// deliveries all ride this path: waking N procs at one instant is N
-	// appends and N slice reads, not N heap sifts.
-	fifo     []int32
-	fifoHead int
 
 	free    []int32 // recycled arena slots
 	pending int     // scheduled events not yet run or canceled
 
 	// deadline is the active RunUntil deadline (-1 = unbounded), read by the
-	// event loop and by the solo-sleep fast path in Proc.Sleep (valid
-	// whenever Proc code runs, since Procs only execute inside RunUntil).
+	// event loop on whichever goroutine holds the baton.
 	deadline time.Duration
 
 	// parked passes the baton back to the RunUntil caller: the Proc holding
@@ -102,7 +86,6 @@ type Stats struct {
 	Callbacks   uint64 // plain callbacks run inline (After, timer expiries)
 	Handoffs    uint64 // wakes that passed the baton to another Proc's goroutine
 	SelfResumes uint64 // wakes popped by the Proc they wake: no switch
-	SoloSleeps  uint64 // Sleeps served by the solo fast path: no event at all
 }
 
 // Stats returns the kernel's self-counters.
@@ -155,15 +138,7 @@ func (k *Kernel) schedule(at time.Duration, fn func(), p *Proc) eventID {
 	e.at, e.seq, e.fn, e.p = at, k.seq, fn, p
 	k.seq++
 	k.pending++
-	if at == k.now && (len(k.heap) == 0 || k.arena[k.heap[0]].at > k.now) {
-		// Same-instant batch: every event at this instant still in the
-		// structure is already in the FIFO with a smaller seq, and the heap
-		// holds only later times, so appending preserves (time, seq) order.
-		e.pos = posFIFO
-		k.fifo = append(k.fifo, idx)
-	} else {
-		k.heapPush(idx)
-	}
+	k.heapPush(idx)
 	return eventID{idx: idx, seq: e.seq}
 }
 
@@ -179,21 +154,14 @@ func (k *Kernel) cancel(id eventID) {
 		return
 	}
 	k.pending--
-	if e.pos >= 0 {
-		k.heapRemove(int(e.pos))
-		k.freeSlot(id.idx)
-	} else {
-		// In the same-instant FIFO: tombstone in place (removal from the
-		// middle would shift the batch); the run loop frees it when reached.
-		e.fn, e.p = nil, nil
-	}
+	k.heapRemove(int(e.pos))
+	k.freeSlot(id.idx)
 }
 
 // freeSlot recycles an arena slot.
 func (k *Kernel) freeSlot(idx int32) {
 	e := &k.arena[idx]
 	e.fn, e.p = nil, nil
-	e.pos = posFree
 	k.free = append(k.free, idx)
 }
 
@@ -241,32 +209,13 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 func (k *Kernel) next() *Proc {
 	deadline := k.deadline
 	for {
-		var idx int32
-		if k.fifoHead < len(k.fifo) {
-			idx = k.fifo[k.fifoHead]
-			e := &k.arena[idx]
-			if e.fn == nil && e.p == nil { // canceled in place; discard the tombstone
-				k.fifoHead++
-				k.freeSlot(idx)
-				continue
-			}
-			if deadline >= 0 && e.at > deadline {
-				return nil
-			}
-			k.fifoHead++
-		} else {
-			if k.fifoHead > 0 {
-				k.fifo = k.fifo[:0]
-				k.fifoHead = 0
-			}
-			if len(k.heap) == 0 {
-				return nil
-			}
-			if deadline >= 0 && k.arena[k.heap[0]].at > deadline {
-				return nil
-			}
-			idx = k.heapPopTop()
+		if len(k.heap) == 0 {
+			return nil
 		}
+		if deadline >= 0 && k.arena[k.heap[0]].at > deadline {
+			return nil
+		}
+		idx := k.heapPopTop()
 		e := &k.arena[idx]
 		k.now = e.at
 		fn, p := e.fn, e.p

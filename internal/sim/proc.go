@@ -103,35 +103,13 @@ func (p *Proc) wakeAt(at time.Duration) {
 	p.k.schedule(at, nil, p)
 }
 
-// Sleep suspends the Proc for duration d of virtual time.
-//
-// Solo fast path: when nothing else is runnable in [now, now+d] — the
-// same-instant FIFO is empty, the earliest heap event is strictly later
-// than the wake would be, and the RunUntil deadline is not in between —
-// running the loop would only pop this Proc's own wake event straight back.
-// In that case the Proc advances the clock in place and keeps running,
-// skipping the event and the loop altogether. The event timeline is
-// identical:
-// by construction no event exists in the skipped window, and relative
-// schedule order (which decides same-instant ties) is unchanged.
+// Sleep suspends the Proc for duration d of virtual time. When nothing else
+// runs in between, the loop pops the Proc's own wake and park returns
+// without a goroutine switch.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	k := p.k
-	at := k.now + d
-	if k.fifoHead >= len(k.fifo) &&
-		(len(k.heap) == 0 || k.arena[k.heap[0]].at > at) &&
-		(k.deadline < 0 || at <= k.deadline) {
-		k.now = at
-		k.stats.SoloSleeps++
-		if k.audit != nil {
-			k.audit.Checkf(k.now >= p.lastNow, "sim.proc.monotone",
-				"proc %s resumed at %v after observing %v", p.name, k.now, p.lastNow)
-			p.lastNow = k.now
-		}
-		return
-	}
-	p.wakeAt(at)
+	p.wakeAt(p.k.now + d)
 	p.park()
 }
