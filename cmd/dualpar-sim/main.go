@@ -30,7 +30,8 @@
 // under the spec's policy (see tenant.ParseSpec), e.g.
 // "tenants:4,arrival=poisson:12,policy=fair,grants=12,cache=64M,jobs=40,ranks=2,hot=0x6".
 // The run prints per-tenant job counts, grant/deny/revoke totals, and
-// elapsed-time percentiles; -workload and -mode are ignored.
+// elapsed-time percentiles. Only -seed, -slot, -audit and -engine apply in
+// this mode; any single-run flag beside -tenants exits 2.
 //
 // -burst SPEC adds a burst-buffer write log on every compute node:
 // epoch-tagged checkpoint writes (ckpt-n1/ckpt-nn workloads) absorb into
@@ -44,9 +45,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
+	"strings"
 	"time"
 
 	"dualpar/internal/burst"
@@ -54,6 +54,7 @@ import (
 	"dualpar/internal/core"
 	"dualpar/internal/fault"
 	"dualpar/internal/iosched"
+	"dualpar/internal/metrics"
 	"dualpar/internal/obs"
 	"dualpar/internal/obs/analyze"
 	"dualpar/internal/tenant"
@@ -88,7 +89,33 @@ func main() {
 		os.Exit(2)
 	}
 	if *tenants != "" {
-		if err := runTenants(*tenants, *seed, *slot, *audit, *engine); err != nil {
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tenants", "seed", "slot", "audit", "engine":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "%s: single-run flags, not used with -tenants\n", strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
+		tc, err := tenant.ParseSpec(*tenants)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		tc.Seed = *seed
+		ccfg := cluster.DefaultConfig()
+		ccfg.Seed = *seed
+		ccfg.Tenancy = &tc
+		ccfg.FS.Engine = *engine
+		if err := ccfg.FS.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := runTenants(ccfg, *slot, *audit); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -289,22 +316,11 @@ func main() {
 }
 
 // runTenants drives the multi-tenant mode: the seeded generator's full job
-// schedule runs on one shared tenanted cluster (see
+// schedule runs on one shared tenanted cluster (ccfg.Tenancy; see
 // core.Runner.SubmitTenants), then per-tenant outcomes print as a small
 // table. Deterministic per spec+seed.
-func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine string) error {
-	tc, err := tenant.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	tc.Seed = seed
-	ccfg := cluster.DefaultConfig()
-	ccfg.Seed = seed
-	ccfg.Tenancy = &tc
-	ccfg.FS.Engine = engine
-	if err := ccfg.FS.Validate(); err != nil {
-		return err
-	}
+func runTenants(ccfg cluster.Config, slot time.Duration, audit bool) error {
+	tc := *ccfg.Tenancy
 	cl := cluster.New(ccfg)
 	dcfg := core.DefaultConfig()
 	dcfg.SlotEvery = 250 * time.Millisecond
@@ -340,16 +356,11 @@ func runTenants(spec string, seed int64, slot time.Duration, audit bool, engine 
 				makespan = pr.EndedAt
 			}
 		}
-		var mean, p99 time.Duration
+		var mean time.Duration
 		if len(els) > 0 {
 			mean = sum / time.Duration(len(els))
-			sort.Slice(els, func(i, k int) bool { return els[i] < els[k] })
-			idx := int(math.Ceil(0.99*float64(len(els)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			p99 = els[idx]
 		}
+		p99 := metrics.NearestRank(els, 99)
 		fmt.Printf("%-6d  %-4d  %-7d  %-6d  %-7d  %-9.1f  %-9.1f\n",
 			t, len(els), arb.Grants(t), arb.Denies(t), arb.Revokes(t),
 			mean.Seconds()*1e3, p99.Seconds()*1e3)

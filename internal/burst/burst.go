@@ -219,12 +219,16 @@ type Tier struct {
 // NewTier builds a burst tier on kernel k; writerF supplies the node-local
 // PFS client the drain writes through. Panics on an invalid config (a
 // configuration bug, like fault.NewInjector).
-func NewTier(k *sim.Kernel, cfg Config, writerF func(node int) Writer, c *obs.Collector) *Tier {
+func NewTier(k *sim.Kernel, cfg Config, writerF func(node int) Writer) *Tier {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Tier{k: k, cfg: cfg, obs: c, writerF: writerF, logs: make(map[int]*Log)}
+	return &Tier{k: k, cfg: cfg, writerF: writerF, logs: make(map[int]*Log)}
 }
+
+// SetObs attaches the collector that records the tier's burst.* instants.
+// Call before the kernel runs.
+func (t *Tier) SetObs(c *obs.Collector) { t.obs = c }
 
 // Config returns the tier's configuration.
 func (t *Tier) Config() Config { return t.cfg }

@@ -44,7 +44,7 @@ func (w *fakeWriter) Write(p *sim.Proc, name string, extents []ext.Extent, origi
 // so tests can place crashes at precise points of the drain timeline.
 func testTier(k *sim.Kernel, cfg Config) (*Tier, *fakeWriter) {
 	w := &fakeWriter{}
-	return NewTier(k, cfg, func(int) Writer { return w }, nil), w
+	return NewTier(k, cfg, func(int) Writer { return w }), w
 }
 
 var testCfg = Config{
@@ -264,7 +264,7 @@ func TestDrainerResumesAfterRecovery(t *testing.T) {
 func TestDrainErrorCarriesEpoch(t *testing.T) {
 	k := sim.NewKernel(1)
 	w := &fakeWriter{err: &pfs.RetryError{Op: "write", File: "f", Server: 2}}
-	tier := NewTier(k, testCfg, func(int) Writer { return w }, nil)
+	tier := NewTier(k, testCfg, func(int) Writer { return w })
 	var got error
 	k.Spawn("writer", func(p *sim.Proc) {
 		l := tier.Log(0)
@@ -313,7 +313,7 @@ func TestConfigValidate(t *testing.T) {
 				t.Error("NewTier accepted DrainBps=0")
 			}
 		}()
-		NewTier(sim.NewKernel(1), Config{CapacityBytes: 1, AbsorbBps: 1}, nil, nil)
+		NewTier(sim.NewKernel(1), Config{CapacityBytes: 1, AbsorbBps: 1}, nil)
 	}()
 }
 
@@ -418,7 +418,7 @@ func BenchmarkBurstAbsorb(b *testing.B) {
 	k := sim.NewKernel(1)
 	tier := NewTier(k, Config{
 		CapacityBytes: 1 << 50, AbsorbBps: 1 << 30, DrainBps: 1 << 30,
-	}, func(int) Writer { return nullWriter{} }, nil)
+	}, func(int) Writer { return nullWriter{} })
 	l := tier.Log(0)
 	exts := []ext.Extent{{Off: 0, Len: 4096}}
 	k.Spawn("bench", func(p *sim.Proc) {
@@ -443,7 +443,7 @@ func BenchmarkBurstDrain(b *testing.B) {
 	k := sim.NewKernel(1)
 	tier := NewTier(k, Config{
 		CapacityBytes: 1 << 30, AbsorbBps: 1 << 30, DrainBps: 1 << 30,
-	}, func(int) Writer { return nullWriter{} }, nil)
+	}, func(int) Writer { return nullWriter{} })
 	l := tier.Log(0)
 	exts := []ext.Extent{{Off: 0, Len: 4096}}
 	k.Spawn("bench", func(p *sim.Proc) {

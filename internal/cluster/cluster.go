@@ -26,19 +26,24 @@ import (
 // ComputeNodeBase is the first compute-node id.
 const ComputeNodeBase = 100
 
+// DisksPerRAID is the drive count of every data server's RAID0 (the
+// paper's two-drive RAID); the audit reproducer prints it.
+const DisksPerRAID = 2
+
+// raidChunkSect is the RAID0 chunk in sectors (64 KB).
+const raidChunkSect = 128
+
 // Config describes a cluster.
 type Config struct {
-	DataServers   int
-	ComputeNodes  int
-	DisksPerRAID  int
-	Disk          disk.Params
-	FS            fs.Config
-	Net           netsim.Config
-	PFS           pfs.Config
-	Seed          int64
-	TraceServers  bool                     // enable blktrace-style logs on all data servers
-	NewScheduler  func() iosched.Algorithm // per-server elevator; nil = CFQ
-	RAIDChunkSect int64                    // RAID0 chunk in sectors
+	DataServers  int
+	ComputeNodes int
+	Disk         disk.Params
+	FS           fs.Config
+	Net          netsim.Config
+	PFS          pfs.Config
+	Seed         int64
+	TraceServers bool                     // enable blktrace-style logs on all data servers
+	NewScheduler func() iosched.Algorithm // per-server elevator; nil = CFQ
 	// SSD replaces the rotating RAID with a flash device on every data
 	// server (forward-looking ablation: the paper's premise is seek-bound
 	// storage).
@@ -69,15 +74,13 @@ type Config struct {
 // server, CFQ, PVFS2 with 64 KB striping, Gigabit Ethernet, two-drive RAID.
 func DefaultConfig() Config {
 	return Config{
-		DataServers:   9,
-		ComputeNodes:  8,
-		DisksPerRAID:  2,
-		Disk:          disk.DefaultParams(),
-		FS:            fs.DefaultConfig(),
-		Net:           netsim.DefaultConfig(),
-		PFS:           pfs.DefaultConfig(),
-		Seed:          1,
-		RAIDChunkSect: 128, // 64 KB
+		DataServers:  9,
+		ComputeNodes: 8,
+		Disk:         disk.DefaultParams(),
+		FS:           fs.DefaultConfig(),
+		Net:          netsim.DefaultConfig(),
+		PFS:          pfs.DefaultConfig(),
+		Seed:         1,
 	}
 }
 
@@ -96,14 +99,14 @@ type Cluster struct {
 
 // New builds a cluster.
 func New(cfg Config) *Cluster {
-	if cfg.DataServers <= 0 || cfg.ComputeNodes <= 0 || cfg.DisksPerRAID <= 0 {
-		panic(fmt.Sprintf("cluster: bad shape %d/%d/%d", cfg.DataServers, cfg.ComputeNodes, cfg.DisksPerRAID))
+	if cfg.DataServers <= 0 || cfg.ComputeNodes <= 0 {
+		panic(fmt.Sprintf("cluster: bad shape %d/%d", cfg.DataServers, cfg.ComputeNodes))
 	}
 	k := sim.NewKernel(cfg.Seed)
 	net := netsim.New(k, cfg.Net)
 	var inj *fault.Injector
 	if cfg.Faults != nil {
-		inj = fault.NewInjector(k, cfg.Faults, cfg.Seed*31337+7, cfg.Obs)
+		inj = fault.NewInjector(k, cfg.Faults, cfg.Seed*31337+7)
 		net.SetFaults(inj)
 	}
 	newSched := cfg.NewScheduler
@@ -116,14 +119,12 @@ func New(cfg Config) *Cluster {
 		var dev disk.Device
 		if cfg.SSD != nil {
 			dev = disk.NewSSD(*cfg.SSD)
-		} else if cfg.DisksPerRAID == 1 {
-			dev = disk.New(cfg.Disk)
 		} else {
-			members := make([]*disk.Disk, cfg.DisksPerRAID)
+			members := make([]*disk.Disk, DisksPerRAID)
 			for m := range members {
 				members[m] = disk.New(cfg.Disk)
 			}
-			dev = disk.NewRAID0(members, cfg.RAIDChunkSect)
+			dev = disk.NewRAID0(members, raidChunkSect)
 		}
 		if inj != nil {
 			dev = fault.WrapDevice(dev, inj, i)
@@ -142,27 +143,19 @@ func New(cfg Config) *Cluster {
 		inj.BindServerNodes(nodes)
 		fsys.SetFaults(inj)
 	}
-	if cfg.Obs != nil {
-		net.SetObs(cfg.Obs)
-		fsys.SetObs(cfg.Obs)
-		for _, st := range stores {
-			st.SetObs(cfg.Obs)
-		}
-	}
 	var tier *burst.Tier
 	if cfg.Burst != nil {
 		tier = burst.NewTier(k, *cfg.Burst, func(node int) burst.Writer {
 			return fsys.Client(node)
-		}, cfg.Obs)
+		})
 	}
 	var arb *tenant.Arbiter
 	if cfg.Tenancy != nil {
 		arb = tenant.NewArbiter(*cfg.Tenancy, k.Now)
-		if cfg.Obs != nil {
-			arb.SetObs(cfg.Obs)
-		}
 	}
-	return &Cluster{K: k, Net: net, FS: fsys, Stores: stores, cfg: cfg, inj: inj, tier: tier, arb: arb}
+	c := &Cluster{K: k, Net: net, FS: fsys, Stores: stores, cfg: cfg, inj: inj, tier: tier, arb: arb}
+	c.EnableObs(cfg.Obs)
+	return c
 }
 
 // flusherOriginBase keeps server-flusher origins away from program origins.
@@ -228,10 +221,11 @@ func (c *Cluster) EnableAudit(a *check.Auditor) {
 // Obs returns the cluster-wide collector (nil when tracing is off).
 func (c *Cluster) Obs() *obs.Collector { return c.cfg.Obs }
 
-// EnableObs wires a collector into an already-built cluster: the network,
-// the PFS layer, and every store pick it up exactly as if it had been set in
-// the Config at construction. Call before any simulation runs; a nil
-// collector is a no-op.
+// EnableObs wires a collector into every layer the cluster owns: the
+// network, the PFS layer, every store, the fault injector, the burst tier
+// and the tenancy arbiter. New calls it with Config.Obs, so a collector
+// enabled later is wired exactly as one set at construction. Call before
+// any simulation runs; a nil collector is a no-op.
 func (c *Cluster) EnableObs(col *obs.Collector) {
 	if col == nil {
 		return
@@ -241,6 +235,12 @@ func (c *Cluster) EnableObs(col *obs.Collector) {
 	c.FS.SetObs(col)
 	for _, st := range c.Stores {
 		st.SetObs(col)
+	}
+	if c.inj != nil {
+		c.inj.SetObs(col)
+	}
+	if c.tier != nil {
+		c.tier.SetObs(col)
 	}
 	if c.arb != nil {
 		c.arb.SetObs(col)

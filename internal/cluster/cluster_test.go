@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"dualpar/internal/burst"
 	"dualpar/internal/ext"
+	"dualpar/internal/fault"
 	"dualpar/internal/iosched"
 	"dualpar/internal/obs"
 	"dualpar/internal/sim"
@@ -14,9 +16,6 @@ func TestDefaultShapeMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.DataServers != 9 {
 		t.Fatalf("data servers = %d, want 9", cfg.DataServers)
-	}
-	if cfg.DisksPerRAID != 2 {
-		t.Fatalf("disks per RAID = %d, want 2", cfg.DisksPerRAID)
 	}
 	if cfg.PFS.StripeUnit != 64<<10 {
 		t.Fatalf("stripe unit = %d, want 64K", cfg.PFS.StripeUnit)
@@ -36,6 +35,10 @@ func TestClusterAssembles(t *testing.T) {
 	}
 	if cl.MetaNode() != 0 {
 		t.Fatalf("meta node = %d", cl.MetaNode())
+	}
+	// Each data server is the paper's two-drive RAID0.
+	if got, want := cl.Stores[0].Device().Sectors(), 2*DefaultConfig().Disk.Sectors; got != want {
+		t.Fatalf("server device = %d sectors, want %d (two drives)", got, want)
 	}
 }
 
@@ -94,12 +97,37 @@ func TestTraceServersEnablesTraces(t *testing.T) {
 	}
 }
 
-func TestSingleDiskConfig(t *testing.T) {
+// A collector enabled after construction (the harness's -report path) must
+// reach the fault injector and the burst tier, not only the layers that
+// take one through SetObs at New.
+func TestEnableObsReachesFaultsAndBurst(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DataServers = 1
-	cfg.DisksPerRAID = 1
+	cfg.DataServers = 2
+	sch, err := fault.Parse("crash:client0@5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = sch
+	bc := burst.DefaultConfig()
+	cfg.Burst = &bc
 	cl := New(cfg)
-	if cl.Stores[0].Device().Sectors() != cfg.Disk.Sectors {
-		t.Fatalf("single-disk capacity mismatch")
+	col := obs.NewCollector()
+	cl.EnableObs(col)
+	client := cl.FS.Client(ComputeNodeBase)
+	cl.K.Spawn("writer", func(p *sim.Proc) {
+		client.Create(p, "f", 1<<20)
+		l := cl.Burst().Log(ComputeNodeBase)
+		l.Append(p, 0, 1, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
+		l.Seal(p, 0, 1)
+	})
+	cl.K.RunUntil(time.Second)
+	seen := map[string]bool{}
+	for _, in := range col.Instants() {
+		seen[in.Name] = true
+	}
+	for _, name := range []string{"fault.begin", "burst.seal"} {
+		if !seen[name] {
+			t.Errorf("no %s instant after EnableObs (saw %v)", name, seen)
+		}
 	}
 }

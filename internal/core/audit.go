@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dualpar/internal/check"
+	"dualpar/internal/cluster"
 )
 
 // newRunAuditor builds a run's auditor and wires it through every layer:
@@ -22,7 +23,7 @@ func newRunAuditor(r *Runner) *check.Auditor {
 	}
 	ccfg := cl.Config()
 	desc := fmt.Sprintf("%d servers x %d disks, %d compute nodes, seed %d",
-		ccfg.DataServers, ccfg.DisksPerRAID, ccfg.ComputeNodes, ccfg.Seed)
+		ccfg.DataServers, cluster.DisksPerRAID, ccfg.ComputeNodes, ccfg.Seed)
 	a := check.New(ccfg.Seed, desc)
 	a.SetClock(cl.K.Now)
 	if o := cl.Obs(); o != nil {

@@ -33,6 +33,27 @@ import (
 	"dualpar/internal/memcache"
 )
 
+// The paper's prototype fixes these; no run varies them.
+const (
+	// ioRatioThreshold is the minimum I/O intensity for data-driven mode
+	// (0.8, §IV-B).
+	ioRatioThreshold = 0.8
+	// minFillWait/maxFillWait clamp the expected-time-to-fill deadline that
+	// stops lagging pre-executions (§IV-C).
+	minFillWait = 20 * time.Millisecond
+	maxFillWait = 2 * time.Second
+	// joinGrace is how long a cycle keeps waiting for more ranks to join
+	// after every current participant's ghost has paused; it lets
+	// lockstepped ranks batch together without letting one straggler stall
+	// the cycle until the fill deadline.
+	joinGrace = 10 * time.Millisecond
+	// misCyclesToDisable is PEC's fast path: after this many consecutive
+	// cycles whose mis-prefetch ratio exceeds MisPrefetchThreshold, the
+	// data-driven mode is turned off immediately (EMC's slot-based check
+	// remains the general mechanism).
+	misCyclesToDisable = 3
+)
+
 // Config carries DualPar's tunables; defaults follow the paper's prototype.
 type Config struct {
 	// CacheQuotaBytes is each process's share of the global cache (1 MB
@@ -46,9 +67,6 @@ type Config struct {
 	// that wide gap behaves identically (see the T-sensitivity ablation
 	// bench).
 	TImprovement float64
-	// IORatioThreshold is the minimum I/O intensity for data-driven mode
-	// (0.8, §IV-B).
-	IORatioThreshold float64
 	// MisPrefetchThreshold disables data-driven mode when the mean
 	// mis-prefetch ratio exceeds it (0.2, §IV-C).
 	MisPrefetchThreshold float64
@@ -57,20 +75,6 @@ type Config struct {
 	HoleBytes int64
 	// SlotEvery is EMC's sampling slot.
 	SlotEvery time.Duration
-	// MinFillWait/MaxFillWait clamp the expected-time-to-fill deadline that
-	// stops lagging pre-executions (§IV-C).
-	MinFillWait time.Duration
-	MaxFillWait time.Duration
-	// JoinGrace is how long a cycle keeps waiting for more ranks to join
-	// after every current participant's ghost has paused; it lets
-	// lockstepped ranks batch together without letting one straggler stall
-	// the cycle until the fill deadline.
-	JoinGrace time.Duration
-	// MisCyclesToDisable is PEC's fast path: after this many consecutive
-	// cycles whose mis-prefetch ratio exceeds MisPrefetchThreshold, the
-	// data-driven mode is turned off immediately (EMC's slot-based check
-	// remains the general mechanism).
-	MisCyclesToDisable int
 	// PipelineDepth extends data-driven cycles beyond the paper (an
 	// extension, off at the default of 1): ghosts record up to
 	// PipelineDepth x quota; the first quota's worth is served before the
@@ -115,14 +119,9 @@ func DefaultConfig() Config {
 	return Config{
 		CacheQuotaBytes:      1 << 20,
 		TImprovement:         8,
-		IORatioThreshold:     0.8,
 		MisPrefetchThreshold: 0.2,
 		HoleBytes:            64 << 10,
 		SlotEvery:            time.Second,
-		MinFillWait:          20 * time.Millisecond,
-		MaxFillWait:          2 * time.Second,
-		JoinGrace:            10 * time.Millisecond,
-		MisCyclesToDisable:   3,
 		PipelineDepth:        1,
 		Strategy2WindowBytes: 512 << 10,
 		Memcache:             memcache.DefaultConfig(),
@@ -150,20 +149,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: CacheQuotaBytes %d", c.CacheQuotaBytes)
 	case c.TImprovement <= 0:
 		return fmt.Errorf("core: TImprovement %g", c.TImprovement)
-	case c.IORatioThreshold <= 0 || c.IORatioThreshold > 1:
-		return fmt.Errorf("core: IORatioThreshold %g", c.IORatioThreshold)
 	case c.MisPrefetchThreshold <= 0 || c.MisPrefetchThreshold > 1:
 		return fmt.Errorf("core: MisPrefetchThreshold %g", c.MisPrefetchThreshold)
 	case c.HoleBytes < 0:
 		return fmt.Errorf("core: HoleBytes %d", c.HoleBytes)
 	case c.SlotEvery <= 0:
 		return fmt.Errorf("core: SlotEvery %v", c.SlotEvery)
-	case c.MinFillWait <= 0 || c.MaxFillWait < c.MinFillWait:
-		return fmt.Errorf("core: fill wait range [%v,%v]", c.MinFillWait, c.MaxFillWait)
-	case c.JoinGrace < 0:
-		return fmt.Errorf("core: JoinGrace %v", c.JoinGrace)
-	case c.MisCyclesToDisable <= 0:
-		return fmt.Errorf("core: MisCyclesToDisable %d", c.MisCyclesToDisable)
 	case c.PipelineDepth <= 0:
 		return fmt.Errorf("core: PipelineDepth %d", c.PipelineDepth)
 	case c.Strategy2WindowBytes <= 0:

@@ -352,11 +352,9 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.CacheQuotaBytes = -1 },
 		func(c *Config) { c.TImprovement = 0 },
-		func(c *Config) { c.IORatioThreshold = 0 },
 		func(c *Config) { c.MisPrefetchThreshold = 2 },
 		func(c *Config) { c.HoleBytes = -1 },
 		func(c *Config) { c.SlotEvery = 0 },
-		func(c *Config) { c.MaxFillWait = c.MinFillWait - 1 },
 		func(c *Config) { c.Strategy2WindowBytes = 0 },
 	}
 	for i, m := range bad {

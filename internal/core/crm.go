@@ -241,16 +241,15 @@ func (pr *ProgramRun) clipToFile(file string, extents []ext.Extent) []ext.Extent
 }
 
 // checkMisPrefetchFastPath is PEC's immediate guard: once the last
-// MisCyclesToDisable cycles were all above the mis-prefetch threshold, the
+// misCyclesToDisable cycles were all above the mis-prefetch threshold, the
 // data-driven mode is disabled on the spot, bounding the wasted prefetching
 // to a few cycles (the paper's "one-time overhead", §V-F).
 func (pr *ProgramRun) checkMisPrefetchFastPath() {
 	cfg := pr.r.cfg
-	n := cfg.MisCyclesToDisable
-	if pr.disabled || len(pr.misSamples) < n {
+	if pr.disabled || len(pr.misSamples) < misCyclesToDisable {
 		return
 	}
-	for _, s := range pr.misSamples[len(pr.misSamples)-n:] {
+	for _, s := range pr.misSamples[len(pr.misSamples)-misCyclesToDisable:] {
 		if s <= cfg.MisPrefetchThreshold {
 			return
 		}

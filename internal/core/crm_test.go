@@ -47,7 +47,7 @@ func TestWriteHeavyCyclesTripFastPath(t *testing.T) {
 	r := NewRunner(cl, cfg)
 	pr := r.Add(smallMPIIOTest(true), ModeDataDriven, AddOptions{RanksPerNode: 4})
 	cl.K.Spawn("test", func(p *sim.Proc) {
-		for i := 0; i < cfg.MisCyclesToDisable; i++ {
+		for i := 0; i < misCyclesToDisable; i++ {
 			pr.prefetchedCycle = 1 << 20
 			pr.consumedCycle = 0
 			pr.crmServe(p, &fileExtents{})
@@ -56,7 +56,7 @@ func TestWriteHeavyCyclesTripFastPath(t *testing.T) {
 	cl.K.RunUntil(time.Minute)
 	if !pr.disabled {
 		t.Fatalf("%d all-waste writeback-only cycles did not disable data-driven mode",
-			cfg.MisCyclesToDisable)
+			misCyclesToDisable)
 	}
 	if pr.dataDriven {
 		t.Fatal("data-driven mode still on after fast-path disable")

@@ -88,11 +88,11 @@ func (c *controller) armDeadline() {
 		bps = 1e6
 	}
 	wait := time.Duration(float64(cfg.CacheQuotaBytes) / bps * float64(time.Second))
-	if wait < cfg.MinFillWait {
-		wait = cfg.MinFillWait
+	if wait < minFillWait {
+		wait = minFillWait
 	}
-	if wait > cfg.MaxFillWait {
-		wait = cfg.MaxFillWait
+	if wait > maxFillWait {
+		wait = maxFillWait
 	}
 	gen := c.gen
 	c.pr.r.cl.K.After(wait, func() {
@@ -250,8 +250,7 @@ func (c *controller) maybeServe() {
 	}
 	if c.ghostsActive == 0 && c.participants > 0 {
 		gen, count := c.gen, c.participants
-		grace := c.pr.r.cfg.JoinGrace
-		c.pr.r.cl.K.After(grace, func() {
+		c.pr.r.cl.K.After(joinGrace, func() {
 			if c.state == ctrlFilling && c.gen == gen && c.participants == count && c.ghostsActive == 0 {
 				c.serve()
 			}

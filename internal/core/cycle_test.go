@@ -58,20 +58,19 @@ type extAlias = ext.Extent
 type ext64 = extAlias
 
 func TestFillDeadlineUnblocksLoneRank(t *testing.T) {
-	// Rank 0 misses at t=0; ranks 1..3 compute for a second. The cycle
-	// must serve rank 0 at the fill deadline, far before the others join.
+	// Rank 0 misses at t=0; ranks 1..3 compute for five times the longest
+	// fill deadline. The cycle must serve rank 0 at the deadline, far
+	// before the others join.
 	cl := smallCluster(1)
-	cfg := DefaultConfig()
-	cfg.MinFillWait = 30 * time.Millisecond
-	cfg.MaxFillWait = 100 * time.Millisecond
-	r := NewRunner(cl, cfg)
-	pr := r.Add(stagger{procs: 4, delay: time.Second}, ModeDataDriven, AddOptions{RanksPerNode: 4})
+	r := NewRunner(cl, DefaultConfig())
+	delay := 5 * maxFillWait
+	pr := r.Add(stagger{procs: 4, delay: delay}, ModeDataDriven, AddOptions{RanksPerNode: 4})
 	if !r.Run(time.Hour) {
 		t.Fatalf("did not finish")
 	}
-	// Rank 0 performed its 4 reads long before the 1s compute of the rest
-	// finished: its I/O time must be well under a second.
-	if io := pr.Instr().Ranks[0].IOTime; io > 600*time.Millisecond {
+	// Rank 0 performed its 4 reads long before the rest finished
+	// computing: its I/O time must be well under their delay.
+	if io := pr.Instr().Ranks[0].IOTime; io > delay/2 {
 		t.Fatalf("rank 0 I/O time %v: the fill deadline did not fire", io)
 	}
 	if pr.ctrl.Cycles() == 0 {

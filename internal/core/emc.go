@@ -19,7 +19,7 @@ import (
 //     best order a data-driven execution could achieve,
 //
 // and switches a program into data-driven mode when its I/O ratio exceeds
-// IORatioThreshold and aveSeekDist/aveReqDist exceeds T_improvement. It
+// ioRatioThreshold and aveSeekDist/aveReqDist exceeds T_improvement. It
 // reverts when the program stops being I/O bound and disables data-driven
 // mode for good when the mean mis-prefetch ratio exceeds the threshold.
 type emc struct {
@@ -269,7 +269,7 @@ func (e *emc) applyDecision(pr *ProgramRun, active bool, ioRatio, improvement, m
 	cfg := e.r.cfg
 	st := &pr.emc
 	switch {
-	case nMis >= cfg.MisCyclesToDisable && mis > cfg.MisPrefetchThreshold:
+	case nMis >= misCyclesToDisable && mis > cfg.MisPrefetchThreshold:
 		// Too much wasted prefetching: turn data-driven off for
 		// good (§IV-C) — a one-time cost for the program. This
 		// guard applies even when data-driven mode was forced. A
@@ -287,7 +287,7 @@ func (e *emc) applyDecision(pr *ProgramRun, active bool, ioRatio, improvement, m
 		}
 	case !active:
 		// No evidence either way: leave the hysteresis counters alone.
-	case !pr.dataDriven && ioRatio > cfg.IORatioThreshold && improvement > cfg.TImprovement:
+	case !pr.dataDriven && ioRatio > ioRatioThreshold && improvement > cfg.TImprovement:
 		// Two consecutive qualifying slots are required: the first
 		// slot of a run carries the one-time seek into the file
 		// region and must not trip the mode.
@@ -303,7 +303,7 @@ func (e *emc) applyDecision(pr *ProgramRun, active bool, ioRatio, improvement, m
 			}
 		}
 		st.lowSlots = 0
-	case pr.dataDriven && ioRatio < cfg.IORatioThreshold/2:
+	case pr.dataDriven && ioRatio < ioRatioThreshold/2:
 		// The program stopped being I/O bound. Two consecutive low
 		// slots are required before reverting (hysteresis against
 		// flapping); the seek-distance condition is not re-checked

@@ -32,7 +32,7 @@ func TestDeviceConformance(t *testing.T) {
 		{name: "fault", make: func(k *sim.Kernel) disk.Device {
 			inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 				{Kind: fault.DiskSlow, Target: 2, Factor: 3},
-			}}, 1, nil)
+			}}, 1)
 			return fault.WrapDevice(disk.New(p), inj, 2)
 		}, slow: 3},
 	}

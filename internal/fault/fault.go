@@ -186,11 +186,11 @@ type Injector struct {
 // invalid schedule (a configuration bug). An empty schedule adds no kernel
 // events and the injector never draws randomness, keeping the run
 // byte-identical to one without the fault layer.
-func NewInjector(k *sim.Kernel, sch *Schedule, seed int64, c *obs.Collector) *Injector {
+func NewInjector(k *sim.Kernel, sch *Schedule, seed int64) *Injector {
 	if err := sch.Validate(); err != nil {
 		panic(err)
 	}
-	inj := &Injector{obs: c}
+	inj := &Injector{}
 	if sch.Empty() {
 		return inj
 	}
@@ -223,6 +223,10 @@ func NewInjector(k *sim.Kernel, sch *Schedule, seed int64, c *obs.Collector) *In
 	}
 	return inj
 }
+
+// SetObs attaches the collector that records the schedule's fault.begin and
+// fault.end instants. Call before the kernel runs.
+func (inj *Injector) SetObs(c *obs.Collector) { inj.obs = c }
 
 // OnServerState registers a listener for data-server crash (up=false) and
 // recovery (up=true) transitions. Listeners run at the window boundary in

@@ -123,7 +123,7 @@ func TestCrashedQueries(t *testing.T) {
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1, Start: 5 * time.Second, End: 10 * time.Second},
 		{Kind: ServerCrash, Target: 2, Start: 3 * time.Second}, // permanent
-	}}, 7, nil)
+	}}, 7)
 	if inj.Crashed(1, 4*time.Second) {
 		t.Error("server 1 crashed before its window")
 	}
@@ -159,7 +159,7 @@ func TestCrashedQueries(t *testing.T) {
 	}
 	healthy := NewInjector(sim.NewKernel(1), &Schedule{Windows: []Window{
 		{Kind: DiskSlow, Target: 1, Factor: 2},
-	}}, 7, nil)
+	}}, 7)
 	if healthy.HasCrashWindows() {
 		t.Error("HasCrashWindows true without crash windows")
 	}
@@ -170,7 +170,7 @@ func TestServerStateNotifications(t *testing.T) {
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1, Start: 5 * time.Second, End: 10 * time.Second},
 		{Kind: ServerCrash, Target: 2, Start: 3 * time.Second},
-	}}, 7, nil)
+	}}, 7)
 	type ev struct {
 		server int
 		up     bool
@@ -201,7 +201,7 @@ func TestClientCrashNotifications(t *testing.T) {
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ClientCrash, Target: 3, Start: 5 * time.Second},
 		{Kind: ClientCrash, Target: 1, Start: 2 * time.Second},
-	}}, 7, nil)
+	}}, 7)
 	if !inj.HasClientCrashWindows() {
 		t.Error("HasClientCrashWindows false with client-crash windows present")
 	}
@@ -233,7 +233,7 @@ func TestClientCrashNotifications(t *testing.T) {
 	}
 	server := NewInjector(sim.NewKernel(1), &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1, Start: time.Second},
-	}}, 7, nil)
+	}}, 7)
 	if server.HasClientCrashWindows() {
 		t.Error("HasClientCrashWindows true with only server crashes")
 	}
@@ -251,7 +251,7 @@ func TestRecoveryNotSignaledWhileStillCrashed(t *testing.T) {
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1, Start: 2 * time.Second, End: 6 * time.Second},
 		{Kind: ServerCrash, Target: 1, Start: 4 * time.Second, End: 9 * time.Second},
-	}}, 7, nil)
+	}}, 7)
 	var ups []time.Duration
 	inj.OnServerState(func(server int, up bool, at time.Duration) {
 		if up {
@@ -268,7 +268,7 @@ func TestNodeCrashed(t *testing.T) {
 	k := sim.NewKernel(1)
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1, Start: 5 * time.Second},
-	}}, 7, nil)
+	}}, 7)
 	inj.BindServerNodes([]int{10, 11, 12})
 	if inj.NodeCrashed(11, 4*time.Second) {
 		t.Error("node crashed before the window")
@@ -281,7 +281,7 @@ func TestNodeCrashed(t *testing.T) {
 	}
 	unbound := NewInjector(sim.NewKernel(1), &Schedule{Windows: []Window{
 		{Kind: ServerCrash, Target: 1},
-	}}, 7, nil)
+	}}, 7)
 	if unbound.NodeCrashed(11, time.Second) {
 		t.Error("unbound injector reported a crashed node")
 	}
@@ -312,7 +312,7 @@ func TestFactorsMultiplyAndTarget(t *testing.T) {
 		{Kind: DiskSlow, Target: 1, Factor: 10},
 		{Kind: DiskSlow, Target: 1, Factor: 2, Start: 0, End: 5 * time.Second},
 		{Kind: ServerSlow, Target: 1, Factor: 3},
-	}}, 7, nil)
+	}}, 7)
 	if f := inj.DiskFactor(1, time.Second); f != 20 {
 		t.Errorf("overlapping DiskFactor = %g, want 20", f)
 	}
@@ -334,7 +334,7 @@ func TestLinkFactorEitherEndpoint(t *testing.T) {
 	k := sim.NewKernel(1)
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: LinkSlow, Target: 3, Factor: 4},
-	}}, 7, nil)
+	}}, 7)
 	if f := inj.LinkFactor(3, 100, 0); f != 4 {
 		t.Errorf("LinkFactor(from=target) = %g, want 4", f)
 	}
@@ -351,7 +351,7 @@ func TestStallUntil(t *testing.T) {
 	inj := NewInjector(k, &Schedule{Windows: []Window{
 		{Kind: ServerStall, Target: 2, Start: time.Second, End: 2 * time.Second},
 		{Kind: ServerStall, Target: 2, Start: time.Second, End: 3 * time.Second},
-	}}, 7, nil)
+	}}, 7)
 	if u := inj.StallUntil(2, 1500*time.Millisecond); u != 3*time.Second {
 		t.Errorf("StallUntil = %v, want 3s (latest overlapping end)", u)
 	}
@@ -368,7 +368,7 @@ func TestDropDeterministicPerSeed(t *testing.T) {
 		{Kind: LinkDrop, Target: 5, Prob: 0.5, End: time.Minute},
 	}}
 	draw := func(seed int64) []bool {
-		inj := NewInjector(sim.NewKernel(1), sch, seed, nil)
+		inj := NewInjector(sim.NewKernel(1), sch, seed)
 		out := make([]bool, 64)
 		for i := range out {
 			out[i] = inj.Drop(5, 100, time.Duration(i)*time.Second/100)
@@ -389,7 +389,7 @@ func TestDropDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("p=0.5 produced %d/%d drops", dropped, len(a))
 	}
 	// Outside the window no randomness is drawn and nothing drops.
-	inj := NewInjector(sim.NewKernel(1), sch, 42, nil)
+	inj := NewInjector(sim.NewKernel(1), sch, 42)
 	if inj.Drop(5, 100, 2*time.Minute) {
 		t.Error("drop outside the window")
 	}
@@ -431,7 +431,7 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 
 func TestEmptyScheduleAddsNoEvents(t *testing.T) {
 	k := sim.NewKernel(1)
-	inj := NewInjector(k, &Schedule{}, 42, nil)
+	inj := NewInjector(k, &Schedule{}, 42)
 	if k.Pending() != 0 {
 		t.Fatalf("empty schedule left %d kernel events pending", k.Pending())
 	}
@@ -451,5 +451,5 @@ func TestInvalidSchedulePanics(t *testing.T) {
 	}()
 	NewInjector(sim.NewKernel(1), &Schedule{Windows: []Window{
 		{Kind: DiskSlow, Target: 0, Factor: 0.5},
-	}}, 1, nil)
+	}}, 1)
 }

@@ -193,7 +193,7 @@ func (c *pageCache) insertDirty(p *sim.Proc, f *cacheFile, idx int64) {
 			c.clean.remove(pg)
 			pg.dirty = true
 			c.dirty.pushBack(pg)
-			c.dirtyBytes += int64(c.cfg.PageSize)
+			c.dirtyBytes += pageSize
 		}
 		return
 	}
@@ -202,13 +202,13 @@ func (c *pageCache) insertDirty(p *sim.Proc, f *cacheFile, idx int64) {
 	pg.dirty = true
 	c.dirty.pushBack(pg)
 	c.set(f, idx, pg)
-	c.dirtyBytes += int64(c.cfg.PageSize)
+	c.dirtyBytes += pageSize
 }
 
 // makeRoom evicts clean LRU pages until one more page fits; if everything
 // is dirty it kicks the flusher and waits.
 func (c *pageCache) makeRoom(p *sim.Proc) {
-	capPages := c.cfg.CacheBytes / int64(c.cfg.PageSize)
+	capPages := c.cfg.CacheBytes / pageSize
 	for c.resident >= capPages {
 		if c.clean.Len() > 0 {
 			victim := c.clean.head
@@ -235,5 +235,5 @@ func (c *pageCache) markClean(pg *cachePage) {
 	c.dirty.remove(pg)
 	pg.dirty = false
 	c.clean.pushBack(pg)
-	c.dirtyBytes -= int64(c.cfg.PageSize)
+	c.dirtyBytes -= pageSize
 }

@@ -22,7 +22,6 @@ type pageKey struct {
 // go). It never blocks; callers check wouldBlock first.
 type mapCache struct {
 	capPages   int
-	pageSize   int64
 	resident   map[pageKey]bool // page → dirty
 	clean      []pageKey
 	dirty      []pageKey
@@ -31,8 +30,7 @@ type mapCache struct {
 
 func newMapCache(cfg Config) *mapCache {
 	return &mapCache{
-		capPages: int(cfg.CacheBytes / int64(cfg.PageSize)),
-		pageSize: int64(cfg.PageSize),
+		capPages: int(cfg.CacheBytes / pageSize),
 		resident: make(map[pageKey]bool),
 	}
 }
@@ -79,14 +77,14 @@ func (m *mapCache) insertDirty(k pageKey) {
 			m.clean = removeKey(m.clean, k)
 			m.resident[k] = true
 			m.dirty = append(m.dirty, k)
-			m.dirtyBytes += m.pageSize
+			m.dirtyBytes += pageSize
 		}
 		return
 	}
 	m.makeRoom()
 	m.resident[k] = true
 	m.dirty = append(m.dirty, k)
-	m.dirtyBytes += m.pageSize
+	m.dirtyBytes += pageSize
 }
 
 func (m *mapCache) markClean(k pageKey) {
@@ -96,7 +94,7 @@ func (m *mapCache) markClean(k pageKey) {
 	m.dirty = removeKey(m.dirty, k)
 	m.resident[k] = false
 	m.clean = append(m.clean, k)
-	m.dirtyBytes -= m.pageSize
+	m.dirtyBytes -= pageSize
 }
 
 // listKeys walks one of the cache's intrusive lists front to back, checking
@@ -169,7 +167,7 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			k := sim.NewKernel(1)
 			cfg := DefaultConfig()
-			cfg.CacheBytes = 6 * int64(cfg.PageSize) // eviction on nearly every miss
+			cfg.CacheBytes = 6 * pageSize // eviction on nearly every miss
 			cfg.DirtyLimitBytes = cfg.CacheBytes
 			c := newPageCache(k, cfg)
 			m := newMapCache(cfg)
@@ -241,7 +239,7 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 func TestPageCacheRacingInsertCountsOnce(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
-	cfg.CacheBytes = 2 * int64(cfg.PageSize)
+	cfg.CacheBytes = 2 * pageSize
 	cfg.DirtyLimitBytes = cfg.CacheBytes
 	c := newPageCache(k, cfg)
 	a, b := c.file("a"), c.file("b")
@@ -281,7 +279,7 @@ func BenchmarkPageCache(b *testing.B) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
 	c := newPageCache(k, cfg)
-	span := 2 * cfg.CacheBytes / int64(cfg.PageSize) // pages per file: 4 files stream through 8x the cache
+	span := 2 * cfg.CacheBytes / pageSize // pages per file: 4 files stream through 8x the cache
 	var files [4]*cacheFile
 	for i := range files {
 		files[i] = c.file(fmt.Sprintf("bench%d.dat", i))

@@ -29,11 +29,10 @@ type bptFile struct {
 }
 
 func newBPTreeEngine(cfg Config) *bptreeEngine {
-	ps := int64(cfg.PageSize)
 	unit := cfg.AllocUnitBytes / 128
-	unit = (unit + ps - 1) / ps * ps
-	if unit < ps {
-		unit = ps
+	unit = (unit + pageSize - 1) / pageSize * pageSize
+	if unit < pageSize {
+		unit = pageSize
 	}
 	// The gap must exceed the disk's streamed forward-skip window (256 KB
 	// on the default geometry) or sequential scans would glide over it.
@@ -56,7 +55,7 @@ func (e *bptreeEngine) file(name string) *bptFile {
 	if f == nil {
 		f = &bptFile{name: name, tree: newBptree()}
 		e.files[name] = f
-		e.nexts += e.cfg.FileGapBytes / int64(sectorSize)
+		e.nexts += fileGapBytes / int64(sectorSize)
 	}
 	return f
 }

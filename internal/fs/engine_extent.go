@@ -5,7 +5,7 @@ import "fmt"
 // extentEngine is the contiguous-extent allocator carved out of the
 // original Store: a growing file claims AllocUnitBytes of contiguous LBN
 // space at a time from a single upward cursor, adjacent allocations merge,
-// and a FileGapBytes hole separates different files' regions. Reads and
+// and a fileGapBytes hole separates different files' regions. Reads and
 // writes resolve through a flat per-file extent slice; writes are update
 // in place. Behavior is bit-for-bit the pre-engine Store's (pinned by the
 // baseline-guard goldens).
@@ -44,7 +44,7 @@ func (e *extentEngine) file(name string) *fileMeta {
 		f = &fileMeta{name: name}
 		e.files[name] = f
 		// Leave a gap before a new file's region.
-		e.nexts += e.cfg.FileGapBytes / int64(sectorSize)
+		e.nexts += fileGapBytes / int64(sectorSize)
 	}
 	return f
 }

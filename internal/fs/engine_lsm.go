@@ -77,12 +77,11 @@ const (
 )
 
 func newLSMEngine(cfg Config) *lsmEngine {
-	ps := int64(cfg.PageSize)
 	return &lsmEngine{
 		cfg:        cfg,
 		inner:      newExtentEngine(cfg),
 		files:      make(map[string]*lsmFile),
-		segBytes:   (lsmSegmentBytes + ps - 1) / ps * ps,
+		segBytes:   (lsmSegmentBytes + pageSize - 1) / pageSize * pageSize,
 		compactBps: lsmCompactBps,
 	}
 }
@@ -115,10 +114,9 @@ func (e *lsmEngine) AllocatedSize(file string) int64 {
 // locations into runs.
 func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 	f := e.file(file)
-	ps := int64(e.cfg.PageSize)
 	end := off + n
-	for pg := off / ps; pg*ps < end; pg++ {
-		lo, hi := pg*ps, (pg+1)*ps
+	for pg := off / pageSize; pg*pageSize < end; pg++ {
+		lo, hi := pg*pageSize, (pg+1)*pageSize
 		if lo < off {
 			lo = off
 		}
@@ -127,7 +125,7 @@ func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 		}
 		var lbn int64
 		if loc, ok := f.remap[pg]; ok {
-			lbn = loc.lbn + (lo-pg*ps)/sectorSize
+			lbn = loc.lbn + (lo-pg*pageSize)/sectorSize
 		} else {
 			x, ok := e.inner.locate(file, lo)
 			if !ok {
@@ -146,18 +144,17 @@ func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 // as a block-based log-structured store would.
 func (e *lsmEngine) WriteRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 	f := e.file(file)
-	ps := int64(e.cfg.PageSize)
-	for pg := off / ps; pg <= (off+n-1)/ps; pg++ {
+	for pg := off / pageSize; pg <= (off+n-1)/pageSize; pg++ {
 		seg, lbn := e.appendPage()
 		if old, ok := f.remap[pg]; ok {
-			old.seg.live -= ps
-			e.live -= ps
+			old.seg.live -= pageSize
+			e.live -= pageSize
 		}
 		f.remap[pg] = lsmLoc{seg: seg, lbn: lbn}
-		seg.live += ps
-		e.live += ps
-		e.absorbed += ps
-		out = appendMergedRun(out, lbnRun{lbn: lbn, bytes: ps})
+		seg.live += pageSize
+		e.live += pageSize
+		e.absorbed += pageSize
+		out = appendMergedRun(out, lbnRun{lbn: lbn, bytes: pageSize})
 	}
 	if e.kick != nil && e.pickVictim() != nil {
 		e.kick.Broadcast()
@@ -168,8 +165,7 @@ func (e *lsmEngine) WriteRuns(out []lbnRun, file string, off, n int64) []lbnRun 
 // appendPage reserves one page at the log head, rolling to a fresh segment
 // (recycled when available, newly carved otherwise) when the head fills.
 func (e *lsmEngine) appendPage() (*lsmSegment, int64) {
-	ps := int64(e.cfg.PageSize)
-	if e.cur == nil || e.cur.used+ps > e.segBytes {
+	if e.cur == nil || e.cur.used+pageSize > e.segBytes {
 		if e.cur != nil {
 			e.cur.sealed = true
 		}
@@ -185,7 +181,7 @@ func (e *lsmEngine) appendPage() (*lsmSegment, int64) {
 		e.segs = append(e.segs, e.cur)
 	}
 	lbn := e.cur.base + e.cur.used/sectorSize
-	e.cur.used += ps
+	e.cur.used += pageSize
 	return e.cur, lbn
 }
 
@@ -228,8 +224,6 @@ func (e *lsmEngine) compactLoop(p *sim.Proc) {
 // through the store's dispatcher (visible to the elevator, the disk stats,
 // and the audit ledgers) and is throttled to compactBps.
 func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
-	ps := int64(e.cfg.PageSize)
-
 	// Collect the victim's live pages in a deterministic order (map walk
 	// order must never leak into the simulation timeline).
 	type liveEntry struct {
@@ -265,7 +259,7 @@ func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
 		sort.Slice(byLBN, func(i, j int) bool { return byLBN[i].lbn < byLBN[j].lbn })
 		var reads []lbnRun
 		for _, le := range byLBN {
-			reads = appendMergedRun(reads, lbnRun{lbn: le.lbn, bytes: ps})
+			reads = appendMergedRun(reads, lbnRun{lbn: le.lbn, bytes: pageSize})
 		}
 		e.io.engineSubmit(p, reads, false)
 
@@ -274,13 +268,13 @@ func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
 		for _, le := range byLBN {
 			seg, lbn := e.appendPage()
 			le.f.remap[le.pg] = lsmLoc{seg: seg, lbn: lbn}
-			seg.live += ps
-			v.live -= ps
-			e.compacted += ps
-			writes = appendMergedRun(writes, lbnRun{lbn: lbn, bytes: ps})
+			seg.live += pageSize
+			v.live -= pageSize
+			e.compacted += pageSize
+			writes = appendMergedRun(writes, lbnRun{lbn: lbn, bytes: pageSize})
 		}
 		e.io.engineSubmit(p, writes, true)
-		moved = 2 * ps * int64(len(entries))
+		moved = 2 * pageSize * int64(len(entries))
 	}
 
 	// Recycle the segment: its remaining bytes are all garbage now.
@@ -311,7 +305,6 @@ func (e *lsmEngine) compactOne(p *sim.Proc, v *lsmSegment) {
 // CheckInvariants is the byte-conservation oracle: the ledger must balance
 // against a full recount of the page map and the segment list.
 func (e *lsmEngine) CheckInvariants() error {
-	ps := int64(e.cfg.PageSize)
 	// Recount live bytes per segment from the page map.
 	liveBySeg := make(map[*lsmSegment]int64)
 	var totalLive int64
@@ -324,8 +317,8 @@ func (e *lsmEngine) CheckInvariants() error {
 				return fmt.Errorf("lsm engine: file %s page %d at LBN %d outside its segment [%d,%d)",
 					name, pg, loc.lbn, loc.seg.base, loc.seg.base+loc.seg.used/sectorSize)
 			}
-			liveBySeg[loc.seg] += ps
-			totalLive += ps
+			liveBySeg[loc.seg] += pageSize
+			totalLive += pageSize
 		}
 	}
 	if totalLive != e.live {

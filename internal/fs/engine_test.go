@@ -88,7 +88,7 @@ func TestEngineConformanceEvictionBounded(t *testing.T) {
 			s.Read(p, "a", 0, 8<<20, 1)
 		})
 		k.RunUntil(time.Minute)
-		if got := s.cache.resident * int64(cfg.PageSize); got > cfg.CacheBytes {
+		if got := s.cache.resident * pageSize; got > cfg.CacheBytes {
 			t.Fatalf("resident = %d bytes, cache bound %d", got, cfg.CacheBytes)
 		}
 		if err := s.Engine().CheckInvariants(); err != nil {
@@ -306,7 +306,7 @@ func TestMakeRoomManyDirtiersTinyCache(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, cfg)
 	s.Create("a", 1<<20)
-	capPages := cfg.CacheBytes / int64(cfg.PageSize)
+	capPages := cfg.CacheBytes / pageSize
 	done := 0
 	const writers, pagesEach = 8, 32
 	for w := 0; w < writers; w++ {

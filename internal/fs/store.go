@@ -23,10 +23,19 @@ import (
 	"dualpar/internal/sim"
 )
 
+// The paper's data servers; no run varies these.
+const (
+	// pageSize is the kernel page size in bytes.
+	pageSize int64 = 4096
+	// fileGapBytes is the gap left between allocations of different
+	// files, separating their disk regions as on a real aged file system.
+	fileGapBytes = 16 << 20
+	// memBandwidth models page-cache copy cost, bytes/second.
+	memBandwidth = 4e9
+)
+
 // Config tunes one server's storage stack.
 type Config struct {
-	PageSize int // bytes; kernel page size
-
 	// CacheBytes is the page-cache capacity. DirtyLimitBytes throttles
 	// writers: a write blocks while dirty bytes exceed it (like
 	// dirty_ratio).
@@ -43,14 +52,8 @@ type Config struct {
 	SyncWrites bool
 
 	// AllocUnitBytes is the extent-allocation granularity: a growing file
-	// claims this much contiguous LBN space at a time. FileGapBytes leaves
-	// a gap between allocations of different files, separating their disk
-	// regions as on a real aged file system.
+	// claims this much contiguous LBN space at a time.
 	AllocUnitBytes int64
-	FileGapBytes   int64
-
-	// MemBandwidth models page-cache copy cost, bytes/second.
-	MemBandwidth float64
 
 	// Engine selects the storage engine laying file bytes out on disk:
 	// one of Engines() ("" = EngineExtent, the paper's default).
@@ -61,44 +64,35 @@ type Config struct {
 // servers (with scaled cache).
 func DefaultConfig() Config {
 	return Config{
-		PageSize:            4096,
 		CacheBytes:          256 << 20,
 		DirtyLimitBytes:     64 << 20,
 		WritebackEvery:      time.Second,
 		WritebackBatchBytes: 8 << 20,
 		SyncWrites:          true,
 		AllocUnitBytes:      8 << 20,
-		FileGapBytes:        16 << 20,
-		MemBandwidth:        4e9,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.PageSize <= 0:
-		return fmt.Errorf("fs: PageSize %d", c.PageSize)
-	case c.CacheBytes < int64(c.PageSize):
+	case c.CacheBytes < pageSize:
 		return fmt.Errorf("fs: CacheBytes %d", c.CacheBytes)
-	case c.CacheBytes%int64(c.PageSize) != 0:
-		// Rejected rather than rounded: capPages = CacheBytes/PageSize would
+	case c.CacheBytes%pageSize != 0:
+		// Rejected rather than rounded: capPages = CacheBytes/pageSize would
 		// silently truncate, and a config that lies about its cache size is
 		// a config bug.
-		return fmt.Errorf("fs: CacheBytes %d not a multiple of PageSize %d", c.CacheBytes, c.PageSize)
+		return fmt.Errorf("fs: CacheBytes %d not a multiple of the %d-byte page", c.CacheBytes, pageSize)
 	case c.DirtyLimitBytes <= 0 || c.DirtyLimitBytes > c.CacheBytes:
 		return fmt.Errorf("fs: DirtyLimitBytes %d", c.DirtyLimitBytes)
-	case c.DirtyLimitBytes%int64(c.PageSize) != 0:
-		return fmt.Errorf("fs: DirtyLimitBytes %d not a multiple of PageSize %d", c.DirtyLimitBytes, c.PageSize)
+	case c.DirtyLimitBytes%pageSize != 0:
+		return fmt.Errorf("fs: DirtyLimitBytes %d not a multiple of the %d-byte page", c.DirtyLimitBytes, pageSize)
 	case c.WritebackEvery <= 0:
 		return fmt.Errorf("fs: WritebackEvery %v", c.WritebackEvery)
-	case c.WritebackBatchBytes < int64(c.PageSize):
+	case c.WritebackBatchBytes < pageSize:
 		return fmt.Errorf("fs: WritebackBatchBytes %d", c.WritebackBatchBytes)
-	case c.AllocUnitBytes < int64(c.PageSize):
+	case c.AllocUnitBytes < pageSize:
 		return fmt.Errorf("fs: AllocUnitBytes %d", c.AllocUnitBytes)
-	case c.FileGapBytes < 0:
-		return fmt.Errorf("fs: FileGapBytes %d", c.FileGapBytes)
-	case c.MemBandwidth <= 0:
-		return fmt.Errorf("fs: MemBandwidth %g", c.MemBandwidth)
 	case !validEngine(c.Engine):
 		return fmt.Errorf("fs: Engine %q (want one of %v)", c.Engine, Engines())
 	}
@@ -286,7 +280,6 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	}
 	s.statReadBytes += n
 
-	ps := int64(s.cfg.PageSize)
 	cf := s.cache.file(name)
 	sc := s.getScratch()
 	missRuns := sc.missRuns // page index ranges [start, end]
@@ -295,7 +288,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 			continue
 		}
 		s.eng.Ensure(name, e.End()) // reading unwritten space still has layout
-		first, last := e.Off/ps, (e.End()-1)/ps
+		first, last := e.Off/pageSize, (e.End()-1)/pageSize
 		for pg := first; pg <= last; pg++ {
 			if s.cache.touch(cf, pg) {
 				s.statCacheHits++
@@ -317,7 +310,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 		}
 	}
 	// Charge memory-copy time for the whole transfer.
-	p.Sleep(time.Duration(float64(n) / s.cfg.MemBandwidth * float64(time.Second)))
+	p.Sleep(time.Duration(float64(n) / memBandwidth * float64(time.Second)))
 
 	if len(missRuns) == 0 {
 		sc.missRuns = missRuns
@@ -327,8 +320,8 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	reqs := sc.reqs
 	alloc := s.eng.AllocatedSize(name)
 	for _, run := range missRuns {
-		startOff := run[0] * ps
-		endOff := (run[1] + 1) * ps
+		startOff := run[0] * pageSize
+		endOff := (run[1] + 1) * pageSize
 		if endOff > alloc {
 			endOff = alloc
 		}
@@ -362,7 +355,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 		return
 	}
 	s.statWriteBytes += n
-	p.Sleep(time.Duration(float64(n) / s.cfg.MemBandwidth * float64(time.Second)))
+	p.Sleep(time.Duration(float64(n) / memBandwidth * float64(time.Second)))
 
 	if s.cfg.SyncWrites {
 		sc := s.getScratch()
@@ -389,14 +382,13 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 		return
 	}
 
-	ps := int64(s.cfg.PageSize)
 	cf := s.cache.file(name)
 	for _, e := range extents {
 		if e.Len <= 0 {
 			continue
 		}
 		s.eng.Ensure(name, e.End())
-		first, last := e.Off/ps, (e.End()-1)/ps
+		first, last := e.Off/pageSize, (e.End()-1)/pageSize
 		for pg := first; pg <= last; pg++ {
 			s.cache.insertDirty(p, cf, pg)
 		}
@@ -436,13 +428,12 @@ func (s *Store) flusherLoop(p *sim.Proc) {
 
 // flushOnce writes back the oldest dirty pages, up to one batch.
 func (s *Store) flushOnce(p *sim.Proc) {
-	ps := int64(s.cfg.PageSize)
 	sc := s.getScratch()
 	pages := sc.pages
 	var bytes int64
 	for pg := s.cache.dirty.head; pg != nil && bytes < s.cfg.WritebackBatchBytes; pg = pg.next {
 		pages = append(pages, pg)
-		bytes += ps
+		bytes += pageSize
 	}
 	// Coalesce per-file page runs into write requests, then sort by LBN.
 	sort.Slice(pages, func(i, j int) bool {
@@ -460,7 +451,7 @@ func (s *Store) flushOnce(p *sim.Proc) {
 		}
 		// WriteRuns commits relocation at data-reaching-disk time: a
 		// log-structured engine assigns the pages' log locations here.
-		sc.runs = s.eng.WriteRuns(sc.runs[:0], pages[i].f.name, pages[i].idx*ps, int64(j-i+1)*ps)
+		sc.runs = s.eng.WriteRuns(sc.runs[:0], pages[i].f.name, pages[i].idx*pageSize, int64(j-i+1)*pageSize)
 		for _, lr := range sc.runs {
 			reqs = s.appendSplit(reqs, lr, true, s.wbOrig, obs.Ctx{})
 		}

@@ -39,8 +39,8 @@ func TestTwoFilesSeparatedByGap(t *testing.T) {
 	ra := s.eng.ReadRuns(nil, "a", 0, 1<<20)
 	rb := s.eng.ReadRuns(nil, "b", 0, 1<<20)
 	gap := (rb[0].lbn - ra[0].lbn) * sectorSize
-	if gap < cfg.FileGapBytes {
-		t.Fatalf("inter-file LBN gap = %d bytes, want >= %d", gap, cfg.FileGapBytes)
+	if gap < fileGapBytes {
+		t.Fatalf("inter-file LBN gap = %d bytes, want >= %d", gap, fileGapBytes)
 	}
 }
 
@@ -246,18 +246,15 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"PageSize=0", func(c *Config) { c.PageSize = 0 }},
 		{"CacheBytes=0", func(c *Config) { c.CacheBytes = 0 }},
 		{"DirtyLimit>Cache", func(c *Config) { c.DirtyLimitBytes = c.CacheBytes + 1 }},
 		{"WritebackEvery=0", func(c *Config) { c.WritebackEvery = 0 }},
 		{"WritebackBatch=0", func(c *Config) { c.WritebackBatchBytes = 0 }},
 		{"AllocUnit=0", func(c *Config) { c.AllocUnitBytes = 0 }},
-		{"FileGap<0", func(c *Config) { c.FileGapBytes = -1 }},
-		{"MemBandwidth=0", func(c *Config) { c.MemBandwidth = 0 }},
 		// Misaligned byte budgets must be rejected, not silently truncated
-		// (capPages = CacheBytes/PageSize).
+		// (capPages = CacheBytes/pageSize).
 		{"CacheBytes misaligned", func(c *Config) { c.CacheBytes += 1 }},
-		{"CacheBytes off by a page half", func(c *Config) { c.CacheBytes -= int64(c.PageSize) / 2 }},
+		{"CacheBytes off by a page half", func(c *Config) { c.CacheBytes -= pageSize / 2 }},
 		{"DirtyLimit misaligned", func(c *Config) { c.DirtyLimitBytes += 7 }},
 		{"unknown engine", func(c *Config) { c.Engine = "btrfs" }},
 	}
@@ -288,7 +285,7 @@ func TestEvictionKeepsCacheBounded(t *testing.T) {
 		s.Read(p, "a", 0, 8<<20, 1)
 	})
 	k.RunUntil(time.Minute)
-	if got := s.cache.resident * int64(cfg.PageSize); got > cfg.CacheBytes {
+	if got := s.cache.resident * pageSize; got > cfg.CacheBytes {
 		t.Fatalf("resident = %d bytes, cache bound %d", got, cfg.CacheBytes)
 	}
 }

@@ -197,7 +197,7 @@ func summarize(out *mixOut, base map[soloKey]time.Duration, tenants int) mixStat
 			st.perTenant = append(st.perTenant, 0)
 			continue
 		}
-		p99 := pctl(xs, 99)
+		p99 := metrics.NearestRank(xs, 99)
 		st.perTenant = append(st.perTenant, p99)
 		if p99 > st.worstP99 {
 			st.worstP99 = p99
@@ -215,23 +215,6 @@ func summarize(out *mixOut, base map[soloKey]time.Duration, tenants int) mixStat
 		st.jain = sumX * sumX / (float64(nt) * sumX2)
 	}
 	return st
-}
-
-// pctl returns the p-th percentile of xs (nearest-rank) without mutating it.
-func pctl(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }
 
 // multitenantSpecs returns the sweep's tenancy specs (the experiment's cells

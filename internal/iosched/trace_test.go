@@ -80,7 +80,7 @@ func TestTraceExcludesDiskSlowSurcharge(t *testing.T) {
 	k := sim.NewKernel(1)
 	inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.DiskSlow, Target: 0, Factor: 10},
-	}}, 1, nil)
+	}}, 1)
 	d := newTestDisk()
 	tr, firstDone := traceTwo(t, k, fault.WrapDevice(d, inj, 0),
 		Request{LBN: 1 << 20, Sectors: 8}, Request{LBN: 1 << 22, Sectors: 8})

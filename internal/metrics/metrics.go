@@ -4,16 +4,33 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"dualpar/internal/sim"
 )
+
+// NearestRank returns the p-th percentile of xs by nearest rank: the
+// smallest value with at least p% of xs at or below it (the minimum for
+// p <= 0, the maximum for p >= 100, zero for an empty xs). xs is not
+// modified.
+func NearestRank[T cmp.Ordered](xs []T, p float64) T {
+	if len(xs) == 0 {
+		var zero T
+		return zero
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	i := int(math.Ceil(p/100*float64(len(s)))) - 1
+	return s[max(0, min(i, len(s)-1))]
+}
 
 // Point is one sample.
 type Point struct {

@@ -103,3 +103,20 @@ func TestTable(t *testing.T) {
 		t.Fatalf("csv = %q", buf.String())
 	}
 }
+
+func TestNearestRank(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3}
+	for _, tc := range []struct{ p, want float64 }{
+		{0, 1}, {20, 1}, {21, 2}, {50, 3}, {99, 5}, {100, 5}, {150, 5},
+	} {
+		if got := NearestRank(xs, tc.p); got != tc.want {
+			t.Errorf("NearestRank(p=%g) = %g, want %g", tc.p, got, tc.want)
+		}
+	}
+	if xs[0] != 5 {
+		t.Fatalf("input reordered: %v", xs)
+	}
+	if got := NearestRank([]time.Duration(nil), 99); got != 0 {
+		t.Fatalf("empty input = %v, want 0", got)
+	}
+}

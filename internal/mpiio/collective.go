@@ -276,7 +276,7 @@ func (f *File) aggregatorIO(p *sim.Proc, rank int, needed []ext.Extent, write bo
 	if len(needed) == 0 {
 		return
 	}
-	sieved, holes := ext.Sieve(needed, f.cfg.DataSieveHole)
+	sieved, holes := ext.Sieve(needed, dataSieveHole)
 	cl := f.client(rank)
 	origin := f.origins[rank]
 	rc := f.startRequest(rank)

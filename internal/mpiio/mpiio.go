@@ -19,14 +19,15 @@ import (
 	"dualpar/internal/sim"
 )
 
+// dataSieveHole is the largest hole absorbed when an aggregator turns its
+// needed extents into contiguous accesses (ROMIO's sieving default).
+const dataSieveHole = 64 << 10
+
 // Config carries ROMIO-style hints.
 type Config struct {
 	// CollectiveBufferBytes is cb_buffer_size: an aggregator stages data
 	// through a buffer of this size per two-phase cycle.
 	CollectiveBufferBytes int64
-	// DataSieveHole is the largest hole absorbed when an aggregator turns
-	// its needed extents into contiguous accesses (0 disables sieving).
-	DataSieveHole int64
 	// ListIO makes independent strided operations send one extent-list
 	// request per server instead of one request per segment. The paper's
 	// "vanilla MPI-IO" baseline has it off: synchronous requests go out one
@@ -38,7 +39,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CollectiveBufferBytes: 4 << 20,
-		DataSieveHole:         64 << 10,
 		ListIO:                false,
 	}
 }
@@ -47,9 +47,6 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.CollectiveBufferBytes <= 0 {
 		return fmt.Errorf("mpiio: CollectiveBufferBytes %d", c.CollectiveBufferBytes)
-	}
-	if c.DataSieveHole < 0 {
-		return fmt.Errorf("mpiio: DataSieveHole %d", c.DataSieveHole)
 	}
 	return nil
 }

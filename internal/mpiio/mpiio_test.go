@@ -224,9 +224,7 @@ func TestCollectiveFewerDiskAccessesThanVanilla(t *testing.T) {
 
 func TestCollectiveWriteRMWReadsHoles(t *testing.T) {
 	r := newRig(t, 2, 2, 2)
-	cfg := DefaultConfig()
-	cfg.DataSieveHole = 64 << 10
-	f := r.open("f", cfg)
+	f := r.open("f", DefaultConfig())
 	// Two ranks write 4K blocks separated by 4K holes.
 	dt := func(rank int) []ext.Extent {
 		var disps, lens []int64
@@ -348,10 +346,9 @@ func TestPartitionDomainsCoverUnion(t *testing.T) {
 }
 
 func TestValidateSieveConfig(t *testing.T) {
-	// The collective sieving hole and buffer are the sieve settings left;
-	// nonsense values must not reach the two-phase planner.
+	// The collective buffer is the sieve setting left; a nonsense value
+	// must not reach the two-phase planner.
 	bad := []func(*Config){
-		func(c *Config) { c.DataSieveHole = -1 },
 		func(c *Config) { c.CollectiveBufferBytes = 0 },
 	}
 	for i, mutate := range bad {

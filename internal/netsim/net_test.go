@@ -140,7 +140,7 @@ func TestFaultDropChargesRetransmitTimeout(t *testing.T) {
 	// with p=0.95 and a fixed seed gives a deterministic drop count).
 	n.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.LinkDrop, Target: 1, Prob: 0.95, Start: 0, End: time.Hour},
-	}}, 42, nil))
+	}}, 42))
 	var took time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -162,7 +162,7 @@ func TestFaultLinkDegradeInflatesSerialization(t *testing.T) {
 	n := New(k, Config{Latency: 0, Bandwidth: 1e6})
 	n.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.LinkSlow, Target: 1, Factor: 4},
-	}}, 1, nil))
+	}}, 1))
 	var slow, healthy time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()

@@ -25,8 +25,8 @@ func (fsys *FileSystem) Client(node int) *Client {
 // layout for size bytes on the data servers (every replica rank).
 func (c *Client) Create(p *sim.Proc, name string, size int64) {
 	fsys := c.fsys
-	fsys.net.Send(p, c.Node, fsys.meta.Node, fsys.cfg.HeaderBytes)
-	p.Sleep(fsys.cfg.MetaOpCPU)
+	fsys.net.Send(p, c.Node, fsys.meta.Node, headerBytes)
+	p.Sleep(metaOpCPU)
 	if size > fsys.meta.sizes[name] {
 		fsys.meta.sizes[name] = size
 	}
@@ -42,16 +42,16 @@ func (c *Client) Create(p *sim.Proc, name string, size int64) {
 			fsys.replicaServer(i, rank).Store.Create(replicaFile(name, rank), end)
 		}
 	}
-	fsys.net.Send(p, fsys.meta.Node, c.Node, fsys.cfg.HeaderBytes)
+	fsys.net.Send(p, fsys.meta.Node, c.Node, headerBytes)
 }
 
 // Open contacts the metadata server and returns the file size it records.
 func (c *Client) Open(p *sim.Proc, name string) int64 {
 	fsys := c.fsys
-	fsys.net.Send(p, c.Node, fsys.meta.Node, fsys.cfg.HeaderBytes)
-	p.Sleep(fsys.cfg.MetaOpCPU)
+	fsys.net.Send(p, c.Node, fsys.meta.Node, headerBytes)
+	p.Sleep(metaOpCPU)
 	size := fsys.meta.sizes[name]
-	fsys.net.Send(p, fsys.meta.Node, c.Node, fsys.cfg.HeaderBytes)
+	fsys.net.Send(p, fsys.meta.Node, c.Node, headerBytes)
 	return size
 }
 
@@ -174,7 +174,7 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 		}
 		g := fsys.getGroup()
 		g.primary, g.file, g.lst, g.ver = i, name, lst, ver
-		g.msg = fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst))
+		g.msg = headerBytes + extentDescBytes*int64(len(lst))
 		if write {
 			g.msg += ext.Total(lst) // write payload travels with the request
 			for rank := 0; rank < fsys.replicas(); rank++ {

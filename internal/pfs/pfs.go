@@ -18,25 +18,29 @@ import (
 	"dualpar/internal/sim"
 )
 
+// The paper's PVFS2 2.8.2 servers; no run varies these.
+const (
+	// workersPerServer bounds the number of concurrently served requests
+	// per data server.
+	workersPerServer = 16
+	// requestCPU is the per-request server processing cost.
+	requestCPU = 50 * time.Microsecond
+	// headerBytes is the fixed size of a request/response header;
+	// extentDescBytes is the per-extent encoding cost in a list request.
+	headerBytes     = 256
+	extentDescBytes = 16
+	// metaOpCPU is the metadata server's per-operation cost.
+	metaOpCPU = 100 * time.Microsecond
+	// requestJitter is the relative half-width of the uniform jitter on
+	// requestCPU (0.5 means [0.5x, 1.5x]). OS and service-time noise is
+	// what desynchronizes otherwise lockstepped clients.
+	requestJitter = 0.5
+)
+
 // Config tunes the file system.
 type Config struct {
 	// StripeUnit is the striping unit in bytes (PVFS2 default 64 KB).
 	StripeUnit int64
-	// WorkersPerServer bounds the number of concurrently served requests
-	// per data server.
-	WorkersPerServer int
-	// RequestCPU is the per-request server processing cost.
-	RequestCPU time.Duration
-	// HeaderBytes is the fixed size of a request/response header;
-	// ExtentDescBytes is the per-extent encoding cost in a list request.
-	HeaderBytes     int64
-	ExtentDescBytes int64
-	// MetaOpCPU is the metadata server's per-operation cost.
-	MetaOpCPU time.Duration
-	// RequestJitter is the relative half-width of the uniform jitter on
-	// RequestCPU (0.5 means [0.5x, 1.5x]). OS and service-time noise is
-	// what desynchronizes otherwise lockstepped clients.
-	RequestJitter float64
 	// ClientDiskOrigins tags disk requests with the requesting client's
 	// origin instead of the server's own identity. PVFS2 performs server
 	// I/O from the pvfs2-server process, so the kernel elevator sees one
@@ -74,13 +78,7 @@ type Config struct {
 // DefaultConfig matches the paper's PVFS2 2.8.2 setup.
 func DefaultConfig() Config {
 	return Config{
-		StripeUnit:       64 << 10,
-		WorkersPerServer: 16,
-		RequestCPU:       50 * time.Microsecond,
-		HeaderBytes:      256,
-		ExtentDescBytes:  16,
-		MetaOpCPU:        100 * time.Microsecond,
-		RequestJitter:    0.5,
+		StripeUnit: 64 << 10,
 	}
 }
 
@@ -89,14 +87,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.StripeUnit <= 0:
 		return fmt.Errorf("pfs: StripeUnit %d", c.StripeUnit)
-	case c.WorkersPerServer <= 0:
-		return fmt.Errorf("pfs: WorkersPerServer %d", c.WorkersPerServer)
-	case c.RequestCPU < 0 || c.MetaOpCPU < 0:
-		return fmt.Errorf("pfs: negative CPU cost")
-	case c.HeaderBytes < 0 || c.ExtentDescBytes < 0:
-		return fmt.Errorf("pfs: negative encoding size")
-	case c.RequestJitter < 0 || c.RequestJitter > 1:
-		return fmt.Errorf("pfs: RequestJitter %g", c.RequestJitter)
 	case c.RequestTimeout < 0:
 		return fmt.Errorf("pfs: RequestTimeout %v", c.RequestTimeout)
 	case c.MaxRetries < 0:
@@ -293,7 +283,7 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 			queue: sim.NewQueue[*serverReq](),
 		}
 		fsys.servers = append(fsys.servers, srv)
-		for w := 0; w < cfg.WorkersPerServer; w++ {
+		for w := 0; w < workersPerServer; w++ {
 			track := fmt.Sprintf("server%d/worker%d", i, w)
 			k.Spawn("pfs/"+track, func(p *sim.Proc) { srv.workerLoop(p, track) })
 		}
@@ -402,11 +392,8 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 		if until := fsys.faults.StallUntil(srv.Index, p.Now()); until > p.Now() {
 			p.Sleep(until - p.Now())
 		}
-		cpu := fsys.cfg.RequestCPU
-		if j := fsys.cfg.RequestJitter; j > 0 && cpu > 0 {
-			f := 1 + (fsys.k.Rand().Float64()*2-1)*j
-			cpu = time.Duration(float64(cpu) * f)
-		}
+		jitter := 1 + (fsys.k.Rand().Float64()*2-1)*requestJitter
+		cpu := time.Duration(float64(requestCPU) * jitter)
 		if f := fsys.faults.ServerFactor(srv.Index, p.Now()); f > 1 {
 			cpu = time.Duration(float64(cpu) * f)
 		}
@@ -433,9 +420,9 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 		if req.write {
 			fsys.tracker.apply(srv.Index, req.file, req.extents, req.ver)
 			// Small acknowledgment back to the client.
-			fsys.net.Send(p, srv.Node, req.client, fsys.cfg.HeaderBytes)
+			fsys.net.Send(p, srv.Node, req.client, headerBytes)
 		} else {
-			fsys.net.Send(p, srv.Node, req.client, fsys.cfg.HeaderBytes+ext.Total(req.extents))
+			fsys.net.Send(p, srv.Node, req.client, headerBytes+ext.Total(req.extents))
 		}
 		if req.rc.Traced() {
 			rw := "read"

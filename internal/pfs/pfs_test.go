@@ -211,9 +211,6 @@ func fsysNet(fsys *FileSystem) *netsim.Network { return fsys.net }
 func TestValidateConfig(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.StripeUnit = 0 },
-		func(c *Config) { c.WorkersPerServer = 0 },
-		func(c *Config) { c.RequestCPU = -1 },
-		func(c *Config) { c.HeaderBytes = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()

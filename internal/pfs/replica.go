@@ -277,7 +277,7 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 				srcFile := replicaFile(base, srcRank)
 				lst := []ext.Extent{piece}
 				peer.Store.ReadMulti(p, srcFile, lst, serverOriginBase+peer.Index, obs.Ctx{})
-				fsys.net.Send(p, peer.Node, srv.Node, fsys.cfg.HeaderBytes+piece.Len)
+				fsys.net.Send(p, peer.Node, srv.Node, headerBytes+piece.Len)
 				srv.Store.WriteMulti(p, df.file, lst, serverOriginBase+srv.Index, obs.Ctx{})
 				if fsys.auditRebuild != nil {
 					fsys.auditRebuild[peer.Index] += piece.Len

@@ -255,9 +255,11 @@ func TestWriteRetrySleepsBeforeReissue(t *testing.T) {
 	col := obs.NewCollector()
 	fsys.SetObs(col)
 	stalled := fsys.replicaServer(0, 1).Index
-	fsys.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
+	inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.ServerStall, Target: stalled, End: time.Second},
-	}}, 1, col))
+	}}, 1)
+	inj.SetObs(col)
+	fsys.SetFaults(inj)
 	cl := fsys.Client(100)
 	unit := fsys.cfg.StripeUnit
 	var rc obs.Ctx
