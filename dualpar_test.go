@@ -160,6 +160,33 @@ func TestFacadeAnchorKernelStats(t *testing.T) {
 	}
 }
 
+// TestFacadeReplicatedCrashKernelStats pins the kernel's exact self-counters
+// on a replicated run through a server crash: 3-way replication, data server
+// 2 down from 5 ms to 200 ms, a 16-rank writer beside a 16-rank reader. Lone
+// pfs-worker and rank sleeps dominate this shape, so it shows that a Sleep
+// which skips the event queue still counts exactly the events the queue
+// round trip would.
+func TestFacadeReplicatedCrashKernelStats(t *testing.T) {
+	cfg := dualpar.Defaults().WithFaults("crash:2@5ms-200ms")
+	cfg.Cluster.PFS.Replicas = 3
+	sim := dualpar.NewSimulation(cfg)
+	sim.AddProgram(dualpar.MPIIOTest(16, 16<<20, true), dualpar.Vanilla, dualpar.ProgramOptions{})
+	sim.AddProgram(dualpar.MPIIOTest(16, 16<<20, false), dualpar.Vanilla, dualpar.ProgramOptions{FirstNodeIndex: 2})
+	if !sim.Run(time.Hour) {
+		t.Fatalf("did not finish")
+	}
+	if err := sim.Err(); err != nil {
+		t.Fatalf("run lost data: %v", err)
+	}
+	if sim.Cluster().FS.Failovers() == 0 {
+		t.Fatalf("no read failed over: the crash window missed the run")
+	}
+	want := simk.Stats{Events: 34545, Callbacks: 97, Handoffs: 31087, SelfResumes: 3361}
+	if got := sim.Cluster().K.Stats(); got != want {
+		t.Fatalf("kernel stats %+v, want %+v", got, want)
+	}
+}
+
 func TestFacadeParseMode(t *testing.T) {
 	m, err := dualpar.ParseMode("collective")
 	if err != nil || m != dualpar.Collective {

@@ -10,10 +10,13 @@ import (
 
 // stagger is a workload where rank 0 reads immediately and the other ranks
 // compute for a long time first — the shape that forces the fill deadline
-// (a cycle must not wait forever for ranks that have not suspended).
+// (a cycle must not wait forever for ranks that have not suspended). Rank 0
+// computes for gap between its reads, so the ghost pre-executing it stays
+// active through that compute and join grace cannot serve the cycle.
 type stagger struct {
 	procs int
 	delay time.Duration
+	gap   time.Duration
 }
 
 func (s stagger) Name() string { return "stagger" }
@@ -26,26 +29,41 @@ func (s stagger) NewRank(r int) workloads.RankGen {
 }
 
 type staggerGen struct {
-	s       stagger
-	rank    int
-	step    int
-	delayed bool
+	s      stagger
+	rank   int
+	step   int
+	waited bool // the compute before the next read is done
 }
 
 func (g *staggerGen) Next(env workloads.Env) workloads.Op {
-	if g.rank != 0 && !g.delayed {
-		g.delayed = true
-		return workloads.Op{Kind: workloads.OpCompute, Dur: g.s.delay}
-	}
 	if g.step >= 4 {
 		return workloads.Op{Kind: workloads.OpDone}
 	}
+	if !g.waited {
+		g.waited = true
+		if d := g.wait(); d > 0 {
+			return workloads.Op{Kind: workloads.OpCompute, Dur: d}
+		}
+	}
+	g.waited = false
 	off := int64(g.rank)*(4<<20) + int64(g.step)*(64<<10)
 	g.step++
 	return workloads.Op{
 		Kind: workloads.OpRead, File: "stagger.dat",
 		Extents: []ext64{{Off: off, Len: 64 << 10}},
 	}
+}
+
+// wait is the compute before the rank's next read: delay before the other
+// ranks' first read, gap before each of rank 0's later reads.
+func (g *staggerGen) wait() time.Duration {
+	switch {
+	case g.rank != 0 && g.step == 0:
+		return g.s.delay
+	case g.rank == 0 && g.step > 0:
+		return g.s.gap
+	}
+	return 0
 }
 
 func (g *staggerGen) Clone() workloads.RankGen {
@@ -59,12 +77,14 @@ type ext64 = extAlias
 
 func TestFillDeadlineUnblocksLoneRank(t *testing.T) {
 	// Rank 0 misses at t=0; ranks 1..3 compute for five times the longest
-	// fill deadline. The cycle must serve rank 0 at the deadline, far
-	// before the others join.
+	// fill deadline. Rank 0's ghost computes for twice the longest deadline
+	// before each read it records, so it is still active when join grace
+	// would serve. The cycle must serve rank 0 at the deadline, far before
+	// the others join or its ghost pauses.
 	cl := smallCluster(1)
 	r := NewRunner(cl, DefaultConfig())
 	delay := 5 * maxFillWait
-	pr := r.Add(stagger{procs: 4, delay: delay}, ModeDataDriven, AddOptions{RanksPerNode: 4})
+	pr := r.Add(stagger{procs: 4, delay: delay, gap: 2 * maxFillWait}, ModeDataDriven, AddOptions{RanksPerNode: 4})
 	if !r.Run(time.Hour) {
 		t.Fatalf("did not finish")
 	}

@@ -173,9 +173,10 @@ type Injector struct {
 	// schedule order at the window boundary events. Registered before the
 	// kernel runs; never mutated afterwards.
 	onServer []func(server int, up bool, at time.Duration)
-	// serverNodes maps data-server index -> network node id, so the
-	// transport can refuse delivery to crashed servers (NodeCrashed).
-	serverNodes map[int]int
+	// serverOf maps network node id -> data-server index (-1: the node
+	// hosts no server), so the transport can refuse delivery to crashed
+	// servers (NodeCrashed) with one lookup.
+	serverOf []int
 	// onClient receives compute-client crash transitions (rank, at), in
 	// schedule order at the window start event. Registered before the
 	// kernel runs; never mutated afterwards.
@@ -324,29 +325,32 @@ func (inj *Injector) HasCrashWindows() bool {
 
 // BindServerNodes tells the injector which network node hosts each data
 // server (index i of nodes is server i), enabling NodeCrashed queries from
-// the transport.
+// the transport. It panics if a node hosts two servers (a configuration
+// bug).
 func (inj *Injector) BindServerNodes(nodes []int) {
 	if inj == nil {
 		return
 	}
-	inj.serverNodes = make(map[int]int, len(nodes))
+	inj.serverOf = nil
 	for srv, node := range nodes {
-		inj.serverNodes[srv] = node
+		for len(inj.serverOf) <= node {
+			inj.serverOf = append(inj.serverOf, -1)
+		}
+		if prev := inj.serverOf[node]; prev >= 0 {
+			panic(fmt.Sprintf("fault: node %d bound to servers %d and %d", node, prev, srv))
+		}
+		inj.serverOf[node] = srv
 	}
 }
 
 // NodeCrashed reports whether the network node is a crashed data server at
 // now. Nodes that host no data server are never crashed.
 func (inj *Injector) NodeCrashed(node int, now time.Duration) bool {
-	if inj == nil || inj.serverNodes == nil {
+	if inj == nil || node < 0 || node >= len(inj.serverOf) {
 		return false
 	}
-	for srv, n := range inj.serverNodes {
-		if n == node && inj.Crashed(srv, now) {
-			return true
-		}
-	}
-	return false
+	srv := inj.serverOf[node]
+	return srv >= 0 && inj.Crashed(srv, now)
 }
 
 // factor multiplies the factors of active windows of the given kind/target.

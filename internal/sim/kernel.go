@@ -9,7 +9,9 @@
 // and runs the event loop at any instant, so simulations are fully
 // deterministic: the same program and seed yield the same event order and
 // results. One 4-ary heap over (time, sequence) is the only event queue:
-// every Sleep, wake and callback goes through it. A Proc that blocks keeps
+// every wake and callback goes through it. A lone Sleep, with no event due
+// at or before its wake, advances the clock in place instead: the queue
+// round trip would pop its own wake straight back. A Proc that blocks keeps
 // the baton and runs the loop itself, executing plain callbacks inline
 // until an event wakes a Proc. Its own wake returns without a switch;
 // another Proc's wake passes the baton straight to that Proc's goroutine,
@@ -65,7 +67,8 @@ type Kernel struct {
 	pending int     // scheduled events not yet run or canceled
 
 	// deadline is the active RunUntil deadline (-1 = unbounded), read by the
-	// event loop on whichever goroutine holds the baton.
+	// event loop and by a Proc's lone Sleep on whichever goroutine holds the
+	// baton.
 	deadline time.Duration
 
 	// parked passes the baton back to the RunUntil caller: the Proc holding
@@ -85,7 +88,7 @@ type Stats struct {
 	Events      uint64 // events run: Callbacks + Handoffs + SelfResumes
 	Callbacks   uint64 // plain callbacks run inline (After, timer expiries)
 	Handoffs    uint64 // wakes that passed the baton to another Proc's goroutine
-	SelfResumes uint64 // wakes popped by the Proc they wake: no switch
+	SelfResumes uint64 // wakes popped by the Proc they wake, lone Sleeps included: no switch
 }
 
 // Stats returns the kernel's self-counters.

@@ -90,6 +90,13 @@ func (p *Proc) park() {
 	} else {
 		k.stats.SelfResumes++
 	}
+	p.resumed()
+}
+
+// resumed is the audit's monotone check, run each time p resumes: the
+// virtual time p observes must never move backwards.
+func (p *Proc) resumed() {
+	k := p.k
 	if k.audit != nil {
 		k.audit.Checkf(k.now >= p.lastNow, "sim.proc.monotone",
 			"proc %s resumed at %v after observing %v", p.name, k.now, p.lastNow)
@@ -103,13 +110,28 @@ func (p *Proc) wakeAt(at time.Duration) {
 	p.k.schedule(at, nil, p)
 }
 
-// Sleep suspends the Proc for duration d of virtual time. When nothing else
-// runs in between, the loop pops the Proc's own wake and park returns
-// without a goroutine switch.
+// Sleep suspends the Proc for duration d of virtual time.
+//
+// A lone sleep never enters the queue. When no queued event is due at or
+// before the wake (the heap is empty or its earliest event is strictly
+// later) and the RunUntil deadline allows it, the loop would pop this
+// Proc's own wake straight back. The Proc instead spends the wake's seq,
+// moves the clock and counts the self-resume the pop would have counted,
+// so the event order, every later seq and Stats are what the queue round
+// trip gives. Every other sleep schedules its wake and parks.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.wakeAt(p.k.now + d)
+	k := p.k
+	at := k.now + d
+	if (len(k.heap) == 0 || k.arena[k.heap[0]].at > at) && (k.deadline < 0 || at <= k.deadline) {
+		k.seq++
+		k.now = at
+		k.stats.SelfResumes++
+		p.resumed()
+		return
+	}
+	p.wakeAt(at)
 	p.park()
 }

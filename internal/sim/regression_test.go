@@ -56,8 +56,9 @@ type refEvent struct {
 
 // TestKernelPopOrderMatchesReference drives the kernel and a brute-force
 // reference queue through the same randomized schedule/cancel workload —
-// including same-instant children spawned mid-run, which exercise the FIFO
-// batch path — and requires the identical execution order.
+// including same-instant children scheduled mid-run, which the heap orders
+// after every queued event of their instant by seq — and requires the
+// identical execution order.
 func TestKernelPopOrderMatchesReference(t *testing.T) {
 	const (
 		events  = 200
@@ -87,8 +88,8 @@ func TestKernelPopOrderMatchesReference(t *testing.T) {
 			pending = append(pending, refEvent{at: at, seq: refSeq, id: id})
 			refSeq++
 		}
-		// Cancel a random quarter (tombstoning FIFO entries and removing
-		// heap entries alike).
+		// Cancel a random quarter: each is removed from the heap at its
+		// recorded position, from the root or from deep inside.
 		for i := events - 1; i >= 0; i-- {
 			if rng.Intn(4) == 0 {
 				k.cancel(ids[i])
