@@ -51,8 +51,9 @@ func (pr *ProgramRun) crmServe(p *sim.Proc, wish *fileExtents) {
 			ratio = 0
 		}
 		pr.misSamples = append(pr.misSamples, ratio)
-		pr.obs().Instant("cache.misprefetch", pr.ctrlTrack(), p.Now(),
-			obs.F64("ratio", ratio))
+		if o := pr.obs(); o.Enabled() {
+			o.Instant("cache.misprefetch", pr.ctrlTrack(), p.Now(), obs.F64("ratio", ratio))
+		}
 		pr.checkMisPrefetchFastPath()
 	}
 	pr.consumedCycle = 0
@@ -168,9 +169,11 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, file string, batch []ext.Exte
 			}
 			return
 		}
-		pr.obs().Instant("retry", pr.ctrlTrack(), hp.Now(),
-			obs.I64("home", int64(home)), obs.I64("attempt", int64(retry+1)),
-			obs.Str("file", file))
+		if o := pr.obs(); o.Enabled() {
+			o.Instant("retry", pr.ctrlTrack(), hp.Now(),
+				obs.I64("home", int64(home)), obs.I64("attempt", int64(retry+1)),
+				obs.Str("file", file))
+		}
 		if backoff > 0 {
 			hp.Sleep(backoff)
 			backoff *= 2

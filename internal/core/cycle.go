@@ -71,8 +71,9 @@ func (c *controller) join(p *sim.Proc) int {
 	if c.state == ctrlIdle {
 		c.state = ctrlFilling
 		c.stopGhosts = false
-		c.pr.obs().Instant("cycle.fill", c.pr.ctrlTrack(), p.Now(),
-			obs.I64("gen", int64(c.gen)))
+		if o := c.pr.obs(); o.Enabled() {
+			o.Instant("cycle.fill", c.pr.ctrlTrack(), p.Now(), obs.I64("gen", int64(c.gen)))
+		}
 		c.armDeadline()
 	}
 	c.participants++
@@ -265,8 +266,10 @@ func (c *controller) serve() {
 	}
 	c.state = ctrlServing
 	c.stopGhosts = true
-	c.pr.obs().Instant("cycle.serve", c.pr.ctrlTrack(), c.pr.r.cl.K.Now(),
-		obs.I64("gen", int64(c.gen)), obs.I64("participants", int64(c.participants)))
+	if o := c.pr.obs(); o.Enabled() {
+		o.Instant("cycle.serve", c.pr.ctrlTrack(), c.pr.r.cl.K.Now(),
+			obs.I64("gen", int64(c.gen)), obs.I64("participants", int64(c.participants)))
+	}
 	// Wake sleeping ghosts so they can flush their pipelined overflow
 	// before the snapshot; their wakeups run before the After(0) event.
 	c.abort.Broadcast()
@@ -292,8 +295,10 @@ func (c *controller) serve() {
 // finishCycle resumes all suspended ranks and opens the next generation.
 func (c *controller) finishCycle() {
 	c.cycles++
-	c.pr.obs().Instant("cycle.resume", c.pr.ctrlTrack(), c.pr.r.cl.K.Now(),
-		obs.I64("cycle", c.cycles), obs.I64("gen", int64(c.gen)))
+	if o := c.pr.obs(); o.Enabled() {
+		o.Instant("cycle.resume", c.pr.ctrlTrack(), c.pr.r.cl.K.Now(),
+			obs.I64("cycle", c.cycles), obs.I64("gen", int64(c.gen)))
+	}
 	c.gen++
 	c.state = ctrlIdle
 	c.participants = 0

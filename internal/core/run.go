@@ -309,8 +309,10 @@ func (pr *ProgramRun) fail(err error) {
 	if pr.ioErr == nil {
 		pr.ioErr = err
 	}
-	pr.obs().Instant("io.error", pr.ctrlTrack(), pr.r.cl.K.Now(),
-		obs.I64("program", int64(pr.id)), obs.Str("error", err.Error()))
+	if o := pr.obs(); o.Enabled() {
+		o.Instant("io.error", pr.ctrlTrack(), pr.r.cl.K.Now(),
+			obs.I64("program", int64(pr.id)), obs.Str("error", err.Error()))
+	}
 }
 
 // Cycles reports completed data-driven cycles (0 without a controller).
@@ -399,12 +401,14 @@ func (pr *ProgramRun) setDataDriven(on bool) {
 		pr.releaseGrant()
 	}
 	pr.ModeSwitches = append(pr.ModeSwitches, ModeSwitch{At: pr.r.cl.K.Now(), On: on})
-	state := "off"
-	if on {
-		state = "on"
+	if o := pr.obs(); o.Enabled() {
+		state := "off"
+		if on {
+			state = "on"
+		}
+		o.Instant("mode.switch", pr.ctrlTrack(), pr.r.cl.K.Now(),
+			obs.I64("program", int64(pr.id)), obs.Str("data_driven", state))
 	}
-	pr.obs().Instant("mode.switch", pr.ctrlTrack(), pr.r.cl.K.Now(),
-		obs.I64("program", int64(pr.id)), obs.Str("data_driven", state))
 }
 
 // file returns (opening on demand) the program's handle for a file.
@@ -588,7 +592,9 @@ func (pr *ProgramRun) clientCrash(at time.Duration) {
 	pr.crashed = true
 	pr.Done = true
 	pr.EndedAt = at
-	pr.obs().Instant("client.crash", pr.ctrlTrack(), at, obs.I64("program", int64(pr.id)))
+	if o := pr.obs(); o.Enabled() {
+		o.Instant("client.crash", pr.ctrlTrack(), at, obs.I64("program", int64(pr.id)))
+	}
 	if tier := pr.r.cl.Burst(); tier != nil {
 		for _, n := range pr.nodes {
 			tier.CrashNode(n, at)

@@ -200,10 +200,12 @@ func NewInjector(k *sim.Kernel, sch *Schedule, seed int64) *Injector {
 	for i, w := range inj.windows {
 		i, w := i, w
 		k.After(w.Start, func() {
-			inj.obs.Instant("fault.begin", "fault", k.Now(),
-				obs.I64("window", int64(i)), obs.Str("kind", w.Kind.String()),
-				obs.I64("target", int64(w.Target)),
-				obs.F64("factor", w.Factor), obs.F64("prob", w.Prob))
+			if inj.obs.Enabled() {
+				inj.obs.Instant("fault.begin", "fault", k.Now(),
+					obs.I64("window", int64(i)), obs.Str("kind", w.Kind.String()),
+					obs.I64("target", int64(w.Target)),
+					obs.F64("factor", w.Factor), obs.F64("prob", w.Prob))
+			}
 			if w.Kind == ServerCrash {
 				inj.notifyServer(w.Target, false, k.Now())
 			}
@@ -213,9 +215,11 @@ func NewInjector(k *sim.Kernel, sch *Schedule, seed int64) *Injector {
 		})
 		if w.End > 0 {
 			k.After(w.End, func() {
-				inj.obs.Instant("fault.end", "fault", k.Now(),
-					obs.I64("window", int64(i)), obs.Str("kind", w.Kind.String()),
-					obs.I64("target", int64(w.Target)))
+				if inj.obs.Enabled() {
+					inj.obs.Instant("fault.end", "fault", k.Now(),
+						obs.I64("window", int64(i)), obs.Str("kind", w.Kind.String()),
+						obs.I64("target", int64(w.Target)))
+				}
 				if w.Kind == ServerCrash && !inj.Crashed(w.Target, k.Now()) {
 					inj.notifyServer(w.Target, true, k.Now())
 				}

@@ -97,19 +97,37 @@ func (m *mapCache) markClean(k pageKey) {
 	m.dirtyBytes -= pageSize
 }
 
+// indexSlots calls fn for every allocated slot of f's index, in page
+// order, resident or not.
+func indexSlots(f *cacheFile, fn func(idx int64, r pageRef)) {
+	for i, r := range f.first {
+		fn(int64(i), r)
+	}
+	for b, blk := range f.blocks {
+		if blk == nil {
+			continue
+		}
+		for i, r := range blk {
+			fn(int64(b)<<indexBlockShift+int64(i), r)
+		}
+	}
+}
+
 // listKeys walks one of the cache's intrusive lists front to back, checking
 // that each page is the one its file's index holds and carries the list's
 // dirtiness.
-func listKeys(l *pageList, dirty bool) ([]pageKey, error) {
+func listKeys(c *pageCache, l *pageList, dirty bool) ([]pageKey, error) {
 	var keys []pageKey
-	for pg := l.head; pg != nil; pg = pg.next {
+	for r := l.head; r != 0; r = c.pages.at(r).next {
+		pg := c.pages.at(r)
+		f := c.files[pg.file]
 		if pg.dirty != dirty {
-			return nil, fmt.Errorf("page %s/%d on the dirty=%v list has dirty=%v", pg.f.name, pg.idx, dirty, pg.dirty)
+			return nil, fmt.Errorf("page %s/%d on the dirty=%v list has dirty=%v", f.name, pg.idx, dirty, pg.dirty)
 		}
-		if pg.f.lookup(pg.idx) != pg {
-			return nil, fmt.Errorf("page %s/%d is listed but not indexed", pg.f.name, pg.idx)
+		if f.lookup(int64(pg.idx)) != r {
+			return nil, fmt.Errorf("page %s/%d is listed but not indexed", f.name, pg.idx)
 		}
-		keys = append(keys, pageKey{pg.f.name, pg.idx})
+		keys = append(keys, pageKey{f.name, int64(pg.idx)})
 	}
 	if len(keys) != l.Len() {
 		return nil, fmt.Errorf("list walks %d pages, Len %d", len(keys), l.Len())
@@ -118,38 +136,44 @@ func listKeys(l *pageList, dirty bool) ([]pageKey, error) {
 }
 
 // checkAgainstModel compares the cache with the model: resident set, clean
-// LRU order, dirty FIFO order and dirty bytes, and the index's non-nil slot
+// LRU order, dirty FIFO order and dirty bytes, and the index's non-zero slot
 // count against the resident counter.
 func checkAgainstModel(c *pageCache, m *mapCache, files []*cacheFile) error {
 	slots := int64(0)
+	var err error
 	for _, f := range files {
-		for idx, pg := range f.pages {
-			if pg == nil {
-				continue
+		indexSlots(f, func(idx int64, r pageRef) {
+			if r == 0 || err != nil {
+				return
 			}
 			slots++
-			if pg.f != f || pg.idx != int64(idx) {
-				return fmt.Errorf("slot %s/%d holds page %s/%d", f.name, idx, pg.f.name, pg.idx)
+			pg := c.pages.at(r)
+			if pg.file != f.id || int64(pg.idx) != idx {
+				err = fmt.Errorf("slot %s/%d holds page %s/%d", f.name, idx, c.files[pg.file].name, pg.idx)
+				return
 			}
-			if dirty, ok := m.resident[pageKey{f.name, int64(idx)}]; !ok || dirty != pg.dirty {
-				return fmt.Errorf("page %s/%d resident (dirty=%v), model has resident=%v dirty=%v", f.name, idx, pg.dirty, ok, dirty)
+			if dirty, ok := m.resident[pageKey{f.name, idx}]; !ok || dirty != pg.dirty {
+				err = fmt.Errorf("page %s/%d resident (dirty=%v), model has resident=%v dirty=%v", f.name, idx, pg.dirty, ok, dirty)
 			}
-		}
+		})
+	}
+	if err != nil {
+		return err
 	}
 	if slots != c.resident {
-		return fmt.Errorf("%d non-nil index slots, resident counter %d", slots, c.resident)
+		return fmt.Errorf("%d non-zero index slots, resident counter %d", slots, c.resident)
 	}
 	if int(slots) != len(m.resident) {
 		return fmt.Errorf("%d pages resident, model %d", slots, len(m.resident))
 	}
-	clean, err := listKeys(&c.clean, false)
+	clean, err := listKeys(c, &c.clean, false)
 	if err != nil {
 		return err
 	}
 	if !slices.Equal(clean, m.clean) {
 		return fmt.Errorf("clean LRU %v, model %v", clean, m.clean)
 	}
-	dirty, err := listKeys(&c.dirty, true)
+	dirty, err := listKeys(c, &c.dirty, true)
 	if err != nil {
 		return err
 	}
@@ -161,6 +185,11 @@ func checkAgainstModel(c *pageCache, m *mapCache, files []*cacheFile) error {
 	}
 	return nil
 }
+
+// modelPages are the page indices the model test draws from: block 0
+// through its 8 → 16 doubling, both sides of the first block boundary, and
+// a block far into the file.
+var modelPages = []int64{0, 1, 2, 3, 7, 8, 9, 511, 512, 513, 1500, 100000}
 
 func TestPageCacheMatchesMapModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -181,7 +210,7 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 			k.Spawn("model", func(p *sim.Proc) {
 				for ; steps < 5000 && err == nil; steps++ {
 					f := files[rng.Intn(len(files))]
-					key := pageKey{f.name, int64(rng.Intn(12))}
+					key := pageKey{f.name, modelPages[rng.Intn(len(modelPages))]}
 					op := rng.Intn(5)
 					if (op == 1 || op == 2) && m.wouldBlock(key) {
 						op = 3 // a full, all-dirty cache waits for the flusher: flush instead
@@ -210,12 +239,12 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 							continue
 						}
 						key = pick[rng.Intn(len(pick))]
-						pg := c.file(key.file).lookup(key.idx)
-						if pg == nil {
+						r := c.file(key.file).lookup(key.idx)
+						if r == 0 {
 							err = fmt.Errorf("model page %v not in the index", key)
 							return
 						}
-						c.markClean(pg)
+						c.markClean(r)
 						m.markClean(key)
 					}
 					err = checkAgainstModel(c, m, files)
@@ -259,16 +288,79 @@ func TestPageCacheRacingInsertCountsOnce(t *testing.T) {
 	k.Run()
 	slots := int64(0)
 	for _, f := range []*cacheFile{a, b} {
-		for _, pg := range f.pages {
-			if pg != nil {
+		indexSlots(f, func(_ int64, r pageRef) {
+			if r != 0 {
 				slots++
 			}
+		})
+	}
+	if slots != 1 || c.resident != 1 || b.lookup(0) == 0 {
+		t.Fatalf("after the race: %d non-zero slots, resident %d, b/0 indexed %v; want 1, 1, true",
+			slots, c.resident, b.lookup(0) != 0)
+	}
+}
+
+// TestPageIndexSizedByTouch pins the index's footprint to the pages a file
+// touches: a small file's block 0 grows from 8 slots, a lone far page costs
+// one block (plus directory entries, not slots), and a page index past
+// int32 panics instead of wrapping.
+func TestPageIndexSizedByTouch(t *testing.T) {
+	// blockSlots lists the slot count of every allocated block, block 0 first.
+	blockSlots := func(f *cacheFile) []int {
+		var n []int
+		if f.first != nil {
+			n = append(n, len(f.first))
 		}
+		for _, blk := range f.blocks {
+			if blk != nil {
+				n = append(n, len(blk))
+			}
+		}
+		return n
 	}
-	if slots != 1 || c.resident != 1 || b.lookup(0) == nil {
-		t.Fatalf("after the race: %d non-nil slots, resident %d, b/0 indexed %v; want 1, 1, true",
-			slots, c.resident, b.lookup(0) != nil)
+	insert := func(c *pageCache, f *cacheFile, pages ...int64) {
+		c.k.Spawn("insert", func(p *sim.Proc) {
+			for _, idx := range pages {
+				c.insertClean(p, f, idx)
+			}
+		})
+		c.k.Run()
 	}
+
+	t.Run("small file", func(t *testing.T) {
+		c := newPageCache(sim.NewKernel(1), DefaultConfig())
+		f := c.file("small")
+		insert(c, f, 0, 1, 2, 3, 4, 5)
+		if got := blockSlots(f); !slices.Equal(got, []int{8}) {
+			t.Fatalf("pages 0-5 allocated blocks of %v slots, want [8]", got)
+		}
+		if c.resident != 6 {
+			t.Fatalf("resident %d, want 6", c.resident)
+		}
+	})
+
+	t.Run("lone far page", func(t *testing.T) {
+		c := newPageCache(sim.NewKernel(1), DefaultConfig())
+		f := c.file("far")
+		idx := int64(2<<30) / pageSize
+		insert(c, f, idx)
+		if got := blockSlots(f); !slices.Equal(got, []int{indexBlock}) {
+			t.Fatalf("a page at 2 GiB allocated blocks of %v slots, want [%d]", got, indexBlock)
+		}
+		if f.lookup(idx) == 0 || f.lookup(idx-1) != 0 || f.lookup(0) != 0 {
+			t.Fatal("the far page is not the only page indexed")
+		}
+	})
+
+	t.Run("past int32", func(t *testing.T) {
+		f := &cacheFile{name: "huge"}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("page index 2^31 did not panic")
+			}
+		}()
+		f.grow(1 << 31)
+	})
 }
 
 // BenchmarkPageCache measures the page-cache index on its hot path: a full

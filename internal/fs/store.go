@@ -133,7 +133,7 @@ type multiScratch struct {
 	reqs     []*iosched.Request
 	missRuns [][2]int64
 	runs     []lbnRun
-	pages    []*cachePage
+	pages    []pageRef
 }
 
 func (s *Store) getScratch() *multiScratch {
@@ -428,30 +428,37 @@ func (s *Store) flusherLoop(p *sim.Proc) {
 
 // flushOnce writes back the oldest dirty pages, up to one batch.
 func (s *Store) flushOnce(p *sim.Proc) {
+	c := s.cache
 	sc := s.getScratch()
 	pages := sc.pages
 	var bytes int64
-	for pg := s.cache.dirty.head; pg != nil && bytes < s.cfg.WritebackBatchBytes; pg = pg.next {
-		pages = append(pages, pg)
+	for r := c.dirty.head; r != 0 && bytes < s.cfg.WritebackBatchBytes; r = c.pages.at(r).next {
+		pages = append(pages, r)
 		bytes += pageSize
 	}
 	// Coalesce per-file page runs into write requests, then sort by LBN.
 	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].f != pages[j].f {
-			return pages[i].f.name < pages[j].f.name
+		a, b := c.pages.at(pages[i]), c.pages.at(pages[j])
+		if a.file != b.file {
+			return c.files[a.file].name < c.files[b.file].name
 		}
-		return pages[i].idx < pages[j].idx
+		return a.idx < b.idx
 	})
 	reqs := sc.reqs
 	i := 0
 	for i < len(pages) {
+		first := c.pages.at(pages[i])
 		j := i
-		for j+1 < len(pages) && pages[j+1].f == pages[i].f && pages[j+1].idx == pages[j].idx+1 {
+		for j+1 < len(pages) {
+			next, last := c.pages.at(pages[j+1]), c.pages.at(pages[j])
+			if next.file != first.file || next.idx != last.idx+1 {
+				break
+			}
 			j++
 		}
 		// WriteRuns commits relocation at data-reaching-disk time: a
 		// log-structured engine assigns the pages' log locations here.
-		sc.runs = s.eng.WriteRuns(sc.runs[:0], pages[i].f.name, pages[i].idx*pageSize, int64(j-i+1)*pageSize)
+		sc.runs = s.eng.WriteRuns(sc.runs[:0], c.files[first.file].name, int64(first.idx)*pageSize, int64(j-i+1)*pageSize)
 		for _, lr := range sc.runs {
 			reqs = s.appendSplit(reqs, lr, true, s.wbOrig, obs.Ctx{})
 		}
@@ -464,8 +471,8 @@ func (s *Store) flushOnce(p *sim.Proc) {
 	for _, r := range reqs {
 		s.disp.Wait(p, r)
 	}
-	for _, pg := range pages {
-		s.cache.markClean(pg)
+	for _, r := range pages {
+		c.markClean(r)
 	}
 	s.releaseReqs(reqs)
 	sc.reqs, sc.pages = reqs, pages

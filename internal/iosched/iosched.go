@@ -49,18 +49,25 @@ type Request struct {
 // End returns the first LBN after the request.
 func (r *Request) End() int64 { return r.LBN + r.Sectors }
 
+// dropAbsorbed empties the merge list once its requests are handed on,
+// clearing the references but keeping the backing array for the next merge.
+func (r *Request) dropAbsorbed() {
+	clear(r.absorbed)
+	r.absorbed = r.absorbed[:0]
+}
+
 // Reset prepares a completed request for reuse, so submitters can pool
 // Request records instead of allocating one per block run. The completion
-// signal keeps its waiter-list capacity; everything else returns to the
-// zero state. Resetting a request that has not finished (still queued,
-// dispatched, or absorbed into a pending merge) would leave a live alias
-// and is a caller bug.
+// signal and the (empty) merge list keep their capacity; everything else
+// returns to the zero state. Resetting a request that has not finished
+// (still queued, dispatched, or absorbed into a pending merge) would leave
+// a live alias and is a caller bug.
 func (r *Request) Reset() {
 	if !r.finished {
 		panic("iosched: Reset of unfinished request")
 	}
-	done := r.done
-	*r = Request{done: done}
+	done, absorbed := r.done, r.absorbed
+	*r = Request{done: done, absorbed: absorbed[:0]}
 }
 
 // Algorithm is an elevator policy. Implementations are driven by a single
@@ -266,5 +273,5 @@ func (d *Dispatcher) complete(r *Request) {
 		a.finished = true
 		a.done.Broadcast()
 	}
-	r.absorbed = nil
+	r.dropAbsorbed()
 }

@@ -334,3 +334,41 @@ func TestNamedBuildsEachElevator(t *testing.T) {
 		t.Error("unknown scheduler name resolved")
 	}
 }
+
+// TestMergeListKeepsCapacityAcrossReset: a pooled request that absorbed
+// merges keeps its merge list's backing array through completion and
+// Reset, so serving a merge of the same size again allocates nothing.
+func TestMergeListKeepsCapacityAcrossReset(t *testing.T) {
+	var d Dispatcher // complete touches only the requests
+	var q sortedQueue
+	head := &Request{}
+	var back, front [2]*Request
+	for i := range back {
+		back[i], front[i] = &Request{}, &Request{}
+	}
+	serve := func() {
+		head.LBN, head.Sectors = 64, 8
+		q.insert(head)
+		for i := range back {
+			back[i].LBN, back[i].Sectors = 72+int64(i)*8, 8   // back merges
+			front[i].LBN, front[i].Sectors = 56-int64(i)*8, 8 // front merges
+			if !q.insert(back[i]) || !q.insert(front[i]) {
+				t.Fatal("adjacent request did not merge")
+			}
+		}
+		r := q.nextFrom(0)
+		if r != head || r.Sectors != 40 || len(r.absorbed) != 4 {
+			t.Fatalf("merged request %+v, want the head covering 40 sectors with 4 absorbed", r)
+		}
+		d.complete(r)
+		head.Reset()
+		for i := range back {
+			back[i].Reset()
+			front[i].Reset()
+		}
+	}
+	serve() // the first merge sizes the list
+	if allocs := testing.AllocsPerRun(10, serve); allocs != 0 {
+		t.Fatalf("a repeated merge allocated %.1f times per run, want 0", allocs)
+	}
+}

@@ -21,7 +21,7 @@ func (q *sortedQueue) insert(r *Request) bool {
 			prev.Sectors += r.Sectors
 			prev.absorbed = append(prev.absorbed, r)
 			prev.absorbed = append(prev.absorbed, r.absorbed...)
-			r.absorbed = nil
+			r.dropAbsorbed()
 			return true
 		}
 	}
@@ -33,7 +33,7 @@ func (q *sortedQueue) insert(r *Request) bool {
 			next.Sectors += r.Sectors
 			next.absorbed = append(next.absorbed, r)
 			next.absorbed = append(next.absorbed, r.absorbed...)
-			r.absorbed = nil
+			r.dropAbsorbed()
 			return true
 		}
 	}

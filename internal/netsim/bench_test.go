@@ -49,3 +49,26 @@ func BenchmarkSendLossy(b *testing.B) {
 	})
 	k.RunUntil(999 * time.Hour)
 }
+
+// BenchmarkSendLossyVoided is BenchmarkSendLossy with every message
+// addressed to server 5 (node 6), which is down for the whole run, so each
+// one is voided. Tracing is off: a voided message must format nothing.
+func BenchmarkSendLossyVoided(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	n := New(k, DefaultConfig())
+	inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
+		{Kind: fault.ServerCrash, Target: 5},
+	}}, 1)
+	inj.BindServerNodes([]int{1, 2, 3, 4, 5, 6})
+	n.SetFaults(inj)
+	k.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if n.SendLossy(p, 100+i%4, 6, 64<<10, obs.Ctx{}) {
+				b.Errorf("message %d delivered: its server is down", i)
+				return
+			}
+		}
+	})
+	k.Run()
+}

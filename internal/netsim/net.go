@@ -151,9 +151,11 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 	for attempt := 0; attempt < maxRetransmits && n.faults.Drop(from, to, p.Now()); attempt++ {
 		n.drops++
 		n.cDrops.Add(1)
-		n.obs.Instant("fault.drop", "net", p.Now(),
-			obs.I64("from", int64(from)), obs.I64("to", int64(to)),
-			obs.I64("bytes", bytes))
+		if n.obs.Enabled() {
+			n.obs.Instant("fault.drop", "net", p.Now(),
+				obs.I64("from", int64(from)), obs.I64("to", int64(to)),
+				obs.I64("bytes", bytes))
+		}
 		p.Sleep(n.cfg.RetransmitTimeout)
 	}
 	n.messages++
@@ -197,9 +199,11 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 // request for the StageNet span (zero Ctx = untraced).
 func (n *Network) SendLossy(p *sim.Proc, from, to int, bytes int64, rc obs.Ctx) bool {
 	if n.faults.NodeCrashed(from, p.Now()) || n.faults.NodeCrashed(to, p.Now()) {
-		n.obs.Instant("fault.void", "net", p.Now(),
-			obs.I64("from", int64(from)), obs.I64("to", int64(to)),
-			obs.I64("bytes", bytes))
+		if n.obs.Enabled() {
+			n.obs.Instant("fault.void", "net", p.Now(),
+				obs.I64("from", int64(from)), obs.I64("to", int64(to)),
+				obs.I64("bytes", bytes))
+		}
 		n.SendTraced(p, from, to, bytes, rc)
 		return false
 	}

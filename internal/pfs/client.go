@@ -333,9 +333,11 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup) error {
 					continue
 				}
 				fsys.retries++
-				fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
-					obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry)),
-					obs.Str("file", g.file))
+				if fsys.obs.Enabled() {
+					fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
+						obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry)),
+						obs.Str("file", g.file))
+				}
 				due = append(due, is)
 			}
 			if backoff > 0 {
@@ -384,10 +386,12 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 				continue // allReplicasDown catches it next iteration
 			}
 			fsys.failovers++
-			fsys.obs.Instant("failover", fmt.Sprintf("client%d", c.Node), p.Now(),
-				obs.I64("from", int64(cur.srv.Index)),
-				obs.I64("to", int64(fsys.replicaServer(g.primary, next).Index)),
-				obs.Str("file", g.file))
+			if fsys.obs.Enabled() {
+				fsys.obs.Instant("failover", fmt.Sprintf("client%d", c.Node), p.Now(),
+					obs.I64("from", int64(cur.srv.Index)),
+					obs.I64("to", int64(fsys.replicaServer(g.primary, next).Index)),
+					obs.Str("file", g.file))
+			}
 			c.issueTo(p, g, next, false, origin, rc)
 			if timeout > 0 {
 				deadline = p.Now() + timeout
@@ -406,9 +410,11 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 				continue
 			}
 			nsrv := fsys.replicaServer(g.primary, next)
-			fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
-				obs.I64("server", int64(nsrv.Index)), obs.I64("attempt", int64(retry)),
-				obs.Str("file", g.file))
+			if fsys.obs.Enabled() {
+				fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
+					obs.I64("server", int64(nsrv.Index)), obs.I64("attempt", int64(retry)),
+					obs.Str("file", g.file))
+			}
 			if nsrv.Index != cur.srv.Index {
 				fsys.failovers++
 			}

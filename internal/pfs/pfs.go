@@ -448,6 +448,9 @@ func (srv *Server) dropCrashed(req *serverReq, now time.Duration) {
 	if req.write {
 		fsys.ledger.add(srv.Index, req.file, req.extents)
 	}
+	if !fsys.obs.Enabled() {
+		return
+	}
 	rw := "read"
 	if req.write {
 		rw = "write"

@@ -114,12 +114,14 @@ func (fsys *FileSystem) setDown(server int, down bool) {
 		return
 	}
 	fsys.down[server] = down
-	state := "up"
-	if down {
-		state = "down"
+	if fsys.obs.Enabled() {
+		state := "up"
+		if down {
+			state = "down"
+		}
+		fsys.obs.Instant("pfs.view", "pfs", fsys.k.Now(),
+			obs.I64("server", int64(server)), obs.Str("state", state))
 	}
-	fsys.obs.Instant("pfs.view", "pfs", fsys.k.Now(),
-		obs.I64("server", int64(server)), obs.Str("state", state))
 	if !down {
 		fsys.startRebuild(server)
 	}
@@ -243,13 +245,15 @@ func (fsys *FileSystem) startRebuild(server int) {
 func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) {
 	srv := fsys.servers[server]
 	n := len(fsys.servers)
-	var total int64
-	for _, df := range dirty {
-		total += ext.Total(df.extents)
+	if fsys.obs.Enabled() {
+		var total int64
+		for _, df := range dirty {
+			total += ext.Total(df.extents)
+		}
+		fsys.obs.Instant("rebuild.begin", "pfs", p.Now(),
+			obs.I64("server", int64(server)), obs.I64("files", int64(len(dirty))),
+			obs.I64("bytes", total))
 	}
-	fsys.obs.Instant("rebuild.begin", "pfs", p.Now(),
-		obs.I64("server", int64(server)), obs.I64("files", int64(len(dirty))),
-		obs.I64("bytes", total))
 	var copied int64
 	for _, df := range dirty {
 		base, rank := replicaBase(df.file)
@@ -267,9 +271,11 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 				piece := ext.Extent{Off: off, Len: min(rebuildChunk, e.End()-off)}
 				src := fsys.rebuildSource(primary, rank, p.Now())
 				if src < 0 {
-					fsys.obs.Instant("rebuild.lost", "pfs", p.Now(),
-						obs.I64("server", int64(server)), obs.Str("file", df.file),
-						obs.I64("bytes", piece.Len))
+					if fsys.obs.Enabled() {
+						fsys.obs.Instant("rebuild.lost", "pfs", p.Now(),
+							obs.I64("server", int64(server)), obs.Str("file", df.file),
+							obs.I64("bytes", piece.Len))
+					}
 					continue
 				}
 				peer := fsys.servers[src]
@@ -292,8 +298,10 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 		}
 	}
 	fsys.rebuilding[server] = false
-	fsys.obs.Instant("rebuild.end", "pfs", p.Now(),
-		obs.I64("server", int64(server)), obs.I64("bytes", copied))
+	if fsys.obs.Enabled() {
+		fsys.obs.Instant("rebuild.end", "pfs", p.Now(),
+			obs.I64("server", int64(server)), obs.I64("bytes", copied))
+	}
 	fsys.viewSig.Broadcast()
 }
 
