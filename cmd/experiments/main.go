@@ -126,14 +126,7 @@ func main() {
 		os.Exit(1)
 	}
 	for _, res := range results {
-		fmt.Printf("== %s ==\n", res.Title)
-		for _, n := range res.Notes {
-			fmt.Printf("   note: %s\n", n)
-		}
-		fmt.Println(res.Table.String())
-		for _, s := range res.Series {
-			fmt.Print(metrics.ASCIIChart(s, 72, 8))
-		}
+		res.WriteText(os.Stdout)
 		if *out != "" {
 			if err := writeResult(*out, res); err != nil {
 				fmt.Fprintln(os.Stderr, err)

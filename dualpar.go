@@ -22,7 +22,6 @@ import (
 
 	"dualpar/internal/cluster"
 	"dualpar/internal/core"
-	"dualpar/internal/disk"
 	"dualpar/internal/fault"
 	"dualpar/internal/iosched"
 	"dualpar/internal/workloads"
@@ -89,8 +88,7 @@ func (c Config) WithScheduler(name string) Config {
 
 // WithSSD returns the config with flash storage instead of rotating RAIDs.
 func (c Config) WithSSD() Config {
-	sp := disk.DefaultSSDParams()
-	c.Cluster.SSD = &sp
+	c.Cluster.SSD = true
 	return c
 }
 

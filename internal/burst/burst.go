@@ -245,7 +245,6 @@ func (t *Tier) Log(node int) *Log {
 		writer: t.writerF(node),
 		recs:   make([]record, 16),
 	}
-	l.dev = t.k.NewResource(1)
 	t.logs[node] = l
 	t.order = append(t.order, node)
 	t.k.Spawn(fmt.Sprintf("burst-drain-%d", node), l.drainLoop)
@@ -360,8 +359,8 @@ type Log struct {
 	node   int
 	origin int
 	writer Writer
-	dev    *sim.Resource // serializes absorb+seal on the log device
-	err    error         // first drain/replay failure (an *EpochError)
+	dev    sim.Lock // serializes absorb+seal on the log device
+	err    error    // first drain/replay failure (an *EpochError)
 
 	// ring buffer of resident records; head/tail are absolute counters,
 	// len(recs) is a power of two.
@@ -443,9 +442,9 @@ func (l *Log) Append(p *sim.Proc, rank, epoch int, file string, extents []ext.Ex
 		if wait := p.Now() - start; wait > 0 {
 			l.stall += wait
 		}
-		l.dev.Acquire(p, 1)
+		l.dev.Acquire(p)
 		p.Sleep(xferTime(x.Len, cfg.AbsorbBps))
-		l.dev.Release(1)
+		l.dev.Release()
 		l.push(record{seq: l.seq, rank: int32(rank), epoch: int32(epoch), file: file, x: x})
 		l.seq++
 		l.absorbed += x.Len
@@ -460,11 +459,11 @@ func (l *Log) Append(p *sim.Proc, rank, epoch int, file string, extents []ext.Ex
 // for this rank. Sealing wakes the drainer.
 func (l *Log) Seal(p *sim.Proc, rank, epoch int) {
 	cfg := l.t.cfg
-	l.dev.Acquire(p, 1)
+	l.dev.Acquire(p)
 	if cfg.SealLatency > 0 {
 		p.Sleep(cfg.SealLatency)
 	}
-	l.dev.Release(1)
+	l.dev.Release()
 	var sealed int64
 	for i := l.head; i < l.tail; i++ {
 		rec := l.at(i)

@@ -39,7 +39,6 @@ type Config struct {
 	ComputeNodes int
 	Disk         disk.Params
 	FS           fs.Config
-	Net          netsim.Config
 	PFS          pfs.Config
 	Seed         int64
 	TraceServers bool                     // enable blktrace-style logs on all data servers
@@ -47,7 +46,7 @@ type Config struct {
 	// SSD replaces the rotating RAID with a flash device on every data
 	// server (forward-looking ablation: the paper's premise is seek-bound
 	// storage).
-	SSD *disk.SSDParams
+	SSD bool
 	// Obs, when non-nil, enables simulation-wide tracing and metrics: it is
 	// threaded through the network, the data servers' storage stacks, and
 	// the block-layer dispatchers. Nil (the default) costs one nil check per
@@ -78,7 +77,6 @@ func DefaultConfig() Config {
 		ComputeNodes: 8,
 		Disk:         disk.DefaultParams(),
 		FS:           fs.DefaultConfig(),
-		Net:          netsim.DefaultConfig(),
 		PFS:          pfs.DefaultConfig(),
 		Seed:         1,
 	}
@@ -103,7 +101,7 @@ func New(cfg Config) *Cluster {
 		panic(fmt.Sprintf("cluster: bad shape %d/%d", cfg.DataServers, cfg.ComputeNodes))
 	}
 	k := sim.NewKernel(cfg.Seed)
-	net := netsim.New(k, cfg.Net)
+	net := netsim.New()
 	var inj *fault.Injector
 	if cfg.Faults != nil {
 		inj = fault.NewInjector(k, cfg.Faults, cfg.Seed*31337+7)
@@ -117,8 +115,8 @@ func New(cfg Config) *Cluster {
 	var stores []*fs.Store
 	for i := 0; i < cfg.DataServers; i++ {
 		var dev disk.Device
-		if cfg.SSD != nil {
-			dev = disk.NewSSD(*cfg.SSD)
+		if cfg.SSD {
+			dev = disk.NewSSD()
 		} else {
 			members := make([]*disk.Disk, DisksPerRAID)
 			for m := range members {

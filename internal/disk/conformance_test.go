@@ -28,7 +28,7 @@ func TestDeviceConformance(t *testing.T) {
 		{name: "raid0", make: func(*sim.Kernel) disk.Device {
 			return disk.NewRAID0([]*disk.Disk{disk.New(p), disk.New(p)}, 128)
 		}, slow: 1, members: true},
-		{name: "ssd", make: func(*sim.Kernel) disk.Device { return disk.NewSSD(disk.DefaultSSDParams()) }, slow: 1},
+		{name: "ssd", make: func(*sim.Kernel) disk.Device { return disk.NewSSD() }, slow: 1},
 		{name: "fault", make: func(k *sim.Kernel) disk.Device {
 			inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 				{Kind: fault.DiskSlow, Target: 2, Factor: 3},

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSSDPositionIndependent(t *testing.T) {
-	d := NewSSD(DefaultSSDParams())
+	d := NewSSD()
 	k := sim.NewKernel(1)
 	var seq, rnd time.Duration
 	k.Spawn("d", func(p *sim.Proc) {
@@ -24,7 +24,7 @@ func TestSSDPositionIndependent(t *testing.T) {
 }
 
 func TestSSDWriteSlowerThanRead(t *testing.T) {
-	d := NewSSD(DefaultSSDParams())
+	d := NewSSD()
 	k := sim.NewKernel(1)
 	var r, w time.Duration
 	k.Spawn("d", func(p *sim.Proc) {
@@ -38,7 +38,7 @@ func TestSSDWriteSlowerThanRead(t *testing.T) {
 }
 
 func TestSSDBoundsPanic(t *testing.T) {
-	d := NewSSD(DefaultSSDParams())
+	d := NewSSD()
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(p *sim.Proc) {
 		d.Access(p, d.Sectors(), 1, false)
@@ -49,20 +49,4 @@ func TestSSDBoundsPanic(t *testing.T) {
 		}
 	}()
 	k.Run()
-}
-
-func TestSSDParamsValidate(t *testing.T) {
-	bad := []func(*SSDParams){
-		func(p *SSDParams) { p.SectorSize = 0 },
-		func(p *SSDParams) { p.Sectors = 0 },
-		func(p *SSDParams) { p.ReadLatency = -1 },
-		func(p *SSDParams) { p.TransferRate = 0 },
-	}
-	for i, m := range bad {
-		p := DefaultSSDParams()
-		m(&p)
-		if p.Validate() == nil {
-			t.Fatalf("case %d passed", i)
-		}
-	}
 }

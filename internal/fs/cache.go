@@ -246,13 +246,10 @@ func (c *pageCache) touch(f *cacheFile, idx int64) bool {
 	return true
 }
 
-// insertClean makes the page resident and clean, evicting LRU clean pages
-// as needed. If the cache is entirely dirty, the caller blocks until the
-// flusher makes room.
+// insertClean makes a page that is not resident (touch just missed on it)
+// resident and clean, evicting LRU clean pages as needed. If the cache is
+// entirely dirty, the caller blocks until the flusher makes room.
 func (c *pageCache) insertClean(p *sim.Proc, f *cacheFile, idx int64) {
-	if c.touch(f, idx) {
-		return
-	}
 	c.makeRoom(p)
 	r, pg := c.pages.alloc(f.id, int32(idx))
 	c.pages.pushBack(&c.clean, r, pg)

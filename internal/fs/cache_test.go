@@ -222,7 +222,10 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 							return
 						}
 					case 1:
-						c.insertClean(p, f, key.idx)
+						// insertClean's precondition: a touch that missed.
+						if !c.touch(f, key.idx) {
+							c.insertClean(p, f, key.idx)
+						}
 						m.insertClean(key)
 					case 2:
 						c.insertDirty(p, f, key.idx)

@@ -167,8 +167,15 @@ func (s *Store) newReq(lbn, sectors int64, write bool, origin int, rc obs.Ctx) *
 	return r
 }
 
-// releaseReqs recycles a batch whose every request has completed.
-func (s *Store) releaseReqs(reqs []*iosched.Request) {
+// submit enqueues a whole batch (so the elevator sees all of it at once),
+// blocks p until every request has completed, and recycles the records.
+func (s *Store) submit(p *sim.Proc, reqs []*iosched.Request) {
+	for _, r := range reqs {
+		s.disp.Enqueue(r)
+	}
+	for _, r := range reqs {
+		s.disp.Wait(p, r)
+	}
 	for _, r := range reqs {
 		r.Reset()
 		s.reqFree = append(s.reqFree, r)
@@ -252,13 +259,7 @@ func (s *Store) engineSubmit(p *sim.Proc, runs []lbnRun, write bool) {
 	for _, lr := range runs {
 		reqs = s.appendSplit(reqs, lr, write, s.wbOrig, obs.Ctx{})
 	}
-	for _, r := range reqs {
-		s.disp.Enqueue(r)
-	}
-	for _, r := range reqs {
-		s.disp.Wait(p, r)
-	}
-	s.releaseReqs(reqs)
+	s.submit(p, reqs)
 	sc.reqs = reqs
 	s.putScratch(sc)
 }
@@ -330,13 +331,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 			reqs = s.appendSplit(reqs, lr, false, origin, rc)
 		}
 	}
-	for _, r := range reqs {
-		s.disp.Enqueue(r)
-	}
-	for _, r := range reqs {
-		s.disp.Wait(p, r)
-	}
-	s.releaseReqs(reqs)
+	s.submit(p, reqs)
 	sc.reqs, sc.missRuns = reqs, missRuns
 	s.putScratch(sc)
 }
@@ -370,13 +365,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 				reqs = s.appendSplit(reqs, lr, true, origin, rc)
 			}
 		}
-		for _, r := range reqs {
-			s.disp.Enqueue(r)
-		}
-		for _, r := range reqs {
-			s.disp.Wait(p, r)
-		}
-		s.releaseReqs(reqs)
+		s.submit(p, reqs)
 		sc.reqs = reqs
 		s.putScratch(sc)
 		return
@@ -465,16 +454,10 @@ func (s *Store) flushOnce(p *sim.Proc) {
 		i = j + 1
 	}
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].LBN < reqs[j].LBN })
-	for _, r := range reqs {
-		s.disp.Enqueue(r)
-	}
-	for _, r := range reqs {
-		s.disp.Wait(p, r)
-	}
+	s.submit(p, reqs)
 	for _, r := range pages {
 		c.markClean(r)
 	}
-	s.releaseReqs(reqs)
 	sc.reqs, sc.pages = reqs, pages
 	s.putScratch(sc)
 }

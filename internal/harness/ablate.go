@@ -6,7 +6,6 @@ import (
 
 	"dualpar/internal/cluster"
 	"dualpar/internal/core"
-	"dualpar/internal/disk"
 	"dualpar/internal/iosched"
 	"dualpar/internal/metrics"
 	"dualpar/internal/mpiio"
@@ -216,8 +215,7 @@ func AblateSSD(o Opts) *Result {
 	tps := sweep(o, grid("ablate-ssd", storages, each("%s", twoSchemes)), func(i int) float64 {
 		ccfg := o.config()
 		if storages[i/ns] == "ssd" {
-			sp := disk.DefaultSSDParams()
-			ccfg.SSD = &sp
+			ccfg.SSD = true
 		}
 		return o.mpiioTest("ablate-ssd "+storages[i/ns], ccfg, size, false, twoSchemes[i%ns].mode).throughputMBs()
 	})

@@ -70,7 +70,9 @@ func TestMultitenantDeterminismGolden(t *testing.T) {
 		t.Skip("runs the multitenant sweep four times; skipped with -short")
 	}
 	path := filepath.Join("testdata", "multitenant_quick.golden")
-	got := renderResult(Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
+	res := Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard})
+	checkSuite(t, res)
+	got := renderResult(res)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

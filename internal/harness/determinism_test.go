@@ -7,12 +7,109 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dualpar/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from this run")
+
+// suiteGoldenPath holds `experiments -run all -quick -q` as printed: every
+// number the quick suite reports, one segment per experiment in Experiments
+// order. The tests that already run an experiment at quick settings check
+// their result against its segment (checkSuite), so pinning the whole
+// suite costs no simulation runs of its own. A change that moves a number
+// on purpose re-records it with
+// `go run ./cmd/experiments -run all -quick -q > internal/harness/testdata/all_quick.golden`.
+const suiteGoldenPath = "testdata/all_quick.golden"
+
+var suite struct {
+	once     sync.Once
+	segments map[string]string // experiment ID -> its printed text
+	err      error
+
+	mu      sync.Mutex
+	checked map[string]bool
+}
+
+// suiteSegments splits the suite golden at its "== title ==" lines.
+func suiteSegments() (map[string]string, error) {
+	suite.once.Do(func() {
+		raw, err := os.ReadFile(suiteGoldenPath)
+		if err != nil {
+			suite.err = err
+			return
+		}
+		var parts []string
+		for _, line := range strings.SplitAfter(string(raw), "\n") {
+			if strings.HasPrefix(line, "== ") {
+				parts = append(parts, "")
+			}
+			if len(parts) == 0 {
+				suite.err = fmt.Errorf("%s does not start with a title line", suiteGoldenPath)
+				return
+			}
+			parts[len(parts)-1] += line
+		}
+		if len(parts) != len(Experiments) {
+			suite.err = fmt.Errorf("%s holds %d experiments, the registry %d", suiteGoldenPath, len(parts), len(Experiments))
+			return
+		}
+		suite.segments = make(map[string]string, len(parts))
+		for i, e := range Experiments {
+			suite.segments[e.ID] = parts[i]
+		}
+	})
+	return suite.segments, suite.err
+}
+
+// checkSuite compares a quick, default-seed result with its segment of the
+// suite golden, byte for byte as the experiments command prints it.
+func checkSuite(t *testing.T, res *Result) {
+	t.Helper()
+	segs, err := suiteSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	res.WriteText(&b)
+	if want := segs[res.ID]; b.String() != want {
+		t.Errorf("%s drifted from %s:\n--- want ---\n%s\n--- got ---\n%s", res.ID, suiteGoldenPath, want, b.String())
+	}
+	suite.mu.Lock()
+	if suite.checked == nil {
+		suite.checked = make(map[string]bool)
+	}
+	suite.checked[res.ID] = true
+	suite.mu.Unlock()
+}
+
+// TestMain fails a full run (no -short, -run, -skip or -list) of this
+// package that did not check every experiment against the suite golden, so
+// an experiment cannot fall out of the golden unnoticed.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	full := !testing.Short()
+	for _, name := range []string{"test.run", "test.skip", "test.list"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			full = false
+		}
+	}
+	if code == 0 && full {
+		var missing []string
+		for _, e := range Experiments {
+			if !suite.checked[e.ID] {
+				missing = append(missing, e.ID)
+			}
+		}
+		if len(missing) > 0 {
+			fmt.Fprintf(os.Stderr, "FAIL: no test checked %v against %s\n", missing, suiteGoldenPath)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // renderResult flattens a Result to the text the experiments command
 // prints: title, notes, table, and charts. Byte equality of this rendering
@@ -56,6 +153,7 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("result counts differ: serial %d, parallel %d", len(serial), len(par))
 	}
 	for i := range serial {
+		checkSuite(t, serial[i])
 		if got, want := renderResult(par[i]), renderResult(serial[i]); got != want {
 			t.Errorf("%s: parallel(4) output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				serial[i].ID, want, got)
@@ -65,7 +163,8 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 
 // TestFaultSweepsParallelMatchSerial covers the experiments the paper
 // suite does not include: stragglers and crash-stop availability, both
-// sweeping cells with DNF-note side channels, and the ablations.
+// sweeping cells with DNF-note side channels, the ablations, checkpoint
+// and the storage engines. Multitenant has its own four-variant guard.
 func TestFaultSweepsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault sweeps; skipped with -short")
@@ -87,9 +186,13 @@ func TestFaultSweepsParallelMatchSerial(t *testing.T) {
 		{"ablate-s2window", AblateStrategy2Window},
 		{"ablate-servers", AblateServers},
 		{"ablate-pipeline", AblatePipeline},
+		{"checkpoint", Checkpoint},
+		{"engines", Engines},
 	} {
 		t.Run(d.name, func(t *testing.T) {
-			serial := renderResult(d.fn(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
+			res := d.fn(Opts{Quick: true, Parallel: 1, Log: io.Discard})
+			checkSuite(t, res)
+			serial := renderResult(res)
 			par := renderResult(d.fn(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
 			if par != serial {
 				t.Errorf("parallel(4) output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",

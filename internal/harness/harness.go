@@ -97,6 +97,19 @@ type Result struct {
 	Notes []string
 }
 
+// WriteText prints the result as the experiments command does: title,
+// notes, table, and charts.
+func (r *Result) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "== %s ==\n", r.Title)
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, "   note: %s\n", n)
+	}
+	fmt.Fprintln(w, r.Table.String())
+	for _, s := range r.Series {
+		fmt.Fprint(w, metrics.ASCIIChart(s, 72, 8))
+	}
+}
+
 // note appends a formatted note.
 func (r *Result) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))

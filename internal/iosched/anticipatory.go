@@ -12,12 +12,8 @@ import "time"
 // is per-request, keyed on the last served origin's think time and seek
 // proximity history.
 type Anticipatory struct {
-	IdleWindow  time.Duration
-	WriteExpire time.Duration
-
-	sorted   sortedQueue
-	fifoW    []*Request
-	deadline map[*Request]time.Duration
+	sorted sortedQueue
+	writes expiryFIFO
 
 	lastOrigin   int
 	lastEnd      int64
@@ -32,15 +28,19 @@ type originStats struct {
 	samples  int
 }
 
+// Kernel-like tunables.
+const (
+	// anticIdleWindow is how long the disk may idle for the last origin
+	// (antic_expire, ~6 ms).
+	anticIdleWindow = 6 * time.Millisecond
+	// anticWriteExpire bounds how long a write waits.
+	anticWriteExpire = 5 * time.Second
+)
+
 // NewAnticipatory returns an anticipatory elevator with kernel-like
-// tunables (antic_expire ~6 ms).
+// tunables.
 func NewAnticipatory() *Anticipatory {
-	return &Anticipatory{
-		IdleWindow:  6 * time.Millisecond,
-		WriteExpire: 5 * time.Second,
-		deadline:    make(map[*Request]time.Duration),
-		origins:     make(map[int]*originStats),
-	}
+	return &Anticipatory{origins: make(map[int]*originStats)}
 }
 
 // Name implements Algorithm.
@@ -68,14 +68,13 @@ func (a *Anticipatory) Add(r *Request, now time.Duration) {
 		return
 	}
 	if r.Write {
-		a.fifoW = append(a.fifoW, r)
-		a.deadline[r] = now + a.WriteExpire
+		a.writes.push(r, now+anticWriteExpire)
 	}
 }
 
 // anticipating reports whether the scheduler should hold the disk idle for
 // the last origin: short think time and historically near requests.
-func (a *Anticipatory) anticipating(now time.Duration) bool {
+func (a *Anticipatory) anticipating() bool {
 	if !a.haveLast {
 		return false
 	}
@@ -84,7 +83,7 @@ func (a *Anticipatory) anticipating(now time.Duration) bool {
 		return true // optimistic at first, like the kernel
 	}
 	const nearSectors = 4096 // ~2 MB: beyond this, waiting cannot pay off
-	return st.think <= a.IdleWindow && st.seekDist <= nearSectors
+	return st.think <= anticIdleWindow && st.seekDist <= nearSectors
 }
 
 // Next implements Algorithm.
@@ -93,25 +92,23 @@ func (a *Anticipatory) Next(now time.Duration, head int64) (*Request, time.Durat
 		return nil, 0
 	}
 	// Expired writes preempt anticipation.
-	if len(a.fifoW) > 0 && a.deadline[a.fifoW[0]] <= now {
-		r := a.fifoW[0]
-		a.take(r)
+	if r := a.writes.expired(now); r != nil {
+		a.sorted.remove(r)
+		a.writes.remove(r)
 		return r, 0
 	}
-	best := a.sorted.peekFrom(head)
+	i := a.sorted.cscan(head)
+	best := a.sorted.reqs[i]
 	// If the best candidate is from another origin and the last origin is
 	// worth waiting for, idle.
-	if best.Origin != a.lastOrigin && a.anticipating(now) && now < a.lastComplete+a.IdleWindow {
-		return nil, a.lastComplete + a.IdleWindow
+	if best.Origin != a.lastOrigin && a.anticipating() && now < a.lastComplete+anticIdleWindow {
+		return nil, a.lastComplete + anticIdleWindow
 	}
-	a.take(best)
+	a.sorted.removeAt(i)
+	if best.Write {
+		a.writes.remove(best)
+	}
 	return best, 0
-}
-
-func (a *Anticipatory) take(r *Request) {
-	a.sorted.remove(r)
-	delete(a.deadline, r)
-	a.fifoW = removeReq(a.fifoW, r)
 }
 
 // Pending implements Algorithm.

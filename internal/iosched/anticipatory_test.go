@@ -98,19 +98,19 @@ func TestAnticipatoryGivesUpOnSeekyOrigin(t *testing.T) {
 
 func TestAnticipatoryWriteExpiry(t *testing.T) {
 	// A pending write must eventually be served even while reads keep the
-	// elevator busy elsewhere.
+	// elevator busy elsewhere: the read stream runs past anticWriteExpire.
 	k := sim.NewKernel(1)
 	dp := disk.DefaultParams()
 	dp.Sectors = 1 << 24
 	d := disk.New(dp)
-	alg := NewAnticipatory()
-	alg.WriteExpire = 100 * time.Millisecond
-	disp := NewDispatcher(k, "disp", d, alg)
+	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Write: true, Origin: 9}) })
-	for i := 0; i < 100; i++ {
+	const gap = 3 * time.Millisecond
+	reads := int(2 * anticWriteExpire / gap)
+	for i := 0; i < reads; i++ {
 		i := i
-		k.After(time.Duration(i)*3*time.Millisecond, func() {
+		k.After(time.Duration(i)*gap, func() {
 			disp.Enqueue(&Request{LBN: int64(i) * 512, Sectors: 8, Origin: 1})
 		})
 	}
@@ -121,8 +121,11 @@ func TestAnticipatoryWriteExpiry(t *testing.T) {
 			servedAt = e.At
 		}
 	}
-	if servedAt < 0 || servedAt > 250*time.Millisecond {
-		t.Fatalf("expired write served at %v, want bounded by expiry", servedAt)
+	if servedAt < 0 || servedAt > anticWriteExpire+150*time.Millisecond {
+		t.Fatalf("expired write served at %v, want bounded by expiry %v", servedAt, anticWriteExpire)
+	}
+	if servedAt < anticWriteExpire {
+		t.Fatalf("write served at %v, before its expiry %v: the reads did not hold it back", servedAt, anticWriteExpire)
 	}
 }
 

@@ -5,7 +5,7 @@ import "time"
 // CFQ models the Completely Fair Queueing elevator, the paper's kernel
 // default. Each origin (process) gets its own LBN-sorted queue; queues are
 // served round-robin in time slices; when the active queue drains, CFQ
-// *anticipates* — idles up to IdleWindow waiting for the next request from
+// *anticipates* — idles up to cfqIdleWindow waiting for the next request from
 // the same origin (if that origin's think time is short) before switching.
 //
 // The consequence the paper builds on: CFQ never merges service across
@@ -14,9 +14,6 @@ import "time"
 // streams, while a single origin submitting a large sorted batch is served
 // in one sweep.
 type CFQ struct {
-	SliceDuration time.Duration
-	IdleWindow    time.Duration
-
 	queues map[int]*cfqQueue
 	order  []int // round-robin rotation of origins
 	active int   // origin owning the current slice; -1 if none
@@ -34,15 +31,18 @@ type cfqQueue struct {
 	think        time.Duration // EWMA of completion-to-next-arrival gap
 }
 
-// NewCFQ returns a CFQ elevator with kernel-default tunables (slice_sync
-// 100 ms, slice_idle 8 ms).
+// Kernel-default tunables.
+const (
+	// cfqSlice is an origin's time slice (slice_sync).
+	cfqSlice = 100 * time.Millisecond
+	// cfqIdleWindow is how long CFQ anticipates the active origin's next
+	// request (slice_idle).
+	cfqIdleWindow = 8 * time.Millisecond
+)
+
+// NewCFQ returns a CFQ elevator with kernel-default tunables.
 func NewCFQ() *CFQ {
-	return &CFQ{
-		SliceDuration: 100 * time.Millisecond,
-		IdleWindow:    8 * time.Millisecond,
-		queues:        make(map[int]*cfqQueue),
-		active:        -1,
-	}
+	return &CFQ{queues: make(map[int]*cfqQueue), active: -1}
 }
 
 // Name implements Algorithm.
@@ -76,11 +76,11 @@ func (c *CFQ) Next(now time.Duration, head int64) (*Request, time.Duration) {
 	}
 	if c.active != -1 {
 		q := c.queues[c.active]
-		expired := now-c.slice >= c.SliceDuration
+		expired := now-c.slice >= cfqSlice
 		switch {
 		case q.q.len() > 0 && !expired:
 			return c.take(q, head), 0
-		case q.q.len() == 0 && !expired && q.think <= c.IdleWindow && now < c.idleBy:
+		case q.q.len() == 0 && !expired && q.think <= cfqIdleWindow && now < c.idleBy:
 			// Anticipate the origin's next request.
 			return nil, c.idleBy
 		default:
@@ -147,6 +147,6 @@ func (c *CFQ) NotifyComplete(r *Request, now time.Duration) {
 	// completed; with requests still in flight the origin has not gone
 	// quiet, and the window would start (and possibly expire) too early.
 	if r.Origin == c.active && q.q.len() == 0 && q.inflight == 0 {
-		c.idleBy = now + c.IdleWindow
+		c.idleBy = now + cfqIdleWindow
 	}
 }

@@ -13,20 +13,24 @@ import (
 // prompt pipelined origin accumulated think ≈ service time, anticipation was
 // abandoned mid-stream, and another origin's far-away request was interleaved
 // into the sequential stream.
+//
+// The think-time EWMA gives a sample 1/8 weight, so one poisoned sample must
+// exceed 8 × cfqIdleWindow to push think past the window; the long request
+// below provides it, and the whole stream fits inside one cfqSlice.
 func TestCFQPipelinedStreamKeepsSlice(t *testing.T) {
 	c := NewCFQ()
-	c.IdleWindow = 2 * time.Millisecond
-
-	const svc = 5 * time.Millisecond // device service time per request
 	now := time.Duration(0)
 
 	// Drive the algorithm the way the serial dispatcher does: at most one
-	// request in flight, completion svc after dispatch.
-	dispatch := func() *Request {
+	// request in flight.
+	dispatch := func(step string) *Request {
 		r, _ := c.Next(now, 0)
+		if r == nil || r.Origin != 1 {
+			t.Fatalf("%s: slice left origin 1 early: dispatched %+v", step, r)
+		}
 		return r
 	}
-	complete := func(r *Request) {
+	complete := func(r *Request, svc time.Duration) {
 		now += svc
 		c.NotifyComplete(r, now)
 	}
@@ -35,39 +39,33 @@ func TestCFQPipelinedStreamKeepsSlice(t *testing.T) {
 	// stays pending the whole time.
 	c.Add(&Request{LBN: 0, Sectors: 8, Origin: 1}, now)
 	c.Add(&Request{LBN: 1 << 22, Sectors: 8, Origin: 2}, now)
+	complete(dispatch("first request"), time.Millisecond)
 
-	// Each pair: dispatch a, b arrives while a is in flight (4 ms into its
-	// 5 ms service), then a 500 µs think gap before the next pair — far
-	// inside the idle window, so the slice must never leave origin 1.
-	const pairs = 8
-	for i := 0; i < pairs; i++ {
-		a := dispatch()
-		if a == nil || a.Origin != 1 {
-			t.Fatalf("pair %d: slice left origin 1 early: dispatched %+v", i, a)
-		}
-		c.Add(&Request{LBN: int64(2*i+1) * 64, Sectors: 8, Origin: 1}, now+4*time.Millisecond)
-		complete(a)
-		b := dispatch()
-		if b == nil || b.Origin != 1 {
-			t.Fatalf("pair %d: slice left origin 1 early: dispatched %+v", i, b)
-		}
-		complete(b)
-		if r, idleBy := c.Next(now, 0); r != nil {
-			t.Fatalf("pair %d: anticipation abandoned, origin %d interleaved (think poisoned by in-flight arrival)", i, r.Origin)
-		} else if idleBy <= now {
-			t.Fatalf("pair %d: idle window not armed after last completion", i)
-		}
-		if i < pairs-1 {
-			now += 500 * time.Microsecond
-			c.Add(&Request{LBN: int64(2*i+2) * 64, Sectors: 8, Origin: 1}, now)
-		}
+	// A genuine think gap, far inside the idle window.
+	now += 500 * time.Microsecond
+	c.Add(&Request{LBN: 64, Sectors: 8, Origin: 1}, now)
+	long := dispatch("long request")
+
+	// The next request arrives while the long one is in flight: 9 windows
+	// after the last completion, none of it think time.
+	const svc = 10 * cfqIdleWindow
+	c.Add(&Request{LBN: 128, Sectors: 8, Origin: 1}, now+svc-cfqIdleWindow)
+	complete(long, svc)
+	complete(dispatch("pipelined request"), time.Millisecond)
+	if r, idleBy := c.Next(now, 0); r != nil {
+		t.Fatalf("anticipation abandoned, origin %d interleaved (think poisoned by in-flight arrival)", r.Origin)
+	} else if idleBy <= now {
+		t.Fatal("idle window not armed after last completion")
+	}
+	if now+cfqIdleWindow >= cfqSlice {
+		t.Fatalf("stream ends at %v: the slice (%v) would expire first and the test would prove nothing", now, cfqSlice)
 	}
 
 	// Stream over: only after the idle window expires does origin 2 run.
-	now += c.IdleWindow
+	now += cfqIdleWindow
 	r, _ := c.Next(now, 0)
 	if r == nil || r.Origin != 2 {
 		t.Fatalf("origin 2 not served after stream ended: got %+v", r)
 	}
-	c.NotifyComplete(r, now+svc)
+	c.NotifyComplete(r, now+time.Millisecond)
 }

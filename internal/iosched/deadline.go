@@ -3,30 +3,22 @@ package iosched
 import "time"
 
 // Deadline models the kernel deadline elevator: requests are served in
-// ascending LBN batches, but each request also sits in a FIFO with an
-// expiry (reads 500 ms, writes 5 s); when the FIFO head expires the
-// elevator jumps to it, bounding starvation.
+// ascending LBN order (C-SCAN), but each request also sits in a FIFO with
+// an expiry; when a FIFO head expires the elevator jumps to it, bounding
+// starvation.
 type Deadline struct {
-	ReadExpire  time.Duration
-	WriteExpire time.Duration
-	BatchSize   int
-
-	sorted   sortedQueue
-	fifoR    []*Request
-	fifoW    []*Request
-	inBatch  int
-	deadline map[*Request]time.Duration
+	sorted        sortedQueue
+	reads, writes expiryFIFO
 }
+
+// The kernel-default expiries.
+const (
+	deadlineReadExpire  = 500 * time.Millisecond
+	deadlineWriteExpire = 5 * time.Second
+)
 
 // NewDeadline returns a deadline elevator with kernel-default tunables.
-func NewDeadline() *Deadline {
-	return &Deadline{
-		ReadExpire:  500 * time.Millisecond,
-		WriteExpire: 5 * time.Second,
-		BatchSize:   16,
-		deadline:    make(map[*Request]time.Duration),
-	}
-}
+func NewDeadline() *Deadline { return &Deadline{} }
 
 // Name implements Algorithm.
 func (d *Deadline) Name() string { return "deadline" }
@@ -37,11 +29,9 @@ func (d *Deadline) Add(r *Request, now time.Duration) {
 		return // merged into an existing request
 	}
 	if r.Write {
-		d.fifoW = append(d.fifoW, r)
-		d.deadline[r] = now + d.WriteExpire
+		d.writes.push(r, now+deadlineWriteExpire)
 	} else {
-		d.fifoR = append(d.fifoR, r)
-		d.deadline[r] = now + d.ReadExpire
+		d.reads.push(r, now+deadlineReadExpire)
 	}
 }
 
@@ -50,48 +40,22 @@ func (d *Deadline) Next(now time.Duration, head int64) (*Request, time.Duration)
 	if d.sorted.len() == 0 {
 		return nil, 0
 	}
-	// Expired FIFO head preempts the batch.
-	if d.inBatch >= d.BatchSize {
-		d.inBatch = 0
+	// An expired FIFO head, reads first, preempts the sweep.
+	r := d.reads.expired(now)
+	if r == nil {
+		r = d.writes.expired(now)
 	}
-	if r := d.expired(now); r != nil {
-		d.take(r)
-		d.inBatch = 1
-		return r, 0
+	if r != nil {
+		d.sorted.remove(r)
+	} else {
+		r = d.sorted.nextFrom(head)
 	}
-	r := d.sorted.peekFrom(head)
-	d.take(r)
-	d.inBatch++
+	if r.Write {
+		d.writes.remove(r)
+	} else {
+		d.reads.remove(r)
+	}
 	return r, 0
-}
-
-func (d *Deadline) expired(now time.Duration) *Request {
-	if len(d.fifoR) > 0 && d.deadline[d.fifoR[0]] <= now {
-		return d.fifoR[0]
-	}
-	if len(d.fifoW) > 0 && d.deadline[d.fifoW[0]] <= now {
-		return d.fifoW[0]
-	}
-	return nil
-}
-
-// take removes r from all structures.
-func (d *Deadline) take(r *Request) {
-	d.sorted.remove(r)
-	delete(d.deadline, r)
-	d.fifoR = removeReq(d.fifoR, r)
-	d.fifoW = removeReq(d.fifoW, r)
-}
-
-func removeReq(s []*Request, r *Request) []*Request {
-	for i, x := range s {
-		if x == r {
-			copy(s[i:], s[i+1:])
-			s[len(s)-1] = nil
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // Pending implements Algorithm.

@@ -112,7 +112,6 @@ type Dispatcher struct {
 	arrival *sim.Signal
 	lastEnd int64
 	served  int64
-	busy    bool
 	track   string
 	obs     *obs.Collector
 	trace   *disk.Trace // nil unless EnableTrace
@@ -225,7 +224,6 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 			}
 			continue
 		}
-		d.busy = true
 		start := p.Now()
 		if d.audit != nil {
 			// Count before Access: the device updates its stats before any
@@ -236,7 +234,6 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 			d.trace.Add(disk.Entry{At: start, LBN: r.LBN, Sectors: r.Sectors, Write: r.Write})
 		}
 		bd := d.dev.Access(p, r.LBN, r.Sectors, r.Write)
-		d.busy = false
 		if d.obs.Enabled() {
 			rw := "read"
 			if r.Write {

@@ -74,7 +74,7 @@ func TestDeadlineSortsBatch(t *testing.T) {
 
 func TestDeadlineExpiryPreemptsElevator(t *testing.T) {
 	// One far-away read sits while a stream of ascending reads keeps the
-	// elevator busy; after ReadExpire it must be served.
+	// elevator busy; after deadlineReadExpire it must be served.
 	k := sim.NewKernel(1)
 	d := newTestDisk()
 	alg := NewDeadline()

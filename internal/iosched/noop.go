@@ -16,13 +16,9 @@ func (n *NOOP) Name() string { return "noop" }
 
 // Add implements Algorithm.
 func (n *NOOP) Add(r *Request, now time.Duration) {
-	if len(n.fifo) > 0 {
-		last := n.fifo[len(n.fifo)-1]
-		if last.Write == r.Write && last.End() == r.LBN && last.Sectors+r.Sectors <= MaxMergeSectors {
-			last.Sectors += r.Sectors
-			last.absorbed = append(last.absorbed, r)
-			return
-		}
+	if i := len(n.fifo) - 1; i >= 0 && adjacent(n.fifo[i], r) {
+		n.fifo[i].absorb(r)
+		return
 	}
 	n.fifo = append(n.fifo, r)
 }

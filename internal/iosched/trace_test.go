@@ -46,7 +46,7 @@ func TestTraceRecordsAccesses(t *testing.T) {
 }
 
 func TestSSDStatsAndTrace(t *testing.T) {
-	d := disk.NewSSD(disk.DefaultSSDParams())
+	d := disk.NewSSD()
 	tr, _ := traceTwo(t, sim.NewKernel(1), d,
 		Request{LBN: 0, Sectors: 16}, Request{LBN: 1000, Sectors: 16, Write: true})
 	s := d.Stats()

@@ -24,9 +24,9 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 	e := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f1", []ext.Extent{e})
-		// Wait well past EvictAfter: the first generation is swept out and
+		// Wait well past evictAfter: the first generation is swept out and
 		// the sweep chain dies with the cache empty.
-		p.Sleep(3 * cfg.EvictAfter)
+		p.Sleep(3 * evictAfter)
 		if c.UsedBytes() != 0 {
 			t.Errorf("first generation not evicted: used=%d", c.UsedBytes())
 		}
@@ -35,7 +35,7 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 		}
 		// Second generation: the sweeper must have re-armed on this put.
 		c.PutClean(p, 100, obs.Ctx{}, "f2", []ext.Extent{e})
-		p.Sleep(3 * cfg.EvictAfter)
+		p.Sleep(3 * evictAfter)
 		if c.UsedBytes() != 0 {
 			t.Errorf("second generation not evicted: sweeper did not re-arm")
 		}
@@ -48,7 +48,7 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 
 // TestSweeperSkipsAllDirtyCache: a cache holding only dirty chunks has
 // nothing to sweep; arming a timer anyway would keep an otherwise-finished
-// simulation alive for an extra EvictAfter/2.
+// simulation alive for an extra evictAfter/2.
 func TestSweeperSkipsAllDirtyCache(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
@@ -78,7 +78,7 @@ func TestMarkCleanRearmsSweeper(t *testing.T) {
 		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 		// Writeback completes: the only chunk goes clean. No put follows.
 		c.MarkClean("f")
-		p.Sleep(3 * cfg.EvictAfter)
+		p.Sleep(3 * evictAfter)
 		if c.UsedBytes() != 0 {
 			t.Errorf("cleaned chunk never evicted: used=%d (sweeper not re-armed)", c.UsedBytes())
 		}
@@ -121,20 +121,23 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 
 // TestCapacityTiebreakDeterministic: chunks inserted at the same virtual
 // instant share lastRef; the victim must then be chosen by key order
-// (file, then chunk index), not map iteration order.
+// (file, then chunk index), not map iteration order. Four procs each put
+// one chunk at t=0: put stamps lastRef before it pays its operation cost,
+// so all four tie.
 func TestCapacityTiebreakDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.OpCPU = 0 // puts cost no virtual time, so every lastRef ties
 	one := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
 	for trial := 0; trial < 5; trial++ {
 		k := sim.NewKernel(1)
 		c := newCache(k, cfg)
 		c.SetQuota(NewQuota("solo", 4*cfg.ChunkBytes))
-		k.Spawn("p", func(p *sim.Proc) {
-			// Four single-chunk files at one instant fill the cache exactly.
-			for _, f := range []string{"d", "b", "c", "a"} {
+		// Four single-chunk files at one instant fill the cache exactly.
+		for _, f := range []string{"d", "b", "c", "a"} {
+			k.Spawn("put "+f, func(p *sim.Proc) {
 				c.PutClean(p, 100, obs.Ctx{}, f, []ext.Extent{one})
-			}
+			})
+		}
+		k.SpawnAt(time.Millisecond, "p", func(p *sim.Proc) {
 			// A fifth forces one eviction among four equal lastRefs.
 			c.PutClean(p, 100, obs.Ctx{}, "e", []ext.Extent{one})
 			if ev := c.Evictions(); ev != 1 {

@@ -3,7 +3,7 @@
 // fixed-size chunks (the PVFS2 stripe unit, 64 KB, so one chunk maps to one
 // data server); each chunk is indexed by (file name, chunk address) and is
 // homed on a compute node chosen round-robin; a chunk unreferenced for a
-// configurable period is evicted.
+// fixed idle period (evictAfter, 30 s) is evicted.
 //
 // Like the rest of the stack, no data bytes are stored — the cache tracks
 // which byte ranges of each chunk are valid and/or dirty, and charges
@@ -27,30 +27,24 @@ type Config struct {
 	// ChunkBytes is the partition unit; DualPar sets it to the PVFS2
 	// stripe unit so a chunk touches exactly one data server.
 	ChunkBytes int64
-	// EvictAfter is how long an unreferenced chunk survives.
-	EvictAfter time.Duration
-	// OpCPU is the per-operation processing cost at the home node.
-	OpCPU time.Duration
 }
+
+const (
+	// evictAfter is how long an unreferenced chunk survives.
+	evictAfter = 30 * time.Second
+	// opCPU is the per-operation processing cost at the home node.
+	opCPU = 20 * time.Microsecond
+)
 
 // DefaultConfig matches the paper's prototype (64 KB chunks).
 func DefaultConfig() Config {
-	return Config{
-		ChunkBytes: 64 << 10,
-		EvictAfter: 30 * time.Second,
-		OpCPU:      20 * time.Microsecond,
-	}
+	return Config{ChunkBytes: 64 << 10}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	switch {
-	case c.ChunkBytes <= 0:
+	if c.ChunkBytes <= 0 {
 		return fmt.Errorf("memcache: ChunkBytes %d", c.ChunkBytes)
-	case c.EvictAfter <= 0:
-		return fmt.Errorf("memcache: EvictAfter %v", c.EvictAfter)
-	case c.OpCPU < 0:
-		return fmt.Errorf("memcache: OpCPU %v", c.OpCPU)
 	}
 	return nil
 }
@@ -121,7 +115,7 @@ func (c *Cache) armSweeper() {
 		return
 	}
 	c.sweeping = true
-	c.k.After(c.cfg.EvictAfter/2, func() {
+	c.k.After(evictAfter/2, func() {
 		c.sweeping = false
 		c.evictIdle()
 		c.armSweeper()
@@ -288,7 +282,7 @@ func (hb homeBytes) add(node int, b int64) homeBytes {
 // one wire transfer per remote home, in node order (deterministic).
 func (c *Cache) chargeTransfers(p *sim.Proc, fromNode int, perHome homeBytes, toHome bool) {
 	for _, h := range perHome {
-		p.Sleep(c.cfg.OpCPU)
+		p.Sleep(opCPU)
 		if h.node == fromNode {
 			continue
 		}
@@ -415,9 +409,9 @@ func (c *Cache) DropFile(file string) {
 	}
 }
 
-// evictIdle removes clean chunks unreferenced for EvictAfter.
+// evictIdle removes clean chunks unreferenced for evictAfter.
 func (c *Cache) evictIdle() {
-	cutoff := c.k.Now() - c.cfg.EvictAfter
+	cutoff := c.k.Now() - evictAfter
 	for key, ch := range c.chunks {
 		if len(ch.dirty) == 0 && ch.lastRef < cutoff {
 			c.adjustUsed(-ext.Total(ch.valid))

@@ -11,7 +11,7 @@ import (
 )
 
 func newCache(k *sim.Kernel, cfg Config, nodes ...int) *Cache {
-	net := netsim.New(k, netsim.DefaultConfig())
+	net := netsim.New()
 	if len(nodes) == 0 {
 		nodes = []int{100, 101}
 	}
@@ -96,8 +96,8 @@ func TestPartialHitMixedBatch(t *testing.T) {
 		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 1 << 10}})
 		t0 := p.Now()
 		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
-		if got := p.Now() - t0; got != cfg.OpCPU {
-			t.Errorf("mixed batch charged %v, want one local op %v", got, cfg.OpCPU)
+		if got := p.Now() - t0; got != opCPU {
+			t.Errorf("mixed batch charged %v, want one local op %v", got, opCPU)
 		}
 		want := ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}
 		if len(miss) != 1 || miss[0] != want {
@@ -109,7 +109,7 @@ func TestPartialHitMixedBatch(t *testing.T) {
 
 // TestMissRefreshesLastRef pins that a lookup touching a partially-valid
 // chunk refreshes its lastRef even though it reports a miss: the chunk is
-// still hot, so the idle sweeper must not reclaim it until a full EvictAfter
+// still hot, so the idle sweeper must not reclaim it until a full evictAfter
 // has passed since the lookup.
 func TestMissRefreshesLastRef(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -118,19 +118,19 @@ func TestMissRefreshesLastRef(t *testing.T) {
 	e := ext.Extent{Off: 0, Len: 4 << 10}
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
-		p.Sleep(cfg.EvictAfter * 6 / 10)
+		p.Sleep(evictAfter * 6 / 10)
 		// Partial-chunk lookup: a miss, but it must touch lastRef.
 		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
 			t.Fatalf("partial chunk reported as hit")
 		}
-		p.Sleep(cfg.EvictAfter * 6 / 10)
-		// 1.2×EvictAfter after the put, but only 0.6× after the touch.
+		p.Sleep(evictAfter * 6 / 10)
+		// 1.2×evictAfter after the put, but only 0.6× after the touch.
 		if c.UsedBytes() != 4<<10 {
-			t.Errorf("chunk evicted %v after a touching miss: used=%d", cfg.EvictAfter*6/10, c.UsedBytes())
+			t.Errorf("chunk evicted %v after a touching miss: used=%d", evictAfter*6/10, c.UsedBytes())
 		}
-		p.Sleep(cfg.EvictAfter)
+		p.Sleep(evictAfter)
 		if c.UsedBytes() != 0 {
-			t.Errorf("chunk survived a full idle EvictAfter: used=%d", c.UsedBytes())
+			t.Errorf("chunk survived a full idle evictAfter: used=%d", c.UsedBytes())
 		}
 	})
 	k.Run()
@@ -212,13 +212,11 @@ func TestDirtyLifecycle(t *testing.T) {
 
 func TestIdleEviction(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	cfg.EvictAfter = 2 * time.Second
-	c := newCache(k, cfg)
+	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 	})
-	k.RunUntil(10 * time.Second)
+	k.RunUntil(3 * evictAfter)
 	if c.UsedBytes() != 0 {
 		t.Fatalf("idle chunk not evicted: used = %d", c.UsedBytes())
 	}
@@ -229,13 +227,11 @@ func TestIdleEviction(t *testing.T) {
 
 func TestDirtyChunksSurviveEviction(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	cfg.EvictAfter = 2 * time.Second
-	c := newCache(k, cfg)
+	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
 	})
-	k.RunUntil(10 * time.Second)
+	k.RunUntil(3 * evictAfter)
 	if c.DirtyBytes() != 4<<10 {
 		t.Fatalf("dirty chunk evicted")
 	}
@@ -291,8 +287,7 @@ func TestDropFile(t *testing.T) {
 func TestValidateConfig(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ChunkBytes = 0 },
-		func(c *Config) { c.EvictAfter = 0 },
-		func(c *Config) { c.OpCPU = -1 },
+		func(c *Config) { c.ChunkBytes = -1 },
 	}
 	for i, m := range bad {
 		c := DefaultConfig()

@@ -20,7 +20,7 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
-		net := netsim.New(k, netsim.DefaultConfig())
+		net := netsim.New()
 		c := New(k, net, DefaultConfig(), []int{100, 101, 102})
 		count := 1 + int(n)%12
 		var put []ext.Extent
@@ -66,7 +66,7 @@ func TestDirtyNeverLost(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
-		net := netsim.New(k, netsim.DefaultConfig())
+		net := netsim.New()
 		c := New(k, net, DefaultConfig(), []int{100})
 		count := 1 + int(n)%10
 		var dirty []ext.Extent
@@ -144,7 +144,7 @@ func TestListsAreCanonical(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						c.DropFile(file)
 					} else {
-						p.Sleep(cfg.EvictAfter)
+						p.Sleep(evictAfter)
 					}
 				}
 				canonical(c.Get(p, 102, obs.Ctx{}, file, extents()...))

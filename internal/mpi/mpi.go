@@ -104,14 +104,6 @@ func (w *World) logP() int {
 	return int(math.Ceil(math.Log2(float64(p))))
 }
 
-// latency is the network one-way latency.
-func (w *World) latency() time.Duration { return w.net.Config().Latency }
-
-// xfer is the serialization time of b bytes on one NIC.
-func (w *World) xfer(b int64) time.Duration {
-	return time.Duration(float64(b) / w.net.Config().Bandwidth * float64(time.Second))
-}
-
 // Barrier blocks rank until all ranks arrive. Cost: an arrival and a release
 // latency plus a small per-rank serialization at the coordinator, growing
 // with world size as on a real cluster.
@@ -130,7 +122,7 @@ func (w *World) Barrier(p *sim.Proc, rank int) {
 // rank (metadata exchange; bytes models its wire size per rank).
 func (w *World) AllgatherVals(p *sim.Proc, rank int, val interface{}, bytes int64) []interface{} {
 	out := w.meet(p, "allgatherv", rank, val)
-	p.Sleep(time.Duration(w.logP())*w.latency() + time.Duration(w.Size()-1)*w.xfer(bytes))
+	p.Sleep(time.Duration(w.logP())*netsim.Latency + time.Duration(w.Size()-1)*netsim.Xfer(bytes))
 	return out
 }
 
@@ -173,7 +165,7 @@ func (w *World) Alltoallv(p *sim.Proc, rank int, send []int64) (recv int64) {
 			}
 		}
 	}
-	p.Sleep(time.Duration(w.Size()-1)*w.latency() + w.xfer(nodeBytes))
+	p.Sleep(time.Duration(w.Size()-1)*netsim.Latency + netsim.Xfer(nodeBytes))
 	return recvB
 }
 

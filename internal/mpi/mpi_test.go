@@ -11,7 +11,7 @@ import (
 func newWorld(t *testing.T, ranks, perNode int) (*sim.Kernel, *World) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	net := netsim.New(k, netsim.DefaultConfig())
+	net := netsim.New()
 	return k, NewWorld(k, net, BlockPlacement(ranks, perNode, 100))
 }
 

@@ -27,7 +27,7 @@ type rig struct {
 func newRig(t testing.TB, servers, ranks, ranksPerNode int) *rig {
 	t.Helper()
 	k := sim.NewKernel(1)
-	net := netsim.New(k, netsim.DefaultConfig())
+	net := netsim.New()
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < servers; i++ {

@@ -15,7 +15,7 @@ import (
 func BenchmarkKernelNetSend(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			n.Send(p, i%4, 4+i%4, 64<<10)
@@ -32,7 +32,7 @@ func BenchmarkKernelNetSend(b *testing.B) {
 func BenchmarkSendLossy(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.ServerCrash, Target: 5},
 		{Kind: fault.ServerCrash, Target: 2, Start: 1000 * time.Hour, End: 1001 * time.Hour},
@@ -56,7 +56,7 @@ func BenchmarkSendLossy(b *testing.B) {
 func BenchmarkSendLossyVoided(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.ServerCrash, Target: 5},
 	}}, 1)

@@ -14,49 +14,30 @@ import (
 	"dualpar/internal/sim"
 )
 
-// Config describes link characteristics.
-type Config struct {
-	// Latency is the one-way message latency (propagation, switching, and
-	// protocol stack).
-	Latency time.Duration
-	// Bandwidth is the per-direction link rate in bytes/second.
-	Bandwidth float64
-	// RetransmitTimeout is what a sender pays before retrying a message the
-	// fault layer dropped (the transport's RTO; TCP's floor of the era).
-	RetransmitTimeout time.Duration
-}
-
-// DefaultConfig approximates switched Gigabit Ethernet: ~940 Mb/s goodput
+// The link model approximates switched Gigabit Ethernet: ~940 Mb/s goodput
 // and 100 µs one-way latency.
-func DefaultConfig() Config {
-	return Config{
-		Latency:           100 * time.Microsecond,
-		Bandwidth:         117e6,
-		RetransmitTimeout: 200 * time.Millisecond,
-	}
-}
+const (
+	// Latency is the one-way message latency (propagation, switching, and
+	// protocol stack). Exported for the MPI layer's collective cost models.
+	Latency = 100 * time.Microsecond
+	// bandwidth is the per-direction link rate in bytes/second.
+	bandwidth = 117e6
+	// retransmitTimeout is what a sender pays before retrying a message the
+	// fault layer dropped (the transport's RTO; TCP's floor of the era).
+	retransmitTimeout = 200 * time.Millisecond
+)
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Latency < 0 {
-		return fmt.Errorf("netsim: Latency %v", c.Latency)
-	}
-	if c.Bandwidth <= 0 {
-		return fmt.Errorf("netsim: Bandwidth %g", c.Bandwidth)
-	}
-	if c.RetransmitTimeout < 0 {
-		return fmt.Errorf("netsim: RetransmitTimeout %v", c.RetransmitTimeout)
-	}
-	return nil
+// Xfer returns the serialization time of a message of the given size on one
+// link: the cost the MPI layer's collective models charge per NIC, too.
+func Xfer(bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / bandwidth * float64(time.Second))
 }
 
 // Network charges virtual time for messages between nodes. Nodes are dense
 // small integers assigned by the cluster layer.
 type Network struct {
-	k   *sim.Kernel
-	cfg Config
-	tx  []time.Duration // per-node transmit link free time, indexed by node
-	rx  []time.Duration // per-node receive link free time, indexed by node
+	tx []time.Duration // per-node transmit link free time, indexed by node
+	rx []time.Duration // per-node receive link free time, indexed by node
 
 	bytesSent int64
 	messages  int64
@@ -79,15 +60,9 @@ type Network struct {
 }
 
 // New creates a network.
-func New(k *sim.Kernel, cfg Config) *Network {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Network{k: k, cfg: cfg, lastBytes: -1}
+func New() *Network {
+	return &Network{lastBytes: -1}
 }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // SetObs attaches the observability collector. The counter handles are
 // resolved once here; a nil collector yields nil handles whose Add is a
@@ -126,7 +101,7 @@ func (n *Network) xfer(bytes int64) time.Duration {
 	if bytes == n.lastBytes {
 		return n.lastXfer
 	}
-	x := time.Duration(float64(bytes) / n.cfg.Bandwidth * float64(time.Second))
+	x := Xfer(bytes)
 	n.lastBytes, n.lastXfer = bytes, x
 	return x
 }
@@ -156,7 +131,7 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 				obs.I64("from", int64(from)), obs.I64("to", int64(to)),
 				obs.I64("bytes", bytes))
 		}
-		p.Sleep(n.cfg.RetransmitTimeout)
+		p.Sleep(retransmitTimeout)
 	}
 	n.messages++
 	n.cMessages.Add(1)
@@ -181,7 +156,7 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 
 	// Bits begin arriving after the latency; the receive link serializes
 	// delivery at link rate.
-	arrive := start + n.cfg.Latency
+	arrive := start + Latency
 	if n.rx[to] > arrive {
 		arrive = n.rx[to]
 	}
@@ -227,5 +202,5 @@ func (n *Network) SendTraced(p *sim.Proc, from, to int, bytes int64, rc obs.Ctx)
 // Delay charges the one-way latency only, for zero-payload control messages
 // whose serialization is negligible.
 func (n *Network) Delay(p *sim.Proc) {
-	p.Sleep(n.cfg.Latency)
+	p.Sleep(Latency)
 }

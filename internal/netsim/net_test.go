@@ -8,25 +8,41 @@ import (
 	"dualpar/internal/sim"
 )
 
+// mb is the message size the timing tests send; x is its serialization
+// time on one link.
+const mb = 1e6
+
+var x = Xfer(mb)
+
 func TestSingleMessageTime(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, Config{Latency: time.Millisecond, Bandwidth: 1e6}) // 1 MB/s
+	n := New()
 	var took time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()
-		n.Send(p, 0, 1, 1e6) // 1 MB at 1 MB/s = 1 s + 1 ms latency
+		n.Send(p, 0, 1, mb)
 		took = p.Now() - t0
 	})
 	k.Run()
-	want := time.Second + time.Millisecond
-	if took != want {
+	if want := Latency + x; took != want {
 		t.Fatalf("delivery took %v, want %v", took, want)
+	}
+}
+
+// TestXferIsLinkRate pins the link rate: one second's worth of bytes takes
+// exactly one second to serialize.
+func TestXferIsLinkRate(t *testing.T) {
+	if got := Xfer(bandwidth); got != time.Second {
+		t.Fatalf("Xfer(%g) = %v, want 1s", float64(bandwidth), got)
+	}
+	if got := Xfer(0); got != 0 {
+		t.Fatalf("Xfer(0) = %v, want 0", got)
 	}
 }
 
 func TestLocalDeliveryFree(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	var took time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -43,12 +59,12 @@ func TestSenderLinkSerializes(t *testing.T) {
 	// Two messages from the same sender to different receivers share the
 	// uplink: total time ~ 2x single transfer.
 	k := sim.NewKernel(1)
-	n := New(k, Config{Latency: 0, Bandwidth: 1e6})
+	n := New()
 	var done [2]time.Duration
 	for i := 0; i < 2; i++ {
 		i := i
 		k.Spawn("sender", func(p *sim.Proc) {
-			n.Send(p, 0, 1+i, 1e6)
+			n.Send(p, 0, 1+i, mb)
 			done[i] = p.Now()
 		})
 	}
@@ -57,55 +73,56 @@ func TestSenderLinkSerializes(t *testing.T) {
 	if done[1] > latest {
 		latest = done[1]
 	}
-	if latest < 2*time.Second {
-		t.Fatalf("two 1s transfers on one uplink finished at %v, want >= 2s", latest)
+	// The second message leaves the uplink only after the first.
+	if want := 2*x + Latency; latest != want {
+		t.Fatalf("two transfers on one uplink finished at %v, want %v", latest, want)
 	}
 }
 
 func TestIncastReceiverSerializes(t *testing.T) {
 	// Four senders to one receiver: the downlink is the bottleneck.
 	k := sim.NewKernel(1)
-	n := New(k, Config{Latency: 0, Bandwidth: 1e6})
+	n := New()
 	var latest time.Duration
 	for i := 0; i < 4; i++ {
 		i := i
 		k.Spawn("sender", func(p *sim.Proc) {
-			n.Send(p, 1+i, 0, 1e6)
+			n.Send(p, 1+i, 0, mb)
 			if p.Now() > latest {
 				latest = p.Now()
 			}
 		})
 	}
 	k.Run()
-	if latest < 4*time.Second {
-		t.Fatalf("4x1MB incast finished at %v, want >= 4s on a 1MB/s downlink", latest)
+	if want := 4*x + Latency; latest != want {
+		t.Fatalf("4-way incast finished at %v, want %v (the downlink serializes)", latest, want)
 	}
 }
 
 func TestDisjointPairsRunInParallel(t *testing.T) {
 	// A switched fabric: 0->1 and 2->3 do not contend.
 	k := sim.NewKernel(1)
-	n := New(k, Config{Latency: 0, Bandwidth: 1e6})
+	n := New()
 	var latest time.Duration
 	pairs := [][2]int{{0, 1}, {2, 3}}
 	for _, pr := range pairs {
 		pr := pr
 		k.Spawn("sender", func(p *sim.Proc) {
-			n.Send(p, pr[0], pr[1], 1e6)
+			n.Send(p, pr[0], pr[1], mb)
 			if p.Now() > latest {
 				latest = p.Now()
 			}
 		})
 	}
 	k.Run()
-	if latest != time.Second {
-		t.Fatalf("disjoint transfers finished at %v, want 1s (parallel)", latest)
+	if want := x + Latency; latest != want {
+		t.Fatalf("disjoint transfers finished at %v, want %v (parallel)", latest, want)
 	}
 }
 
 func TestDelayChargesLatencyOnly(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	var took time.Duration
 	k.Spawn("p", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -113,14 +130,14 @@ func TestDelayChargesLatencyOnly(t *testing.T) {
 		took = p.Now() - t0
 	})
 	k.Run()
-	if took != DefaultConfig().Latency {
-		t.Fatalf("Delay took %v, want %v", took, DefaultConfig().Latency)
+	if took != Latency {
+		t.Fatalf("Delay took %v, want %v", took, Latency)
 	}
 }
 
 func TestTrafficCounters(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	k.Spawn("p", func(p *sim.Proc) {
 		n.Send(p, 0, 1, 1000)
 		n.Send(p, 0, 0, 1000) // local: never on the wire, counts toward neither
@@ -133,8 +150,7 @@ func TestTrafficCounters(t *testing.T) {
 
 func TestFaultDropChargesRetransmitTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := Config{Latency: 0, Bandwidth: 1e6, RetransmitTimeout: 300 * time.Millisecond}
-	n := New(k, cfg)
+	n := New()
 	// Drop every attempt (prob capped at 0.95, so use many tries' worth of
 	// certainty via prob close to 1 is not possible; instead drop window
 	// with p=0.95 and a fixed seed gives a deterministic drop count).
@@ -144,14 +160,14 @@ func TestFaultDropChargesRetransmitTimeout(t *testing.T) {
 	var took time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()
-		n.Send(p, 0, 1, 1e6) // 1 s serialization + drops
+		n.Send(p, 0, 1, mb) // one delivery + a timeout per drop
 		took = p.Now() - t0
 	})
 	k.Run()
 	if n.Drops() == 0 {
 		t.Fatalf("no drops at p=0.95")
 	}
-	want := time.Second + time.Duration(n.Drops())*cfg.RetransmitTimeout
+	want := time.Duration(n.Drops())*retransmitTimeout + Latency + x
 	if took != want {
 		t.Fatalf("delivery took %v with %d drops, want %v", took, n.Drops(), want)
 	}
@@ -159,31 +175,31 @@ func TestFaultDropChargesRetransmitTimeout(t *testing.T) {
 
 func TestFaultLinkDegradeInflatesSerialization(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, Config{Latency: 0, Bandwidth: 1e6})
+	n := New()
 	n.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 		{Kind: fault.LinkSlow, Target: 1, Factor: 4},
 	}}, 1))
 	var slow, healthy time.Duration
 	k.Spawn("sender", func(p *sim.Proc) {
 		t0 := p.Now()
-		n.Send(p, 0, 1, 1e6) // degraded endpoint: 4x serialization
+		n.Send(p, 0, 1, mb) // degraded endpoint: 4x serialization
 		slow = p.Now() - t0
 		t0 = p.Now()
-		n.Send(p, 2, 3, 1e6) // untouched pair
+		n.Send(p, 2, 3, mb) // untouched pair
 		healthy = p.Now() - t0
 	})
 	k.Run()
-	if healthy != time.Second {
-		t.Fatalf("healthy transfer took %v, want 1s", healthy)
+	if want := Latency + x; healthy != want {
+		t.Fatalf("healthy transfer took %v, want %v", healthy, want)
 	}
-	if slow != 4*time.Second {
-		t.Fatalf("degraded transfer took %v, want 4s", slow)
+	if want := Latency + time.Duration(float64(x)*4); slow != want {
+		t.Fatalf("degraded transfer took %v, want %v", slow, want)
 	}
 }
 
 func TestNegativeSizePanics(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, DefaultConfig())
+	n := New()
 	k.Spawn("p", func(p *sim.Proc) {
 		n.Send(p, 0, 1, -1)
 	})
@@ -193,16 +209,4 @@ func TestNegativeSizePanics(t *testing.T) {
 		}
 	}()
 	k.Run()
-}
-
-func TestValidate(t *testing.T) {
-	if (Config{Latency: -1, Bandwidth: 1}).Validate() == nil {
-		t.Fatalf("negative latency passed")
-	}
-	if (Config{Latency: 0, Bandwidth: 0}).Validate() == nil {
-		t.Fatalf("zero bandwidth passed")
-	}
-	if DefaultConfig().Validate() != nil {
-		t.Fatalf("default config invalid")
-	}
 }

@@ -18,7 +18,7 @@ import (
 // on nodes 1..nservers, metadata on node 0, clients on nodes 100+.
 func testFS(nservers int) (*sim.Kernel, *FileSystem) {
 	k := sim.NewKernel(1)
-	net := netsim.New(k, netsim.DefaultConfig())
+	net := netsim.New()
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < nservers; i++ {

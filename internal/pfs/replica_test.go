@@ -154,7 +154,7 @@ func TestCoalesceSegsMergesEqualRuns(t *testing.T) {
 // testReplicatedFS is testFS with a replica count.
 func testReplicatedFS(nservers, replicas int) (*sim.Kernel, *FileSystem) {
 	k := sim.NewKernel(1)
-	net := netsim.New(k, netsim.DefaultConfig())
+	net := netsim.New()
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < nservers; i++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -321,14 +322,14 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	k := NewKernel(1)
-	r := k.NewResource(1)
+	var l Lock
 	var log []time.Duration
 	for i := 0; i < 3; i++ {
 		k.Spawn("user", func(p *Proc) {
-			r.Acquire(p, 1)
+			l.Acquire(p)
 			log = append(log, p.Now())
 			p.Sleep(time.Second)
-			r.Release(1)
+			l.Release()
 		})
 	}
 	k.Run()
@@ -340,45 +341,34 @@ func TestResourceSerializes(t *testing.T) {
 	}
 }
 
-func TestResourceFIFONoStarvation(t *testing.T) {
+// TestLockFIFOHandoff: waiters get the lock in arrival order, and a Proc
+// that asks at the very instant of a release queues behind the waiter the
+// lock was handed to instead of barging ahead of it.
+func TestLockFIFOHandoff(t *testing.T) {
 	k := NewKernel(1)
-	r := k.NewResource(4)
+	var l Lock
 	var order []string
-	k.Spawn("hold", func(p *Proc) {
-		r.Acquire(p, 3)
-		p.Sleep(10 * time.Second)
-		r.Release(3)
-	})
-	k.SpawnAt(time.Second, "big", func(p *Proc) {
-		r.Acquire(p, 4) // cannot fit until hold releases
-		order = append(order, "big")
-		r.Release(4)
-	})
-	k.SpawnAt(2*time.Second, "small", func(p *Proc) {
-		r.Acquire(p, 1) // would fit, but big is ahead: FIFO blocks it
-		order = append(order, "small")
-		r.Release(1)
-	})
-	k.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
+	var use func(name string) func(p *Proc)
+	use = func(name string) func(p *Proc) {
+		return func(p *Proc) {
+			l.Acquire(p)
+			order = append(order, fmt.Sprintf("%s@%v", name, p.Now()))
+			p.Sleep(time.Second)
+			if name == "first" {
+				// Runs at this instant, after the release below.
+				k.Spawn("late", use("late"))
+			}
+			l.Release()
+		}
 	}
-}
-
-func TestResourceAccounting(t *testing.T) {
-	k := NewKernel(1)
-	r := k.NewResource(10)
-	k.Spawn("u", func(p *Proc) {
-		r.Acquire(p, 7)
-		if r.InUse() != 7 {
-			t.Errorf("InUse = %d, want 7", r.InUse())
-		}
-		r.Release(7)
-		if r.InUse() != 0 {
-			t.Errorf("InUse = %d, want 0", r.InUse())
-		}
-	})
+	k.Spawn("first", use("first"))
+	k.SpawnAt(time.Millisecond, "second", use("second"))
+	k.SpawnAt(2*time.Millisecond, "third", use("third"))
 	k.Run()
+	want := []string{"first@0s", "second@1s", "third@2s", "late@3s"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 }
 
 func TestWaitGroup(t *testing.T) {
@@ -465,32 +455,13 @@ func TestAfterNegativePanics(t *testing.T) {
 }
 
 func TestResourceMisusePanics(t *testing.T) {
-	k := NewKernel(1)
-	r := k.NewResource(2)
-	for _, fn := range []func(){
-		func() { k.NewResource(0) },
-		func() { r.Release(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-	k.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("expected panic acquiring over capacity")
-			}
-			panic("boom") // unwind the proc; Run re-raises it
-		}()
-		r.Acquire(p, 3)
-	})
-	defer func() { recover() }()
-	k.Run()
+	var l Lock
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic releasing an unheld lock")
+		}
+	}()
+	l.Release()
 }
 
 // TestYieldOrdersAfterQueuedEvents: a zero Sleep yields, letting every
