@@ -3,11 +3,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/sim"
 	"dualpar/internal/workloads"
 )
 
@@ -125,6 +127,47 @@ func TestRequestLogOnlyForEMCManagedPrograms(t *testing.T) {
 		if got := sortedCopy(&pr.log); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: log = %v, want %v", mode, got, want)
 		}
+	}
+}
+
+// holdProbe is a one-rank program that computes for an hour and reads
+// nothing, so a test proc can issue reads on rank 0's behalf.
+type holdProbe struct{}
+
+func (holdProbe) Name() string { return "holdprobe" }
+func (holdProbe) Ranks() int   { return 1 }
+func (holdProbe) NewRank(int) workloads.RankGen {
+	return &logProbeGen{step: 8, hold: true}
+}
+func (holdProbe) Files() []workloads.FileSpec {
+	return []workloads.FileSpec{{Name: "a.dat", Size: 1 << 20, Precreate: true}}
+}
+
+// A data-driven read that falls back to a direct read logs its miss list.
+// The list lives in the rank's reused miss buffer and the log keeps lists
+// by reference, so the logged request must be a copy: the rank's next Get
+// must not rewrite it.
+func TestFallbackLogSurvivesMissBufferReuse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SlotEvery = time.Hour
+	r := NewRunner(smallCluster(1), cfg)
+	pr := r.Add(holdProbe{}, ModeDataDriven, AddOptions{RanksPerNode: 1})
+	first := []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 128 << 10, Len: 4 << 10}}
+	second := []ext.Extent{{Off: 256 << 10, Len: 4 << 10}}
+	var logged, want []ext.Extent
+	r.cl.K.SpawnAt(time.Second, "reader", func(p *sim.Proc) {
+		pr.dataDriven = false // every miss falls back
+		pr.dataDrivenRead(p, 0, nil, workloads.Op{Kind: workloads.OpRead, File: "a.dat", Extents: first})
+		logged = pr.log.byFile["a.dat"][0]
+		want = slices.Clone(logged)
+		pr.dataDrivenRead(p, 0, nil, workloads.Op{Kind: workloads.OpRead, File: "a.dat", Extents: second})
+	})
+	r.Run(time.Minute)
+	if !slices.Equal(want, first) {
+		t.Fatalf("fallback logged %v, want its misses %v", want, first)
+	}
+	if !slices.Equal(logged, want) {
+		t.Errorf("logged request became %v after the rank's next Get, want %v", logged, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dualpar/internal/burst"
@@ -214,6 +215,7 @@ type ProgramRun struct {
 	origins []int
 	nodes   []int
 	cache   *memcache.Cache
+	miss    [][]ext.Extent // per-rank buffer for cache.Get's miss list
 	ctrl    *controller
 	s2      *strategy2
 
@@ -427,6 +429,9 @@ func (pr *ProgramRun) file(name string) *mpiio.File {
 func (pr *ProgramRun) start() {
 	k := pr.r.cl.K
 	pr.dirtyUsed = make([]int64, pr.prog.Ranks())
+	if pr.cache != nil {
+		pr.miss = make([][]ext.Extent, pr.prog.Ranks())
+	}
 	k.SpawnAt(pr.startAt, fmt.Sprintf("prog%d/setup", pr.id), func(p *sim.Proc) {
 		// Pre-create input files (layout only; the paper's files exist
 		// before the timed runs).
@@ -630,7 +635,8 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 	}
 	const maxCycles = 8
 	for attempt := 0; ; attempt++ {
-		missing := pr.cache.Get(p, node, rc, op.File, op.Extents...)
+		missing := pr.cache.Get(p, node, rc, op.File, pr.miss[rank], op.Extents...)
+		pr.miss[rank] = missing
 		if len(missing) == 0 {
 			pr.consumedCycle += op.Bytes()
 			pr.logRequest(op.File, op.Extents)
@@ -643,10 +649,11 @@ func (pr *ProgramRun) dataDrivenRead(p *sim.Proc, rank int, gen workloads.RankGe
 			// directly. ReadExtents accounts the bytes it fetches; the
 			// cycle waits and the cache-served portion are charged here.
 			// Close the dd-read span first: ReadExtents opens a request of
-			// its own on the same track.
+			// its own on the same track. The log keeps lists by
+			// reference, so it gets a copy of the reused miss buffer.
 			pr.instr.Span(rank, start, p.Now(), op.Bytes()-ext.Total(missing))
 			endSpan("fallback")
-			pr.logRequest(op.File, missing)
+			pr.logRequest(op.File, slices.Clone(missing))
 			pr.file(op.File).ReadExtents(p, rank, missing)
 			return
 		}

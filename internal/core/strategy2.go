@@ -131,7 +131,8 @@ func (s *strategy2) read(p *sim.Proc, rank int, op workloads.Op) {
 				obs.Str("outcome", outcome))
 		}
 	}
-	missing := s.pr.cache.Get(p, node, rc, op.File, op.Extents...)
+	missing := s.pr.cache.Get(p, node, rc, op.File, s.pr.miss[rank], op.Extents...)
+	s.pr.miss[rank] = missing
 	s.noteConsumed(rank, op.Bytes())
 	if len(missing) == 0 {
 		s.pr.instr.Span(rank, start, p.Now(), op.Bytes())

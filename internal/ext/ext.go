@@ -110,10 +110,19 @@ func absorb(out []Extent, e Extent, maxHole int64) []Extent {
 // Insert adds e to xs, which must be in the canonical form Merge produces
 // (sorted by offset, disjoint, no zero gaps), and returns the updated list,
 // still canonical. It is equivalent to Merge(append(xs, e)) but coalesces in
-// place — no copy, no sort — so per-extent accumulators (cache chunk maps,
-// ghost recorders) can grow sorted sets without re-merging them each time.
+// place — no copy, no sort — so per-extent accumulators (cache chunk sets
+// and miss lists, ghost recorders) can grow sorted sets without re-merging
+// them each time. An extent at or after the last one costs no search.
 func Insert(xs []Extent, e Extent) []Extent {
 	if e.Len <= 0 {
+		return xs
+	}
+	// In-order streams start at or after the last extent: append, or join
+	// the last extent, which alone can touch e.
+	if n := len(xs); n == 0 || e.Off > xs[n-1].End() {
+		return append(xs, e)
+	} else if last := &xs[n-1]; e.Off >= last.Off {
+		last.Len = max(last.End(), e.End()) - last.Off
 		return xs
 	}
 	// First extent that could touch e: End >= e.Off.

@@ -1,6 +1,9 @@
 package iosched
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // CFQ models the Completely Fair Queueing elevator, the paper's kernel
 // default. Each origin (process) gets its own LBN-sorted queue; queues are
@@ -94,9 +97,10 @@ func (c *CFQ) Next(now time.Duration, head int64) (*Request, time.Duration) {
 			continue
 		}
 		// Rotate so this origin is at the front (it will move to the back
-		// when deactivated).
-		rot := append([]int(nil), c.order[i:]...)
-		c.order = append(rot, c.order[:i]...)
+		// when deactivated), in place: order[i:] then order[:i].
+		slices.Reverse(c.order[:i])
+		slices.Reverse(c.order[i:])
+		slices.Reverse(c.order)
 		c.active = origin
 		c.slice = now
 		return c.take(q, head), 0

@@ -372,3 +372,49 @@ func TestMergeListKeepsCapacityAcrossReset(t *testing.T) {
 		t.Fatalf("a repeated merge allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// BenchmarkCFQDispatch measures one CFQ dispatch and re-submission on a
+// queue of eight origins, the even four holding one request each. A
+// dispatched request completes past the idle window and goes back to its
+// origin one dispatch later, so every Next ends the active slice and
+// rotates the origin order past an empty origin to the next pending one.
+func BenchmarkCFQDispatch(b *testing.B) {
+	const origins = 8
+	const step = cfqIdleWindow + time.Millisecond
+	c := NewCFQ()
+	var now time.Duration
+	reqs := make([]*Request, origins)
+	for o := range reqs {
+		reqs[o] = &Request{LBN: int64(o) << 20, Sectors: 8, Origin: o}
+		c.Add(reqs[o], now)
+	}
+	// Serve every origin once, then refill only the even ones.
+	for range origins {
+		r, _ := c.Next(now, 0)
+		c.NotifyComplete(r, now)
+		now += step
+	}
+	for o := 0; o < origins; o += 2 {
+		c.Add(reqs[o], now)
+	}
+	const warm = 1024
+	var head int64
+	var prev *Request
+	b.ReportAllocs()
+	for i := 0; i < warm+b.N; i++ {
+		if i == warm {
+			b.ResetTimer()
+		}
+		r, _ := c.Next(now, head)
+		if r == nil {
+			b.Fatal("CFQ idled with requests pending")
+		}
+		head = r.End()
+		c.NotifyComplete(r, now)
+		now += step
+		if prev != nil {
+			c.Add(prev, now)
+		}
+		prev = r
+	}
+}

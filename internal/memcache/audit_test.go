@@ -56,6 +56,35 @@ func TestCheckUsedCatchesCorruptLedger(t *testing.T) {
 	}
 }
 
+// TestCheckUsedCatchesCounterDrift: each counter that stands in for a
+// walk over the chunks (resident chunks, dirty chunks, and dirty bytes per
+// file and in total) is checked against the index.
+func TestCheckUsedCatchesCounterDrift(t *testing.T) {
+	for _, drift := range []struct {
+		name string
+		bump func(c *Cache)
+	}{
+		{"resident", func(c *Cache) { c.resident++ }},
+		{"dirty chunks", func(c *Cache) { c.dirty-- }},
+		{"dirty bytes", func(c *Cache) { c.dirtyB++ }},
+		{"file dirty bytes", func(c *Cache) { c.files["f"].dirtyBytes++ }},
+	} {
+		k := sim.NewKernel(1)
+		c := newCache(k, DefaultConfig())
+		k.Spawn("p", func(p *sim.Proc) {
+			c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 64 << 10, Len: 4 << 10}})
+			if err := c.CheckUsed(); err != nil {
+				t.Fatalf("healthy cache: %v", err)
+			}
+			drift.bump(c)
+			if c.CheckUsed() == nil {
+				t.Errorf("%s drift not caught", drift.name)
+			}
+		})
+		k.Run()
+	}
+}
+
 // TestGetConservationOracle verifies the inline Get check accepts the
 // hit/miss split on mixed batches (the oracle holding, not firing).
 func TestGetConservationOracle(t *testing.T) {
@@ -66,9 +95,9 @@ func TestGetConservationOracle(t *testing.T) {
 	c.SetAudit(a)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 128 << 10})    // half hit
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 256 << 10, Len: 4096}) // full miss
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10})     // full hit
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 128 << 10})    // half hit
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 256 << 10, Len: 4096}) // full miss
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 64 << 10})     // full hit
 	})
 	k.Run()
 	if err := a.Err(); err != nil {

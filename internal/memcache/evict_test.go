@@ -143,11 +143,11 @@ func TestCapacityTiebreakDeterministic(t *testing.T) {
 			if ev := c.Evictions(); ev != 1 {
 				t.Fatalf("trial %d: evictions=%d at the over-capacity put, want 1", trial, ev)
 			}
-			if miss := c.Get(p, 100, obs.Ctx{}, "a", one); len(miss) == 0 {
+			if miss := c.Get(p, 100, obs.Ctx{}, "a", nil, one); len(miss) == 0 {
 				t.Fatalf("trial %d: %q survived, but it is the canonical victim", trial, "a")
 			}
 			for _, f := range []string{"b", "c", "d", "e"} {
-				if miss := c.Get(p, 100, obs.Ctx{}, f, one); len(miss) != 0 {
+				if miss := c.Get(p, 100, obs.Ctx{}, f, nil, one); len(miss) != 0 {
 					t.Errorf("trial %d: %q evicted, want only %q gone", trial, f, "a")
 				}
 			}

@@ -12,7 +12,7 @@ package memcache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dualpar/internal/check"
@@ -55,10 +55,43 @@ type chunkKey struct {
 }
 
 type chunk struct {
-	key     chunkKey
 	valid   []ext.Extent // chunk-relative byte ranges present
 	dirty   []ext.Extent // subset of valid awaiting writeback
 	lastRef time.Duration
+	next    *chunk // free-list link while released
+}
+
+// maxChunkSlab bounds how many chunk records one allocation carves.
+const maxChunkSlab = 256
+
+// cacheFile is one file's chunk index: chunk idx is chunks[idx], nil when
+// not resident. The slice grows by doubling to cover the highest chunk
+// touched, so a lookup hashes the file name once per operation, not once
+// per chunk.
+type cacheFile struct {
+	name       string
+	chunks     []*chunk
+	dirtyBytes int64 // dirty bytes across the file's chunks
+}
+
+// at returns chunk idx, or nil when it is not resident.
+func (f *cacheFile) at(idx int64) *chunk {
+	if idx < int64(len(f.chunks)) {
+		return f.chunks[idx]
+	}
+	return nil
+}
+
+// slot returns chunk idx's index slot, growing the index to cover it.
+func (f *cacheFile) slot(idx int64) **chunk {
+	if n := int64(len(f.chunks)); idx >= n {
+		n = max(2*n, 8)
+		for n <= idx {
+			n *= 2
+		}
+		f.chunks = append(f.chunks, make([]*chunk, n-int64(len(f.chunks)))...)
+	}
+	return &f.chunks[idx]
 }
 
 // Cache is the global cache spanning a program's compute nodes.
@@ -67,10 +100,15 @@ type Cache struct {
 	net      *netsim.Network
 	cfg      Config
 	nodes    []int
-	chunks   map[chunkKey]*chunk
+	files    map[string]*cacheFile
+	free     *chunk // released or unused chunk records, reused with their capacity
 	used     int64
+	resident int    // chunks across files
+	dirty    int    // resident chunks holding dirty bytes
+	dirtyB   int64  // dirty bytes across files
 	quota    *Quota // nil = untenanted (no partition accounting)
 	sweeping bool   // an idle-eviction sweep is scheduled
+	sweep    func() // the sweep callback, bound once in New
 
 	statGets, statHits int64
 	statEvictions      int64
@@ -88,13 +126,54 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, nodes []int) *Cache {
 	if len(nodes) == 0 {
 		panic("memcache: no nodes")
 	}
-	return &Cache{
-		k:      k,
-		net:    net,
-		cfg:    cfg,
-		nodes:  append([]int(nil), nodes...),
-		chunks: make(map[chunkKey]*chunk),
+	c := &Cache{
+		k:     k,
+		net:   net,
+		cfg:   cfg,
+		nodes: append([]int(nil), nodes...),
+		files: make(map[string]*cacheFile),
 	}
+	c.sweep = func() {
+		c.sweeping = false
+		c.evictIdle()
+		c.armSweeper()
+	}
+	return c
+}
+
+// newChunk installs a chunk record in slot, taking it off the free list.
+// An empty free list is refilled with as many records as are resident (at
+// least one, at most maxChunkSlab) in one allocation, so a cache pays per
+// chunk it holds and a large one allocates in few blocks.
+func (c *Cache) newChunk(f *cacheFile, slot **chunk) *chunk {
+	if c.free == nil {
+		slab := make([]chunk, min(max(c.resident, 1), maxChunkSlab))
+		for i := range len(slab) - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		c.free = &slab[0]
+	}
+	ch := c.free
+	c.free, ch.next = ch.next, nil
+	*slot = ch
+	c.resident++
+	return ch
+}
+
+// release removes chunk idx of f, dirty or not, and recycles its record.
+func (c *Cache) release(f *cacheFile, idx int64) {
+	ch := f.chunks[idx]
+	c.adjustUsed(-ext.Total(ch.valid))
+	if len(ch.dirty) > 0 {
+		d := ext.Total(ch.dirty)
+		f.dirtyBytes -= d
+		c.dirtyB -= d
+		c.dirty--
+	}
+	f.chunks[idx] = nil
+	c.resident--
+	*ch = chunk{valid: ch.valid[:0], dirty: ch.dirty[:0], next: c.free}
+	c.free = ch
 }
 
 // armSweeper schedules the next idle-eviction sweep if one is not pending.
@@ -104,22 +183,11 @@ func (c *Cache) armSweeper() {
 	if c.sweeping {
 		return
 	}
-	evictable := false
-	for _, ch := range c.chunks {
-		if len(ch.dirty) == 0 {
-			evictable = true
-			break
-		}
-	}
-	if !evictable {
+	if c.resident == c.dirty { // no clean chunk to evict
 		return
 	}
 	c.sweeping = true
-	c.k.After(evictAfter/2, func() {
-		c.sweeping = false
-		c.evictIdle()
-		c.armSweeper()
-	})
+	c.k.After(evictAfter/2, c.sweep)
 }
 
 // SetObs attaches the observability collector: every Get then emits a
@@ -130,31 +198,54 @@ func (c *Cache) SetObs(o *obs.Collector) { c.obs = o }
 // bytes split exactly into hit bytes plus missing bytes.
 func (c *Cache) SetAudit(l check.Ledger) { c.audit = l }
 
-// CheckUsed verifies the cache's used-bytes ledger against the chunk table:
-// used must equal the sum of valid bytes over all chunks, and every dirty
-// range must lie inside its chunk's valid set. It is registered as a
-// per-cycle audit probe; the walk is pure bookkeeping (no simulation events).
+// CheckUsed verifies the cache's ledgers against the chunk index: used
+// must equal the sum of valid bytes over all chunks, the resident-chunk,
+// dirty-chunk and dirty-byte counters (dirty bytes per file and in total)
+// must match the chunks, and every dirty range must lie inside its chunk's
+// valid set. It is registered as a per-cycle audit probe; the walk is pure
+// bookkeeping (no simulation events).
 func (c *Cache) CheckUsed() error {
-	var total int64
-	for key, ch := range c.chunks {
-		total += ext.Total(ch.valid)
-		for _, d := range ch.dirty {
-			covered := false
-			for _, v := range ch.valid {
-				if cl, ok := v.Clip(d.Off, d.End()); ok && cl == d {
-					covered = true
-					break
+	var total, dirtyB int64
+	var resident, dirty int
+	for _, f := range c.files {
+		var fileDirty int64
+		for idx, ch := range f.chunks {
+			if ch == nil {
+				continue
+			}
+			resident++
+			total += ext.Total(ch.valid)
+			fileDirty += ext.Total(ch.dirty)
+			if len(ch.dirty) > 0 {
+				dirty++
+			}
+			for _, d := range ch.dirty {
+				covered := false
+				for _, v := range ch.valid {
+					if cl, ok := v.Clip(d.Off, d.End()); ok && cl == d {
+						covered = true
+						break
+					}
+				}
+				if !covered {
+					return fmt.Errorf("chunk %s/%d: dirty %+v not covered by valid %v",
+						f.name, idx, d, ch.valid)
 				}
 			}
-			if !covered {
-				return fmt.Errorf("chunk %s/%d: dirty %+v not covered by valid %v",
-					key.file, key.idx, d, ch.valid)
-			}
 		}
+		if fileDirty != f.dirtyBytes {
+			return fmt.Errorf("file %s: dirty ledger %d != %d dirty bytes in its chunks",
+				f.name, f.dirtyBytes, fileDirty)
+		}
+		dirtyB += fileDirty
 	}
 	if total != c.used {
 		return fmt.Errorf("used ledger %d != %d valid bytes across %d chunks",
-			c.used, total, len(c.chunks))
+			c.used, total, resident)
+	}
+	if resident != c.resident || dirty != c.dirty || dirtyB != c.dirtyB {
+		return fmt.Errorf("ledger %d chunks (%d dirty, %d dirty bytes), index holds %d (%d, %d)",
+			c.resident, c.dirty, c.dirtyB, resident, dirty, dirtyB)
 	}
 	return nil
 }
@@ -174,27 +265,33 @@ func (c *Cache) Hits() int64 { return c.statHits }
 // Evictions reports evicted chunk count.
 func (c *Cache) Evictions() int64 { return c.statEvictions }
 
-// Get checks whether [e] of file is fully cached. Lookups are batched the
-// way a memcached multi-get is: one operation and (for remote homes) one
+// Get checks whether extents of file are fully cached. Lookups are batched
+// the way a memcached multi-get is: one operation and (for remote homes) one
 // network transfer per home node involved, carrying all that home's hit
-// bytes. It returns the missing file-space extents in ext.Merge's
-// canonical form, in a list the caller owns, so callers pass it on without
-// re-merging; a fully-satisfied Get counts as a hit. rc is the originating
-// request's trace identity: a traced context additionally records a
-// StageCache span on the "cache" track covering the lookup (home-node CPU
-// plus wire time for remote hits).
-func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents ...ext.Extent) (miss []ext.Extent) {
+// bytes. It returns the missing file-space extents in ext.Merge's canonical
+// form, so callers pass them on without re-merging. The list is built in
+// buf's storage, overwriting it: a caller keeps one buffer and passes the
+// last result back in, and must copy a result it keeps past its next Get.
+// Get keeps neither buf nor extents. A fully-satisfied Get counts as a hit.
+// rc is the originating request's trace identity: a traced context
+// additionally records a StageCache span on the "cache" track covering the
+// lookup (home-node CPU plus wire time for remote hits).
+func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, buf []ext.Extent, extents ...ext.Extent) (miss []ext.Extent) {
 	start := p.Now()
 	c.statGets++
 	now := p.Now()
+	miss = buf[:0]
 	var auditMiss int64
 	var homes [8]homeAcc
 	perHome := homeBytes(homes[:0]) // hit bytes by home node
+	f := c.files[file]
 	cb := c.cfg.ChunkBytes
 	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
 		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
-		key := chunkKey{file, idx}
-		ch := c.chunks[key]
+		var ch *chunk
+		if f != nil {
+			ch = f.at(idx)
+		}
 		var hitB int64
 		if ch != nil {
 			ch.lastRef = now
@@ -208,8 +305,9 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 		if ch == nil || hitB < rel.Len {
 			// Report the whole piece as missing (partial chunk hits are
 			// refetched with the miss, as DualPar's CRM refills chunks
-			// wholesale).
-			miss = append(miss, piece)
+			// wholesale). Pieces arrive in offset order unless extents
+			// is unsorted, so Insert mostly joins or appends at the end.
+			miss = ext.Insert(miss, piece)
 			auditMiss += rel.Len
 			return
 		}
@@ -225,7 +323,6 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 			file, hit, auditMiss, ext.Total(extents))
 	}
 	c.chargeTransfers(p, fromNode, perHome, false)
-	miss = ext.Merge(miss)
 	if len(miss) == 0 {
 		c.statHits++
 		if c.obs.Enabled() {
@@ -314,20 +411,31 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 	now := p.Now()
 	var homes [8]homeAcc
 	perHome := homeBytes(homes[:0]) // bytes shipped to each home node
+	f := c.files[file]
+	if f == nil {
+		f = &cacheFile{name: file}
+		c.files[file] = f
+	}
 	cb := c.cfg.ChunkBytes
 	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
 		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
-		key := chunkKey{file, idx}
-		ch := c.chunks[key]
+		slot := f.slot(idx)
+		ch := *slot
 		if ch == nil {
-			ch = &chunk{key: key}
-			c.chunks[key] = ch
+			ch = c.newChunk(f, slot)
 		}
 		before := ext.Total(ch.valid)
 		ch.valid = ext.Insert(ch.valid, rel)
 		c.adjustUsed(ext.Total(ch.valid) - before)
 		if dirty {
+			before := ext.Total(ch.dirty)
+			if before == 0 {
+				c.dirty++
+			}
 			ch.dirty = ext.Insert(ch.dirty, rel)
+			d := ext.Total(ch.dirty) - before
+			f.dirtyBytes += d
+			c.dirtyB += d
 		}
 		ch.lastRef = now
 		perHome = perHome.add(c.Home(idx), rel.Len)
@@ -349,39 +457,48 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 // ext.Merge's canonical form, in a list the caller owns, so callers sieve or
 // split it without re-merging.
 func (c *Cache) DirtyExtents(file string) []ext.Extent {
+	f := c.files[file]
+	if f == nil || f.dirtyBytes == 0 {
+		return nil
+	}
+	// Chunks in index order give their extents in offset order, so each
+	// Insert appends or joins the last extent.
 	var out []ext.Extent
-	for key, ch := range c.chunks {
-		if key.file != file {
+	for idx, ch := range f.chunks {
+		if ch == nil {
 			continue
 		}
-		base := key.idx * c.cfg.ChunkBytes
+		base := int64(idx) * c.cfg.ChunkBytes
 		for _, d := range ch.dirty {
-			out = append(out, ext.Extent{Off: base + d.Off, Len: d.Len})
+			out = ext.Insert(out, ext.Extent{Off: base + d.Off, Len: d.Len})
 		}
 	}
-	return ext.Merge(out)
+	return out
 }
 
 // DirtyFiles lists files with dirty data, sorted for determinism.
 func (c *Cache) DirtyFiles() []string {
-	seen := make(map[string]bool)
 	var out []string
-	for key, ch := range c.chunks {
-		if len(ch.dirty) > 0 && !seen[key.file] {
-			seen[key.file] = true
-			out = append(out, key.file)
+	for name, f := range c.files {
+		if f.dirtyBytes > 0 {
+			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 // MarkClean clears dirty state after writeback (the data stays valid).
 func (c *Cache) MarkClean(file string) {
-	for key, ch := range c.chunks {
-		if key.file == file {
-			ch.dirty = nil
+	if f := c.files[file]; f != nil && f.dirtyBytes > 0 {
+		for _, ch := range f.chunks {
+			if ch != nil && len(ch.dirty) > 0 {
+				ch.dirty = ch.dirty[:0]
+				c.dirty--
+			}
 		}
+		c.dirtyB -= f.dirtyBytes
+		f.dirtyBytes = 0
 	}
 	// The chunks just became evictable. If every chunk was dirty when the
 	// last put ran, no sweep is pending — without re-arming here the cleaned
@@ -390,21 +507,18 @@ func (c *Cache) MarkClean(file string) {
 }
 
 // DirtyBytes reports total dirty bytes across files.
-func (c *Cache) DirtyBytes() int64 {
-	var t int64
-	for _, ch := range c.chunks {
-		t += ext.Total(ch.dirty)
-	}
-	return t
-}
+func (c *Cache) DirtyBytes() int64 { return c.dirtyB }
 
 // DropFile removes all chunks of a file (used when a program exits the
 // data-driven mode and its cache is reclaimed).
 func (c *Cache) DropFile(file string) {
-	for key, ch := range c.chunks {
-		if key.file == file {
-			c.adjustUsed(-ext.Total(ch.valid))
-			delete(c.chunks, key)
+	f := c.files[file]
+	if f == nil {
+		return
+	}
+	for idx, ch := range f.chunks {
+		if ch != nil {
+			c.release(f, int64(idx))
 		}
 	}
 }
@@ -412,11 +526,12 @@ func (c *Cache) DropFile(file string) {
 // evictIdle removes clean chunks unreferenced for evictAfter.
 func (c *Cache) evictIdle() {
 	cutoff := c.k.Now() - evictAfter
-	for key, ch := range c.chunks {
-		if len(ch.dirty) == 0 && ch.lastRef < cutoff {
-			c.adjustUsed(-ext.Total(ch.valid))
-			delete(c.chunks, key)
-			c.statEvictions++
+	for _, f := range c.files {
+		for idx, ch := range f.chunks {
+			if ch != nil && len(ch.dirty) == 0 && ch.lastRef < cutoff {
+				c.release(f, int64(idx))
+				c.statEvictions++
+			}
 		}
 	}
 }

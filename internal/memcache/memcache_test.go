@@ -23,12 +23,12 @@ func TestGetMissThenHit(t *testing.T) {
 	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		e := ext.Extent{Off: 0, Len: 64 << 10}
-		miss := c.Get(p, 100, obs.Ctx{}, "f", e)
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, e)
 		if len(miss) != 1 || miss[0] != e {
 			t.Errorf("cold miss = %v, want %v", miss, e)
 		}
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", e); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, e); len(miss) != 0 {
 			t.Errorf("post-put miss = %v, want none", miss)
 		}
 	})
@@ -43,7 +43,7 @@ func TestPartialChunkCountsAsMiss(t *testing.T) {
 	c := newCache(k, DefaultConfig())
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
-		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 8 << 10})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 8 << 10})
 		if len(miss) != 1 || miss[0].Len != 8<<10 {
 			t.Errorf("partial hit should report whole piece missing, got %v", miss)
 		}
@@ -64,7 +64,7 @@ func TestPartialHitChargesNoTransfer(t *testing.T) {
 		// Only the first 4K of the remote chunk is valid.
 		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 4 << 10}})
 		t0 := p.Now()
-		miss := c.Get(p, 100, obs.Ctx{}, "f", chunk1)
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, chunk1)
 		if p.Now() != t0 {
 			t.Errorf("partial hit charged %v of op/transfer time, want none", p.Now()-t0)
 		}
@@ -74,7 +74,7 @@ func TestPartialHitChargesNoTransfer(t *testing.T) {
 		// Once fully valid, the same Get pays the remote transfer.
 		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{chunk1})
 		t0 = p.Now()
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", chunk1); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, chunk1); len(miss) != 0 {
 			t.Errorf("full chunk still missing: %v", miss)
 		}
 		if p.Now() == t0 {
@@ -95,7 +95,7 @@ func TestPartialHitMixedBatch(t *testing.T) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}}) // chunk 0, local to 100
 		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 1 << 10}})
 		t0 := p.Now()
-		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
 		if got := p.Now() - t0; got != opCPU {
 			t.Errorf("mixed batch charged %v, want one local op %v", got, opCPU)
 		}
@@ -120,7 +120,7 @@ func TestMissRefreshesLastRef(t *testing.T) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
 		p.Sleep(evictAfter * 6 / 10)
 		// Partial-chunk lookup: a miss, but it must touch lastRef.
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
 			t.Fatalf("partial chunk reported as hit")
 		}
 		p.Sleep(evictAfter * 6 / 10)
@@ -143,7 +143,7 @@ func TestGetSpanningChunks(t *testing.T) {
 	k.Spawn("p", func(p *sim.Proc) {
 		// Cache only the first chunk; ask across two chunks.
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
-		miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
 		if total := ext.Total(miss); total != cfg.ChunkBytes {
 			t.Errorf("miss total = %d, want one chunk", total)
 		}
@@ -164,10 +164,10 @@ func TestRemoteGetCostsNetwork(t *testing.T) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
 		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}})
 		t0 := p.Now()
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: cfg.ChunkBytes}) // local
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: cfg.ChunkBytes}) // local
 		local = p.Now() - t0
 		t0 = p.Now()
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}) // remote
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}) // remote
 		remote = p.Now() - t0
 	})
 	k.Run()
@@ -247,14 +247,14 @@ func TestCapacityEvictsLRU(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 64 << 10, Len: 64 << 10}})
 		p.Sleep(time.Millisecond)
-		c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}) // refresh chunk 0
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 64 << 10}) // refresh chunk 0
 		p.Sleep(time.Millisecond)
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 128 << 10, Len: 64 << 10}})
 		// Chunk 1 (LRU) must be gone; chunk 0 must remain.
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
 			t.Errorf("recently used chunk evicted")
 		}
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 64 << 10, Len: 64 << 10}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 64 << 10, Len: 64 << 10}); len(miss) == 0 {
 			t.Errorf("LRU chunk not evicted")
 		}
 	})
@@ -271,10 +271,10 @@ func TestDropFile(t *testing.T) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: 64 << 10}})
 		c.DropFile("f")
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 64 << 10}); len(miss) == 0 {
 			t.Errorf("dropped file still cached")
 		}
-		if miss := c.Get(p, 100, obs.Ctx{}, "g", ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "g", nil, ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
 			t.Errorf("unrelated file dropped")
 		}
 		if c.UsedBytes() != 64<<10 {

@@ -35,7 +35,7 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 			c.PutClean(p, 100, obs.Ctx{}, "f", put)
 			// Every put extent must now be fully resident.
 			for _, e := range put {
-				if miss := c.Get(p, 101, obs.Ctx{}, "f", e); len(miss) != 0 {
+				if miss := c.Get(p, 101, obs.Ctx{}, "f", nil, e); len(miss) != 0 {
 					ok = false
 				}
 			}
@@ -47,7 +47,7 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 				}
 			}
 			probe := ext.Extent{Off: hi + 128<<10, Len: 4 << 10}
-			miss := c.Get(p, 100, obs.Ctx{}, "f", probe)
+			miss := c.Get(p, 100, obs.Ctx{}, "f", nil, probe)
 			if ext.Total(miss) != probe.Len {
 				ok = false
 			}
@@ -90,7 +90,7 @@ func TestDirtyNeverLost(t *testing.T) {
 			}
 			// Data stays valid after MarkClean.
 			for _, e := range want {
-				if miss := c.Get(p, 100, obs.Ctx{}, "f", e); len(miss) != 0 {
+				if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, e); len(miss) != 0 {
 					ok = false
 				}
 			}
@@ -103,11 +103,37 @@ func TestDirtyNeverLost(t *testing.T) {
 	}
 }
 
+// missReference is Get's miss list computed the slow way: every chunk
+// piece of xs its chunk's valid ranges do not cover, through ext.Merge.
+func missReference(c *Cache, file string, xs []ext.Extent) []ext.Extent {
+	var miss []ext.Extent
+	cb := c.cfg.ChunkBytes
+	ext.VisitSplit(xs, cb, func(piece ext.Extent) {
+		var valid []ext.Extent
+		if f := c.files[file]; f != nil && f.at(piece.Off/cb) != nil {
+			valid = f.at(piece.Off / cb).valid
+		}
+		var hit int64
+		for _, v := range valid {
+			if cl, ok := v.Clip(piece.Off%cb, piece.Off%cb+piece.Len); ok {
+				hit += cl.Len
+			}
+		}
+		if hit < piece.Len {
+			miss = append(miss, piece)
+		}
+	})
+	return ext.Merge(miss)
+}
+
 // TestListsAreCanonical pins the contract callers rely on to skip
 // re-merging: under random put, get and evict sequences, every miss list
 // Get returns and every DirtyExtents list equals ext.Merge of itself.
-// Extents straddle chunks and repeat; a quota small enough to evict,
-// MarkClean, DropFile and idle sweeps all remove chunks between lookups.
+// Extents straddle chunks, repeat, overlap and arrive unsorted; a quota
+// small enough to evict, MarkClean, DropFile and idle sweeps all remove
+// chunks between lookups. Every Get reuses one buffer, and its misses must
+// equal the reference merged the slow way; every ledger must match the
+// chunk index.
 func TestListsAreCanonical(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -117,7 +143,7 @@ func TestListsAreCanonical(t *testing.T) {
 		c.SetQuota(NewQuota("t", 8*cfg.ChunkBytes))
 		files := []string{"f", "g"}
 		extents := func() []ext.Extent {
-			xs := make([]ext.Extent, 1+rng.Intn(4))
+			xs := make([]ext.Extent, 1+rng.Intn(6))
 			for i := range xs {
 				xs[i] = ext.Extent{Off: rng.Int63n(16 * cfg.ChunkBytes), Len: rng.Int63n(3 * cfg.ChunkBytes)}
 			}
@@ -131,6 +157,7 @@ func TestListsAreCanonical(t *testing.T) {
 			}
 		}
 		k.Spawn("p", func(p *sim.Proc) {
+			var buf []ext.Extent
 			for i := 0; i < 4+int(n)%40; i++ {
 				file := files[rng.Intn(len(files))]
 				switch rng.Intn(7) {
@@ -147,7 +174,18 @@ func TestListsAreCanonical(t *testing.T) {
 						p.Sleep(evictAfter)
 					}
 				}
-				canonical(c.Get(p, 102, obs.Ctx{}, file, extents()...))
+				xs := extents()
+				want := missReference(c, file, xs)
+				buf = c.Get(p, 102, obs.Ctx{}, file, buf, xs...)
+				canonical(buf)
+				if !slices.Equal(buf, want) {
+					t.Errorf("Get(%v) missed %v, want %v", xs, buf, want)
+					ok = false
+				}
+				if err := c.CheckUsed(); err != nil {
+					t.Error(err)
+					ok = false
+				}
 				canonical(c.DirtyExtents(file))
 			}
 		})

@@ -1,10 +1,6 @@
 package memcache
 
-import (
-	"fmt"
-
-	"dualpar/internal/ext"
-)
+import "fmt"
 
 // Quota is one tenant's partition of the cluster's global-cache capacity.
 // Every cache a tenant's jobs create registers against the tenant's quota;
@@ -92,24 +88,30 @@ func (q *Quota) enforce() {
 	for q.used > q.limit {
 		var victim *chunk
 		var owner *Cache
+		var vf *cacheFile
+		var vidx int64
 		for _, c := range q.caches {
-			for _, ch := range c.chunks {
-				if len(ch.dirty) > 0 {
-					continue
-				}
-				if victim == nil || ch.lastRef < victim.lastRef ||
-					(ch.lastRef == victim.lastRef && lessKey(ch.key, victim.key)) {
-					victim = ch
-					owner = c
+			if c.resident == c.dirty {
+				continue // nothing clean to evict here
+			}
+			for _, f := range c.files {
+				for idx, ch := range f.chunks {
+					if ch == nil || len(ch.dirty) > 0 {
+						continue
+					}
+					if victim == nil || ch.lastRef < victim.lastRef ||
+						(ch.lastRef == victim.lastRef &&
+							lessKey(chunkKey{f.name, int64(idx)}, chunkKey{vf.name, vidx})) {
+						victim, owner, vf, vidx = ch, c, f, int64(idx)
+					}
 				}
 			}
 		}
 		if victim == nil {
 			return // everything dirty; writeback will drain
 		}
-		owner.adjustUsed(-ext.Total(victim.valid))
+		owner.release(vf, vidx)
 		owner.statEvictions++
-		delete(owner.chunks, victim.key)
 		q.statEvictions++
 	}
 }
@@ -131,10 +133,12 @@ func (q *Quota) Check() error {
 		return nil
 	}
 	for _, c := range q.caches {
-		for _, ch := range c.chunks {
-			if len(ch.dirty) == 0 {
-				return fmt.Errorf("quota %s: %d used over limit %d with evictable clean chunk %s/%d",
-					q.key, q.used, q.limit, ch.key.file, ch.key.idx)
+		for _, f := range c.files {
+			for idx, ch := range f.chunks {
+				if ch != nil && len(ch.dirty) == 0 {
+					return fmt.Errorf("quota %s: %d used over limit %d with evictable clean chunk %s/%d",
+						q.key, q.used, q.limit, f.name, idx)
+				}
 			}
 		}
 	}

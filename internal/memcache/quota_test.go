@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"testing"
+	"time"
 
 	"dualpar/internal/ext"
 	"dualpar/internal/obs"
@@ -68,6 +69,40 @@ func TestQuotaEvictsAcrossMembersLRU(t *testing.T) {
 			t.Errorf("Check: %v", err)
 		}
 	})
+}
+
+// TestQuotaVictimOrderAcrossMembers pins the victim order when chunks of
+// two member caches share a lastRef: the lesser (file, chunk) key goes
+// first, and for equal keys the earlier-registered member's chunk goes.
+// Both members put at t=0 (put stamps lastRef before it pays its cost);
+// a later put into the first member pushes the partition over.
+func TestQuotaVictimOrderAcrossMembers(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		fileA, fileB string
+		usedA, usedB int64 // after the eviction
+	}{
+		{"equal keys: first member's", "f", "f", chunkB, chunkB},
+		{"lesser key: second member's", "g", "f", 2 * chunkB, 0},
+	} {
+		k := sim.NewKernel(1)
+		q := NewQuota("t0", 2*chunkB)
+		a := newCache(k, DefaultConfig())
+		b := newCache(k, DefaultConfig())
+		a.SetQuota(q)
+		b.SetQuota(q)
+		one := []ext.Extent{{Off: 0, Len: chunkB}}
+		k.Spawn("put a", func(p *sim.Proc) { a.PutClean(p, 100, obs.Ctx{}, tc.fileA, one) })
+		k.Spawn("put b", func(p *sim.Proc) { b.PutClean(p, 100, obs.Ctx{}, tc.fileB, one) })
+		k.SpawnAt(time.Millisecond, "over", func(p *sim.Proc) {
+			a.PutClean(p, 100, obs.Ctx{}, "z", one)
+			if q.Evictions() != 1 || a.UsedBytes() != tc.usedA || b.UsedBytes() != tc.usedB {
+				t.Errorf("%s: evictions=%d, used a=%d b=%d, want 1, a=%d b=%d",
+					tc.name, q.Evictions(), a.UsedBytes(), b.UsedBytes(), tc.usedA, tc.usedB)
+			}
+		})
+		k.Run()
+	}
 }
 
 // TestQuotaIsolation pins eviction isolation: pressure in one tenant's

@@ -52,14 +52,21 @@ func (c Checkpoint) NewRank(r int) RankGen {
 	if c.FileName == "" {
 		panic("workloads: Checkpoint.FileName empty")
 	}
-	return &checkpointGen{c: c, rank: r}
+	// Checkpoint s, rank r writes [stepBase + r*Block, +Block): the ranks'
+	// blocks tile the file contiguously but unaligned to any stripe or page
+	// boundary.
+	blocks := tabulate(int64(c.Checkpoints), func(s int64) ext.Extent {
+		stepBase := s * int64(c.Procs) * c.BlockBytes
+		return ext.Extent{Off: stepBase + int64(r)*c.BlockBytes, Len: c.BlockBytes}
+	})
+	return &checkpointGen{c: c, blocks: blocks}
 }
 
 type checkpointGen struct {
-	c     Checkpoint
-	rank  int
-	step  int
-	state int // 0 compute, 1 write, 2 barrier
+	c      Checkpoint
+	blocks []ext.Extent // shared with clones
+	step   int
+	state  int // 0 compute, 1 write, 2 barrier
 }
 
 func (g *checkpointGen) Next(env Env) Op {
@@ -76,15 +83,8 @@ func (g *checkpointGen) Next(env Env) Op {
 		fallthrough
 	case 1:
 		g.state = 2
-		// Checkpoint s, rank r writes [stepBase + r*Block, +Block): the
-		// ranks' blocks tile the file contiguously but unaligned to any
-		// stripe or page boundary.
-		stepBase := int64(g.step) * int64(c.Procs) * c.BlockBytes
-		off := stepBase + int64(g.rank)*c.BlockBytes
-		return Op{
-			Kind: OpWrite, File: c.FileName,
-			Extents: []ext.Extent{{Off: off, Len: c.BlockBytes}},
-		}
+		s := int64(g.step)
+		return Op{Kind: OpWrite, File: c.FileName, Extents: span(g.blocks, s, s+1)}
 	default:
 		g.state = 0
 		g.step++

@@ -56,12 +56,19 @@ func (d Demo) NewRank(r int) RankGen {
 	if d.FileName == "" {
 		panic("workloads: Demo.FileName empty")
 	}
-	return &demoGen{d: d, rank: r, calls: d.Calls()}
+	// Extent i is the rank's i-th segment: call i/SegsPerCall, segment
+	// i%SegsPerCall.
+	n := int64(d.Procs)
+	segs := tabulate(int64(d.Calls())*int64(d.SegsPerCall), func(i int64) ext.Extent {
+		return ext.Extent{Off: (i*n + int64(r)) * d.SegBytes, Len: d.SegBytes}
+	})
+	return &demoGen{d: d, rank: r, segs: segs, calls: d.Calls()}
 }
 
 type demoGen struct {
 	d       Demo
 	rank    int
+	segs    []ext.Extent // shared with clones
 	calls   int
 	call    int
 	pending bool // compute emitted, I/O next
@@ -76,20 +83,13 @@ func (g *demoGen) Next(env Env) Op {
 		return Op{Kind: OpCompute, Dur: g.d.ComputePerCall}
 	}
 	g.pending = false
-	j := int64(g.call)
+	lo := int64(g.call) * int64(g.d.SegsPerCall)
 	g.call++
-	n := int64(g.d.Procs)
-	segs := int64(g.d.SegsPerCall)
-	extents := make([]ext.Extent, 0, segs)
-	for k := int64(0); k < segs; k++ {
-		segIdx := (j*segs+k)*n + int64(g.rank)
-		extents = append(extents, ext.Extent{Off: segIdx * g.d.SegBytes, Len: g.d.SegBytes})
-	}
 	kind := OpRead
 	if g.d.Write {
 		kind = OpWrite
 	}
-	return Op{Kind: kind, File: g.d.FileName, Extents: extents}
+	return Op{Kind: kind, File: g.d.FileName, Extents: span(g.segs, lo, lo+int64(g.d.SegsPerCall))}
 }
 
 func (g *demoGen) Clone() RankGen {

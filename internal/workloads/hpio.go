@@ -55,20 +55,25 @@ func (h HPIO) NewRank(r int) RankGen {
 	if h.FileName == "" {
 		panic("workloads: HPIO.FileName empty")
 	}
+	// Extent i is the rank's i-th region; the rank's regions are a block
+	// of per consecutive ones.
 	per := h.RegionCount / int64(h.Procs)
-	return &hpioGen{h: h, first: int64(r) * per, count: per}
+	first := int64(r) * per
+	regions := tabulate(per, func(i int64) ext.Extent {
+		return ext.Extent{Off: (first + i) * h.stride(), Len: h.RegionBytes}
+	})
+	return &hpioGen{h: h, regions: regions}
 }
 
 type hpioGen struct {
 	h       HPIO
-	first   int64 // first region index of this rank
-	count   int64
+	regions []ext.Extent // shared with clones
 	i       int64
 	pending bool
 }
 
 func (g *hpioGen) Next(env Env) Op {
-	if g.i >= g.count {
+	if g.i >= int64(len(g.regions)) {
 		return Op{Kind: OpDone}
 	}
 	if g.h.ComputePerOp > 0 && !g.pending {
@@ -76,17 +81,12 @@ func (g *hpioGen) Next(env Env) Op {
 		return Op{Kind: OpCompute, Dur: g.h.ComputePerOp}
 	}
 	g.pending = false
-	region := g.first + g.i
 	g.i++
 	kind := OpRead
 	if g.h.Write {
 		kind = OpWrite
 	}
-	return Op{
-		Kind:    kind,
-		File:    g.h.FileName,
-		Extents: []ext.Extent{{Off: region * g.h.stride(), Len: g.h.RegionBytes}},
-	}
+	return Op{Kind: kind, File: g.h.FileName, Extents: span(g.regions, g.i-1, g.i)}
 }
 
 func (g *hpioGen) Clone() RankGen {

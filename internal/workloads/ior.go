@@ -50,19 +50,23 @@ func (i IOR) NewRank(r int) RankGen {
 	if i.FileName == "" {
 		panic("workloads: IOR.FileName empty")
 	}
-	return &iorGen{i: i, base: int64(r) * i.Scope(), calls: i.Scope() / i.ReqBytes}
+	// Extent j is request j of the rank's scope.
+	base := int64(r) * i.Scope()
+	reqs := tabulate(i.Scope()/i.ReqBytes, func(j int64) ext.Extent {
+		return ext.Extent{Off: base + j*i.ReqBytes, Len: i.ReqBytes}
+	})
+	return &iorGen{i: i, reqs: reqs}
 }
 
 type iorGen struct {
 	i       IOR
-	base    int64
-	calls   int64
+	reqs    []ext.Extent // shared with clones
 	j       int64
 	pending bool
 }
 
 func (g *iorGen) Next(env Env) Op {
-	if g.j >= g.calls {
+	if g.j >= int64(len(g.reqs)) {
 		return Op{Kind: OpDone}
 	}
 	if g.i.ComputePerOp > 0 && !g.pending {
@@ -70,13 +74,12 @@ func (g *iorGen) Next(env Env) Op {
 		return Op{Kind: OpCompute, Dur: g.i.ComputePerOp}
 	}
 	g.pending = false
-	off := g.base + g.j*g.i.ReqBytes
 	g.j++
 	kind := OpRead
 	if g.i.Write {
 		kind = OpWrite
 	}
-	return Op{Kind: kind, File: g.i.FileName, Extents: []ext.Extent{{Off: off, Len: g.i.ReqBytes}}}
+	return Op{Kind: kind, File: g.i.FileName, Extents: span(g.reqs, g.j-1, g.j)}
 }
 
 func (g *iorGen) Clone() RankGen {

@@ -54,12 +54,17 @@ func (m MPIIOTest) NewRank(r int) RankGen {
 	if m.FileName == "" {
 		panic("workloads: MPIIOTest.FileName empty")
 	}
-	return &mpiioTestGen{m: m, rank: r, calls: m.Calls()}
+	// Extent j is the rank's segment at call j.
+	segs := tabulate(int64(m.Calls()), func(j int64) ext.Extent {
+		seg := int64(r) + int64(m.Procs)*j
+		return ext.Extent{Off: seg * m.ReqBytes, Len: m.ReqBytes}
+	})
+	return &mpiioTestGen{m: m, segs: segs, calls: len(segs)}
 }
 
 type mpiioTestGen struct {
 	m     MPIIOTest
-	rank  int
+	segs  []ext.Extent // shared with clones
 	calls int
 	call  int
 	state int // 0: compute (optional), 1: io, 2: barrier (optional)
@@ -78,16 +83,12 @@ func (g *mpiioTestGen) Next(env Env) Op {
 			}
 		case 1:
 			g.state = 2
-			seg := int64(g.rank) + int64(g.m.Procs)*int64(g.call)
 			kind := OpRead
 			if g.m.Write {
 				kind = OpWrite
 			}
-			return Op{
-				Kind:    kind,
-				File:    g.m.FileName,
-				Extents: []ext.Extent{{Off: seg * g.m.ReqBytes, Len: g.m.ReqBytes}},
-			}
+			j := int64(g.call)
+			return Op{Kind: kind, File: g.m.FileName, Extents: span(g.segs, j, j+1)}
 		default:
 			barrier := g.m.BarrierEvery > 0 && (g.call+1)%g.m.BarrierEvery == 0
 			g.call++

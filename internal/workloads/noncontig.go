@@ -66,19 +66,25 @@ func (n Noncontig) NewRank(r int) RankGen {
 	if n.FileName == "" {
 		panic("workloads: Noncontig.FileName empty")
 	}
-	return &noncontigGen{n: n, rank: r}
+	cell, rowBytes := n.CellBytes(), n.RowBytes()
+	// Extent i is the rank's cell of row i.
+	cells := tabulate(n.Rows(), func(row int64) ext.Extent {
+		return ext.Extent{Off: row*rowBytes + int64(r)*cell, Len: cell}
+	})
+	return &noncontigGen{n: n, cells: cells}
 }
 
 type noncontigGen struct {
 	n       Noncontig
-	rank    int
+	cells   []ext.Extent // shared with clones
 	row     int64
 	pending bool
 }
 
 func (g *noncontigGen) Next(env Env) Op {
 	n := g.n
-	if g.row >= n.Rows() {
+	rows := int64(len(g.cells))
+	if g.row >= rows {
 		return Op{Kind: OpDone}
 	}
 	if n.ComputePerOp > 0 && !g.pending {
@@ -86,22 +92,13 @@ func (g *noncontigGen) Next(env Env) Op {
 		return Op{Kind: OpCompute, Dur: n.ComputePerOp}
 	}
 	g.pending = false
-	rows := n.RowsPerCall()
-	if g.row+rows > n.Rows() {
-		rows = n.Rows() - g.row
-	}
-	cell := n.CellBytes()
-	extents := make([]ext.Extent, 0, rows)
-	for i := int64(0); i < rows; i++ {
-		off := (g.row+i)*n.RowBytes() + int64(g.rank)*cell
-		extents = append(extents, ext.Extent{Off: off, Len: cell})
-	}
-	g.row += rows
+	lo := g.row
+	g.row = min(g.row+n.RowsPerCall(), rows)
 	kind := OpRead
 	if n.Write {
 		kind = OpWrite
 	}
-	return Op{Kind: kind, File: n.FileName, Extents: extents}
+	return Op{Kind: kind, File: n.FileName, Extents: span(g.cells, lo, g.row)}
 }
 
 func (g *noncontigGen) Clone() RankGen {

@@ -42,7 +42,10 @@ const (
 // Its Extents slice is immutable once Next returns it: neither the
 // generator nor any Clone of it may write the slice again, so consumers
 // may keep it without copying (DualPar's request logs and wish lists hold
-// it by reference).
+// it by reference). Generators whose stream is a pure function of their
+// parameters and rank return capped subslices of one table built by
+// NewRank and shared with every Clone (see tabulate); the others build a
+// fresh list per op.
 type Op struct {
 	Kind    OpKind
 	Dur     time.Duration // OpCompute
@@ -110,6 +113,23 @@ type Program interface {
 	// NewRank returns rank r's generator (from its initial state).
 	NewRank(r int) RankGen
 }
+
+// tabulate builds a rank's whole extent stream once, for generators whose
+// stream is a pure function of (params, rank): n extents, the i-th given
+// by at(i). Nothing writes the table after it is built, so Next hands out
+// span subslices of it and Clone shares it: a ghost replaying the rank
+// allocates no extents.
+func tabulate(n int64, at func(i int64) ext.Extent) []ext.Extent {
+	t := make([]ext.Extent, max(n, 0))
+	for i := range t {
+		t[i] = at(int64(i))
+	}
+	return t
+}
+
+// span returns t[lo:hi] with its capacity capped at hi, so a consumer's
+// append copies the list instead of writing over the next op's extents.
+func span(t []ext.Extent, lo, hi int64) []ext.Extent { return t[lo:hi:hi] }
 
 // extentAlias shortens composite literals in generator code.
 type extentAlias = ext.Extent
