@@ -509,20 +509,6 @@ func (c *Cache) MarkClean(file string) {
 // DirtyBytes reports total dirty bytes across files.
 func (c *Cache) DirtyBytes() int64 { return c.dirtyB }
 
-// DropFile removes all chunks of a file (used when a program exits the
-// data-driven mode and its cache is reclaimed).
-func (c *Cache) DropFile(file string) {
-	f := c.files[file]
-	if f == nil {
-		return
-	}
-	for idx, ch := range f.chunks {
-		if ch != nil {
-			c.release(f, int64(idx))
-		}
-	}
-}
-
 // evictIdle removes clean chunks unreferenced for evictAfter.
 func (c *Cache) evictIdle() {
 	cutoff := c.k.Now() - evictAfter

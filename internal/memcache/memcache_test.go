@@ -264,26 +264,6 @@ func TestCapacityEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestDropFile(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
-	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
-		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: 64 << 10}})
-		c.DropFile("f")
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 64 << 10}); len(miss) == 0 {
-			t.Errorf("dropped file still cached")
-		}
-		if miss := c.Get(p, 100, obs.Ctx{}, "g", nil, ext.Extent{Off: 0, Len: 64 << 10}); len(miss) != 0 {
-			t.Errorf("unrelated file dropped")
-		}
-		if c.UsedBytes() != 64<<10 {
-			t.Errorf("used = %d, want 64K", c.UsedBytes())
-		}
-	})
-	k.Run()
-}
-
 func TestValidateConfig(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ChunkBytes = 0 },

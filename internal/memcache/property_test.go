@@ -130,7 +130,7 @@ func missReference(c *Cache, file string, xs []ext.Extent) []ext.Extent {
 // re-merging: under random put, get and evict sequences, every miss list
 // Get returns and every DirtyExtents list equals ext.Merge of itself.
 // Extents straddle chunks, repeat, overlap and arrive unsorted; a quota
-// small enough to evict, MarkClean, DropFile and idle sweeps all remove
+// small enough to evict, MarkClean and idle sweeps all remove
 // chunks between lookups. Every Get reuses one buffer, and its misses must
 // equal the reference merged the slow way; every ledger must match the
 // chunk index.
@@ -168,11 +168,7 @@ func TestListsAreCanonical(t *testing.T) {
 				case 4:
 					c.MarkClean(file)
 				case 5:
-					if rng.Intn(3) == 0 {
-						c.DropFile(file)
-					} else {
-						p.Sleep(evictAfter)
-					}
+					p.Sleep(evictAfter)
 				}
 				xs := extents()
 				want := missReference(c, file, xs)

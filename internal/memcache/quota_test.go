@@ -31,9 +31,17 @@ func TestQuotaAccountsAcrossMembers(t *testing.T) {
 		if q.Used() != 3*chunkB {
 			t.Errorf("quota used = %d, want %d", q.Used(), 3*chunkB)
 		}
-		b.DropFile("fb")
+		// Only fb ages out: fa is re-referenced before the sweep whose
+		// cutoff passes fb's last reference.
+		p.Sleep(evictAfter * 2 / 3)
+		a.Get(p, 100, obs.Ctx{}, "fa", nil, ext.Extent{Off: 0, Len: chunkB})
+		p.Sleep(evictAfter)
+		if b.UsedBytes() != 0 || a.UsedBytes() != chunkB {
+			t.Errorf("after the idle sweep, members hold %d and %d bytes, want %d and 0",
+				a.UsedBytes(), b.UsedBytes(), chunkB)
+		}
 		if q.Used() != chunkB {
-			t.Errorf("after drop, quota used = %d, want %d", q.Used(), chunkB)
+			t.Errorf("after the idle sweep, quota used = %d, want %d", q.Used(), chunkB)
 		}
 		if err := q.Check(); err != nil {
 			t.Errorf("Check: %v", err)

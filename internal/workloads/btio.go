@@ -42,22 +42,14 @@ func (b BTIO) Ranks() int { return b.Procs }
 
 // BlockBytes is the per-rank interleave block.
 func (b BTIO) BlockBytes() int64 {
-	bl := b.BlockScale / int64(b.Procs)
-	if bl < 4 {
-		bl = 4
-	}
-	return bl
+	return max(b.BlockScale/int64(b.Procs), 4)
 }
 
 // StepBytes is the volume written per step across all ranks.
 func (b BTIO) StepBytes() int64 {
-	step := b.TotalBytes / int64(b.Steps)
-	// Round to a whole number of interleave rounds.
+	// Round to a whole number of interleave rounds, at least one.
 	round := b.BlockBytes() * int64(b.Procs)
-	if step < round {
-		step = round
-	}
-	return step / round * round
+	return max(b.TotalBytes/int64(b.Steps), round) / round * round
 }
 
 // Files implements Program.
@@ -74,51 +66,16 @@ func (b BTIO) NewRank(r int) RankGen {
 	if b.FileName == "" {
 		panic("workloads: BTIO.FileName empty")
 	}
-	return &btioGen{b: b, rank: r}
-}
-
-type btioGen struct {
-	b     BTIO
-	rank  int
-	step  int
-	state int // 0: compute, 1: io, 2: barrier
-}
-
-func (g *btioGen) Next(env Env) Op {
-	b := g.b
-	if g.step >= b.Steps {
-		return Op{Kind: OpDone}
-	}
-	switch g.state {
-	case 0:
-		g.state = 1
-		if b.StepCompute > 0 {
-			return Op{Kind: OpCompute, Dur: b.StepCompute}
-		}
-		fallthrough
-	case 1:
-		g.state = 2
-		bl := b.BlockBytes()
-		round := bl * int64(b.Procs)
-		rounds := b.StepBytes() / round
-		base := int64(g.step)*b.StepBytes() + int64(g.rank)*bl
-		extents := make([]ext.Extent, 0, rounds)
-		for i := int64(0); i < rounds; i++ {
-			extents = append(extents, ext.Extent{Off: base + i*round, Len: bl})
-		}
-		kind := OpWrite
-		if b.Read {
-			kind = OpRead
-		}
-		return Op{Kind: kind, File: b.FileName, Extents: extents}
-	default:
-		g.state = 0
-		g.step++
-		return Op{Kind: OpBarrier}
-	}
-}
-
-func (g *btioGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	// A call is one step: rounds blocks of bl bytes at stride bl*Procs.
+	// Extent s*rounds+i is step s, round i.
+	bl := b.BlockBytes()
+	round := bl * int64(b.Procs)
+	rounds := b.StepBytes() / round
+	blocks := tabulate(int64(b.Steps)*rounds, func(i int64) ext.Extent {
+		return ext.Extent{Off: i*round + int64(r)*bl, Len: bl}
+	})
+	return newCalls(script{
+		kind: ioKind(!b.Read), file: b.FileName, table: blocks,
+		per: int(rounds), compute: b.StepCompute, barrierEvery: 1,
+	})
 }

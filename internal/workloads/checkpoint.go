@@ -59,40 +59,8 @@ func (c Checkpoint) NewRank(r int) RankGen {
 		stepBase := s * int64(c.Procs) * c.BlockBytes
 		return ext.Extent{Off: stepBase + int64(r)*c.BlockBytes, Len: c.BlockBytes}
 	})
-	return &checkpointGen{c: c, blocks: blocks}
-}
-
-type checkpointGen struct {
-	c      Checkpoint
-	blocks []ext.Extent // shared with clones
-	step   int
-	state  int // 0 compute, 1 write, 2 barrier
-}
-
-func (g *checkpointGen) Next(env Env) Op {
-	c := g.c
-	if g.step >= c.Checkpoints {
-		return Op{Kind: OpDone}
-	}
-	switch g.state {
-	case 0:
-		g.state = 1
-		if c.Compute > 0 {
-			return Op{Kind: OpCompute, Dur: c.Compute}
-		}
-		fallthrough
-	case 1:
-		g.state = 2
-		s := int64(g.step)
-		return Op{Kind: OpWrite, File: c.FileName, Extents: span(g.blocks, s, s+1)}
-	default:
-		g.state = 0
-		g.step++
-		return Op{Kind: OpBarrier}
-	}
-}
-
-func (g *checkpointGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	return newCalls(script{
+		kind: OpWrite, file: c.FileName, table: blocks, per: 1,
+		compute: c.Compute, barrierEvery: 1,
+	})
 }

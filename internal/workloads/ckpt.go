@@ -94,46 +94,16 @@ func (c EpochCheckpoint) NewRank(r int) RankGen {
 	if c.BaseName == "" {
 		panic("workloads: EpochCheckpoint.BaseName empty")
 	}
-	return &epochCkptGen{c: c, rank: r}
-}
-
-type epochCkptGen struct {
-	c     EpochCheckpoint
-	rank  int
-	epoch int // epochs completed (the in-progress epoch is epoch+1)
-	state int // 0 compute, 1 write, 2 seal, 3 barrier
-}
-
-func (g *epochCkptGen) Next(env Env) Op {
-	c := g.c
-	if g.epoch >= c.Epochs {
-		return Op{Kind: OpDone}
-	}
-	e := g.epoch + 1
-	switch g.state {
-	case 0:
-		g.state = 1
-		if c.Interval > 0 {
-			return Op{Kind: OpCompute, Dur: c.Interval}
-		}
-		fallthrough
-	case 1:
-		g.state = 2
-		file, x := c.extent(g.rank, e)
-		return Op{Kind: OpWrite, File: file, Extents: []ext.Extent{x}, Epoch: e}
-	case 2:
-		g.state = 3
-		return Op{Kind: OpSeal, Epoch: e}
-	default:
-		g.state = 0
-		g.epoch++
-		return Op{Kind: OpBarrier}
-	}
-}
-
-func (g *epochCkptGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	// Extent e is the rank's block of epoch e+1.
+	file, _ := c.extent(r, 1)
+	blocks := tabulate(int64(c.Epochs), func(e int64) ext.Extent {
+		_, x := c.extent(r, int(e)+1)
+		return x
+	})
+	return newCalls(script{
+		kind: OpWrite, file: file, table: blocks, per: 1,
+		compute: c.Interval, barrierEvery: 1, epoch: 1,
+	})
 }
 
 // Restart is the recovery-phase reader: every rank of the crashed
@@ -161,25 +131,6 @@ func (r Restart) NewRank(rank int) RankGen {
 	if r.Epoch < 1 || r.Epoch > r.Ckpt.Epochs {
 		panic(fmt.Sprintf("workloads: Restart epoch %d outside [1,%d]", r.Epoch, r.Ckpt.Epochs))
 	}
-	return &restartGen{r: r, rank: rank}
-}
-
-type restartGen struct {
-	r    Restart
-	rank int
-	done bool
-}
-
-func (g *restartGen) Next(env Env) Op {
-	if g.done {
-		return Op{Kind: OpDone}
-	}
-	g.done = true
-	file, x := g.r.Ckpt.extent(g.rank, g.r.Epoch)
-	return Op{Kind: OpRead, File: file, Extents: []ext.Extent{x}, Epoch: g.r.Epoch}
-}
-
-func (g *restartGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	file, x := r.Ckpt.extent(rank, r.Epoch)
+	return newCalls(script{kind: OpRead, file: file, table: []ext.Extent{x}, per: 1, epoch: r.Epoch})
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"time"
 
 	"dualpar/internal/ext"
@@ -62,42 +61,8 @@ func (d Demo) NewRank(r int) RankGen {
 	segs := tabulate(int64(d.Calls())*int64(d.SegsPerCall), func(i int64) ext.Extent {
 		return ext.Extent{Off: (i*n + int64(r)) * d.SegBytes, Len: d.SegBytes}
 	})
-	return &demoGen{d: d, rank: r, segs: segs, calls: d.Calls()}
-}
-
-type demoGen struct {
-	d       Demo
-	rank    int
-	segs    []ext.Extent // shared with clones
-	calls   int
-	call    int
-	pending bool // compute emitted, I/O next
-}
-
-func (g *demoGen) Next(env Env) Op {
-	if g.call >= g.calls {
-		return Op{Kind: OpDone}
-	}
-	if g.d.ComputePerCall > 0 && !g.pending {
-		g.pending = true
-		return Op{Kind: OpCompute, Dur: g.d.ComputePerCall}
-	}
-	g.pending = false
-	lo := int64(g.call) * int64(g.d.SegsPerCall)
-	g.call++
-	kind := OpRead
-	if g.d.Write {
-		kind = OpWrite
-	}
-	return Op{Kind: kind, File: g.d.FileName, Extents: span(g.segs, lo, lo+int64(g.d.SegsPerCall))}
-}
-
-func (g *demoGen) Clone() RankGen {
-	cp := *g
-	return &cp
-}
-
-// String aids debugging.
-func (g *demoGen) String() string {
-	return fmt.Sprintf("demo[rank=%d call=%d/%d]", g.rank, g.call, g.calls)
+	return newCalls(script{
+		kind: ioKind(d.Write), file: d.FileName, table: segs,
+		per: d.SegsPerCall, compute: d.ComputePerCall,
+	})
 }

@@ -62,34 +62,8 @@ func (h HPIO) NewRank(r int) RankGen {
 	regions := tabulate(per, func(i int64) ext.Extent {
 		return ext.Extent{Off: (first + i) * h.stride(), Len: h.RegionBytes}
 	})
-	return &hpioGen{h: h, regions: regions}
-}
-
-type hpioGen struct {
-	h       HPIO
-	regions []ext.Extent // shared with clones
-	i       int64
-	pending bool
-}
-
-func (g *hpioGen) Next(env Env) Op {
-	if g.i >= int64(len(g.regions)) {
-		return Op{Kind: OpDone}
-	}
-	if g.h.ComputePerOp > 0 && !g.pending {
-		g.pending = true
-		return Op{Kind: OpCompute, Dur: g.h.ComputePerOp}
-	}
-	g.pending = false
-	g.i++
-	kind := OpRead
-	if g.h.Write {
-		kind = OpWrite
-	}
-	return Op{Kind: kind, File: g.h.FileName, Extents: span(g.regions, g.i-1, g.i)}
-}
-
-func (g *hpioGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	return newCalls(script{
+		kind: ioKind(h.Write), file: h.FileName, table: regions, per: 1,
+		compute: h.ComputePerOp,
+	})
 }

@@ -55,34 +55,8 @@ func (i IOR) NewRank(r int) RankGen {
 	reqs := tabulate(i.Scope()/i.ReqBytes, func(j int64) ext.Extent {
 		return ext.Extent{Off: base + j*i.ReqBytes, Len: i.ReqBytes}
 	})
-	return &iorGen{i: i, reqs: reqs}
-}
-
-type iorGen struct {
-	i       IOR
-	reqs    []ext.Extent // shared with clones
-	j       int64
-	pending bool
-}
-
-func (g *iorGen) Next(env Env) Op {
-	if g.j >= int64(len(g.reqs)) {
-		return Op{Kind: OpDone}
-	}
-	if g.i.ComputePerOp > 0 && !g.pending {
-		g.pending = true
-		return Op{Kind: OpCompute, Dur: g.i.ComputePerOp}
-	}
-	g.pending = false
-	g.j++
-	kind := OpRead
-	if g.i.Write {
-		kind = OpWrite
-	}
-	return Op{Kind: kind, File: g.i.FileName, Extents: span(g.reqs, g.j-1, g.j)}
-}
-
-func (g *iorGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	return newCalls(script{
+		kind: ioKind(i.Write), file: i.FileName, table: reqs, per: 1,
+		compute: i.ComputePerOp,
+	})
 }

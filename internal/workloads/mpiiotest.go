@@ -59,48 +59,8 @@ func (m MPIIOTest) NewRank(r int) RankGen {
 		seg := int64(r) + int64(m.Procs)*j
 		return ext.Extent{Off: seg * m.ReqBytes, Len: m.ReqBytes}
 	})
-	return &mpiioTestGen{m: m, segs: segs, calls: len(segs)}
-}
-
-type mpiioTestGen struct {
-	m     MPIIOTest
-	segs  []ext.Extent // shared with clones
-	calls int
-	call  int
-	state int // 0: compute (optional), 1: io, 2: barrier (optional)
-}
-
-func (g *mpiioTestGen) Next(env Env) Op {
-	for {
-		if g.call >= g.calls {
-			return Op{Kind: OpDone}
-		}
-		switch g.state {
-		case 0:
-			g.state = 1
-			if g.m.ComputePerOp > 0 {
-				return Op{Kind: OpCompute, Dur: g.m.ComputePerOp}
-			}
-		case 1:
-			g.state = 2
-			kind := OpRead
-			if g.m.Write {
-				kind = OpWrite
-			}
-			j := int64(g.call)
-			return Op{Kind: kind, File: g.m.FileName, Extents: span(g.segs, j, j+1)}
-		default:
-			barrier := g.m.BarrierEvery > 0 && (g.call+1)%g.m.BarrierEvery == 0
-			g.call++
-			g.state = 0
-			if barrier {
-				return Op{Kind: OpBarrier}
-			}
-		}
-	}
-}
-
-func (g *mpiioTestGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	return newCalls(script{
+		kind: ioKind(m.Write), file: m.FileName, table: segs, per: 1,
+		compute: m.ComputePerOp, barrierEvery: m.BarrierEvery,
+	})
 }

@@ -49,11 +49,7 @@ func (n Noncontig) Rows() int64 { return n.FileBytes / n.RowBytes() }
 
 // RowsPerCall is how many rows one call covers.
 func (n Noncontig) RowsPerCall() int64 {
-	per := n.BytesPerCall / n.RowBytes()
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return max(n.BytesPerCall/n.RowBytes(), 1)
 }
 
 // Files implements Program.
@@ -71,37 +67,8 @@ func (n Noncontig) NewRank(r int) RankGen {
 	cells := tabulate(n.Rows(), func(row int64) ext.Extent {
 		return ext.Extent{Off: row*rowBytes + int64(r)*cell, Len: cell}
 	})
-	return &noncontigGen{n: n, cells: cells}
-}
-
-type noncontigGen struct {
-	n       Noncontig
-	cells   []ext.Extent // shared with clones
-	row     int64
-	pending bool
-}
-
-func (g *noncontigGen) Next(env Env) Op {
-	n := g.n
-	rows := int64(len(g.cells))
-	if g.row >= rows {
-		return Op{Kind: OpDone}
-	}
-	if n.ComputePerOp > 0 && !g.pending {
-		g.pending = true
-		return Op{Kind: OpCompute, Dur: n.ComputePerOp}
-	}
-	g.pending = false
-	lo := g.row
-	g.row = min(g.row+n.RowsPerCall(), rows)
-	kind := OpRead
-	if n.Write {
-		kind = OpWrite
-	}
-	return Op{Kind: kind, File: n.FileName, Extents: span(g.cells, lo, g.row)}
-}
-
-func (g *noncontigGen) Clone() RankGen {
-	cp := *g
-	return &cp
+	return newCalls(script{
+		kind: ioKind(n.Write), file: n.FileName, table: cells,
+		per: int(n.RowsPerCall()), compute: n.ComputePerOp,
+	})
 }

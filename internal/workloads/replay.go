@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"dualpar/internal/ext"
 )
 
 // Replay plays back an I/O trace: a per-rank schedule of compute intervals
@@ -97,7 +99,7 @@ func ParseTrace(name string, r io.Reader) (*Replay, error) {
 			}
 			rep.ops[rank] = append(rep.ops[rank], Op{
 				Kind: kind, File: file,
-				Extents: []extent2{{Off: off, Len: length}},
+				Extents: []ext.Extent{{Off: off, Len: length}},
 			})
 		default:
 			return nil, fmt.Errorf("trace %s line %d: unknown verb %q", name, lineNo, verb)
@@ -137,9 +139,6 @@ func ParseTrace(name string, r io.Reader) (*Replay, error) {
 	}
 	return rep, nil
 }
-
-// extent2 avoids importing ext twice in doc examples; it is ext.Extent.
-type extent2 = extentAlias
 
 // Name implements Program.
 func (r *Replay) Name() string { return "replay:" + r.TraceName }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"time"
 
 	"dualpar/internal/ext"
@@ -145,8 +144,4 @@ func (g *s3asimGen) Next(env Env) Op {
 func (g *s3asimGen) Clone() RankGen {
 	cp := *g
 	return &cp
-}
-
-func (g *s3asimGen) String() string {
-	return fmt.Sprintf("s3asim[rank=%d q=%d phase=%d]", g.rank, g.q, g.phase)
 }

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// tabulatedPrograms are the generators whose stream is one table built by
-// NewRank, with computation between ops where the generator has it, so the
-// compute/I/O state machine is part of what a clone must carry.
-func tabulatedPrograms() []Program {
+// scriptPrograms are the programs that run as one script over a table
+// built by NewRank, with computation between calls where the program has
+// it, so the compute/I/O/seal/barrier phases are part of what a clone
+// must carry.
+func scriptPrograms() []Program {
 	n := DefaultNoncontig()
 	n.ComputePerOp = time.Millisecond
 	m := DefaultMPIIOTest()
@@ -20,14 +21,17 @@ func tabulatedPrograms() []Program {
 	i.ComputePerOp = time.Millisecond
 	h := DefaultHPIO()
 	h.ComputePerOp = time.Millisecond
-	return []Program{n, m, d, DefaultCheckpoint(), i, h}
+	b := DefaultBTIO()
+	b.Procs, b.TotalBytes = 8, 1<<20
+	n1, nn := DefaultEpochCheckpoint(true), DefaultEpochCheckpoint(false)
+	return []Program{n, m, d, DefaultCheckpoint(), i, h, b, n1, nn, Restart{Ckpt: nn, Epoch: 2}}
 }
 
 // TestTabulatedClonesReplayTheRank: a Clone taken at any op boundary
 // yields exactly the ops the original yields from there on, extents
 // included, while the original keeps going.
 func TestTabulatedClonesReplayTheRank(t *testing.T) {
-	for _, prog := range tabulatedPrograms() {
+	for _, prog := range scriptPrograms() {
 		for _, r := range []int{0, prog.Ranks() - 1} {
 			g := prog.NewRank(r)
 			ops := drain(t, prog.NewRank(r), 1<<20)
@@ -48,7 +52,7 @@ func TestTabulatedClonesReplayTheRank(t *testing.T) {
 // TestTabulatedNextAllocatesNothing: once NewRank has built the table, a
 // whole pass of Next (and so a ghost replaying a clone) allocates nothing.
 func TestTabulatedNextAllocatesNothing(t *testing.T) {
-	for _, prog := range tabulatedPrograms() {
+	for _, prog := range scriptPrograms() {
 		t.Run(prog.Name(), func(t *testing.T) {
 			g := prog.NewRank(1)
 			// AllocsPerRun calls the function runs+1 times; each call
