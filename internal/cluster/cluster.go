@@ -37,7 +37,7 @@ const raidChunkSect = 128
 type Config struct {
 	DataServers  int
 	ComputeNodes int
-	Disk         disk.Params
+	DiskSectors  int64 // capacity of every rotating drive, in sectors
 	FS           fs.Config
 	PFS          pfs.Config
 	Seed         int64
@@ -75,9 +75,8 @@ func DefaultConfig() Config {
 	return Config{
 		DataServers:  9,
 		ComputeNodes: 8,
-		Disk:         disk.DefaultParams(),
+		DiskSectors:  disk.DefaultSectors,
 		FS:           fs.DefaultConfig(),
-		PFS:          pfs.DefaultConfig(),
 		Seed:         1,
 	}
 }
@@ -120,7 +119,7 @@ func New(cfg Config) *Cluster {
 		} else {
 			members := make([]*disk.Disk, DisksPerRAID)
 			for m := range members {
-				members[m] = disk.New(cfg.Disk)
+				members[m] = disk.New(cfg.DiskSectors)
 			}
 			dev = disk.NewRAID0(members, raidChunkSect)
 		}

@@ -17,9 +17,6 @@ func TestDefaultShapeMatchesPaper(t *testing.T) {
 	if cfg.DataServers != 9 {
 		t.Fatalf("data servers = %d, want 9", cfg.DataServers)
 	}
-	if cfg.PFS.StripeUnit != 64<<10 {
-		t.Fatalf("stripe unit = %d, want 64K", cfg.PFS.StripeUnit)
-	}
 }
 
 func TestClusterAssembles(t *testing.T) {
@@ -37,7 +34,7 @@ func TestClusterAssembles(t *testing.T) {
 		t.Fatalf("meta node = %d", cl.MetaNode())
 	}
 	// Each data server is the paper's two-drive RAID0.
-	if got, want := cl.Stores[0].Device().Sectors(), 2*DefaultConfig().Disk.Sectors; got != want {
+	if got, want := cl.Stores[0].Device().Sectors(), 2*DefaultConfig().DiskSectors; got != want {
 		t.Fatalf("server device = %d sectors, want %d (two drives)", got, want)
 	}
 }

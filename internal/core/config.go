@@ -30,7 +30,7 @@ import (
 	"time"
 
 	"dualpar/internal/cluster"
-	"dualpar/internal/memcache"
+	"dualpar/internal/pfs"
 )
 
 // The paper's prototype fixes these; no run varies them.
@@ -109,9 +109,10 @@ type Config struct {
 	// default), every hook is a nil handle and the run's timeline and
 	// output stay byte-identical to an unaudited build.
 	Audit bool
-	// Memcache configures the global cache (chunk size should match the
-	// PVFS2 stripe unit).
-	Memcache memcache.Config
+	// ChunkBytes is the global cache's partition unit. The paper sets it to
+	// the PVFS2 stripe unit, so a chunk touches exactly one data server;
+	// the ablations vary it.
+	ChunkBytes int64
 }
 
 // DefaultConfig returns the paper's prototype parameters.
@@ -124,7 +125,7 @@ func DefaultConfig() Config {
 		SlotEvery:            time.Second,
 		PipelineDepth:        1,
 		Strategy2WindowBytes: 512 << 10,
-		Memcache:             memcache.DefaultConfig(),
+		ChunkBytes:           pfs.StripeUnit,
 	}
 }
 
@@ -165,8 +166,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: CRMMaxRetries %d", c.CRMMaxRetries)
 	case c.CRMBackoff < 0:
 		return fmt.Errorf("core: CRMBackoff %v", c.CRMBackoff)
+	case c.ChunkBytes <= 0:
+		return fmt.Errorf("core: ChunkBytes %d", c.ChunkBytes)
 	}
-	return c.Memcache.Validate()
+	return nil
 }
 
 // Mode selects a program's execution scheme.

@@ -17,9 +17,7 @@ func smallConfig(seed int64) cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.DataServers = 3
 	cfg.Seed = seed
-	d := cfg.Disk
-	d.Sectors = 1 << 25 // 16 GB per member
-	cfg.Disk = d
+	cfg.DiskSectors = 1 << 25 // 16 GB per member
 	return cfg
 }
 
@@ -356,6 +354,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.HoleBytes = -1 },
 		func(c *Config) { c.SlotEvery = 0 },
 		func(c *Config) { c.Strategy2WindowBytes = 0 },
+		func(c *Config) { c.ChunkBytes = 0 },
 	}
 	for i, m := range bad {
 		c := DefaultConfig()

@@ -73,7 +73,7 @@ func (pr *ProgramRun) crmPrefetch(p *sim.Proc, wish *fileExtents) {
 	for _, file := range wish.files {
 		r.merge.Reset(wish.byFile[file])
 		r.merged = r.merge.Coalesce(r.merged, cfg.HoleBytes)
-		aligned := ext.AlignTo(r.merged, cfg.Memcache.ChunkBytes)
+		aligned := ext.AlignTo(r.merged, cfg.ChunkBytes)
 		aligned = pr.clipToFile(file, aligned)
 		if len(aligned) == 0 {
 			continue
@@ -97,7 +97,7 @@ const (
 // offset order, so joining touching ones on append keeps its batch
 // canonical.
 func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent, op crmOp) {
-	chunk := pr.r.cfg.Memcache.ChunkBytes
+	chunk := pr.r.cfg.ChunkBytes
 	perHome := make(map[int][]ext.Extent)
 	ext.VisitSplit(extents, chunk, func(piece ext.Extent) {
 		home := pr.cache.Home(piece.Off / chunk)

@@ -105,7 +105,7 @@ func TestIssueByHomeJoinsTouchingPieces(t *testing.T) {
 	r := NewRunner(cl, cfg)
 	m := smallMPIIOTest(false)
 	pr := r.Add(m, ModeDataDriven, AddOptions{RanksPerNode: m.Procs})
-	chunk := cfg.Memcache.ChunkBytes
+	chunk := cfg.ChunkBytes
 	xs := []ext.Extent{{Off: 100, Len: 3 * chunk}, {Off: 4*chunk + 1, Len: chunk / 2}}
 	cl.K.Spawn("test", func(p *sim.Proc) {
 		pr.issueByHome(p, m.FileName, xs, crmRead)

@@ -101,9 +101,7 @@ func TestMedianRobustToStraggler(t *testing.T) {
 func TestEMCSkipsCrashedServerSamples(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.DataServers = 3
-	d := cfg.Disk
-	d.Sectors = 1 << 25
-	cfg.Disk = d
+	cfg.DiskSectors = 1 << 25
 	cfg.Seed = 1
 	cfg.PFS.Replicas = 2
 	cfg.PFS.RequestTimeout = 100 * time.Millisecond

@@ -132,8 +132,7 @@ func (r *Runner) Add(prog workloads.Program, mode Mode, opts AddOptions) *Progra
 		pr.dataDriven = pr.acquireGrant()
 		fallthrough
 	case ModeDualPar, ModeStrategy2:
-		mc := r.cfg.Memcache
-		pr.cache = memcache.New(r.cl.K, r.cl.Net, mc, pr.nodes)
+		pr.cache = memcache.New(r.cl.K, r.cl.Net, r.cfg.ChunkBytes, pr.nodes)
 		pr.cache.SetObs(r.cl.Obs())
 		if arb := r.cl.Arbiter(); arb != nil {
 			pr.cache.SetQuota(arb.Quota(pr.tenant))

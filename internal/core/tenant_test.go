@@ -16,9 +16,7 @@ func tenantCluster(seed int64, tc tenant.Config) *cluster.Cluster {
 	cfg := cluster.DefaultConfig()
 	cfg.DataServers = 3
 	cfg.Seed = seed
-	d := cfg.Disk
-	d.Sectors = 1 << 25
-	cfg.Disk = d
+	cfg.DiskSectors = 1 << 25
 	cfg.Tenancy = &tc
 	return cluster.New(cfg)
 }

@@ -14,8 +14,7 @@ import (
 // DiskSlow wrapper, the healthy busy time plus the surcharge folded into
 // Overhead).
 func TestDeviceConformance(t *testing.T) {
-	p := disk.DefaultParams()
-	p.Sectors = 1 << 24
+	const sectors = 1 << 24
 	cases := []struct {
 		name string
 		make func(k *sim.Kernel) disk.Device
@@ -24,16 +23,16 @@ func TestDeviceConformance(t *testing.T) {
 		// every member's runs (RAID0), not only the gating one's.
 		members bool
 	}{
-		{name: "disk", make: func(*sim.Kernel) disk.Device { return disk.New(p) }, slow: 1},
+		{name: "disk", make: func(*sim.Kernel) disk.Device { return disk.New(sectors) }, slow: 1},
 		{name: "raid0", make: func(*sim.Kernel) disk.Device {
-			return disk.NewRAID0([]*disk.Disk{disk.New(p), disk.New(p)}, 128)
+			return disk.NewRAID0([]*disk.Disk{disk.New(sectors), disk.New(sectors)}, 128)
 		}, slow: 1, members: true},
 		{name: "ssd", make: func(*sim.Kernel) disk.Device { return disk.NewSSD() }, slow: 1},
 		{name: "fault", make: func(k *sim.Kernel) disk.Device {
 			inj := fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
 				{Kind: fault.DiskSlow, Target: 2, Factor: 3},
 			}}, 1)
-			return fault.WrapDevice(disk.New(p), inj, 2)
+			return fault.WrapDevice(disk.New(sectors), inj, 2)
 		}, slow: 3},
 	}
 	// Sequential, a short forward skip, long seeks both ways, writes, and

@@ -16,68 +16,14 @@ import (
 	"dualpar/internal/sim"
 )
 
-// Params describes a disk's geometry and timing. ZeroValue is invalid; use
-// DefaultParams as a base.
-type Params struct {
-	SectorSize int   // bytes per sector (LBN unit)
-	Sectors    int64 // device capacity in sectors
+// SectorSize is the LBN unit in bytes, of every device.
+const SectorSize = 512
 
-	SeekMin time.Duration // track-to-track seek
-	SeekMax time.Duration // full-stroke seek
-	RPM     int           // spindle speed
-
-	// TransferRate is the sustained media rate in bytes/second once the
-	// head is positioned.
-	TransferRate float64
-
-	// SeqWindow is the maximum forward gap, in sectors, that is still
-	// served by streaming over the gap instead of seeking: the head reads
-	// past unwanted sectors at media rate. Typical real-disk firmware
-	// behaves this way for short forward skips.
-	SeqWindow int64
-
-	// CommandOverhead is the fixed per-request controller/command cost.
-	CommandOverhead time.Duration
-}
-
-// DefaultParams approximates one 7200-RPM SATA drive of the paper's era
-// (HP MM0500FAMYT class).
-func DefaultParams() Params {
-	return Params{
-		SectorSize:      512,
-		Sectors:         1 << 30, // 512 GB
-		SeekMin:         500 * time.Microsecond,
-		SeekMax:         9 * time.Millisecond,
-		RPM:             7200,
-		TransferRate:    90e6,
-		SeqWindow:       512, // 256 KB forward skip
-		CommandOverhead: 100 * time.Microsecond,
-	}
-}
-
-// Validate reports whether the parameters are internally consistent.
-func (p Params) Validate() error {
-	switch {
-	case p.SectorSize <= 0:
-		return fmt.Errorf("disk: SectorSize %d", p.SectorSize)
-	case p.Sectors <= 0:
-		return fmt.Errorf("disk: Sectors %d", p.Sectors)
-	case p.SeekMin < 0 || p.SeekMax < p.SeekMin:
-		return fmt.Errorf("disk: seek range [%v,%v]", p.SeekMin, p.SeekMax)
-	case p.RPM <= 0:
-		return fmt.Errorf("disk: RPM %d", p.RPM)
-	case p.TransferRate <= 0:
-		return fmt.Errorf("disk: TransferRate %g", p.TransferRate)
-	case p.SeqWindow < 0:
-		return fmt.Errorf("disk: SeqWindow %d", p.SeqWindow)
-	case p.CommandOverhead < 0:
-		return fmt.Errorf("disk: CommandOverhead %v", p.CommandOverhead)
-	}
-	return nil
-}
+// DefaultSectors is the drive capacity in sectors (512 GB).
+const DefaultSectors = 1 << 30
 
 // Breakdown decomposes one access's service time into its cost-model
-// components. Streamed forward skips (SeqWindow) count as Seek: the head is
+// components. Streamed forward skips (seqWindow) count as Seek: the head is
 // positioning over unwanted sectors, even though it moves at media rate.
 // The components sum exactly to the charged service time.
 type Breakdown struct {
@@ -136,7 +82,7 @@ func (s Stats) AvgSeekDistance() float64 {
 
 // record accounts one access of sectors at lbn served from head, charged
 // bd: every device model keeps its counters through this one path.
-func (s *Stats) record(head, lbn, sectors int64, sectorSize int, write bool, bd Breakdown) {
+func (s *Stats) record(head, lbn, sectors int64, write bool, bd Breakdown) {
 	dist := lbn - head
 	if dist < 0 {
 		dist = -dist
@@ -148,7 +94,7 @@ func (s *Stats) record(head, lbn, sectors int64, sectorSize int, write bool, bd 
 	} else {
 		s.Seeks++
 	}
-	bytes := sectors * int64(sectorSize)
+	bytes := sectors * SectorSize
 	if write {
 		s.BytesWritten += bytes
 	} else {
@@ -178,21 +124,22 @@ func (s Stats) Sub(t Stats) Stats {
 // exactly one dispatcher Proc must own it (the I/O scheduler's dispatch
 // loop), which is how a real block device queue behaves.
 type Disk struct {
-	params Params
-	head   int64 // LBN the head is positioned after
-	stats  Stats
+	sectors int64 // capacity
+	head    int64 // LBN the head is positioned after
+	stats   Stats
 }
 
-// New creates a disk. It panics if params are invalid (a configuration bug).
-func New(params Params) *Disk {
-	if err := params.Validate(); err != nil {
-		panic(err)
+// New creates a disk of the given capacity in sectors. It panics on a
+// non-positive capacity (a configuration bug).
+func New(sectors int64) *Disk {
+	if sectors <= 0 {
+		panic(fmt.Sprintf("disk: Sectors %d", sectors))
 	}
-	return &Disk{params: params}
+	return &Disk{sectors: sectors}
 }
 
 // Sectors implements Device.
-func (d *Disk) Sectors() int64 { return d.params.Sectors }
+func (d *Disk) Sectors() int64 { return d.sectors }
 
 // Stats implements Device.
 func (d *Disk) Stats() Stats { return d.stats }
@@ -201,40 +148,66 @@ func (d *Disk) Stats() Stats { return d.stats }
 // position, the same time Access charges (rotational latency at its mean,
 // half a revolution).
 func (d *Disk) ServiceTime(lbn, sectors int64) time.Duration {
-	return serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM)).Total()
+	return serviceBreakdown(d.sectors, d.head, lbn, sectors).Total()
 }
 
 // Access implements Device.
 func (d *Disk) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
-	if lbn < 0 || sectors <= 0 || lbn+sectors > d.params.Sectors {
-		panic(fmt.Sprintf("disk: access [%d,%d) outside device of %d sectors", lbn, lbn+sectors, d.params.Sectors))
+	if lbn < 0 || sectors <= 0 || lbn+sectors > d.sectors {
+		panic(fmt.Sprintf("disk: access [%d,%d) outside device of %d sectors", lbn, lbn+sectors, d.sectors))
 	}
 	bd := d.serve(lbn, sectors, write)
 	p.Sleep(bd.Total())
 	return bd
 }
 
-// serviceBreakdown decomposes one access from head into its components,
-// with the given rotational latency for non-streamed moves. The total is
-// identical to the historical overhead + positioning + transfer sum.
-func serviceBreakdown(params Params, head, lbn, sectors int64, rot time.Duration) Breakdown {
+// The drive model: one 7200-RPM SATA drive of the paper's era (HP
+// MM0500FAMYT class). No run varies it; the capacity is New's argument.
+const (
+	seekMin = 500 * time.Microsecond // track-to-track seek
+	seekMax = 9 * time.Millisecond   // full-stroke seek
+	rpm     = 7200                   // spindle speed
+
+	// transferRate is the sustained media rate in bytes/second once the
+	// head is positioned.
+	transferRate = 90e6
+
+	// seqWindow is the maximum forward gap, in sectors, that is still
+	// served by streaming over the gap instead of seeking: the head reads
+	// past unwanted sectors at media rate. Typical real-disk firmware
+	// behaves this way for short forward skips.
+	seqWindow = 512 // 256 KB forward skip
+
+	// commandOverhead is the fixed per-request controller/command cost.
+	commandOverhead = 100 * time.Microsecond
+)
+
+// rotation is the expected rotational latency, computed once at run time:
+// as a constant expression it would not truncate to a Duration.
+var rotation = halfRotation(rpm)
+
+// serviceBreakdown decomposes one access from head into its components on
+// a drive of capacity sectors, charging the expected rotational latency for
+// non-streamed moves. The total is identical to the historical overhead +
+// positioning + transfer sum.
+func serviceBreakdown(capacity, head, lbn, sectors int64) Breakdown {
 	bd := Breakdown{
-		Overhead: params.CommandOverhead,
-		Transfer: transferTime(params, sectors),
+		Overhead: commandOverhead,
+		Transfer: transferTime(sectors),
 	}
 	dist := lbn - head
 	switch {
 	case dist == 0:
-	case dist > 0 && dist <= params.SeqWindow:
+	case dist > 0 && dist <= seqWindow:
 		// Stream over the short forward gap at media rate.
-		bd.Seek = time.Duration(float64(dist*int64(params.SectorSize)) / params.TransferRate * float64(time.Second))
+		bd.Seek = time.Duration(float64(dist*SectorSize) / transferRate * float64(time.Second))
 	default:
 		if dist < 0 {
 			dist = -dist
 		}
-		frac := math.Sqrt(float64(dist) / float64(params.Sectors))
-		bd.Seek = params.SeekMin + time.Duration(frac*float64(params.SeekMax-params.SeekMin))
-		bd.Rotation = rot
+		frac := math.Sqrt(float64(dist) / float64(capacity))
+		bd.Seek = seekMin + time.Duration(frac*float64(seekMax-seekMin))
+		bd.Rotation = rotation
 	}
 	return bd
 }
@@ -245,7 +218,7 @@ func halfRotation(rpm int) time.Duration {
 }
 
 // transferTime is the media transfer time for sectors sectors.
-func transferTime(params Params, sectors int64) time.Duration {
-	bytes := float64(sectors * int64(params.SectorSize))
-	return time.Duration(bytes / params.TransferRate * float64(time.Second))
+func transferTime(sectors int64) time.Duration {
+	bytes := float64(sectors * SectorSize)
+	return time.Duration(bytes / transferRate * float64(time.Second))
 }

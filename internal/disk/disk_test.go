@@ -10,11 +10,9 @@ import (
 	"dualpar/internal/sim"
 )
 
-func testParams() Params {
-	p := DefaultParams()
-	p.Sectors = 1 << 24 // 8 GB, keeps seek fractions meaningful
-	return p
-}
+// testSectors is the test drive's capacity: 8 GB keeps seek fractions
+// meaningful.
+const testSectors = 1 << 24
 
 // runAccesses serves the accesses on one disk in order and returns the total
 // busy time.
@@ -43,15 +41,15 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 		pos := int64(i%2)*(1<<23) + int64(i)*100000
 		rnd[i] = [2]int64{pos, sz}
 	}
-	tSeq := runAccesses(t, New(testParams()), seq)
-	tRnd := runAccesses(t, New(testParams()), rnd)
+	tSeq := runAccesses(t, New(testSectors), seq)
+	tRnd := runAccesses(t, New(testSectors), rnd)
 	if ratio := float64(tRnd) / float64(tSeq); ratio < 10 {
 		t.Fatalf("random/sequential time ratio = %.1f, want >= 10 (order-of-magnitude gap)", ratio)
 	}
 }
 
 func TestSequentialAccessNoSeek(t *testing.T) {
-	d := New(testParams())
+	d := New(testSectors)
 	runAccesses(t, d, [][2]int64{{0, 64}, {64, 64}, {128, 64}})
 	s := d.Stats()
 	if s.Seeks != 0 {
@@ -63,7 +61,7 @@ func TestSequentialAccessNoSeek(t *testing.T) {
 }
 
 func TestSeekDistanceAccounting(t *testing.T) {
-	d := New(testParams())
+	d := New(testSectors)
 	runAccesses(t, d, [][2]int64{{0, 10}, {1000000, 10}})
 	s := d.Stats()
 	// Second access seeks from LBN 10 to 1000000.
@@ -77,27 +75,25 @@ func TestSeekDistanceAccounting(t *testing.T) {
 }
 
 func TestShortForwardGapStreamsOverIt(t *testing.T) {
-	p := testParams()
-	d := New(p)
+	d := New(testSectors)
 	k := sim.NewKernel(1)
 	var tGap, tFar time.Duration
 	k.Spawn("d", func(pr *sim.Proc) {
 		d.Access(pr, 0, 64, false)
-		tGap = d.ServiceTime(64+p.SeqWindow/2, 64) // short forward skip
-		tFar = d.ServiceTime(1<<23, 64)            // long seek
+		tGap = d.ServiceTime(64+seqWindow/2, 64) // short forward skip
+		tFar = d.ServiceTime(1<<23, 64)          // long seek
 	})
 	k.Run()
 	if tGap >= tFar {
 		t.Fatalf("short-gap service %v not cheaper than far seek %v", tGap, tFar)
 	}
-	if tGap >= halfRotation(p.RPM) {
-		t.Fatalf("short-gap service %v should avoid rotational latency %v", tGap, halfRotation(p.RPM))
+	if tGap >= rotation {
+		t.Fatalf("short-gap service %v should avoid rotational latency %v", tGap, rotation)
 	}
 }
 
 func TestLargerTransfersAmortizeOverhead(t *testing.T) {
-	p := testParams()
-	d := New(p)
+	d := New(testSectors)
 	small := d.ServiceTime(1<<23, 8)
 	big := d.ServiceTime(1<<23, 8*64)
 	if float64(big) > float64(small)*4 {
@@ -106,7 +102,7 @@ func TestLargerTransfersAmortizeOverhead(t *testing.T) {
 }
 
 func TestAccessOutOfRangePanics(t *testing.T) {
-	d := New(testParams())
+	d := New(testSectors)
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(p *sim.Proc) {
 		d.Access(p, d.Sectors()-1, 2, false)
@@ -120,7 +116,7 @@ func TestAccessOutOfRangePanics(t *testing.T) {
 }
 
 func TestStatsReadWriteBytes(t *testing.T) {
-	d := New(testParams())
+	d := New(testSectors)
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(p *sim.Proc) {
 		d.Access(p, 0, 16, false)
@@ -134,7 +130,7 @@ func TestStatsReadWriteBytes(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	d := New(testParams())
+	d := New(testSectors)
 	k := sim.NewKernel(1)
 	var before Stats
 	k.Spawn("d", func(p *sim.Proc) {
@@ -196,18 +192,17 @@ func TestMeanSeek(t *testing.T) {
 }
 
 func TestServiceTimeMonotoneInDistance(t *testing.T) {
-	p := testParams()
 	f := func(a, b uint32) bool {
-		d := New(p)
+		d := New(testSectors)
 		// Position head at middle.
-		d.head = p.Sectors / 2
-		da := int64(a) % (p.Sectors / 2)
-		db := int64(b) % (p.Sectors / 2)
+		d.head = testSectors / 2
+		da := int64(a) % (testSectors / 2)
+		db := int64(b) % (testSectors / 2)
 		if da > db {
 			da, db = db, da
 		}
 		// Skip the streaming window where cost is transfer-based.
-		if da <= p.SeqWindow {
+		if da <= seqWindow {
 			return true
 		}
 		ta := d.ServiceTime(d.head+da, 8)
@@ -219,31 +214,21 @@ func TestServiceTimeMonotoneInDistance(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.SectorSize = 0 },
-		func(p *Params) { p.Sectors = 0 },
-		func(p *Params) { p.SeekMax = p.SeekMin - 1 },
-		func(p *Params) { p.RPM = 0 },
-		func(p *Params) { p.TransferRate = 0 },
-		func(p *Params) { p.SeqWindow = -1 },
-		func(p *Params) { p.CommandOverhead = -1 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if p.Validate() == nil {
-			t.Fatalf("case %d: invalid params passed Validate", i)
-		}
-	}
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
+func TestNewRejectsNonPositiveCapacity(t *testing.T) {
+	for _, sectors := range []int64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%d) did not panic", sectors)
+				}
+			}()
+			New(sectors)
+		}()
 	}
 }
 
 func TestRAID0StripesAcrossMembers(t *testing.T) {
-	p := testParams()
-	m0, m1 := New(p), New(p)
+	m0, m1 := New(testSectors), New(testSectors)
 	r := NewRAID0([]*Disk{m0, m1}, 128) // 64 KB chunks
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(pr *sim.Proc) {
@@ -256,9 +241,8 @@ func TestRAID0StripesAcrossMembers(t *testing.T) {
 }
 
 func TestRAID0ParallelSpeedup(t *testing.T) {
-	p := testParams()
-	single := New(p)
-	r := NewRAID0([]*Disk{New(p), New(p)}, 128)
+	single := New(testSectors)
+	r := NewRAID0([]*Disk{New(testSectors), New(testSectors)}, 128)
 	k := sim.NewKernel(1)
 	var tSingle, tRaid time.Duration
 	k.Spawn("d", func(pr *sim.Proc) {
@@ -272,8 +256,7 @@ func TestRAID0ParallelSpeedup(t *testing.T) {
 }
 
 func TestRAID0BreakdownIsSlowestMember(t *testing.T) {
-	p := testParams()
-	m0, m1 := New(p), New(p)
+	m0, m1 := New(testSectors), New(testSectors)
 	r := NewRAID0([]*Disk{m0, m1}, 128)
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(pr *sim.Proc) {
@@ -291,10 +274,9 @@ func TestRAID0BreakdownIsSlowestMember(t *testing.T) {
 }
 
 func TestRAID0CapacityAndBounds(t *testing.T) {
-	p := testParams()
-	r := NewRAID0([]*Disk{New(p), New(p)}, 128)
-	if r.Sectors() != 2*p.Sectors {
-		t.Fatalf("capacity = %d, want %d", r.Sectors(), 2*p.Sectors)
+	r := NewRAID0([]*Disk{New(testSectors), New(testSectors)}, 128)
+	if r.Sectors() != 2*testSectors {
+		t.Fatalf("capacity = %d, want %d", r.Sectors(), 2*testSectors)
 	}
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(pr *sim.Proc) {
@@ -311,8 +293,7 @@ func TestRAID0CapacityAndBounds(t *testing.T) {
 func TestRAID0MergesMemberRuns(t *testing.T) {
 	// A logical sequential scan should produce sequential member accesses
 	// (one per member per Access call), not one access per chunk.
-	p := testParams()
-	m0, m1 := New(p), New(p)
+	m0, m1 := New(testSectors), New(testSectors)
 	r := NewRAID0([]*Disk{m0, m1}, 128)
 	k := sim.NewKernel(1)
 	k.Spawn("d", func(pr *sim.Proc) {

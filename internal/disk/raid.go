@@ -119,8 +119,8 @@ func (r *RAID0) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 // latency: Access sleeps for the result, and RAID0 sleeps for its slowest
 // member's.
 func (d *Disk) serve(lbn, sectors int64, write bool) Breakdown {
-	bd := serviceBreakdown(d.params, d.head, lbn, sectors, halfRotation(d.params.RPM))
-	d.stats.record(d.head, lbn, sectors, d.params.SectorSize, write, bd)
+	bd := serviceBreakdown(d.sectors, d.head, lbn, sectors)
+	d.stats.record(d.head, lbn, sectors, write, bd)
 	d.head = lbn + sectors
 	return bd
 }

@@ -12,8 +12,7 @@ import (
 // so the steady state allocates nothing.
 func BenchmarkRAID0Access(b *testing.B) {
 	b.ReportAllocs()
-	p := testParams()
-	r := NewRAID0([]*Disk{New(p), New(p)}, 128)
+	r := NewRAID0([]*Disk{New(testSectors), New(testSectors)}, 128)
 	k := sim.NewKernel(1)
 	k.Spawn("bench", func(pr *sim.Proc) {
 		b.ResetTimer()

@@ -21,8 +21,7 @@ type SSD struct {
 }
 
 const (
-	ssdSectorSize = 512
-	ssdSectors    = 1 << 29 // 256 GB
+	ssdSectors = 1 << 29 // 256 GB
 	// ssdReadLatency and ssdWriteLatency are the per-command access
 	// latencies.
 	ssdReadLatency  = 80 * time.Microsecond
@@ -51,9 +50,9 @@ func (d *SSD) Access(p *sim.Proc, lbn, sectors int64, write bool) Breakdown {
 	if write {
 		lat = ssdWriteLatency
 	}
-	bytes := sectors * ssdSectorSize
+	bytes := sectors * SectorSize
 	bd := Breakdown{Overhead: lat, Transfer: time.Duration(float64(bytes) / ssdTransferRate * float64(time.Second))}
-	d.stats.record(d.head, lbn, sectors, ssdSectorSize, write, bd)
+	d.stats.record(d.head, lbn, sectors, write, bd)
 	d.head = lbn + sectors
 	p.Sleep(bd.Total())
 	return bd

@@ -39,9 +39,7 @@ func runCrash(t *testing.T, sch *fault.Schedule, replicas int, mode core.Mode) (
 	col := obs.NewCollector()
 	ccfg := cluster.DefaultConfig()
 	ccfg.DataServers = 3
-	d := ccfg.Disk
-	d.Sectors = 1 << 25
-	ccfg.Disk = d
+	ccfg.DiskSectors = 1 << 25
 	ccfg.Seed = 1
 	ccfg.Obs = col
 	ccfg.Faults = sch
@@ -149,9 +147,7 @@ func TestReplicasOneEmptyScheduleByteIdentical(t *testing.T) {
 		col := obs.NewCollector()
 		ccfg := cluster.DefaultConfig()
 		ccfg.DataServers = 3
-		d := ccfg.Disk
-		d.Sectors = 1 << 25
-		ccfg.Disk = d
+		ccfg.DiskSectors = 1 << 25
 		ccfg.Seed = 1
 		ccfg.Obs = col
 		ccfg.Faults = sch
@@ -189,9 +185,7 @@ func TestSingleReplicaWatchdogGolden(t *testing.T) {
 	col := obs.NewCollector()
 	ccfg := cluster.DefaultConfig()
 	ccfg.DataServers = 3
-	d := ccfg.Disk
-	d.Sectors = 1 << 25
-	ccfg.Disk = d
+	ccfg.DiskSectors = 1 << 25
 	ccfg.Seed = 1
 	ccfg.Obs = col
 	ccfg.Faults = &fault.Schedule{Windows: []fault.Window{

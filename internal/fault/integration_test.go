@@ -28,9 +28,7 @@ func run(t *testing.T, sch *fault.Schedule, retry bool) ([]byte, *obs.Collector,
 	col := obs.NewCollector()
 	ccfg := cluster.DefaultConfig()
 	ccfg.DataServers = 3
-	d := ccfg.Disk
-	d.Sectors = 1 << 25
-	ccfg.Disk = d
+	ccfg.DiskSectors = 1 << 25
 	ccfg.Seed = 1
 	ccfg.Obs = col
 	ccfg.Faults = sch

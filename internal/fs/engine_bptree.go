@@ -1,6 +1,10 @@
 package fs
 
-import "fmt"
+import (
+	"fmt"
+
+	"dualpar/internal/disk"
+)
 
 // bptreeEngine is an index-organized layout modeling an aged file system:
 // allocation hands out deliberately small extents (AllocUnitBytes/128,
@@ -55,7 +59,7 @@ func (e *bptreeEngine) file(name string) *bptFile {
 	if f == nil {
 		f = &bptFile{name: name, tree: newBptree()}
 		e.files[name] = f
-		e.nexts += fileGapBytes / int64(sectorSize)
+		e.nexts += fileGapBytes / disk.SectorSize
 	}
 	return f
 }
@@ -72,7 +76,7 @@ func (e *bptreeEngine) Ensure(file string, size int64) {
 		f.size += unit
 		// Never merge: burn the gap so the next extent is discontiguous,
 		// like free space on an aged FS.
-		e.nexts += (unit + e.fragGap) / sectorSize
+		e.nexts += (unit + e.fragGap) / disk.SectorSize
 	}
 }
 
@@ -97,7 +101,7 @@ func (e *bptreeEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRu
 		if hi <= lo {
 			return
 		}
-		run := lbnRun{lbn: x.lbn + (lo-x.fileOff)/sectorSize, bytes: hi - lo}
+		run := lbnRun{lbn: x.lbn + (lo-x.fileOff)/disk.SectorSize, bytes: hi - lo}
 		// Adjacent file offsets are discontiguous on disk by construction,
 		// so runs never merge across extents.
 		out = append(out, run)

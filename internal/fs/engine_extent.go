@@ -1,6 +1,10 @@
 package fs
 
-import "fmt"
+import (
+	"fmt"
+
+	"dualpar/internal/disk"
+)
 
 // extentEngine is the contiguous-extent allocator carved out of the
 // original Store: a growing file claims AllocUnitBytes of contiguous LBN
@@ -28,8 +32,6 @@ type fileMeta struct {
 	extents []extent
 }
 
-const sectorSize = 512
-
 func newExtentEngine(cfg Config) *extentEngine {
 	return &extentEngine{cfg: cfg, files: make(map[string]*fileMeta)}
 }
@@ -44,7 +46,7 @@ func (e *extentEngine) file(name string) *fileMeta {
 		f = &fileMeta{name: name}
 		e.files[name] = f
 		// Leave a gap before a new file's region.
-		e.nexts += fileGapBytes / int64(sectorSize)
+		e.nexts += fileGapBytes / disk.SectorSize
 	}
 	return f
 }
@@ -70,12 +72,12 @@ func (e *extentEngine) ensureAllocated(f *fileMeta, size int64) {
 		if need > unit {
 			unit = (need + e.cfg.AllocUnitBytes - 1) / e.cfg.AllocUnitBytes * e.cfg.AllocUnitBytes
 		}
-		sectors := unit / sectorSize
+		sectors := unit / disk.SectorSize
 		// Merge with the previous extent when the allocation is adjacent
 		// (no other file claimed space in between).
 		if n := len(f.extents); n > 0 {
 			last := &f.extents[n-1]
-			if last.lbn+last.bytes/sectorSize == e.nexts {
+			if last.lbn+last.bytes/disk.SectorSize == e.nexts {
 				last.bytes += unit
 				f.size += unit
 				e.nexts += sectors
@@ -105,7 +107,7 @@ func (f *fileMeta) appendRuns(out []lbnRun, off, n int64) []lbnRun {
 			hi = eEnd
 		}
 		out = append(out, lbnRun{
-			lbn:   e.lbn + (lo-e.fileOff)/sectorSize,
+			lbn:   e.lbn + (lo-e.fileOff)/disk.SectorSize,
 			bytes: hi - lo,
 		})
 	}
@@ -150,12 +152,12 @@ func (e *extentEngine) CheckInvariants() error {
 			if x.fileOff != next {
 				return fmt.Errorf("extent engine: file %s extent at %d, want contiguous at %d", name, x.fileOff, next)
 			}
-			if x.bytes <= 0 || x.bytes%sectorSize != 0 {
+			if x.bytes <= 0 || x.bytes%disk.SectorSize != 0 {
 				return fmt.Errorf("extent engine: file %s extent bytes %d", name, x.bytes)
 			}
 			covered += x.bytes
 			next = x.fileOff + x.bytes
-			spans = append(spans, span{lo: x.lbn, hi: x.lbn + x.bytes/sectorSize, file: name})
+			spans = append(spans, span{lo: x.lbn, hi: x.lbn + x.bytes/disk.SectorSize, file: name})
 		}
 		if covered != f.size {
 			return fmt.Errorf("extent engine: file %s extents cover %d bytes, size %d", name, covered, f.size)

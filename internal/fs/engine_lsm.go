@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"dualpar/internal/disk"
 	"dualpar/internal/sim"
 )
 
@@ -125,13 +126,13 @@ func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 		}
 		var lbn int64
 		if loc, ok := f.remap[pg]; ok {
-			lbn = loc.lbn + (lo-pg*pageSize)/sectorSize
+			lbn = loc.lbn + (lo-pg*pageSize)/disk.SectorSize
 		} else {
 			x, ok := e.inner.locate(file, lo)
 			if !ok {
 				continue // unallocated hole: nothing to read
 			}
-			lbn = x.lbn + (lo-x.fileOff)/sectorSize
+			lbn = x.lbn + (lo-x.fileOff)/disk.SectorSize
 		}
 		out = appendMergedRun(out, lbnRun{lbn: lbn, bytes: hi - lo})
 	}
@@ -175,12 +176,12 @@ func (e *lsmEngine) appendPage() (*lsmSegment, int64) {
 			e.freeSegs = e.freeSegs[1:]
 		} else {
 			base = e.inner.nexts
-			e.inner.nexts += e.segBytes / sectorSize
+			e.inner.nexts += e.segBytes / disk.SectorSize
 		}
 		e.cur = &lsmSegment{base: base}
 		e.segs = append(e.segs, e.cur)
 	}
-	lbn := e.cur.base + e.cur.used/sectorSize
+	lbn := e.cur.base + e.cur.used/disk.SectorSize
 	e.cur.used += pageSize
 	return e.cur, lbn
 }
@@ -313,9 +314,9 @@ func (e *lsmEngine) CheckInvariants() error {
 			if loc.seg.recycle {
 				return fmt.Errorf("lsm engine: file %s page %d points into recycled segment at LBN %d", name, pg, loc.seg.base)
 			}
-			if loc.lbn < loc.seg.base || loc.lbn >= loc.seg.base+loc.seg.used/sectorSize {
+			if loc.lbn < loc.seg.base || loc.lbn >= loc.seg.base+loc.seg.used/disk.SectorSize {
 				return fmt.Errorf("lsm engine: file %s page %d at LBN %d outside its segment [%d,%d)",
-					name, pg, loc.lbn, loc.seg.base, loc.seg.base+loc.seg.used/sectorSize)
+					name, pg, loc.lbn, loc.seg.base, loc.seg.base+loc.seg.used/disk.SectorSize)
 			}
 			liveBySeg[loc.seg] += pageSize
 			totalLive += pageSize
@@ -352,7 +353,7 @@ func (e *lsmEngine) Stats() (absorbed, compacted, reclaimed, live int64) {
 func appendMergedRun(out []lbnRun, r lbnRun) []lbnRun {
 	if n := len(out); n > 0 {
 		last := &out[n-1]
-		if last.bytes%sectorSize == 0 && last.lbn+last.bytes/sectorSize == r.lbn {
+		if last.bytes%disk.SectorSize == 0 && last.lbn+last.bytes/disk.SectorSize == r.lbn {
 			last.bytes += r.bytes
 			return out
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dualpar/internal/disk"
 	"dualpar/internal/sim"
 )
 
@@ -145,7 +146,7 @@ func TestBPTreeFragmentsLayout(t *testing.T) {
 	}
 	for i := 1; i < len(f.shadow); i++ {
 		prev, cur := f.shadow[i-1], f.shadow[i]
-		if cur.lbn == prev.lbn+prev.bytes/sectorSize {
+		if cur.lbn == prev.lbn+prev.bytes/disk.SectorSize {
 			t.Fatalf("extents %d and %d contiguous on disk; aged-FS layout must gap them", i-1, i)
 		}
 	}
@@ -170,7 +171,7 @@ func TestBPTreeLookupMatchesFlatScan(t *testing.T) {
 			if len(runs) != 1 {
 				t.Fatalf("off %d: %d runs, want 1", off, len(runs))
 			}
-			want := x.lbn + (off-x.fileOff)/sectorSize
+			want := x.lbn + (off-x.fileOff)/disk.SectorSize
 			if runs[0].lbn != want {
 				t.Fatalf("off %d: lbn %d, flat scan says %d", off, runs[0].lbn, want)
 			}
@@ -201,7 +202,7 @@ func TestLSMWritebackSequential(t *testing.T) {
 	}
 	// Reads chase the pages into the log.
 	rd := e.ReadRuns(nil, "a", 0, 64<<10)
-	if len(rd) != 1 || rd[0].lbn < runs[0].lbn || rd[0].lbn >= runs[0].lbn+runs[0].bytes/sectorSize {
+	if len(rd) != 1 || rd[0].lbn < runs[0].lbn || rd[0].lbn >= runs[0].lbn+runs[0].bytes/disk.SectorSize {
 		t.Fatalf("read of overwritten range resolves to %+v, want inside log run %+v", rd, runs[0])
 	}
 	if err := e.CheckInvariants(); err != nil {

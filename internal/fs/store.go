@@ -467,7 +467,7 @@ func (s *Store) flushOnce(p *sim.Proc) {
 // Records come from the store's request pool.
 func (s *Store) appendSplit(reqs []*iosched.Request, lr lbnRun, write bool, origin int, rc obs.Ctx) []*iosched.Request {
 	lbn := lr.lbn
-	sectors := (lr.bytes + sectorSize - 1) / sectorSize
+	sectors := (lr.bytes + disk.SectorSize - 1) / disk.SectorSize
 	for sectors > 0 {
 		n := sectors
 		if n > iosched.MaxMergeSectors {

@@ -12,9 +12,7 @@ import (
 )
 
 func newStore(k *sim.Kernel, cfg Config) *Store {
-	p := disk.DefaultParams()
-	p.Sectors = 1 << 24
-	return New(k, "s0", disk.New(p), iosched.NewCFQ(), cfg, 1000)
+	return New(k, "s0", disk.New(1<<24), iosched.NewCFQ(), cfg, 1000)
 }
 
 func TestCreateAllocatesContiguously(t *testing.T) {
@@ -38,7 +36,7 @@ func TestTwoFilesSeparatedByGap(t *testing.T) {
 	s.Create("b", 1<<20)
 	ra := s.eng.ReadRuns(nil, "a", 0, 1<<20)
 	rb := s.eng.ReadRuns(nil, "b", 0, 1<<20)
-	gap := (rb[0].lbn - ra[0].lbn) * sectorSize
+	gap := (rb[0].lbn - ra[0].lbn) * disk.SectorSize
 	if gap < fileGapBytes {
 		t.Fatalf("inter-file LBN gap = %d bytes, want >= %d", gap, fileGapBytes)
 	}

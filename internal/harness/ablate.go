@@ -110,7 +110,7 @@ func AblateHoleThreshold(o Opts) *Result {
 		cfg.HoleBytes = hole
 		// Sub-chunk caching isolates the hole-filling effect from chunk
 		// alignment.
-		cfg.Memcache.ChunkBytes = 4 << 10
+		cfg.ChunkBytes = 4 << 10
 		ms, cl := o.execute(false, time.Hour, cfg, []runSpec{{prog: h, mode: core.ModeDataDriven}})
 		st := cl.ServerStats()
 		o.logf("ablate-hole %dKB: %.3fs, %d accesses, %.1fMB", hole>>10, ms[0].elapsed.Seconds(), st.Accesses, float64(st.BytesRead)/(1<<20))
@@ -136,7 +136,7 @@ func AblateChunkSize(o Opts) *Result {
 	chunks := []int64{16 << 10, 64 << 10, 256 << 10}
 	res.Table.Rows = sweep(o, each("ablate-chunk/%d", chunks), func(i int) []string {
 		cfg := core.DefaultConfig()
-		cfg.Memcache.ChunkBytes = chunks[i]
+		cfg.ChunkBytes = chunks[i]
 		ms, _ := o.execute(false, time.Hour, cfg,
 			[]runSpec{{prog: m, mode: core.ModeDataDriven}})
 		o.logf("ablate-chunk %dKB: %.1f MB/s", chunks[i]>>10, ms[0].throughputMBs())
@@ -162,8 +162,7 @@ func AblateDiskOrigins(o Opts) *Result {
 	labels := []string{"server-process", "per-client"}
 	res.Table.Rows = sweep(o, each("ablate-origins/%s", labels), func(i int) []string {
 		ccfg := o.config()
-		ccfg.PFS = pfs.DefaultConfig()
-		ccfg.PFS.ClientDiskOrigins = i == 1
+		ccfg.PFS = pfs.Config{ClientDiskOrigins: i == 1}
 		tp := o.mpiioTest("ablate-origins "+labels[i], ccfg, size, false, core.ModeVanilla).throughputMBs()
 		o.logf("ablate-origins %s: %.1f MB/s", labels[i], tp)
 		return []string{labels[i], mb(tp)}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -17,7 +16,7 @@ func BenchmarkSweepDispatch(b *testing.B) {
 			b.ReportAllocs()
 			keys := cellKeys("cell", 256)
 			for n := 0; n < b.N; n++ {
-				if _, err := runCells(context.Background(), workers, keys, func(i int) int { return i }); err != nil {
+				if _, err := runCells(workers, keys, func(i int) int { return i }); err != nil {
 					b.Fatal(err)
 				}
 			}

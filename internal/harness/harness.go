@@ -7,7 +7,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -41,8 +40,6 @@ type Opts struct {
 	// once. Result tables are byte-identical at every setting (see
 	// pool.go); only progress-log interleaving differs.
 	Parallel int
-	// Ctx cancels a long sweep mid-flight (nil = never).
-	Ctx context.Context
 	// Audit arms the invariant oracles on every run; a violated invariant
 	// panics with the keyed error and its reproducer artifact path, failing
 	// the sweep loudly.

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // The sweep engine: experiments are sweeps over independent cells (one
@@ -39,13 +39,9 @@ func (e *cellError) Error() string {
 // errors, e.g. "fig3/read/mpi-io-test/dualpar"; run must touch no shared
 // mutable state. workers <= 0 means GOMAXPROCS; workers == 1 runs every cell
 // inline on the calling goroutine in key order — the serial code path.
-// Cells are dispatched in key order; once ctx is canceled no further cell
-// starts (in-flight cells finish) and ctx.Err() is returned. A panicking
-// cell becomes a *cellError; it does not cancel the remaining cells.
-func runCells[T any](ctx context.Context, workers int, keys []string, run func(i int) T) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Cells are dispatched in key order. A panicking cell becomes a
+// *cellError; it does not stop the remaining cells.
+func runCells[T any](workers int, keys []string, run func(i int) T) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -62,40 +58,24 @@ func runCells[T any](ctx context.Context, workers int, keys []string, run func(i
 		}()
 		out[i] = run(i)
 	}
-	canceled := false
 	if workers <= 1 {
 		for i := range keys {
-			if ctx.Err() != nil {
-				canceled = true
-				break
-			}
 			runCell(i)
 		}
 	} else {
+		// Workers claim the next undispatched cell index atomically, so
+		// dispatch order is canonical even though completion order is not.
 		var (
-			mu   sync.Mutex
-			next int
+			next atomic.Int64
 			wg   sync.WaitGroup
 		)
-		// Workers pull the next undispatched cell index under a lock, so
-		// dispatch order is canonical even though completion order is not.
-		claim := func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			if next >= len(keys) || ctx.Err() != nil {
-				return -1
-			}
-			i := next
-			next++
-			return i
-		}
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
 				for {
-					i := claim()
-					if i < 0 {
+					i := int(next.Add(1)) - 1
+					if i >= len(keys) {
 						return
 					}
 					runCell(i)
@@ -103,7 +83,6 @@ func runCells[T any](ctx context.Context, workers int, keys []string, run func(i
 			}()
 		}
 		wg.Wait()
-		canceled = ctx.Err() != nil
 	}
 	// Deterministic error selection: the first failing cell in canonical
 	// order wins, regardless of which worker hit it first.
@@ -112,9 +91,6 @@ func runCells[T any](ctx context.Context, workers int, keys []string, run func(i
 			return out, e
 		}
 	}
-	if canceled {
-		return out, ctx.Err()
-	}
 	return out, nil
 }
 
@@ -122,7 +98,7 @@ func runCells[T any](ctx context.Context, workers int, keys []string, run func(i
 // at o's parallelism and returns the results in key order, re-raising a
 // cell failure as a panic so a driver fails fast as the serial path would.
 func sweep[T any](o Opts, keys []string, run func(i int) T) []T {
-	out, err := runCells(o.Ctx, o.parallel(), keys, run)
+	out, err := runCells(o.parallel(), keys, run)
 	if err != nil {
 		panic(err)
 	}
@@ -172,5 +148,5 @@ func Run(o Opts, ids []string) ([]*Result, error) {
 			return nil, fmt.Errorf("harness: unknown experiment %q", id)
 		}
 	}
-	return runCells(o.Ctx, o.parallel(), ids, func(i int) *Result { return runs[i](o) })
+	return runCells(o.parallel(), ids, func(i int) *Result { return runs[i](o) })
 }

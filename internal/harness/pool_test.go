@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -28,7 +27,7 @@ func TestRunCellsWorkerCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 7
 			hits := make([]int32, n)
-			_, err := runCells(context.Background(), workers, cellKeys("cell", n), func(i int) int32 {
+			_, err := runCells(workers, cellKeys("cell", n), func(i int) int32 {
 				return atomic.AddInt32(&hits[i], 1)
 			})
 			if err != nil {
@@ -47,7 +46,7 @@ func TestRunCellsWorkerCounts(t *testing.T) {
 // the calling goroutine — that is the documented serial path.
 func TestRunCellsSerialOrder(t *testing.T) {
 	var order []int
-	_, err := runCells(context.Background(), 1, cellKeys("c", 5), func(i int) int {
+	_, err := runCells(1, cellKeys("c", 5), func(i int) int {
 		order = append(order, i)
 		return i
 	})
@@ -63,52 +62,9 @@ func TestRunCellsSerialOrder(t *testing.T) {
 
 // TestRunCellsEmpty: no cells is a no-op at any worker count.
 func TestRunCellsEmpty(t *testing.T) {
-	out, err := runCells(context.Background(), 4, nil, func(int) int { panic("no cells, no runs") })
+	out, err := runCells(4, nil, func(int) int { panic("no cells, no runs") })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("runCells(no keys) = %v, %v", out, err)
-	}
-}
-
-// TestRunCellsCancelMidSweep cancels the context from inside an early cell
-// and checks that no further cell starts and ctx.Err() comes back.
-func TestRunCellsCancelMidSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			const n = 32
-			var ran int32
-			_, err := runCells(ctx, workers, cellKeys("c", n), func(i int) int {
-				atomic.AddInt32(&ran, 1)
-				if i == 2 {
-					cancel()
-				}
-				return i
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			// In-flight cells may finish, but dispatch stops: far fewer
-			// than n cells run (at most the cancel point + workers).
-			if got := atomic.LoadInt32(&ran); int(got) > 3+workers {
-				t.Errorf("%d cells ran after cancel, want <= %d", got, 3+workers)
-			}
-		})
-	}
-}
-
-// TestRunCellsCanceledBeforeStart: an already-canceled context runs
-// nothing.
-func TestRunCellsCanceledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran int32
-	_, err := runCells(ctx, 4, cellKeys("c", 1), func(int) int32 { return atomic.AddInt32(&ran, 1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Errorf("%d cells ran under a pre-canceled context", ran)
 	}
 }
 
@@ -121,7 +77,7 @@ func TestRunCellsPanic(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 8
 			var ran int32
-			_, err := runCells(context.Background(), workers, cellKeys("cell/", n), func(i int) int {
+			_, err := runCells(workers, cellKeys("cell/", n), func(i int) int {
 				atomic.AddInt32(&ran, 1)
 				if i == 3 || i == 6 {
 					panic(fmt.Sprintf("boom %d", i))
@@ -173,7 +129,7 @@ func TestSyncWriterSharedLog(t *testing.T) {
 func TestRunCellsConcurrentSlotWrites(t *testing.T) {
 	const n = 64
 	var mu sync.Mutex // touched only to give the race detector work to check
-	out, err := runCells(context.Background(), 8, cellKeys("c", n), func(i int) int {
+	out, err := runCells(8, cellKeys("c", n), func(i int) int {
 		mu.Lock()
 		mu.Unlock()
 		return i + 1

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -93,7 +92,7 @@ func TestOptsVariantsConcurrent(t *testing.T) {
 		{Quick: true, Parallel: 2, Log: io.Discard, Audit: true},
 		{Quick: true, Parallel: 2, Log: io.Discard, Reports: sink},
 	}
-	tables, err := runCells(context.Background(), 3, cellKeys("variant", len(variants)), func(i int) string {
+	tables, err := runCells(3, cellKeys("variant", len(variants)), func(i int) string {
 		return renderResult(Fig1a(variants[i]))
 	})
 	if err != nil {

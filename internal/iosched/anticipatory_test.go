@@ -29,9 +29,7 @@ func TestAnticipatoryWaitsForNearbyRequest(t *testing.T) {
 	// are established, the scheduler idles for origin 1 instead of seeking
 	// to origin 2.
 	k := sim.NewKernel(1)
-	dp := disk.DefaultParams()
-	dp.Sectors = 1 << 24
-	d := disk.New(dp)
+	d := disk.New(1 << 24)
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Origin: 2}) })
@@ -64,9 +62,7 @@ func TestAnticipatoryGivesUpOnSeekyOrigin(t *testing.T) {
 	// Origin 1's requests are far apart (seeky): anticipation must not
 	// hold the disk for it once history shows waiting cannot pay off.
 	k := sim.NewKernel(1)
-	dp := disk.DefaultParams()
-	dp.Sectors = 1 << 24
-	d := disk.New(dp)
+	d := disk.New(1 << 24)
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()
 	done := make([]time.Duration, 0, 12)
@@ -100,9 +96,7 @@ func TestAnticipatoryWriteExpiry(t *testing.T) {
 	// A pending write must eventually be served even while reads keep the
 	// elevator busy elsewhere: the read stream runs past anticWriteExpire.
 	k := sim.NewKernel(1)
-	dp := disk.DefaultParams()
-	dp.Sectors = 1 << 24
-	d := disk.New(dp)
+	d := disk.New(1 << 24)
 	disp := NewDispatcher(k, "disp", d, NewAnticipatory())
 	tr := disp.EnableTrace()
 	k.After(0, func() { disp.Enqueue(&Request{LBN: 1 << 23, Sectors: 8, Write: true, Origin: 9}) })

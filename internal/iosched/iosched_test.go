@@ -9,9 +9,7 @@ import (
 )
 
 func newTestDisk() *disk.Disk {
-	p := disk.DefaultParams()
-	p.Sectors = 1 << 24
-	return disk.New(p)
+	return disk.New(1 << 24)
 }
 
 // submitAll enqueues all requests at the given times and runs to completion,

@@ -19,9 +19,7 @@ func completionProperty(t *testing.T, mk func() Algorithm) {
 		count := 1 + int(n)%48
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
-		dp := disk.DefaultParams()
-		dp.Sectors = 1 << 24
-		d := disk.New(dp)
+		d := disk.New(1 << 24)
 		disp := NewDispatcher(k, "disp", d, mk())
 		completed := 0
 		var wantBytes int64
@@ -77,9 +75,7 @@ func TestConcurrentSubmittersAllComplete(t *testing.T) {
 		func() Algorithm { return NewAnticipatory() },
 	} {
 		k := sim.NewKernel(11)
-		dp := disk.DefaultParams()
-		dp.Sectors = 1 << 24
-		d := disk.New(dp)
+		d := disk.New(1 << 24)
 		disp := NewDispatcher(k, "disp", d, mk())
 		done := 0
 		for o := 0; o < 8; o++ {

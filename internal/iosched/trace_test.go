@@ -59,9 +59,7 @@ func TestSSDStatsAndTrace(t *testing.T) {
 }
 
 func TestTraceRAID0LogsLogicalLBNs(t *testing.T) {
-	p := disk.DefaultParams()
-	p.Sectors = 1 << 24
-	m0, m1 := disk.New(p), disk.New(p)
+	m0, m1 := disk.New(1<<24), disk.New(1<<24)
 	// 128-sector chunks: logical LBN 389 is chunk 3, member 1, member LBN 133.
 	tr, _ := traceTwo(t, sim.NewKernel(1), disk.NewRAID0([]*disk.Disk{m0, m1}, 128),
 		Request{LBN: 389, Sectors: 8}, Request{LBN: 5, Sectors: 8})

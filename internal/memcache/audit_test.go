@@ -17,7 +17,7 @@ import (
 // accounting bug would take.
 func TestCheckUsedCatchesCorruptLedger(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	a := check.New(1, "memcache white-box")
 	a.SetArtifactDir(t.TempDir())
 	a.SetClock(k.Now)
@@ -70,7 +70,7 @@ func TestCheckUsedCatchesCounterDrift(t *testing.T) {
 		{"file dirty bytes", func(c *Cache) { c.files["f"].dirtyBytes++ }},
 	} {
 		k := sim.NewKernel(1)
-		c := newCache(k, DefaultConfig())
+		c := newCache(k)
 		k.Spawn("p", func(p *sim.Proc) {
 			c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 64 << 10, Len: 4 << 10}})
 			if err := c.CheckUsed(); err != nil {
@@ -89,7 +89,7 @@ func TestCheckUsedCatchesCounterDrift(t *testing.T) {
 // hit/miss split on mixed batches (the oracle holding, not firing).
 func TestGetConservationOracle(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	a := check.New(1, "memcache get")
 	a.SetArtifactDir(t.TempDir())
 	c.SetAudit(a)

@@ -18,7 +18,7 @@ import (
 func benchGet(b *testing.B, hit bool) {
 	const cell, row, rows = 2 << 10, 128 << 10, 32
 	k := sim.NewKernel(1)
-	c := New(k, netsim.New(), DefaultConfig(), []int{100, 101, 102, 103, 104, 105, 106, 107})
+	c := New(k, netsim.New(), testChunk, []int{100, 101, 102, 103, 104, 105, 106, 107})
 	cached := make([]ext.Extent, rows)
 	req := make([]ext.Extent, rows)
 	for i := range cached {

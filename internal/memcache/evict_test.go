@@ -19,9 +19,8 @@ import (
 // evicted on idle.
 func TestSweeperRearmsAfterEmpty(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
-	e := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
+	c := newCache(k)
+	e := ext.Extent{Off: 0, Len: testChunk}
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f1", []ext.Extent{e})
 		// Wait well past evictAfter: the first generation is swept out and
@@ -51,11 +50,10 @@ func TestSweeperRearmsAfterEmpty(t *testing.T) {
 // simulation alive for an extra evictAfter/2.
 func TestSweeperSkipsAllDirtyCache(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
+	c := newCache(k)
 	var endOfPut time.Duration
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: testChunk}})
 		endOfPut = p.Now()
 	})
 	k.Run() // would hang in sweeper re-arm cycles if dirty chunks armed it
@@ -72,10 +70,9 @@ func TestSweeperSkipsAllDirtyCache(t *testing.T) {
 // the cleaned chunks are never evicted and `used` grows without bound.
 func TestMarkCleanRearmsSweeper(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: testChunk}})
 		// Writeback completes: the only chunk goes clean. No put follows.
 		c.MarkClean("f")
 		p.Sleep(3 * evictAfter)
@@ -94,16 +91,15 @@ func TestMarkCleanRearmsSweeper(t *testing.T) {
 // evict unwritten data.
 func TestCapacityAllDirtyNoVictim(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
-	q := NewQuota("solo", cfg.ChunkBytes) // room for one chunk
+	c := newCache(k)
+	q := NewQuota("solo", testChunk) // room for one chunk
 	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 2 * cfg.ChunkBytes}})
+		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 2 * testChunk}})
 	})
 	k.Run()
-	if c.UsedBytes() != 2*cfg.ChunkBytes {
-		t.Errorf("used=%d, want %d (dirty data must survive over-capacity)", c.UsedBytes(), 2*cfg.ChunkBytes)
+	if c.UsedBytes() != 2*testChunk {
+		t.Errorf("used=%d, want %d (dirty data must survive over-capacity)", c.UsedBytes(), 2*testChunk)
 	}
 	if c.Evictions() != 0 {
 		t.Errorf("evictions=%d, want 0", c.Evictions())
@@ -111,7 +107,7 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 	// Once the data is clean, the next insert enforces the cap again.
 	c.MarkClean("f")
 	k.Spawn("p2", func(p *sim.Proc) {
-		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
+		c.PutClean(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: testChunk}})
 	})
 	k.Run()
 	if c.UsedBytes() > q.Limit() {
@@ -125,12 +121,11 @@ func TestCapacityAllDirtyNoVictim(t *testing.T) {
 // one chunk at t=0: put stamps lastRef before it pays its operation cost,
 // so all four tie.
 func TestCapacityTiebreakDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	one := ext.Extent{Off: 0, Len: cfg.ChunkBytes}
+	one := ext.Extent{Off: 0, Len: testChunk}
 	for trial := 0; trial < 5; trial++ {
 		k := sim.NewKernel(1)
-		c := newCache(k, cfg)
-		c.SetQuota(NewQuota("solo", 4*cfg.ChunkBytes))
+		c := newCache(k)
+		c.SetQuota(NewQuota("solo", 4*testChunk))
 		// Four single-chunk files at one instant fill the cache exactly.
 		for _, f := range []string{"d", "b", "c", "a"} {
 			k.Spawn("put "+f, func(p *sim.Proc) {

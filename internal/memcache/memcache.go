@@ -22,32 +22,12 @@ import (
 	"dualpar/internal/sim"
 )
 
-// Config tunes the cache.
-type Config struct {
-	// ChunkBytes is the partition unit; DualPar sets it to the PVFS2
-	// stripe unit so a chunk touches exactly one data server.
-	ChunkBytes int64
-}
-
 const (
 	// evictAfter is how long an unreferenced chunk survives.
 	evictAfter = 30 * time.Second
 	// opCPU is the per-operation processing cost at the home node.
 	opCPU = 20 * time.Microsecond
 )
-
-// DefaultConfig matches the paper's prototype (64 KB chunks).
-func DefaultConfig() Config {
-	return Config{ChunkBytes: 64 << 10}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.ChunkBytes <= 0 {
-		return fmt.Errorf("memcache: ChunkBytes %d", c.ChunkBytes)
-	}
-	return nil
-}
 
 type chunkKey struct {
 	file string
@@ -98,7 +78,7 @@ func (f *cacheFile) slot(idx int64) **chunk {
 type Cache struct {
 	k        *sim.Kernel
 	net      *netsim.Network
-	cfg      Config
+	chunk    int64 // partition unit in bytes
 	nodes    []int
 	files    map[string]*cacheFile
 	free     *chunk // released or unused chunk records, reused with their capacity
@@ -117,11 +97,13 @@ type Cache struct {
 	audit check.Ledger // nil = audit off
 }
 
-// New creates a cache whose chunks are homed round-robin on nodes. An
-// idle-eviction sweep runs while the cache is non-empty.
-func New(k *sim.Kernel, net *netsim.Network, cfg Config, nodes []int) *Cache {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
+// New creates a cache of chunkBytes-sized chunks homed round-robin on
+// nodes. DualPar sizes the chunk to the PVFS2 stripe unit, so a chunk
+// touches exactly one data server. An idle-eviction sweep runs while the
+// cache is non-empty.
+func New(k *sim.Kernel, net *netsim.Network, chunkBytes int64, nodes []int) *Cache {
+	if chunkBytes <= 0 {
+		panic(fmt.Sprintf("memcache: chunk %d", chunkBytes))
 	}
 	if len(nodes) == 0 {
 		panic("memcache: no nodes")
@@ -129,7 +111,7 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, nodes []int) *Cache {
 	c := &Cache{
 		k:     k,
 		net:   net,
-		cfg:   cfg,
+		chunk: chunkBytes,
 		nodes: append([]int(nil), nodes...),
 		files: make(map[string]*cacheFile),
 	}
@@ -285,7 +267,7 @@ func (c *Cache) Get(p *sim.Proc, fromNode int, rc obs.Ctx, file string, buf []ex
 	var homes [8]homeAcc
 	perHome := homeBytes(homes[:0]) // hit bytes by home node
 	f := c.files[file]
-	cb := c.cfg.ChunkBytes
+	cb := c.chunk
 	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
 		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
 		var ch *chunk
@@ -416,7 +398,7 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 		f = &cacheFile{name: file}
 		c.files[file] = f
 	}
-	cb := c.cfg.ChunkBytes
+	cb := c.chunk
 	ext.VisitSplit(extents, cb, func(piece ext.Extent) {
 		idx, rel := piece.Off/cb, ext.Extent{Off: piece.Off % cb, Len: piece.Len}
 		slot := f.slot(idx)
@@ -468,7 +450,7 @@ func (c *Cache) DirtyExtents(file string) []ext.Extent {
 		if ch == nil {
 			continue
 		}
-		base := int64(idx) * c.cfg.ChunkBytes
+		base := int64(idx) * c.chunk
 		for _, d := range ch.dirty {
 			out = ext.Insert(out, ext.Extent{Off: base + d.Off, Len: d.Len})
 		}

@@ -10,17 +10,20 @@ import (
 	"dualpar/internal/sim"
 )
 
-func newCache(k *sim.Kernel, cfg Config, nodes ...int) *Cache {
+// testChunk is the prototype's chunk size, the PVFS2 stripe unit.
+const testChunk int64 = 64 << 10
+
+func newCache(k *sim.Kernel, nodes ...int) *Cache {
 	net := netsim.New()
 	if len(nodes) == 0 {
 		nodes = []int{100, 101}
 	}
-	return New(k, net, cfg, nodes)
+	return New(k, net, testChunk, nodes)
 }
 
 func TestGetMissThenHit(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		e := ext.Extent{Off: 0, Len: 64 << 10}
 		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, e)
@@ -40,7 +43,7 @@ func TestGetMissThenHit(t *testing.T) {
 
 func TestPartialChunkCountsAsMiss(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
 		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 8 << 10})
@@ -57,12 +60,11 @@ func TestPartialChunkCountsAsMiss(t *testing.T) {
 // ledger counts those bytes as missed, not hit.
 func TestPartialHitChargesNoTransfer(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg, 100, 101) // chunk 1 homes on node 101
+	c := newCache(k, 100, 101) // chunk 1 homes on node 101
 	k.Spawn("p", func(p *sim.Proc) {
-		chunk1 := ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}
+		chunk1 := ext.Extent{Off: testChunk, Len: testChunk}
 		// Only the first 4K of the remote chunk is valid.
-		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 4 << 10}})
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: testChunk, Len: 4 << 10}})
 		t0 := p.Now()
 		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, chunk1)
 		if p.Now() != t0 {
@@ -89,17 +91,16 @@ func TestPartialHitChargesNoTransfer(t *testing.T) {
 // nothing for the partial chunk.
 func TestPartialHitMixedBatch(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg, 100, 101)
+	c := newCache(k, 100, 101)
 	k.Spawn("p", func(p *sim.Proc) {
-		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}}) // chunk 0, local to 100
-		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: 1 << 10}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: testChunk}}) // chunk 0, local to 100
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: testChunk, Len: 1 << 10}})
 		t0 := p.Now()
-		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * testChunk})
 		if got := p.Now() - t0; got != opCPU {
 			t.Errorf("mixed batch charged %v, want one local op %v", got, opCPU)
 		}
-		want := ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}
+		want := ext.Extent{Off: testChunk, Len: testChunk}
 		if len(miss) != 1 || miss[0] != want {
 			t.Errorf("miss = %v, want %v", miss, want)
 		}
@@ -113,14 +114,13 @@ func TestPartialHitMixedBatch(t *testing.T) {
 // has passed since the lookup.
 func TestMissRefreshesLastRef(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
+	c := newCache(k)
 	e := ext.Extent{Off: 0, Len: 4 << 10}
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{e})
 		p.Sleep(evictAfter * 6 / 10)
 		// Partial-chunk lookup: a miss, but it must touch lastRef.
-		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: cfg.ChunkBytes}); len(miss) == 0 {
+		if miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: testChunk}); len(miss) == 0 {
 			t.Fatalf("partial chunk reported as hit")
 		}
 		p.Sleep(evictAfter * 6 / 10)
@@ -138,16 +138,15 @@ func TestMissRefreshesLastRef(t *testing.T) {
 
 func TestGetSpanningChunks(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		// Cache only the first chunk; ask across two chunks.
-		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
-		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * cfg.ChunkBytes})
-		if total := ext.Total(miss); total != cfg.ChunkBytes {
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: testChunk}})
+		miss := c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: 2 * testChunk})
+		if total := ext.Total(miss); total != testChunk {
 			t.Errorf("miss total = %d, want one chunk", total)
 		}
-		if len(miss) != 1 || miss[0].Off != cfg.ChunkBytes {
+		if len(miss) != 1 || miss[0].Off != testChunk {
 			t.Errorf("miss = %v, want second chunk", miss)
 		}
 	})
@@ -156,18 +155,17 @@ func TestGetSpanningChunks(t *testing.T) {
 
 func TestRemoteGetCostsNetwork(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg, 100, 101)
+	c := newCache(k, 100, 101)
 	var local, remote time.Duration
 	k.Spawn("p", func(p *sim.Proc) {
 		// Chunk 0 homes on node 100, chunk 1 on node 101.
-		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: cfg.ChunkBytes}})
-		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}})
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: testChunk}})
+		c.PutClean(p, 101, obs.Ctx{}, "f", []ext.Extent{{Off: testChunk, Len: testChunk}})
 		t0 := p.Now()
-		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: cfg.ChunkBytes}) // local
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: 0, Len: testChunk}) // local
 		local = p.Now() - t0
 		t0 = p.Now()
-		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: cfg.ChunkBytes, Len: cfg.ChunkBytes}) // remote
+		c.Get(p, 100, obs.Ctx{}, "f", nil, ext.Extent{Off: testChunk, Len: testChunk}) // remote
 		remote = p.Now() - t0
 	})
 	k.Run()
@@ -178,7 +176,7 @@ func TestRemoteGetCostsNetwork(t *testing.T) {
 
 func TestRoundRobinHomes(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig(), 100, 101, 102)
+	c := newCache(k, 100, 101, 102)
 	if c.Home(0) != 100 || c.Home(1) != 101 || c.Home(2) != 102 || c.Home(3) != 100 {
 		t.Fatalf("homes = %d %d %d %d", c.Home(0), c.Home(1), c.Home(2), c.Home(3))
 	}
@@ -186,8 +184,7 @@ func TestRoundRobinHomes(t *testing.T) {
 
 func TestDirtyLifecycle(t *testing.T) {
 	k := sim.NewKernel(1)
-	cfg := DefaultConfig()
-	c := newCache(k, cfg)
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}, {Off: 4 << 10, Len: 4 << 10}})
 		c.PutDirty(p, 100, obs.Ctx{}, "g", []ext.Extent{{Off: 0, Len: 1 << 10}})
@@ -212,7 +209,7 @@ func TestDirtyLifecycle(t *testing.T) {
 
 func TestIdleEviction(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 64 << 10}})
 	})
@@ -227,7 +224,7 @@ func TestIdleEviction(t *testing.T) {
 
 func TestDirtyChunksSurviveEviction(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	k.Spawn("p", func(p *sim.Proc) {
 		c.PutDirty(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: 0, Len: 4 << 10}})
 	})
@@ -239,7 +236,7 @@ func TestDirtyChunksSurviveEviction(t *testing.T) {
 
 func TestCapacityEvictsLRU(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newCache(k, DefaultConfig())
+	c := newCache(k)
 	q := NewQuota("solo", 128<<10) // 2 chunks
 	c.SetQuota(q)
 	k.Spawn("p", func(p *sim.Proc) {
@@ -264,16 +261,15 @@ func TestCapacityEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestValidateConfig(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.ChunkBytes = 0 },
-		func(c *Config) { c.ChunkBytes = -1 },
-	}
-	for i, m := range bad {
-		c := DefaultConfig()
-		m(&c)
-		if c.Validate() == nil {
-			t.Fatalf("case %d passed", i)
-		}
+func TestNewRejectsNonPositiveChunk(t *testing.T) {
+	for _, chunk := range []int64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New with chunk %d did not panic", chunk)
+				}
+			}()
+			New(sim.NewKernel(1), netsim.New(), chunk, []int{100})
+		}()
 	}
 }

@@ -21,7 +21,7 @@ func TestGetAfterPutAlwaysHits(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
 		net := netsim.New()
-		c := New(k, net, DefaultConfig(), []int{100, 101, 102})
+		c := New(k, net, testChunk, []int{100, 101, 102})
 		count := 1 + int(n)%12
 		var put []ext.Extent
 		for i := 0; i < count; i++ {
@@ -67,7 +67,7 @@ func TestDirtyNeverLost(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
 		net := netsim.New()
-		c := New(k, net, DefaultConfig(), []int{100})
+		c := New(k, net, testChunk, []int{100})
 		count := 1 + int(n)%10
 		var dirty []ext.Extent
 		ok := true
@@ -107,7 +107,7 @@ func TestDirtyNeverLost(t *testing.T) {
 // piece of xs its chunk's valid ranges do not cover, through ext.Merge.
 func missReference(c *Cache, file string, xs []ext.Extent) []ext.Extent {
 	var miss []ext.Extent
-	cb := c.cfg.ChunkBytes
+	cb := c.chunk
 	ext.VisitSplit(xs, cb, func(piece ext.Extent) {
 		var valid []ext.Extent
 		if f := c.files[file]; f != nil && f.at(piece.Off/cb) != nil {
@@ -138,14 +138,13 @@ func TestListsAreCanonical(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel(seed)
-		cfg := DefaultConfig()
-		c := newCache(k, cfg, 100, 101, 102)
-		c.SetQuota(NewQuota("t", 8*cfg.ChunkBytes))
+		c := newCache(k, 100, 101, 102)
+		c.SetQuota(NewQuota("t", 8*testChunk))
 		files := []string{"f", "g"}
 		extents := func() []ext.Extent {
 			xs := make([]ext.Extent, 1+rng.Intn(6))
 			for i := range xs {
-				xs[i] = ext.Extent{Off: rng.Int63n(16 * cfg.ChunkBytes), Len: rng.Int63n(3 * cfg.ChunkBytes)}
+				xs[i] = ext.Extent{Off: rng.Int63n(16 * testChunk), Len: rng.Int63n(3 * testChunk)}
 			}
 			return xs
 		}

@@ -21,8 +21,8 @@ func run(t *testing.T, k *sim.Kernel, fn func(p *sim.Proc)) {
 func TestQuotaAccountsAcrossMembers(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := NewQuota("t0", 0) // unbounded: pure accounting
-	a := newCache(k, DefaultConfig())
-	b := newCache(k, DefaultConfig())
+	a := newCache(k)
+	b := newCache(k)
 	a.SetQuota(q)
 	b.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
@@ -52,8 +52,8 @@ func TestQuotaAccountsAcrossMembers(t *testing.T) {
 func TestQuotaEvictsAcrossMembersLRU(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := NewQuota("t0", 2*chunkB)
-	a := newCache(k, DefaultConfig())
-	b := newCache(k, DefaultConfig())
+	a := newCache(k)
+	b := newCache(k)
 	a.SetQuota(q)
 	b.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
@@ -95,8 +95,8 @@ func TestQuotaVictimOrderAcrossMembers(t *testing.T) {
 	} {
 		k := sim.NewKernel(1)
 		q := NewQuota("t0", 2*chunkB)
-		a := newCache(k, DefaultConfig())
-		b := newCache(k, DefaultConfig())
+		a := newCache(k)
+		b := newCache(k)
 		a.SetQuota(q)
 		b.SetQuota(q)
 		one := []ext.Extent{{Off: 0, Len: chunkB}}
@@ -119,8 +119,8 @@ func TestQuotaIsolation(t *testing.T) {
 	k := sim.NewKernel(1)
 	q0 := NewQuota("t0", chunkB)
 	q1 := NewQuota("t1", 4*chunkB)
-	a := newCache(k, DefaultConfig())
-	b := newCache(k, DefaultConfig())
+	a := newCache(k)
+	b := newCache(k)
 	a.SetQuota(q0)
 	b.SetQuota(q1)
 	run(t, k, func(p *sim.Proc) {
@@ -146,7 +146,7 @@ func TestQuotaIsolation(t *testing.T) {
 func TestQuotaAllDirtyEscape(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := NewQuota("t0", chunkB)
-	a := newCache(k, DefaultConfig())
+	a := newCache(k)
 	a.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
 		a.PutDirty(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: 2 * chunkB}})
@@ -171,7 +171,7 @@ func TestQuotaAllDirtyEscape(t *testing.T) {
 func TestQuotaCheckCatchesLedgerDrift(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := NewQuota("t0", 0)
-	a := newCache(k, DefaultConfig())
+	a := newCache(k)
 	a.SetQuota(q)
 	run(t, k, func(p *sim.Proc) {
 		a.PutClean(p, 100, obs.Ctx{}, "fa", []ext.Extent{{Off: 0, Len: chunkB}})
@@ -184,7 +184,7 @@ func TestQuotaCheckCatchesLedgerDrift(t *testing.T) {
 
 func TestSetQuotaMisuse(t *testing.T) {
 	k := sim.NewKernel(1)
-	a := newCache(k, DefaultConfig())
+	a := newCache(k)
 	a.SetQuota(nil) // no-op, must not panic
 	q := NewQuota("t0", 0)
 	a.SetQuota(q)

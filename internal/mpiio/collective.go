@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/pfs"
 	"dualpar/internal/sim"
 )
 
@@ -260,10 +261,9 @@ func writeSend(send []int64, xs []ext.Extent, agg aggInfo) {
 // domains, one per aggregator (ROMIO's even partition of [st, end]).
 func (f *File) partition(lo, hi int64) aggInfo {
 	a := f.aggs
-	unit := f.fsys.Config().StripeUnit
 	span := hi - lo
 	per := (span + int64(a) - 1) / int64(a)
-	per = (per + unit - 1) / unit * unit
+	per = (per + pfs.StripeUnit - 1) / pfs.StripeUnit * pfs.StripeUnit
 	// Domains past hi are dropped.
 	n := int(min((span+per-1)/per, int64(a)))
 	return aggInfo{lo: lo, hi: hi, per: per, n: n, a: a, size: f.w.Size()}

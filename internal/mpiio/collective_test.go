@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/pfs"
 	"dualpar/internal/workloads"
 )
 
@@ -121,7 +122,7 @@ func checkPlan(t testing.TB, f *File, perRank [][]ext.Extent) {
 		return
 	}
 	agg := f.partition(lo, hi)
-	domains := refPartition(f.aggs, f.fsys.Config().StripeUnit, lo, hi)
+	domains := refPartition(f.aggs, pfs.StripeUnit, lo, hi)
 	if agg.n != len(domains) {
 		t.Fatalf("%d domains, want %d", agg.n, len(domains))
 	}
@@ -162,7 +163,7 @@ func TestDomainPlanMatchesClipMerge(t *testing.T) {
 	for _, shape := range []struct{ ranks, perNode int }{{1, 1}, {5, 2}, {12, 3}} {
 		r := newRig(t, 2, shape.ranks, shape.perNode)
 		f := r.open("f", DefaultConfig())
-		unit := r.fsys.Config().StripeUnit
+		unit := pfs.StripeUnit
 		for seed := int64(1); seed <= 400; seed++ {
 			perRank := randomLists(rand.New(rand.NewSource(seed)), shape.ranks, unit)
 			checkPlan(t, f, perRank)
@@ -205,7 +206,7 @@ func decodeLists(b []byte, ranks int) [][]ext.Extent {
 func FuzzCollectivePlan(f *testing.F) {
 	r := newRig(f, 2, fuzzRanks, fuzzPerNode)
 	file := r.open("f", DefaultConfig())
-	unit := r.fsys.Config().StripeUnit
+	unit := pfs.StripeUnit
 	for seed := int64(1); seed <= 16; seed++ {
 		f.Add(encodeLists(randomLists(rand.New(rand.NewSource(seed)), fuzzRanks, unit)))
 	}

@@ -31,12 +31,10 @@ func newRig(t testing.TB, servers, ranks, ranksPerNode int) *rig {
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < servers; i++ {
-		dp := disk.DefaultParams()
-		dp.Sectors = 1 << 24
-		stores = append(stores, fs.New(k, fmt.Sprintf("s%d", i), disk.New(dp), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i))
+		stores = append(stores, fs.New(k, fmt.Sprintf("s%d", i), disk.New(1<<24), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i))
 		nodes = append(nodes, 1+i)
 	}
-	fsys := pfs.New(k, net, pfs.DefaultConfig(), 0, nodes, stores)
+	fsys := pfs.New(k, net, pfs.Config{}, 0, nodes, stores)
 	w := mpi.NewWorld(k, net, mpi.BlockPlacement(ranks, ranksPerNode, 100))
 	return &rig{k: k, w: w, fsys: fsys}
 }
@@ -332,7 +330,7 @@ func TestPartitionDomainsCoverUnion(t *testing.T) {
 	if lo > 64<<10 || hi < 64<<10+8<<20 {
 		t.Fatalf("domains [%d,%d) do not cover union", lo, hi)
 	}
-	unit := r.fsys.Config().StripeUnit
+	unit := pfs.StripeUnit
 	for i := 0; i < info.n-1; i++ {
 		if d := info.domain(i); d.Off%unit != 0 || d.End() != info.domain(i+1).Off {
 			t.Fatalf("domain %d %v not stripe-aligned or not abutting the next", i, d)

@@ -29,7 +29,7 @@ func (fsys *FileSystem) VerifyDurable(name string, extents []ext.Extent) error {
 		return nil
 	}
 	var err error
-	ext.VisitSplit(ext.Merge(extents), fsys.cfg.StripeUnit, func(piece ext.Extent) {
+	ext.VisitSplit(ext.Merge(extents), StripeUnit, func(piece ext.Extent) {
 		if err == nil {
 			err = fsys.verifyPiece(name, piece)
 		}

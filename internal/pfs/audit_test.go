@@ -15,7 +15,7 @@ import (
 func TestVerifyDurableSingleReplica(t *testing.T) {
 	k, fsys := testFS(3)
 	fsys.EnableIntegrity()
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	w := []ext.Extent{{Off: 0, Len: 4 * unit}}
 	k.Spawn("client", func(p *sim.Proc) {
 		cl := fsys.Client(100)
@@ -38,7 +38,7 @@ func TestVerifyDurableSingleReplica(t *testing.T) {
 func TestVerifyDurableCatchesDroppedApply(t *testing.T) {
 	k, fsys := testFS(3)
 	tr := fsys.EnableIntegrity()
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	w := []ext.Extent{{Off: 0, Len: unit}}
 	k.Spawn("client", func(p *sim.Proc) {
 		cl := fsys.Client(100)
@@ -79,7 +79,7 @@ func TestVerifyDurableReplicated(t *testing.T) {
 	fsys.cfg.Replicas = 2
 	fsys.offsets = replicaOffsets(4, 2)
 	fsys.EnableIntegrity()
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	w := []ext.Extent{{Off: 0, Len: 8 * unit}}
 	k.Spawn("client", func(p *sim.Proc) {
 		cl := fsys.Client(100)

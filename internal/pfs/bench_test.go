@@ -17,7 +17,7 @@ import (
 func benchTransfer(b *testing.B, replicas int, write bool) {
 	k, fsys := testReplicatedFS(6, replicas)
 	cl := fsys.Client(100)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	extents := []ext.Extent{{Off: 0, Len: 6 * unit}}
 	do := cl.Read
 	if write {

@@ -453,7 +453,7 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 	// its global offset (split() merges adjacent local pieces, which would
 	// lose the correspondence).
 	var out []VersionSeg
-	ext.VisitSplit(extents, fsys.cfg.StripeUnit, func(piece ext.Extent) {
+	ext.VisitSplit(extents, StripeUnit, func(piece ext.Extent) {
 		primary, local := fsys.LocalOffset(piece.Off)
 		win := winners[primary]
 		if win == nil {

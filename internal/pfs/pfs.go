@@ -1,5 +1,5 @@
 // Package pfs models a PVFS2-like parallel file system: files are striped
-// in fixed-size units (64 KB default) across data servers; a metadata
+// in fixed-size units (StripeUnit, 64 KB) across data servers; a metadata
 // server handles open/create; clients issue read/write requests carrying
 // extent lists (list I/O, paper ref [6]) directly to the data servers.
 // Like PVFS2, there is no client-side data cache.
@@ -17,6 +17,11 @@ import (
 	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
+
+// StripeUnit is the striping unit in bytes (the PVFS2 default, 64 KB).
+// DualPar's global cache uses chunks of this size by default, so that one
+// chunk lands on one data server.
+const StripeUnit int64 = 64 << 10
 
 // The paper's PVFS2 2.8.2 servers; no run varies these.
 const (
@@ -37,10 +42,9 @@ const (
 	requestJitter = 0.5
 )
 
-// Config tunes the file system.
+// Config tunes the file system. The zero value is the paper's PVFS2
+// 2.8.2 setup.
 type Config struct {
-	// StripeUnit is the striping unit in bytes (PVFS2 default 64 KB).
-	StripeUnit int64
 	// ClientDiskOrigins tags disk requests with the requesting client's
 	// origin instead of the server's own identity. PVFS2 performs server
 	// I/O from the pvfs2-server process, so the kernel elevator sees one
@@ -75,18 +79,9 @@ type Config struct {
 	DetectDelay time.Duration
 }
 
-// DefaultConfig matches the paper's PVFS2 2.8.2 setup.
-func DefaultConfig() Config {
-	return Config{
-		StripeUnit: 64 << 10,
-	}
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.StripeUnit <= 0:
-		return fmt.Errorf("pfs: StripeUnit %d", c.StripeUnit)
 	case c.RequestTimeout < 0:
 		return fmt.Errorf("pfs: RequestTimeout %v", c.RequestTimeout)
 	case c.MaxRetries < 0:
@@ -291,9 +286,6 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 	return fsys
 }
 
-// Config returns the file system configuration.
-func (fsys *FileSystem) Config() Config { return fsys.cfg }
-
 // SetObs attaches the observability collector: traced requests then record
 // per-worker StageServer spans.
 func (fsys *FileSystem) SetObs(c *obs.Collector) { fsys.obs = c }
@@ -471,7 +463,7 @@ func (fsys *FileSystem) split(extents []ext.Extent) [][]ext.Extent {
 // NumServers, every sub-slice empty), so the hot path can reuse checked-out
 // buffers instead of allocating per operation.
 func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
-	ext.VisitSplit(extents, fsys.cfg.StripeUnit, func(piece ext.Extent) {
+	ext.VisitSplit(extents, StripeUnit, func(piece ext.Extent) {
 		srv, local := fsys.LocalOffset(piece.Off)
 		lst := out[srv]
 		if len(lst) > 0 && lst[len(lst)-1].End() == local {
@@ -487,8 +479,7 @@ func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
 // offset): the one copy of the striping rule, used by splitInto on every
 // operation and by the integrity oracles, layout-aware tooling and tests.
 func (fsys *FileSystem) LocalOffset(off int64) (server int, local int64) {
-	unit := fsys.cfg.StripeUnit
-	stripe := off / unit
+	stripe := off / StripeUnit
 	n := int64(fsys.NumServers())
-	return int(stripe % n), (stripe/n)*unit + off%unit
+	return int(stripe % n), (stripe/n)*StripeUnit + off%StripeUnit
 }

@@ -22,18 +22,16 @@ func testFS(nservers int) (*sim.Kernel, *FileSystem) {
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < nservers; i++ {
-		p := disk.DefaultParams()
-		p.Sectors = 1 << 24
-		st := fs.New(k, fmt.Sprintf("s%d", i), disk.New(p), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i)
+		st := fs.New(k, fmt.Sprintf("s%d", i), disk.New(1<<24), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i)
 		nodes = append(nodes, 1+i)
 		stores = append(stores, st)
 	}
-	return k, New(k, net, DefaultConfig(), 0, nodes, stores)
+	return k, New(k, net, Config{}, 0, nodes, stores)
 }
 
 func TestSplitRoundRobinStriping(t *testing.T) {
 	_, fsys := testFS(3)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	per := fsys.split([]ext.Extent{{Off: 0, Len: 6 * unit}})
 	for i := 0; i < 3; i++ {
 		if got := ext.Total(per[i]); got != 2*unit {
@@ -48,7 +46,7 @@ func TestSplitRoundRobinStriping(t *testing.T) {
 
 func TestSplitUnalignedExtent(t *testing.T) {
 	_, fsys := testFS(2)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	// Extent straddles the first stripe boundary, unaligned on both ends.
 	per := fsys.split([]ext.Extent{{Off: unit / 2, Len: unit}})
 	if ext.Total(per[0])+ext.Total(per[1]) != unit {
@@ -64,7 +62,7 @@ func TestSplitUnalignedExtent(t *testing.T) {
 
 func TestLocalOffset(t *testing.T) {
 	_, fsys := testFS(3)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	cases := []struct {
 		off    int64
 		server int
@@ -210,10 +208,14 @@ func fsysNet(fsys *FileSystem) *netsim.Network { return fsys.net }
 
 func TestValidateConfig(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.StripeUnit = 0 },
+		func(c *Config) { c.RequestTimeout = -1 },
+		func(c *Config) { c.MaxRetries = -1 },
+		func(c *Config) { c.RetryBackoff = -1 },
+		func(c *Config) { c.Replicas = -1 },
+		func(c *Config) { c.DetectDelay = -1 },
 	}
 	for i, mutate := range bad {
-		c := DefaultConfig()
+		c := Config{}
 		mutate(&c)
 		if c.Validate() == nil {
 			t.Fatalf("case %d passed", i)

@@ -41,7 +41,7 @@ func TestSplitConservesBytes(t *testing.T) {
 // the server LocalOffset predicts.
 func TestSplitMatchesLocalOffset(t *testing.T) {
 	_, fsys := testFS(4)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	f := func(off uint32) bool {
 		o := int64(off) % (32 << 20)
 		per := fsys.split([]ext.Extent{{Off: o, Len: 1}})

@@ -74,7 +74,7 @@ func TestWriteQuorumDefaults(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3},
 	}
 	for _, c := range cases {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.Replicas = c.replicas
 		fsys := &FileSystem{cfg: cfg}
 		if got := fsys.writeQuorum(); got != c.want {
@@ -158,13 +158,11 @@ func testReplicatedFS(nservers, replicas int) (*sim.Kernel, *FileSystem) {
 	var nodes []int
 	var stores []*fs.Store
 	for i := 0; i < nservers; i++ {
-		p := disk.DefaultParams()
-		p.Sectors = 1 << 24
-		st := fs.New(k, fmt.Sprintf("s%d", i), disk.New(p), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i)
+		st := fs.New(k, fmt.Sprintf("s%d", i), disk.New(1<<24), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i)
 		nodes = append(nodes, 1+i)
 		stores = append(stores, st)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Replicas = replicas
 	return k, New(k, net, cfg, 0, nodes, stores)
 }
@@ -173,7 +171,7 @@ func TestReplicatedWriteStampsEveryReplica(t *testing.T) {
 	k, fsys := testReplicatedFS(3, 2)
 	tr := fsys.EnableIntegrity()
 	cl := fsys.Client(100)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	k.Spawn("writer", func(p *sim.Proc) {
 		cl.Create(p, "f", 3*unit)
 		if err := cl.Write(p, "f", []ext.Extent{{Off: 0, Len: 3 * unit}}, 1, obs.Ctx{}); err != nil {
@@ -205,7 +203,7 @@ func TestReadVersionsRoundTrip(t *testing.T) {
 	k, fsys := testReplicatedFS(3, 2)
 	fsys.EnableIntegrity()
 	cl := fsys.Client(100)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	var got []VersionSeg
 	k.Spawn("rw", func(p *sim.Proc) {
 		cl.Create(p, "f", 4*unit)
@@ -261,7 +259,7 @@ func TestWriteRetrySleepsBeforeReissue(t *testing.T) {
 	inj.SetObs(col)
 	fsys.SetFaults(inj)
 	cl := fsys.Client(100)
-	unit := fsys.cfg.StripeUnit
+	unit := StripeUnit
 	var rc obs.Ctx
 	k.Spawn("writer", func(p *sim.Proc) {
 		cl.Create(p, "f", unit)

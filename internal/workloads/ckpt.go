@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"dualpar/internal/ext"
@@ -61,20 +62,24 @@ func (c EpochCheckpoint) TotalBytes() int64 {
 	return int64(c.Procs) * c.BlockBytes * int64(c.Epochs)
 }
 
-// rankFile names rank r's private checkpoint file (N-N pattern).
-func (c EpochCheckpoint) rankFile(r int) string {
-	return fmt.Sprintf("%s.r%d", c.BaseName, r)
+// file names the file rank r writes: the shared file (N-1) or the rank's
+// private one (N-N).
+func (c EpochCheckpoint) file(r int) string {
+	if c.Shared {
+		return c.BaseName
+	}
+	return c.BaseName + ".r" + strconv.Itoa(r)
 }
 
-// extent returns the region rank r writes for epoch e (1-based), and the
-// file holding it. Epoch regions never overlap, so no epoch's data is ever
+// block returns the region of its file that rank r writes for epoch e
+// (1-based). Epoch regions never overlap, so no epoch's data is ever
 // overwritten by a later one.
-func (c EpochCheckpoint) extent(r, e int) (string, ext.Extent) {
+func (c EpochCheckpoint) block(r, e int) ext.Extent {
 	if c.Shared {
 		epochBase := int64(e-1) * int64(c.Procs) * c.BlockBytes
-		return c.BaseName, ext.Extent{Off: epochBase + int64(r)*c.BlockBytes, Len: c.BlockBytes}
+		return ext.Extent{Off: epochBase + int64(r)*c.BlockBytes, Len: c.BlockBytes}
 	}
-	return c.rankFile(r), ext.Extent{Off: int64(e-1) * c.BlockBytes, Len: c.BlockBytes}
+	return ext.Extent{Off: int64(e-1) * c.BlockBytes, Len: c.BlockBytes}
 }
 
 // Files implements Program.
@@ -84,7 +89,7 @@ func (c EpochCheckpoint) Files() []FileSpec {
 	}
 	specs := make([]FileSpec, c.Procs)
 	for r := 0; r < c.Procs; r++ {
-		specs[r] = FileSpec{Name: c.rankFile(r), Size: 0}
+		specs[r] = FileSpec{Name: c.file(r), Size: 0}
 	}
 	return specs
 }
@@ -95,13 +100,9 @@ func (c EpochCheckpoint) NewRank(r int) RankGen {
 		panic("workloads: EpochCheckpoint.BaseName empty")
 	}
 	// Extent e is the rank's block of epoch e+1.
-	file, _ := c.extent(r, 1)
-	blocks := tabulate(int64(c.Epochs), func(e int64) ext.Extent {
-		_, x := c.extent(r, int(e)+1)
-		return x
-	})
+	blocks := tabulate(int64(c.Epochs), func(e int64) ext.Extent { return c.block(r, int(e)+1) })
 	return newCalls(script{
-		kind: OpWrite, file: file, table: blocks, per: 1,
+		kind: OpWrite, file: c.file(r), table: blocks, per: 1,
 		compute: c.Interval, barrierEvery: 1, epoch: 1,
 	})
 }
@@ -131,6 +132,6 @@ func (r Restart) NewRank(rank int) RankGen {
 	if r.Epoch < 1 || r.Epoch > r.Ckpt.Epochs {
 		panic(fmt.Sprintf("workloads: Restart epoch %d outside [1,%d]", r.Epoch, r.Ckpt.Epochs))
 	}
-	file, x := r.Ckpt.extent(rank, r.Epoch)
-	return newCalls(script{kind: OpRead, file: file, table: []ext.Extent{x}, per: 1, epoch: r.Epoch})
+	x := r.Ckpt.block(rank, r.Epoch)
+	return newCalls(script{kind: OpRead, file: r.Ckpt.file(rank), table: []ext.Extent{x}, per: 1, epoch: r.Epoch})
 }

@@ -25,8 +25,8 @@ func TestEpochCheckpointNNPerRankFiles(t *testing.T) {
 	for r := 0; r < c.Procs; r++ {
 		ops := drain(t, c.NewRank(r), 1000)
 		for _, op := range ops {
-			if op.Kind == OpWrite && op.File != c.rankFile(r) {
-				t.Fatalf("rank %d wrote %q, want its private file %q", r, op.File, c.rankFile(r))
+			if op.Kind == OpWrite && op.File != c.file(r) {
+				t.Fatalf("rank %d wrote %q, want its private file %q", r, op.File, c.file(r))
 			}
 		}
 		if got := ioBytes(ops, OpWrite); got != c.BlockBytes*int64(c.Epochs) {
@@ -86,7 +86,7 @@ func TestRestartReadsCommittedEpochBlock(t *testing.T) {
 			if len(ops) != 1 || ops[0].Kind != OpRead {
 				t.Fatalf("shared=%v rank %d restart ops = %+v, want one read", shared, rank, ops)
 			}
-			wantFile, wantExt := c.extent(rank, 3)
+			wantFile, wantExt := c.file(rank), c.block(rank, 3)
 			if ops[0].File != wantFile || len(ops[0].Extents) != 1 || ops[0].Extents[0] != wantExt {
 				t.Fatalf("shared=%v rank %d read %q %v, want %q %v",
 					shared, rank, ops[0].File, ops[0].Extents, wantFile, wantExt)
@@ -124,6 +124,21 @@ func TestEpochCheckpointCloneIndependent(t *testing.T) {
 	for i := range a {
 		if a[i].Kind != b[i].Kind || a[i].Epoch != b[i].Epoch {
 			t.Fatalf("op %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestEpochCheckpointNewRankAllocs: a rank's file name is formatted once,
+// not once per epoch, so an N-N rank costs its name, its block table and
+// its script, like an N-1 rank plus the name.
+func TestEpochCheckpointNewRankAllocs(t *testing.T) {
+	for _, c := range []struct {
+		shared bool
+		max    float64
+	}{{true, 2}, {false, 3}} {
+		p := DefaultEpochCheckpoint(c.shared)
+		if got := testing.AllocsPerRun(100, func() { p.NewRank(3) }); got > c.max {
+			t.Errorf("%s NewRank: %v allocations, want <= %v", p.Name(), got, c.max)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // structs knobStructs finds. A change that adds a setting raises it and
 // says why; a change that turns a setting no caller varies into a constant
 // lowers it.
-const settableValues = 64
+const settableValues = 54
 
 // knobPackages are the packages whose configuration surface is counted.
 var knobPackages = []string{

@@ -21,10 +21,14 @@
 //	go run ./scripts/benchdiff -baseline '' -zero 'BenchmarkKernel' bench.txt
 //
 // -match REGEXP restricts the baseline comparison to matching benchmark
-// names (both sides), so a blocking CI step can gate just the deterministic
-// kernel microbenchmarks while the full noisy suite stays advisory:
+// names (both sides), so a blocking CI step can gate just the kernel
+// microbenchmarks while the full noisy suite stays advisory:
 //
-//	go run ./scripts/benchdiff -match '^BenchmarkKernel' -baseline BENCH_baseline.json bench.txt
+//	go run ./scripts/benchdiff -match '^BenchmarkKernel' -baseline base.json bench.txt
+//
+// A benchmark that appears on several input lines (a -count run, or
+// rounds appended to one file) is taken at the median of each metric, so
+// repeated rounds compare median to median.
 //
 // ns/op is compared within ±threshold (default 10%); allocs/op likewise but
 // a difference of at most one allocation is always tolerated (tiny counts
@@ -65,9 +69,11 @@ type Baseline struct {
 //	BenchmarkKernelEvents-8   100000   29.34 ns/op   0 B/op   0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-// parse extracts entries from `go test -bench` output.
+// parse extracts entries from `go test -bench` output. A benchmark on
+// several lines (a -count run, or rounds appended to one file) gets the
+// median of each metric.
 func parse(r io.Reader) (map[string]Entry, error) {
-	out := make(map[string]Entry)
+	runs := make(map[string][]Entry)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -75,7 +81,7 @@ func parse(r io.Reader) (map[string]Entry, error) {
 		if m == nil {
 			continue
 		}
-		e := out[m[1]]
+		var e Entry
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -91,9 +97,32 @@ func parse(r io.Reader) (map[string]Entry, error) {
 				e.AllocsPerOp = v
 			}
 		}
-		out[m[1]] = e
+		runs[m[1]] = append(runs[m[1]], e)
+	}
+	out := make(map[string]Entry, len(runs))
+	for name, es := range runs {
+		out[name] = Entry{
+			NsPerOp:     median(es, func(e Entry) float64 { return e.NsPerOp }),
+			AllocsPerOp: median(es, func(e Entry) float64 { return e.AllocsPerOp }),
+			BytesPerOp:  median(es, func(e Entry) float64 { return e.BytesPerOp }),
+		}
 	}
 	return out, sc.Err()
+}
+
+// median returns the median of metric over es: the middle value, or the
+// mean of the middle two for an even count.
+func median(es []Entry, metric func(Entry) float64) float64 {
+	v := make([]float64, len(es))
+	for i, e := range es {
+		v[i] = metric(e)
+	}
+	sort.Float64s(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 func sortedNames(m map[string]Entry) []string {
