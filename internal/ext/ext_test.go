@@ -357,6 +357,38 @@ func TestMergerReuse(t *testing.T) {
 	}
 }
 
+// A Unioner reused across unions allocates nothing once grown, and after
+// Union keeps none of the lists it was given reachable.
+func TestUnionerReuse(t *testing.T) {
+	var lists [][]Extent
+	for r := int64(0); r < 13; r++ {
+		lists = append(lists, []Extent{{r * 4, 4}, {r*4 + 64, 4}, {r*4 + 128, 4}})
+	}
+	var u Unioner
+	buf := make([]Extent, 0, 8)
+	unite := func() {
+		for _, xs := range lists {
+			u.Add(xs)
+		}
+		buf = u.Union(buf)
+	}
+	unite()
+	if allocs := testing.AllocsPerRun(100, unite); allocs != 0 {
+		t.Fatalf("warm union allocated %v times", allocs)
+	}
+	if want := []Extent{{0, 52}, {64, 52}, {128, 52}}; !eq(buf, want) {
+		t.Fatalf("Union = %v, want %v", buf, want)
+	}
+	for _, l := range u.stack[:cap(u.stack)] {
+		if l.xs != nil {
+			t.Fatal("a finished union still references a list")
+		}
+	}
+	if got := u.Union(buf); len(got) != 0 {
+		t.Fatalf("empty union = %v", got)
+	}
+}
+
 // Property: sieving a canonical list adds exactly its holes' bytes.
 func TestHolesAccounting(t *testing.T) {
 	f := func(seed int64, n uint8, hole uint16) bool {

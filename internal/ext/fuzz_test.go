@@ -154,30 +154,82 @@ func FuzzAlignSplitRoundTrip(f *testing.F) {
 	})
 }
 
+// decodeLists reads extent lists from fuzz data: each byte pair is one
+// extent, offset then length modulo 4; a zero byte ends a list.
+func decodeLists(data []byte) [][]Extent {
+	var lists [][]Extent
+	var cur []Extent
+	for len(data) >= 2 {
+		if data[0] == 0 {
+			lists = append(lists, cur)
+			cur = nil
+			data = data[1:]
+			continue
+		}
+		cur = append(cur, Extent{Off: int64(data[0]), Len: int64(data[1] % 4)})
+		data = data[2:]
+	}
+	return append(lists, cur)
+}
+
 // FuzzMerger checks the Merger against its specification on arbitrary
 // lists: the merge is the (Off, Len)-sorted flattening of the non-empty
-// extents. Each byte pair of data is one extent; a zero byte ends a list.
+// extents.
 func FuzzMerger(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 2, 0, 2, 0, 1, 1})
 	f.Add([]byte{9, 1, 4, 1, 9, 1, 0, 0, 9, 2, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var lists [][]Extent
-		var cur []Extent
-		for len(data) >= 2 {
-			if data[0] == 0 {
-				lists = append(lists, cur)
-				cur = nil
-				data = data[1:]
-				continue
-			}
-			cur = append(cur, Extent{Off: int64(data[0]), Len: int64(data[1] % 4)})
-			data = data[2:]
-		}
-		lists = append(lists, cur)
+		lists := decodeLists(data)
 		var m Merger
 		m.Reset(lists)
 		if got, want := drain(&m), sortedFlat(lists); !eq(got, want) {
 			t.Fatalf("merge of %v = %v, want %v", lists, got, want)
+		}
+	})
+}
+
+// FuzzUnion checks the Unioner against Merge on arbitrary canonical lists
+// (decodeLists' lists, each put in canonical form, so empty and single
+// lists occur): the union equals Merge of their concatenation. One
+// Unioner serves every input, which it unites twice, the second time in
+// reverse order, and it leaves the lists as they were.
+func FuzzUnion(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 2, 0, 2, 0, 1, 1})
+	f.Add([]byte{9, 1, 4, 1, 9, 1, 0, 0, 9, 2, 9, 1})
+	f.Add([]byte{0, 0, 5, 3})
+	var many []byte // 21 lists: up to four partial unions at once
+	for i := byte(1); i <= 21; i++ {
+		many = append(many, i, 2, 3*i+40, 1, 0)
+	}
+	f.Add(many)
+	var u Unioner
+	var buf []Extent
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lists := decodeLists(data)
+		var all, in []Extent
+		for i, xs := range lists {
+			lists[i] = Merge(xs)
+			all = append(all, xs...)
+			in = append(in, lists[i]...)
+		}
+		want := Merge(all)
+		for pass := 0; pass < 2; pass++ {
+			for i := range lists {
+				if pass == 1 {
+					i = len(lists) - 1 - i
+				}
+				u.Add(lists[i])
+			}
+			if buf = u.Union(buf); !eq(buf, want) {
+				t.Fatalf("union of %v (pass %d) = %v, want %v", lists, pass, buf, want)
+			}
+		}
+		var after []Extent
+		for _, xs := range lists {
+			after = append(after, xs...)
+		}
+		if !eq(after, in) {
+			t.Fatalf("union modified its lists: %v, were %v", after, in)
 		}
 	})
 }

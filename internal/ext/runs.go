@@ -6,8 +6,8 @@ import "math"
 // order without copying them. DualPar's request lists hold each request's
 // own extent slice by reference, and those slices are long ascending runs
 // (a strided request ascends; ranks interleave whole requests), so a k-way
-// merge over the runs replaces a sort of the flattened list. Two-phase
-// collective planning merges each rank's canonical window the same way.
+// merge over the runs replaces a sort of the flattened list. Lists that
+// are already canonical are united faster by Unioner.
 //
 // It is a loser tree over the maximal ascending runs of the slices. Zero-
 // length extents are skipped and do not end a run. Ordering by length

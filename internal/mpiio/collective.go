@@ -45,7 +45,6 @@ func (ai aggInfo) domain(i int) ext.Extent {
 // aggregators perform large contiguous file accesses (with data sieving).
 func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write bool) {
 	end := f.instr.begin(p, rank)
-	myBytes := ext.Total(extents)
 
 	// Phase 0: metadata exchange. Each rank hands out a pointer to its
 	// summary (nil for an empty list); all[r] is rank r's. The others read
@@ -55,6 +54,8 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 	// pointer handed out is nil.
 	metaBytes := int64(16*len(extents)) + 64
 	all := f.w.AllgatherVals(p, rank, f.summarize(rank, extents), metaBytes)
+	st := &f.ranks[rank]
+	myBytes := st.sum.total
 	lo, hi, ok := span(all)
 	if !ok {
 		end.finish(p, 0)
@@ -68,14 +69,20 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 		}
 	}
 
+	// The send vector is the rank's own, reused across calls: every rank
+	// reads it at the instant the all-to-all releases them all, before the
+	// owner's post-exchange Sleep ends and it can start the next call.
+	if st.send == nil {
+		st.send = make([]int64, f.w.Size())
+	}
+	send := st.send
+	clear(send)
 	// Only the aggregator materializes the union restricted to its own
 	// file domain. It plans into its own buffer, which it keeps across the
 	// blocking aggregatorIO, and a reading aggregator counts what it owes
 	// each rank while it plans. Off aggregators, needed stays empty and
 	// aggregatorIO does nothing.
-	st := &f.ranks[rank]
 	var needed []ext.Extent
-	send := make([]int64, f.w.Size())
 	if myAgg >= 0 {
 		var owed []int64
 		if !write {
@@ -86,7 +93,7 @@ func (f *File) collective(p *sim.Proc, rank int, extents []ext.Extent, write boo
 	}
 	if write {
 		// Phase 1 (write): owners ship data to aggregators.
-		writeSend(send, extents, agg)
+		writeSend(send, &st.sum, agg)
 		f.w.Alltoallv(p, rank, send)
 		// Phase 2: aggregators write their domains.
 		f.aggregatorIO(p, rank, needed, true)
@@ -115,6 +122,8 @@ type summary struct {
 	// byte count over any range, overlaps counted each time, is canon's
 	// plus dups'. It is empty when the list's extents are disjoint.
 	dups []ext.Extent
+	// total is the list's summed length, as ext.Total gives it.
+	total int64
 }
 
 // summarize fills rank's summary with xs and returns what the rank hands
@@ -138,7 +147,18 @@ func (f *File) summarize(rank int, xs []ext.Extent) *summary {
 // which later calls reuse.
 func (s *summary) set(xs []ext.Extent) {
 	s.dups = s.dups[:0]
-	if canonical(xs) {
+	// One pass sums the list and checks whether it already is in
+	// ext.Merge's form: non-empty extents in offset order with a gap
+	// between neighbours.
+	s.total = 0
+	canonical := true
+	for i, e := range xs {
+		s.total += e.Len
+		if e.Len <= 0 || i > 0 && e.Off <= xs[i-1].End() {
+			canonical = false
+		}
+	}
+	if canonical {
 		s.canon = xs
 		return
 	}
@@ -171,17 +191,6 @@ func (s *summary) set(xs []ext.Extent) {
 	s.canon = out
 }
 
-// canonical reports whether xs is already in ext.Merge's form: non-empty
-// extents in offset order with a gap between neighbours.
-func canonical(xs []ext.Extent) bool {
-	for i, e := range xs {
-		if e.Len <= 0 || i > 0 && e.Off <= xs[i-1].End() {
-			return false
-		}
-	}
-	return true
-}
-
 // span is the range [lo, hi) the exchanged summaries' accesses fall in,
 // read off the ends of their canonical lists; ok is false when no rank
 // accesses a byte.
@@ -207,16 +216,15 @@ func span(all []any) (lo, hi int64, ok bool) {
 // (all[r] is rank r's, nil for an empty list) clipped to domain d, in the
 // canonical form ext.Merge gives, built in buf's storage. Each canonical
 // list is sorted with disjoint extents, so its overlap with d is a window
-// found by binary search; the File's ext.Merger coalesces the P windows.
+// found by binary search; the File's ext.Unioner unites the P windows.
 // Every window extent overlaps d, so only the union's first and last
 // extents can reach past d and need clipping. When owed is non-nil, owed[r]
 // gains rank r's bytes in d counted as overlapTotal counts them over r's
 // list: those of r's window, plus what r's list covers more than once (its
-// summary's dups). Once buf, the File's window list and its merger have
-// grown to fit, it allocates nothing.
+// summary's dups). Once buf and the File's Unioner have grown to fit, it
+// allocates nothing.
 func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int64) []ext.Extent {
 	dLo, dHi := d.Off, d.End()
-	windows := f.windows[:0]
 	for r, v := range all {
 		s, _ := v.(*summary)
 		if s == nil {
@@ -230,11 +238,9 @@ func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int6
 		if owed != nil {
 			owed[r] += overlapTotal(c[i:j], d) + overlapTotal(s.dups, d)
 		}
-		windows = append(windows, c[i:j])
+		f.union.Add(c[i:j])
 	}
-	f.windows = windows
-	f.merge.Reset(windows)
-	buf = f.merge.Coalesce(buf, 0)
+	buf = f.union.Union(buf)
 	if n := len(buf); n > 0 {
 		buf[0], _ = buf[0].Clip(dLo, dHi)
 		buf[n-1], _ = buf[n-1].Clip(dLo, dHi)
@@ -242,17 +248,25 @@ func (f *File) domainPlan(buf []ext.Extent, all []any, d ext.Extent, owed []int6
 	return buf
 }
 
-// writeSend adds to send, for each aggregator, the bytes of xs in its file
-// domain, counting bytes that xs covers more than once each time. Every
-// byte of xs lies in the partition's span, so one pass over xs places each
-// byte without scanning the list once per domain.
-func writeSend(send []int64, xs []ext.Extent, agg aggInfo) {
-	for _, e := range xs {
-		for off, end := e.Off, e.End(); off < end; {
-			i := (off - agg.lo) / agg.per
-			n := min(end, agg.lo+(i+1)*agg.per) - off
-			send[agg.rank(int(i))] += n
-			off += n
+// writeSend adds to send, for each aggregator, the bytes in its file
+// domain of the list s summarises, counting bytes that the list covers more
+// than once each time: those of s's canonical list plus those of its dups.
+// Every byte lies in the partition's span. Both lists are sorted, so a
+// cursor over the domains mostly stays put, and a domain's index and rank
+// are computed only when an extent leaves the cursor's domain.
+func writeSend(send []int64, s *summary, agg aggInfo) {
+	dLo, r := agg.lo, agg.rank(0) // the cursor: its domain's start and aggregator
+	for _, xs := range [...][]ext.Extent{s.canon, s.dups} {
+		for _, e := range xs {
+			for off, end := e.Off, e.End(); off < end; {
+				if off < dLo || off >= dLo+agg.per {
+					i := int((off - agg.lo) / agg.per)
+					dLo, r = agg.lo+int64(i)*agg.per, agg.rank(i)
+				}
+				n := min(end, dLo+agg.per) - off
+				send[r] += n
+				off += n
+			}
 		}
 	}
 }

@@ -145,7 +145,7 @@ func checkPlan(t testing.TB, f *File, perRank [][]ext.Extent) {
 	}
 	for rk, xs := range perRank {
 		send := make([]int64, size)
-		writeSend(send, xs, agg)
+		writeSend(send, &f.ranks[rk].sum, agg)
 		want := make([]int64, size)
 		for i, d := range domains {
 			want[agg.rank(i)] = overlapTotal(xs, d)
@@ -223,17 +223,48 @@ func FuzzCollectivePlan(f *testing.F) {
 // Once the first call has sized the buffers, a call allocates nothing.
 func BenchmarkCollectivePlan(b *testing.B) {
 	const ranks = 64
-	r := newRig(b, 2, ranks, 8)
-	f := r.open("btio.dat", DefaultConfig())
 	bt := workloads.DefaultBTIO()
 	bt.Procs = ranks
 	lists := make([][]ext.Extent, ranks)
-	var n int
 	for rk := range lists {
 		g := bt.NewRank(rk)
 		g.Next(workloads.TrueEnv{}) // the step's compute
 		lists[rk] = g.Next(workloads.TrueEnv{}).Extents
-		n += len(lists[rk])
+	}
+	benchPlan(b, lists)
+}
+
+// BenchmarkCollectivePlanSparse is BenchmarkCollectivePlan's plan over
+// lists that do not interleave: each rank's 2048 extents, of random
+// lengths with random gaps between them, fill a block of the file of its
+// own, and the blocks lie in random rank order. A domain's union then is
+// as long as its windows together.
+func BenchmarkCollectivePlanSparse(b *testing.B) {
+	const ranks, perRank = 64, 2048
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]ext.Extent, ranks)
+	var off int64
+	for _, rk := range rng.Perm(ranks) {
+		for i := 0; i < perRank; i++ {
+			off += 1 + rng.Int63n(64)
+			n := 1 + rng.Int63n(64)
+			lists[rk] = append(lists[rk], ext.Extent{Off: off, Len: n})
+			off += n
+		}
+	}
+	benchPlan(b, lists)
+}
+
+// benchPlan times the plans of one two-phase write call over lists, one
+// per rank of a world with 8 ranks per node, after a first call has sized
+// the buffers.
+func benchPlan(b *testing.B, lists [][]ext.Extent) {
+	ranks := len(lists)
+	r := newRig(b, 2, ranks, 8)
+	f := r.open("plan.dat", DefaultConfig())
+	var n int
+	for _, xs := range lists {
+		n += len(xs)
 	}
 	all := make([]any, ranks)
 	send := make([]int64, ranks)
@@ -247,12 +278,12 @@ func BenchmarkCollectivePlan(b *testing.B) {
 			st := &f.ranks[agg.rank(a)]
 			st.plan = f.domainPlan(st.plan, all, agg.domain(a), nil)
 		}
-		for _, xs := range lists {
+		for rk := range lists {
 			clear(send)
-			writeSend(send, xs, agg)
+			writeSend(send, &f.ranks[rk].sum, agg)
 		}
 	}
-	plan() // sizes the buffers: the steady state is what is measured
+	plan()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

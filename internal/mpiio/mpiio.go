@@ -71,11 +71,10 @@ type File struct {
 	// outlives the proc blocking in aggregatorIO; the next collective call
 	// by r overwrites it.
 	ranks []rankState
-	// windows and merge are the per-rank windows and the k-way merge of
-	// the aggregator planning its domain. A plan runs without blocking, so
-	// one pair serves every aggregator.
-	windows [][]ext.Extent
-	merge   ext.Merger
+	// union unites the rank windows of the aggregator planning its
+	// domain. A plan runs without blocking, so one serves every
+	// aggregator.
+	union ext.Unioner
 }
 
 // rankState is what one rank keeps on the File between collective calls.
@@ -83,6 +82,7 @@ type rankState struct {
 	sum   summary      // the rank's list, summarised for the exchange
 	plan  []ext.Extent // the rank's file-domain plan when it aggregates
 	batch []ext.Extent // one collective-buffer cycle of the plan
+	send  []int64      // the rank's all-to-all send vector
 }
 
 // Open creates the shared file handle. origins[r] tags rank r's disk

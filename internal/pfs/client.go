@@ -181,7 +181,7 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 				srv := fsys.replicaServer(i, rank)
 				if fsys.down[srv.Index] {
 					// Known-dead replica: skip the wire, note it for rebuild.
-					fsys.ledger.add(srv.Index, replicaFile(name, rank), lst)
+					fsys.ledger.add(srv.Index, fsys.storeFile(name, rank), lst)
 					continue
 				}
 				c.issueTo(p, g, rank, true, origin, rc)
@@ -218,7 +218,7 @@ func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin
 	is.srv, is.rank = fsys.replicaServer(g.primary, rank), rank
 	g.reps = append(g.reps, is)
 	req := fsys.getServerReq()
-	req.file = replicaFile(g.file, rank)
+	req.file = fsys.storeFile(g.file, rank)
 	req.extents = g.lst
 	req.write = write
 	req.origin = origin
@@ -316,7 +316,7 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup) error {
 			// write; note it so the rebuild re-copies from a peer.
 			for _, is := range g.reps {
 				if !is.finished() && fsys.down[is.srv.Index] {
-					fsys.ledger.add(is.srv.Index, replicaFile(g.file, is.rank), g.lst)
+					fsys.ledger.add(is.srv.Index, fsys.storeFile(g.file, is.rank), g.lst)
 				}
 			}
 			return nil

@@ -116,6 +116,7 @@ type FileSystem struct {
 	rebuilding []bool
 	viewSig    *sim.Signal
 	ledger     *rebuildLedger
+	storeNames map[string][]string // storeFile's names by file and rank
 	tracker    *Tracker
 	verCounter int64
 	failovers  int64

@@ -92,6 +92,26 @@ func replicaFile(name string, rank int) string {
 	return name + "#r" + strconv.Itoa(rank)
 }
 
+// storeFile is replicaFile(name, rank), formatted once per file and kept,
+// so that issuing a request to a replica formats no name.
+func (fsys *FileSystem) storeFile(name string, rank int) string {
+	if rank == 0 {
+		return name
+	}
+	names := fsys.storeNames[name]
+	if names == nil {
+		if fsys.storeNames == nil {
+			fsys.storeNames = make(map[string][]string)
+		}
+		names = make([]string, fsys.replicas())
+		for r := range names {
+			names[r] = replicaFile(name, r)
+		}
+		fsys.storeNames[name] = names
+	}
+	return names[rank]
+}
+
 // replicaBase splits a possibly rank-namespaced store file back into the
 // logical name and replica rank.
 func replicaBase(file string) (string, int) {
