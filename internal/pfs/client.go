@@ -112,15 +112,22 @@ func (is *issued) finished() bool {
 
 // xferGroup is the per-primary-server unit of a transfer: the local extent
 // list, one done signal shared by every replica attempt, and the
-// per-replica outstanding requests.
+// per-replica outstanding requests. held counts the attempts a server
+// queue or worker still holds: send adds one when a message reaches a
+// queue (none for one lost on the wire), and the worker's release takes it
+// back once it has dropped or served the attempt. op is nil while the op
+// runs; putOp sets it on a group still held when the op returns, and the
+// release that brings held to zero then recycles the group. primary and
+// held are int32 so that the record stays in the 112-byte size class.
 type xferGroup struct {
-	primary int
+	primary int32
+	held    int32
 	file    string
 	lst     []ext.Extent
 	msg     int64
 	done    sim.Signal // shared by every replica attempt (see issueTo)
 	reps    []*issued
-	ver     int64
+	op      *xferOp
 }
 
 func (g *xferGroup) winner() *issued {
@@ -132,21 +139,9 @@ func (g *xferGroup) winner() *issued {
 	return nil
 }
 
-// settled reports whether every attempt of every replica has finished, so
-// no server queue or worker can still reference the group's records.
-func (g *xferGroup) settled() bool {
-	for _, is := range g.reps {
-		for _, a := range is.attempts {
-			if !a.fin {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // xferOp is the per-operation transfer record: the per-server split of the
-// extents and the stripe groups built over it.
+// extents and the stripe groups built over it. Once the op has returned,
+// groups holds only those a server still holds (see putOp).
 type xferOp struct {
 	per    [][]ext.Extent
 	groups []*xferGroup
@@ -173,7 +168,7 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 			continue
 		}
 		g := fsys.getGroup()
-		g.primary, g.file, g.lst, g.ver = i, name, lst, ver
+		g.primary, g.file, g.lst = int32(i), name, lst
 		g.msg = headerBytes + extentDescBytes*int64(len(lst))
 		if write {
 			g.msg += ext.Total(lst) // write payload travels with the request
@@ -184,10 +179,10 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 					fsys.ledger.add(srv.Index, fsys.storeFile(name, rank), lst)
 					continue
 				}
-				c.issueTo(p, g, rank, true, origin, rc)
+				c.issueTo(p, g, rank, true, ver, origin, rc)
 			}
 		} else {
-			c.issueTo(p, g, fsys.preferredRank(i), false, origin, rc)
+			c.issueTo(p, g, fsys.preferredRank(i), false, 0, origin, rc)
 		}
 		op.groups = append(op.groups, g)
 	}
@@ -209,13 +204,14 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 }
 
 // issueTo sends one replica attempt of the group to the given rank's
-// server. The message may vanish en route to a crashed server; the
+// server, stamped with the op's integrity write version ver (0 =
+// untracked). The message may vanish en route to a crashed server; the
 // attempt is still recorded (the client cannot know) and the watchdog or
 // view change recovers.
-func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin int, rc obs.Ctx) {
+func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, ver int64, origin int, rc obs.Ctx) {
 	fsys := c.fsys
 	is := fsys.getIssued()
-	is.srv, is.rank = fsys.replicaServer(g.primary, rank), rank
+	is.srv, is.rank = fsys.replicaServer(int(g.primary), rank), rank
 	g.reps = append(g.reps, is)
 	req := fsys.getServerReq()
 	req.file = fsys.storeFile(g.file, rank)
@@ -223,9 +219,9 @@ func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin
 	req.write = write
 	req.origin = origin
 	req.client = c.Node
-	req.done = &g.done
+	req.g = g
 	req.rc = rc
-	req.ver = g.ver
+	req.ver = ver
 	c.send(p, g, is, req)
 }
 
@@ -240,15 +236,17 @@ func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued) {
 	c.send(p, g, is, dup)
 }
 
-// send records the attempt and puts it on the wire. A message voided by a
-// crashed but not yet detected server never reaches its queue, so no
-// worker will note a voided write for the rebuild: send does, as the
-// worker does for a write voided in the queue.
+// send records the attempt and puts it on the wire. A message that
+// reaches the server's queue is held there until a worker releases it. A
+// message voided by a crashed but not yet detected server never reaches
+// its queue, so no worker will note a voided write for the rebuild: send
+// does, as the worker does for a write voided in the queue.
 func (c *Client) send(p *sim.Proc, g *xferGroup, is *issued, req *serverReq) {
 	fsys := c.fsys
 	is.attempts = append(is.attempts, req)
 	if fsys.net.SendLossy(p, c.Node, is.srv.Node, g.msg, req.rc) {
 		req.enq = p.Now()
+		g.held++
 		is.srv.queue.Put(req)
 	} else if req.write {
 		fsys.ledger.add(is.srv.Index, req.file, req.extents)
@@ -305,7 +303,7 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup) error {
 			}
 		}
 		if possible == 0 {
-			return &RetryError{Op: "write", File: g.file, Server: g.primary}
+			return &RetryError{Op: "write", File: g.file, Server: int(g.primary)}
 		}
 		need := fsys.writeQuorum()
 		if possible < need {
@@ -373,15 +371,15 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 		if g.winner() != nil {
 			return nil
 		}
-		if fsys.allReplicasDown(g.primary) {
-			return &RetryError{Op: "read", File: g.file, Server: g.primary}
+		if fsys.allReplicasDown(int(g.primary)) {
+			return &RetryError{Op: "read", File: g.file, Server: int(g.primary)}
 		}
 		cur := g.reps[len(g.reps)-1]
 		if fsys.down[cur.srv.Index] {
 			// The failure detector declared the current target dead: fail
 			// over to the next live replica immediately. View-triggered
 			// failover does not consume the retry budget.
-			next, ok := fsys.nextRank(g.primary, cur.rank)
+			next, ok := fsys.nextRank(int(g.primary), cur.rank)
 			if !ok {
 				continue // allReplicasDown catches it next iteration
 			}
@@ -389,10 +387,10 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 			if fsys.obs.Enabled() {
 				fsys.obs.Instant("failover", fmt.Sprintf("client%d", c.Node), p.Now(),
 					obs.I64("from", int64(cur.srv.Index)),
-					obs.I64("to", int64(fsys.replicaServer(g.primary, next).Index)),
+					obs.I64("to", int64(fsys.replicaServer(int(g.primary), next).Index)),
 					obs.Str("file", g.file))
 			}
-			c.issueTo(p, g, next, false, origin, rc)
+			c.issueTo(p, g, next, false, 0, origin, rc)
 			if timeout > 0 {
 				deadline = p.Now() + timeout
 			}
@@ -405,11 +403,11 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 			}
 			retry++
 			fsys.retries++
-			next, ok := fsys.nextRank(g.primary, cur.rank)
+			next, ok := fsys.nextRank(int(g.primary), cur.rank)
 			if !ok {
 				continue
 			}
-			nsrv := fsys.replicaServer(g.primary, next)
+			nsrv := fsys.replicaServer(int(g.primary), next)
 			if fsys.obs.Enabled() {
 				fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
 					obs.I64("server", int64(nsrv.Index)), obs.I64("attempt", int64(retry)),
@@ -422,7 +420,7 @@ func (c *Client) awaitRead(p *sim.Proc, g *xferGroup, origin int, rc obs.Ctx) er
 				p.Sleep(backoff)
 				backoff *= 2
 			}
-			c.issueTo(p, g, next, false, origin, rc)
+			c.issueTo(p, g, next, false, 0, origin, rc)
 			timeout *= 2
 			deadline = p.Now() + timeout
 			continue
@@ -445,7 +443,7 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 	if err != nil {
 		return nil, err
 	}
-	winners := make(map[int]*issued, len(op.groups))
+	winners := make([]*issued, fsys.NumServers())
 	for _, g := range op.groups {
 		winners[g.primary] = g.winner()
 	}

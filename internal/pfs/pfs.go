@@ -7,6 +7,7 @@ package pfs
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dualpar/internal/check"
@@ -130,13 +131,13 @@ type FileSystem struct {
 	auditRebuild []int64
 
 	// Free lists for the per-operation transfer records (client.go). A
-	// steady-state client op whose attempts have all finished allocates
-	// nothing: requests, per-replica records, stripe groups, and the
-	// per-server split buffer all cycle through these. Push/pop happens
-	// only between parks, so strict alternation is the lock. Recycling is
-	// conservative: a group with any attempt still queued, in a worker, or
-	// voided by a crash is left to the garbage collector, and so is the
-	// split buffer its extent lists live in (see putOp).
+	// steady-state client op allocates nothing: requests, per-replica
+	// records, stripe groups, and the per-server split buffer all cycle
+	// through these. Push/pop happens only between parks, so strict
+	// alternation is the lock. The last holder recycles: a group goes back
+	// when its op has returned and no server queue or worker still holds
+	// one of its attempts, whichever happens last (putOp or the server's
+	// release), and an op's split buffer goes back with its last group.
 	reqFree   []*serverReq
 	issFree   []*issued
 	groupFree []*xferGroup
@@ -186,36 +187,74 @@ func (fsys *FileSystem) getOp() *xferOp {
 	return &xferOp{per: make([][]ext.Extent, fsys.NumServers())}
 }
 
-// putOp recycles a finished operation. Each settled group goes back with
-// its requests and replica records; the split buffer goes back only when
-// every group did, since an unsettled attempt still references its extent
-// list.
+// putOp hands a finished operation back. Each group no server still holds
+// goes back at once with its requests and replica records; a group with
+// attempts still queued or in service stays on the op, marked with it, for
+// its last straggler's release. The split buffer goes back with the op's
+// last group, since a held attempt still references its extent list.
 func (fsys *FileSystem) putOp(op *xferOp) {
-	recycle := true
+	held := op.groups[:0]
 	for _, g := range op.groups {
-		if !g.settled() {
-			recycle = false
+		if g.held > 0 {
+			g.op = op
+			held = append(held, g)
 			continue
 		}
-		for _, is := range g.reps {
-			for _, r := range is.attempts {
-				*r = serverReq{}
-				fsys.reqFree = append(fsys.reqFree, r)
-			}
-			*is = issued{attempts: is.attempts[:0]}
-			fsys.issFree = append(fsys.issFree, is)
+		fsys.putGroup(g)
+	}
+	op.groups = held
+	if len(held) == 0 {
+		fsys.putSplit(op)
+	}
+}
+
+// putGroup recycles a group nothing references any more, with every
+// attempt and replica record it issued.
+func (fsys *FileSystem) putGroup(g *xferGroup) {
+	for _, is := range g.reps {
+		for _, r := range is.attempts {
+			*r = serverReq{}
+			fsys.reqFree = append(fsys.reqFree, r)
 		}
-		*g = xferGroup{done: g.done, reps: g.reps[:0]}
-		fsys.groupFree = append(fsys.groupFree, g)
+		*is = issued{attempts: is.attempts[:0]}
+		fsys.issFree = append(fsys.issFree, is)
 	}
-	if !recycle {
-		return
-	}
+	*g = xferGroup{done: g.done, reps: g.reps[:0]}
+	fsys.groupFree = append(fsys.groupFree, g)
+}
+
+// putSplit recycles an op whose groups have all gone back, keeping the
+// capacity of its split buffer.
+func (fsys *FileSystem) putSplit(op *xferOp) {
 	for i := range op.per {
 		op.per[i] = op.per[i][:0]
 	}
-	op.groups = op.groups[:0]
 	fsys.opFree = append(fsys.opFree, op)
+}
+
+// release drops this server's hold on an attempt it dequeued, once the
+// worker is done with it (served, or voided by a crash). The last release
+// of a group whose op has already returned recycles the group, and the
+// op's last such group recycles the op. A count below zero means an
+// attempt was released twice, which would corrupt whatever op reuses the
+// records next, so it panics.
+func (srv *Server) release(req *serverReq) {
+	g := req.g
+	g.held--
+	if g.held < 0 {
+		panic(fmt.Sprintf("pfs: server%d released an attempt on %q twice", srv.Index, req.file))
+	}
+	op := g.op
+	if g.held > 0 || op == nil {
+		return
+	}
+	srv.fsys.putGroup(g)
+	last := len(op.groups) - 1
+	op.groups[slices.Index(op.groups, g)] = op.groups[last]
+	op.groups = op.groups[:last]
+	if last == 0 {
+		srv.fsys.putSplit(op)
+	}
 }
 
 // Server is one data server.
@@ -239,8 +278,8 @@ type serverReq struct {
 	extents []ext.Extent // server-local byte space
 	write   bool
 	origin  int
-	client  int         // requesting network node
-	done    *sim.Signal // the group's completion signal, shared by every attempt
+	client  int        // requesting network node
+	g       *xferGroup // the group it is an attempt of (see release)
 	fin     bool
 	rc      obs.Ctx       // originating traced request
 	enq     time.Duration // enqueue time (queue-wait annotation)
@@ -378,6 +417,7 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 		// writes are noted for the online rebuild.
 		if fsys.faults.CrashedDuring(srv.Index, req.enq, p.Now()) {
 			srv.dropCrashed(req, p.Now())
+			srv.release(req)
 			continue
 		}
 		// An active stall window freezes service: the request sits in the
@@ -408,6 +448,7 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 		// the replica is treated as having missed it (rebuild re-copies).
 		if fsys.faults.CrashedDuring(srv.Index, start, p.Now()) {
 			srv.dropCrashed(req, p.Now())
+			srv.release(req)
 			continue
 		}
 		if req.write {
@@ -429,7 +470,9 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 				obs.I64("queue_ns", int64(start-req.enq)))
 		}
 		req.fin = true
-		req.done.Broadcast()
+		req.g.done.Broadcast()
+		// Last: recycling may zero req (see release).
+		srv.release(req)
 	}
 }
 
