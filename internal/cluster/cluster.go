@@ -197,9 +197,9 @@ func (c *Cluster) EnableAudit(a *check.Auditor) {
 			}
 			return nil
 		})
-		// The storage engine's layout oracle: extent maps must match their
-		// source of truth (B+tree vs flat shadow) and log byte ledgers must
-		// conserve across compaction (LSM).
+		// The storage engine's layout oracle: extent maps must be contiguous
+		// in file space, cover the allocated size and never overlap on disk,
+		// and log byte ledgers must conserve across compaction (LSM).
 		a.RegisterFinalProbe(fmt.Sprintf("engine.server%d", i), func() error {
 			return st.Engine().CheckInvariants()
 		})

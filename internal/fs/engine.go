@@ -8,10 +8,11 @@ const (
 	// servers model (update-in-place, allocation-unit extents, inter-file
 	// gaps). The default; "" selects it too.
 	EngineExtent = "extent"
-	// EngineBPTree is an index-organized layout: the extent map lives in a
-	// B+tree (logarithmic range lookup) and allocation deliberately
-	// fragments files into small, gapped extents, modeling an aged file
-	// system whose free space is scattered.
+	// EngineBPTree is the aged layout: the extent engine's map with an
+	// allocator that deliberately fragments files into small, gapped
+	// extents, modeling an aged file system whose free space is scattered.
+	// The name, from the B+tree index the layout once had, stays the
+	// selector and printed label for output compatibility.
 	EngineBPTree = "bptree"
 	// EngineLSM is a log-structured store: writebacks append sequentially
 	// to the head of a segmented log and a background compactor rewrites
@@ -65,7 +66,7 @@ type StorageEngine interface {
 	// sync writes and writeback, never on dirtying a cache page.
 	WriteRuns(out []lbnRun, file string, off, n int64) []lbnRun
 	// CheckInvariants is the engine's audit oracle: layout bookkeeping
-	// must be self-consistent (extent maps match their source of truth,
+	// must be self-consistent (extent maps contiguous and non-overlapping,
 	// log byte ledgers conserve). Wired as a final audit probe per store.
 	CheckInvariants() error
 }
@@ -90,7 +91,7 @@ func newEngine(cfg Config) StorageEngine {
 	case "", EngineExtent:
 		return newExtentEngine(cfg)
 	case EngineBPTree:
-		return newBPTreeEngine(cfg)
+		return newAgedEngine(cfg)
 	case EngineLSM:
 		return newLSMEngine(cfg)
 	}

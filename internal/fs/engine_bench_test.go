@@ -8,9 +8,9 @@ import (
 )
 
 // benchEngine builds a bare engine (no store, no kernel) with a fully
-// allocated 256 MB file — enough extents that the lookup-structure cost
-// separates: the extent engine's flat slice holds a handful of merged
-// extents, the B+tree holds thousands of 64 KB fragments.
+// allocated 256 MB file — enough extents that the lookup cost separates:
+// the extent layout's map holds a handful of merged extents, the aged
+// (bptree) layout's the same map with 4096 fragments of 64 KB.
 func benchEngine(b *testing.B, kind string) StorageEngine {
 	b.Helper()
 	cfg := DefaultConfig()
@@ -41,9 +41,10 @@ func BenchmarkEngineReadRuns(b *testing.B) {
 }
 
 // BenchmarkEngineWriteRuns measures write landing per engine: update in
-// place for extent and B+tree, log append (with page remapping) for LSM.
-// Writes rotate over a 16 MB window so the LSM page map stays bounded while
-// its log still accumulates garbage the way a real overwrite stream does.
+// place for the extent and aged layouts, log append (with page remapping)
+// for LSM. Writes rotate over a 16 MB window so the LSM page map stays
+// bounded while its log still accumulates garbage the way a real overwrite
+// stream does.
 func BenchmarkEngineWriteRuns(b *testing.B) {
 	for _, kind := range Engines() {
 		b.Run(kind, func(b *testing.B) {

@@ -1,20 +1,33 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dualpar/internal/disk"
 )
 
-// extentEngine is the contiguous-extent allocator carved out of the
-// original Store: a growing file claims AllocUnitBytes of contiguous LBN
-// space at a time from a single upward cursor, adjacent allocations merge,
-// and a fileGapBytes hole separates different files' regions. Reads and
-// writes resolve through a flat per-file extent slice; writes are update
-// in place. Behavior is bit-for-bit the pre-engine Store's (pinned by the
-// baseline-guard goldens).
+// extentEngine is the update-in-place layout behind both the extent and
+// the bptree engines. A growing file claims unit bytes of LBN space per
+// step from a single upward cursor, the cursor skips gap bytes after each
+// step, and a step adjacent on disk to the file's previous extent merges
+// into it; a fileGapBytes hole separates different files' regions. Reads
+// and writes resolve through one sorted per-file extent slice with a
+// binary-search lookup; writes are update in place.
+//
+// The extent engine (unit AllocUnitBytes, no gap) is the contiguous
+// allocator the paper's data servers model: steps always merge unless
+// another file claimed space in between. The bptree engine keeps its name
+// for output compatibility and models an aged file system: small steps
+// (AllocUnitBytes/128, page-rounded), each followed by a gap wide enough
+// to defeat the disk's forward-skip window, so no two steps merge, a
+// file's data is scattered forward across the LBN space, and every
+// fragment boundary costs a real head repositioning.
 type extentEngine struct {
-	cfg   Config
+	kind  string
+	unit  int64 // bytes claimed per allocation step
+	gap   int64 // dead bytes the cursor skips after each step
 	files map[string]*fileMeta
 	nexts int64 // next free sector for allocation
 }
@@ -27,23 +40,33 @@ type extent struct {
 }
 
 type fileMeta struct {
-	name    string
-	size    int64 // bytes allocated (high-water of writes/creates)
-	extents []extent
+	size    int64    // bytes allocated (high-water of writes/creates)
+	extents []extent // contiguous in file space, in file order
 }
 
 func newExtentEngine(cfg Config) *extentEngine {
-	return &extentEngine{cfg: cfg, files: make(map[string]*fileMeta)}
+	return &extentEngine{kind: EngineExtent, unit: cfg.AllocUnitBytes, files: make(map[string]*fileMeta)}
 }
 
-func (e *extentEngine) Kind() string { return EngineExtent }
+// newAgedEngine builds the fragmenting layout the bptree engine names.
+func newAgedEngine(cfg Config) *extentEngine {
+	e := newExtentEngine(cfg)
+	e.kind = EngineBPTree
+	e.unit = max((cfg.AllocUnitBytes/128+pageSize-1)/pageSize*pageSize, pageSize)
+	// The gap must exceed the disk's streamed forward-skip window (256 KB
+	// on the default geometry) or sequential scans would glide over it.
+	e.gap = max(cfg.AllocUnitBytes/16, 8*e.unit)
+	return e
+}
+
+func (e *extentEngine) Kind() string { return e.kind }
 
 // file looks a file up, creating it (and leaving the inter-file gap) on
 // first touch.
 func (e *extentEngine) file(name string) *fileMeta {
 	f := e.files[name]
 	if f == nil {
-		f = &fileMeta{name: name}
+		f = &fileMeta{}
 		e.files[name] = f
 		// Leave a gap before a new file's region.
 		e.nexts += fileGapBytes / disk.SectorSize
@@ -53,8 +76,18 @@ func (e *extentEngine) file(name string) *fileMeta {
 
 func (e *extentEngine) Open(file string) { e.file(file) }
 
+// Ensure extends file's extents to cover [0, size), one step at a time.
 func (e *extentEngine) Ensure(file string, size int64) {
-	e.ensureAllocated(e.file(file), size)
+	f := e.file(file)
+	for f.size < size {
+		if n := len(f.extents); n > 0 && f.extents[n-1].lbn+f.extents[n-1].bytes/disk.SectorSize == e.nexts {
+			f.extents[n-1].bytes += e.unit
+		} else {
+			f.extents = append(f.extents, extent{fileOff: f.size, lbn: e.nexts, bytes: e.unit})
+		}
+		f.size += e.unit
+		e.nexts += (e.unit + e.gap) / disk.SectorSize
+	}
 }
 
 func (e *extentEngine) AllocatedSize(file string) int64 {
@@ -64,52 +97,29 @@ func (e *extentEngine) AllocatedSize(file string) int64 {
 	return 0
 }
 
-// ensureAllocated extends f's extents to cover [0, size).
-func (e *extentEngine) ensureAllocated(f *fileMeta, size int64) {
-	for f.size < size {
-		need := size - f.size
-		unit := e.cfg.AllocUnitBytes
-		if need > unit {
-			unit = (need + e.cfg.AllocUnitBytes - 1) / e.cfg.AllocUnitBytes * e.cfg.AllocUnitBytes
+// find returns the index of the first extent of f ending past off: the
+// extent holding off when off is allocated, len(f.extents) past the end.
+func (f *fileMeta) find(off int64) int {
+	lo, hi := 0, len(f.extents)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := &f.extents[m]; x.fileOff+x.bytes <= off {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		sectors := unit / disk.SectorSize
-		// Merge with the previous extent when the allocation is adjacent
-		// (no other file claimed space in between).
-		if n := len(f.extents); n > 0 {
-			last := &f.extents[n-1]
-			if last.lbn+last.bytes/disk.SectorSize == e.nexts {
-				last.bytes += unit
-				f.size += unit
-				e.nexts += sectors
-				continue
-			}
-		}
-		f.extents = append(f.extents, extent{fileOff: f.size, lbn: e.nexts, bytes: unit})
-		f.size += unit
-		e.nexts += sectors
 	}
+	return lo
 }
 
 // appendRuns maps the byte range [off, off+n) of file f to contiguous LBN
-// runs, appending them to out.
+// runs, one per extent it overlaps, appending them to out.
 func (f *fileMeta) appendRuns(out []lbnRun, off, n int64) []lbnRun {
 	end := off + n
-	for _, e := range f.extents {
-		eEnd := e.fileOff + e.bytes
-		if eEnd <= off || e.fileOff >= end {
-			continue
-		}
-		lo, hi := off, end
-		if lo < e.fileOff {
-			lo = e.fileOff
-		}
-		if hi > eEnd {
-			hi = eEnd
-		}
-		out = append(out, lbnRun{
-			lbn:   e.lbn + (lo-e.fileOff)/disk.SectorSize,
-			bytes: hi - lo,
-		})
+	for i := f.find(off); i < len(f.extents) && f.extents[i].fileOff < end; i++ {
+		x := &f.extents[i]
+		lo, hi := max(off, x.fileOff), min(end, x.fileOff+x.bytes)
+		out = append(out, lbnRun{lbn: x.lbn + (lo-x.fileOff)/disk.SectorSize, bytes: hi - lo})
 	}
 	return out
 }
@@ -129,15 +139,13 @@ func (e *extentEngine) locate(file string, off int64) (extent, bool) {
 	if !ok {
 		return extent{}, false
 	}
-	for _, x := range f.extents {
-		if x.fileOff <= off && off < x.fileOff+x.bytes {
-			return x, true
-		}
+	if i := f.find(off); i < len(f.extents) && f.extents[i].fileOff <= off {
+		return f.extents[i], true
 	}
 	return extent{}, false
 }
 
-// CheckInvariants verifies the flat extent maps are self-consistent: each
+// CheckInvariants verifies the extent maps are self-consistent: each
 // file's extents are contiguous in file space, sum to its allocated size,
 // and no two extents of any files overlap in LBN space.
 func (e *extentEngine) CheckInvariants() error {
@@ -150,26 +158,26 @@ func (e *extentEngine) CheckInvariants() error {
 		var covered, next int64
 		for _, x := range f.extents {
 			if x.fileOff != next {
-				return fmt.Errorf("extent engine: file %s extent at %d, want contiguous at %d", name, x.fileOff, next)
+				return fmt.Errorf("%s engine: file %s extent at %d, want contiguous at %d", e.kind, name, x.fileOff, next)
 			}
 			if x.bytes <= 0 || x.bytes%disk.SectorSize != 0 {
-				return fmt.Errorf("extent engine: file %s extent bytes %d", name, x.bytes)
+				return fmt.Errorf("%s engine: file %s extent bytes %d", e.kind, name, x.bytes)
 			}
 			covered += x.bytes
 			next = x.fileOff + x.bytes
 			spans = append(spans, span{lo: x.lbn, hi: x.lbn + x.bytes/disk.SectorSize, file: name})
 		}
 		if covered != f.size {
-			return fmt.Errorf("extent engine: file %s extents cover %d bytes, size %d", name, covered, f.size)
+			return fmt.Errorf("%s engine: file %s extents cover %d bytes, size %d", e.kind, name, covered, f.size)
 		}
 	}
-	// O(n^2) overlap walk is fine: files hold a handful of extents.
-	for i := range spans {
-		for j := i + 1; j < len(spans); j++ {
-			if spans[i].lo < spans[j].hi && spans[j].lo < spans[i].hi {
-				return fmt.Errorf("extent engine: LBN overlap between %s [%d,%d) and %s [%d,%d)",
-					spans[i].file, spans[i].lo, spans[i].hi, spans[j].file, spans[j].lo, spans[j].hi)
-			}
+	// Sorted by start, nonempty spans overlap somewhere only if some
+	// neighbouring pair does. An aged file holds thousands of extents.
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if a, b := spans[i-1], spans[i]; b.lo < a.hi {
+			return fmt.Errorf("%s engine: LBN overlap between %s [%d,%d) and %s [%d,%d)",
+				e.kind, a.file, a.lo, a.hi, b.file, b.lo, b.hi)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package fs
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,55 +130,133 @@ func TestEngineConformanceInvariantsUnderChurn(t *testing.T) {
 	})
 }
 
-func TestBPTreeFragmentsLayout(t *testing.T) {
-	// The B+tree engine deliberately fragments: a file that the extent
-	// engine lays out in one run must shatter into many gapped extents,
-	// and the tree must grow past a single node (splits exercised).
+func TestAgedLayoutFragments(t *testing.T) {
+	// The aged layout deliberately fragments: every extent is exactly one
+	// allocation step, the cursor skips at least the gap after each, and
+	// no two steps merge. The extent engine lays the same file out as one
+	// extent.
+	const size = 64 << 20
 	cfg := DefaultConfig()
 	cfg.Engine = EngineBPTree
-	k := sim.NewKernel(1)
-	s := newStore(k, cfg)
-	s.Create("a", 64<<20)
-	e := s.Engine().(*bptreeEngine)
+	e := newEngine(cfg).(*extentEngine)
+	e.Ensure("a", size)
 	f := e.files["a"]
-	if len(f.shadow) <= bptOrder {
-		t.Fatalf("extents = %d, want enough to split a %d-key node", len(f.shadow), bptOrder)
+	if want := size / e.unit; int64(len(f.extents)) != want {
+		t.Fatalf("aged extents = %d, want %d of %d bytes", len(f.extents), want, e.unit)
 	}
-	if f.tree.height < 2 {
-		t.Fatalf("tree height = %d, want >= 2 after %d extents", f.tree.height, len(f.shadow))
-	}
-	for i := 1; i < len(f.shadow); i++ {
-		prev, cur := f.shadow[i-1], f.shadow[i]
-		if cur.lbn == prev.lbn+prev.bytes/disk.SectorSize {
-			t.Fatalf("extents %d and %d contiguous on disk; aged-FS layout must gap them", i-1, i)
+	for i, x := range f.extents {
+		if x.bytes != e.unit {
+			t.Fatalf("aged extent %d is %d bytes, want one %d-byte step", i, x.bytes, e.unit)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := f.extents[i-1]
+		if gap := (x.lbn - prev.lbn - prev.bytes/disk.SectorSize) * disk.SectorSize; gap < e.gap {
+			t.Fatalf("aged extents %d and %d are %d bytes apart on disk, want >= %d", i-1, i, gap, e.gap)
 		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+
+	flat := newEngine(DefaultConfig()).(*extentEngine)
+	flat.Ensure("a", size)
+	if got := flat.files["a"].extents; len(got) != 1 || got[0].bytes != size {
+		t.Fatalf("extent engine lays %d bytes out as %+v, want one extent", size, got)
+	}
 }
 
-func TestBPTreeLookupMatchesFlatScan(t *testing.T) {
-	// Point lookups through the tree must agree with a linear scan of the
-	// shadow map at every extent boundary and interior offset.
-	cfg := DefaultConfig()
-	cfg.Engine = EngineBPTree
-	k := sim.NewKernel(1)
-	s := newStore(k, cfg)
-	s.Create("a", 32<<20)
-	e := s.Engine().(*bptreeEngine)
-	f := e.files["a"]
-	for _, x := range f.shadow {
-		for _, off := range []int64{x.fileOff, x.fileOff + x.bytes/2, x.fileOff + x.bytes - 1} {
-			runs := e.ReadRuns(nil, "a", off, 1)
-			if len(runs) != 1 {
-				t.Fatalf("off %d: %d runs, want 1", off, len(runs))
-			}
-			want := x.lbn + (off-x.fileOff)/disk.SectorSize
-			if runs[0].lbn != want {
-				t.Fatalf("off %d: lbn %d, flat scan says %d", off, runs[0].lbn, want)
-			}
+// linearRuns is the reference lookup: a scan of every extent of f.
+func linearRuns(f *fileMeta, off, n int64) []lbnRun {
+	var out []lbnRun
+	for _, x := range f.extents {
+		lo, hi := max(off, x.fileOff), min(off+n, x.fileOff+x.bytes)
+		if lo < hi {
+			out = append(out, lbnRun{lbn: x.lbn + (lo-x.fileOff)/disk.SectorSize, bytes: hi - lo})
 		}
+	}
+	return out
+}
+
+func TestExtentLookupMatchesLinearScan(t *testing.T) {
+	// The binary-search lookup behind ReadRuns and locate must agree with a
+	// linear scan, at random offsets and lengths and at extent boundaries,
+	// on both update-in-place layouts with files grown interleaved.
+	for _, kind := range []string{EngineExtent, EngineBPTree} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Engine = kind
+			cfg.AllocUnitBytes = 1 << 20 // interleaved growth fragments the extent layout too
+			e := newEngine(cfg).(*extentEngine)
+			files := []string{"a", "b", "c"}
+			for step := int64(1); step <= 8; step++ {
+				for i, name := range files {
+					e.Ensure(name, step*int64(i+1)<<20+int64(i)*12345)
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			for _, name := range files {
+				f := e.files[name]
+				if len(f.extents) < 2 {
+					t.Fatalf("file %s has %d extents, want a fragmented map", name, len(f.extents))
+				}
+				var offs []int64
+				for _, x := range f.extents {
+					offs = append(offs, x.fileOff-1, x.fileOff, x.fileOff+1, x.fileOff+x.bytes-1)
+				}
+				for i := 0; i < 200; i++ {
+					offs = append(offs, rng.Int63n(f.size+1<<20))
+				}
+				for _, off := range offs {
+					ns := []int64{1, pageSize, rng.Int63n(4<<20) + 1}
+					if i := f.find(off); i < len(f.extents) {
+						ns = append(ns, f.extents[i].fileOff+f.extents[i].bytes-off) // to the boundary
+					}
+					for _, n := range ns {
+						got := e.ReadRuns(nil, name, off, n)
+						if want := linearRuns(f, off, n); !slices.Equal(got, want) {
+							t.Fatalf("%s [%d,+%d): ReadRuns %v, linear scan %v", name, off, n, got, want)
+						}
+					}
+					x, ok := e.locate(name, off)
+					want := linearRuns(f, off, 1)
+					if ok != (len(want) == 1) || ok && x.lbn+(off-x.fileOff)/disk.SectorSize != want[0].lbn {
+						t.Fatalf("%s locate(%d) = %+v %v, linear scan %v", name, off, x, ok, want)
+					}
+				}
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("invariants: %v", err)
+			}
+		})
+	}
+}
+
+func TestExtentInvariantsCatchOverlap(t *testing.T) {
+	// One extent moved one sector into another file's extent keeps file
+	// space contiguous and covered; only the LBN overlap check sees it.
+	for _, kind := range []string{EngineExtent, EngineBPTree} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Engine = kind
+			cfg.AllocUnitBytes = 1 << 20
+			e := newEngine(cfg).(*extentEngine)
+			for step := int64(1); step <= 4; step++ {
+				e.Ensure("a", step<<20)
+				e.Ensure("b", step<<20)
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("invariants before the injection: %v", err)
+			}
+			a, b := e.files["a"].extents, e.files["b"].extents
+			x := &b[len(b)-1]
+			x.lbn = a[1].lbn + a[1].bytes/disk.SectorSize - 1
+			err := e.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), "LBN overlap") {
+				t.Fatalf("invariants after overlapping b's last extent with a's second: %v, want an LBN overlap", err)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package fs models a data server's local storage stack: a pluggable
 // StorageEngine laying file data out on the disk's LBN space (contiguous
-// extents by default; B+tree-indexed fragmented layout and a log-structured
-// engine are selectable), a page cache with dirty-page writeback (the paper
-// forces a 1-second flush), and an I/O-scheduler dispatcher in front of the
-// device.
+// extents by default; an aged, fragmented layout of the same extent map
+// and a log-structured engine are selectable), a page cache with
+// dirty-page writeback (the paper forces a 1-second flush), and an
+// I/O-scheduler dispatcher in front of the device.
 //
 // Only metadata is stored — file contents are never materialized. Workload
 // data dependence is modeled at the workload layer as deterministic

@@ -28,9 +28,10 @@ func enginesProg(quick, write bool) workloads.Demo {
 }
 
 // Engines sweeps storage engine × scheme × workload direction: the same
-// demo program runs on the contiguous-extent default, the B+tree-indexed
-// fragmented layout (aged FS), and the log-structured engine, under
-// vanilla and DualPar execution (plus collective in the full suite). The
+// demo program runs on the contiguous-extent default, the fragmented
+// layout of an aged FS ("bptree", printed "B+tree (aged)" for output
+// compatibility), and the log-structured engine, under vanilla and
+// DualPar execution (plus collective in the full suite). The
 // question it answers is the one the paper leaves open: DualPar's win
 // comes from reordering reads around seeks — does it survive on backends
 // whose seek profile is different (aged/fragmented) or whose writes are

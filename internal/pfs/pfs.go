@@ -318,9 +318,9 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 			queue: sim.NewQueue[*serverReq](),
 		}
 		fsys.servers = append(fsys.servers, srv)
+		name := fmt.Sprintf("pfs/server%d", i)
 		for w := 0; w < workersPerServer; w++ {
-			track := fmt.Sprintf("server%d/worker%d", i, w)
-			k.Spawn("pfs/"+track, func(p *sim.Proc) { srv.workerLoop(p, track) })
+			k.Spawn(name, func(p *sim.Proc) { srv.workerLoop(p, w) })
 		}
 	}
 	return fsys
@@ -407,8 +407,11 @@ func (srv *Server) DiskOrigin(clientOrigin int) int {
 	return serverOriginBase + srv.Index
 }
 
-func (srv *Server) workerLoop(p *sim.Proc, track string) {
+// workerLoop serves srv's queue as its worker w. The worker's trace track
+// is named on its first traced request: untraced runs never read it.
+func (srv *Server) workerLoop(p *sim.Proc, w int) {
 	fsys := srv.fsys
+	var track string
 	for {
 		req := srv.queue.Get(p)
 		start := p.Now()
@@ -462,6 +465,9 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 			rw := "read"
 			if req.write {
 				rw = "write"
+			}
+			if track == "" {
+				track = fmt.Sprintf("server%d/worker%d", srv.Index, w)
 			}
 			fsys.obs.Span(req.rc.ID, obs.StageServer, track, start, p.Now(),
 				obs.Str("rw", rw), obs.I64("bytes", ext.Total(req.extents)),
