@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dualpar/internal/ext"
@@ -119,12 +120,25 @@ func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent
 		home := home
 		batch := perHome[home]
 		wg.Add(1)
-		k.Spawn(fmt.Sprintf("prog%d/crm-home%d", pr.id, home), func(hp *sim.Proc) {
+		k.Spawn(pr.crmHomeName(home), func(hp *sim.Proc) {
 			defer wg.Done()
 			pr.superviseBatch(hp, file, batch, op, home)
 		})
 	}
 	wg.Wait(p)
+}
+
+// crmHomeName is the name of the CRM proc serving home node home,
+// formatted once per program.
+func (pr *ProgramRun) crmHomeName(home int) string {
+	if pr.crmHomeNames == nil {
+		pr.crmHomeNames = make([]string, len(pr.nodes))
+	}
+	name := &pr.crmHomeNames[slices.Index(pr.nodes, home)]
+	if *name == "" {
+		*name = fmt.Sprintf("prog%d/crm-home%d", pr.id, home)
+	}
+	return *name
 }
 
 // superviseBatch runs one per-home CRM batch. With CRMTimeout armed it is

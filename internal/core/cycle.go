@@ -33,8 +33,10 @@ type controller struct {
 
 	// Storage recycled across cycles. A wish list is spare only while no
 	// CRM proc holds it, and a ghost recorder only while no ghost runs.
-	spareWish []*fileExtents
-	ghostEnvs []*ghostEnv
+	spareWish  []*fileExtents
+	ghostEnvs  []*ghostEnv
+	ghostNames []string // per rank, formatted on its first ghost
+	crmName    string   // formatted on the first serve
 }
 
 const (
@@ -164,76 +166,94 @@ func (c *controller) noteResume(p *sim.Proc, rank int) {
 // startGhost forks the pre-execution for one suspended rank. The ghost
 // re-executes computation (charged in virtual time on spare cores), records
 // read requests without issuing them, skips communication and writes, and
-// pauses at the rank's quota (§IV-C).
+// pauses at the rank's quota (§IV-C). It runs from a recycled ghostEnv, so
+// once the pool is warm a fork allocates its Proc and its generator's
+// clone, nothing more.
 func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloads.Op) {
 	c.ghostsActive++
-	myGen := c.gen
-	clone := gen.Clone()
-	env := recycled(&c.ghostEnvs)
-	env.record(pending.File, pending.Extents)
+	e := recycled(&c.ghostEnvs)
+	if e.run == nil {
+		e.c, e.run = c, e.ghost
+	}
+	e.gen, e.clone, e.bytes = c.gen, gen.Clone(), pending.Bytes()
+	e.record(pending.File, pending.Extents)
+	c.pr.r.cl.K.Spawn(c.ghostName(rank), e.run)
+}
+
+// ghostName is the name of rank's ghosts, formatted once per program.
+func (c *controller) ghostName(rank int) string {
+	if c.ghostNames == nil {
+		c.ghostNames = make([]string, c.pr.prog.Ranks())
+	}
+	name := &c.ghostNames[rank]
+	if *name == "" {
+		*name = fmt.Sprintf("prog%d/ghost%d", c.pr.id, rank)
+	}
+	return *name
+}
+
+// ghost is the body of one ghost Proc.
+func (e *ghostEnv) ghost(p *sim.Proc) {
+	c, myGen, clone := e.c, e.gen, e.clone
 	quota := c.pr.r.cfg.CacheQuotaBytes
 	limit := quota * int64(c.pr.r.cfg.PipelineDepth)
-	recorded := pending.Bytes()
-	k := c.pr.r.cl.K
-	k.Spawn(fmt.Sprintf("prog%d/ghost%d", c.pr.id, rank), func(p *sim.Proc) {
-		defer func() {
-			env.reset()
-			c.ghostEnvs = append(c.ghostEnvs, env)
-			if c.gen == myGen {
-				c.ghostsActive--
-				c.maybeServe()
-			}
-		}()
-		// Phase 1 (the paper's pre-execution): record up to the quota with
-		// the computation retained (§IV-C). A serve — deadline or full
-		// participation — interrupts any in-progress compute via abort.
-		interrupted := false
-		for recorded < quota && !interrupted {
-			if c.stopGhosts || c.gen != myGen {
-				interrupted = true
-				break
-			}
-			op := clone.Next(env)
-			switch op.Kind {
-			case workloads.OpDone:
-				return
-			case workloads.OpCompute:
-				if c.abort.WaitTimeout(p, op.Dur) {
-					interrupted = true // cycle is serving; stop sleeping
-				}
-			case workloads.OpRead:
-				if c.gen != myGen {
-					return
-				}
-				c.wish.add(op.File, op.Extents)
-				env.record(op.File, op.Extents)
-				recorded += op.Bytes()
-			case workloads.OpWrite, workloads.OpBarrier:
-				// Writes produce no effects during pre-execution;
-				// synchronization is skipped (peers' ghosts may not exist).
-			}
+	defer func() {
+		e.reset()
+		c.ghostEnvs = append(c.ghostEnvs, e)
+		if c.gen == myGen {
+			c.ghostsActive--
+			c.maybeServe()
 		}
-		if c.gen != myGen {
+	}()
+	// Phase 1 (the paper's pre-execution): record up to the quota with
+	// the computation retained (§IV-C). A serve — deadline or full
+	// participation — interrupts any in-progress compute via abort.
+	interrupted := false
+	for e.bytes < quota && !interrupted {
+		if c.stopGhosts || c.gen != myGen {
+			interrupted = true
+			break
+		}
+		op := clone.Next(e)
+		switch op.Kind {
+		case workloads.OpDone:
 			return
-		}
-		// Phase 2 (extension, PipelineDepth > 1): record the overflow wave
-		// in stripped mode (Strategy-2 style, computation skipped):
-		// prediction only, instantaneous, completed before the serve
-		// snapshot — the mis-prefetch guard is the safety net for the
-		// accuracy it gives up.
-		for recorded < limit {
-			op := clone.Next(env)
-			switch op.Kind {
-			case workloads.OpDone:
-				return
-			case workloads.OpRead:
-				c.wish2.add(op.File, op.Extents)
-				env.record(op.File, op.Extents)
-				recorded += op.Bytes()
-			case workloads.OpCompute, workloads.OpWrite, workloads.OpBarrier:
+		case workloads.OpCompute:
+			if c.abort.WaitTimeout(p, op.Dur) {
+				interrupted = true // cycle is serving; stop sleeping
 			}
+		case workloads.OpRead:
+			if c.gen != myGen {
+				return
+			}
+			c.wish.add(op.File, op.Extents)
+			e.record(op.File, op.Extents)
+			e.bytes += op.Bytes()
+		case workloads.OpWrite, workloads.OpBarrier:
+			// Writes produce no effects during pre-execution;
+			// synchronization is skipped (peers' ghosts may not exist).
 		}
-	})
+	}
+	if c.gen != myGen {
+		return
+	}
+	// Phase 2 (extension, PipelineDepth > 1): record the overflow wave
+	// in stripped mode (Strategy-2 style, computation skipped):
+	// prediction only, instantaneous, completed before the serve
+	// snapshot — the mis-prefetch guard is the safety net for the
+	// accuracy it gives up.
+	for e.bytes < limit {
+		op := clone.Next(e)
+		switch op.Kind {
+		case workloads.OpDone:
+			return
+		case workloads.OpRead:
+			c.wish2.add(op.File, op.Extents)
+			e.record(op.File, op.Extents)
+			e.bytes += op.Bytes()
+		case workloads.OpCompute, workloads.OpWrite, workloads.OpBarrier:
+		}
+	}
 }
 
 // maybeServe starts the CRM service phase once every live rank participates
@@ -279,7 +299,10 @@ func (c *controller) serve() {
 		// cycle fills a fresh pair meanwhile.
 		wish, wish2 := c.wish, c.wish2
 		c.wish, c.wish2 = recycled(&c.spareWish), recycled(&c.spareWish)
-		k.Spawn(fmt.Sprintf("prog%d/crm", c.pr.id), func(p *sim.Proc) {
+		if c.crmName == "" {
+			c.crmName = fmt.Sprintf("prog%d/crm", c.pr.id)
+		}
+		k.Spawn(c.crmName, func(p *sim.Proc) {
 			c.pr.crmServe(p, wish)
 			c.finishCycle()
 			// The pipelined wave runs after the ranks resume, overlapping
@@ -309,11 +332,18 @@ func (c *controller) finishCycle() {
 	c.resume.Broadcast()
 }
 
-// ghostEnv hides the content of reads recorded but not served during
-// pre-execution: the generator sees zeros for them, reproducing the paper's
-// mis-prediction under data dependence.
+// ghostEnv is one ghost's state, recycled across ghosts. As the ghost's
+// workloads.Env it hides the content of reads recorded but not served
+// during pre-execution: the generator sees zeros for them, reproducing the
+// paper's mis-prediction under data dependence.
 type ghostEnv struct {
+	c        *controller
+	run      func(*sim.Proc) // ghost, bound once
 	recorded map[string][]ext.Extent
+
+	gen   int               // cycle generation the ghost records for
+	clone workloads.RankGen // the suspended rank's generator, cloned
+	bytes int64             // bytes recorded so far
 }
 
 func (e *ghostEnv) record(file string, extents []ext.Extent) {
@@ -333,6 +363,7 @@ func (e *ghostEnv) reset() {
 	for f, xs := range e.recorded {
 		e.recorded[f] = xs[:0]
 	}
+	e.clone = nil
 }
 
 // Value implements workloads.Env. The recorded list is canonical (sorted,

@@ -218,14 +218,15 @@ type ProgramRun struct {
 	ctrl    *controller
 	s2      *strategy2
 
-	crmOrigin  int
-	dataDriven bool
-	disabled   bool          // data-driven permanently disabled by mis-prefetch
-	crashed    bool          // aborted by an injected client crash
-	tenant     int           // owning tenant on a tenanted cluster
-	grant      *tenant.Grant // live data-driven grant from the arbiter
-	revoke     func()        // revokeGrant, bound once: TryAcquire takes it on every ask
-	onDone     func()
+	crmOrigin    int
+	crmHomeNames []string // per node of nodes, formatted on its first CRM batch
+	dataDriven   bool
+	disabled     bool          // data-driven permanently disabled by mis-prefetch
+	crashed      bool          // aborted by an injected client crash
+	tenant       int           // owning tenant on a tenanted cluster
+	grant        *tenant.Grant // live data-driven grant from the arbiter
+	revoke       func()        // revokeGrant, bound once: TryAcquire takes it on every ask
+	onDone       func()
 
 	// epochs tracks sealed checkpoint epochs per rank (lazily created at
 	// the first OpSeal; nil for programs without checkpoint epochs).

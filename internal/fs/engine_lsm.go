@@ -112,9 +112,20 @@ func (e *lsmEngine) AllocatedSize(file string) int64 {
 
 // ReadRuns resolves each page to its current location — the log for
 // relocated pages, the base layout otherwise — and coalesces adjacent
-// locations into runs.
+// locations into runs. A file with no relocated page reads its base layout
+// whole, with one lookup instead of one per page.
 func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
-	f := e.file(file)
+	if f := e.files[file]; f != nil && len(f.remap) > 0 {
+		return e.pageRuns(out, f, off, n)
+	}
+	if m := e.inner.files[file]; m != nil {
+		return m.appendRuns(out, off, n)
+	}
+	return out // never allocated: all hole
+}
+
+// pageRuns is ReadRuns page by page.
+func (e *lsmEngine) pageRuns(out []lbnRun, f *lsmFile, off, n int64) []lbnRun {
 	end := off + n
 	for pg := off / pageSize; pg*pageSize < end; pg++ {
 		lo, hi := pg*pageSize, (pg+1)*pageSize
@@ -128,7 +139,7 @@ func (e *lsmEngine) ReadRuns(out []lbnRun, file string, off, n int64) []lbnRun {
 		if loc, ok := f.remap[pg]; ok {
 			lbn = loc.lbn + (lo-pg*pageSize)/disk.SectorSize
 		} else {
-			x, ok := e.inner.locate(file, lo)
+			x, ok := e.inner.locate(f.name, lo)
 			if !ok {
 				continue // unallocated hole: nothing to read
 			}

@@ -423,3 +423,61 @@ func TestMakeRoomManyDirtiersTinyCache(t *testing.T) {
 		t.Fatalf("dirty bytes = %d after quiesce", s.DirtyBytes())
 	}
 }
+
+func TestLSMUnmappedReadMatchesPageWalk(t *testing.T) {
+	// A file with no relocated page reads its base layout whole. That must
+	// give the runs the page-by-page walk gives, on either update-in-place
+	// base layout, for reads at sector granularity that start and end off
+	// page and extent boundaries or run into the unallocated hole past a
+	// file's end. (The store reads whole pages; a read starting inside a
+	// sector is the one case where the page walk splits runs the base
+	// layout keeps whole.)
+	for _, base := range []func(Config) *extentEngine{newExtentEngine, newAgedEngine} {
+		cfg := DefaultConfig()
+		cfg.AllocUnitBytes = 1 << 20 // interleaved growth fragments the extent layout too
+		e := newLSMEngine(cfg)
+		e.inner = base(cfg)
+		t.Run(e.inner.Kind(), func(t *testing.T) {
+			files := []string{"a", "b", "c"}
+			for step := int64(1); step <= 8; step++ {
+				for i, name := range files {
+					e.Ensure(name, step*int64(i+1)<<20+int64(i)*12345)
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			sector := int64(disk.SectorSize)
+			for _, name := range files {
+				m := e.inner.files[name]
+				if len(m.extents) < 2 {
+					t.Fatalf("file %s has %d extents, want a fragmented map", name, len(m.extents))
+				}
+				var offs []int64
+				for i := 0; i < len(m.extents); i += max(len(m.extents)/64, 1) {
+					x := m.extents[i]
+					offs = append(offs, x.fileOff-sector, x.fileOff, x.fileOff+sector, x.fileOff+x.bytes-sector)
+				}
+				for i := 0; i < 200; i++ {
+					offs = append(offs, rng.Int63n(m.size+1<<20)/sector*sector)
+				}
+				for _, off := range offs {
+					if off < 0 {
+						continue
+					}
+					for _, n := range []int64{1, sector, pageSize, pageSize + 3*sector, rng.Int63n(4<<20) + 1} {
+						got := e.ReadRuns(nil, name, off, n)
+						want := e.pageRuns(nil, e.file(name), off, n)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s [%d,+%d): ReadRuns %v, page walk %v", name, off, n, got, want)
+						}
+					}
+				}
+			}
+			if got := e.ReadRuns(nil, "never-created", 0, 1<<20); len(got) != 0 {
+				t.Fatalf("read of an unknown file: %v, want no runs", got)
+			}
+			if _, ok := e.inner.files["never-created"]; ok {
+				t.Fatalf("a read created the file in the base layout")
+			}
+		})
+	}
+}

@@ -126,10 +126,16 @@ func New(k *sim.Kernel, net *netsim.Network, chunkBytes int64, nodes []int) *Cac
 // newChunk installs a chunk record in slot, taking it off the free list.
 // An empty free list is refilled with as many records as are resident (at
 // least one, at most maxChunkSlab) in one allocation, so a cache pays per
-// chunk it holds and a large one allocates in few blocks.
+// chunk it holds and a large one allocates in few blocks. A second block
+// beside the slab holds each record's first valid extent, so the first
+// insert into a fresh chunk allocates nothing either.
 func (c *Cache) newChunk(f *cacheFile, slot **chunk) *chunk {
 	if c.free == nil {
 		slab := make([]chunk, min(max(c.resident, 1), maxChunkSlab))
+		valid := make([]ext.Extent, len(slab))
+		for i := range slab {
+			slab[i].valid = valid[i : i : i+1]
+		}
 		for i := range len(slab) - 1 {
 			slab[i].next = &slab[i+1]
 		}

@@ -273,3 +273,36 @@ func TestNewRejectsNonPositiveChunk(t *testing.T) {
 		}()
 	}
 }
+
+// TestFirstPutIntoFreshChunkAllocatesNothing: a chunk record carved from a
+// warm slab comes with room for its first valid extent, so the first
+// PutClean into a fresh chunk allocates nothing.
+func TestFirstPutIntoFreshChunkAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := newCache(k, 100) // one home node, the caller's: no wire transfers
+	put := func(p *sim.Proc, idx int64) {
+		c.PutClean(p, 100, obs.Ctx{}, "f", []ext.Extent{{Off: idx*testChunk + 512, Len: 4 << 10}})
+	}
+	var allocs float64
+	k.Spawn("p", func(p *sim.Proc) {
+		// 128 resident chunks fill the slabs carved so far (1+1+2+...+64
+		// records), so chunk 128 carves a slab of 128; chunk 511 grows the
+		// file's index past every chunk put below.
+		for idx := int64(0); idx <= 128; idx++ {
+			put(p, idx)
+		}
+		put(p, 511)
+		next := int64(129)
+		allocs = testing.AllocsPerRun(100, func() {
+			put(p, next)
+			next++
+		})
+	})
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("a first PutClean into a fresh chunk allocates %v objects, want 0", allocs)
+	}
+	if err := c.CheckUsed(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -167,36 +167,72 @@ func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
 // TestFinishedProcDropsStartFunction: a Proc reachable after it finished (a
 // stale waiter record in a daemon's Signal keeps it so) must not keep its
 // start function, and through it everything the function captured, alive.
+// Nor may the carrier it ran on, idle after running another Proc since,
+// keep the finished Proc or its function.
 func TestFinishedProcDropsStartFunction(t *testing.T) {
 	type payload struct {
 		buf  [64]byte
 		next *payload
 	}
-	k := NewKernel(1)
-	var s Signal
-	collected := make(chan struct{})
-	p := func() *Proc {
+	// spawn starts a Proc whose function alone reaches a finalized payload
+	// and returns the channel the finalizer closes.
+	spawn := func(k *Kernel, body func(*Proc)) (*Proc, chan struct{}) {
 		obj := &payload{}
+		collected := make(chan struct{})
 		runtime.SetFinalizer(obj, func(*payload) { close(collected) })
 		return k.Spawn("x", func(p *Proc) {
 			obj.buf[0]++ // obj is reachable only through this function
-			s.WaitTimeout(p, time.Millisecond)
-		})
-	}()
+			body(p)
+		}), collected
+	}
+	gone := func(collected chan struct{}) bool {
+		for i := 0; i < 100; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		return false
+	}
+
+	k := NewKernel(1)
+	var s Signal
+	p, collected := spawn(k, func(p *Proc) { s.WaitTimeout(p, time.Millisecond) })
 	k.Run()
 	if len(s.waiters) == 0 || s.waiters[0].w.p != p {
 		t.Fatalf("want a stale waiter record for the finished Proc")
 	}
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			runtime.KeepAlive(&s)
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+	if !gone(collected) {
+		t.Fatalf("the finished Proc keeps its start function's captures reachable")
 	}
-	t.Fatalf("the finished Proc keeps its start function's captures reachable")
+	runtime.KeepAlive(&s)
+
+	k = NewKernel(1)
+	k.Spawn("driver", func(d *Proc) {
+		// finished spawns a Proc that returns at once, lets it run, and
+		// returns channels closed when its start function and the Proc
+		// itself are collected.
+		finished := func() (fnGone, procGone chan struct{}) {
+			p, fnGone := spawn(k, finishes)
+			procGone = make(chan struct{})
+			runtime.SetFinalizer(p, func(*Proc) { close(procGone) })
+			d.Sleep(time.Millisecond) // p runs and finishes; its carrier goes idle
+			return fnGone, procGone
+		}
+		xFn, x := finished()
+		yFn, y := finished() // y runs on x's carrier
+		if c := k.idle; c == nil || c.next != nil {
+			t.Errorf("want one idle carrier, the one x and y ran on")
+		}
+		for _, c := range []chan struct{}{xFn, x, yFn, y} {
+			if !gone(c) {
+				t.Errorf("an idle carrier keeps a finished Proc or its start function reachable")
+			}
+		}
+	})
+	k.Run()
 }
 
 // TestStatsDeterministic: the kernel's self-counters are exact, so two runs
@@ -271,4 +307,72 @@ func TestPingPongOneHandoffPerResume(t *testing.T) {
 	if blocked < n || st.Handoffs != uint64(blocked+starts) || st.SelfResumes != 0 || st.Callbacks != 0 {
 		t.Fatalf("stats %+v for %d blocking gets: want one handoff per resume and start", st, blocked)
 	}
+}
+
+// finishes is a Proc that returns at once; it captures nothing, so
+// spawning it allocates no closure.
+func finishes(*Proc) {}
+
+// TestSpawnAllocatesOnlyTheProc: on a warm kernel a Proc start reuses an
+// idle carrier, its goroutine and its wake channel, and an expiry event
+// names its Proc instead of holding a closure, so spawning a Proc and
+// running it to completion allocates the Proc and nothing else.
+func TestSpawnAllocatesOnlyTheProc(t *testing.T) {
+	k := NewKernel(1)
+	var allocs float64
+	k.Spawn("driver", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			k.Spawn("x", finishes)
+			p.Sleep(time.Microsecond) // x starts and finishes before this wake
+		})
+	})
+	k.Run()
+	if allocs != 1 {
+		t.Fatalf("spawning and finishing a Proc allocates %v objects, want 1 (the Proc)", allocs)
+	}
+}
+
+// TestIdleCarriersExitOnDrain: carriers outlive their Procs only while the
+// kernel runs; once RunUntil returns they exit, so a drained kernel that
+// ran many Procs holds no goroutine.
+func TestIdleCarriersExitOnDrain(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	const n = 200
+	for i := 0; i < n; i++ {
+		k.SpawnAt(time.Duration(i)*time.Millisecond, "p", func(p *Proc) {
+			p.Sleep(time.Millisecond / 2)
+		})
+	}
+	k.Run()
+	if st := k.Stats(); st.Handoffs != n {
+		t.Fatalf("stats %+v: want one handoff per start, %d", st, n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %d Procs drained, want %d", runtime.NumGoroutine(), n, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestProcPanicOnReusedCarrierNamesTheProc: a Proc that runs on the
+// carrier of a finished Proc reports its own name when it panics.
+func TestProcPanicOnReusedCarrierNamesTheProc(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("first", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		k.Spawn("second", func(*Proc) { panic("boom") })
+	}) // first's finish pops second's start and runs it in place
+	defer func() {
+		want := `sim: proc "second" panicked: boom`
+		if r := recover(); r != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
+		}
+		if st := k.Stats(); st.Handoffs != 2 {
+			t.Fatalf("stats %+v: want one handoff per start", st)
+		}
+	}()
+	k.Run()
 }

@@ -128,3 +128,18 @@ func BenchmarkKernelWaitTimeoutEarlyWake(b *testing.B) {
 		b.Fatalf("Pending = %d after drain, want 0 (canceled timers must not linger)", n)
 	}
 }
+
+// BenchmarkSpawnFinish measures a Proc's whole life on a warm kernel: spawn
+// it, start it, let it finish. The start reuses the carrier of the Proc
+// before it, so the Proc itself is the one allocation per op.
+func BenchmarkSpawnFinish(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	k.Spawn("driver", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Spawn("x", finishes)
+			p.Sleep(time.Microsecond) // x starts and finishes before this wake
+		}
+	})
+	k.Run()
+}

@@ -4,7 +4,8 @@
 // A Kernel advances a virtual clock by executing events in (time, sequence)
 // order. Simulated activities are written as ordinary Go functions running in
 // Procs; a Proc blocks in virtual time with Sleep, Signal.Wait, Queue.Get,
-// or Resource.Acquire. Each Proc runs on its own goroutine, and control is a
+// or Resource.Acquire. Each Proc runs on a goroutine of its own, a carrier
+// that it takes over from a finished Proc when one is idle, and control is a
 // baton: exactly one goroutine — the RunUntil caller or one Proc — holds it
 // and runs the event loop at any instant, so simulations are fully
 // deterministic: the same program and seed yield the same event order and
@@ -16,7 +17,8 @@
 // until an event wakes a Proc. Its own wake returns without a switch;
 // another Proc's wake passes the baton straight to that Proc's goroutine,
 // one goroutine switch per resume. When no event at or before the deadline
-// remains, the holder passes the baton back to the RunUntil caller.
+// remains, the holder passes the baton back to the RunUntil caller, which
+// then releases the idle carriers.
 package sim
 
 import (
@@ -33,11 +35,12 @@ import (
 // so the scheduler moves 4-byte ints instead of boxed interface values and a
 // recycled slot is a free-list push.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-	p   *Proc // non-nil: a wake event that starts or resumes p (fn is nil)
-	pos int32 // index in Kernel.heap; read only while the event is in it
+	at     time.Duration
+	seq    uint64
+	fn     func()
+	p      *Proc // non-nil: a wake event that starts or resumes p (fn is nil)
+	pos    int32 // index in Kernel.heap; read only while the event is in it
+	expiry bool  // with p: the expiry of p's WaitTimeout, run as a callback
 }
 
 // eventID names one scheduled event for cancellation. The generation
@@ -76,7 +79,8 @@ type Kernel struct {
 	// panic ends the run, and failure then holds the panic to re-raise.
 	parked  chan struct{}
 	failure interface{}
-	nprocs  int // live (spawned, not yet finished) procs
+	nprocs  int      // live (spawned, not yet finished) procs
+	idle    *carrier // carriers whose Proc finished, waiting for a start (a stack)
 	stats   Stats
 	rng     *rand.Rand
 	audit   check.Ledger // nil unless a run auditor is attached
@@ -87,7 +91,7 @@ type Kernel struct {
 type Stats struct {
 	Events      uint64 // events run: Callbacks + Handoffs + SelfResumes
 	Callbacks   uint64 // plain callbacks run inline (After, timer expiries)
-	Handoffs    uint64 // wakes that passed the baton to another Proc's goroutine
+	Handoffs    uint64 // wakes that passed the baton to another Proc, starts included
 	SelfResumes uint64 // wakes popped by the Proc they wake, lone Sleeps included: no switch
 }
 
@@ -121,11 +125,11 @@ func (k *Kernel) Now() time.Duration { return k.now }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // schedule enqueues fn to run at absolute virtual time at, or with fn nil a
-// wake of p, and returns its id for cancel. Arena slots are recycled
-// through the free list: the run loop returns each popped slot before its
-// callback executes, so a steady-state simulation stops allocating event
-// records entirely.
-func (k *Kernel) schedule(at time.Duration, fn func(), p *Proc) eventID {
+// wake of p (the expiry of p's WaitTimeout when expiry is set), and returns
+// its id for cancel. Arena slots are recycled through the free list: the
+// run loop returns each popped slot before its callback executes, so a
+// steady-state simulation stops allocating event records entirely.
+func (k *Kernel) schedule(at time.Duration, fn func(), p *Proc, expiry bool) eventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
@@ -138,7 +142,7 @@ func (k *Kernel) schedule(at time.Duration, fn func(), p *Proc) eventID {
 		idx = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[idx]
-	e.at, e.seq, e.fn, e.p = at, k.seq, fn, p
+	e.at, e.seq, e.fn, e.p, e.expiry = at, k.seq, fn, p, expiry
 	k.seq++
 	k.pending++
 	k.heapPush(idx)
@@ -174,7 +178,7 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	k.schedule(k.now+d, fn, nil)
+	k.schedule(k.now+d, fn, nil, false)
 }
 
 // Run executes events until none remain. A panic in a callback or a Proc
@@ -190,11 +194,14 @@ func (k *Kernel) Run() {
 //
 // The caller holds the baton until an event wakes a Proc; from then on the
 // Procs run the loop, and the caller only waits for the baton to come back.
+// It then releases the idle carriers, so between runs the kernel holds a
+// goroutine only for each Proc that is still live.
 func (k *Kernel) RunUntil(deadline time.Duration) {
 	k.deadline = deadline
 	if p := k.next(); p != nil {
 		k.pass(p)
 		<-k.parked
+		k.releaseIdle()
 		if f := k.failure; f != nil {
 			k.failure = nil
 			panic(f)
@@ -206,9 +213,9 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 }
 
 // next is the event loop, run by whichever goroutine holds the baton. It
-// executes events in (at, seq) order, plain callbacks inline, until one
-// wakes a Proc, and returns that Proc. It returns nil once no event at or
-// before the deadline remains.
+// executes events in (at, seq) order, plain callbacks and timed-wait
+// expiries inline, until one wakes a Proc, and returns that Proc. It
+// returns nil once no event at or before the deadline remains.
 func (k *Kernel) next() *Proc {
 	deadline := k.deadline
 	for {
@@ -221,14 +228,19 @@ func (k *Kernel) next() *Proc {
 		idx := k.heapPopTop()
 		e := &k.arena[idx]
 		k.now = e.at
-		fn, p := e.fn, e.p
+		fn, p, expiry := e.fn, e.p, e.expiry
 		k.pending--
 		k.freeSlot(idx) // recycle before running: fn's own schedules reuse it
-		if p != nil {
+		switch {
+		case p == nil:
+			k.stats.Callbacks++
+			fn()
+		case expiry:
+			k.stats.Callbacks++
+			p.expire()
+		default:
 			return p
 		}
-		k.stats.Callbacks++
-		fn()
 	}
 }
 
@@ -248,18 +260,17 @@ func (k *Kernel) nextOnProc() *Proc {
 	return k.next()
 }
 
-// pass hands the baton to p: it starts p's goroutine or resumes it, or with
-// p nil returns the baton to the RunUntil caller. The caller must not touch
-// kernel state afterwards until the baton comes back.
+// pass hands the baton to p: it starts p on a carrier or resumes it, or
+// with p nil returns the baton to the RunUntil caller. The caller must not
+// touch kernel state afterwards until the baton comes back.
 func (k *Kernel) pass(p *Proc) {
 	if p == nil {
 		k.parked <- struct{}{}
 		return
 	}
 	k.stats.Handoffs++
-	if fn := p.fn; fn != nil {
-		p.fn = nil // a running Proc must not keep its start function reachable
-		go p.run(fn)
+	if p.fn != nil {
+		k.start(p)
 		return
 	}
 	p.resume <- struct{}{}

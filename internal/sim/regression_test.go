@@ -82,9 +82,9 @@ func TestKernelPopOrderMatchesReference(t *testing.T) {
 				got = append(got, id)
 				if id%5 == 0 {
 					cid := id + childID
-					k.schedule(k.now, func() { got = append(got, cid) }, nil)
+					k.schedule(k.now, func() { got = append(got, cid) }, nil, false)
 				}
-			}, nil)
+			}, nil, false)
 			pending = append(pending, refEvent{at: at, seq: refSeq, id: id})
 			refSeq++
 		}

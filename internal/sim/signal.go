@@ -82,7 +82,7 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	}
 	w := s.arm(p)
 	w.timerSeq = w.seq
-	w.timer = p.k.schedule(p.k.now+d, p.timerFn, nil)
+	w.timer = p.k.schedule(p.k.now+d, nil, p, true)
 	p.park()
 	if !w.timedOut {
 		// Broadcast won the race: the expiry event is dead weight — cancel
