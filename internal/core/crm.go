@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
+	"dualpar/internal/cluster"
 	"dualpar/internal/ext"
 	"dualpar/internal/obs"
 	"dualpar/internal/sim"
@@ -94,38 +94,85 @@ const (
 
 // issueByHome partitions extents, which must be in ext.Merge's canonical
 // form, by their chunks' home nodes and issues one sorted list-I/O batch per
-// home node, in parallel, waiting for all. Each home's pieces arrive in
-// offset order, so joining touching ones on append keeps its batch
-// canonical.
+// home node, in parallel and in ascending node order, waiting for all. Each
+// home's pieces arrive in offset order, so joining touching ones on append
+// keeps its batch canonical. The partition is a split from the Runner's
+// pool.
 func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent, op crmOp) {
-	chunk := pr.r.cfg.ChunkBytes
-	perHome := make(map[int][]ext.Extent)
+	r := pr.r
+	s := recycled(&r.splits)
+	s.pr, s.file, s.op, s.refs = pr, file, op, 1
+	chunk := r.cfg.ChunkBytes
 	ext.VisitSplit(extents, chunk, func(piece ext.Extent) {
-		home := pr.cache.Home(piece.Off / chunk)
-		lst := perHome[home]
-		if n := len(lst); n > 0 && lst[n-1].End() == piece.Off {
-			lst[n-1].Len += piece.Len
+		sl := s.slot(pr.cache.Home(piece.Off / chunk))
+		if n := len(sl.batch); n > 0 && sl.batch[n-1].End() == piece.Off {
+			sl.batch[n-1].Len += piece.Len
 		} else {
-			perHome[home] = append(lst, piece)
+			sl.batch = append(sl.batch, piece)
 		}
 	})
-	homes := make([]int, 0, len(perHome))
-	for h := range perHome {
-		homes = append(homes, h)
+	k := r.cl.K
+	for _, sl := range s.slots {
+		if len(sl.batch) > 0 {
+			s.wg.Add(1)
+			k.Spawn(pr.crmHomeName(sl.home), sl.run)
+		}
 	}
-	sort.Ints(homes)
-	k := pr.r.cl.K
-	wg := k.NewWaitGroup()
-	for _, home := range homes {
-		home := home
-		batch := perHome[home]
-		wg.Add(1)
-		k.Spawn(pr.crmHomeName(home), func(hp *sim.Proc) {
-			defer wg.Done()
-			pr.superviseBatch(hp, file, batch, op, home)
-		})
+	s.wg.Wait(p)
+	s.release()
+}
+
+// homeSplit is one issueByHome call's extents partitioned by home node.
+// Slot i holds compute node cluster.ComputeNodeBase+i's batch, so the
+// slots in order are the homes in ascending node id. The issuer holds one
+// reference and every launched CRM attempt another: an attempt the
+// watchdog abandoned keeps reading its batch after issueByHome returned.
+// The last reference returns the split to the Runner's pool.
+type homeSplit struct {
+	pr    *ProgramRun
+	file  string
+	op    crmOp
+	slots []*homeSlot
+	wg    sim.WaitGroup // the slots' supervisors
+	refs  int
+}
+
+// homeSlot is one home node's batch within a split.
+type homeSlot struct {
+	s     *homeSplit
+	home  int
+	batch []ext.Extent
+	run   func(*sim.Proc) // supervise, bound once
+}
+
+// slot returns home's slot, growing the split to reach it.
+func (s *homeSplit) slot(home int) *homeSlot {
+	for i := home - cluster.ComputeNodeBase; len(s.slots) <= i; {
+		sl := &homeSlot{s: s, home: cluster.ComputeNodeBase + len(s.slots)}
+		sl.run = sl.supervise
+		s.slots = append(s.slots, sl)
 	}
-	wg.Wait(p)
+	return s.slots[home-cluster.ComputeNodeBase]
+}
+
+// release drops one reference; the last empties the batches, keeping
+// their capacity, and returns the split to the pool.
+func (s *homeSplit) release() {
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	r := s.pr.r
+	for _, sl := range s.slots {
+		sl.batch = sl.batch[:0]
+	}
+	s.pr, s.file = nil, ""
+	r.splits = append(r.splits, s)
+}
+
+// supervise is the body of a home's CRM proc.
+func (sl *homeSlot) supervise(hp *sim.Proc) {
+	sl.s.pr.superviseBatch(hp, sl)
+	sl.s.wg.Done()
 }
 
 // crmHomeName is the name of the CRM proc serving home node home,
@@ -147,20 +194,22 @@ func (pr *ProgramRun) crmHomeName(home int) string {
 // finishes first completes the batch). A degraded home node therefore
 // delays only its own batch by at most the escalation ladder, instead of
 // pinning the whole collective phase to its stall.
-func (pr *ProgramRun) superviseBatch(hp *sim.Proc, file string, batch []ext.Extent, op crmOp, home int) {
+func (pr *ProgramRun) superviseBatch(hp *sim.Proc, sl *homeSlot) {
 	cfg := pr.r.cfg
 	if cfg.CRMTimeout <= 0 {
-		pr.crmBatch(hp, file, batch, op, home, 0)
+		pr.crmBatch(hp, sl, 0)
 		return
 	}
 	k := pr.r.cl.K
 	done := k.NewSignal()
 	fin := false
 	launch := func(attempt int) {
-		k.Spawn(fmt.Sprintf("prog%d/crm-home%d/try%d", pr.id, home, attempt), func(ap *sim.Proc) {
-			pr.crmBatch(ap, file, batch, op, home, attempt)
+		sl.s.refs++
+		k.Spawn(fmt.Sprintf("prog%d/crm-home%d/try%d", pr.id, sl.home, attempt), func(ap *sim.Proc) {
+			pr.crmBatch(ap, sl, attempt)
 			fin = true
 			done.Broadcast()
+			sl.s.release()
 		})
 	}
 	launch(0)
@@ -185,8 +234,8 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, file string, batch []ext.Exte
 		}
 		if o := pr.obs(); o.Enabled() {
 			o.Instant("retry", pr.ctrlTrack(), hp.Now(),
-				obs.I64("home", int64(home)), obs.I64("attempt", int64(retry+1)),
-				obs.Str("file", file))
+				obs.I64("home", int64(sl.home)), obs.I64("attempt", int64(retry+1)),
+				obs.Str("file", sl.s.file))
 		}
 		if backoff > 0 {
 			hp.Sleep(backoff)
@@ -201,7 +250,8 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, file string, batch []ext.Exte
 // replica of a needed stripe down) is surfaced through pr.fail rather than
 // stalling the batch: the attempt completes, the collective phase moves
 // on, and the run finishes carrying the error.
-func (pr *ProgramRun) crmBatch(hp *sim.Proc, file string, batch []ext.Extent, op crmOp, home, attempt int) {
+func (pr *ProgramRun) crmBatch(hp *sim.Proc, sl *homeSlot, attempt int) {
+	file, batch, home := sl.s.file, sl.batch, sl.home
 	cl := pr.r.cl.FS.Client(home)
 	var rc obs.Ctx
 	if o := pr.obs(); o.Enabled() {
@@ -209,7 +259,7 @@ func (pr *ProgramRun) crmBatch(hp *sim.Proc, file string, batch []ext.Extent, op
 	}
 	start := hp.Now()
 	verb := "crm-read"
-	switch op {
+	switch sl.s.op {
 	case crmWrite:
 		verb = "crm-writeback"
 		pr.fail(cl.Write(hp, file, batch, pr.crmOrigin, rc))

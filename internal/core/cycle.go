@@ -32,9 +32,8 @@ type controller struct {
 	cycles       int64
 
 	// Storage recycled across cycles. A wish list is spare only while no
-	// CRM proc holds it, and a ghost recorder only while no ghost runs.
+	// CRM proc holds it.
 	spareWish  []*fileExtents
-	ghostEnvs  []*ghostEnv
 	ghostNames []string // per rank, formatted on its first ghost
 	crmName    string   // formatted on the first serve
 }
@@ -166,16 +165,22 @@ func (c *controller) noteResume(p *sim.Proc, rank int) {
 // startGhost forks the pre-execution for one suspended rank. The ghost
 // re-executes computation (charged in virtual time on spare cores), records
 // read requests without issuing them, skips communication and writes, and
-// pauses at the rank's quota (§IV-C). It runs from a recycled ghostEnv, so
-// once the pool is warm a fork allocates its Proc and its generator's
-// clone, nothing more.
+// pauses at the rank's quota (§IV-C). It runs from a recycled ghostEnv
+// whose clone the generator overwrites, so once the pool is warm a fork
+// allocates its Proc and nothing more.
 func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloads.Op) {
 	c.ghostsActive++
-	e := recycled(&c.ghostEnvs)
+	e := recycled(&c.pr.r.ghostEnvs)
 	if e.run == nil {
-		e.c, e.run = c, e.ghost
+		e.run = e.ghost
 	}
-	e.gen, e.clone, e.bytes = c.gen, gen.Clone(), pending.Bytes()
+	if e.c != c {
+		// The recorder keeps the file keys of the program it last served;
+		// another program's would pile up in a run of many programs.
+		clear(e.recorded)
+		e.c = c
+	}
+	e.gen, e.clone, e.bytes = c.gen, gen.Clone(e.clone), pending.Bytes()
 	e.record(pending.File, pending.Extents)
 	c.pr.r.cl.K.Spawn(c.ghostName(rank), e.run)
 }
@@ -199,7 +204,7 @@ func (e *ghostEnv) ghost(p *sim.Proc) {
 	limit := quota * int64(c.pr.r.cfg.PipelineDepth)
 	defer func() {
 		e.reset()
-		c.ghostEnvs = append(c.ghostEnvs, e)
+		c.pr.r.ghostEnvs = append(c.pr.r.ghostEnvs, e)
 		if c.gen == myGen {
 			c.ghostsActive--
 			c.maybeServe()
@@ -270,12 +275,33 @@ func (c *controller) maybeServe() {
 		return
 	}
 	if c.ghostsActive == 0 && c.participants > 0 {
-		gen, count := c.gen, c.participants
-		c.pr.r.cl.K.After(joinGrace, func() {
-			if c.state == ctrlFilling && c.gen == gen && c.participants == count && c.ghostsActive == 0 {
-				c.serve()
-			}
-		})
+		g := recycled(&c.pr.r.graces)
+		if g.expire == nil {
+			g.expire = g.fire
+		}
+		g.c, g.gen, g.count = c, c.gen, c.participants
+		c.pr.r.cl.K.After(joinGrace, g.expire)
+	}
+}
+
+// grace is one pending join grace: the generation and participant count it
+// was armed at, and its expire callback, bound once. Graces overlap (a
+// rank that joins during one arms another), so each keeps its own pair;
+// it serves only if nothing moved since it was armed. A grace returns to
+// the Runner's pool when it fires.
+type grace struct {
+	c          *controller
+	gen, count int
+	expire     func() // fire, bound once
+}
+
+func (g *grace) fire() {
+	c := g.c
+	serve := c.state == ctrlFilling && c.gen == g.gen && c.participants == g.count && c.ghostsActive == 0
+	g.c = nil
+	c.pr.r.graces = append(c.pr.r.graces, g)
+	if serve {
+		c.serve()
 	}
 }
 
@@ -342,7 +368,7 @@ type ghostEnv struct {
 	recorded map[string][]ext.Extent
 
 	gen   int               // cycle generation the ghost records for
-	clone workloads.RankGen // the suspended rank's generator, cloned
+	clone workloads.RankGen // the suspended rank's generator, cloned; kept as the next clone's storage
 	bytes int64             // bytes recorded so far
 }
 
@@ -359,11 +385,11 @@ func (e *ghostEnv) record(file string, extents []ext.Extent) {
 
 // reset forgets every recorded read but keeps each file's key and slice
 // capacity, so a pooled recorder serves the next ghost without regrowing.
+// The clone stays: the next ghost's generator clones into it.
 func (e *ghostEnv) reset() {
 	for f, xs := range e.recorded {
 		e.recorded[f] = xs[:0]
 	}
-	e.clone = nil
 }
 
 // Value implements workloads.Env. The recorded list is canonical (sorted,

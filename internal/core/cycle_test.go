@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dualpar/internal/ext"
+	"dualpar/internal/obs"
 	"dualpar/internal/workloads"
 )
 
@@ -66,9 +67,8 @@ func (g *staggerGen) wait() time.Duration {
 	return 0
 }
 
-func (g *staggerGen) Clone() workloads.RankGen {
-	cp := *g
-	return &cp
+func (g *staggerGen) Clone(into workloads.RankGen) workloads.RankGen {
+	return workloads.CloneInto(g, into)
 }
 
 // extAlias keeps workload literals compact in this file.
@@ -114,6 +114,83 @@ func TestJoinGraceBatchesLockstepRanks(t *testing.T) {
 	// 4MB file, 16 ranks x 1MB quota: everything fits in very few cycles.
 	if c := pr.ctrl.Cycles(); c > 4 {
 		t.Fatalf("cycles = %d, want few (ranks batching together)", c)
+	}
+}
+
+// lateJoin is a workload of one read per rank after a per-rank delay. Its
+// ghosts pause at once: a ghost forked at a rank's only read finds the
+// generator done.
+type lateJoin struct{ delays []time.Duration }
+
+func (l lateJoin) Name() string { return "late-join" }
+func (l lateJoin) Ranks() int   { return len(l.delays) }
+func (l lateJoin) Files() []workloads.FileSpec {
+	return []workloads.FileSpec{{Name: "late.dat", Size: 16 << 20, Precreate: true}}
+}
+func (l lateJoin) NewRank(r int) workloads.RankGen {
+	return &lateJoinGen{rank: r, delay: l.delays[r]}
+}
+
+type lateJoinGen struct {
+	rank  int
+	delay time.Duration
+	step  int
+}
+
+func (g *lateJoinGen) Next(workloads.Env) workloads.Op {
+	g.step++
+	switch {
+	case g.step == 1 && g.delay > 0:
+		return workloads.Op{Kind: workloads.OpCompute, Dur: g.delay}
+	case g.step <= 2:
+		g.step = 2
+		return workloads.Op{Kind: workloads.OpRead, File: "late.dat",
+			Extents: []ext64{{Off: int64(g.rank) * (1 << 20), Len: 64 << 10}}}
+	}
+	return workloads.Op{Kind: workloads.OpDone}
+}
+
+func (g *lateJoinGen) Clone(into workloads.RankGen) workloads.RankGen {
+	return workloads.CloneInto(g, into)
+}
+
+// TestJoinGraceBatchesLateRank: ranks 0-2 miss at once and rank 3 misses
+// 5 ms later, inside the join grace their paused ghosts armed; rank 4
+// computes past the fill deadline. Each pause arms its own grace, which
+// serves only if no rank joined since: rank 3's join voids the earlier
+// graces, and the first cycle serves ranks 0-3 one grace after rank 3
+// suspended. Without the grace the cycle waits for the deadline; with
+// one (generation, count) pair shared by every pending grace, the first
+// grace sees rank 3's count and serves 5 ms early.
+func TestJoinGraceBatchesLateRank(t *testing.T) {
+	col := obs.NewCollector()
+	cl := tracedCluster(1, col)
+	r := NewRunner(cl, DefaultConfig())
+	const lag = 5 * time.Millisecond
+	r.Add(lateJoin{delays: []time.Duration{0, 0, 0, lag, 2 * maxFillWait}},
+		ModeDataDriven, AddOptions{RanksPerNode: 8})
+	if !r.Run(time.Hour) {
+		t.Fatal("run did not finish")
+	}
+	var late, serve *obs.Instant
+	ins := col.Instants()
+	for i, in := range ins {
+		switch {
+		case in.Name == "rank.suspend" && in.Track == "prog0/rank3" && late == nil:
+			late = &ins[i]
+		case in.Name == "cycle.serve" && serve == nil:
+			serve = &ins[i]
+		}
+	}
+	if late == nil || serve == nil {
+		t.Fatalf("rank 3 suspended: %v, a cycle served: %v", late != nil, serve != nil)
+	}
+	if got := argOf(serve.Args, "participants"); got != "4" {
+		t.Errorf("first cycle served %s ranks, want 4 (ranks 0-3)", got)
+	}
+	if want := late.At + joinGrace; serve.At != want {
+		t.Errorf("first cycle served at %v, want %v (rank 3 suspended at %v, plus the %v grace)",
+			serve.At, want, late.At, joinGrace)
 	}
 }
 

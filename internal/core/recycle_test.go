@@ -252,7 +252,7 @@ func TestWishListsRecycledUnderPipelining(t *testing.T) {
 	if got := len(c.spareWish); got > 4 {
 		t.Errorf("%d spare wish lists after %d cycles, want at most 4", got, c.cycles)
 	}
-	if got := len(c.ghostEnvs); got > n.Procs {
+	if got := len(r.ghostEnvs); got > n.Procs {
 		t.Errorf("%d pooled ghost recorders for %d ranks", got, n.Procs)
 	}
 }

@@ -57,9 +57,8 @@ func (g *logProbeGen) Next(workloads.Env) workloads.Op {
 	return op
 }
 
-func (g *logProbeGen) Clone() workloads.RankGen {
-	cp := *g
-	return &cp
+func (g *logProbeGen) Clone(into workloads.RankGen) workloads.RankGen {
+	return workloads.CloneInto(g, into)
 }
 
 // opExtents replays every rank of prog and returns its ops' extents per

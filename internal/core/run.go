@@ -33,6 +33,13 @@ type Runner struct {
 	// so one is enough.
 	merge  ext.Merger
 	merged []ext.Extent
+
+	// Records every program's CRM cycles recycle, created on first use:
+	// a run of many short programs reuses one program's records in the
+	// next instead of allocating a pool per program.
+	graces    []*grace     // join graces not pending
+	ghostEnvs []*ghostEnv  // ghost states no ghost runs on
+	splits    []*homeSplit // per-home splits no CRM proc reads
 }
 
 // NewRunner creates a runner on a cluster.

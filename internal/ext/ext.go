@@ -114,16 +114,27 @@ func absorb(out []Extent, e Extent, maxHole int64) []Extent {
 // and miss lists, ghost recorders) can grow sorted sets without re-merging
 // them each time. An extent at or after the last one costs no search.
 func Insert(xs []Extent, e Extent) []Extent {
+	xs, _ = InsertCount(xs, e)
+	return xs
+}
+
+// InsertCount is Insert that also returns how many bytes of e xs did not
+// cover before, so a caller can keep a set's Total as a running count.
+func InsertCount(xs []Extent, e Extent) ([]Extent, int64) {
 	if e.Len <= 0 {
-		return xs
+		return xs, 0
 	}
 	// In-order streams start at or after the last extent: append, or join
 	// the last extent, which alone can touch e.
 	if n := len(xs); n == 0 || e.Off > xs[n-1].End() {
-		return append(xs, e)
+		return append(xs, e), e.Len
 	} else if last := &xs[n-1]; e.Off >= last.Off {
-		last.Len = max(last.End(), e.End()) - last.Off
-		return xs
+		end := last.End()
+		if e.End() <= end {
+			return xs, 0
+		}
+		last.Len = e.End() - last.Off
+		return xs, e.End() - end
 	}
 	// First extent that could touch e: End >= e.Off.
 	lo, hi := 0, len(xs)
@@ -137,15 +148,17 @@ func Insert(xs []Extent, e Extent) []Extent {
 	}
 	i := lo
 	// Extents [i, j) overlap or touch e and coalesce with it.
+	var covered int64
 	j := i
 	for j < len(xs) && xs[j].Off <= e.End() {
+		covered += xs[j].Len
 		j++
 	}
 	if i == j {
 		xs = append(xs, Extent{})
 		copy(xs[i+1:], xs[i:])
 		xs[i] = e
-		return xs
+		return xs, e.Len
 	}
 	off := min(xs[i].Off, e.Off)
 	end := max(xs[j-1].End(), e.End())
@@ -153,7 +166,7 @@ func Insert(xs []Extent, e Extent) []Extent {
 	if j > i+1 {
 		xs = append(xs[:i+1], xs[j:]...)
 	}
-	return xs
+	return xs, end - off - covered
 }
 
 // Sieve is data sieving over xs, which must be in Merge's canonical form:

@@ -199,15 +199,22 @@ func TestInsertCases(t *testing.T) {
 }
 
 // Property: folding Insert over any extent sequence yields exactly
-// Merge of the whole sequence — the canonical forms are identical.
+// Merge of the whole sequence — the canonical forms are identical — and
+// the bytes InsertCount reports as newly covered sum to the set's Total
+// after every step.
 func TestInsertEquivalentToMerge(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		xs := make([]Extent, int(n)%48)
 		var folded []Extent
+		var counted int64
 		for i := range xs {
 			xs[i] = Extent{Off: r.Int63n(300), Len: r.Int63n(40)}
-			folded = Insert(folded, xs[i])
+			var added int64
+			folded, added = InsertCount(folded, xs[i])
+			if counted += added; counted != Total(folded) {
+				return false
+			}
 		}
 		want := Merge(xs)
 		if len(folded) != len(want) {

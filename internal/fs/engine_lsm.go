@@ -9,10 +9,6 @@ import (
 	"dualpar/internal/sim"
 )
 
-// lsmCheckEvery is how often the compactor re-examines the log when no
-// segment is worth compacting (it is also kicked eagerly by appends).
-const lsmCheckEvery = 500 * time.Millisecond
-
 // lsmEngine is a log-structured store. Files keep a contiguous base layout
 // (an embedded extent engine) modeling their initial on-disk image; every
 // write relocates the touched pages to the head of a segmented append-only
@@ -219,12 +215,15 @@ func (e *lsmEngine) pickVictim() *lsmSegment {
 }
 
 // compactLoop runs in its own Proc: wait for garbage, rewrite one segment,
-// throttle to the configured compaction bandwidth.
+// throttle to the configured compaction bandwidth. A victim appears only
+// when WriteRuns overwrites or seals a segment, and it kicks, or after
+// compactOne, which the loop re-checks; so an idle compactor waits on the
+// kick alone and leaves the event queue empty.
 func (e *lsmEngine) compactLoop(p *sim.Proc) {
 	for {
 		v := e.pickVictim()
 		if v == nil {
-			e.kick.WaitTimeout(p, lsmCheckEvery)
+			e.kick.Wait(p)
 			continue
 		}
 		e.compactOne(p, v)

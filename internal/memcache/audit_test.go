@@ -57,8 +57,9 @@ func TestCheckUsedCatchesCorruptLedger(t *testing.T) {
 }
 
 // TestCheckUsedCatchesCounterDrift: each counter that stands in for a
-// walk over the chunks (resident chunks, dirty chunks, and dirty bytes per
-// file and in total) is checked against the index.
+// walk over the chunks (resident chunks, dirty chunks, dirty bytes per
+// file and in total, and each chunk's valid and dirty bytes) is checked
+// against the index.
 func TestCheckUsedCatchesCounterDrift(t *testing.T) {
 	for _, drift := range []struct {
 		name string
@@ -68,6 +69,8 @@ func TestCheckUsedCatchesCounterDrift(t *testing.T) {
 		{"dirty chunks", func(c *Cache) { c.dirty-- }},
 		{"dirty bytes", func(c *Cache) { c.dirtyB++ }},
 		{"file dirty bytes", func(c *Cache) { c.files["f"].dirtyBytes++ }},
+		{"chunk valid bytes", func(c *Cache) { c.files["f"].at(1).validB-- }},
+		{"chunk dirty bytes", func(c *Cache) { c.files["f"].at(1).dirtyB++ }},
 	} {
 		k := sim.NewKernel(1)
 		c := newCache(k)

@@ -37,6 +37,8 @@ type chunkKey struct {
 type chunk struct {
 	valid   []ext.Extent // chunk-relative byte ranges present
 	dirty   []ext.Extent // subset of valid awaiting writeback
+	validB  int64        // ext.Total(valid), kept as puts insert
+	dirtyB  int64        // ext.Total(dirty), kept as puts insert
 	lastRef time.Duration
 	next    *chunk // free-list link while released
 }
@@ -151,11 +153,10 @@ func (c *Cache) newChunk(f *cacheFile, slot **chunk) *chunk {
 // release removes chunk idx of f, dirty or not, and recycles its record.
 func (c *Cache) release(f *cacheFile, idx int64) {
 	ch := f.chunks[idx]
-	c.adjustUsed(-ext.Total(ch.valid))
-	if len(ch.dirty) > 0 {
-		d := ext.Total(ch.dirty)
-		f.dirtyBytes -= d
-		c.dirtyB -= d
+	c.adjustUsed(-ch.validB)
+	if ch.dirtyB > 0 {
+		f.dirtyBytes -= ch.dirtyB
+		c.dirtyB -= ch.dirtyB
 		c.dirty--
 	}
 	f.chunks[idx] = nil
@@ -186,7 +187,8 @@ func (c *Cache) SetObs(o *obs.Collector) { c.obs = o }
 // bytes split exactly into hit bytes plus missing bytes.
 func (c *Cache) SetAudit(l check.Ledger) { c.audit = l }
 
-// CheckUsed verifies the cache's ledgers against the chunk index: used
+// CheckUsed verifies the cache's ledgers against the chunk index: each
+// chunk's valid and dirty byte counts must equal its lists' totals, used
 // must equal the sum of valid bytes over all chunks, the resident-chunk,
 // dirty-chunk and dirty-byte counters (dirty bytes per file and in total)
 // must match the chunks, and every dirty range must lie inside its chunk's
@@ -202,8 +204,12 @@ func (c *Cache) CheckUsed() error {
 				continue
 			}
 			resident++
-			total += ext.Total(ch.valid)
-			fileDirty += ext.Total(ch.dirty)
+			if v, d := ext.Total(ch.valid), ext.Total(ch.dirty); v != ch.validB || d != ch.dirtyB {
+				return fmt.Errorf("chunk %s/%d: counts %d valid, %d dirty bytes, lists hold %d, %d",
+					f.name, idx, ch.validB, ch.dirtyB, v, d)
+			}
+			total += ch.validB
+			fileDirty += ch.dirtyB
 			if len(ch.dirty) > 0 {
 				dirty++
 			}
@@ -412,16 +418,17 @@ func (c *Cache) put(p *sim.Proc, fromNode int, rc obs.Ctx, file string, extents 
 		if ch == nil {
 			ch = c.newChunk(f, slot)
 		}
-		before := ext.Total(ch.valid)
-		ch.valid = ext.Insert(ch.valid, rel)
-		c.adjustUsed(ext.Total(ch.valid) - before)
+		var v int64
+		ch.valid, v = ext.InsertCount(ch.valid, rel)
+		ch.validB += v
+		c.adjustUsed(v)
 		if dirty {
-			before := ext.Total(ch.dirty)
-			if before == 0 {
+			if ch.dirtyB == 0 {
 				c.dirty++
 			}
-			ch.dirty = ext.Insert(ch.dirty, rel)
-			d := ext.Total(ch.dirty) - before
+			var d int64
+			ch.dirty, d = ext.InsertCount(ch.dirty, rel)
+			ch.dirtyB += d
 			f.dirtyBytes += d
 			c.dirtyB += d
 		}
@@ -481,7 +488,7 @@ func (c *Cache) MarkClean(file string) {
 	if f := c.files[file]; f != nil && f.dirtyBytes > 0 {
 		for _, ch := range f.chunks {
 			if ch != nil && len(ch.dirty) > 0 {
-				ch.dirty = ch.dirty[:0]
+				ch.dirty, ch.dirtyB = ch.dirty[:0], 0
 				c.dirty--
 			}
 		}

@@ -116,7 +116,7 @@ func TestEpochCheckpointCloneIndependent(t *testing.T) {
 	c := EpochCheckpoint{Procs: 2, BlockBytes: 100, Epochs: 3, Shared: true, BaseName: "f"}
 	g := c.NewRank(0)
 	g.Next(TrueEnv{}) // write (no interval)
-	clone := g.Clone()
+	clone := g.Clone(nil)
 	a, b := drain(t, g, 100), drain(t, clone, 100)
 	if len(a) != len(b) {
 		t.Fatalf("clone diverged: %d vs %d remaining ops", len(a), len(b))

@@ -88,7 +88,4 @@ func (g *depGen) Next(env Env) Op {
 	return Op{Kind: OpRead, File: d.FileName, Extents: []ext.Extent{{Off: off, Len: d.ReqBytes}}}
 }
 
-func (g *depGen) Clone() RankGen {
-	cp := *g
-	return &cp
-}
+func (g *depGen) Clone(into RankGen) RankGen { return CloneInto(g, into) }

@@ -90,7 +90,7 @@ func TestGeneratorsNeverRewriteReturnedExtents(t *testing.T) {
 			}
 			g := prog.NewRank(r)
 			next(g)
-			c := g.Clone()
+			c := g.Clone(nil)
 			for ops, gOn, cOn := 0, true, true; gOn || cOn; ops++ {
 				if ops > 1_000_000 {
 					t.Fatalf("%s rank %d: no end after %d ops", w.Name, r, ops)

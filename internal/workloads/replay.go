@@ -168,7 +168,4 @@ func (g *replayGen) Next(env Env) Op {
 	return op
 }
 
-func (g *replayGen) Clone() RankGen {
-	cp := *g
-	return &cp
-}
+func (g *replayGen) Clone(into RankGen) RankGen { return CloneInto(g, into) }

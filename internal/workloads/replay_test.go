@@ -88,7 +88,7 @@ func TestReplayCloneIndependent(t *testing.T) {
 	}
 	g := rep.NewRank(0)
 	g.Next(TrueEnv{})
-	c := g.Clone()
+	c := g.Clone(nil)
 	a := g.Next(TrueEnv{})
 	b := c.Next(TrueEnv{})
 	if a.Kind != b.Kind {

@@ -141,7 +141,4 @@ func (g *s3asimGen) Next(env Env) Op {
 	}
 }
 
-func (g *s3asimGen) Clone() RankGen {
-	cp := *g
-	return &cp
-}
+func (g *s3asimGen) Clone(into RankGen) RankGen { return CloneInto(g, into) }

@@ -132,7 +132,7 @@ func hashStream(t *testing.T, prog Program) string {
 				t.Fatalf("%s rank %d: no end after %d ops", prog.Name(), r, n)
 			}
 			if n%5 == 0 {
-				hashOp(h, g.Clone().Next(TrueEnv{}))
+				hashOp(h, g.Clone(nil).Next(TrueEnv{}))
 			}
 			op := g.Next(TrueEnv{})
 			hashOp(h, op)

@@ -36,7 +36,7 @@ func TestTabulatedClonesReplayTheRank(t *testing.T) {
 			g := prog.NewRank(r)
 			ops := drain(t, prog.NewRank(r), 1<<20)
 			for k := 0; k <= len(ops); k++ {
-				got := drain(t, g.Clone(), 1<<20)
+				got := drain(t, g.Clone(nil), 1<<20)
 				if want := ops[k:]; len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Fatalf("%s rank %d: clone at op %d yields %d ops that differ from the original's %d",
 						prog.Name(), r, k, len(got), len(want))
@@ -60,7 +60,7 @@ func TestTabulatedNextAllocatesNothing(t *testing.T) {
 			const runs = 3
 			clones := make([]RankGen, runs+1)
 			for i := range clones {
-				clones[i] = g.Clone()
+				clones[i] = g.Clone(nil)
 			}
 			var env Env = TrueEnv{}
 			i := 0

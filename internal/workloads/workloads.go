@@ -103,8 +103,25 @@ type FileSpec struct {
 type RankGen interface {
 	// Next returns the next operation (OpDone at the end, repeatedly).
 	Next(env Env) Op
-	// Clone returns an independent generator at the current position.
-	Clone() RankGen
+	// Clone returns an independent generator at the current position. It
+	// reuses into's storage when into is a generator of the same kind that
+	// its owner no longer needs, and allocates otherwise; into may be nil.
+	Clone(into RankGen) RankGen
+}
+
+// CloneInto is Clone for a generator whose position is its whole value:
+// it copies *g over into when into is also a P, and into a new T
+// otherwise.
+func CloneInto[T any, P interface {
+	*T
+	RankGen
+}](g P, into RankGen) RankGen {
+	cp, ok := into.(P)
+	if !ok {
+		cp = new(T)
+	}
+	*cp = *g
+	return cp
 }
 
 // Program describes one MPI application.
@@ -216,10 +233,7 @@ func (g *callGen) epoch() int {
 	return g.s.epoch + int(g.call)
 }
 
-func (g *callGen) Clone() RankGen {
-	cp := *g
-	return &cp
-}
+func (g *callGen) Clone(into RankGen) RankGen { return CloneInto(g, into) }
 
 // ioKind is the I/O kind of a program with a write variant.
 func ioKind(write bool) OpKind {

@@ -339,7 +339,7 @@ func TestCloneIndependence(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			g.Next(TrueEnv{})
 		}
-		c := g.Clone()
+		c := g.Clone(nil)
 		for i := 0; i < 10; i++ {
 			a := g.Next(TrueEnv{})
 			b := c.Next(TrueEnv{})
@@ -351,7 +351,7 @@ func TestCloneIndependence(t *testing.T) {
 			}
 		}
 		// Clone advancing must not disturb the original's subsequent ops.
-		c2 := g.Clone()
+		c2 := g.Clone(nil)
 		for i := 0; i < 5; i++ {
 			c2.Next(TrueEnv{})
 		}
