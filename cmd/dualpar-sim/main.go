@@ -45,6 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -124,6 +125,10 @@ func main() {
 
 	if *procs <= 0 || *mbytes <= 0 || *servers <= 0 {
 		fmt.Fprintf(os.Stderr, "-procs, -mb and -servers must be positive (got %d, %d, %d)\n", *procs, *mbytes, *servers)
+		os.Exit(2)
+	}
+	if *mbytes > math.MaxInt64>>20 {
+		fmt.Fprintf(os.Stderr, "-mb %d overflows a byte count (at most %d MiB)\n", *mbytes, int64(math.MaxInt64>>20))
 		os.Exit(2)
 	}
 	if *replicas < 1 || *replicas > *servers {

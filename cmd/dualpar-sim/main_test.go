@@ -25,15 +25,29 @@ func TestMain(m *testing.M) {
 // run executes the command with args and returns its stdout.
 func run(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("dualpar-sim %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	out, stderr, code := runExit(t, args...)
+	if code != 0 {
+		t.Fatalf("dualpar-sim %s: exit status %d\n%s", strings.Join(args, " "), code, stderr)
 	}
 	return out
+}
+
+// runExit executes the command with args and returns its stdout, its
+// stderr and its exit status.
+func runExit(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
+	out, err := cmd.Output()
+	if exit, ok := err.(*exec.ExitError); ok {
+		return out, errBuf.Bytes(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatalf("dualpar-sim %s: %v", strings.Join(args, " "), err)
+	}
+	return out, errBuf.Bytes(), 0
 }
 
 // matchGolden fails unless got equals testdata/name byte for byte.
@@ -81,5 +95,14 @@ func TestCLIGoldens(t *testing.T) {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			matchGolden(t, tc.golden, run(t, tc.args...))
 		})
+	}
+}
+
+// TestOverflowingMBRejected: a -mb whose byte count overflows int64 is bad
+// input, rejected before the run, not a run of a negative size.
+func TestOverflowingMBRejected(t *testing.T) {
+	out, stderr, code := runExit(t, "-workload", "mpi-io-test", "-procs", "4", "-mb", "10000000000000")
+	if code != 2 || len(out) != 0 || !bytes.Contains(stderr, []byte("-mb")) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no stdout and a message naming -mb", code, out, stderr)
 	}
 }

@@ -100,7 +100,7 @@ const (
 // pool.
 func (pr *ProgramRun) issueByHome(p *sim.Proc, file string, extents []ext.Extent, op crmOp) {
 	r := pr.r
-	s := recycled(&r.splits)
+	s := r.splits.Get()
 	s.pr, s.file, s.op, s.refs = pr, file, op, 1
 	chunk := r.cfg.ChunkBytes
 	ext.VisitSplit(extents, chunk, func(piece ext.Extent) {
@@ -166,7 +166,7 @@ func (s *homeSplit) release() {
 		sl.batch = sl.batch[:0]
 	}
 	s.pr, s.file = nil, ""
-	r.splits = append(r.splits, s)
+	r.splits.Put(s)
 }
 
 // supervise is the body of a home's CRM proc.
@@ -201,7 +201,7 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, sl *homeSlot) {
 		return
 	}
 	k := pr.r.cl.K
-	done := k.NewSignal()
+	done := &sim.Signal{}
 	fin := false
 	launch := func(attempt int) {
 		sl.s.refs++

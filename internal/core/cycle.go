@@ -22,8 +22,8 @@ type controller struct {
 
 	state        int // 0 idle, 1 filling, 2 serving
 	gen          int // cycle generation
-	resume       *sim.Signal
-	abort        *sim.Signal // interrupts sleeping ghosts when the cycle serves
+	resume       sim.Signal
+	abort        sim.Signal // interrupts sleeping ghosts when the cycle serves
 	participants int
 	ghostsActive int
 	stopGhosts   bool
@@ -33,7 +33,7 @@ type controller struct {
 
 	// Storage recycled across cycles. A wish list is spare only while no
 	// CRM proc holds it.
-	spareWish  []*fileExtents
+	spareWish  sim.Pool[fileExtents]
 	ghostNames []string // per rank, formatted on its first ghost
 	crmName    string   // formatted on the first serve
 }
@@ -46,22 +46,10 @@ const (
 
 func newController(pr *ProgramRun) *controller {
 	return &controller{
-		pr:     pr,
-		resume: pr.r.cl.K.NewSignal(),
-		abort:  pr.r.cl.K.NewSignal(),
-		wish:   new(fileExtents),
-		wish2:  new(fileExtents),
+		pr:    pr,
+		wish:  new(fileExtents),
+		wish2: new(fileExtents),
 	}
-}
-
-// recycled pops a spare off pool, or returns a new zero T when none is left.
-func recycled[T any](pool *[]*T) *T {
-	if n := len(*pool); n > 0 {
-		x := (*pool)[n-1]
-		*pool = (*pool)[:n-1]
-		return x
-	}
-	return new(T)
 }
 
 // Cycles reports how many data-driven cycles have completed.
@@ -170,7 +158,7 @@ func (c *controller) noteResume(p *sim.Proc, rank int) {
 // allocates its Proc and nothing more.
 func (c *controller) startGhost(rank int, gen workloads.RankGen, pending workloads.Op) {
 	c.ghostsActive++
-	e := recycled(&c.pr.r.ghostEnvs)
+	e := c.pr.r.ghostEnvs.Get()
 	if e.run == nil {
 		e.run = e.ghost
 	}
@@ -204,7 +192,7 @@ func (e *ghostEnv) ghost(p *sim.Proc) {
 	limit := quota * int64(c.pr.r.cfg.PipelineDepth)
 	defer func() {
 		e.reset()
-		c.pr.r.ghostEnvs = append(c.pr.r.ghostEnvs, e)
+		c.pr.r.ghostEnvs.Put(e)
 		if c.gen == myGen {
 			c.ghostsActive--
 			c.maybeServe()
@@ -275,7 +263,7 @@ func (c *controller) maybeServe() {
 		return
 	}
 	if c.ghostsActive == 0 && c.participants > 0 {
-		g := recycled(&c.pr.r.graces)
+		g := c.pr.r.graces.Get()
 		if g.expire == nil {
 			g.expire = g.fire
 		}
@@ -299,7 +287,7 @@ func (g *grace) fire() {
 	c := g.c
 	serve := c.state == ctrlFilling && c.gen == g.gen && c.participants == g.count && c.ghostsActive == 0
 	g.c = nil
-	c.pr.r.graces = append(c.pr.r.graces, g)
+	c.pr.r.graces.Put(g)
 	if serve {
 		c.serve()
 	}
@@ -324,7 +312,7 @@ func (c *controller) serve() {
 		// The CRM proc owns this pair until it hands them back; the next
 		// cycle fills a fresh pair meanwhile.
 		wish, wish2 := c.wish, c.wish2
-		c.wish, c.wish2 = recycled(&c.spareWish), recycled(&c.spareWish)
+		c.wish, c.wish2 = c.spareWish.Get(), c.spareWish.Get()
 		if c.crmName == "" {
 			c.crmName = fmt.Sprintf("prog%d/crm", c.pr.id)
 		}
@@ -336,7 +324,8 @@ func (c *controller) serve() {
 			c.pr.crmPrefetch(p, wish2)
 			wish.reset()
 			wish2.reset()
-			c.spareWish = append(c.spareWish, wish, wish2)
+			c.spareWish.Put(wish)
+			c.spareWish.Put(wish2)
 		})
 	})
 }

@@ -249,11 +249,32 @@ func TestWishListsRecycledUnderPipelining(t *testing.T) {
 	if c.cycles < 8 {
 		t.Fatalf("%d cycles; too few to show reuse", c.cycles)
 	}
-	if got := len(c.spareWish); got > 4 {
+	if got := c.spareWish.Len(); got > 4 {
 		t.Errorf("%d spare wish lists after %d cycles, want at most 4", got, c.cycles)
 	}
-	if got := len(r.ghostEnvs); got > n.Procs {
+	if got := r.ghostEnvs.Len(); got > n.Procs {
 		t.Errorf("%d pooled ghost recorders for %d ranks", got, n.Procs)
+	}
+	// Drain the pools: no record is pooled twice, and no pooled wish list
+	// is the pair the controller fills next or still holds requests.
+	spare := map[*fileExtents]bool{c.wish: true, c.wish2: true}
+	for c.spareWish.Len() > 0 {
+		w := c.spareWish.Get()
+		if spare[w] {
+			t.Fatal("a spare wish list is pooled twice or also in use")
+		}
+		if len(w.files) != 0 {
+			t.Errorf("a spare wish list still lists %v", w.files)
+		}
+		spare[w] = true
+	}
+	envs := map[*ghostEnv]bool{}
+	for r.ghostEnvs.Len() > 0 {
+		e := r.ghostEnvs.Get()
+		if envs[e] {
+			t.Fatal("a ghost recorder is pooled twice")
+		}
+		envs[e] = true
 	}
 }
 

@@ -37,9 +37,9 @@ type Runner struct {
 	// Records every program's CRM cycles recycle, created on first use:
 	// a run of many short programs reuses one program's records in the
 	// next instead of allocating a pool per program.
-	graces    []*grace     // join graces not pending
-	ghostEnvs []*ghostEnv  // ghost states no ghost runs on
-	splits    []*homeSplit // per-home splits no CRM proc reads
+	graces    sim.Pool[grace]     // join graces not pending
+	ghostEnvs sim.Pool[ghostEnv]  // ghost states no ghost runs on
+	splits    sim.Pool[homeSplit] // per-home splits no CRM proc reads
 }
 
 // NewRunner creates a runner on a cluster.
@@ -111,7 +111,7 @@ func (r *Runner) Add(prog workloads.Program, mode Mode, opts AddOptions) *Progra
 		mode:    mode,
 		startAt: opts.StartAt,
 		mpiioC:  mcfg,
-		world:   mpi.NewWorld(r.cl.K, r.cl.Net, placement),
+		world:   mpi.NewWorld(r.cl.Net, placement),
 		instr:   mpiio.NewInstr(prog.Ranks()),
 		files:   make(map[string]*mpiio.File),
 		tenant:  opts.Tenant,

@@ -20,7 +20,7 @@ type strategy2 struct {
 	pr       *ProgramRun
 	issued   []int64 // per rank
 	consumed []int64 // per rank
-	moved    *sim.Signal
+	moved    sim.Signal
 }
 
 func newStrategy2(pr *ProgramRun) *strategy2 {
@@ -29,7 +29,6 @@ func newStrategy2(pr *ProgramRun) *strategy2 {
 		pr:       pr,
 		issued:   make([]int64, n),
 		consumed: make([]int64, n),
-		moved:    pr.r.cl.K.NewSignal(),
 	}
 }
 

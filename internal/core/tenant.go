@@ -89,7 +89,7 @@ func (r *Runner) SubmitTenants(tc tenant.Config, scale int64) (sched []tenant.Jo
 			idxs := byWorker[[2]int{t, w}]
 			k.Spawn(fmt.Sprintf("tenant%d/worker%d", t, w), func(p *sim.Proc) {
 				for _, i := range idxs {
-					sig := k.NewSignal()
+					sig := &sim.Signal{}
 					done := false
 					addJob(p, i, func() { done = true; sig.Broadcast() })
 					for !done {

@@ -106,7 +106,7 @@ func TestMidRunAddAndOnDone(t *testing.T) {
 	r.Add(tinyDemo("first.dat"), ModeVanilla, AddOptions{RanksPerNode: 4})
 	doneAt := make(map[string]time.Duration)
 	cl.K.SpawnAt(5*time.Millisecond, "driver", func(p *sim.Proc) {
-		sig := cl.K.NewSignal()
+		sig := &sim.Signal{}
 		r.Add(tinyDemo("late.dat"), ModeDataDriven, AddOptions{
 			RanksPerNode: 4,
 			StartAt:      p.Now(),

@@ -182,7 +182,6 @@ func (f *cacheFile) grow(idx int64) *pageRef {
 
 // pageCache tracks residency and dirtiness; it stores no data.
 type pageCache struct {
-	k          *sim.Kernel
 	cfg        Config
 	pages      pageSlab
 	files      []*cacheFile // by id
@@ -194,18 +193,15 @@ type pageCache struct {
 
 	// kick wakes the flusher early; cleaned signals writers/evicters that
 	// pages became clean.
-	kick    *sim.Signal
-	cleaned *sim.Signal
+	kick    sim.Signal
+	cleaned sim.Signal
 }
 
-func newPageCache(k *sim.Kernel, cfg Config) *pageCache {
+func newPageCache(cfg Config) *pageCache {
 	return &pageCache{
-		k:       k,
-		cfg:     cfg,
-		pages:   pageSlab{unused: 1},
-		byName:  make(map[string]*cacheFile),
-		kick:    k.NewSignal(),
-		cleaned: k.NewSignal(),
+		cfg:    cfg,
+		pages:  pageSlab{unused: 1},
+		byName: make(map[string]*cacheFile),
 	}
 }
 

@@ -198,7 +198,7 @@ func TestPageCacheMatchesMapModel(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.CacheBytes = 6 * pageSize // eviction on nearly every miss
 			cfg.DirtyLimitBytes = cfg.CacheBytes
-			c := newPageCache(k, cfg)
+			c := newPageCache(cfg)
 			m := newMapCache(cfg)
 			var files []*cacheFile
 			for _, name := range []string{"b", "a", "c", "a.1"} {
@@ -273,7 +273,7 @@ func TestPageCacheRacingInsertCountsOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 2 * pageSize
 	cfg.DirtyLimitBytes = cfg.CacheBytes
-	c := newPageCache(k, cfg)
+	c := newPageCache(cfg)
 	a, b := c.file("a"), c.file("b")
 	k.Spawn("writer", func(p *sim.Proc) {
 		c.insertDirty(p, a, 0)
@@ -322,16 +322,17 @@ func TestPageIndexSizedByTouch(t *testing.T) {
 		return n
 	}
 	insert := func(c *pageCache, f *cacheFile, pages ...int64) {
-		c.k.Spawn("insert", func(p *sim.Proc) {
+		k := sim.NewKernel(1)
+		k.Spawn("insert", func(p *sim.Proc) {
 			for _, idx := range pages {
 				c.insertClean(p, f, idx)
 			}
 		})
-		c.k.Run()
+		k.Run()
 	}
 
 	t.Run("small file", func(t *testing.T) {
-		c := newPageCache(sim.NewKernel(1), DefaultConfig())
+		c := newPageCache(DefaultConfig())
 		f := c.file("small")
 		insert(c, f, 0, 1, 2, 3, 4, 5)
 		if got := blockSlots(f); !slices.Equal(got, []int{8}) {
@@ -343,7 +344,7 @@ func TestPageIndexSizedByTouch(t *testing.T) {
 	})
 
 	t.Run("lone far page", func(t *testing.T) {
-		c := newPageCache(sim.NewKernel(1), DefaultConfig())
+		c := newPageCache(DefaultConfig())
 		f := c.file("far")
 		idx := int64(2<<30) / pageSize
 		insert(c, f, idx)
@@ -373,7 +374,7 @@ func TestPageIndexSizedByTouch(t *testing.T) {
 func BenchmarkPageCache(b *testing.B) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
-	c := newPageCache(k, cfg)
+	c := newPageCache(cfg)
 	span := 2 * cfg.CacheBytes / pageSize // pages per file: 4 files stream through 8x the cache
 	var files [4]*cacheFile
 	for i := range files {

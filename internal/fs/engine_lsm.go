@@ -44,7 +44,7 @@ type lsmEngine struct {
 	live      int64 // bytes of current-version pages in the log
 
 	io   engineIO
-	kick *sim.Signal
+	kick sim.Signal
 }
 
 type lsmFile struct {
@@ -87,7 +87,6 @@ func (e *lsmEngine) Kind() string { return EngineLSM }
 
 func (e *lsmEngine) start(k *sim.Kernel, name string, io engineIO) {
 	e.io = io
-	e.kick = k.NewSignal()
 	k.Spawn(name+"/compact", e.compactLoop)
 }
 
@@ -164,7 +163,7 @@ func (e *lsmEngine) WriteRuns(out []lbnRun, file string, off, n int64) []lbnRun 
 		e.absorbed += pageSize
 		out = appendMergedRun(out, lbnRun{lbn: lbn, bytes: pageSize})
 	}
-	if e.kick != nil && e.pickVictim() != nil {
+	if e.pickVictim() != nil {
 		e.kick.Broadcast()
 	}
 	return out

@@ -117,14 +117,13 @@ type Store struct {
 	cPageHit  *obs.Counter
 	cPageMiss *obs.Counter
 
-	// Free lists for the per-call batch machinery: block-layer request
-	// records and the scratch slices a list-I/O call grows while building
-	// its batch. Scratch is checked out per call (concurrent submitters
-	// each hold their own across parks) and returned once every request in
-	// the batch has completed; requests cycle through Reset. Push/pop
-	// happens only between parks, so strict alternation is the lock.
-	reqFree     []*iosched.Request
-	scratchFree []*multiScratch
+	// Pools for the per-call batch machinery: block-layer request records
+	// and the scratch slices a list-I/O call grows while building its
+	// batch. Scratch is checked out per call (concurrent submitters each
+	// hold their own across parks) and returned once every request in the
+	// batch has completed; requests go back through Reset.
+	reqPool     sim.Pool[iosched.Request]
+	scratchPool sim.Pool[multiScratch]
 }
 
 // multiScratch bundles the slices one ReadMulti/WriteMulti/flushOnce call
@@ -136,33 +135,17 @@ type multiScratch struct {
 	pages    []pageRef
 }
 
-func (s *Store) getScratch() *multiScratch {
-	if n := len(s.scratchFree); n > 0 {
-		sc := s.scratchFree[n-1]
-		s.scratchFree = s.scratchFree[:n-1]
-		return sc
-	}
-	return &multiScratch{}
-}
-
 func (s *Store) putScratch(sc *multiScratch) {
 	sc.reqs = sc.reqs[:0]
 	sc.missRuns = sc.missRuns[:0]
 	sc.runs = sc.runs[:0]
 	sc.pages = sc.pages[:0]
-	s.scratchFree = append(s.scratchFree, sc)
+	s.scratchPool.Put(sc)
 }
 
-// newReq pops a recycled request record (or allocates the pool's first)
-// and fills in the caller's fields.
+// newReq takes a pooled request record and fills in the caller's fields.
 func (s *Store) newReq(lbn, sectors int64, write bool, origin int, rc obs.Ctx) *iosched.Request {
-	var r *iosched.Request
-	if n := len(s.reqFree); n > 0 {
-		r = s.reqFree[n-1]
-		s.reqFree = s.reqFree[:n-1]
-	} else {
-		r = &iosched.Request{}
-	}
+	r := s.reqPool.Get()
 	r.LBN, r.Sectors, r.Write, r.Origin, r.Obs = lbn, sectors, write, origin, rc
 	return r
 }
@@ -178,7 +161,7 @@ func (s *Store) submit(p *sim.Proc, reqs []*iosched.Request) {
 	}
 	for _, r := range reqs {
 		r.Reset()
-		s.reqFree = append(s.reqFree, r)
+		s.reqPool.Put(r)
 	}
 }
 
@@ -197,7 +180,7 @@ func New(k *sim.Kernel, name string, dev disk.Device, alg iosched.Algorithm, cfg
 		eng:    newEngine(cfg),
 		wbOrig: wbOrigin,
 	}
-	s.cache = newPageCache(k, cfg)
+	s.cache = newPageCache(cfg)
 	if !cfg.SyncWrites {
 		k.Spawn(name+"/flusher", s.flusherLoop)
 	}
@@ -254,7 +237,7 @@ type lbnRun struct {
 // through the store's dispatcher at writeback origin, so the elevator,
 // disk stats, and audit ledgers all see it. Blocks p until it completes.
 func (s *Store) engineSubmit(p *sim.Proc, runs []lbnRun, write bool) {
-	sc := s.getScratch()
+	sc := s.scratchPool.Get()
 	reqs := sc.reqs
 	for _, lr := range runs {
 		reqs = s.appendSplit(reqs, lr, write, s.wbOrig, obs.Ctx{})
@@ -282,7 +265,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	s.statReadBytes += n
 
 	cf := s.cache.file(name)
-	sc := s.getScratch()
+	sc := s.scratchPool.Get()
 	missRuns := sc.missRuns // page index ranges [start, end]
 	for _, e := range extents {
 		if e.Len <= 0 {
@@ -353,7 +336,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 	p.Sleep(time.Duration(float64(n) / memBandwidth * float64(time.Second)))
 
 	if s.cfg.SyncWrites {
-		sc := s.getScratch()
+		sc := s.scratchPool.Get()
 		reqs := sc.reqs
 		for _, e := range extents {
 			if e.Len <= 0 {
@@ -418,7 +401,7 @@ func (s *Store) flusherLoop(p *sim.Proc) {
 // flushOnce writes back the oldest dirty pages, up to one batch.
 func (s *Store) flushOnce(p *sim.Proc) {
 	c := s.cache
-	sc := s.getScratch()
+	sc := s.scratchPool.Get()
 	pages := sc.pages
 	var bytes int64
 	for r := c.dirty.head; r != 0 && bytes < s.cfg.WritebackBatchBytes; r = c.pages.at(r).next {

@@ -109,7 +109,7 @@ type Dispatcher struct {
 	k       *sim.Kernel
 	dev     disk.Device
 	alg     Algorithm
-	arrival *sim.Signal
+	arrival sim.Signal
 	lastEnd int64
 	served  int64
 	track   string
@@ -127,7 +127,7 @@ type Dispatcher struct {
 // NewDispatcher creates a dispatcher and starts its dispatch Proc. name also
 // serves as the dispatcher's trace track.
 func NewDispatcher(k *sim.Kernel, name string, dev disk.Device, alg Algorithm) *Dispatcher {
-	d := &Dispatcher{k: k, dev: dev, alg: alg, arrival: k.NewSignal(), track: name}
+	d := &Dispatcher{k: k, dev: dev, alg: alg, track: name}
 	k.Spawn(name, d.loop)
 	return d
 }

@@ -238,7 +238,7 @@ func TestMergedRequestCompletesAbsorbed(t *testing.T) {
 	d := newTestDisk()
 	disp := NewDispatcher(k, "disp", d, NewDeadline())
 	done := 0
-	wg := k.NewWaitGroup()
+	wg := &sim.WaitGroup{}
 	wg.Add(2)
 	// Submit two adjacent requests at the same instant from two procs; one
 	// should merge into the other, and both submitters must unblock.

@@ -19,7 +19,6 @@ import (
 
 // World is a communicator over a set of ranks.
 type World struct {
-	k     *sim.Kernel
 	net   *netsim.Network
 	nodes []int // nodes[rank] = network node hosting that rank
 
@@ -29,12 +28,11 @@ type World struct {
 }
 
 // NewWorld creates a world with the given rank-to-node placement.
-func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []int) *World {
+func NewWorld(net *netsim.Network, nodes []int) *World {
 	if len(nodes) == 0 {
 		panic("mpi: empty world")
 	}
 	return &World{
-		k:     k,
 		net:   net,
 		nodes: nodes,
 		rend:  make(map[string]*rendezvous),
@@ -60,7 +58,7 @@ type rendezvous struct {
 	count  int
 	vals   []interface{}
 	outs   map[int][]interface{} // completed generations still being read
-	signal *sim.Signal
+	signal sim.Signal
 }
 
 // meet blocks until every rank has called meet with the same tag, then
@@ -71,7 +69,7 @@ type rendezvous struct {
 func (w *World) meet(p *sim.Proc, tag string, rank int, val interface{}) []interface{} {
 	rd := w.rend[tag]
 	if rd == nil {
-		rd = &rendezvous{signal: w.k.NewSignal(), outs: make(map[int][]interface{})}
+		rd = &rendezvous{outs: make(map[int][]interface{})}
 		w.rend[tag] = rd
 	}
 	if rd.vals == nil {

@@ -12,7 +12,7 @@ func newWorld(t *testing.T, ranks, perNode int) (*sim.Kernel, *World) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	net := netsim.New()
-	return k, NewWorld(k, net, BlockPlacement(ranks, perNode, 100))
+	return k, NewWorld(net, BlockPlacement(ranks, perNode, 100))
 }
 
 func TestBlockPlacement(t *testing.T) {

@@ -35,7 +35,7 @@ func newRig(t testing.TB, servers, ranks, ranksPerNode int) *rig {
 		nodes = append(nodes, 1+i)
 	}
 	fsys := pfs.New(k, net, pfs.Config{}, 0, nodes, stores)
-	w := mpi.NewWorld(k, net, mpi.BlockPlacement(ranks, ranksPerNode, 100))
+	w := mpi.NewWorld(net, mpi.BlockPlacement(ranks, ranksPerNode, 100))
 	return &rig{k: k, w: w, fsys: fsys}
 }
 

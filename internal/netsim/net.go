@@ -45,14 +45,6 @@ type Network struct {
 
 	faults *fault.Injector
 
-	// One-entry serialization-time memo: message sizes repeat heavily
-	// (headers, stripe units, page batches), and the float division in xfer
-	// shows up on the per-message hot path. Caching the last (bytes, xfer)
-	// pair returns the exact same Duration the division would, so the event
-	// timeline is unchanged.
-	lastBytes int64
-	lastXfer  time.Duration
-
 	obs       *obs.Collector
 	cBytes    *obs.Counter
 	cMessages *obs.Counter
@@ -61,7 +53,7 @@ type Network struct {
 
 // New creates a network.
 func New() *Network {
-	return &Network{lastBytes: -1}
+	return &Network{}
 }
 
 // SetObs attaches the observability collector. The counter handles are
@@ -94,16 +86,6 @@ func (n *Network) grow(node int) {
 		n.tx = append(n.tx, 0)
 		n.rx = append(n.rx, 0)
 	}
-}
-
-// xfer returns the serialization time of a message.
-func (n *Network) xfer(bytes int64) time.Duration {
-	if bytes == n.lastBytes {
-		return n.lastXfer
-	}
-	x := Xfer(bytes)
-	n.lastBytes, n.lastXfer = bytes, x
-	return x
 }
 
 // maxRetransmits bounds how often one message retries after injected
@@ -143,7 +125,7 @@ func (n *Network) Send(p *sim.Proc, from, to int, bytes int64) {
 		n.grow(to)
 	}
 	now := p.Now()
-	x := n.xfer(bytes)
+	x := Xfer(bytes)
 	if f := n.faults.LinkFactor(from, to, now); f > 1 {
 		x = time.Duration(float64(x) * f)
 	}

@@ -12,7 +12,7 @@ import (
 // whole pfs layer — split, per-replica requests, server queues and
 // workers, the stores beneath, and the watchdog-free wait — over a
 // 6-server file system. Each op covers one stripe unit on every server.
-// The loop is warmed before the timer starts so the transfer free lists
+// The loop is warmed before the timer starts so the transfer pools
 // and the stores' caches are populated; what remains is the per-op cost.
 func benchTransfer(b *testing.B, replicas int, write bool) {
 	k, fsys := testReplicatedFS(6, replicas)

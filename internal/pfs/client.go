@@ -156,7 +156,10 @@ type xferOp struct {
 // goes back to the pool with putOp once the caller is done with it.
 func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) (*xferOp, error) {
 	fsys := c.fsys
-	op := fsys.getOp()
+	op := fsys.opPool.Get()
+	if op.per == nil {
+		op.per = make([][]ext.Extent, fsys.NumServers())
+	}
 	fsys.splitInto(op.per, extents)
 	var ver int64
 	if write && fsys.tracker != nil {
@@ -167,7 +170,7 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 		if len(lst) == 0 {
 			continue
 		}
-		g := fsys.getGroup()
+		g := fsys.groupPool.Get()
 		g.primary, g.file, g.lst = int32(i), name, lst
 		g.msg = headerBytes + extentDescBytes*int64(len(lst))
 		if write {
@@ -210,10 +213,10 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 // view change recovers.
 func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, ver int64, origin int, rc obs.Ctx) {
 	fsys := c.fsys
-	is := fsys.getIssued()
+	is := fsys.issPool.Get()
 	is.srv, is.rank = fsys.replicaServer(int(g.primary), rank), rank
 	g.reps = append(g.reps, is)
-	req := fsys.getServerReq()
+	req := fsys.reqPool.Get()
 	req.file = fsys.storeFile(g.file, rank)
 	req.extents = g.lst
 	req.write = write
@@ -230,7 +233,7 @@ func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, ver in
 // service costs time, as real retries do — and whichever attempt finishes
 // first counts.
 func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued) {
-	dup := c.fsys.getServerReq()
+	dup := c.fsys.reqPool.Get()
 	*dup = *is.attempts[0]
 	dup.fin, dup.enq = false, 0
 	c.send(p, g, is, dup)

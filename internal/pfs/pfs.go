@@ -110,12 +110,11 @@ type FileSystem struct {
 
 	// Replication and crash-tolerance state (see replica.go). offsets maps
 	// replica rank -> server-index offset; down and rebuilding are the
-	// failure detector's view of each server; viewSig broadcasts on every
-	// view change so quorum waiters and failover readers recompute.
+	// failure detector's view of each server, which crash-aware waiters
+	// re-read on every poll tick (waitStep).
 	offsets    []int
 	down       []bool
 	rebuilding []bool
-	viewSig    *sim.Signal
 	ledger     *rebuildLedger
 	storeNames map[string][]string // storeFile's names by file and rank
 	tracker    *Tracker
@@ -130,61 +129,18 @@ type FileSystem struct {
 	auditServed  []int64
 	auditRebuild []int64
 
-	// Free lists for the per-operation transfer records (client.go). A
+	// Pools for the per-operation transfer records (client.go). A
 	// steady-state client op allocates nothing: requests, per-replica
-	// records, stripe groups, and the per-server split buffer all cycle
-	// through these. Push/pop happens only between parks, so strict
-	// alternation is the lock. The last holder recycles: a group goes back
-	// when its op has returned and no server queue or worker still holds
-	// one of its attempts, whichever happens last (putOp or the server's
-	// release), and an op's split buffer goes back with its last group.
-	reqFree   []*serverReq
-	issFree   []*issued
-	groupFree []*xferGroup
-	opFree    []*xferOp
-}
-
-// getServerReq pops a recycled request (or allocates the pool's first).
-func (fsys *FileSystem) getServerReq() *serverReq {
-	if n := len(fsys.reqFree); n > 0 {
-		r := fsys.reqFree[n-1]
-		fsys.reqFree = fsys.reqFree[:n-1]
-		return r
-	}
-	return &serverReq{}
-}
-
-// getIssued pops a recycled per-replica record; its attempts slice keeps
-// its capacity across reuses.
-func (fsys *FileSystem) getIssued() *issued {
-	if n := len(fsys.issFree); n > 0 {
-		is := fsys.issFree[n-1]
-		fsys.issFree = fsys.issFree[:n-1]
-		return is
-	}
-	return &issued{}
-}
-
-// getGroup pops a recycled stripe group. The embedded done signal keeps
-// its waiter-list capacity across reuses, so re-arming a wait on it
-// allocates nothing either.
-func (fsys *FileSystem) getGroup() *xferGroup {
-	if n := len(fsys.groupFree); n > 0 {
-		g := fsys.groupFree[n-1]
-		fsys.groupFree = fsys.groupFree[:n-1]
-		return g
-	}
-	return &xferGroup{}
-}
-
-// getOp checks out a per-operation record with an empty split buffer.
-func (fsys *FileSystem) getOp() *xferOp {
-	if n := len(fsys.opFree); n > 0 {
-		op := fsys.opFree[n-1]
-		fsys.opFree = fsys.opFree[:n-1]
-		return op
-	}
-	return &xferOp{per: make([][]ext.Extent, fsys.NumServers())}
+	// records (with their attempts' capacity), stripe groups (with their
+	// done signal's waiter capacity) and ops (with their per-server split
+	// buffers) all cycle through these. The last holder recycles: a group
+	// goes back when its op has returned and no server queue or worker
+	// still holds one of its attempts, whichever happens last (putOp or
+	// the server's release), and an op goes back with its last group.
+	reqPool   sim.Pool[serverReq]
+	issPool   sim.Pool[issued]
+	groupPool sim.Pool[xferGroup]
+	opPool    sim.Pool[xferOp]
 }
 
 // putOp hands a finished operation back. Each group no server still holds
@@ -214,13 +170,13 @@ func (fsys *FileSystem) putGroup(g *xferGroup) {
 	for _, is := range g.reps {
 		for _, r := range is.attempts {
 			*r = serverReq{}
-			fsys.reqFree = append(fsys.reqFree, r)
+			fsys.reqPool.Put(r)
 		}
 		*is = issued{attempts: is.attempts[:0]}
-		fsys.issFree = append(fsys.issFree, is)
+		fsys.issPool.Put(is)
 	}
 	*g = xferGroup{done: g.done, reps: g.reps[:0]}
-	fsys.groupFree = append(fsys.groupFree, g)
+	fsys.groupPool.Put(g)
 }
 
 // putSplit recycles an op whose groups have all gone back, keeping the
@@ -229,7 +185,7 @@ func (fsys *FileSystem) putSplit(op *xferOp) {
 	for i := range op.per {
 		op.per[i] = op.per[i][:0]
 	}
-	fsys.opFree = append(fsys.opFree, op)
+	fsys.opPool.Put(op)
 }
 
 // release drops this server's hold on an attempt it dequeued, once the
@@ -306,7 +262,6 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 		offsets:    replicaOffsets(len(serverNodes), cfg.Replicas),
 		down:       make([]bool, len(serverNodes)),
 		rebuilding: make([]bool, len(serverNodes)),
-		viewSig:    k.NewSignal(),
 		ledger:     newRebuildLedger(len(serverNodes)),
 	}
 	for i, node := range serverNodes {

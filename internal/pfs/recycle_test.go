@@ -13,7 +13,7 @@ import (
 	"dualpar/internal/sim"
 )
 
-// pooled is the set of transfer records a test put on the free lists.
+// pooled is the set of transfer records a test put in the pools.
 type pooled struct {
 	reqs   map[*serverReq]bool
 	iss    map[*issued]bool
@@ -21,32 +21,34 @@ type pooled struct {
 	ops    map[*xferOp]bool
 }
 
-// fillPools puts n fresh records of each kind on fsys's free lists and
-// returns them, so a run that never drains a list can be checked for
+// fillPools puts n fresh records of each kind in fsys's pools and
+// returns them, so a run that never drains a pool can be checked for
 // records that did not come back.
 func fillPools(fsys *FileSystem, n int) pooled {
 	want := pooled{map[*serverReq]bool{}, map[*issued]bool{}, map[*xferGroup]bool{}, map[*xferOp]bool{}}
 	for i := 0; i < n; i++ {
 		r, is, g := &serverReq{}, &issued{}, &xferGroup{}
 		op := &xferOp{per: make([][]ext.Extent, fsys.NumServers())}
-		fsys.reqFree = append(fsys.reqFree, r)
-		fsys.issFree = append(fsys.issFree, is)
-		fsys.groupFree = append(fsys.groupFree, g)
-		fsys.opFree = append(fsys.opFree, op)
+		fsys.reqPool.Put(r)
+		fsys.issPool.Put(is)
+		fsys.groupPool.Put(g)
+		fsys.opPool.Put(op)
 		want.reqs[r], want.iss[is], want.groups[g], want.ops[op] = true, true, true, true
 	}
 	return want
 }
 
-// sameSet reports how a free list differs from the records put on it.
-func sameSet[T comparable](name string, free []T, want map[T]bool) error {
-	seen := make(map[T]bool, len(free))
-	for _, x := range free {
+// sameSet drains pool and reports how what it held differs from the
+// records put in it.
+func sameSet[T any](name string, pool *sim.Pool[T], want map[*T]bool) error {
+	seen := make(map[*T]bool, pool.Len())
+	for pool.Len() > 0 {
+		x := pool.Get()
 		if !want[x] {
-			return fmt.Errorf("%s: a record the test did not pool is on the free list (the pool ran dry; raise the fill)", name)
+			return fmt.Errorf("%s: a record the test did not pool is in the pool (the pool ran dry; raise the fill)", name)
 		}
 		if seen[x] {
-			return fmt.Errorf("%s: a record is on the free list twice", name)
+			return fmt.Errorf("%s: a record is in the pool twice", name)
 		}
 		seen[x] = true
 	}
@@ -60,8 +62,8 @@ func sameSet[T comparable](name string, free []T, want map[T]bool) error {
 // replica lags behind the op: first a short stall, so the last ack is served
 // after Write returned, then a crash window that drops held attempts from a
 // server's queue, mid-service, on the wire and as reissued duplicates.
-// Once the kernel drains, every record ever handed out must be back on its
-// free list: the last holder of each group recycled it.
+// Once the kernel drains, every record ever handed out must be back in its
+// pool: the last holder of each group recycled it.
 func TestStragglersReturnTransferRecords(t *testing.T) {
 	k, fsys := testReplicatedFS(3, 3)
 	fsys.cfg.RequestTimeout = 50 * time.Millisecond
@@ -120,7 +122,7 @@ func TestStragglersReturnTransferRecords(t *testing.T) {
 		}
 		// Server 2 is stalled: the op returned at quorum and its third
 		// replica's attempts still hold it.
-		if n := len(fsys.opFree); n != len(want.ops)-1 {
+		if n := fsys.opPool.Len(); n != len(want.ops)-1 {
 			t.Errorf("%d of %d ops free after a write whose third replica is stalled, want the op held", n, len(want.ops))
 		}
 		for w := 1; w < writers; w++ {
@@ -142,10 +144,10 @@ func TestStragglersReturnTransferRecords(t *testing.T) {
 			counts["fault.void"], counts["pfs.lost"])
 	}
 	for _, err := range []error{
-		sameSet("serverReq", fsys.reqFree, want.reqs),
-		sameSet("issued", fsys.issFree, want.iss),
-		sameSet("xferGroup", fsys.groupFree, want.groups),
-		sameSet("xferOp", fsys.opFree, want.ops),
+		sameSet("serverReq", &fsys.reqPool, want.reqs),
+		sameSet("issued", &fsys.issPool, want.iss),
+		sameSet("xferGroup", &fsys.groupPool, want.groups),
+		sameSet("xferOp", &fsys.opPool, want.ops),
 	} {
 		if err != nil {
 			t.Error(err)
@@ -184,7 +186,7 @@ func TestReplicatedWriteAllocatesNothing(t *testing.T) {
 // would corrupt whichever op reuses the records, so it fails loudly.
 func TestReleasePanicsOnBrokenCount(t *testing.T) {
 	_, fsys := testReplicatedFS(3, 1)
-	req := &serverReq{file: "f.dat", g: fsys.getGroup()}
+	req := &serverReq{file: "f.dat", g: fsys.groupPool.Get()}
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "server1") || !strings.Contains(msg, `"f.dat"`) {

@@ -145,7 +145,6 @@ func (fsys *FileSystem) setDown(server int, down bool) {
 	if !down {
 		fsys.startRebuild(server)
 	}
-	fsys.viewSig.Broadcast()
 }
 
 // nextRank returns the first live rank after cur in cyclic rank order
@@ -285,7 +284,6 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 					// let the next recovery restart it.
 					fsys.requeueRebuild(server, df, dirty, off, e)
 					fsys.rebuilding[server] = false
-					fsys.viewSig.Broadcast()
 					return
 				}
 				piece := ext.Extent{Off: off, Len: min(rebuildChunk, e.End()-off)}
@@ -322,7 +320,6 @@ func (fsys *FileSystem) rebuildLoop(p *sim.Proc, server int, dirty []dirtyFile) 
 		fsys.obs.Instant("rebuild.end", "pfs", p.Now(),
 			obs.I64("server", int64(server)), obs.I64("bytes", copied))
 	}
-	fsys.viewSig.Broadcast()
 }
 
 // rebuildSource picks the live peer replica to copy from: any rank whose

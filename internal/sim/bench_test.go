@@ -43,7 +43,7 @@ func BenchmarkKernelSleepWake(b *testing.B) {
 func BenchmarkKernelSignalBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	const waiters = 8
 	for w := 0; w < waiters; w++ {
 		k.Spawn("waiter", func(p *Proc) {
@@ -64,7 +64,7 @@ func BenchmarkKernelSignalBroadcast(b *testing.B) {
 func BenchmarkKernelWaitTimeout(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	k.Spawn("bench", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			if s.WaitTimeout(p, time.Microsecond) {
@@ -108,7 +108,7 @@ func BenchmarkKernelPopulatedHeap(b *testing.B) {
 func BenchmarkKernelWaitTimeoutEarlyWake(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			if !s.WaitTimeout(p, time.Hour) {

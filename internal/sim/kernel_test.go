@@ -139,7 +139,7 @@ func TestLiveCount(t *testing.T) {
 
 func TestSignalBroadcastWakesAll(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	woken := 0
 	for i := 0; i < 5; i++ {
 		k.Spawn("waiter", func(p *Proc) {
@@ -162,7 +162,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 
 func TestSignalNoMemory(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	woken := false
 	k.Spawn("caster", func(p *Proc) { s.Broadcast() })
 	k.SpawnAt(time.Second, "late-waiter", func(p *Proc) {
@@ -178,7 +178,7 @@ func TestSignalNoMemory(t *testing.T) {
 
 func TestWaitTimeoutFires(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	var signaled bool
 	var wokeAt time.Duration
 	k.Spawn("waiter", func(p *Proc) {
@@ -196,7 +196,7 @@ func TestWaitTimeoutFires(t *testing.T) {
 
 func TestWaitTimeoutSignaledEarly(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	var signaled bool
 	var wokeAt time.Duration
 	k.Spawn("waiter", func(p *Proc) {
@@ -222,7 +222,7 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 // Broadcast that never comes.
 func TestTimedOutWaitsStayBounded(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	const waits = 100_000
 	timeouts := 0
 	k.Spawn("poller", func(p *Proc) {
@@ -245,7 +245,7 @@ func TestTimedOutWaitsStayBounded(t *testing.T) {
 // many timeouts among them wakes the blocked Procs oldest first.
 func TestTimedOutWaitsKeepWakeOrder(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	var order []string
 	block := func(name string) {
 		k.Spawn(name, func(p *Proc) {
@@ -373,7 +373,7 @@ func TestLockFIFOHandoff(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	k := NewKernel(1)
-	wg := k.NewWaitGroup()
+	wg := &WaitGroup{}
 	wg.Add(3)
 	var doneAt time.Duration
 	k.Spawn("waiter", func(p *Proc) {
@@ -395,7 +395,7 @@ func TestWaitGroup(t *testing.T) {
 
 func TestWaitGroupZeroImmediate(t *testing.T) {
 	k := NewKernel(1)
-	wg := k.NewWaitGroup()
+	wg := &WaitGroup{}
 	ran := false
 	k.Spawn("waiter", func(p *Proc) {
 		wg.Wait(p)

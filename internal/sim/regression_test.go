@@ -31,7 +31,7 @@ func TestQueueRingCapacityBounded(t *testing.T) {
 // of spent timers).
 func TestWaitTimeoutCancelsDeadTimer(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := &Signal{}
 	k.After(time.Millisecond, func() { s.Broadcast() })
 	woke := false
 	k.Spawn("w", func(p *Proc) { woke = s.WaitTimeout(p, time.Hour) })

@@ -41,10 +41,6 @@ type waiterRef struct {
 	seq uint64
 }
 
-// NewSignal returns a fresh Signal. Retained for convenience; &Signal{} or
-// an embedded value works just as well.
-func (k *Kernel) NewSignal() *Signal { return &Signal{} }
-
 // arm resets p's wait record for a fresh wait and enqueues it. Before the
 // list would grow, it drops the refs Broadcast and Wake would skip (waits
 // that timed out, were woken, or moved on), keeping the rest in order, so

@@ -2,15 +2,10 @@ package sim
 
 // A WaitGroup counts outstanding activities in virtual time. Unlike
 // sync.WaitGroup it is safe to Add after waiters have blocked, because all
-// execution is serialized by the kernel.
+// execution is serialized by the kernel. The zero value has count zero.
 type WaitGroup struct {
 	n    int
 	zero Signal
-}
-
-// NewWaitGroup returns a WaitGroup with count zero.
-func (k *Kernel) NewWaitGroup() *WaitGroup {
-	return &WaitGroup{}
 }
 
 // Add increments the count by delta, which may be negative.
