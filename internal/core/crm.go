@@ -137,12 +137,19 @@ type homeSplit struct {
 	refs  int
 }
 
-// homeSlot is one home node's batch within a split.
+// homeSlot is one home node's batch within a split. With the CRM watchdog
+// armed, the batch's attempts share done and fin; an abandoned attempt
+// that finishes late still finds them, since its split reference keeps the
+// slot from being reused.
 type homeSlot struct {
 	s     *homeSplit
 	home  int
 	batch []ext.Extent
 	run   func(*sim.Proc) // supervise, bound once
+	try   func(*sim.Proc) // attempt, bound on the first launch
+	done  sim.Signal      // broadcast by every attempt that finishes
+	fin   bool            // some attempt finished
+	tries int             // attempts launched
 }
 
 // slot returns home's slot, growing the split to reach it.
@@ -175,8 +182,8 @@ func (sl *homeSlot) supervise(hp *sim.Proc) {
 	sl.s.wg.Done()
 }
 
-// crmHomeName is the name of the CRM proc serving home node home,
-// formatted once per program.
+// crmHomeName is the name of the CRM procs serving home node home, its
+// supervisor and every attempt, formatted once per program.
 func (pr *ProgramRun) crmHomeName(home int) string {
 	if pr.crmHomeNames == nil {
 		pr.crmHomeNames = make([]string, len(pr.nodes))
@@ -200,35 +207,24 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, sl *homeSlot) {
 		pr.crmBatch(hp, sl, 0)
 		return
 	}
-	k := pr.r.cl.K
-	done := &sim.Signal{}
-	fin := false
-	launch := func(attempt int) {
-		sl.s.refs++
-		k.Spawn(fmt.Sprintf("prog%d/crm-home%d/try%d", pr.id, sl.home, attempt), func(ap *sim.Proc) {
-			pr.crmBatch(ap, sl, attempt)
-			fin = true
-			done.Broadcast()
-			sl.s.release()
-		})
-	}
-	launch(0)
+	sl.fin, sl.tries = false, 0
+	sl.launch()
 	timeout := cfg.CRMTimeout
 	backoff := cfg.CRMBackoff
 	for retry := 0; ; retry++ {
 		deadline := hp.Now() + timeout
-		for !fin && hp.Now() < deadline {
-			done.WaitTimeout(hp, deadline-hp.Now())
+		for !sl.fin && hp.Now() < deadline {
+			sl.done.WaitTimeout(hp, deadline-hp.Now())
 		}
-		if fin {
+		if sl.fin {
 			return
 		}
 		if retry >= cfg.CRMMaxRetries {
 			// Out of retries: wait for an outstanding attempt — the home is
 			// degraded, not gone, and the sim has no error path to lose a
 			// collective batch into.
-			for !fin {
-				done.Wait(hp)
+			for !sl.fin {
+				sl.done.Wait(hp)
 			}
 			return
 		}
@@ -241,9 +237,31 @@ func (pr *ProgramRun) superviseBatch(hp *sim.Proc, sl *homeSlot) {
 			hp.Sleep(backoff)
 			backoff *= 2
 		}
-		launch(retry + 1)
+		sl.launch()
 		timeout *= 2
 	}
+}
+
+// launch starts the batch's next attempt, which holds a split reference
+// until it finishes.
+func (sl *homeSlot) launch() {
+	if sl.try == nil {
+		sl.try = sl.attempt
+	}
+	sl.s.refs++
+	sl.tries++
+	pr := sl.s.pr
+	pr.r.cl.K.Spawn(pr.crmHomeName(sl.home), sl.try)
+}
+
+// attempt is the body of one attempt's proc. A spawned proc starts at its
+// launch instant, before the supervisor's next timeout (CRMTimeout > 0)
+// can launch another, so tries still numbers this attempt.
+func (sl *homeSlot) attempt(ap *sim.Proc) {
+	sl.s.pr.crmBatch(ap, sl, sl.tries-1)
+	sl.fin = true
+	sl.done.Broadcast()
+	sl.s.release()
 }
 
 // crmBatch performs one attempt of a per-home batch. An I/O failure (every

@@ -121,3 +121,37 @@ func TestIssueByHomeJoinsTouchingPieces(t *testing.T) {
 		t.Fatalf("batches (extents/bytes) = %v, want [%s]", batches, want)
 	}
 }
+
+// TestSupervisedBatchAllocatesOnlyItsProcs: with the CRM watchdog armed, a
+// warm per-home batch allocates its supervisor Proc and its one attempt
+// Proc per home and nothing else. The attempt's signal, done flag and body
+// live on the pooled home slot, and its name is the home's.
+func TestSupervisedBatchAllocatesOnlyItsProcs(t *testing.T) {
+	cl := smallCluster(1)
+	cfg := DefaultConfig()
+	cfg.CRMTimeout = time.Hour // armed, never fires
+	r := NewRunner(cl, cfg)
+	m := smallMPIIOTest(false)
+	pr := r.Add(m, ModeDataDriven, AddOptions{RanksPerNode: 4})
+	chunks := int64(len(pr.nodes))
+	extents := []ext.Extent{{Off: 0, Len: chunks * cfg.ChunkBytes}}
+	if chunks < 2 {
+		t.Fatalf("program spans %d nodes, want a batch over several homes", chunks)
+	}
+	var allocs float64
+	cl.K.Spawn("test", func(p *sim.Proc) {
+		batch := func() { pr.issueByHome(p, m.FileName, extents, crmRead) }
+		for i := 0; i < 32; i++ {
+			batch()
+		}
+		allocs = testing.AllocsPerRun(100, batch)
+	})
+	cl.K.RunUntil(time.Minute)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(2 * chunks); allocs != want {
+		t.Fatalf("a supervised batch over %d homes allocates %.2f objects, want %.0f (two Procs per home)",
+			chunks, allocs, want)
+	}
+}

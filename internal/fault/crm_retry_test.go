@@ -1,6 +1,8 @@
 package fault_test
 
 import (
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,16 +103,31 @@ func TestAbandonedCRMAttemptKeepsItsBatch(t *testing.T) {
 
 	// The case this test is about must have happened: a writeback attempt
 	// still running when a later prefetch batch started.
+	arg := func(args []obs.Arg, key string) string {
+		for _, a := range args {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+		return ""
+	}
+	// Every relaunch is announced by a CRM retry instant naming its
+	// attempt number, and every attempt, abandoned or not, ends in a span
+	// carrying its own: the two tallies must match.
+	relaunched, spanned := map[string]int{}, map[string]int{}
+	for _, in := range col.Instants() {
+		if in.Name == "retry" && arg(in.Args, "home") != "" {
+			relaunched[arg(in.Args, "attempt")]++
+		}
+	}
 	var writebacks, prefetches []obs.Span
 	for _, sp := range col.Spans() {
 		if sp.Stage != obs.StageRequest {
 			continue
 		}
-		verb := ""
-		for _, a := range sp.Args {
-			if a.Key == "verb" {
-				verb = a.Val
-			}
+		verb := arg(sp.Args, "verb")
+		if a := arg(sp.Args, "attempt"); strings.HasPrefix(verb, "crm-") && a != "0" {
+			spanned[a]++
 		}
 		switch verb {
 		case "crm-writeback":
@@ -131,5 +148,9 @@ func TestAbandonedCRMAttemptKeepsItsBatch(t *testing.T) {
 	if late == 0 {
 		t.Fatalf("no writeback attempt outlived its batch (%d writebacks, %d prefetches)",
 			len(writebacks), len(prefetches))
+	}
+	if len(relaunched) == 0 || !maps.Equal(relaunched, spanned) {
+		t.Fatalf("relaunches announced by attempt number %v, attempt spans %v; want equal and non-empty",
+			relaunched, spanned)
 	}
 }

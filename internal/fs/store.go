@@ -127,12 +127,28 @@ type Store struct {
 }
 
 // multiScratch bundles the slices one ReadMulti/WriteMulti/flushOnce call
-// reuses while assembling its request batch.
+// reuses while assembling its request batch. A fresh record's request,
+// miss-run and block-run lists start in the one-entry arrays beside them,
+// so its first append of each is in place.
 type multiScratch struct {
 	reqs     []*iosched.Request
 	missRuns [][2]int64
 	runs     []lbnRun
 	pages    []pageRef
+
+	firstReq     [1]*iosched.Request
+	firstMissRun [1][2]int64
+	firstRun     [1]lbnRun
+}
+
+// getScratch checks out a scratch record, pointing a fresh one's lists at
+// their first-entry arrays.
+func (s *Store) getScratch() *multiScratch {
+	sc := s.scratchPool.Get()
+	if sc.reqs == nil {
+		sc.reqs, sc.missRuns, sc.runs = sc.firstReq[:0], sc.firstMissRun[:0], sc.firstRun[:0]
+	}
+	return sc
 }
 
 func (s *Store) putScratch(sc *multiScratch) {
@@ -237,7 +253,7 @@ type lbnRun struct {
 // through the store's dispatcher at writeback origin, so the elevator,
 // disk stats, and audit ledgers all see it. Blocks p until it completes.
 func (s *Store) engineSubmit(p *sim.Proc, runs []lbnRun, write bool) {
-	sc := s.scratchPool.Get()
+	sc := s.getScratch()
 	reqs := sc.reqs
 	for _, lr := range runs {
 		reqs = s.appendSplit(reqs, lr, write, s.wbOrig, obs.Ctx{})
@@ -265,7 +281,7 @@ func (s *Store) ReadMulti(p *sim.Proc, name string, extents []ext.Extent, origin
 	s.statReadBytes += n
 
 	cf := s.cache.file(name)
-	sc := s.scratchPool.Get()
+	sc := s.getScratch()
 	missRuns := sc.missRuns // page index ranges [start, end]
 	for _, e := range extents {
 		if e.Len <= 0 {
@@ -336,7 +352,7 @@ func (s *Store) WriteMulti(p *sim.Proc, name string, extents []ext.Extent, origi
 	p.Sleep(time.Duration(float64(n) / memBandwidth * float64(time.Second)))
 
 	if s.cfg.SyncWrites {
-		sc := s.scratchPool.Get()
+		sc := s.getScratch()
 		reqs := sc.reqs
 		for _, e := range extents {
 			if e.Len <= 0 {
@@ -401,7 +417,7 @@ func (s *Store) flusherLoop(p *sim.Proc) {
 // flushOnce writes back the oldest dirty pages, up to one batch.
 func (s *Store) flushOnce(p *sim.Proc) {
 	c := s.cache
-	sc := s.scratchPool.Get()
+	sc := s.getScratch()
 	pages := sc.pages
 	var bytes int64
 	for r := c.dirty.head; r != 0 && bytes < s.cfg.WritebackBatchBytes; r = c.pages.at(r).next {

@@ -14,7 +14,9 @@ import (
 // 6-server file system. Each op covers one stripe unit on every server.
 // The loop is warmed before the timer starts so the transfer pools
 // and the stores' caches are populated; what remains is the per-op cost.
-func benchTransfer(b *testing.B, replicas int, write bool) {
+// cold empties the transfer pools before every timed op, as they are when
+// a cluster's run starts, so each op carves its records afresh.
+func benchTransfer(b *testing.B, replicas int, write, cold bool) {
 	k, fsys := testReplicatedFS(6, replicas)
 	cl := fsys.Client(100)
 	unit := StripeUnit
@@ -30,6 +32,10 @@ func benchTransfer(b *testing.B, replicas int, write bool) {
 			if i == warm {
 				b.ResetTimer()
 			}
+			if cold && i >= warm {
+				fsys.reqPool, fsys.issPool = sim.Pool[serverReq]{}, sim.Pool[issued]{}
+				fsys.groupPool, fsys.opPool = sim.Pool[xferGroup]{}, sim.Pool[xferOp]{}
+			}
 			if err := do(p, "bench.dat", extents, 1, obs.Ctx{}); err != nil {
 				b.Error(err)
 				return
@@ -41,7 +47,11 @@ func benchTransfer(b *testing.B, replicas int, write bool) {
 	k.RunUntil(1 << 62)
 }
 
-func BenchmarkPFSTransferReadR1(b *testing.B)  { benchTransfer(b, 1, false) }
-func BenchmarkPFSTransferReadR3(b *testing.B)  { benchTransfer(b, 3, false) }
-func BenchmarkPFSTransferWriteR1(b *testing.B) { benchTransfer(b, 1, true) }
-func BenchmarkPFSTransferWriteR3(b *testing.B) { benchTransfer(b, 3, true) }
+func BenchmarkPFSTransferReadR1(b *testing.B)  { benchTransfer(b, 1, false, false) }
+func BenchmarkPFSTransferReadR3(b *testing.B)  { benchTransfer(b, 3, false, false) }
+func BenchmarkPFSTransferWriteR1(b *testing.B) { benchTransfer(b, 1, true, false) }
+func BenchmarkPFSTransferWriteR3(b *testing.B) { benchTransfer(b, 3, true, false) }
+
+// BenchmarkPFSTransferCold is an R3 write on empty transfer pools: the
+// first-use cost of every record kind, several replicas per group.
+func BenchmarkPFSTransferCold(b *testing.B) { benchTransfer(b, 3, true, true) }

@@ -94,11 +94,13 @@ func (c *Client) Write(p *sim.Proc, name string, extents []ext.Extent, origin in
 }
 
 // issued is one replica's attempts at a stripe group: the request sent to
-// that rank's server plus every reissue to the same server.
+// that rank's server plus every reissue to the same server. A fresh
+// record's attempts start in first, so its first send appends in place.
 type issued struct {
 	srv      *Server
 	rank     int
 	attempts []*serverReq // all reissues share the group's done signal
+	first    [1]*serverReq
 }
 
 func (is *issued) finished() bool {
@@ -117,16 +119,18 @@ func (is *issued) finished() bool {
 // queue (none for one lost on the wire), and the worker's release takes it
 // back once it has dropped or served the attempt. op is nil while the op
 // runs; putOp sets it on a group still held when the op returns, and the
-// release that brings held to zero then recycles the group. primary and
-// held are int32 so that the record stays in the 112-byte size class.
+// release that brings held to zero then recycles the group. A fresh
+// group's reps start in first, so its first issue appends in place.
+// primary and held are int32, and the request size is derived per send
+// (see send), so that the record stays within 112 bytes.
 type xferGroup struct {
 	primary int32
 	held    int32
 	file    string
 	lst     []ext.Extent
-	msg     int64
 	done    sim.Signal // shared by every replica attempt (see issueTo)
 	reps    []*issued
+	first   [1]*issued
 	op      *xferOp
 }
 
@@ -141,9 +145,11 @@ func (g *xferGroup) winner() *issued {
 
 // xferOp is the per-operation transfer record: the per-server split of the
 // extents and the stripe groups built over it. Once the op has returned,
-// groups holds only those a server still holds (see putOp).
+// groups holds only those a server still holds (see putOp). Every per[i]
+// is a window of one backing array, buf (see splitInto).
 type xferOp struct {
 	per    [][]ext.Extent
+	buf    []ext.Extent
 	groups []*xferGroup
 }
 
@@ -157,10 +163,9 @@ type xferOp struct {
 func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) (*xferOp, error) {
 	fsys := c.fsys
 	op := fsys.opPool.Get()
-	if op.per == nil {
-		op.per = make([][]ext.Extent, fsys.NumServers())
+	if n := fsys.splitInto(op, extents); cap(op.groups) < n {
+		op.groups = make([]*xferGroup, 0, n)
 	}
-	fsys.splitInto(op.per, extents)
 	var ver int64
 	if write && fsys.tracker != nil {
 		fsys.verCounter++
@@ -172,9 +177,10 @@ func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin
 		}
 		g := fsys.groupPool.Get()
 		g.primary, g.file, g.lst = int32(i), name, lst
-		g.msg = headerBytes + extentDescBytes*int64(len(lst))
+		if g.reps == nil {
+			g.reps = g.first[:0]
+		}
 		if write {
-			g.msg += ext.Total(lst) // write payload travels with the request
 			for rank := 0; rank < fsys.replicas(); rank++ {
 				srv := fsys.replicaServer(i, rank)
 				if fsys.down[srv.Index] {
@@ -215,6 +221,9 @@ func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, ver in
 	fsys := c.fsys
 	is := fsys.issPool.Get()
 	is.srv, is.rank = fsys.replicaServer(int(g.primary), rank), rank
+	if is.attempts == nil {
+		is.attempts = is.first[:0]
+	}
 	g.reps = append(g.reps, is)
 	req := fsys.reqPool.Get()
 	req.file = fsys.storeFile(g.file, rank)
@@ -247,7 +256,11 @@ func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued) {
 func (c *Client) send(p *sim.Proc, g *xferGroup, is *issued, req *serverReq) {
 	fsys := c.fsys
 	is.attempts = append(is.attempts, req)
-	if fsys.net.SendLossy(p, c.Node, is.srv.Node, g.msg, req.rc) {
+	msg := headerBytes + extentDescBytes*int64(len(req.extents))
+	if req.write {
+		msg += ext.Total(req.extents) // write payload travels with the request
+	}
+	if fsys.net.SendLossy(p, c.Node, is.srv.Node, msg, req.rc) {
 		req.enq = p.Now()
 		g.held++
 		is.srv.queue.Put(req)

@@ -141,6 +141,9 @@ type FileSystem struct {
 	issPool   sim.Pool[issued]
 	groupPool sim.Pool[xferGroup]
 	opPool    sim.Pool[xferOp]
+
+	// splitTally is splitInto's per-server count, zero between calls.
+	splitTally []splitTally
 }
 
 // putOp hands a finished operation back. Each group no server still holds
@@ -180,11 +183,8 @@ func (fsys *FileSystem) putGroup(g *xferGroup) {
 }
 
 // putSplit recycles an op whose groups have all gone back, keeping the
-// capacity of its split buffer.
+// capacity of its split and group arrays.
 func (fsys *FileSystem) putSplit(op *xferOp) {
-	for i := range op.per {
-		op.per[i] = op.per[i][:0]
-	}
 	fsys.opPool.Put(op)
 }
 
@@ -263,6 +263,7 @@ func New(k *sim.Kernel, net *netsim.Network, cfg Config, metaNode int, serverNod
 		down:       make([]bool, len(serverNodes)),
 		rebuilding: make([]bool, len(serverNodes)),
 		ledger:     newRebuildLedger(len(serverNodes)),
+		splitTally: make([]splitTally, len(serverNodes)),
 	}
 	for i, node := range serverNodes {
 		srv := &Server{
@@ -459,25 +460,61 @@ func (srv *Server) dropCrashed(req *serverReq, now time.Duration) {
 
 // split maps file-global extents to per-server local extent lists.
 func (fsys *FileSystem) split(extents []ext.Extent) [][]ext.Extent {
-	out := make([][]ext.Extent, fsys.NumServers())
-	fsys.splitInto(out, extents)
-	return out
+	var op xferOp
+	fsys.splitInto(&op, extents)
+	return op.per
 }
 
-// splitInto is split appending into a caller-provided buffer (len =
-// NumServers, every sub-slice empty), so the hot path can reuse checked-out
-// buffers instead of allocating per operation.
-func (fsys *FileSystem) splitInto(out [][]ext.Extent, extents []ext.Extent) {
+// splitInto lays the split of extents out in op: op.per[i] is server i's
+// local list, coalesced, and every list is a window of one backing array,
+// op.buf. A counting pass sizes each window to its server's coalesced
+// length, so the buffer grows only to what the op's lists hold. It
+// returns how many servers have a non-empty list.
+func (fsys *FileSystem) splitInto(op *xferOp, extents []ext.Extent) (servers int) {
+	tally := fsys.splitTally
+	total := 0
+	ext.VisitSplit(extents, StripeUnit, func(piece ext.Extent) {
+		srv, local := fsys.LocalOffset(piece.Off)
+		t := &tally[srv]
+		if t.n == 0 || t.end != local {
+			t.n++
+			total++
+		}
+		t.end = local + piece.Len
+	})
+	if op.per == nil {
+		op.per = make([][]ext.Extent, len(tally))
+	}
+	if cap(op.buf) < total {
+		op.buf = make([]ext.Extent, total)
+	}
+	at := 0
+	for i, t := range tally {
+		op.per[i] = op.buf[at : at : at+t.n]
+		at += t.n
+		if t.n > 0 {
+			servers++
+		}
+		tally[i] = splitTally{}
+	}
+	out := op.per
 	ext.VisitSplit(extents, StripeUnit, func(piece ext.Extent) {
 		srv, local := fsys.LocalOffset(piece.Off)
 		lst := out[srv]
 		if len(lst) > 0 && lst[len(lst)-1].End() == local {
 			lst[len(lst)-1].Len += piece.Len
-			out[srv] = lst
 		} else {
 			out[srv] = append(lst, ext.Extent{Off: local, Len: piece.Len})
 		}
 	})
+	return servers
+}
+
+// splitTally is one server's coalesced list length and end while
+// splitInto counts.
+type splitTally struct {
+	n   int
+	end int64
 }
 
 // LocalOffset translates a file-global offset to (server index, local

@@ -182,6 +182,43 @@ func TestReplicatedWriteAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestColdReadCarvesItsRecords pins what a read costs a file system whose
+// transfer pools are empty, as every cluster's are when its run starts:
+// nine half-stripe pieces over three servers, three per server and none
+// adjacent. The op record with its split and group arrays (4), the three
+// groups, requests and replica records carved in chunks of 1, 1 and 2 (9),
+// the free lists growing as the records go back (10) and the first wait on
+// each group's done signal (3) come to 26 objects. Allocating each record
+// and each first list on its own costs 42.
+func TestColdReadCarvesItsRecords(t *testing.T) {
+	k, fsys := testReplicatedFS(3, 1)
+	cl := fsys.Client(100)
+	unit := StripeUnit
+	var extents []ext.Extent
+	for s := int64(0); s < 9; s++ {
+		extents = append(extents, ext.Extent{Off: s * unit, Len: unit / 2})
+	}
+	var allocs float64
+	k.Spawn("reader", func(p *sim.Proc) {
+		cl.Create(p, "f", 9*unit)
+		read := func() {
+			if err := cl.Read(p, "f", extents, 1, obs.Ctx{}); err != nil {
+				t.Error(err)
+			}
+		}
+		read() // warms the servers, stores and network beneath
+		allocs = testing.AllocsPerRun(50, func() {
+			fsys.reqPool, fsys.issPool = sim.Pool[serverReq]{}, sim.Pool[issued]{}
+			fsys.groupPool, fsys.opPool = sim.Pool[xferGroup]{}, sim.Pool[xferOp]{}
+			read()
+		})
+	})
+	k.RunUntil(1 << 62)
+	if allocs > 26 {
+		t.Fatalf("a read on empty transfer pools allocates %.2f objects, want at most 26", allocs)
+	}
+}
+
 // TestReleasePanicsOnBrokenCount: releasing an attempt no server holds
 // would corrupt whichever op reuses the records, so it fails loudly.
 func TestReleasePanicsOnBrokenCount(t *testing.T) {
@@ -196,8 +233,9 @@ func TestReleasePanicsOnBrokenCount(t *testing.T) {
 	fsys.servers[1].release(req)
 }
 
-// TestTransferGroupSizeClass keeps xferGroup inside the runtime's 112-byte
-// size class: a larger record costs every pooled group 16 more bytes.
+// TestTransferGroupSizeClass keeps xferGroup within 112 bytes. The pool
+// carves groups from chunks, which do not round to a size class, so the
+// bound guards the bytes of every pooled group, one for one.
 func TestTransferGroupSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(xferGroup{}); n > 112 {
 		t.Fatalf("xferGroup is %d bytes, want at most 112", n)

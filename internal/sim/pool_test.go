@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 type poolRec struct{ n int }
 
@@ -68,5 +71,62 @@ func TestPoolWarmCycleAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a warm Get/Put cycle allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestPoolColdGetsCarveChunks: Gets on a pool that was never Put carve
+// their records from chunks that double, so N cold Gets allocate about
+// log2(N) + N/64 times, and a pool that needs one record allocates once.
+func TestPoolColdGetsCarveChunks(t *testing.T) {
+	var p Pool[poolRec]
+	for _, n := range []int{1, 2, 3, 16, 100, 1000} {
+		got := make([]*poolRec, n) // the records escape, as pooled ones do
+		allocs := testing.AllocsPerRun(20, func() {
+			p = Pool[poolRec]{}
+			for i := range got {
+				got[i] = p.Get()
+			}
+		})
+		limit := bits.Len(uint(n)) + 1 + n/maxChunk
+		if n == 1 {
+			limit = 1
+		}
+		if allocs > float64(limit) {
+			t.Errorf("%d cold Gets allocate %.0f objects, want at most %d", n, allocs, limit)
+		}
+	}
+}
+
+// TestPoolCarvedRecordsStayPut: every carved record is zero, distinct
+// from every other, and keeps its address and contents however many Gets
+// and Puts follow, while a Put record still comes back as it was put.
+func TestPoolCarvedRecordsStayPut(t *testing.T) {
+	var p Pool[poolRec]
+	var got []*poolRec
+	seen := map[*poolRec]bool{}
+	take := func(n int) {
+		for i := 0; i < n; i++ {
+			x := p.Get()
+			if seen[x] {
+				t.Fatalf("Get %d handed out a record twice", len(got))
+			}
+			if *x != (poolRec{}) {
+				t.Fatalf("Get %d carved a dirty record %+v", len(got), *x)
+			}
+			seen[x] = true
+			x.n = len(got)
+			got = append(got, x)
+		}
+	}
+	take(3)
+	p.Put(got[1])
+	if x := p.Get(); x != got[1] || x.n != 1 {
+		t.Fatalf("Get after Put = %p %+v, want %p {n:1}", x, *x, got[1])
+	}
+	take(300)
+	for i, x := range got {
+		if x.n != i {
+			t.Fatalf("record %d reads %d after later Gets", i, x.n)
+		}
 	}
 }
